@@ -25,13 +25,11 @@ from .channels import (  # noqa: F401
 )
 from .characterizations import (  # noqa: F401
     BivariateFunctional,
-    condition_a_check,
     condition_e_check,
     conditional_jensen_check,
     convexity_lemma_check,
     eval_functional,
     integral_relation_check,
-    joint_convexity_test,
     taylor_relation_check,
 )
 from .entropy import (  # noqa: F401

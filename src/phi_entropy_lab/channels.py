@@ -33,7 +33,6 @@ from .spectral import (
     hermitian_part,
     matrix_from_json,
     matrix_to_json,
-    normalized_trace,
     trace,
     validate_hermitian,
 )

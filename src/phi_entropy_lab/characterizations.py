@@ -2,12 +2,13 @@
 
 The bivariate functionals here (Bregman remainder, derivative increment,
 second-derivative quadratic form, interpolation gap) characterise the
-subadditive entropy classes through joint convexity.  Checks certify
-midpoint convexity on sampled pairs, the integral and Taylor relations
-connecting the functionals, the inverse-derivative concavity condition,
-the fourth-derivative trace inequality, and the conditional Jensen
-inequality.  Reports state "no violation in N trials"; they are evidence,
-not proofs.
+subadditive entropy classes through joint convexity.  This module gives
+the slack of each condition at one point: joint convexity of a functional,
+the integral and Taylor relations connecting the functionals, the
+inverse-derivative concavity condition, the fourth-derivative trace
+inequality, and the conditional Jensen inequality.  The suite sweeps these
+slacks over sampled points; its reports state "no violation in N trials",
+which is evidence, not a proof.
 """
 
 from __future__ import annotations
@@ -19,13 +20,12 @@ import numpy as np
 from .catalog import ScalarFunction
 from .errors import DomainError
 from .frechet import frechet_d1, frechet_d2, frechet_d3, superop_inverse, superop_matrix
-from .entropy import MatrixEnsemble, ProductEnsemble, operator_phi_entropy, matrix_phi_entropy
+from .entropy import MatrixEnsemble, ProductEnsemble, operator_phi_entropy
 from .reports import VerificationReport
 from .spectral import (
     apply_scalar_function,
     frobenius,
     hermitian_part,
-    matrix_from_json,
     matrix_to_json,
     normalized_trace,
     validate_hermitian,
@@ -36,8 +36,6 @@ FUNCTIONAL_NAMES = ("bregman_A", "map_B", "map_C", "gap_F_t")
 # The fourth-derivative inequality carries a finite-difference layer, so it
 # gets a looser tolerance than the exact-evaluation checks.
 CONDITION_E_TOL = 1e-4
-
-DEFAULT_LAMBDAS = (0.25, 0.5, 0.75)
 
 
 @dataclass(frozen=True)
@@ -86,10 +84,8 @@ def eval_functional(F: BivariateFunctional, u, v):
     return out
 
 
-def _slack(F: BivariateFunctional, pair1, pair2, lam: float):
+def convexity_slack_at(F: BivariateFunctional, u1, v1, u2, v2, lam: float) -> float:
     """Convex-combination slack; nonnegative for a jointly convex functional."""
-    u1, v1 = pair1
-    u2, v2 = pair2
     mix = (lam * u1 + (1.0 - lam) * u2, lam * v1 + (1.0 - lam) * v2)
     combo = lam * np.asarray(eval_functional(F, u1, v1)) \
         + (1.0 - lam) * np.asarray(eval_functional(F, u2, v2))
@@ -97,57 +93,6 @@ def _slack(F: BivariateFunctional, pair1, pair2, lam: float):
     if F.variant == "trace":
         return float(gap)
     return float(np.linalg.eigvalsh(hermitian_part(gap))[0])
-
-
-def joint_convexity_test(F: BivariateFunctional, sampler, trials: int, seed: int = 0,
-                         lambdas=DEFAULT_LAMBDAS, extra_random_lambdas: int = 2,
-                         tol: float | None = None) -> VerificationReport:
-    """Midpoint-convexity sweep over sampled pairs.
-
-    sampler(rng) must yield one in-domain (u, v) pair.  Each trial draws two
-    pairs and tests the fixed lambda grid plus a few random lambdas; the
-    report's margin is the worst slack over all trials.
-    """
-    from .sampling import rng_for
-
-    worst = np.inf
-    worst_witness = None
-    scale = 1.0
-    for trial in range(trials):
-        rng = rng_for(seed, "joint_convexity", F.label(), trial)
-        pair1 = sampler(rng)
-        pair2 = sampler(rng)
-        lams = list(lambdas) + [float(rng.uniform(0.0, 1.0))
-                                for _ in range(extra_random_lambdas)]
-        for lam in lams:
-            slack = _slack(F, pair1, pair2, lam)
-            scale = max(scale, abs(slack))
-            if slack < worst:
-                worst = slack
-                worst_witness = _convexity_witness(F, pair1, pair2, lam)
-    if tol is None:
-        tol = 1e-9 * scale
-    return VerificationReport.from_margin(
-        f"joint_convexity[{F.label()}]", worst, tol, trials=trials, witness=worst_witness
-    )
-
-
-def _convexity_witness(F: BivariateFunctional, pair1, pair2, lam: float) -> dict:
-    return {
-        "kind": "joint_convexity",
-        "functional": F.name,
-        "phi": F.phi.spec_string(),
-        "variant": F.variant,
-        "t": F.t,
-        "lambda": lam,
-        "u1": matrix_to_json(pair1[0]), "v1": matrix_to_json(pair1[1]),
-        "u2": matrix_to_json(pair2[0]), "v2": matrix_to_json(pair2[1]),
-    }
-
-
-def convexity_slack_at(F: BivariateFunctional, u1, v1, u2, v2, lam: float) -> float:
-    """Single-point slack; used for witness replay and counterexample search."""
-    return _slack(F, (u1, v1), (u2, v2), lam)
 
 
 # --- inverse-derivative concavity (condition on the derivative map) -------------
@@ -168,42 +113,6 @@ def condition_a_slack(f: ScalarFunction, A1, A2, h, lam: float) -> float:
     q1 = inverse_derivative_quadratic_form(f, A1, h)
     q2 = inverse_derivative_quadratic_form(f, A2, h)
     return q_mix - (lam * q1 + (1.0 - lam) * q2)
-
-
-def condition_a_check(f: ScalarFunction, sampler, trials: int, seed: int = 0,
-                      lambdas=DEFAULT_LAMBDAS, extra_random_lambdas: int = 2,
-                      tol: float | None = None) -> VerificationReport:
-    """Midpoint-concavity sweep of the inverted derivative map's quadratic form.
-
-    sampler(rng) must yield (A1, A2, h) with A1, A2 positive definite in the
-    derivative domain of f.
-    """
-    from .sampling import rng_for
-
-    worst = np.inf
-    worst_witness = None
-    scale = 1.0
-    for trial in range(trials):
-        rng = rng_for(seed, "condition_a", f.spec_string(), trial)
-        A1, A2, h = sampler(rng)
-        lams = list(lambdas) + [float(rng.uniform(0.0, 1.0))
-                                for _ in range(extra_random_lambdas)]
-        for lam in lams:
-            slack = condition_a_slack(f, A1, A2, h, lam)
-            scale = max(scale, abs(slack),
-                        abs(inverse_derivative_quadratic_form(f, A1, h)))
-            if slack < worst:
-                worst = slack
-                worst_witness = {
-                    "kind": "condition_a", "phi": f.spec_string(), "lambda": lam,
-                    "A1": matrix_to_json(A1), "A2": matrix_to_json(A2),
-                    "h": matrix_to_json(h),
-                }
-    if tol is None:
-        tol = 1e-9 * scale
-    return VerificationReport.from_margin(
-        f"condition_a[{f.spec_string()}]", worst, tol, trials=trials, witness=worst_witness
-    )
 
 
 # --- fourth-derivative trace inequality -----------------------------------------

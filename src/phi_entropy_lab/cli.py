@@ -12,17 +12,8 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .catalog import from_spec
 from .channels import KrausChannel, check_monotonicity, random_unital_channel
-from .characterizations import (
-    condition_a_check,
-    condition_e_check,
-    conditional_jensen_check,
-    joint_convexity_test,
-    BivariateFunctional,
-)
 from .entropy import (
     MatrixEnsemble,
     ProductEnsemble,
@@ -34,15 +25,16 @@ from .entropy import (
 )
 from .errors import ConfigError, PhiLabError
 from .frechet import frechet_d1, frechet_d2, frechet_d3
-from .reports import VerificationReport
-from .sampling import rng_for, sample_hermitian_unit, sample_product, sample_psd
+from .sampling import rng_for
 from .spectral import matrix_from_json, matrix_to_json
 from .suite import (
     CHECK_NAMES,
     RunConfig,
     SEARCHABLE_CHECKS,
+    SWEEPS,
     counterexample_search,
     run_suite,
+    sweep,
 )
 
 EXIT_OK = 0
@@ -215,29 +207,13 @@ def _cmd_check_characterizations(args) -> int:
     bad = [i for i in items if i not in valid]
     if bad:
         raise ConfigError(f"unknown characterization items {bad}; valid: a-g")
-    d = args.dim
-    reports = []
-    from .suite import RunConfig as _RC  # reuse the task runners
-    from .suite import (_run_characterizations, _run_condition_a, _run_condition_e)
-
-    config = _RC(seed=args.seed, dims=(d,), trials=args.trials,
-                 phi_list=(args.phi,), variant=args.variant,
-                 allow_outside_class=args.override,
-                 tolerances={} if args.tol is None else
-                 {"characterizations": args.tol, "condition_a": args.tol,
-                  "condition_e": args.tol})
-    item_map = {"b": "b", "c": "c", "d": "d", "f": "f", "g": "g"}
-    wanted_conv = [i for i in items if i in item_map]
-    if wanted_conv:
-        all_char = _run_characterizations(config, f, args.variant, d)
-        labels = {"b": "[b,", "c": "[c,", "d": "[d,", "f": "[f,", "g": "[g,"}
-        for report, _ in all_char:
-            if any(labels[i] in report.check_name for i in wanted_conv):
-                reports.append(report)
-    if "a" in items:
-        reports.extend(r for r, _ in _run_condition_a(config, f, d))
-    if "e" in items:
-        reports.extend(r for r, _ in _run_condition_e(config, f, d))
+    checks = ("characterizations", "condition_a", "condition_e")
+    config = RunConfig(seed=args.seed, dims=(args.dim,), trials=args.trials,
+                       phi_list=(args.phi,), variant=args.variant,
+                       allow_outside_class=args.override,
+                       tolerances={} if args.tol is None else dict.fromkeys(checks, args.tol))
+    reports = [sweep(config, check, s, f, args.variant, args.dim)
+               for check in checks for s in SWEEPS[check] if s.fixed["item"] in items]
     return _reports_exit(reports, args)
 
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from .catalog import (
     ScalarFunction,
-    coincidence_threshold,
     dd1_grid,
     dd2_grid,
     dd3_grid,

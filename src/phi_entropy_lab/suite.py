@@ -1,49 +1,59 @@
-"""Suite runner, counterexample search, and witness replay.
+"""Suite runner, counterexample search and witness replay, read off one table.
 
-A run executes a configured set of checks over seeded random ensembles and
-emits a schema-stable report.  Trials are keyed by (seed, check, trial)
-through a counter-based generator, so serial and parallel executions
-produce identical reports.
+``CHECKS`` holds one record per witness ``kind``, one for each statement the
+suite measures.  A record says once:
+
+- how one suite trial draws its points from the trial's seeded stream;
+- the margin of one point, >= 0 when the statement holds there;
+- how a point is stored as a witness and read back (its fields, in order);
+- the tolerance a sweep's margins are judged by.
+
+``SWEEPS`` says which reports each entry of ``CHECK_NAMES`` makes: the record
+each report measures, the labels of its stream and its name.  The rest is
+derived from the two tables:
+
+- ``sweep`` runs one report: every trial's points, the first strict minimum
+  of the margin, and the witness of that one point;
+- ``run_suite`` runs the sweeps a ``RunConfig`` selects;
+- ``replay_witness`` decodes a witness and recomputes its margin;
+- ``counterexample_search`` packs the matrix fields of a searchable record
+  into real parameters and descends on the record's margin.
+
+Trials are keyed by (seed, check, labels..., trial) through a counter-based
+generator, so serial and parallel executions produce identical reports.
+Records call the package through module-level names only, so a wrapper
+installed on those names sees every call.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
 from .catalog import C2, C3, OUTSIDE_CLASS, ScalarFunction, from_spec
-from .channels import KrausChannel, monotonicity_gap, check_monotonicity, random_unital_channel
+from .channels import KrausChannel, monotonicity_gap, random_unital_channel
 from .characterizations import (
-    BivariateFunctional,
     CONDITION_E_TOL,
-    condition_a_check,
+    FUNCTIONAL_NAMES,
+    BivariateFunctional,
     condition_a_slack,
-    condition_e_check,
     condition_e_margin,
-    conditional_jensen_check,
     conditional_jensen_gap,
     convexity_lemma_margin,
     convexity_slack_at,
-    joint_convexity_test,
 )
 from .entropy import (
     MatrixEnsemble,
     ProductEnsemble,
     SPECTRAL_FLOOR,
-    check_operator_efron_stein,
-    check_polynomial_efron_stein,
-    check_subadditivity,
-    dual_representation_gap,
     dual_value,
     efron_stein_quantity,
-    interpolation_derivative_scan,
-    matrix_phi_entropy,
     operator_phi_entropy,
     subadditivity_gap,
     variance,
@@ -60,12 +70,12 @@ from .sampling import (
     sample_psd,
 )
 from .spectral import (
-    frobenius,
     hermitian_part,
     matrix_from_json,
     matrix_to_json,
     normalized_trace,
     relative_error,
+    schatten_norm,
 )
 
 CHECK_NAMES = (
@@ -207,320 +217,306 @@ class SuiteReport:
         return cls(config=data["config"], entries=entries, skipped=tuple(data["skipped"]))
 
 
-def _pd_pair_sampler(d: int):
-    def sample(rng):
-        u = sample_psd(d, SPECTRAL_FLOOR, rng)
-        v = sample_psd(d, SPECTRAL_FLOOR, rng)
-        return u, v
-    return sample
-
-
-def _condition_a_sampler(d: int):
-    def sample(rng):
-        A1 = sample_psd(d, SPECTRAL_FLOOR, rng)
-        A2 = sample_psd(d, SPECTRAL_FLOOR, rng)
-        h = sample_hermitian_unit(d, rng)
-        return A1, A2, h
-    return sample
-
-
 def _in_class(f: ScalarFunction, variant: str) -> bool:
     if f.has_tag(OUTSIDE_CLASS):
         return False
     return f.has_tag({"trace": C2, "operator": C3}[variant])
 
 
-# --- per-check task runners -----------------------------------------------------
+# --- the check registry ------------------------------------------------------------
+
+# Witness codecs: (encode, decode) between a point value and its JSON form.
+_VALUE = (lambda x: x, lambda x: x)
+_PHI = (lambda f: f.spec_string(), lambda s: from_spec(s, allow_outside_class=True))
+_MATRIX = (lambda A: matrix_to_json(A), lambda data: matrix_from_json(data))
+_MATRICES = (lambda As: [matrix_to_json(A) for A in As],
+             lambda data: [matrix_from_json(A) for A in data])
+_PRODUCT = (lambda P: P.to_json_dict(), lambda data: ProductEnsemble.from_json_dict(data))
+_ENSEMBLE = (lambda E: E.to_json_dict(), lambda data: MatrixEnsemble.from_json_dict(data))
+_CHANNEL = (lambda N: N.to_json_dict(), lambda data: KrausChannel.from_json_dict(data))
 
 
-def _run_frechet_oracle(config: RunConfig, f: ScalarFunction, d: int):
-    out = []
-    for order in (1, 2, 3):
-        tol = config.tolerance_for("frechet_oracle") or ORACLE_TOLS[order]
-        worst = np.inf
-        witness = None
-        for trial in range(config.trials):
-            rng = rng_for(config.seed, "frechet_oracle", f.spec_string(), d, order, trial)
-            A = sample_psd(d, 0.5, rng, spectral_cap=4.0)
-            X = sample_hermitian_unit(d, rng)
-            if order == 1:
-                exact = frechet_d1(f, A, X)
-            elif order == 2:
-                exact = frechet_d2(f, A, X, X)
-            else:
-                exact = frechet_d3(f, A, X, X, X)
-            approx = finite_diff_oracle(f, A, X, order)
-            margin = -relative_error(exact, approx)
+@dataclass(frozen=True)
+class Check:
+    """One statement: its witness layout, margin, suite draw and tolerance.
+
+    A point is a dict keyed like the witness that holds decoded values.
+    """
+
+    fields: tuple                 # witness layout after "kind": (key, codec) pairs
+    margin: Callable              # point -> float, >= 0 where the statement holds
+    draw: Callable | None = None  # (rng, d, config, base point) -> one trial's points
+    tolerance: Callable | None = None  # (all margins, base point) -> tolerance
+    class_gated: bool = True      # in class only for phi tagged for the variant
+    # Spectral floor and cap of the matrices a counterexample search draws.
+    search_spectrum: tuple = (SPECTRAL_FLOOR + 0.05, None)
+
+
+def _reduce(gap, variant: str) -> float:
+    """Normalised trace of an operator gap, or its smallest eigenvalue."""
+    if variant == "trace":
+        return normalized_trace(gap)
+    return float(np.linalg.eigvalsh(hermitian_part(gap))[0])
+
+
+def _lambdas(rng) -> list:
+    """Convex weights tried on each drawn pair: three fixed, two drawn."""
+    return [0.25, 0.5, 0.75, float(rng.uniform()), float(rng.uniform())]
+
+
+def _frechet_margin(p: dict) -> float:
+    f, A, X, order = p["phi"], p["A"], p["X"], p["order"]
+    if order == 1:
+        exact = frechet_d1(f, A, X)
+    elif order == 2:
+        exact = frechet_d2(f, A, X, X)
+    else:
+        exact = frechet_d3(f, A, X, X, X)
+    return -relative_error(exact, finite_diff_oracle(f, A, X, order))
+
+
+def _poly_efron_stein_margin(p: dict) -> float:
+    P, q = p["product"], p["p"]
+    return (schatten_norm(efron_stein_quantity(P), q) ** q
+            - schatten_norm(variance(P.flatten()), q) ** q)
+
+
+def _convexity_margin(p: dict) -> float:
+    F = BivariateFunctional(p["functional"], p["phi"], p["variant"], t=p["t"])
+    return convexity_slack_at(F, p["u1"], p["v1"], p["u2"], p["v2"], p["lambda"])
+
+
+def _draw_pairs(rng, d: int, config, base: dict) -> list:
+    u1, v1, u2, v2 = (sample_psd(d, SPECTRAL_FLOOR, rng) for _ in range(4))
+    t = float(rng.uniform(0.0, 1.0)) if base["functional"] == "gap_F_t" else None
+    return [{"t": t, "lambda": lam, "u1": u1, "v1": v1, "u2": u2, "v2": v2}
+            for lam in _lambdas(rng)]
+
+
+def _draw_condition_a(rng, d: int, config, base: dict) -> list:
+    A1, A2 = sample_psd(d, SPECTRAL_FLOOR, rng), sample_psd(d, SPECTRAL_FLOOR, rng)
+    h = sample_hermitian_unit(d, rng)
+    return [{"lambda": lam, "A1": A1, "A2": A2, "h": h} for lam in _lambdas(rng)]
+
+
+def _draw_channel(rng, d: int, config, base: dict) -> list:
+    N = random_unital_channel(d, int(rng.integers(1, 5)), rng)
+    return [{"channel": N, "ensemble": sample_ensemble(d, 3, rng, spectral_floor=0.0)}]
+
+
+def _draw_product(n_factors):
+    """Draw of one product ensemble; n_factors=None takes the config's."""
+    return lambda rng, d, config, base: [{"product": sample_product(
+        d, n_factors or config.n_factors, config.support, rng)}]
+
+
+CHECKS = {
+    "frechet_oracle": Check(
+        fields=(("phi", _PHI), ("order", _VALUE), ("A", _MATRIX), ("X", _MATRIX)),
+        margin=_frechet_margin,
+        draw=lambda rng, d, config, base: [{"A": sample_psd(d, 0.5, rng, spectral_cap=4.0),
+                                            "X": sample_hermitian_unit(d, rng)}],
+        tolerance=lambda margins, base: ORACLE_TOLS[base["order"]],
+        class_gated=False),
+    "subadditivity": Check(
+        fields=(("phi", _PHI), ("variant", _VALUE), ("product", _PRODUCT)),
+        margin=lambda p: _reduce(subadditivity_gap(p["phi"], p["product"], p["variant"]),
+                                 p["variant"]),
+        draw=_draw_product(None),
+        tolerance=lambda margins, base: 1e-10),
+    "efron_stein": Check(
+        fields=(("product", _PRODUCT),),
+        margin=lambda p: _reduce(efron_stein_quantity(p["product"])
+                                 - variance(p["product"].flatten()), "operator"),
+        draw=_draw_product(None),
+        tolerance=lambda margins, base: 1e-10,
+        class_gated=False),
+    "poly_efron_stein": Check(
+        fields=(("p", _VALUE), ("product", _PRODUCT)),
+        margin=_poly_efron_stein_margin,
+        draw=_draw_product(None),
+        tolerance=lambda margins, base: 1e-10,
+        class_gated=False),
+    "dual_representation": Check(
+        fields=(("phi", _PHI), ("variant", _VALUE), ("Z", _ENSEMBLE), ("T", _ENSEMBLE)),
+        margin=lambda p: _reduce(operator_phi_entropy(p["phi"], p["Z"])
+                                 - dual_value(p["phi"], p["Z"], p["T"]), p["variant"]),
+        draw=lambda rng, d, config, base: [dict(zip(("Z", "T"), sample_coupled_ensembles(
+            d, 3, rng, spectral_floor=SPECTRAL_FLOOR)))],
+        tolerance=lambda margins, base: 1e-9),
+    # Items (b), (c), (d), (f): joint convexity of a bivariate functional.
+    "joint_convexity": Check(
+        fields=(("functional", _VALUE), ("phi", _PHI), ("variant", _VALUE), ("t", _VALUE),
+                ("lambda", _VALUE), ("u1", _MATRIX), ("v1", _MATRIX), ("u2", _MATRIX),
+                ("v2", _MATRIX)),
+        margin=_convexity_margin,
+        draw=_draw_pairs,
+        tolerance=lambda margins, base: 1e-9 * (1.0 + max(abs(m) for m in margins))),
+    # Item (g), and the "jensen" check.
+    "conditional_jensen": Check(
+        fields=(("phi", _PHI), ("variant", _VALUE), ("product", _PRODUCT)),
+        margin=lambda p: _reduce(conditional_jensen_gap(p["phi"], p["product"]), p["variant"]),
+        draw=_draw_product(2),
+        tolerance=lambda margins, base: 1e-10),
+    "condition_a": Check(
+        fields=(("phi", _PHI), ("lambda", _VALUE), ("A1", _MATRIX), ("A2", _MATRIX),
+                ("h", _MATRIX)),
+        margin=lambda p: condition_a_slack(p["phi"], p["A1"], p["A2"], p["h"], p["lambda"]),
+        draw=_draw_condition_a,
+        tolerance=lambda margins, base: 1e-9 * max(1.0, *(abs(m) for m in margins))),
+    "condition_e": Check(
+        fields=(("phi", _PHI), ("method", _VALUE), ("A", _MATRIX), ("h", _MATRIX),
+                ("k", _MATRIX)),
+        margin=lambda p: condition_e_margin(p["phi"], p["A"], p["h"], p["k"],
+                                            method=p["method"]),
+        draw=lambda rng, d, config, base: [{"A": sample_psd(d, 0.5, rng, spectral_cap=4.0),
+                                            "h": sample_hermitian_unit(d, rng),
+                                            "k": sample_hermitian_unit(d, rng)}],
+        tolerance=lambda margins, base: CONDITION_E_TOL,
+        search_spectrum=(0.6, 3.8)),
+    "monotonicity": Check(
+        fields=(("phi", _PHI), ("variant", _VALUE), ("channel", _CHANNEL),
+                ("ensemble", _ENSEMBLE)),
+        margin=lambda p: monotonicity_gap(p["phi"], p["channel"], p["ensemble"], p["variant"]),
+        draw=_draw_channel,
+        tolerance=lambda margins, base: 1e-10),
+    # Replay only: witnesses of characterizations.convexity_lemma_check.
+    "convexity_lemma": Check(
+        fields=(("phi", _PHI), ("weights", _VALUE), ("A", _MATRICES), ("X", _MATRICES)),
+        margin=lambda p: convexity_lemma_margin(p["phi"], p["weights"], p["A"], p["X"])),
+}
+
+
+def encode_witness(kind: str, point: dict) -> dict:
+    """The witness of a point: its kind, then the record's fields in order."""
+    return {"kind": kind, **{key: encode(point[key])
+                             for key, (encode, _) in CHECKS[kind].fields}}
+
+
+def decode_witness(witness: dict) -> dict:
+    """The point a witness stores; raises ConfigError for an unknown kind."""
+    check = CHECKS.get(witness["kind"])
+    if check is None:
+        raise ConfigError(f"cannot replay witness of kind '{witness['kind']}'")
+    return {key: decode(witness[key]) for key, (_, decode) in check.fields}
+
+
+def replay_witness(witness: dict) -> float:
+    """Recompute the margin a stored witness claims; must match to 1e-12."""
+    point = decode_witness(witness)
+    return CHECKS[witness["kind"]].margin(point)
+
+
+# --- sweeps ------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """One report of a suite check, repeated over functions, variants and dims."""
+
+    kind: str    # the record it measures
+    key: tuple   # labels of its stream after the check name, in order
+    name: str    # report name, formatted with the labels
+    fixed: dict = field(default_factory=dict)  # point values and labels fixed for it
+
+
+_PER_VARIANT = ("phi", "variant", "d")
+_ITEM_KEY = ("item", *_PER_VARIANT)
+_ITEM_NAME = "characterizations[{item},{phi},{variant},d={d}]"
+
+SWEEPS = {
+    "frechet_oracle": tuple(
+        Sweep("frechet_oracle", ("phi", "d", "order"),
+              "frechet_oracle[{phi},d={d},order={order}]", {"order": order})
+        for order in (1, 2, 3)),
+    "subadditivity": (Sweep("subadditivity", _PER_VARIANT,
+                            "subadditivity[{phi},{variant},d={d},n={n}]"),),
+    "efron_stein": (Sweep("efron_stein", ("d",), "efron_stein[d={d},n={n}]"),),
+    "poly_efron_stein": tuple(
+        Sweep("poly_efron_stein", ("d", "p"), "poly_efron_stein[d={d},p={p}]", {"p": p})
+        for p in (1, 2, 3)),
+    "dual_representation": (Sweep("dual_representation", _PER_VARIANT,
+                                  "dual_representation[{phi},{variant},d={d}]"),),
+    "characterizations": tuple(
+        Sweep("joint_convexity", _ITEM_KEY, _ITEM_NAME, {"item": item, "functional": name})
+        for item, name in zip("bcdf", FUNCTIONAL_NAMES)
+    ) + (Sweep("conditional_jensen", _ITEM_KEY, _ITEM_NAME, {"item": "g"}),),
+    "condition_a": (Sweep("condition_a", ("phi", "d"), "condition_a[{phi},d={d}]",
+                          {"item": "a"}),),
+    "condition_e": (Sweep("condition_e", ("phi", "d"), "condition_e[{phi},d={d}]",
+                          {"item": "e", "method": "hybrid"}),),
+    "monotonicity": (Sweep("monotonicity", _PER_VARIANT,
+                           "monotonicity[{phi},{variant},d={d}]"),),
+    "jensen": (Sweep("conditional_jensen", _PER_VARIANT, "jensen[{phi},{variant},d={d}]"),),
+}
+
+
+def sweep(config: RunConfig, check: str, s: Sweep, f: ScalarFunction | None,
+          variant: str, d: int) -> VerificationReport:
+    """Run one report: every trial's points, the worst margin and its witness.
+
+    The first strict minimum wins.  A tolerance set in the config for the
+    check replaces the record's rule, whatever its value.
+    """
+    record = CHECKS[s.kind]
+    base = {"phi": f, "variant": variant, **s.fixed}
+    labels = {**base, "phi": None if f is None else f.spec_string(), "d": d,
+              "n": config.n_factors}
+    margins, worst, best = [], np.inf, None
+    for trial in range(config.trials):
+        rng = rng_for(config.seed, check, *(labels[key] for key in s.key), trial)
+        for drawn in record.draw(rng, d, config, base):
+            point = {**base, **drawn}
+            margin = record.margin(point)
+            margins.append(margin)
             if margin < worst:
-                worst = margin
-                witness = {"kind": "frechet_oracle", "phi": f.spec_string(),
-                           "order": order, "A": matrix_to_json(A), "X": matrix_to_json(X)}
-        report = VerificationReport.from_margin(
-            f"frechet_oracle[{f.spec_string()},d={d},order={order}]",
-            worst, tol, trials=config.trials, witness=witness)
-        out.append((report, True))
-    return out
-
-
-def _sweep_min(reports_margin_witness, name, tol, trials):
-    margin = np.inf
-    witness = None
-    for m, w in reports_margin_witness:
-        if m < margin:
-            margin, witness = m, w
-    return VerificationReport.from_margin(name, margin, tol, trials=trials, witness=witness)
-
-
-def _run_subadditivity(config: RunConfig, f: ScalarFunction, variant: str, d: int):
-    results = []
-    tol_override = config.tolerance_for("subadditivity")
-    for trial in range(config.trials):
-        rng = rng_for(config.seed, "subadditivity", f.spec_string(), variant, d, trial)
-        P = sample_product(d, config.n_factors, config.support, rng)
-        gap = subadditivity_gap(f, P, variant)
-        if variant == "trace":
-            margin = normalized_trace(gap)
-        else:
-            margin = float(np.linalg.eigvalsh(gap)[0])
-        witness = {"kind": "subadditivity", "phi": f.spec_string(), "variant": variant,
-                   "product": P.to_json_dict()}
-        results.append((margin, witness))
-    tol = tol_override if tol_override is not None else 1e-10
-    report = _sweep_min(results, f"subadditivity[{f.spec_string()},{variant},d={d},n={config.n_factors}]",
-                        tol, config.trials)
-    return [(report, _in_class(f, variant))]
-
-
-def _run_efron_stein(config: RunConfig, d: int):
-    tol = config.tolerance_for("efron_stein")
-    results = []
-    for trial in range(config.trials):
-        rng = rng_for(config.seed, "efron_stein", d, trial)
-        P = sample_product(d, config.n_factors, config.support, rng)
-        es = efron_stein_quantity(P)
-        var = variance(P.flatten())
-        margin = float(np.linalg.eigvalsh(hermitian_part(es - var))[0])
-        results.append((margin, {"kind": "efron_stein", "product": P.to_json_dict()}))
-    report = _sweep_min(results, f"efron_stein[d={d},n={config.n_factors}]",
-                        tol if tol is not None else 1e-10, config.trials)
-    return [(report, True)]
-
-
-def _run_poly_efron_stein(config: RunConfig, d: int):
-    tol = config.tolerance_for("poly_efron_stein")
-    out = []
-    for p in (1, 2, 3):
-        results = []
-        for trial in range(config.trials):
-            rng = rng_for(config.seed, "poly_efron_stein", d, p, trial)
-            P = sample_product(d, config.n_factors, config.support, rng)
-            from .spectral import schatten_norm
-
-            lhs = schatten_norm(variance(P.flatten()), p) ** p
-            rhs = schatten_norm(efron_stein_quantity(P), p) ** p
-            margin = rhs - lhs
-            results.append((margin, {"kind": "poly_efron_stein", "p": p,
-                                     "product": P.to_json_dict()}))
-        report = _sweep_min(results, f"poly_efron_stein[d={d},p={p}]",
-                            tol if tol is not None else 1e-10, config.trials)
-        out.append((report, True))
-    return out
-
-
-def _run_dual_representation(config: RunConfig, f: ScalarFunction, variant: str, d: int):
-    tol = config.tolerance_for("dual_representation")
-    results = []
-    for trial in range(config.trials):
-        rng = rng_for(config.seed, "dual_representation", f.spec_string(), variant, d, trial)
-        Z, T = sample_coupled_ensembles(d, 3, rng, spectral_floor=SPECTRAL_FLOOR)
-        gap = operator_phi_entropy(f, Z) - dual_value(f, Z, T)
-        if variant == "trace":
-            margin = normalized_trace(gap)
-        else:
-            margin = float(np.linalg.eigvalsh(hermitian_part(gap))[0])
-        results.append((margin, {"kind": "dual_representation", "phi": f.spec_string(),
-                                 "variant": variant, "Z": Z.to_json_dict(),
-                                 "T": T.to_json_dict()}))
-    report = _sweep_min(results, f"dual_representation[{f.spec_string()},{variant},d={d}]",
-                        tol if tol is not None else 1e-9, config.trials)
-    return [(report, _in_class(f, variant))]
-
-
-_ITEM_FUNCTIONALS = {"b": "bregman_A", "c": "map_B", "d": "map_C", "f": "gap_F_t"}
-
-
-def _run_characterizations(config: RunConfig, f: ScalarFunction, variant: str, d: int):
-    out = []
-    tol = config.tolerance_for("characterizations")
-    in_class = _in_class(f, variant)
-    for item in ("b", "c", "d", "f"):
-        fname = _ITEM_FUNCTIONALS[item]
-        results = []
-        for trial in range(config.trials):
-            rng = rng_for(config.seed, "characterizations", item, f.spec_string(),
-                          variant, d, trial)
-            sampler = _pd_pair_sampler(d)
-            pair1, pair2 = sampler(rng), sampler(rng)
-            t = float(rng.uniform(0.0, 1.0)) if fname == "gap_F_t" else None
-            F = BivariateFunctional(fname, f, variant, t=t)
-            lams = [0.25, 0.5, 0.75, float(rng.uniform()), float(rng.uniform())]
-            for lam in lams:
-                slack = convexity_slack_at(F, pair1[0], pair1[1], pair2[0], pair2[1], lam)
-                results.append((slack, {
-                    "kind": "joint_convexity", "functional": fname,
-                    "phi": f.spec_string(), "variant": variant, "t": t, "lambda": lam,
-                    "u1": matrix_to_json(pair1[0]), "v1": matrix_to_json(pair1[1]),
-                    "u2": matrix_to_json(pair2[0]), "v2": matrix_to_json(pair2[1])}))
-        scale = 1.0 + max(abs(m) for m, _ in results)
-        report = _sweep_min(
-            results, f"characterizations[{item},{f.spec_string()},{variant},d={d}]",
-            tol if tol is not None else 1e-9 * scale, config.trials)
-        out.append((report, in_class))
-    # item (g): conditional Jensen over random two-factor products
-    results = []
-    for trial in range(config.trials):
-        rng = rng_for(config.seed, "characterizations", "g", f.spec_string(),
-                      variant, d, trial)
-        P = sample_product(d, 2, config.support, rng)
-        gap = conditional_jensen_gap(f, P)
-        margin = normalized_trace(gap) if variant == "trace" else float(np.linalg.eigvalsh(gap)[0])
-        results.append((margin, {"kind": "conditional_jensen", "phi": f.spec_string(),
-                                 "variant": variant, "product": P.to_json_dict()}))
-    report = _sweep_min(results, f"characterizations[g,{f.spec_string()},{variant},d={d}]",
-                        tol if tol is not None else 1e-10, config.trials)
-    out.append((report, in_class))
-    return out
-
-
-def _run_condition_a(config: RunConfig, f: ScalarFunction, d: int):
-    tol = config.tolerance_for("condition_a")
-    results = []
-    scale = 1.0
-    for trial in range(config.trials):
-        rng = rng_for(config.seed, "condition_a", f.spec_string(), d, trial)
-        A1, A2, h = _condition_a_sampler(d)(rng)
-        lams = [0.25, 0.5, 0.75, float(rng.uniform()), float(rng.uniform())]
-        for lam in lams:
-            slack = condition_a_slack(f, A1, A2, h, lam)
-            scale = max(scale, abs(slack))
-            results.append((slack, {"kind": "condition_a", "phi": f.spec_string(),
-                                    "lambda": lam, "A1": matrix_to_json(A1),
-                                    "A2": matrix_to_json(A2), "h": matrix_to_json(h)}))
-    report = _sweep_min(results, f"condition_a[{f.spec_string()},d={d}]",
-                        tol if tol is not None else 1e-9 * scale, config.trials)
-    return [(report, _in_class(f, "trace"))]
-
-
-def _run_condition_e(config: RunConfig, f: ScalarFunction, d: int):
-    tol = config.tolerance_for("condition_e")
-    results = []
-    for trial in range(config.trials):
-        rng = rng_for(config.seed, "condition_e", f.spec_string(), d, trial)
-        A = sample_psd(d, 0.5, rng, spectral_cap=4.0)
-        h = sample_hermitian_unit(d, rng)
-        k = sample_hermitian_unit(d, rng)
-        margin = condition_e_margin(f, A, h, k)
-        results.append((margin, {"kind": "condition_e", "phi": f.spec_string(),
-                                 "method": "hybrid", "A": matrix_to_json(A),
-                                 "h": matrix_to_json(h), "k": matrix_to_json(k)}))
-    report = _sweep_min(results, f"condition_e[{f.spec_string()},d={d}]",
-                        tol if tol is not None else CONDITION_E_TOL, config.trials)
-    return [(report, _in_class(f, "trace"))]
-
-
-def _run_monotonicity(config: RunConfig, f: ScalarFunction, variant: str, d: int):
-    tol = config.tolerance_for("monotonicity")
-    results = []
-    for trial in range(config.trials):
-        rng = rng_for(config.seed, "monotonicity", f.spec_string(), variant, d, trial)
-        k = int(rng.integers(1, 5))
-        N = random_unital_channel(d, k, rng)
-        E = sample_ensemble(d, 3, rng, spectral_floor=0.0)
-        margin = monotonicity_gap(f, N, E, variant)
-        results.append((margin, {"kind": "monotonicity", "phi": f.spec_string(),
-                                 "variant": variant, "channel": N.to_json_dict(),
-                                 "ensemble": E.to_json_dict()}))
-    report = _sweep_min(results, f"monotonicity[{f.spec_string()},{variant},d={d}]",
-                        tol if tol is not None else 1e-10, config.trials)
-    return [(report, _in_class(f, variant))]
-
-
-def _run_jensen(config: RunConfig, f: ScalarFunction, variant: str, d: int):
-    tol = config.tolerance_for("jensen")
-    results = []
-    for trial in range(config.trials):
-        rng = rng_for(config.seed, "jensen", f.spec_string(), variant, d, trial)
-        P = sample_product(d, 2, config.support, rng)
-        gap = conditional_jensen_gap(f, P)
-        margin = normalized_trace(gap) if variant == "trace" else float(np.linalg.eigvalsh(gap)[0])
-        results.append((margin, {"kind": "conditional_jensen", "phi": f.spec_string(),
-                                 "variant": variant, "product": P.to_json_dict()}))
-    report = _sweep_min(results, f"jensen[{f.spec_string()},{variant},d={d}]",
-                        tol if tol is not None else 1e-10, config.trials)
-    return [(report, _in_class(f, variant))]
+                worst, best = margin, point
+    tol = config.tolerance_for(check)
+    if tol is None:
+        tol = record.tolerance(margins, base)
+    witness = None if best is None else encode_witness(s.kind, best)
+    return VerificationReport.from_margin(s.name.format(**labels), worst, tol,
+                                          trials=config.trials, witness=witness)
 
 
 def _build_tasks(config: RunConfig, funcs: dict):
-    """Yield (sort_key, callable) pairs; each callable returns [(report, in_class)]."""
-    tasks = []
-    skipped = []
+    """Callables that each return one (report, in_class) pair, and the skip records."""
+    tasks, skipped = [], []
 
-    def add(key, fn):
-        tasks.append((key, fn))
+    def add(check, s, f, variant, d):
+        in_class = not CHECKS[s.kind].class_gated or _in_class(f, variant)
+        tasks.append(lambda: (sweep(config, check, s, f, variant, d), in_class))
 
+    chosen = [(check, s) for check in config.checks for s in SWEEPS[check]]
+    budget = min(config.trials * 50, 10_000)
     for name, f in funcs.items():
-        outside = f.has_tag(OUTSIDE_CLASS)
+        if f.has_tag(OUTSIDE_CLASS):
+            # Outside-class functions get falsification searches instead of sweeps.
+            for check, searched in (("characterizations", "map_C"),
+                                    ("condition_a", "condition_a")):
+                if check in config.checks:
+                    tasks.append(lambda f=f, c=searched: (counterexample_search(
+                        f, c, budget, config.seed, dim=1), False))
+            continue
         for d in config.dims:
-            if outside:
-                # Outside-class functions get falsification searches instead of sweeps.
-                if d == min(config.dims) and "characterizations" in config.checks:
-                    budget = min(config.trials * 50, 10_000)
-                    add(f"search[map_C,{name}]",
-                        lambda f=f, b=budget: [(counterexample_search(
-                            f, "map_C", b, config.seed, dim=1), False)])
-                if d == min(config.dims) and "condition_a" in config.checks:
-                    budget = min(config.trials * 50, 10_000)
-                    add(f"search[condition_a,{name}]",
-                        lambda f=f, b=budget: [(counterexample_search(
-                            f, "condition_a", b, config.seed, dim=1), False)])
-                continue
-            if "frechet_oracle" in config.checks:
-                add(f"frechet_oracle[{name},d={d}]",
-                    lambda f=f, d=d: _run_frechet_oracle(config, f, d))
-            for variant in config.variants():
-                if variant == "operator" and not f.has_tag(C3):
-                    skipped.append({
-                        "check_name": f"operator-checks[{name},d={d}]",
-                        "reason": f"'{name}' is not tagged {C3}; operator-order checks "
-                                  "are certified only for that class",
-                    })
-                    continue
-                if "subadditivity" in config.checks:
-                    add(f"subadditivity[{name},{variant},d={d}]",
-                        lambda f=f, v=variant, d=d: _run_subadditivity(config, f, v, d))
-                if "dual_representation" in config.checks:
-                    add(f"dual_representation[{name},{variant},d={d}]",
-                        lambda f=f, v=variant, d=d: _run_dual_representation(config, f, v, d))
-                if "characterizations" in config.checks:
-                    add(f"characterizations[{name},{variant},d={d}]",
-                        lambda f=f, v=variant, d=d: _run_characterizations(config, f, v, d))
-                if "monotonicity" in config.checks:
-                    add(f"monotonicity[{name},{variant},d={d}]",
-                        lambda f=f, v=variant, d=d: _run_monotonicity(config, f, v, d))
-                if "jensen" in config.checks:
-                    add(f"jensen[{name},{variant},d={d}]",
-                        lambda f=f, v=variant, d=d: _run_jensen(config, f, v, d))
-            if "condition_a" in config.checks:
-                add(f"condition_a[{name},d={d}]",
-                    lambda f=f, d=d: _run_condition_a(config, f, d))
-            if "condition_e" in config.checks and d <= 4:
-                add(f"condition_e[{name},d={d}]",
-                    lambda f=f, d=d: _run_condition_e(config, f, d))
+            variants = config.variants()
+            if "operator" in variants and not f.has_tag(C3):
+                skipped.append({
+                    "check_name": f"operator-checks[{name},d={d}]",
+                    "reason": f"'{name}' is not tagged {C3}; operator-order checks "
+                              "are certified only for that class",
+                })
+                variants = tuple(v for v in variants if v != "operator")
+            for check, s in chosen:
+                if "variant" in s.key:
+                    for variant in variants:
+                        add(check, s, f, variant, d)
+                elif "phi" in s.key and not (check == "condition_e" and d > 4):
+                    add(check, s, f, "trace", d)
     for d in config.dims:
-        if "efron_stein" in config.checks:
-            add(f"efron_stein[d={d}]", lambda d=d: _run_efron_stein(config, d))
-        if "poly_efron_stein" in config.checks:
-            add(f"poly_efron_stein[d={d}]", lambda d=d: _run_poly_efron_stein(config, d))
+        for check, s in chosen:
+            if "phi" not in s.key:
+                add(check, s, None, "trace", d)
     return tasks, skipped
 
 
@@ -550,23 +546,17 @@ def run_suite(config: RunConfig) -> SuiteReport:
     tasks, skipped = _build_tasks(config, funcs)
 
     def execute(task):
-        key, fn = task
         start = time.perf_counter()
-        results = fn()
-        seconds = time.perf_counter() - start
-        return key, [(report, in_class, seconds / max(1, len(results)))
-                     for report, in_class in results]
+        report, in_class = task()
+        return report, in_class, time.perf_counter() - start
 
     threads = worker_count()
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            raw = list(pool.map(execute, tasks))
+            entries = list(pool.map(execute, tasks))
     else:
-        raw = [execute(t) for t in tasks]
+        entries = [execute(t) for t in tasks]
 
-    entries = []
-    for _, result in sorted(raw, key=lambda kv: kv[0]):
-        entries.extend(result)
     entries.sort(key=lambda e: e[0].check_name)
     names = [e[0].check_name for e in entries]
     if len(set(names)) != len(names):
@@ -593,81 +583,60 @@ def _herm_from_params(p: np.ndarray, d: int) -> np.ndarray:
     return M
 
 
-def _params_per_matrix(d: int) -> int:
-    return d * d
+def _params_of(M: np.ndarray) -> np.ndarray:
+    """The d^2 real parameters of a Hermitian matrix; inverse of _herm_from_params."""
+    d = M.shape[0]
+    p = [float(M[i, i].real) for i in range(d)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            p.extend([float(M[i, j].real), float(M[i, j].imag)])
+    return np.asarray(p)
 
 
 class _SearchSpace:
-    """Random points plus margin evaluation for one searchable check."""
+    """A searchable record's points as real parameter vectors.
+
+    The vector holds the record's matrix fields, d^2 parameters each, then
+    one weight in (0, 1) that serves as lambda and, for gap_F_t, as t.
+    Searches run on the trace form with the hybrid condition-(e) evaluation.
+    """
 
     def __init__(self, f: ScalarFunction, check: str, dim: int):
         self.f = f
         self.check = check
         self.dim = dim
-        self.n_mats = {"condition_a": 3, "condition_e": 3}.get(check, 4)
+        self.kind = "joint_convexity" if check in FUNCTIONAL_NAMES else check
+        self.record = CHECKS[self.kind]
+        self.matrix_keys = [key for key, codec in self.record.fields if codec is _MATRIX]
 
     def sample(self, rng) -> np.ndarray:
-        d = self.dim
-        mats = []
-        for _ in range(self.n_mats):
-            if self.check == "condition_e":
-                base = sample_psd(d, 0.6, rng, spectral_cap=3.8)
-            else:
-                base = sample_psd(d, SPECTRAL_FLOOR + 0.05, rng)
-            mats.append(base)
-        point = [self._mat_params(m) for m in mats]
-        point.append(np.array([rng.uniform(0.05, 0.95)]))
-        return np.concatenate(point)
+        floor, cap = self.record.search_spectrum
+        mats = [sample_psd(self.dim, floor, rng, spectral_cap=cap) for _ in self.matrix_keys]
+        return np.concatenate([*map(_params_of, mats), [rng.uniform(0.05, 0.95)]])
 
-    def _mat_params(self, M: np.ndarray) -> np.ndarray:
-        d = self.dim
-        p = [float(M[i, i].real) for i in range(d)]
-        for i in range(d):
-            for j in range(i + 1, d):
-                p.extend([float(M[i, j].real), float(M[i, j].imag)])
-        return np.asarray(p)
+    def point(self, params: np.ndarray) -> dict:
+        """Search values first, in the order a search witness lists them, then matrices."""
+        k = self.dim * self.dim
+        lam = float(np.clip(params[len(self.matrix_keys) * k], 0.01, 0.99))
+        point = {"phi": self.f, "functional": self.check, "variant": "trace",
+                 "method": "hybrid", "lambda": lam,
+                 "t": lam if self.check == "gap_F_t" else None}
+        for i, key in enumerate(self.matrix_keys):
+            point[key] = _herm_from_params(params[i * k:(i + 1) * k], self.dim)
+        return point
 
-    def _unpack(self, point: np.ndarray):
-        d = self.dim
-        k = _params_per_matrix(d)
-        mats = [_herm_from_params(point[i * k:(i + 1) * k], d) for i in range(self.n_mats)]
-        lam = float(np.clip(point[self.n_mats * k], 0.01, 0.99))
-        return mats, lam
-
-    def margin(self, point: np.ndarray) -> float:
-        mats, lam = self._unpack(point)
+    def margin(self, params: np.ndarray) -> float:
         try:
-            if self.check == "condition_a":
-                A1, A2, h = mats
-                return condition_a_slack(self.f, A1, A2, h, lam)
-            if self.check == "condition_e":
-                A, h, k = mats
-                return condition_e_margin(self.f, A, h, k)
-            t = lam if self.check == "gap_F_t" else None
-            F = BivariateFunctional(self.check, self.f, "trace", t=t)
-            u1, v1, u2, v2 = mats
-            return convexity_slack_at(F, u1, v1, u2, v2, lam)
+            return self.record.margin(self.point(params))
         except PhiLabError:
             return np.inf  # out-of-domain proposal; treat as non-violating
 
-    def witness(self, point: np.ndarray, margin: float) -> dict:
-        mats, lam = self._unpack(point)
-        base = {"phi": self.f.spec_string(), "dim": self.dim, "margin": margin}
-        if self.check == "condition_a":
-            base.update({"kind": "condition_a", "lambda": lam,
-                         "A1": matrix_to_json(mats[0]), "A2": matrix_to_json(mats[1]),
-                         "h": matrix_to_json(mats[2])})
-        elif self.check == "condition_e":
-            base.update({"kind": "condition_e", "method": "hybrid",
-                         "A": matrix_to_json(mats[0]), "h": matrix_to_json(mats[1]),
-                         "k": matrix_to_json(mats[2])})
-        else:
-            base.update({"kind": "joint_convexity", "functional": self.check,
-                         "variant": "trace", "lambda": lam,
-                         "t": lam if self.check == "gap_F_t" else None,
-                         "u1": matrix_to_json(mats[0]), "v1": matrix_to_json(mats[1]),
-                         "u2": matrix_to_json(mats[2]), "v2": matrix_to_json(mats[3])})
-        return base
+    def witness(self, params: np.ndarray, margin: float) -> dict:
+        codecs = dict(self.record.fields)
+        return {"phi": self.f.spec_string(), "dim": self.dim, "margin": margin,
+                "kind": self.kind,
+                **{key: codecs[key][0](value) for key, value in self.point(params).items()
+                   if key in codecs and key != "phi"}}
 
 
 def counterexample_search(f: ScalarFunction, check_name: str, budget: int, seed: int,
@@ -722,79 +691,3 @@ def _refine(space: _SearchSpace, point: np.ndarray, margin: float, rng,
         if not improved:
             step *= 0.5
     return point, margin
-
-
-# --- witness replay ----------------------------------------------------------------
-
-
-def replay_witness(witness: dict) -> float:
-    """Recompute the margin a stored witness claims; must match to 1e-12."""
-    kind = witness["kind"]
-    if kind in ("subadditivity", "conditional_jensen"):
-        f = from_spec(witness["phi"], allow_outside_class=True)
-        P = ProductEnsemble.from_json_dict(witness["product"])
-        gap = (subadditivity_gap(f, P, witness["variant"]) if kind == "subadditivity"
-               else conditional_jensen_gap(f, P))
-        if witness["variant"] == "trace":
-            return normalized_trace(gap)
-        return float(np.linalg.eigvalsh(gap)[0])
-    if kind == "efron_stein":
-        P = ProductEnsemble.from_json_dict(witness["product"])
-        diff = efron_stein_quantity(P) - variance(P.flatten())
-        return float(np.linalg.eigvalsh(hermitian_part(diff))[0])
-    if kind == "poly_efron_stein":
-        from .spectral import schatten_norm
-
-        P = ProductEnsemble.from_json_dict(witness["product"])
-        p = int(witness["p"])
-        return (schatten_norm(efron_stein_quantity(P), p) ** p
-                - schatten_norm(variance(P.flatten()), p) ** p)
-    if kind == "dual_representation":
-        f = from_spec(witness["phi"], allow_outside_class=True)
-        Z = MatrixEnsemble.from_json_dict(witness["Z"])
-        T = MatrixEnsemble.from_json_dict(witness["T"])
-        gap = operator_phi_entropy(f, Z) - dual_value(f, Z, T)
-        if witness["variant"] == "trace":
-            return normalized_trace(gap)
-        return float(np.linalg.eigvalsh(hermitian_part(gap))[0])
-    if kind == "joint_convexity":
-        f = from_spec(witness["phi"], allow_outside_class=True)
-        F = BivariateFunctional(witness["functional"], f, witness["variant"],
-                                t=witness.get("t"))
-        return convexity_slack_at(
-            F, matrix_from_json(witness["u1"]), matrix_from_json(witness["v1"]),
-            matrix_from_json(witness["u2"]), matrix_from_json(witness["v2"]),
-            float(witness["lambda"]))
-    if kind == "condition_a":
-        f = from_spec(witness["phi"], allow_outside_class=True)
-        return condition_a_slack(
-            f, matrix_from_json(witness["A1"]), matrix_from_json(witness["A2"]),
-            matrix_from_json(witness["h"]), float(witness["lambda"]))
-    if kind == "condition_e":
-        f = from_spec(witness["phi"], allow_outside_class=True)
-        return condition_e_margin(
-            f, matrix_from_json(witness["A"]), matrix_from_json(witness["h"]),
-            matrix_from_json(witness["k"]), method=witness.get("method", "hybrid"))
-    if kind == "monotonicity":
-        f = from_spec(witness["phi"], allow_outside_class=True)
-        N = KrausChannel.from_json_dict(witness["channel"])
-        E = MatrixEnsemble.from_json_dict(witness["ensemble"])
-        return monotonicity_gap(f, N, E, witness["variant"])
-    if kind == "convexity_lemma":
-        f = from_spec(witness["phi"], allow_outside_class=True)
-        A = [matrix_from_json(a) for a in witness["A"]]
-        X = [matrix_from_json(x) for x in witness["X"]]
-        return convexity_lemma_margin(f, witness["weights"], A, X)
-    if kind == "frechet_oracle":
-        f = from_spec(witness["phi"], allow_outside_class=True)
-        A = matrix_from_json(witness["A"])
-        X = matrix_from_json(witness["X"])
-        order = int(witness["order"])
-        if order == 1:
-            exact = frechet_d1(f, A, X)
-        elif order == 2:
-            exact = frechet_d2(f, A, X, X)
-        else:
-            exact = frechet_d3(f, A, X, X, X)
-        return -relative_error(exact, finite_diff_oracle(f, A, X, order))
-    raise ConfigError(f"cannot replay witness of kind '{kind}'")

@@ -14,11 +14,9 @@ from phi_entropy_lab import (
     frechet_d1,
     hs_inner,
     integral_relation_check,
-    joint_convexity_test,
     taylor_relation_check,
 )
 from phi_entropy_lab.characterizations import (
-    condition_a_check,
     condition_a_slack,
     condition_e_check,
     condition_e_margin,
@@ -30,6 +28,7 @@ from phi_entropy_lab.characterizations import (
     convexity_slack_at,
 )
 from phi_entropy_lab.entropy import MatrixEnsemble, ProductEnsemble, SPECTRAL_FLOOR
+from phi_entropy_lab.suite import RunConfig, run_suite
 from phi_entropy_lab.sampling import (
     rng_for,
     sample_hermitian,
@@ -137,24 +136,33 @@ def test_map_c_trace_duality():
         assert abs(lhs - rhs) < 1e-8 * (1.0 + abs(lhs))
 
 
+def suite_reports(checks, phi, variant="trace", trials=40, seed=0, dim=2):
+    """The suite's reports for one function, keyed by check name."""
+    suite = run_suite(RunConfig(seed=seed, dims=(dim,), trials=trials, phi_list=(phi,),
+                                variant=variant, checks=checks))
+    return {report.check_name: report for report, _, _ in suite.entries}
+
+
 def test_joint_convexity_square_operator_map_c():
-    F = BivariateFunctional("map_C", SQ, "operator")
-    report = joint_convexity_test(F, pd_pair_sampler(2), trials=40, seed=11)
+    reports = suite_reports(("characterizations",), "square", "operator", seed=11)
+    report = reports["characterizations[d,square,operator,d=2]"]
     assert report.holds, report
 
 
 def test_joint_convexity_affine_margin_zero():
-    F = BivariateFunctional("map_C", AFF, "trace")
-    report = joint_convexity_test(F, pd_pair_sampler(2), trials=10, seed=12)
+    spec = AFF.spec_string()
+    reports = suite_reports(("characterizations",), spec, trials=10, seed=12)
+    report = reports[f"characterizations[d,{spec},trace,d=2]"]
     assert report.holds and abs(report.margin) < 1e-12
 
 
 def test_joint_convexity_in_class_sweeps():
     for f in (XLX, P15):
-        for name in ("bregman_A", "map_B", "map_C"):
-            F = BivariateFunctional(name, f, "trace")
-            report = joint_convexity_test(F, pd_pair_sampler(2), trials=40, seed=13)
-            assert report.holds, (f.name, name, report.margin)
+        spec = f.spec_string()
+        reports = suite_reports(("characterizations",), spec, seed=13)
+        for item in ("b", "c", "d"):
+            report = reports[f"characterizations[{item},{spec},trace,d=2]"]
+            assert report.holds, (spec, item, report.margin)
 
 
 def test_joint_convexity_quartic_violation_found():
@@ -163,11 +171,6 @@ def test_joint_convexity_quartic_violation_found():
     one, zero = np.array([[1.0]]), np.array([[1e-4]])
     slack = convexity_slack_at(F, one, zero, zero, one, 0.5)
     assert slack < -0.5
-    report = joint_convexity_test(
-        F, lambda rng: (np.array([[rng.uniform(0.05, 3.0)]]),
-                        np.array([[rng.uniform(0.05, 3.0)]])),
-        trials=200, seed=14)
-    assert not report.holds
 
 
 def test_implication_lattice_on_shared_samples():
@@ -223,17 +226,19 @@ def test_condition_a_scalar_matches_oracle():
 
 def test_condition_a_in_class_sweep():
     for f in (XLX, P15):
-        report = condition_a_check(f, cond_a_sampler(2), trials=40, seed=19)
+        spec = f.spec_string()
+        report = suite_reports(("condition_a",), spec, seed=19)[f"condition_a[{spec},d=2]"]
         assert report.holds, report
 
 
 def test_condition_a_exp_violated_scalar():
-    # 1 / psi'(a) = exp(-a) is convex, not concave
-    def sampler(rng):
-        return (np.array([[rng.uniform(0.1, 3.0)]]), np.array([[rng.uniform(0.1, 3.0)]]),
-                np.array([[1.0]]))
-    report = condition_a_check(EXP, sampler, trials=100, seed=20)
-    assert not report.holds
+    # 1 / psi'(a) = exp(-a) is convex, not concave: the slack is
+    # exp(-mix) - (lam exp(-a1) + (1 - lam) exp(-a2)) < 0
+    a1, a2, lam = 0.2, 2.5, 0.5
+    slack = condition_a_slack(EXP, np.array([[a1]]), np.array([[a2]]), np.array([[1.0]]), lam)
+    expected = np.exp(-(lam * a1 + (1 - lam) * a2)) - lam * np.exp(-a1) - (1 - lam) * np.exp(-a2)
+    assert slack == pytest.approx(expected, abs=1e-12)
+    assert slack < -0.1
 
 
 def test_condition_e_square_both_sides_zero():

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from phi_entropy_lab import MatrixEnsemble, matrix_from_json
+from phi_entropy_lab import MatrixEnsemble, RunConfig, matrix_from_json, run_suite
 from phi_entropy_lab.cli import main
 from phi_entropy_lab.sampling import sample_ensemble, sample_product
 
@@ -84,6 +84,12 @@ def test_check_characterizations_command(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert len(payload) == 3
     assert {r["holds"] for r in payload} == {True}
+    # the command runs the suite's own sweeps: same reports for the same seed
+    suite = run_suite(RunConfig(seed=3, dims=(2,), trials=5, phi_list=("square",),
+                                checks=("characterizations",)))
+    expected = {r.check_name: r.to_json_dict() for r, _, _ in suite.entries}
+    assert payload == [expected[f"characterizations[{item},square,trace,d=2]"]
+                       for item in "bdg"]
 
 
 def test_check_monotonicity_command(ensemble_file, capsys):

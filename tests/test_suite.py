@@ -15,6 +15,7 @@ from phi_entropy_lab import (
     replay_witness,
     run_suite,
 )
+from phi_entropy_lab.suite import CHECK_NAMES
 
 SMALL = dict(seed=5, dims=(2,), trials=5, phi_list=("square",), variant="trace")
 
@@ -102,20 +103,30 @@ def test_operator_variant_skips_untagged_functions():
 
 def test_witness_replay_reproduces_margins():
     cfg = RunConfig(seed=3, dims=(2,), trials=3, phi_list=("square", "xlogx"),
-                    variant="trace",
-                    checks=("subadditivity", "efron_stein", "poly_efron_stein",
-                            "dual_representation", "monotonicity", "jensen",
-                            "condition_a", "frechet_oracle"))
+                    variant="both", checks=CHECK_NAMES)
     suite = run_suite(cfg)
     assert suite.exit_code() == 0
-    replayed = 0
+    replayed = set()
     for report, _, _ in suite.entries:
-        if report.witness is None:
-            continue
         payload = json.loads(json.dumps(report.witness))  # force a JSON round-trip
         assert abs(replay_witness(payload) - report.margin) <= 1e-12, report.check_name
-        replayed += 1
-    assert replayed >= 10
+        replayed.add((payload["kind"], payload.get("variant")))
+    assert replayed == {
+        ("frechet_oracle", None), ("efron_stein", None), ("poly_efron_stein", None),
+        ("condition_a", None), ("condition_e", None),
+        *((kind, variant)
+          for kind in ("subadditivity", "dual_representation", "joint_convexity",
+                       "conditional_jensen", "monotonicity")
+          for variant in ("trace", "operator")),
+    }
+
+
+def test_frechet_oracle_tolerance_override_of_zero_is_applied():
+    cfg = RunConfig(seed=4, dims=(2,), trials=2, phi_list=("square",),
+                    checks=("frechet_oracle",), tolerances={"frechet_oracle": 0.0})
+    reports = [report for report, _, _ in run_suite(cfg).entries]
+    assert len(reports) == 3  # one per derivative order
+    assert all(report.tolerance == 0.0 for report in reports)
 
 
 def test_operator_monotonicity_in_class_and_replayable():
