@@ -98,7 +98,7 @@ def apply_channel(N: KrausChannel, A) -> np.ndarray:
         raise DimensionMismatchError(
             f"channel of dim {N.dim} applied to matrix of shape {A.shape}"
         )
-    out = np.einsum("aij,jl,akl->ik", N.kraus, A, N.kraus.conj())
+    out = (N.kraus @ A @ N.kraus.conj().transpose(0, 2, 1)).sum(axis=0)
     return hermitian_part(out) if np.allclose(A, A.conj().T) else out
 
 
