@@ -387,13 +387,13 @@ CHECKS = {
 }
 
 
-def encode_witness(kind: str, point: dict) -> dict:
+def _encode_witness(kind: str, point: dict) -> dict:
     """The witness of a point: its kind, then the record's fields in order."""
     return {"kind": kind, **{key: encode(point[key])
                              for key, (encode, _) in CHECKS[kind].fields}}
 
 
-def decode_witness(witness: dict) -> dict:
+def _decode_witness(witness: dict) -> dict:
     """The point a witness stores; raises ConfigError for an unknown kind."""
     check = CHECKS.get(witness["kind"])
     if check is None:
@@ -403,7 +403,7 @@ def decode_witness(witness: dict) -> dict:
 
 def replay_witness(witness: dict) -> float:
     """Recompute the margin a stored witness claims; must match to 1e-12."""
-    point = decode_witness(witness)
+    point = _decode_witness(witness)
     return CHECKS[witness["kind"]].margin(point)
 
 
@@ -474,7 +474,7 @@ def sweep(config: RunConfig, check: str, s: Sweep, f: ScalarFunction | None,
     tol = config.tolerance_for(check)
     if tol is None:
         tol = record.tolerance(margins, base)
-    witness = None if best is None else encode_witness(s.kind, best)
+    witness = None if best is None else _encode_witness(s.kind, best)
     return VerificationReport.from_margin(s.name.format(**labels), worst, tol,
                                           trials=config.trials, witness=witness)
 
@@ -487,7 +487,8 @@ def _build_tasks(config: RunConfig, funcs: dict):
         in_class = not CHECKS[s.kind].class_gated or _in_class(f, variant)
         tasks.append(lambda: (sweep(config, check, s, f, variant, d), in_class))
 
-    chosen = [(check, s) for check in config.checks for s in SWEEPS[check]]
+    chosen = [(check, s) for check in CHECK_NAMES if check in config.checks
+              for s in SWEEPS[check]]
     budget = min(config.trials * 50, 10_000)
     for name, f in funcs.items():
         if f.has_tag(OUTSIDE_CLASS):
@@ -507,6 +508,8 @@ def _build_tasks(config: RunConfig, funcs: dict):
                               "are certified only for that class",
                 })
                 variants = tuple(v for v in variants if v != "operator")
+            # A sweep runs per variant if its stream is labelled by the variant,
+            # per function if by the function, and else once per dimension.
             for check, s in chosen:
                 if "variant" in s.key:
                     for variant in variants:
