@@ -57,10 +57,6 @@ class BivariateFunctional:
         if self.variant not in ("trace", "operator"):
             raise DomainError(f"variant must be 'trace' or 'operator', got '{self.variant}'")
 
-    def label(self) -> str:
-        t_part = f",t={self.t:g}" if self.t is not None else ""
-        return f"{self.name}[{self.phi.spec_string()},{self.variant}{t_part}]"
-
 
 def eval_functional(F: BivariateFunctional, u, v):
     """Evaluate the functional at a matrix pair; scalar for the trace variant."""
