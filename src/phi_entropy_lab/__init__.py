@@ -18,16 +18,12 @@ from .catalog import (  # noqa: F401
 from .channels import (  # noqa: F401
     KrausChannel,
     apply_channel,
-    check_monotonicity,
     operator_jensen_check,
     pushforward,
     random_unital_channel,
 )
 from .characterizations import (  # noqa: F401
     BivariateFunctional,
-    condition_e_check,
-    conditional_jensen_check,
-    convexity_lemma_check,
     eval_functional,
     integral_relation_check,
     taylor_relation_check,
@@ -35,11 +31,7 @@ from .characterizations import (  # noqa: F401
 from .entropy import (  # noqa: F401
     MatrixEnsemble,
     ProductEnsemble,
-    check_operator_efron_stein,
-    check_polynomial_efron_stein,
-    check_subadditivity,
     conditional_entropy,
-    dual_representation_gap,
     efron_stein_quantity,
     expectation,
     interpolation_derivative_scan,
@@ -94,6 +86,7 @@ from .spectral import (  # noqa: F401
 from .suite import (  # noqa: F401
     RunConfig,
     SuiteReport,
+    check,
     counterexample_search,
     replay_witness,
     run_suite,

@@ -2,8 +2,9 @@
 
 Channels here are mixed-unitary by construction when sampled, which makes
 them unital and trace-preserving without any projection step.  The module
-checks entropy monotonicity under a channel and the operator Jensen
-inequality for the channel action.
+gives the margin of entropy monotonicity under a channel, whose report
+comes from ``suite.check``, and checks the operator Jensen inequality for
+the channel action.
 
 Monotonicity has two forms.  The trace form H_Phi(N(Z)) <= H_Phi(Z) is the
 paper's statement for the matrix Phi-entropy (class C2).  The operator form
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import C2, C3, OPERATOR_CONVEX, ScalarFunction
+from .catalog import OPERATOR_CONVEX, ScalarFunction
 from .entropy import MatrixEnsemble, matrix_phi_entropy, operator_phi_entropy
 from .errors import ClassGateError, DimensionMismatchError, DomainError
 from .reports import VerificationReport
@@ -35,6 +36,7 @@ from .spectral import (
     matrix_to_json,
     trace,
     validate_hermitian,
+    variant_margin,
 )
 
 UNITALITY_TOL = 1e-10
@@ -135,42 +137,8 @@ def monotonicity_gap(f: ScalarFunction, N: KrausChannel, E: MatrixEnsemble,
     mapped = pushforward(N, E)
     if variant == "trace":
         return matrix_phi_entropy(f, E) - matrix_phi_entropy(f, mapped)
-    if variant == "operator":
-        gap = apply_channel(N, operator_phi_entropy(f, E)) - operator_phi_entropy(f, mapped)
-        return float(np.linalg.eigvalsh(hermitian_part(gap))[0])
-    raise DomainError(f"variant must be 'trace' or 'operator', got '{variant}'")
-
-
-def check_monotonicity(f: ScalarFunction, N: KrausChannel, E: MatrixEnsemble,
-                       variant: str = "trace", override: bool = False,
-                       tol: float | None = None) -> VerificationReport:
-    """Entropy comparison of an ensemble against its image under the channel.
-
-    variant="trace" checks H_Phi(N(Z)) <= H_Phi(Z) and is gated to C2;
-    variant="operator" checks H(N(Z)) <= N(H(Z)) in the PSD order and is
-    gated to C3.  override=True runs either form on any function.
-    """
-    if E.dim != N.dim:
-        raise DimensionMismatchError(
-            f"channel dim {N.dim} does not match ensemble dim {E.dim}"
-        )
-    if not override:
-        tag = {"trace": C2, "operator": C3}.get(variant)
-        if tag is None:
-            raise DomainError(f"variant must be 'trace' or 'operator', got '{variant}'")
-        if not f.has_tag(tag):
-            raise ClassGateError(
-                f"check_monotonicity ({variant}) requires a function tagged {tag}; "
-                f"'{f.name}' has tags {sorted(f.class_tags)}. Pass override=True to force."
-            )
-    margin = monotonicity_gap(f, N, E, variant)
-    if tol is None:
-        tol = 1e-10 * (1.0 + abs(matrix_phi_entropy(f, E)))
-    return VerificationReport.from_margin(
-        f"monotonicity[{f.spec_string()},{variant}]", margin, tol,
-        witness={"kind": "monotonicity", "phi": f.spec_string(), "variant": variant,
-                 "channel": N.to_json_dict(), "ensemble": E.to_json_dict()},
-    )
+    gap = apply_channel(N, operator_phi_entropy(f, E)) - operator_phi_entropy(f, mapped)
+    return variant_margin(gap, variant)
 
 
 def operator_jensen_margin(f: ScalarFunction, N: KrausChannel, A, variant: str) -> float:

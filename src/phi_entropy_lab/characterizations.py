@@ -8,7 +8,9 @@ the integral and Taylor relations connecting the functionals, the
 inverse-derivative concavity condition, the fourth-derivative trace
 inequality, and the conditional Jensen inequality.  The suite sweeps these
 slacks over sampled points; its reports state "no violation in N trials",
-which is evidence, not a proof.
+which is evidence, not a proof.  The report of one point of condition (e),
+the convexity lemma or the conditional Jensen inequality comes from
+``suite.check``; the integral and Taylor relations keep their own checks.
 """
 
 from __future__ import annotations
@@ -24,11 +26,10 @@ from .entropy import MatrixEnsemble, ProductEnsemble, operator_phi_entropy
 from .reports import VerificationReport
 from .spectral import (
     apply_scalar_function,
-    frobenius,
     hermitian_part,
     matrix_to_json,
-    normalized_trace,
     validate_hermitian,
+    variant_margin,
 )
 
 FUNCTIONAL_NAMES = ("bregman_A", "map_B", "map_C", "gap_F_t")
@@ -88,7 +89,7 @@ def convexity_slack_at(F: BivariateFunctional, u1, v1, u2, v2, lam: float) -> fl
     gap = combo - np.asarray(eval_functional(F, *mix))
     if F.variant == "trace":
         return float(gap)
-    return float(np.linalg.eigvalsh(hermitian_part(gap))[0])
+    return variant_margin(gap, "operator")
 
 
 # --- inverse-derivative concavity (condition on the derivative map) -------------
@@ -144,16 +145,6 @@ def condition_e_margin(f: ScalarFunction, A, h, k, method: str = "hybrid") -> fl
     """Relative slack (lhs - rhs) / max(1, |lhs|, |rhs|)."""
     lhs, rhs = condition_e_terms(f, A, h, k, method=method)
     return (lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-
-
-def condition_e_check(f: ScalarFunction, A, h, k, tol: float = CONDITION_E_TOL,
-                      method: str = "hybrid") -> VerificationReport:
-    margin = condition_e_margin(f, A, h, k, method=method)
-    return VerificationReport.from_margin(
-        f"condition_e[{f.spec_string()}]", margin, tol,
-        witness={"kind": "condition_e", "phi": f.spec_string(), "method": method,
-                 "A": matrix_to_json(A), "h": matrix_to_json(h), "k": matrix_to_json(k)},
-    )
 
 
 def condition_e_scalar_oracle(f: ScalarFunction, a: float, h: float, k: float) -> float:
@@ -264,21 +255,6 @@ def convexity_lemma_margin(f: ScalarFunction, weights, A_atoms, X_atoms) -> floa
     return lhs - rhs
 
 
-def convexity_lemma_check(f: ScalarFunction, weights, A_atoms, X_atoms,
-                          tol: float | None = None) -> VerificationReport:
-    """Jensen-type lower bound for the derivative-map quadratic form."""
-    margin = convexity_lemma_margin(f, weights, A_atoms, X_atoms)
-    if tol is None:
-        tol = 1e-9 * (1.0 + abs(margin))
-    return VerificationReport.from_margin(
-        f"convexity_lemma[{f.spec_string()}]", margin, tol,
-        witness={"kind": "convexity_lemma", "phi": f.spec_string(),
-                 "weights": [float(w) for w in weights],
-                 "A": [matrix_to_json(a) for a in A_atoms],
-                 "X": [matrix_to_json(x) for x in X_atoms]},
-    )
-
-
 def conditional_jensen_gap(f: ScalarFunction, P: ProductEnsemble) -> np.ndarray:
     """E_1 H(Z | X_1) - H(E_1 Z) for a two-factor product, as an operator.
 
@@ -302,21 +278,3 @@ def conditional_jensen_gap(f: ScalarFunction, P: ProductEnsemble) -> np.ndarray:
     E1Z = MatrixEnsemble(np.asarray(w2, dtype=float), np.stack(averaged))
     rhs = operator_phi_entropy(f, E1Z)
     return hermitian_part(lhs - rhs)
-
-
-def conditional_jensen_check(f: ScalarFunction, P: ProductEnsemble, variant: str = "trace",
-                             tol: float | None = None) -> VerificationReport:
-    gap = conditional_jensen_gap(f, P)
-    if variant == "trace":
-        margin = normalized_trace(gap)
-    elif variant == "operator":
-        margin = float(np.linalg.eigvalsh(gap)[0])
-    else:
-        raise DomainError(f"variant must be 'trace' or 'operator', got '{variant}'")
-    if tol is None:
-        tol = 1e-10 * (1.0 + frobenius(gap))
-    return VerificationReport.from_margin(
-        f"conditional_jensen[{f.spec_string()},{variant}]", margin, tol,
-        witness={"kind": "conditional_jensen", "phi": f.spec_string(), "variant": variant,
-                 "product": P.to_json_dict()},
-    )

@@ -13,16 +13,8 @@ import json
 import sys
 
 from .catalog import from_spec
-from .channels import KrausChannel, check_monotonicity, random_unital_channel
-from .entropy import (
-    MatrixEnsemble,
-    ProductEnsemble,
-    check_operator_efron_stein,
-    check_polynomial_efron_stein,
-    check_subadditivity,
-    matrix_phi_entropy,
-    operator_phi_entropy,
-)
+from .channels import KrausChannel, random_unital_channel
+from .entropy import MatrixEnsemble, ProductEnsemble, matrix_phi_entropy, operator_phi_entropy
 from .errors import ConfigError, PhiLabError
 from .frechet import frechet_d1, frechet_d2, frechet_d3
 from .sampling import rng_for
@@ -32,6 +24,7 @@ from .suite import (
     RunConfig,
     SEARCHABLE_CHECKS,
     SWEEPS,
+    check,
     counterexample_search,
     run_suite,
     sweep,
@@ -59,6 +52,14 @@ def _emit(payload, args) -> None:
             print(f"wrote {args.output}")
     else:
         print(text)
+
+
+def _int_list(text: str, option: str) -> list:
+    """Integers of a comma list; a malformed entry is a configuration error."""
+    try:
+        return [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise ConfigError(f"{option} must be a comma list of integers, got '{text}'") from None
 
 
 def _summary_line(reports) -> str:
@@ -174,6 +175,8 @@ def _cmd_frechet(args) -> int:
 
 
 def _reports_exit(reports, args) -> int:
+    if not reports:
+        raise ConfigError("the arguments select no check to run")
     payload = [r.to_json_dict() for r in reports]
     if args.quiet:
         print(_summary_line(reports))
@@ -187,16 +190,16 @@ def _reports_exit(reports, args) -> int:
 def _cmd_check_subadditivity(args) -> int:
     f = _phi(args)
     P = ProductEnsemble.from_json_dict(_read_json(args.input))
-    report = check_subadditivity(f, P, args.variant, override=args.override, tol=args.tol)
+    report = check("subadditivity", tol=args.tol, override=args.override,
+                   phi=f, variant=args.variant, product=P)
     return _reports_exit([report], args)
 
 
 def _cmd_check_efron_stein(args) -> int:
     P = ProductEnsemble.from_json_dict(_read_json(args.input))
-    reports = [check_operator_efron_stein(P, tol=args.tol)]
-    for p_str in args.p.split(","):
-        if p_str.strip():
-            reports.append(check_polynomial_efron_stein(P, int(p_str), tol=args.tol))
+    orders = _int_list(args.p, "--p")
+    reports = [check("efron_stein", tol=args.tol, product=P)]
+    reports += [check("poly_efron_stein", tol=args.tol, p=p, product=P) for p in orders]
     return _reports_exit(reports, args)
 
 
@@ -220,20 +223,17 @@ def _cmd_check_characterizations(args) -> int:
 def _cmd_check_monotonicity(args) -> int:
     f = _phi(args)
     E = MatrixEnsemble.from_json_dict(_read_json(args.input))
-    reports = []
     if args.channel.startswith("random:"):
         try:
             k = int(args.channel.split(":", 1)[1])
         except ValueError as exc:
             raise ConfigError(f"malformed channel spec '{args.channel}'") from exc
-        for trial in range(args.trials):
-            N = random_unital_channel(E.dim, k, rng_for(args.seed, "cli-channel", trial))
-            reports.append(check_monotonicity(f, N, E, args.variant,
-                                              override=args.override, tol=args.tol))
+        channels = [random_unital_channel(E.dim, k, rng_for(args.seed, "cli-channel", trial))
+                    for trial in range(args.trials)]
     else:
-        N = KrausChannel.from_json_dict(_read_json(args.channel))
-        reports.append(check_monotonicity(f, N, E, args.variant,
-                                          override=args.override, tol=args.tol))
+        channels = [KrausChannel.from_json_dict(_read_json(args.channel))]
+    reports = [check("monotonicity", tol=args.tol, override=args.override, phi=f,
+                     variant=args.variant, channel=N, ensemble=E) for N in channels]
     return _reports_exit(reports, args)
 
 
@@ -262,7 +262,7 @@ def _cmd_run_suite(args) -> int:
         if args.phi_list is not None:
             kwargs["phi_list"] = tuple(s.strip() for s in args.phi_list.split(",") if s.strip())
         if args.dims is not None:
-            kwargs["dims"] = tuple(int(s) for s in args.dims.split(",") if s.strip())
+            kwargs["dims"] = tuple(_int_list(args.dims, "--dims"))
         if args.trials is not None:
             kwargs["trials"] = args.trials
         if args.variant is not None:

@@ -4,6 +4,10 @@ Trace-valued and operator-valued Jensen gaps, conditional entropies over
 product spaces, the operator variance, resampling (Efron-Stein style)
 quantities, and the dual lower-bound representation.  All expectations are
 exact finite sums, so the inequalities under test carry no sampling error.
+
+This module gives the gaps of subadditivity, Efron-Stein and the dual
+representation; their margins and reports come from ``suite.check`` and
+the suite's check registry.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import C2, C3, ScalarFunction
-from .errors import ClassGateError, DimensionMismatchError, DomainError
+from .catalog import ScalarFunction
+from .errors import DimensionMismatchError, DomainError
 from .frechet import frechet_d1
 from .reports import VerificationReport
 from .spectral import (
@@ -25,8 +29,8 @@ from .spectral import (
     matrix_from_json,
     matrix_to_json,
     normalized_trace,
-    schatten_norm,
     validate_hermitian,
+    variant_margin,
 )
 
 WEIGHT_TOL = 1e-12
@@ -238,23 +242,6 @@ def require_spectral_floor(E: MatrixEnsemble, f: ScalarFunction, op_name: str) -
         )
 
 
-def _gate(f: ScalarFunction, variant: str, override: bool, op_name: str) -> None:
-    if override:
-        return
-    tag = {"trace": C2, "operator": C3}[variant]
-    if not f.has_tag(tag):
-        raise ClassGateError(
-            f"{op_name} ({variant}) requires a function tagged {tag}; "
-            f"'{f.name}' has tags {sorted(f.class_tags)}. Pass override=True to force."
-        )
-
-
-def _variant_margin(diff: np.ndarray, variant: str) -> float:
-    if variant == "trace":
-        return normalized_trace(diff)
-    return float(np.linalg.eigvalsh(hermitian_part(diff))[0])
-
-
 def _check_variant(variant: str) -> None:
     if variant not in ("trace", "operator"):
         raise DomainError(f"variant must be 'trace' or 'operator', got '{variant}'")
@@ -348,22 +335,6 @@ def subadditivity_gap(f: ScalarFunction, P: ProductEnsemble, variant: str) -> np
     return hermitian_part(acc - total)
 
 
-def check_subadditivity(f: ScalarFunction, P: ProductEnsemble, variant: str = "trace",
-                        override: bool = False, tol: float | None = None) -> VerificationReport:
-    """Entropy of the whole vs the summed expected conditional entropies."""
-    _check_variant(variant)
-    _gate(f, variant, override, "check_subadditivity")
-    gap = subadditivity_gap(f, P, variant)
-    margin = _variant_margin(gap, variant)
-    if tol is None:
-        tol = 1e-10 * (1.0 + frobenius(gap) + abs(matrix_phi_entropy(f, P.flatten())))
-    return VerificationReport.from_margin(
-        f"subadditivity[{f.spec_string()},{variant}]", margin, tol,
-        witness={"kind": "subadditivity", "phi": f.spec_string(), "variant": variant,
-                 "product": P.to_json_dict()},
-    )
-
-
 # --- variance and resampling quantities ----------------------------------------
 
 
@@ -391,37 +362,6 @@ def efron_stein_quantity(P: ProductEnsemble) -> np.ndarray:
             diffs = sub[:, None] - sub[None, :]
             acc = acc + 0.5 * p * np.einsum("s,t,stij->ij", w, w, diffs @ diffs)
     return hermitian_part(acc)
-
-
-def check_operator_efron_stein(P: ProductEnsemble, tol: float | None = None) -> VerificationReport:
-    """Operator variance bounded by the resampling quantity, in PSD order."""
-    es = efron_stein_quantity(P)
-    var = variance(P.flatten())
-    margin = float(np.linalg.eigvalsh(hermitian_part(es - var))[0])
-    if tol is None:
-        tol = 1e-10 * (1.0 + frobenius(es) + frobenius(var))
-    return VerificationReport.from_margin(
-        "operator_efron_stein", margin, tol,
-        witness={"kind": "efron_stein", "product": P.to_json_dict()},
-    )
-
-
-def check_polynomial_efron_stein(P: ProductEnsemble, p: int,
-                                 tol: float | None = None) -> VerificationReport:
-    """Schatten p-power comparison of variance against the resampling bound."""
-    if p < 1:
-        raise DomainError(f"polynomial order must be >= 1, got {p}")
-    es = efron_stein_quantity(P)
-    var = variance(P.flatten())
-    lhs = schatten_norm(var, p) ** p
-    rhs = schatten_norm(es, p) ** p
-    margin = rhs - lhs
-    if tol is None:
-        tol = 1e-10 * (1.0 + abs(lhs) + abs(rhs))
-    return VerificationReport.from_margin(
-        f"polynomial_efron_stein[p={p}]", margin, tol,
-        witness={"kind": "poly_efron_stein", "p": p, "product": P.to_json_dict()},
-    )
 
 
 # --- dual representation --------------------------------------------------------
@@ -457,22 +397,16 @@ def dual_value(f: ScalarFunction, Z: MatrixEnsemble, T: MatrixEnsemble) -> np.nd
     return hermitian_part(acc)
 
 
-def dual_representation_gap(f: ScalarFunction, Z: MatrixEnsemble, T: MatrixEnsemble,
-                            variant: str = "trace", tol: float | None = None) -> VerificationReport:
-    """Entropy minus the dual lower bound; zero when T coincides with Z."""
-    _check_variant(variant)
+def dual_gap(f: ScalarFunction, Z: MatrixEnsemble, T: MatrixEnsemble) -> np.ndarray:
+    """Entropy minus the dual lower bound, as an operator; zero when T is Z.
+
+    T must be coupled to Z (same weights) and positive definite, with its
+    spectrum above the floor when f's derivative needs one.
+    """
     _check_coupled(Z, T)
     _require_pd(T, "dual representation T")
-    require_spectral_floor(T, f, "dual_representation_gap")
-    gap = operator_phi_entropy(f, Z) - dual_value(f, Z, T)
-    margin = _variant_margin(gap, variant)
-    if tol is None:
-        tol = 1e-9 * (1.0 + frobenius(gap))
-    return VerificationReport.from_margin(
-        f"dual_representation[{f.spec_string()},{variant}]", margin, tol,
-        witness={"kind": "dual_representation", "phi": f.spec_string(), "variant": variant,
-                 "Z": Z.to_json_dict(), "T": T.to_json_dict()},
-    )
+    require_spectral_floor(T, f, "dual representation")
+    return operator_phi_entropy(f, Z) - dual_value(f, Z, T)
 
 
 def interpolation_derivative_scan(f: ScalarFunction, Z: MatrixEnsemble, T: MatrixEnsemble,
@@ -501,7 +435,7 @@ def interpolation_derivative_scan(f: ScalarFunction, Z: MatrixEnsemble, T: Matri
         tol = 1e-9 * scale
     margin = np.inf
     for prev, nxt in zip(values, values[1:]):
-        step_margin = _variant_margin(prev - nxt, variant)
+        step_margin = variant_margin(prev - nxt, variant)
         margin = min(margin, step_margin)
     return VerificationReport.from_margin(
         f"interpolation_scan[{f.spec_string()},{variant}]", margin, tol,

@@ -163,6 +163,16 @@ def normalized_trace(A) -> float:
     return float(np.trace(A).real) / A.shape[0]
 
 
+def variant_margin(gap, variant: str) -> float:
+    """Margin of an operator gap: its normalised trace for the trace form,
+    the smallest eigenvalue of its Hermitian part for the operator form."""
+    if variant == "trace":
+        return normalized_trace(gap)
+    if variant == "operator":
+        return float(np.linalg.eigvalsh(hermitian_part(gap))[0])
+    raise DomainError(f"variant must be 'trace' or 'operator', got '{variant}'")
+
+
 def hs_inner(A, B) -> complex:
     """Hilbert-Schmidt inner product Tr(A* B)."""
     A = as_matrix(A)

@@ -6,7 +6,9 @@ suite measures.  A record says once:
 - how one suite trial draws its points from the trial's seeded stream;
 - the margin of one point, >= 0 when the statement holds there;
 - how a point is stored as a witness and read back (its fields, in order);
-- the tolerance a sweep's margins are judged by.
+- the tolerance a sweep's margins are judged by;
+- whether it is gated to the function class of its variant, and the name of
+  the report of one point, for the records that have one.
 
 ``SWEEPS`` says which reports each entry of ``CHECK_NAMES`` makes: the record
 each report measures, the labels of its stream and its name.  The rest is
@@ -15,6 +17,7 @@ derived from the two tables:
 - ``sweep`` runs one report: every trial's points, the first strict minimum
   of the margin, and the witness of that one point;
 - ``run_suite`` runs the sweeps a ``RunConfig`` selects;
+- ``check`` reports one given point: class gate, margin, tolerance, witness;
 - ``replay_witness`` decodes a witness and recomputes its margin;
 - ``counterexample_search`` packs the matrix fields of a searchable record
   into real parameters and descends on the record's margin.
@@ -52,13 +55,12 @@ from .entropy import (
     MatrixEnsemble,
     ProductEnsemble,
     SPECTRAL_FLOOR,
-    dual_value,
+    dual_gap,
     efron_stein_quantity,
-    operator_phi_entropy,
     subadditivity_gap,
     variance,
 )
-from .errors import ConfigError, PhiLabError
+from .errors import ClassGateError, ConfigError, DomainError, PhiLabError
 from .frechet import finite_diff_oracle, frechet_d1, frechet_d2, frechet_d3
 from .reports import VerificationReport
 from .sampling import (
@@ -70,12 +72,11 @@ from .sampling import (
     sample_psd,
 )
 from .spectral import (
-    hermitian_part,
     matrix_from_json,
     matrix_to_json,
-    normalized_trace,
     relative_error,
     schatten_norm,
+    variant_margin,
 )
 
 CHECK_NAMES = (
@@ -217,16 +218,20 @@ class SuiteReport:
         return cls(config=data["config"], entries=entries, skipped=tuple(data["skipped"]))
 
 
+_CLASS_TAG = {"trace": C2, "operator": C3}
+
+
 def _in_class(f: ScalarFunction, variant: str) -> bool:
     if f.has_tag(OUTSIDE_CLASS):
         return False
-    return f.has_tag({"trace": C2, "operator": C3}[variant])
+    return f.has_tag(_CLASS_TAG[variant])
 
 
 # --- the check registry ------------------------------------------------------------
 
 # Witness codecs: (encode, decode) between a point value and its JSON form.
 _VALUE = (lambda x: x, lambda x: x)
+_FLOATS = (lambda xs: [float(x) for x in xs], lambda xs: xs)
 _PHI = (lambda f: f.spec_string(), lambda s: from_spec(s, allow_outside_class=True))
 _MATRIX = (lambda A: matrix_to_json(A), lambda data: matrix_from_json(data))
 _MATRICES = (lambda As: [matrix_to_json(A) for A in As],
@@ -248,15 +253,9 @@ class Check:
     draw: Callable | None = None  # (rng, d, config, base point) -> one trial's points
     tolerance: Callable | None = None  # (all margins, base point) -> tolerance
     class_gated: bool = True      # in class only for phi tagged for the variant
+    name: str | None = None       # report of one point, formatted with its witness
     # Spectral floor and cap of the matrices a counterexample search draws.
     search_spectrum: tuple = (SPECTRAL_FLOOR + 0.05, None)
-
-
-def _reduce(gap, variant: str) -> float:
-    """Normalised trace of an operator gap, or its smallest eigenvalue."""
-    if variant == "trace":
-        return normalized_trace(gap)
-    return float(np.linalg.eigvalsh(hermitian_part(gap))[0])
 
 
 def _lambdas(rng) -> list:
@@ -284,6 +283,10 @@ def _poly_efron_stein_margin(p: dict) -> float:
 def _convexity_margin(p: dict) -> float:
     F = BivariateFunctional(p["functional"], p["phi"], p["variant"], t=p["t"])
     return convexity_slack_at(F, p["u1"], p["v1"], p["u2"], p["v2"], p["lambda"])
+
+
+def _convexity_tol(margins: list, base: dict) -> float:
+    return 1e-9 * (1.0 + max(abs(m) for m in margins))
 
 
 def _draw_pairs(rng, d: int, config, base: dict) -> list:
@@ -320,30 +323,33 @@ CHECKS = {
         class_gated=False),
     "subadditivity": Check(
         fields=(("phi", _PHI), ("variant", _VALUE), ("product", _PRODUCT)),
-        margin=lambda p: _reduce(subadditivity_gap(p["phi"], p["product"], p["variant"]),
-                                 p["variant"]),
-        draw=_draw_product(None),
-        tolerance=lambda margins, base: 1e-10),
-    "efron_stein": Check(
-        fields=(("product", _PRODUCT),),
-        margin=lambda p: _reduce(efron_stein_quantity(p["product"])
-                                 - variance(p["product"].flatten()), "operator"),
+        margin=lambda p: variant_margin(subadditivity_gap(p["phi"], p["product"], p["variant"]),
+                                        p["variant"]),
         draw=_draw_product(None),
         tolerance=lambda margins, base: 1e-10,
-        class_gated=False),
+        name="subadditivity[{phi},{variant}]"),
+    "efron_stein": Check(
+        fields=(("product", _PRODUCT),),
+        margin=lambda p: variant_margin(efron_stein_quantity(p["product"])
+                                        - variance(p["product"].flatten()), "operator"),
+        draw=_draw_product(None),
+        tolerance=lambda margins, base: 1e-10,
+        class_gated=False,
+        name="operator_efron_stein"),
     "poly_efron_stein": Check(
         fields=(("p", _VALUE), ("product", _PRODUCT)),
         margin=_poly_efron_stein_margin,
         draw=_draw_product(None),
         tolerance=lambda margins, base: 1e-10,
-        class_gated=False),
+        class_gated=False,
+        name="polynomial_efron_stein[p={p}]"),
     "dual_representation": Check(
         fields=(("phi", _PHI), ("variant", _VALUE), ("Z", _ENSEMBLE), ("T", _ENSEMBLE)),
-        margin=lambda p: _reduce(operator_phi_entropy(p["phi"], p["Z"])
-                                 - dual_value(p["phi"], p["Z"], p["T"]), p["variant"]),
+        margin=lambda p: variant_margin(dual_gap(p["phi"], p["Z"], p["T"]), p["variant"]),
         draw=lambda rng, d, config, base: [dict(zip(("Z", "T"), sample_coupled_ensembles(
             d, 3, rng, spectral_floor=SPECTRAL_FLOOR)))],
-        tolerance=lambda margins, base: 1e-9),
+        tolerance=lambda margins, base: 1e-9,
+        name="dual_representation[{phi},{variant}]"),
     # Items (b), (c), (d), (f): joint convexity of a bivariate functional.
     "joint_convexity": Check(
         fields=(("functional", _VALUE), ("phi", _PHI), ("variant", _VALUE), ("t", _VALUE),
@@ -351,13 +357,15 @@ CHECKS = {
                 ("v2", _MATRIX)),
         margin=_convexity_margin,
         draw=_draw_pairs,
-        tolerance=lambda margins, base: 1e-9 * (1.0 + max(abs(m) for m in margins))),
+        tolerance=_convexity_tol),
     # Item (g), and the "jensen" check.
     "conditional_jensen": Check(
         fields=(("phi", _PHI), ("variant", _VALUE), ("product", _PRODUCT)),
-        margin=lambda p: _reduce(conditional_jensen_gap(p["phi"], p["product"]), p["variant"]),
+        margin=lambda p: variant_margin(conditional_jensen_gap(p["phi"], p["product"]),
+                                        p["variant"]),
         draw=_draw_product(2),
-        tolerance=lambda margins, base: 1e-10),
+        tolerance=lambda margins, base: 1e-10,
+        name="conditional_jensen[{phi},{variant}]"),
     "condition_a": Check(
         fields=(("phi", _PHI), ("lambda", _VALUE), ("A1", _MATRIX), ("A2", _MATRIX),
                 ("h", _MATRIX)),
@@ -373,17 +381,21 @@ CHECKS = {
                                             "h": sample_hermitian_unit(d, rng),
                                             "k": sample_hermitian_unit(d, rng)}],
         tolerance=lambda margins, base: CONDITION_E_TOL,
-        search_spectrum=(0.6, 3.8)),
+        search_spectrum=(0.6, 3.8),
+        name="condition_e[{phi}]"),
     "monotonicity": Check(
         fields=(("phi", _PHI), ("variant", _VALUE), ("channel", _CHANNEL),
                 ("ensemble", _ENSEMBLE)),
         margin=lambda p: monotonicity_gap(p["phi"], p["channel"], p["ensemble"], p["variant"]),
         draw=_draw_channel,
-        tolerance=lambda margins, base: 1e-10),
-    # Replay only: witnesses of characterizations.convexity_lemma_check.
+        tolerance=lambda margins, base: 1e-10,
+        name="monotonicity[{phi},{variant}]"),
+    # Not swept by the suite: single points through check, and their replay.
     "convexity_lemma": Check(
-        fields=(("phi", _PHI), ("weights", _VALUE), ("A", _MATRICES), ("X", _MATRICES)),
-        margin=lambda p: convexity_lemma_margin(p["phi"], p["weights"], p["A"], p["X"])),
+        fields=(("phi", _PHI), ("weights", _FLOATS), ("A", _MATRICES), ("X", _MATRICES)),
+        margin=lambda p: convexity_lemma_margin(p["phi"], p["weights"], p["A"], p["X"]),
+        tolerance=_convexity_tol,
+        name="convexity_lemma[{phi}]"),
 }
 
 
@@ -405,6 +417,37 @@ def replay_witness(witness: dict) -> float:
     """Recompute the margin a stored witness claims; must match to 1e-12."""
     point = _decode_witness(witness)
     return CHECKS[witness["kind"]].margin(point)
+
+
+def check(kind: str, *, tol: float | None = None, override: bool = False,
+          **point) -> VerificationReport:
+    """Report of one point of a record that names such reports.
+
+    The point gives every witness field of the record, as values.  A
+    class-gated record refuses a function outside the class of the point's
+    variant (the trace form when it has none) unless override is set.  tol
+    replaces the record's tolerance rule.
+    """
+    record = CHECKS.get(kind)
+    if record is None or record.name is None:
+        raise ConfigError(f"no single-point check of kind '{kind}'")
+    keys = [key for key, _ in record.fields]
+    if set(point) != set(keys):
+        raise ConfigError(f"check '{kind}' takes the fields {keys}, got {sorted(point)}")
+    variant = point.get("variant", "trace")
+    if variant not in _CLASS_TAG:
+        raise DomainError(f"variant must be 'trace' or 'operator', got '{variant}'")
+    f = point.get("phi")
+    if record.class_gated and not override and not _in_class(f, variant):
+        raise ClassGateError(
+            f"{kind} ({variant}) requires a function tagged {_CLASS_TAG[variant]}; "
+            f"'{f.name}' has tags {sorted(f.class_tags)}. Pass override=True to force.")
+    margin = record.margin(point)
+    if tol is None:
+        tol = record.tolerance([margin], point)
+    witness = _encode_witness(kind, point)
+    return VerificationReport.from_margin(record.name.format(**witness), margin, tol,
+                                          witness=witness)
 
 
 # --- sweeps ------------------------------------------------------------------------

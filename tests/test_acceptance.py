@@ -20,6 +20,7 @@ from phi_entropy_lab import (
     ProductEnsemble,
     RunConfig,
     builtin,
+    check,
     counterexample_search,
     finite_diff_oracle,
     frechet_d1,
@@ -28,7 +29,7 @@ from phi_entropy_lab import (
     hs_inner,
     run_suite,
 )
-from phi_entropy_lab.channels import check_monotonicity, monotonicity_gap, random_unital_channel
+from phi_entropy_lab.channels import monotonicity_gap, random_unital_channel
 from phi_entropy_lab.characterizations import (
     BivariateFunctional,
     condition_a_slack,
@@ -337,7 +338,8 @@ def test_criterion_7b_monotonicity_operator():
         worst = min(worst, margin)
         if margin < -1e-10:
             violations += 1
-        report = check_monotonicity(XLX, N, E, "operator", override=True)
+        report = check("monotonicity", override=True, phi=XLX, variant="operator", channel=N,
+                       ensemble=E)
         m_qt = monotonicity_gap(QT, N, E, "operator")
         outside[XLX] += not report.holds and report.margin < -1e-8
         outside[QT] += m_qt < -1e-8

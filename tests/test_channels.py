@@ -11,7 +11,7 @@ from phi_entropy_lab import (
     KrausChannel,
     apply_channel,
     builtin,
-    check_monotonicity,
+    check,
     matrix_phi_entropy,
     operator_jensen_check,
     operator_phi_entropy,
@@ -124,24 +124,24 @@ def test_monotonicity_trace_sweep():
         rng = rng_for(13, "mono", trial)
         N = random_unital_channel(3, int(rng.integers(1, 4)), rng)
         E = sample_ensemble(3, 3, rng)
-        assert check_monotonicity(SQ, N, E, "trace").holds
-        assert check_monotonicity(XLX, N, E, "trace").holds
+        assert check("monotonicity", phi=SQ, variant="trace", channel=N, ensemble=E).holds
+        assert check("monotonicity", phi=XLX, variant="trace", channel=N, ensemble=E).holds
 
 
 def test_monotonicity_class_gate():
     N = random_unital_channel(2, 2, seed=14)
     E = sample_ensemble(2, 2, seed=15)
     with pytest.raises(ClassGateError):
-        check_monotonicity(XLX, N, E, "operator")
+        check("monotonicity", phi=XLX, variant="operator", channel=N, ensemble=E)
     with pytest.raises(ClassGateError):
-        check_monotonicity(builtin("exp"), N, E, "trace")
+        check("monotonicity", phi=builtin("exp"), variant="trace", channel=N, ensemble=E)
 
 
 def test_monotonicity_dimension_mismatch():
     N = random_unital_channel(2, 2, seed=16)
     E = sample_ensemble(3, 2, seed=17)
     with pytest.raises(DimensionMismatchError):
-        check_monotonicity(SQ, N, E, "trace")
+        check("monotonicity", phi=SQ, variant="trace", channel=N, ensemble=E)
 
 
 def test_operator_jensen_identity_channel_equality():

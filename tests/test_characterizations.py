@@ -9,7 +9,7 @@ from phi_entropy_lab import (
     BivariateFunctional,
     DomainError,
     builtin,
-    convexity_lemma_check,
+    check,
     eval_functional,
     frechet_d1,
     hs_inner,
@@ -18,11 +18,9 @@ from phi_entropy_lab import (
 )
 from phi_entropy_lab.characterizations import (
     condition_a_slack,
-    condition_e_check,
     condition_e_margin,
     condition_e_scalar_oracle,
     condition_e_terms,
-    conditional_jensen_check,
     conditional_jensen_gap,
     convexity_lemma_margin,
     convexity_slack_at,
@@ -243,14 +241,16 @@ def test_condition_a_exp_violated_scalar():
 
 def test_condition_e_square_both_sides_zero():
     A = sample_psd(2, 0.5, 21, spectral_cap=4.0)
-    report = condition_e_check(SQ, A, sample_hermitian_unit(2, 22), sample_hermitian_unit(2, 23))
+    report = check("condition_e", phi=SQ, method="hybrid", A=A, h=sample_hermitian_unit(2, 22),
+                   k=sample_hermitian_unit(2, 23))
     assert report.holds and abs(report.margin) < 1e-10
 
 
 def test_condition_e_xlogx_boundary_case():
     # phi'''' phi'' - 2 phi'''^2 vanishes identically for xlogx
     A = np.array([[1.0]])
-    report = condition_e_check(XLX, A, np.array([[0.8]]), np.array([[1.2]]))
+    report = check("condition_e", phi=XLX, method="hybrid", A=A, h=np.array([[0.8]]),
+                   k=np.array([[1.2]]))
     assert report.holds
     assert abs(report.margin) < 1e-6
     assert condition_e_scalar_oracle(XLX, 1.0, 0.8, 1.2) == pytest.approx(0.0, abs=1e-14)
@@ -326,7 +326,7 @@ def test_convexity_lemma():
         As = [sample_psd(2, 0.5, rng) for _ in range(3)]
         Xs = [sample_hermitian(2, rng) for _ in range(3)]
         assert convexity_lemma_margin(SQ, w, As, Xs) >= -1e-10
-        report = convexity_lemma_check(XLX, w, As, Xs)
+        report = check("convexity_lemma", phi=XLX, weights=w, A=As, X=Xs)
         assert report.holds, report
 
 
@@ -355,8 +355,8 @@ def test_conditional_jensen_deterministic_factors():
 def test_conditional_jensen_sweeps():
     for trial in range(50):
         P = sample_product(2, 2, 2, seed=trial)
-        assert conditional_jensen_check(SQ, P, "operator").holds
-        assert conditional_jensen_check(XLX, P, "trace").holds
+        assert check("conditional_jensen", phi=SQ, variant="operator", product=P).holds
+        assert check("conditional_jensen", phi=XLX, variant="trace", product=P).holds
 
 
 def test_conditional_jensen_scalar_oracle():

@@ -140,6 +140,17 @@ def test_exit_code_two_on_config_errors(tmp_path, capsys):
     assert main(["entropy", "--phi", "square", "--input", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["check-characterizations", "--phi", "square", "--items", ","],
+    ["check-efron-stein", "--input", "PRODUCT", "--p", "x"],
+    ["run-suite", "--dims", "a", "--quiet"],
+])
+def test_exit_code_two_on_malformed_arguments(argv, product_file, capsys):
+    argv = [product_file if arg == "PRODUCT" else arg for arg in argv]
+    assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_exit_code_one_on_violation(tmp_path, capsys):
     # a product whose subadditivity fails for the quartic (scalar embedding)
     q_table = {

@@ -13,11 +13,8 @@ from phi_entropy_lab import (
     MatrixEnsemble,
     ProductEnsemble,
     builtin,
-    check_operator_efron_stein,
-    check_polynomial_efron_stein,
-    check_subadditivity,
+    check,
     conditional_entropy,
-    dual_representation_gap,
     efron_stein_quantity,
     expectation,
     interpolation_derivative_scan,
@@ -189,25 +186,26 @@ def test_subadditivity_single_factor_margin_exactly_zero():
 def test_subadditivity_operator_square_random_sweep():
     for trial in range(50):
         P = sample_product(2, 2, 2, seed=trial)
-        report = check_subadditivity(SQ, P, "operator")
+        report = check("subadditivity", phi=SQ, variant="operator", product=P)
         assert report.holds, report
 
 
 def test_subadditivity_trace_xlogx_random_sweep():
     for trial in range(50):
         P = sample_product(3, 2, 2, seed=trial)
-        report = check_subadditivity(XLX, P, "trace")
+        report = check("subadditivity", phi=XLX, variant="trace", product=P)
         assert report.holds, report
 
 
 def test_subadditivity_class_gate():
     P = sample_product(2, 2, 2, seed=1)
     with pytest.raises(ClassGateError):
-        check_subadditivity(XLX, P, "operator")
+        check("subadditivity", phi=XLX, variant="operator", product=P)
     with pytest.raises(ClassGateError):
-        check_subadditivity(builtin("quartic"), P, "trace")
+        check("subadditivity", phi=builtin("quartic"), variant="trace", product=P)
     # override runs the computation anyway
-    report = check_subadditivity(builtin("quartic"), P, "trace", override=True)
+    report = check("subadditivity", override=True, phi=builtin("quartic"), variant="trace",
+                   product=P)
     assert report.trials == 1
 
 
@@ -222,7 +220,7 @@ def test_subadditivity_quartic_scalar_counterexample_search():
                  [(0, 0), (0, 1), (1, 0), (1, 1)]}
         P = diag_product(w, table)
         margin = oracle.subadditivity_margin("quartic", w, table)
-        report = check_subadditivity(qt, P, "trace", override=True)
+        report = check("subadditivity", override=True, phi=qt, variant="trace", product=P)
         assert report.margin == pytest.approx(margin, abs=1e-10)
         if report.margin < -1e-8:
             found = True
@@ -267,27 +265,27 @@ def test_efron_stein_diagonal_matches_scalar_brute_force():
 def test_operator_efron_stein_sweep():
     for trial in range(50):
         P = sample_product(4, 3, 2, seed=trial)
-        report = check_operator_efron_stein(P)
+        report = check("efron_stein", product=P)
         assert report.holds, report
 
 
 def test_polynomial_efron_stein():
     P1 = diag_product([(0.4, 0.6)], {(0,): 0.5, (1,): 2.0})
-    report = check_polynomial_efron_stein(P1, 1)
+    report = check("poly_efron_stein", p=1, product=P1)
     # p = 1, d = 1 reduces to the classical scalar inequality (equality at n=1)
     assert report.holds and abs(report.margin) < 1e-12
     for p in (1, 2, 3):
         for trial in range(20):
             P = sample_product(3, 2, 2, seed=trial)
-            assert check_polynomial_efron_stein(P, p).holds
+            assert check("poly_efron_stein", p=p, product=P).holds
     with pytest.raises(DomainError):
-        check_polynomial_efron_stein(P1, 0)
+        check("poly_efron_stein", p=0, product=P1)
 
 
 def test_dual_gap_zero_at_coincident_ensembles():
     Z, _ = sample_coupled_ensembles(3, 3, seed=2, spectral_floor=1e-2)
     for f, variant in ((SQ, "operator"), (SQ, "trace"), (XLX, "trace")):
-        report = dual_representation_gap(f, Z, Z, variant)
+        report = check("dual_representation", phi=f, variant=variant, Z=Z, T=Z)
         assert abs(report.margin) <= 1e-12
 
 
@@ -298,16 +296,16 @@ def test_dual_gap_deterministic_reference_is_entropy():
     value = dual_value(SQ, Z, T)
     # the reference term vanishes, leaving the entropy itself as the margin
     assert np.abs(value).max() < 1e-10
-    report = dual_representation_gap(SQ, Z, T, "operator")
+    report = check("dual_representation", phi=SQ, variant="operator", Z=Z, T=T)
     assert report.holds and report.margin >= -1e-12
 
 
 def test_dual_gap_random_sweep():
     for trial in range(50):
         Z, T = sample_coupled_ensembles(2, 3, seed=trial, spectral_floor=1e-3)
-        assert dual_representation_gap(SQ, Z, T, "operator").holds
-        assert dual_representation_gap(SQ, Z, T, "trace").holds
-        assert dual_representation_gap(XLX, Z, T, "trace").holds
+        assert check("dual_representation", phi=SQ, variant="operator", Z=Z, T=T).holds
+        assert check("dual_representation", phi=SQ, variant="trace", Z=Z, T=T).holds
+        assert check("dual_representation", phi=XLX, variant="trace", Z=Z, T=T).holds
 
 
 def test_dual_gap_scalar_matches_classical():
@@ -318,7 +316,7 @@ def test_dual_gap_scalar_matches_classical():
         t = rng.uniform(0.2, 2.5, size=3)
         Z = MatrixEnsemble(w, z.reshape(-1, 1, 1).astype(complex))
         T = MatrixEnsemble(w, t.reshape(-1, 1, 1).astype(complex))
-        report = dual_representation_gap(XLX, Z, T, "trace")
+        report = check("dual_representation", phi=XLX, variant="trace", Z=Z, T=T)
         assert report.margin == pytest.approx(oracle.dual_margin("xlogx", w, z, t), abs=1e-10)
 
 
@@ -326,7 +324,7 @@ def test_dual_gap_requires_positive_definite_reference():
     Z, _ = sample_coupled_ensembles(2, 2, seed=5, spectral_floor=1e-2)
     T = MatrixEnsemble(Z.weights, np.stack([np.diag([1.0, 0.0]), np.eye(2)]))
     with pytest.raises(DomainError, match="positive definite"):
-        dual_representation_gap(SQ, Z, T, "trace")
+        check("dual_representation", phi=SQ, variant="trace", Z=Z, T=T)
 
 
 def test_interpolation_scan_constant_when_coincident():

@@ -8,13 +8,17 @@ import pytest
 
 from phi_entropy_lab import (
     ConfigError,
+    DomainError,
+    MatrixEnsemble,
     RunConfig,
     SuiteReport,
     builtin,
+    check,
     counterexample_search,
     replay_witness,
     run_suite,
 )
+from phi_entropy_lab.sampling import sample_coupled_ensembles, sample_product
 from phi_entropy_lab.suite import CHECK_NAMES
 
 SMALL = dict(seed=5, dims=(2,), trials=5, phi_list=("square",), variant="trace")
@@ -119,6 +123,31 @@ def test_witness_replay_reproduces_margins():
                        "conditional_jensen", "monotonicity")
           for variant in ("trace", "operator")),
     }
+
+
+def test_dual_replay_rejects_inputs_outside_the_domain():
+    # Replay runs the same input checks as a single-point dual report: T must
+    # share Z's weights and be positive definite.
+    Z, T = sample_coupled_ensembles(2, 3, seed=1, spectral_floor=1e-2)
+    uncoupled = MatrixEnsemble(np.array([0.2, 0.3, 0.5]), T.atoms)
+    singular = MatrixEnsemble(T.weights, np.stack([np.diag([1.0, 0.0])] * 3))
+    for bad in (uncoupled, singular):
+        witness = {"kind": "dual_representation", "phi": "square", "variant": "trace",
+                   "Z": Z.to_json_dict(), "T": bad.to_json_dict()}
+        with pytest.raises(DomainError):
+            replay_witness(json.loads(json.dumps(witness)))
+
+
+def test_check_rejects_kinds_and_points_it_cannot_report():
+    P = sample_product(2, 2, 2, seed=0)
+    with pytest.raises(ConfigError):
+        check("no_such_kind", product=P)
+    with pytest.raises(ConfigError):  # swept by the suite, no single-point report
+        check("condition_a", phi=builtin("square"))
+    with pytest.raises(ConfigError):  # a witness field is missing
+        check("subadditivity", phi=builtin("square"), product=P)
+    with pytest.raises(DomainError):
+        check("subadditivity", phi=builtin("square"), variant="both", product=P)
 
 
 def test_frechet_oracle_tolerance_override_of_zero_is_applied():
