@@ -215,8 +215,8 @@ def _cmd_check_characterizations(args) -> int:
                        phi_list=(args.phi,), variant=args.variant,
                        allow_outside_class=args.override,
                        tolerances={} if args.tol is None else dict.fromkeys(checks, args.tol))
-    reports = [sweep(config, check, s, f, args.variant, args.dim)
-               for check in checks for s in SWEEPS[check] if s.fixed["item"] in items]
+    reports = [sweep(config, name, s, f, args.variant, args.dim)
+               for name in checks for s in SWEEPS[name] if s.fixed["item"] in items]
     return _reports_exit(reports, args)
 
 

@@ -87,7 +87,7 @@ class MatrixEnsemble:
         return self.atoms.shape[0]
 
     def spectral_floor(self) -> float:
-        return float(min(np.linalg.eigvalsh(a)[0] for a in self.atoms))
+        return float(np.linalg.eigvalsh(self.atoms)[:, 0].min())
 
     def to_json_dict(self) -> dict:
         return {
@@ -230,18 +230,6 @@ class ProductEnsemble:
         return cls(tuple(np.asarray(w, dtype=float) for w in factors), z_map)
 
 
-def require_spectral_floor(E: MatrixEnsemble, f: ScalarFunction, op_name: str) -> None:
-    """Derivative-touching operations need spectra above the floor."""
-    if f.deriv_floor <= 0.0:
-        return
-    floor = E.spectral_floor()
-    if floor < SPECTRAL_FLOOR:
-        raise DomainError(
-            f"{op_name} with '{f.name}' needs atom spectra >= {SPECTRAL_FLOOR:g}, "
-            f"got min eigenvalue {floor:.3e}"
-        )
-
-
 def _check_variant(variant: str) -> None:
     if variant not in ("trace", "operator"):
         raise DomainError(f"variant must be 'trace' or 'operator', got '{variant}'")
@@ -374,11 +362,18 @@ def _check_coupled(Z: MatrixEnsemble, T: MatrixEnsemble) -> None:
         raise DomainError("coupled ensembles must share sample-space weights")
 
 
-def _require_pd(T: MatrixEnsemble, what: str) -> None:
-    floor = T.spectral_floor()
+def _require_pd(E: MatrixEnsemble, f: ScalarFunction, what: str) -> None:
+    """E's atoms must be positive definite, and above SPECTRAL_FLOOR when f's
+    derivative needs it; the smallest eigenvalue is computed once for both."""
+    floor = E.spectral_floor()
     if floor <= 0.0:
         raise DomainError(f"{what} atoms must be strictly positive definite, "
                           f"got min eigenvalue {floor:.3e}")
+    if f.deriv_floor > 0.0 and floor < SPECTRAL_FLOOR:
+        raise DomainError(
+            f"{what} with '{f.name}' needs atom spectra >= {SPECTRAL_FLOOR:g}, "
+            f"got min eigenvalue {floor:.3e}"
+        )
 
 
 def dual_value(f: ScalarFunction, Z: MatrixEnsemble, T: MatrixEnsemble) -> np.ndarray:
@@ -404,8 +399,7 @@ def dual_gap(f: ScalarFunction, Z: MatrixEnsemble, T: MatrixEnsemble) -> np.ndar
     spectrum above the floor when f's derivative needs one.
     """
     _check_coupled(Z, T)
-    _require_pd(T, "dual representation T")
-    require_spectral_floor(T, f, "dual representation")
+    _require_pd(T, f, "dual representation T")
     return operator_phi_entropy(f, Z) - dual_value(f, Z, T)
 
 
@@ -419,10 +413,8 @@ def interpolation_derivative_scan(f: ScalarFunction, Z: MatrixEnsemble, T: Matri
     """
     _check_variant(variant)
     _check_coupled(Z, T)
-    _require_pd(T, "interpolation scan T")
-    _require_pd(Z, "interpolation scan Z")
-    require_spectral_floor(T, f, "interpolation_derivative_scan")
-    require_spectral_floor(Z, f, "interpolation_derivative_scan")
+    _require_pd(T, f, "interpolation scan T")
+    _require_pd(Z, f, "interpolation scan Z")
     if grid is None:
         grid = np.linspace(0.0, 1.0, 11)
     grid = sorted(float(s) for s in grid)
