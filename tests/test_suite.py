@@ -138,6 +138,17 @@ def test_dual_replay_rejects_inputs_outside_the_domain():
             replay_witness(json.loads(json.dumps(witness)))
 
 
+def test_dual_check_needs_the_spectral_floor_only_for_a_derivative_floor():
+    # T positive definite but below SPECTRAL_FLOOR: xlogx's derivative needs
+    # the floor, square's does not.
+    Z, T = sample_coupled_ensembles(2, 3, seed=1, spectral_floor=1e-2)
+    low = MatrixEnsemble(T.weights, np.stack([np.diag([1.0, 5e-4])] * 3))
+    with pytest.raises(DomainError, match="needs atom spectra"):
+        check("dual_representation", phi=builtin("xlogx"), variant="trace", Z=Z, T=low)
+    report = check("dual_representation", phi=builtin("square"), variant="trace", Z=Z, T=low)
+    assert np.isfinite(report.margin)
+
+
 def test_check_rejects_kinds_and_points_it_cannot_report():
     P = sample_product(2, 2, 2, seed=0)
     with pytest.raises(ConfigError):
