@@ -51,6 +51,7 @@ from .errors import (  # noqa: F401
 from .frechet import (  # noqa: F401
     SuperOperatorMatrix,
     chain_rule_check,
+    derivative_inverse,
     finite_diff_oracle,
     frechet_d1,
     frechet_d2,

@@ -21,13 +21,14 @@ import numpy as np
 
 from .catalog import ScalarFunction
 from .errors import DomainError
-from .frechet import frechet_d1, frechet_d2, frechet_d3, superop_inverse, superop_matrix
+from .frechet import derivative_inverse, frechet_d1, frechet_d2, frechet_d3
 from .entropy import MatrixEnsemble, ProductEnsemble, operator_phi_entropy
 from .reports import VerificationReport
 from .spectral import (
     apply_scalar_function,
     hermitian_part,
     matrix_to_json,
+    spectral_decompose,
     validate_hermitian,
     variant_margin,
 )
@@ -96,11 +97,15 @@ def convexity_slack_at(F: BivariateFunctional, u1, v1, u2, v2, lam: float) -> fl
 
 
 def inverse_derivative_quadratic_form(f: ScalarFunction, A, h) -> float:
-    """<h, (Dpsi[A])^{-1} h> with psi the derivative view of f."""
-    psi = f.derivative()
-    T_inv = superop_inverse(superop_matrix(psi, A))
+    """<h, (Dpsi[A])^{-1} h> with psi the derivative view of f.
+
+    The inverse is applied in A's eigenbasis (``frechet.derivative_inverse``);
+    SingularOperatorError is raised when Dpsi[A] is numerically singular.
+    """
     h = validate_hermitian(h, "h")
-    return float(np.trace(h @ T_inv.apply(h)).real)
+    T_inv = derivative_inverse(f.derivative(),
+                               spectral_decompose(validate_hermitian(A, "base point")))
+    return float(np.trace(h @ T_inv(h)).real)
 
 
 def condition_a_slack(f: ScalarFunction, A1, A2, h, lam: float) -> float:
@@ -126,18 +131,19 @@ def condition_e_terms(f: ScalarFunction, A, h, k, method: str = "hybrid") -> tup
     A = validate_hermitian(A, "A")
     h = validate_hermitian(h, "h")
     k = validate_hermitian(k, "k")
-    lam = np.linalg.eigvalsh(A)
+    dec = spectral_decompose(A)
+    lam = dec.eigenvalues
     if lam[0] < 0.5 - 1e-9 or lam[-1] > 4.0 + 1e-9:
         raise DomainError(
             f"condition (e) checks are restricted to spectra in [0.5, 4]; got "
             f"[{lam[0]:.6g}, {lam[-1]:.6g}]"
         )
     psi = f.derivative()
-    T_inv = superop_inverse(superop_matrix(psi, A))
-    u = T_inv.apply(h)
-    lhs = float(np.trace(h @ T_inv.apply(frechet_d3(psi, A, k, k, u, method=method))).real)
-    inner = T_inv.apply(frechet_d2(psi, A, k, u))
-    rhs = 2.0 * float(np.trace(h @ T_inv.apply(frechet_d2(psi, A, k, inner))).real)
+    T_inv = derivative_inverse(psi, dec)
+    u = T_inv(h)
+    lhs = float(np.trace(h @ T_inv(frechet_d3(psi, A, k, k, u, method=method))).real)
+    inner = T_inv(frechet_d2(psi, A, k, u))
+    rhs = 2.0 * float(np.trace(h @ T_inv(frechet_d2(psi, A, k, inner))).real)
     return lhs, rhs
 
 

@@ -4,9 +4,12 @@ Orders one and two are exact divided-difference evaluations in the
 eigenbasis of the base point.  Order three defaults to one central
 difference of the exact order-two value; the pure third-divided-difference
 path is kept behind a flag for cross-checks at small dimension.  The
-module also provides the d^2 x d^2 matricisation of X -> Df[A](X) under
-column stacking, its inverse, finite-difference oracles, and checks for
-the chain rule and the derivatives of matrix inversion.
+inverse of X -> Dpsi[A](X), which conditions (a) and (e) need, is applied
+in A's eigenbasis as an elementwise division by the divided-difference
+grid.  The d^2 x d^2 matricisation of the map under column stacking and
+its dense inverse are kept as the test oracle for that inverse.  The
+module also provides finite-difference oracles and checks for the chain
+rule and the derivatives of matrix inversion.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .catalog import (
 from .errors import DimensionMismatchError, DomainError, SingularOperatorError
 from .reports import VerificationReport
 from .spectral import (
+    SpectralDecomposition,
     apply_scalar_function,
     frobenius,
     hermitian_part,
@@ -37,7 +41,9 @@ from .spectral import (
 # Step factor for the hybrid order-three derivative.
 D3_STEP_RTOL = 1e-5
 
-# Condition-number guard for dense superoperator inversion.
+# Condition-number guard for inverting X -> Dpsi[A](X).  The suite inverts in
+# A's eigenbasis, where the singular values of the map are |psi^[1]|; the
+# dense superoperator inverse, kept as the oracle, applies the same limit.
 SUPEROP_COND_LIMIT = 1e12
 
 
@@ -125,7 +131,30 @@ def _d3_exact(f, A, X, Y, W) -> np.ndarray:
     return hermitian_part(U @ core @ U.conj().T)
 
 
-# --- superoperator matricisation ---------------------------------------------
+def derivative_inverse(psi: ScalarFunction,
+                       dec: SpectralDecomposition) -> Callable[[np.ndarray], np.ndarray]:
+    """Inverse of X -> Dpsi[A](X), given the eigendecomposition of A.
+
+    By Daleckii-Krein, Dpsi[A](X) = U (K o U*XU) U* with K = psi^[1](lambda),
+    so the inverse divides elementwise by K in the eigenbasis.  conj(U) (x) U
+    is unitary, so the singular values of the matricised map are exactly |K|
+    and the guard below is the dense guard of superop_inverse.
+    """
+    require_nodes_in_derivative_domain(psi, dec.eigenvalues, 1)
+    U, Uh = dec.eigenvectors, dec.eigenvectors.conj().T
+    K = dd1_grid(psi, dec.eigenvalues)
+    s = np.abs(K)
+    smallest, largest = float(s.min()), float(s.max())
+    if smallest <= 0.0 or largest / smallest > SUPEROP_COND_LIMIT:
+        raise SingularOperatorError(
+            f"derivative map numerically singular: smallest singular value "
+            f"{smallest:.3e}, largest {largest:.3e}",
+            smallest,
+        )
+    return lambda X: hermitian_part(U @ ((Uh @ X @ U) / K) @ Uh)
+
+
+# --- superoperator matricisation (dense oracle) --------------------------------
 
 
 def stack(X) -> np.ndarray:
@@ -176,7 +205,7 @@ def superop_matrix(psi: ScalarFunction, A) -> SuperOperatorMatrix:
 
 
 def superop_inverse(T: SuperOperatorMatrix) -> SuperOperatorMatrix:
-    """Dense inverse with a condition-number guard of 1e12."""
+    """Dense inverse under the SUPEROP_COND_LIMIT guard; the oracle of derivative_inverse."""
     s = np.linalg.svd(T.entries, compute_uv=False)
     smallest = float(s[-1])
     if smallest <= 0.0 or s[0] / smallest > SUPEROP_COND_LIMIT:

@@ -1,5 +1,7 @@
 """Convexity functionals, equivalence conditions, integral/Taylor relations."""
 
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,6 +13,7 @@ from phi_entropy_lab import (
     builtin,
     check,
     eval_functional,
+    frechet,
     frechet_d1,
     hs_inner,
     integral_relation_check,
@@ -287,6 +290,30 @@ def test_condition_e_in_class_matrix_sweep():
 def test_condition_e_spectrum_restriction():
     with pytest.raises(DomainError, match="restricted"):
         condition_e_margin(XLX, np.diag([0.2, 1.0]), np.eye(2), np.eye(2))
+
+
+def test_conditions_a_and_e_bypass_the_dense_superoperator(monkeypatch):
+    # The d^2 x d^2 matricisation is the test oracle; the inverse derivative
+    # map of conditions (a) and (e) must not go through it.
+    dense = (frechet.superop_matrix, frechet.superop_inverse)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense superoperator path called")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("phi_entropy_lab"):
+            for attr, value in list(vars(module).items()):
+                if any(value is fn for fn in dense):
+                    monkeypatch.setattr(module, attr, refuse)
+
+    rng = rng_for(30, "dense-guard")
+    A1, A2, h = cond_a_sampler(16)(rng)
+    assert np.isfinite(condition_a_slack(XLX, A1, A2, h, 0.4))
+    A = sample_psd(4, 0.5, rng, spectral_cap=4.0)
+    k = sample_hermitian_unit(4, rng)
+    assert np.isfinite(condition_e_margin(XLX, A, sample_hermitian_unit(4, rng), k))
+    report = run_suite(RunConfig(trials=2, checks=("condition_a", "condition_e")))
+    assert report.entries and report.exit_code() == 0
 
 
 def test_integral_relations():

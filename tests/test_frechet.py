@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from phi_entropy_lab import (
@@ -9,6 +11,7 @@ from phi_entropy_lab import (
     SingularOperatorError,
     builtin,
     chain_rule_check,
+    derivative_inverse,
     finite_diff_oracle,
     frechet_d1,
     frechet_d2,
@@ -19,7 +22,8 @@ from phi_entropy_lab import (
     superop_inverse,
     superop_matrix,
 )
-from phi_entropy_lab.catalog import REAL_LINE, ScalarFunction
+from phi_entropy_lab.catalog import REAL_LINE, TAYLOR_BAND, ScalarFunction
+from phi_entropy_lab.characterizations import inverse_derivative_quadratic_form
 from phi_entropy_lab.frechet import (
     SuperOperatorMatrix,
     constant_map_family,
@@ -28,12 +32,21 @@ from phi_entropy_lab.frechet import (
     stack,
     unstack,
 )
-from phi_entropy_lab.sampling import rng_for, sample_hermitian, sample_hermitian_unit, sample_psd
-from phi_entropy_lab.spectral import relative_error
+from phi_entropy_lab.sampling import (
+    haar_unitary,
+    rng_for,
+    sample_hermitian,
+    sample_hermitian_unit,
+    sample_psd,
+)
+from phi_entropy_lab.spectral import relative_error, spectral_decompose
 
 SQ = builtin("square")
 XLX = builtin("xlogx")
 P15 = builtin("power", 1.5)
+# Functions whose derivative view psi has a nonsingular map Dpsi[A] on the
+# positive definite cone.
+INVERTIBLE = (SQ, XLX, P15, builtin("quartic"), builtin("exp"))
 
 CUBIC = ScalarFunction(
     "cubic",
@@ -262,6 +275,67 @@ def test_superop_inverse_singular_guard():
     with pytest.raises(SingularOperatorError) as err:
         superop_inverse(T)
     assert err.value.smallest_singular_value == pytest.approx(0.0)
+
+
+def _dense_inverse(psi, A, X):
+    return superop_inverse(superop_matrix(psi, A)).apply(X)
+
+
+def _assert_inverse_matches_dense(psi, A, X):
+    T_inv = derivative_inverse(psi, spectral_decompose(A))
+    assert relative_error(T_inv(X), _dense_inverse(psi, A, X), floor=0.0) < 1e-12
+    assert relative_error(frechet_d1(psi, A, T_inv(X)), X, floor=0.0) < 1e-12
+
+
+@pytest.mark.parametrize("f", INVERTIBLE, ids=lambda f: f.spec_string())
+@pytest.mark.parametrize("d", (1, 2, 3, 8))
+def test_derivative_inverse_matches_dense_oracle(f, d):
+    A = sample_psd(d, 0.5, 40 + d)
+    for seed in range(3):
+        _assert_inverse_matches_dense(f.derivative(), A, sample_hermitian(d, 400 + seed))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_derivative_inverse_at_coincident_eigenvalues(data):
+    # Two eigenvalues coincide, or sit just inside or just outside the
+    # order-1 Taylor band, where dd1_grid switches from quotient to series.
+    f = data.draw(st.sampled_from(INVERTIBLE), label="phi")
+    d = data.draw(st.integers(2, 4), label="d")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    base = data.draw(st.floats(0.5, 4.0), label="coincident eigenvalue")
+    offset = data.draw(st.sampled_from((0.0, 0.9, 1.1)), label="offset / Taylor band")
+    rng = rng_for(seed, "coincident")
+    lam = np.concatenate([[base, base * (1.0 + offset * TAYLOR_BAND[1])],
+                          rng.uniform(0.5, 4.0, d - 2)])
+    U = haar_unitary(d, rng)
+    A = (U * lam) @ U.conj().T
+    _assert_inverse_matches_dense(f.derivative(), A, sample_hermitian(d, rng))
+
+
+@pytest.mark.parametrize("f, A, smallest", [
+    (builtin("affine", 1.0, 2.0), np.eye(2), 0.0),  # psi' = 0: K vanishes
+    (XLX, np.diag([50.0, 2e-12]), 0.02),            # condition number 2.5e13
+])
+def test_derivative_inverse_guard_matches_dense_guard(f, A, smallest):
+    psi = f.derivative()
+    with pytest.raises(SingularOperatorError) as dense:
+        superop_inverse(superop_matrix(psi, A))
+    with pytest.raises(SingularOperatorError) as eigenbasis:
+        derivative_inverse(psi, spectral_decompose(A))
+    assert eigenbasis.value.smallest_singular_value == pytest.approx(
+        dense.value.smallest_singular_value, rel=1e-12)
+    assert eigenbasis.value.smallest_singular_value == pytest.approx(smallest, rel=1e-12)
+
+
+def test_derivative_inverse_guard_admits_condition_just_inside_limit():
+    # condition number 5e11, below SUPEROP_COND_LIMIT = 1e12
+    A = np.diag([50.0, 1e-10])
+    h = np.array([[0.3, 0.1], [0.1, -0.2]])
+    dense = float(np.trace(h @ _dense_inverse(XLX.derivative(), A, h)).real)
+    got = inverse_derivative_quadratic_form(XLX, A, h)
+    assert got == pytest.approx(dense, rel=1e-12)
+    assert got == pytest.approx(4.537122454522767, rel=1e-12)
 
 
 def test_stack_convention_column_major():
