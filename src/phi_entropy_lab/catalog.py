@@ -234,9 +234,10 @@ def from_spec(spec: str, allow_outside_class: bool = False) -> ScalarFunction:
 TAYLOR_BAND = {1: 1e-4, 2: 1e-3, 3: 3e-3}
 
 
-def coincidence_threshold(nodes: np.ndarray) -> float:
+def coincidence_threshold(nodes: np.ndarray):
+    """Threshold of a node vector, or one per row of a stack (..., m)."""
     nodes = np.asarray(nodes, dtype=float)
-    diameter = float(nodes.max() - nodes.min()) if nodes.size else 0.0
+    diameter = nodes.max(axis=-1) - nodes.min(axis=-1) if nodes.size else 0.0
     return COINCIDENCE_RTOL * (1.0 + diameter)
 
 
@@ -332,17 +333,22 @@ def _dd3_sorted(f: ScalarFunction, a, b, c, d, delta: float):
 
 
 def dd1_grid(f: ScalarFunction, nodes: np.ndarray, delta: float | None = None) -> np.ndarray:
+    """Grid on nodes (m,), or on each row of (..., m) with the row's own threshold."""
     nodes = np.asarray(nodes, dtype=float)
     if delta is None:
         delta = coincidence_threshold(nodes)
-    return _dd1(f, nodes[:, None], nodes[None, :], delta)
+    delta = np.expand_dims(delta, (-2, -1))
+    return _dd1(f, nodes[..., :, None], nodes[..., None, :], delta)
 
 
 def dd2_grid(f: ScalarFunction, nodes: np.ndarray, delta: float | None = None) -> np.ndarray:
+    """Grid on nodes (m,), or on each row of (..., m) with the row's own threshold."""
     nodes = np.asarray(nodes, dtype=float)
     if delta is None:
         delta = coincidence_threshold(nodes)
-    grids = np.meshgrid(nodes, nodes, nodes, indexing="ij")
+    delta = np.expand_dims(delta, (-3, -2, -1))
+    grids = np.broadcast_arrays(nodes[..., :, None, None], nodes[..., None, :, None],
+                                nodes[..., None, None, :])
     s = np.sort(np.stack(grids, axis=-1), axis=-1)
     return _dd2_sorted(f, s[..., 0], s[..., 1], s[..., 2], delta)
 
@@ -383,7 +389,7 @@ def require_nodes_in_derivative_domain(f: ScalarFunction, nodes: np.ndarray, ord
     """Nodes must sit strictly inside f's domain, above the derivative floor."""
     interior = f.domain.open_version()
     floor = max(f.deriv_floor, 0.0) if order >= 1 else 0.0
-    for u in np.atleast_1d(nodes):
+    for u in np.ravel(nodes):
         u = float(u)
         if not interior.contains(u) or u < floor:
             raise DomainError(

@@ -3,14 +3,17 @@
 The bivariate functionals here (Bregman remainder, derivative increment,
 second-derivative quadratic form, interpolation gap) characterise the
 subadditive entropy classes through joint convexity.  This module gives
-the slack of each condition at one point: joint convexity of a functional,
-the integral and Taylor relations connecting the functionals, the
-inverse-derivative concavity condition, the fourth-derivative trace
-inequality, and the conditional Jensen inequality.  The suite sweeps these
-slacks over sampled points; its reports state "no violation in N trials",
-which is evidence, not a proof.  The report of one point of condition (e),
-the convexity lemma or the conditional Jensen inequality comes from
-``suite.check``; the integral and Taylor relations keep their own checks.
+the slack of each condition: joint convexity of a functional, the integral
+and Taylor relations connecting the functionals, the inverse-derivative
+concavity condition, the fourth-derivative trace inequality, and the
+conditional Jensen inequality.  The two convexity slacks (of a functional,
+and condition (a)) take a vector of weights lambda too, one slack each: the
+two endpoints and all mixes are then one stack, with one batched ``eigh``.
+The suite sweeps these slacks over sampled points; its reports state "no
+violation in N trials", which is evidence, not a proof.  The report of one
+point of condition (e), the convexity lemma or the conditional Jensen
+inequality comes from ``suite.check``; the integral and Taylor relations
+keep their own checks.
 """
 
 from __future__ import annotations
@@ -61,7 +64,8 @@ class BivariateFunctional:
 
 
 def eval_functional(F: BivariateFunctional, u, v):
-    """Evaluate the functional at a matrix pair; scalar for the trace variant."""
+    """Evaluate the functional at a matrix pair, or at each pair of two stacks;
+    a number per pair for the trace variant."""
     f = F.phi
     u = validate_hermitian(u, "u")
     v = validate_hermitian(v, "v")
@@ -78,43 +82,54 @@ def eval_functional(F: BivariateFunctional, u, v):
                - apply_scalar_function(f, t * u + (1.0 - t) * v))
     out = hermitian_part(out)
     if F.variant == "trace":
-        return float(np.trace(out).real)
+        value = np.trace(out, axis1=-2, axis2=-1).real
+        return float(value) if value.ndim == 0 else value
     return out
 
 
-def convexity_slack_at(F: BivariateFunctional, u1, v1, u2, v2, lam: float) -> float:
-    """Convex-combination slack; nonnegative for a jointly convex functional."""
-    mix = (lam * u1 + (1.0 - lam) * u2, lam * v1 + (1.0 - lam) * v2)
-    combo = lam * np.asarray(eval_functional(F, u1, v1)) \
-        + (1.0 - lam) * np.asarray(eval_functional(F, u2, v2))
-    gap = combo - np.asarray(eval_functional(F, *mix))
-    if F.variant == "trace":
-        return float(gap)
-    return variant_margin(gap, "operator")
+def _per_weight(lam, slacks):
+    """The slacks in the form lam came in: a float for a number, else a list."""
+    return float(slacks[0]) if np.ndim(lam) == 0 else [float(s) for s in slacks]
+
+
+def convexity_slack_at(F: BivariateFunctional, u1, v1, u2, v2, lam):
+    """Convex-combination slack at weight lam (a list of them for a vector
+    lam); nonnegative for a jointly convex functional."""
+    lams = np.atleast_1d(np.asarray(lam, dtype=float))
+    w = lams[:, None, None]
+    u1, v1, u2, v2 = map(np.asarray, (u1, v1, u2, v2))
+    values = eval_functional(F, np.concatenate([[u1, u2], w * u1 + (1.0 - w) * u2]),
+                             np.concatenate([[v1, v2], w * v1 + (1.0 - w) * v2]))
+    w = w if F.variant == "operator" else lams  # shaped to broadcast over the values
+    gap = w * values[0] + (1.0 - w) * values[1] - values[2:]
+    return _per_weight(lam, variant_margin(gap, "operator") if F.variant == "operator" else gap)
 
 
 # --- inverse-derivative concavity (condition on the derivative map) -------------
 
 
-def inverse_derivative_quadratic_form(f: ScalarFunction, A, h) -> float:
+def inverse_derivative_quadratic_form(f: ScalarFunction, A, h):
     """<h, (Dpsi[A])^{-1} h> with psi the derivative view of f.
 
-    The inverse is applied in A's eigenbasis (``frechet.derivative_inverse``);
-    SingularOperatorError is raised when Dpsi[A] is numerically singular.
+    One value per matrix of a stack A.  The inverse is applied in A's
+    eigenbasis (``frechet.derivative_inverse``); SingularOperatorError is
+    raised when Dpsi[A] is numerically singular.
     """
     h = validate_hermitian(h, "h")
-    T_inv = derivative_inverse(f.derivative(),
-                               spectral_decompose(validate_hermitian(A, "base point")))
-    return float(np.trace(h @ T_inv(h)).real)
+    T_inv = derivative_inverse(f.derivative(), spectral_decompose(A, "base point"))
+    q = np.trace(h @ T_inv(h), axis1=-2, axis2=-1).real
+    return float(q) if q.ndim == 0 else q
 
 
-def condition_a_slack(f: ScalarFunction, A1, A2, h, lam: float) -> float:
-    """Concavity slack of A -> <h, (Dpsi[A])^{-1} h> at one convex combination."""
-    A_mix = lam * np.asarray(A1, dtype=complex) + (1.0 - lam) * np.asarray(A2, dtype=complex)
-    q_mix = inverse_derivative_quadratic_form(f, A_mix, h)
-    q1 = inverse_derivative_quadratic_form(f, A1, h)
-    q2 = inverse_derivative_quadratic_form(f, A2, h)
-    return q_mix - (lam * q1 + (1.0 - lam) * q2)
+def condition_a_slack(f: ScalarFunction, A1, A2, h, lam):
+    """Concavity slack of A -> <h, (Dpsi[A])^{-1} h> at the convex combination
+    of weight lam (a list of them for a vector lam)."""
+    lams = np.atleast_1d(np.asarray(lam, dtype=float))
+    w = lams[:, None, None]
+    A1, A2 = np.asarray(A1, dtype=complex), np.asarray(A2, dtype=complex)
+    q = inverse_derivative_quadratic_form(
+        f, np.concatenate([[A1, A2], w * A1 + (1.0 - w) * A2]), h)
+    return _per_weight(lam, q[2:] - (lams * q[0] + (1.0 - lams) * q[1]))
 
 
 # --- fourth-derivative trace inequality -----------------------------------------
@@ -128,10 +143,9 @@ def condition_e_terms(f: ScalarFunction, A, h, k, method: str = "hybrid") -> tup
     d = 1 their difference reduces to the classical fourth-derivative
     criterion.
     """
-    A = validate_hermitian(A, "A")
+    dec = spectral_decompose(A, "A")
     h = validate_hermitian(h, "h")
     k = validate_hermitian(k, "k")
-    dec = spectral_decompose(A)
     lam = dec.eigenvalues
     if lam[0] < 0.5 - 1e-9 or lam[-1] > 4.0 + 1e-9:
         raise DomainError(
@@ -142,8 +156,8 @@ def condition_e_terms(f: ScalarFunction, A, h, k, method: str = "hybrid") -> tup
     T_inv = derivative_inverse(psi, dec)
     u = T_inv(h)
     lhs = float(np.trace(h @ T_inv(frechet_d3(psi, A, k, k, u, method=method))).real)
-    inner = T_inv(frechet_d2(psi, A, k, u))
-    rhs = 2.0 * float(np.trace(h @ T_inv(frechet_d2(psi, A, k, inner))).real)
+    inner = T_inv(frechet_d2(psi, dec, k, u))
+    rhs = 2.0 * float(np.trace(h @ T_inv(frechet_d2(psi, dec, k, inner))).real)
     return lhs, rhs
 
 

@@ -25,6 +25,7 @@ from .suite import (
     SEARCHABLE_CHECKS,
     SWEEPS,
     check,
+    class_gate,
     counterexample_search,
     run_suite,
     sweep,
@@ -215,8 +216,10 @@ def _cmd_check_characterizations(args) -> int:
                        phi_list=(args.phi,), variant=args.variant,
                        allow_outside_class=args.override,
                        tolerances={} if args.tol is None else dict.fromkeys(checks, args.tol))
-    reports = [sweep(config, name, s, f, args.variant, args.dim)
-               for name in checks for s in SWEEPS[name] if s.fixed["item"] in items]
+    chosen = [(name, s) for name in checks for s in SWEEPS[name] if s.fixed["item"] in items]
+    for _, s in chosen:
+        class_gate(s.kind, f, args.variant, args.override)
+    reports = [sweep(config, name, s, f, args.variant, args.dim) for name, s in chosen]
     return _reports_exit(reports, args)
 
 

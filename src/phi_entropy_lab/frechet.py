@@ -1,15 +1,17 @@
 """Directional (Frechet) derivatives of standard matrix functions.
 
 Orders one and two are exact divided-difference evaluations in the
-eigenbasis of the base point.  Order three defaults to one central
+eigenbasis of the base point, given as a matrix or its decomposition; a
+base point and its directions may be stacks (..., d, d), and each matrix
+gets the values of its own call.  Order three defaults to one central
 difference of the exact order-two value; the pure third-divided-difference
 path is kept behind a flag for cross-checks at small dimension.  The
 inverse of X -> Dpsi[A](X), which conditions (a) and (e) need, is applied
-in A's eigenbasis as an elementwise division by the divided-difference
-grid.  The d^2 x d^2 matricisation of the map under column stacking and
-its dense inverse are kept as the test oracle for that inverse.  The
-module also provides finite-difference oracles and checks for the chain
-rule and the derivatives of matrix inversion.
+in A's eigenbasis (of one A or a stack) as an elementwise division by the
+divided-difference grid.  The d^2 x d^2 matricisation of the map under
+column stacking and its dense inverse are kept as the test oracle for that
+inverse.  The module also provides finite-difference oracles and checks
+for the chain rule and the derivatives of matrix inversion.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .reports import VerificationReport
 from .spectral import (
     SpectralDecomposition,
     apply_scalar_function,
+    dagger,
     frobenius,
     hermitian_part,
     relative_error,
@@ -48,40 +51,41 @@ SUPEROP_COND_LIMIT = 1e12
 
 
 def _prepared(f: ScalarFunction, A, directions, order: int):
-    A = validate_hermitian(A, "base point")
+    """A's decomposition (A may be given as one) and the validated directions."""
+    if not isinstance(A, SpectralDecomposition):
+        A = spectral_decompose(A, "base point")
+    shape = A.eigenvectors.shape
     mats = []
     for X in directions:
         X = validate_hermitian(X, "direction")
-        if X.shape != A.shape:
+        if X.shape != shape:
             raise DimensionMismatchError(
-                f"direction shape {X.shape} does not match base point {A.shape}"
+                f"direction shape {X.shape} does not match base point {shape}"
             )
         mats.append(X)
-    dec = spectral_decompose(A)
-    require_nodes_in_derivative_domain(f, dec.eigenvalues, order)
-    return dec, mats
+    require_nodes_in_derivative_domain(f, A.eigenvalues, order)
+    return A, mats
 
 
 def frechet_d1(f: ScalarFunction, A, X) -> np.ndarray:
     """First derivative of the matrix function of f at A in direction X."""
     dec, (X,) = _prepared(f, A, [X], 1)
-    U, lam = dec.eigenvectors, dec.eigenvalues
-    K = dd1_grid(f, lam)
-    Xt = U.conj().T @ X @ U
-    return hermitian_part(U @ (K * Xt) @ U.conj().T)
+    U, Uh = dec.eigenvectors, dagger(dec.eigenvectors)
+    K = dd1_grid(f, dec.eigenvalues)
+    return hermitian_part(U @ (K * (Uh @ X @ U)) @ Uh)
 
 
 def frechet_d2(f: ScalarFunction, A, X, Y) -> np.ndarray:
     """Second derivative; symmetric bilinear in (X, Y)."""
     dec, (X, Y) = _prepared(f, A, [X, Y], 2)
-    U, lam = dec.eigenvectors, dec.eigenvalues
-    T2 = dd2_grid(f, lam)
-    Xt = U.conj().T @ X @ U
-    Yt = U.conj().T @ Y @ U
-    core = np.einsum("ikj,ik,kj->ij", T2, Xt, Yt) + np.einsum(
-        "ikj,ik,kj->ij", T2, Yt, Xt
+    U, Uh = dec.eigenvectors, dagger(dec.eigenvectors)
+    T2 = dd2_grid(f, dec.eigenvalues)
+    Xt = Uh @ X @ U
+    Yt = Uh @ Y @ U
+    core = np.einsum("...ikj,...ik,...kj->...ij", T2, Xt, Yt) + np.einsum(
+        "...ikj,...ik,...kj->...ij", T2, Yt, Xt
     )
-    return hermitian_part(U @ core @ U.conj().T)
+    return hermitian_part(U @ core @ Uh)
 
 
 def frechet_d3(f: ScalarFunction, A, X, Y, W, method: str = "hybrid") -> np.ndarray:
@@ -138,18 +142,22 @@ def derivative_inverse(psi: ScalarFunction,
     By Daleckii-Krein, Dpsi[A](X) = U (K o U*XU) U* with K = psi^[1](lambda),
     so the inverse divides elementwise by K in the eigenbasis.  conj(U) (x) U
     is unitary, so the singular values of the matricised map are exactly |K|
-    and the guard below is the dense guard of superop_inverse.
+    and the guard below is the dense guard of superop_inverse, applied to
+    each map of a stack.
     """
     require_nodes_in_derivative_domain(psi, dec.eigenvalues, 1)
-    U, Uh = dec.eigenvectors, dec.eigenvectors.conj().T
+    U, Uh = dec.eigenvectors, dagger(dec.eigenvectors)
     K = dd1_grid(psi, dec.eigenvalues)
     s = np.abs(K)
-    smallest, largest = float(s.min()), float(s.max())
-    if smallest <= 0.0 or largest / smallest > SUPEROP_COND_LIMIT:
+    smallest, largest = s.min(axis=(-2, -1)).ravel(), s.max(axis=(-2, -1)).ravel()
+    zero = smallest <= 0.0
+    singular = zero | (largest / np.where(zero, 1.0, smallest) > SUPEROP_COND_LIMIT)
+    if singular.any():
+        k = int(np.argmax(singular))
         raise SingularOperatorError(
             f"derivative map numerically singular: smallest singular value "
-            f"{smallest:.3e}, largest {largest:.3e}",
-            smallest,
+            f"{smallest[k]:.3e}, largest {largest[k]:.3e}",
+            float(smallest[k]),
         )
     return lambda X: hermitian_part(U @ ((Uh @ X @ U) / K) @ Uh)
 
@@ -194,8 +202,7 @@ def superop_matrix(psi: ScalarFunction, A) -> SuperOperatorMatrix:
     Under column stacking, X -> B X C matricises to C^T (x) B, so the map
     is (conj(U) (x) U) diag(vec(psi^[1])) (conj(U) (x) U)* in A's eigenbasis.
     """
-    A = validate_hermitian(A, "base point")
-    dec = spectral_decompose(A)
+    dec = spectral_decompose(A, "base point")
     require_nodes_in_derivative_domain(psi, dec.eigenvalues, 1)
     U, lam = dec.eigenvectors, dec.eigenvalues
     K = dd1_grid(psi, lam)

@@ -2,7 +2,9 @@
 
 Eigendecompositions, standard matrix functions, Loewner comparisons, traces
 and Schatten norms, plus the JSON wire format for dense complex matrices.
-All operations are pure functions on immutable values.
+All operations are pure functions on immutable values.  Validation,
+decomposition, matrix functions and operator margins also take stacks
+(..., d, d); each matrix gets the values and tolerance it gets on its own.
 """
 
 from __future__ import annotations
@@ -28,32 +30,37 @@ def as_matrix(A) -> np.ndarray:
     return A
 
 
+def dagger(A: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return A.conj().swapaxes(-1, -2)
+
+
 def hermitian_part(A: np.ndarray) -> np.ndarray:
     """Project onto the Hermitian part; used to scrub roundoff asymmetry."""
-    return 0.5 * (A + np.conj(np.swapaxes(A, -1, -2)))
-
-
-def hermiticity_tolerance(A: np.ndarray) -> float:
-    scale = np.abs(A).max() if A.size else 0.0
-    return HERM_RTOL * (1.0 + scale)
+    return 0.5 * (A + dagger(A))
 
 
 def validate_hermitian(A, name: str = "matrix") -> np.ndarray:
-    """Return A as a complex array, raising if it is not Hermitian.
+    """Return A (a matrix or stack) as a complex array, raising if it is not Hermitian.
 
-    The error names the worst offending entry pair so the caller can see
-    which element broke the symmetry.
+    The error names the first offending matrix of a stack and its worst
+    entry pair, so the caller can see which element broke the symmetry.
     """
-    A = as_matrix(A)
-    diff = np.abs(A - A.conj().T)
-    tol = hermiticity_tolerance(A)
-    worst = diff.max()
-    if worst > tol:
-        i, j = np.unravel_index(int(np.argmax(diff)), diff.shape)
-        raise NonHermitianError(
-            f"{name} is not Hermitian: entries ({i},{j})={A[i, j]:.6g} and "
-            f"({j},{i})={A[j, i]:.6g} differ by {worst:.3e} (tolerance {tol:.3e})"
-        )
+    A = np.asarray(A, dtype=complex)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2] or A.shape[-1] < 1:
+        raise DimensionMismatchError(f"expected a square matrix, got shape {A.shape}")
+    diff = np.abs(A - dagger(A))
+    if diff.max() <= HERM_RTOL:  # below every matrix's tolerance
+        return A
+    for k in np.ndindex(A.shape[:-2]):
+        M, worst, tol = A[k], diff[k].max(), HERM_RTOL * (1.0 + np.abs(A[k]).max())
+        if worst > tol:
+            i, j = np.unravel_index(int(np.argmax(diff[k])), M.shape)
+            raise NonHermitianError(
+                f"{name}{list(k) if k else ''} is not Hermitian: entries ({i},{j})="
+                f"{M[i, j]:.6g} and ({j},{i})={M[j, i]:.6g} differ by {worst:.3e} "
+                f"(tolerance {tol:.3e})"
+            )
     return A
 
 
@@ -72,18 +79,18 @@ def relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1.0) -> float:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigensystem of a Hermitian matrix: ascending eigenvalues, unitary columns."""
+    """Eigensystem of a Hermitian matrix or stack: ascending eigenvalues, unitary columns."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.eigenvalues.shape[-1]
 
     def reconstruct(self) -> np.ndarray:
         U = self.eigenvectors
-        return (U * self.eigenvalues) @ U.conj().T
+        return (U * self.eigenvalues[..., None, :]) @ dagger(U)
 
 
 @dataclass(frozen=True)
@@ -101,9 +108,9 @@ class LoewnerVerdict:
         return cls(float(min_eig), float(tol), holds, None if holds else witness)
 
 
-def spectral_decompose(A) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-    A = validate_hermitian(A)
+def spectral_decompose(A, name: str = "matrix") -> SpectralDecomposition:
+    """Eigendecomposition of a Hermitian matrix or stack, eigenvalues ascending."""
+    A = validate_hermitian(A, name)
     lam, U = np.linalg.eigh(A)
     return SpectralDecomposition(lam, U)
 
@@ -111,27 +118,23 @@ def spectral_decompose(A) -> SpectralDecomposition:
 def apply_scalar_function(f, A) -> np.ndarray:
     """Standard matrix function: U f(Lambda) U* in A's eigenbasis.
 
-    Raises DomainError if any eigenvalue of A falls outside f's domain.
+    A is a matrix or a stack.  Raises DomainError if any eigenvalue falls
+    outside f's domain.
     """
-    dec = spectral_decompose(A)
-    require_spectrum_in_domain(f, dec.eigenvalues)
-    vals = np.asarray(f(dec.eigenvalues), dtype=float)
-    U = dec.eigenvectors
-    return hermitian_part((U * vals) @ U.conj().T)
+    return apply_scalar_function_stack(f, validate_hermitian(A))
 
 
 def apply_scalar_function_stack(f, atoms: np.ndarray) -> np.ndarray:
-    """Batched matrix function over a stack of Hermitian matrices (m, d, d)."""
+    """apply_scalar_function on matrices (..., d, d) already known to be Hermitian."""
     lam, U = np.linalg.eigh(atoms)
-    require_spectrum_in_domain(f, lam.ravel())
+    require_spectrum_in_domain(f, lam)
     vals = np.asarray(f(lam), dtype=float)
-    out = (U * vals[..., None, :]) @ np.conj(np.swapaxes(U, -1, -2))
-    return hermitian_part(out)
+    return hermitian_part((U * vals[..., None, :]) @ dagger(U))
 
 
 def require_spectrum_in_domain(f, eigenvalues: np.ndarray) -> None:
     dom = f.domain
-    for lam in np.atleast_1d(eigenvalues):
+    for lam in np.ravel(eigenvalues):
         if not dom.contains(float(lam)):
             raise DomainError(
                 f"eigenvalue {float(lam):.6g} outside the domain {dom} of '{f.name}'"
@@ -163,13 +166,15 @@ def normalized_trace(A) -> float:
     return float(np.trace(A).real) / A.shape[0]
 
 
-def variant_margin(gap, variant: str) -> float:
+def variant_margin(gap, variant: str):
     """Margin of an operator gap: its normalised trace for the trace form,
-    the smallest eigenvalue of its Hermitian part for the operator form."""
+    the smallest eigenvalue of its Hermitian part for the operator form
+    (an array of them for a stack of gaps)."""
     if variant == "trace":
         return normalized_trace(gap)
     if variant == "operator":
-        return float(np.linalg.eigvalsh(hermitian_part(gap))[0])
+        margin = np.linalg.eigvalsh(hermitian_part(gap))[..., 0]
+        return float(margin) if margin.ndim == 0 else margin
     raise DomainError(f"variant must be 'trace' or 'operator', got '{variant}'")
 
 

@@ -4,7 +4,9 @@
 suite measures.  A record says once:
 
 - how one suite trial draws its points from the trial's seeded stream;
-- the margin of one point, >= 0 when the statement holds there;
+- the margins of the points of one draw, each >= 0 where the statement
+  holds: the points of a draw may share work (the convex weights of one
+  pair share its endpoints), and one point is a draw of one;
 - how a point is stored as a witness and read back (its fields, in order);
 - the tolerance a sweep's margins are judged by;
 - whether it is gated to the function class of its variant, and the name of
@@ -23,16 +25,15 @@ derived from the two tables:
   into real parameters and descends on the record's margin.
 
 Trials are keyed by (seed, check, labels..., trial) through a counter-based
-generator, so serial and parallel executions produce identical reports.
+generator, so a report does not depend on the order its sweeps run in, and
+a point's margin is the same whether it is evaluated with its draw or alone.
 Records call the package through module-level names only, so a wrapper
 installed on those names sees every call.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -249,7 +250,7 @@ class Check:
     """
 
     fields: tuple                 # witness layout after "kind": (key, codec) pairs
-    margin: Callable              # point -> float, >= 0 where the statement holds
+    margin: Callable              # points of one draw -> their margins, >= 0 where it holds
     draw: Callable | None = None  # (rng, d, config, base point) -> one trial's points
     tolerance: Callable | None = None  # (all margins, base point) -> tolerance
     class_gated: bool = True      # in class only for phi tagged for the variant
@@ -261,6 +262,11 @@ class Check:
 def _lambdas(rng) -> list:
     """Convex weights tried on each drawn pair: three fixed, two drawn."""
     return [0.25, 0.5, 0.75, float(rng.uniform()), float(rng.uniform())]
+
+
+def _each(margin: Callable) -> Callable:
+    """The margin map of a record whose points share no work: one call per point."""
+    return lambda points: [margin(p) for p in points]
 
 
 def _frechet_margin(p: dict) -> float:
@@ -280,9 +286,11 @@ def _poly_efron_stein_margin(p: dict) -> float:
             - schatten_norm(variance(P.flatten()), q) ** q)
 
 
-def _convexity_margin(p: dict) -> float:
+def _convexity_margins(points: list) -> list:
+    p = points[0]  # the points of a draw differ only in "lambda"
     F = BivariateFunctional(p["functional"], p["phi"], p["variant"], t=p["t"])
-    return convexity_slack_at(F, p["u1"], p["v1"], p["u2"], p["v2"], p["lambda"])
+    return convexity_slack_at(F, p["u1"], p["v1"], p["u2"], p["v2"],
+                              [q["lambda"] for q in points])
 
 
 def _convexity_tol(margins: list, base: dict) -> float:
@@ -316,36 +324,36 @@ def _draw_product(n_factors):
 CHECKS = {
     "frechet_oracle": Check(
         fields=(("phi", _PHI), ("order", _VALUE), ("A", _MATRIX), ("X", _MATRIX)),
-        margin=_frechet_margin,
+        margin=_each(_frechet_margin),
         draw=lambda rng, d, config, base: [{"A": sample_psd(d, 0.5, rng, spectral_cap=4.0),
                                             "X": sample_hermitian_unit(d, rng)}],
         tolerance=lambda margins, base: ORACLE_TOLS[base["order"]],
         class_gated=False),
     "subadditivity": Check(
         fields=(("phi", _PHI), ("variant", _VALUE), ("product", _PRODUCT)),
-        margin=lambda p: variant_margin(subadditivity_gap(p["phi"], p["product"], p["variant"]),
-                                        p["variant"]),
+        margin=_each(lambda p: variant_margin(
+            subadditivity_gap(p["phi"], p["product"], p["variant"]), p["variant"])),
         draw=_draw_product(None),
         tolerance=lambda margins, base: 1e-10,
         name="subadditivity[{phi},{variant}]"),
     "efron_stein": Check(
         fields=(("product", _PRODUCT),),
-        margin=lambda p: variant_margin(efron_stein_quantity(p["product"])
-                                        - variance(p["product"].flatten()), "operator"),
+        margin=_each(lambda p: variant_margin(
+            efron_stein_quantity(p["product"]) - variance(p["product"].flatten()), "operator")),
         draw=_draw_product(None),
         tolerance=lambda margins, base: 1e-10,
         class_gated=False,
         name="operator_efron_stein"),
     "poly_efron_stein": Check(
         fields=(("p", _VALUE), ("product", _PRODUCT)),
-        margin=_poly_efron_stein_margin,
+        margin=_each(_poly_efron_stein_margin),
         draw=_draw_product(None),
         tolerance=lambda margins, base: 1e-10,
         class_gated=False,
         name="polynomial_efron_stein[p={p}]"),
     "dual_representation": Check(
         fields=(("phi", _PHI), ("variant", _VALUE), ("Z", _ENSEMBLE), ("T", _ENSEMBLE)),
-        margin=lambda p: variant_margin(dual_gap(p["phi"], p["Z"], p["T"]), p["variant"]),
+        margin=_each(lambda p: variant_margin(dual_gap(p["phi"], p["Z"], p["T"]), p["variant"])),
         draw=lambda rng, d, config, base: [dict(zip(("Z", "T"), sample_coupled_ensembles(
             d, 3, rng, spectral_floor=SPECTRAL_FLOOR)))],
         tolerance=lambda margins, base: 1e-9,
@@ -355,28 +363,29 @@ CHECKS = {
         fields=(("functional", _VALUE), ("phi", _PHI), ("variant", _VALUE), ("t", _VALUE),
                 ("lambda", _VALUE), ("u1", _MATRIX), ("v1", _MATRIX), ("u2", _MATRIX),
                 ("v2", _MATRIX)),
-        margin=_convexity_margin,
+        margin=_convexity_margins,
         draw=_draw_pairs,
         tolerance=_convexity_tol),
     # Item (g), and the "jensen" check.
     "conditional_jensen": Check(
         fields=(("phi", _PHI), ("variant", _VALUE), ("product", _PRODUCT)),
-        margin=lambda p: variant_margin(conditional_jensen_gap(p["phi"], p["product"]),
-                                        p["variant"]),
+        margin=_each(lambda p: variant_margin(conditional_jensen_gap(p["phi"], p["product"]),
+                                              p["variant"])),
         draw=_draw_product(2),
         tolerance=lambda margins, base: 1e-10,
         name="conditional_jensen[{phi},{variant}]"),
     "condition_a": Check(
         fields=(("phi", _PHI), ("lambda", _VALUE), ("A1", _MATRIX), ("A2", _MATRIX),
                 ("h", _MATRIX)),
-        margin=lambda p: condition_a_slack(p["phi"], p["A1"], p["A2"], p["h"], p["lambda"]),
+        margin=lambda ps: condition_a_slack(ps[0]["phi"], ps[0]["A1"], ps[0]["A2"], ps[0]["h"],
+                                            [p["lambda"] for p in ps]),
         draw=_draw_condition_a,
         tolerance=lambda margins, base: 1e-9 * max(1.0, *(abs(m) for m in margins))),
     "condition_e": Check(
         fields=(("phi", _PHI), ("method", _VALUE), ("A", _MATRIX), ("h", _MATRIX),
                 ("k", _MATRIX)),
-        margin=lambda p: condition_e_margin(p["phi"], p["A"], p["h"], p["k"],
-                                            method=p["method"]),
+        margin=_each(lambda p: condition_e_margin(p["phi"], p["A"], p["h"], p["k"],
+                                                  method=p["method"])),
         draw=lambda rng, d, config, base: [{"A": sample_psd(d, 0.5, rng, spectral_cap=4.0),
                                             "h": sample_hermitian_unit(d, rng),
                                             "k": sample_hermitian_unit(d, rng)}],
@@ -386,14 +395,15 @@ CHECKS = {
     "monotonicity": Check(
         fields=(("phi", _PHI), ("variant", _VALUE), ("channel", _CHANNEL),
                 ("ensemble", _ENSEMBLE)),
-        margin=lambda p: monotonicity_gap(p["phi"], p["channel"], p["ensemble"], p["variant"]),
+        margin=_each(lambda p: monotonicity_gap(p["phi"], p["channel"], p["ensemble"],
+                                                p["variant"])),
         draw=_draw_channel,
         tolerance=lambda margins, base: 1e-10,
         name="monotonicity[{phi},{variant}]"),
     # Not swept by the suite: single points through check, and their replay.
     "convexity_lemma": Check(
         fields=(("phi", _PHI), ("weights", _FLOATS), ("A", _MATRICES), ("X", _MATRICES)),
-        margin=lambda p: convexity_lemma_margin(p["phi"], p["weights"], p["A"], p["X"]),
+        margin=_each(lambda p: convexity_lemma_margin(p["phi"], p["weights"], p["A"], p["X"])),
         tolerance=_convexity_tol,
         name="convexity_lemma[{phi}]"),
 }
@@ -416,7 +426,22 @@ def _decode_witness(witness: dict) -> dict:
 def replay_witness(witness: dict) -> float:
     """Recompute the margin a stored witness claims; must match to 1e-12."""
     point = _decode_witness(witness)
-    return CHECKS[witness["kind"]].margin(point)
+    return CHECKS[witness["kind"]].margin([point])[0]
+
+
+def class_gate(kind: str, f: ScalarFunction | None, variant: str,
+               override: bool = False) -> None:
+    """Refuse f outside the class of the variant (the trace form for a record
+    without a variant field) for a class-gated record, unless override is set."""
+    record = CHECKS[kind]
+    if "variant" not in dict(record.fields):
+        variant = "trace"
+    if variant not in _CLASS_TAG:
+        raise DomainError(f"variant must be 'trace' or 'operator', got '{variant}'")
+    if record.class_gated and not override and not _in_class(f, variant):
+        raise ClassGateError(
+            f"{kind} ({variant}) requires a function tagged {_CLASS_TAG[variant]}; "
+            f"'{f.name}' has tags {sorted(f.class_tags)}. Pass override=True to force.")
 
 
 def check(kind: str, *, tol: float | None = None, override: bool = False,
@@ -434,15 +459,8 @@ def check(kind: str, *, tol: float | None = None, override: bool = False,
     keys = [key for key, _ in record.fields]
     if set(point) != set(keys):
         raise ConfigError(f"check '{kind}' takes the fields {keys}, got {sorted(point)}")
-    variant = point.get("variant", "trace")
-    if variant not in _CLASS_TAG:
-        raise DomainError(f"variant must be 'trace' or 'operator', got '{variant}'")
-    f = point.get("phi")
-    if record.class_gated and not override and not _in_class(f, variant):
-        raise ClassGateError(
-            f"{kind} ({variant}) requires a function tagged {_CLASS_TAG[variant]}; "
-            f"'{f.name}' has tags {sorted(f.class_tags)}. Pass override=True to force.")
-    margin = record.margin(point)
+    class_gate(kind, point.get("phi"), point.get("variant", "trace"), override)
+    margin = record.margin([point])[0]
     if tol is None:
         tol = record.tolerance([margin], point)
     witness = _encode_witness(kind, point)
@@ -508,9 +526,8 @@ def sweep(config: RunConfig, check: str, s: Sweep, f: ScalarFunction | None,
     margins, worst, best = [], np.inf, None
     for trial in range(config.trials):
         rng = rng_for(config.seed, check, *(labels[key] for key in s.key), trial)
-        for drawn in record.draw(rng, d, config, base):
-            point = {**base, **drawn}
-            margin = record.margin(point)
+        points = [{**base, **drawn} for drawn in record.draw(rng, d, config, base)]
+        for point, margin in zip(points, record.margin(points)):
             margins.append(margin)
             if margin < worst:
                 worst, best = margin, point
@@ -566,14 +583,6 @@ def _build_tasks(config: RunConfig, funcs: dict):
     return tasks, skipped
 
 
-def worker_count() -> int:
-    raw = os.environ.get("PHI_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"PHI_LAB_THREADS must be an integer, got '{raw}'")
-
-
 def run_suite(config: RunConfig) -> SuiteReport:
     """Run every configured check; deterministic for a fixed config and seed."""
     funcs = {}
@@ -590,18 +599,11 @@ def run_suite(config: RunConfig) -> SuiteReport:
         funcs[name] = f
 
     tasks, skipped = _build_tasks(config, funcs)
-
-    def execute(task):
+    entries = []
+    for task in tasks:
         start = time.perf_counter()
         report, in_class = task()
-        return report, in_class, time.perf_counter() - start
-
-    threads = worker_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            entries = list(pool.map(execute, tasks))
-    else:
-        entries = [execute(t) for t in tasks]
+        entries.append((report, in_class, time.perf_counter() - start))
 
     entries.sort(key=lambda e: e[0].check_name)
     names = [e[0].check_name for e in entries]
@@ -673,7 +675,7 @@ class _SearchSpace:
 
     def margin(self, params: np.ndarray) -> float:
         try:
-            return self.record.margin(self.point(params))
+            return self.record.margin([self.point(params)])[0]
         except PhiLabError:
             return np.inf  # out-of-domain proposal; treat as non-violating
 

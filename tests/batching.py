@@ -1,0 +1,37 @@
+"""Run the suite's records batched or one point at a time, recording margins.
+
+A sweep hands a record every point of one draw at once (the convex weights
+of one pair, say), and the record may share work between them.  ``check``,
+``replay_witness`` and the counterexample search hand it one point.  The
+context manager below lets a test run the same suite both ways and compare.
+"""
+
+import contextlib
+import dataclasses
+
+from phi_entropy_lab import suite
+
+
+@contextlib.contextmanager
+def recorded_margins(one_at_a_time: bool):
+    """Yield a list that collects every margin the records return in the block.
+
+    With one_at_a_time each draw's points are evaluated as draws of one.
+    """
+    seen = []
+    originals = dict(suite.CHECKS)
+
+    def wrap(margin):
+        def margins(points):
+            out = ([m for p in points for m in margin([p])] if one_at_a_time
+                   else margin(points))
+            seen.extend(out)
+            return out
+        return margins
+
+    try:
+        for kind, record in originals.items():
+            suite.CHECKS[kind] = dataclasses.replace(record, margin=wrap(record.margin))
+        yield seen
+    finally:
+        suite.CHECKS.update(originals)

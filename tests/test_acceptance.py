@@ -7,13 +7,13 @@ sweeps use the stated trial counts.
 
 import json
 import math
-import os
 import time
 
 import numpy as np
 import pytest
 
 import scalar_oracle as oracle
+from batching import recorded_margins
 from phi_entropy_lab import (
     KrausChannel,
     MatrixEnsemble,
@@ -437,26 +437,21 @@ def test_criterion_8_classical_reduction():
 
 
 def test_criterion_9_reproducibility():
+    # Batched sweeps against the same points evaluated one at a time.
     cfg = RunConfig(seed=SEED, dims=(2, 3), trials=5, phi_list=("square", "xlogx"),
                     variant="trace")
 
-    def run_with_threads(n):
-        old = os.environ.get("PHI_LAB_THREADS")
-        os.environ["PHI_LAB_THREADS"] = str(n)
-        try:
+    def run(one_at_a_time):
+        with recorded_margins(one_at_a_time) as margins:
             payload = run_suite(cfg).to_json_dict()
-        finally:
-            if old is None:
-                os.environ.pop("PHI_LAB_THREADS", None)
-            else:
-                os.environ["PHI_LAB_THREADS"] = old
         for entry in payload["reports"]:
             entry.pop("seconds")
-        return json.dumps(payload, sort_keys=True).encode()
+        return json.dumps(payload, sort_keys=True).encode(), np.asarray(margins).tobytes()
 
-    serial = run_with_threads(1)
-    parallel = run_with_threads(4)
-    serial_again = run_with_threads(1)
-    ok = serial == parallel == serial_again
-    _verdict(9, ok, f"suite report bytes identical across serial/parallel runs "
-                    f"({len(serial)} bytes, timing fields excluded)")
+    batched = run(False)
+    single = run(True)
+    batched_again = run(False)
+    ok = batched == single == batched_again
+    _verdict(9, ok, f"suite report bytes and all {len(batched[1]) // 8} margins identical "
+                    f"across batched and point-by-point runs ({len(batched[0])} bytes, "
+                    f"timing fields excluded)")

@@ -92,6 +92,17 @@ def test_check_characterizations_command(capsys):
                        for item in "bdg"]
 
 
+@pytest.mark.parametrize("phi, variant", [("xlogx", "operator"), ("quartic", "trace")])
+def test_check_characterizations_gates_the_function_class(phi, variant, capsys):
+    # xlogx is outside C3 and quartic outside every class: the selected sweeps
+    # are refused, as check-subadditivity refuses them, unless --override.
+    argv = ["check-characterizations", "--phi", phi, "--variant", variant, "--items", "c",
+            "--dim", "2", "--trials", "5", "--quiet"]
+    assert main(argv) == 2
+    assert "requires a function tagged" in capsys.readouterr().err
+    assert main(argv + ["--override"]) in (0, 1)
+
+
 def test_check_monotonicity_command(ensemble_file, capsys):
     code = main(["check-monotonicity", "--phi", "square", "--channel", "random:3",
                  "--input", ensemble_file, "--trials", "4", "--seed", "5"])

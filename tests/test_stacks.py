@@ -1,0 +1,159 @@
+"""Stacked evaluation equals per-matrix evaluation, bit for bit.
+
+The layers under the suite's batched sweeps take stacks (..., d, d).  Each
+matrix of a stack must get exactly the values, the divided-difference
+branch and the errors it gets on its own: its own coincidence threshold,
+its own domain check and its own singularity guard.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from phi_entropy_lab import builtin
+from phi_entropy_lab.catalog import TAYLOR_BAND, dd1_grid, dd2_grid
+from phi_entropy_lab.characterizations import (
+    BivariateFunctional,
+    condition_a_slack,
+    convexity_slack_at,
+)
+from phi_entropy_lab.errors import NonHermitianError, PhiLabError, SingularOperatorError
+from phi_entropy_lab.frechet import derivative_inverse, frechet_d1, frechet_d2
+from phi_entropy_lab.sampling import haar_unitary, rng_for, sample_hermitian, sample_psd
+from phi_entropy_lab.spectral import (
+    apply_scalar_function,
+    apply_scalar_function_stack,
+    spectral_decompose,
+)
+
+FUNCS = (builtin("square"), builtin("xlogx"), builtin("power", 1.5))
+XLX = builtin("xlogx")
+
+
+def _with_spectrum(lam, rng):
+    U = haar_unitary(len(lam), rng)
+    A = (U * lam) @ U.conj().T
+    return 0.5 * (A + A.conj().T)
+
+
+@st.composite
+def stacks(draw):
+    """A wide-spectrum matrix next to one with a pair of (near-)coincident
+    eigenvalues at the edge of the order-1 or order-2 Taylor band.
+
+    The wide matrix's coincidence threshold, 1e-7 (1 + diameter), exceeds
+    the band of the other's pair, so a threshold shared across the stack
+    would move that pair to the other branch.
+    """
+    d = draw(st.integers(2, 4), label="d")
+    seed = draw(st.integers(0, 2**32 - 1), label="seed")
+    order = draw(st.sampled_from((1, 2)), label="band order")
+    offset = draw(st.sampled_from((0.0, 0.9, 1.1)), label="offset / Taylor band")
+    base = draw(st.floats(0.5, 4.0), label="coincident eigenvalue")
+    cap = draw(st.sampled_from((10.0, 3e3)), label="wide spectrum cap")
+    wide_first = draw(st.booleans(), label="wide matrix first")
+    rng = rng_for(seed, "stacks")
+    near = np.concatenate([[base, base * (1.0 + offset * TAYLOR_BAND[order])],
+                           rng.uniform(0.5, 4.0, d - 2)])
+    wide = np.exp(rng.uniform(np.log(0.5), np.log(cap), d))
+    wide[:2] = (0.5, cap)
+    mats = [_with_spectrum(wide, rng), _with_spectrum(near, rng)]
+    if not wide_first:
+        mats.reverse()
+    return np.stack(mats), rng
+
+
+def _same(stacked, singles):
+    assert len(stacked) == len(singles)
+    for got, want in zip(stacked, singles):
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(drawn=stacks(), f=st.sampled_from(FUNCS))
+def test_stacked_layers_equal_per_matrix_calls(drawn, f):
+    A, rng = drawn
+    X = np.stack([sample_hermitian(A.shape[-1], rng) for _ in A])
+    Y = np.stack([sample_hermitian(A.shape[-1], rng) for _ in A])
+    nodes = spectral_decompose(A).eigenvalues
+
+    _same(apply_scalar_function_stack(f, A), [apply_scalar_function(f, M) for M in A])
+    _same(apply_scalar_function(f, A), [apply_scalar_function(f, M) for M in A])
+    _same(dd1_grid(f, nodes), [dd1_grid(f, lam) for lam in nodes])
+    _same(dd2_grid(f, nodes), [dd2_grid(f, lam) for lam in nodes])
+    _same(frechet_d1(f, A, X), [frechet_d1(f, M, Z) for M, Z in zip(A, X)])
+    _same(frechet_d2(f, A, X, Y), [frechet_d2(f, M, Z, W) for M, Z, W in zip(A, X, Y)])
+    _same(frechet_d1(f, spectral_decompose(A), X), [frechet_d1(f, M, Z) for M, Z in zip(A, X)])
+    psi = f.derivative()
+    _same(derivative_inverse(psi, spectral_decompose(A))(X[0]),
+          [derivative_inverse(psi, spectral_decompose(M))(X[0]) for M in A])
+
+
+def _error_type(call):
+    try:
+        call()
+    except PhiLabError as exc:
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize("bad", [
+    np.diag([-0.5, 1.0]),               # outside xlogx's domain
+    np.diag([1e-13, 1.0]),              # inside the domain, below the derivative floor
+    np.array([[1.0, 0.5], [0.0, 1.0]]),  # not Hermitian
+], ids=("negative", "below-floor", "non-hermitian"))
+@pytest.mark.parametrize("position", (0, 1, 2))
+def test_stack_with_one_bad_matrix_raises_like_the_single_call(bad, position):
+    good = [sample_psd(2, 0.5, seed) for seed in (1, 2)]
+    A = np.stack(good[:position] + [bad] + good[position:])
+    X = np.stack([sample_hermitian(2, seed) for seed in (3, 4, 5)])
+    calls = {
+        "apply": (lambda M: apply_scalar_function(XLX, M), None),
+        "d1": (lambda M, Z: frechet_d1(XLX, M, Z), X),
+        "d2": (lambda M, Z: frechet_d2(XLX, M, Z, Z), X),
+        "inverse": (lambda M: derivative_inverse(XLX.derivative(), spectral_decompose(M)), None),
+    }
+    raised = set()
+    for name, (call, dirs) in calls.items():
+        args = (A,) if dirs is None else (A, dirs)
+        one = (bad,) if dirs is None else (bad, dirs[position])
+        expected = _error_type(lambda: call(*one))
+        assert _error_type(lambda: call(*args)) is expected, name
+        raised.add(expected)
+    assert raised - {None}
+    if bad[0, 1] != bad[1, 0]:
+        with pytest.raises(NonHermitianError, match=rf"matrix\[{position}\]"):
+            spectral_decompose(A)
+
+
+@pytest.mark.parametrize("position", (0, 1, 2))
+def test_stack_with_one_singular_derivative_map_raises(position):
+    # xlogx' = log + 1 has derivative 1/u: condition number 2.5e13 at diag(50, 2e-12).
+    singular = np.diag([50.0, 2e-12])
+    good = [sample_psd(2, 0.5, seed) for seed in (6, 7)]
+    A = np.stack(good[:position] + [singular] + good[position:])
+    psi = XLX.derivative()
+    with pytest.raises(SingularOperatorError) as alone:
+        derivative_inverse(psi, spectral_decompose(singular))
+    with pytest.raises(SingularOperatorError) as stacked:
+        derivative_inverse(psi, spectral_decompose(A))
+    assert stacked.value.smallest_singular_value == alone.value.smallest_singular_value
+    assert str(stacked.value) == str(alone.value)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4),
+       name=st.sampled_from(("bregman_A", "map_B", "map_C", "gap_F_t")),
+       variant=st.sampled_from(("trace", "operator")))
+def test_lambda_vector_slacks_equal_scalar_calls(seed, d, name, variant):
+    rng = rng_for(seed, "lambda-vector")
+    lams = [0.25, 0.5, 0.75, float(rng.uniform()), float(rng.uniform())]
+    f = builtin("square") if variant == "operator" else XLX
+    F = BivariateFunctional(name, f, variant, t=0.3 if name == "gap_F_t" else None)
+    pair = [sample_psd(d, 0.1, rng) for _ in range(4)]
+    assert convexity_slack_at(F, *pair, lams) == [convexity_slack_at(F, *pair, lam)
+                                                  for lam in lams]
+    A1, A2, h = sample_psd(d, 0.1, rng), sample_psd(d, 0.1, rng), sample_hermitian(d, rng)
+    assert condition_a_slack(XLX, A1, A2, h, lams) == [condition_a_slack(XLX, A1, A2, h, lam)
+                                                       for lam in lams]

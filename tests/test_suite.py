@@ -1,7 +1,6 @@
 """Suite runner: config validation, determinism, replay, exit codes."""
 
 import json
-import os
 
 import numpy as np
 import pytest
@@ -20,6 +19,8 @@ from phi_entropy_lab import (
 )
 from phi_entropy_lab.sampling import sample_coupled_ensembles, sample_product
 from phi_entropy_lab.suite import CHECK_NAMES
+
+from batching import recorded_margins
 
 SMALL = dict(seed=5, dims=(2,), trials=5, phi_list=("square",), variant="trace")
 
@@ -80,21 +81,18 @@ def test_suite_report_roundtrip_identity():
     assert _strip_timing(back.to_json_dict()) == _strip_timing(payload)
 
 
-def test_serial_parallel_reports_identical_modulo_timing():
+def test_batched_and_point_by_point_reports_identical_modulo_timing():
+    # The sweep evaluates each draw as one batch; the same points evaluated
+    # one at a time, as check and replay_witness do, give the same margins.
     cfg = RunConfig(seed=9, dims=(2, 3), trials=4, phi_list=("square", "xlogx"),
-                    variant="trace")
-    old = os.environ.get("PHI_LAB_THREADS")
-    try:
-        os.environ["PHI_LAB_THREADS"] = "1"
-        serial = run_suite(cfg).to_json_dict()
-        os.environ["PHI_LAB_THREADS"] = "4"
-        parallel = run_suite(cfg).to_json_dict()
-    finally:
-        if old is None:
-            os.environ.pop("PHI_LAB_THREADS", None)
-        else:
-            os.environ["PHI_LAB_THREADS"] = old
-    assert _strip_timing(serial) == _strip_timing(parallel)
+                    variant="both")
+    with recorded_margins(one_at_a_time=False) as batched_margins:
+        batched = run_suite(cfg).to_json_dict()
+    with recorded_margins(one_at_a_time=True) as single_margins:
+        single = run_suite(cfg).to_json_dict()
+    assert len(batched_margins) > len(batched["reports"])
+    assert np.asarray(batched_margins).tobytes() == np.asarray(single_margins).tobytes()
+    assert _strip_timing(batched) == _strip_timing(single)
 
 
 def test_operator_variant_skips_untagged_functions():
