@@ -1,6 +1,6 @@
 """Registry of scalar convex functions with analytic derivatives.
 
-Each entry carries evaluators for the function and its first four
+Each entry carries evaluators for the function and its first six
 derivatives, a real domain, and membership tags for the subadditive
 entropy classes.  Divided-difference tables built here feed the matrix
 derivative engine.
@@ -9,6 +9,8 @@ derivative engine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import combinations_with_replacement, permutations
 from typing import Callable
 
 import numpy as np
@@ -38,12 +40,12 @@ class Interval:
     lo_closed: bool = True
     hi_closed: bool = True
 
-    def contains(self, u: float) -> bool:
-        if u < self.lo or (u == self.lo and not self.lo_closed):
-            return False
-        if u > self.hi or (u == self.hi and not self.hi_closed):
-            return False
-        return True
+    def contains(self, u):
+        """Membership of a number, or elementwise of an array; NaN is outside."""
+        u = np.asarray(u, dtype=float)
+        above = u >= self.lo if self.lo_closed else u > self.lo
+        below = u <= self.hi if self.hi_closed else u < self.hi
+        return above & below
 
     def open_version(self) -> "Interval":
         return Interval(self.lo, self.hi, lo_closed=False, hi_closed=False)
@@ -60,7 +62,7 @@ HALF_LINE = Interval(0.0, np.inf, lo_closed=True, hi_closed=False)
 
 @dataclass(frozen=True)
 class ScalarFunction:
-    """A scalar function with derivatives up to order four.
+    """A scalar function with derivatives up to order six.
 
     ``evals[k]`` evaluates the k-th derivative elementwise on numpy arrays;
     an entry may be None when the derivative is unavailable.  ``deriv_floor``
@@ -146,8 +148,7 @@ def builtin(name: str, *params: float, allow_outside_class: bool = False) -> Sca
         return ScalarFunction(
             "affine",
             REAL_LINE,
-            (lambda u: a + b * np.asarray(u, dtype=float), _const(b), _const(0.0),
-             _const(0.0), _const(0.0)),
+            (lambda u: a + b * np.asarray(u, dtype=float), _const(b), *[_const(0.0)] * 5),
             frozenset({C1, C2, C3, OPERATOR_CONVEX}),
             params=(a, b),
             monomial_coeffs=(a, b),
@@ -158,7 +159,7 @@ def builtin(name: str, *params: float, allow_outside_class: bool = False) -> Sca
             REAL_LINE,
             (lambda u: np.asarray(u, dtype=float) ** 2,
              lambda u: 2.0 * np.asarray(u, dtype=float),
-             _const(2.0), _const(0.0), _const(0.0)),
+             _const(2.0), *[_const(0.0)] * 4),
             frozenset({C1, C2, C3, OPERATOR_CONVEX}),
             monomial_coeffs=(0.0, 0.0, 1.0),
         )
@@ -170,7 +171,9 @@ def builtin(name: str, *params: float, allow_outside_class: bool = False) -> Sca
              lambda u: np.log(u) + 1.0,
              lambda u: 1.0 / u,
              lambda u: -1.0 / u**2,
-             lambda u: 2.0 / u**3),
+             lambda u: 2.0 / u**3,
+             lambda u: -6.0 / u**4,
+             lambda u: 24.0 / u**5),
             frozenset({C1, C2}),
             deriv_floor=DERIV_FLOOR,
         )
@@ -193,7 +196,7 @@ def builtin(name: str, *params: float, allow_outside_class: bool = False) -> Sca
 
         tags = frozenset({OUTSIDE_CLASS}) if outside else frozenset({C1, C2})
         return ScalarFunction(
-            "power", HALF_LINE, tuple(dk(k) for k in range(5)), tags,
+            "power", HALF_LINE, tuple(dk(k) for k in range(7)), tags,
             deriv_floor=DERIV_FLOOR, params=(p,),
         )
     if name == "quartic":
@@ -204,14 +207,14 @@ def builtin(name: str, *params: float, allow_outside_class: bool = False) -> Sca
              lambda u: 4.0 * np.asarray(u, dtype=float) ** 3,
              lambda u: 12.0 * np.asarray(u, dtype=float) ** 2,
              lambda u: 24.0 * np.asarray(u, dtype=float),
-             _const(24.0)),
+             _const(24.0), _const(0.0), _const(0.0)),
             frozenset({OUTSIDE_CLASS}),
             monomial_coeffs=(0.0, 0.0, 0.0, 0.0, 1.0),
         )
     if name == "exp":
         exp = lambda u: np.exp(np.asarray(u, dtype=float))  # noqa: E731
         return ScalarFunction(
-            "exp", REAL_LINE, (exp, exp, exp, exp, exp), frozenset({OUTSIDE_CLASS})
+            "exp", REAL_LINE, (exp,) * 7, frozenset({OUTSIDE_CLASS})
         )
     raise DomainError(f"unknown function '{name}'; expected one of {_BUILTIN_NAMES}")
 
@@ -329,7 +332,12 @@ def _dd3_sorted(f: ScalarFunction, a, b, c, d, delta: float):
     mid = (a + b + c + d) / 4.0
     safe = np.where(close, 1.0, spread)
     quot = (_dd2_sorted(f, b, c, d, delta) - _dd2_sorted(f, a, b, c, delta)) / safe
-    return np.where(close, f.deriv(mid, 3) / 6.0, quot)
+    taylor = f.deriv(mid, 3) / 6.0
+    if _has_order(f, 5):
+        # the h_2 term, as in _dd2_sorted; order-6 evaluators give it to derivative views
+        sum_sq = (a - mid) ** 2 + (b - mid) ** 2 + (c - mid) ** 2 + (d - mid) ** 2
+        taylor = taylor + f.deriv(mid, 5) * sum_sq / 240.0
+    return np.where(close, taylor, quot)
 
 
 def dd1_grid(f: ScalarFunction, nodes: np.ndarray, delta: float | None = None) -> np.ndarray:
@@ -354,12 +362,34 @@ def dd2_grid(f: ScalarFunction, nodes: np.ndarray, delta: float | None = None) -
 
 
 def dd3_grid(f: ScalarFunction, nodes: np.ndarray, delta: float | None = None) -> np.ndarray:
+    """Grid on nodes (m,), or on each row of (..., m) with the row's own threshold.
+
+    The third divided difference is symmetric in its four nodes, so it is
+    evaluated once per sorted index quadruple i <= k <= l <= j, C(m+3, 4) of
+    the m^4 entries, and read off by symmetry for the rest.
+    """
     nodes = np.asarray(nodes, dtype=float)
     if delta is None:
         delta = coincidence_threshold(nodes)
-    grids = np.meshgrid(nodes, nodes, nodes, nodes, indexing="ij")
-    s = np.sort(np.stack(grids, axis=-1), axis=-1)
-    return _dd3_sorted(f, s[..., 0], s[..., 1], s[..., 2], s[..., 3], delta)
+    quads, where = _sorted_quadruples(nodes.shape[-1])
+    s = nodes[..., quads]  # (..., 4, Q): the nodes of each quadruple
+    if np.any(np.diff(nodes, axis=-1) < 0.0):  # eigh's nodes ascend already
+        s = np.sort(s, axis=-2)
+    values = _dd3_sorted(f, *np.moveaxis(s, -2, 0), np.expand_dims(delta, -1))
+    return values[..., where]
+
+
+@lru_cache(maxsize=16)
+def _sorted_quadruples(m: int) -> tuple:
+    """The sorted index quadruples of range(m) as the rows of a (4, Q) array,
+    and the (m, m, m, m) map from an index quadruple to the column of its
+    sorted form."""
+    quads = np.array(list(combinations_with_replacement(range(m), 4)), dtype=np.intp).T.copy()
+    where = np.empty((m,) * 4, dtype=np.intp)
+    for perm in permutations(quads):
+        where[perm] = np.arange(quads.shape[1])
+    quads.flags.writeable = where.flags.writeable = False
+    return quads, where
 
 
 @dataclass(frozen=True)
@@ -386,13 +416,15 @@ def divided_differences(f: ScalarFunction, nodes, order: int) -> DividedDifferen
 
 
 def require_nodes_in_derivative_domain(f: ScalarFunction, nodes: np.ndarray, order: int) -> None:
-    """Nodes must sit strictly inside f's domain, above the derivative floor."""
-    interior = f.domain.open_version()
-    floor = max(f.deriv_floor, 0.0) if order >= 1 else 0.0
-    for u in np.ravel(nodes):
-        u = float(u)
-        if not interior.contains(u) or u < floor:
-            raise DomainError(
-                f"node {u:.6g} outside the interior of the domain {f.domain} "
-                f"of '{f.name}' (derivative floor {floor:g})"
-            )
+    """Nodes must sit strictly inside f's domain and at or above f's derivative
+    floor, if it has one; the error names the first offending node."""
+    nodes = np.asarray(nodes, dtype=float)
+    floor = f.deriv_floor if order >= 1 else 0.0
+    bad = ~f.domain.open_version().contains(nodes)
+    if floor > 0.0:
+        bad |= nodes < floor
+    if bad.any():
+        raise DomainError(
+            f"node {nodes.flat[np.argmax(bad)]:.6g} outside the interior of the domain "
+            f"{f.domain} of '{f.name}' (derivative floor {floor:g})"
+        )

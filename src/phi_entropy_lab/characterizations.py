@@ -38,10 +38,6 @@ from .spectral import (
 
 FUNCTIONAL_NAMES = ("bregman_A", "map_B", "map_C", "gap_F_t")
 
-# The fourth-derivative inequality carries a finite-difference layer, so it
-# gets a looser tolerance than the exact-evaluation checks.
-CONDITION_E_TOL = 1e-4
-
 
 @dataclass(frozen=True)
 class BivariateFunctional:
@@ -70,8 +66,9 @@ def eval_functional(F: BivariateFunctional, u, v):
     u = validate_hermitian(u, "u")
     v = validate_hermitian(v, "v")
     if F.name == "bregman_A":
-        out = (apply_scalar_function(f, u + v) - apply_scalar_function(f, u)
-               - frechet_d1(f, u, v))
+        dec = spectral_decompose(u, "u")
+        out = (apply_scalar_function(f, u + v) - apply_scalar_function(f, dec)
+               - frechet_d1(f, dec, v))
     elif F.name == "map_B":
         out = frechet_d1(f, u + v, v) - frechet_d1(f, u, v)
     elif F.name == "map_C":
@@ -135,7 +132,7 @@ def condition_a_slack(f: ScalarFunction, A1, A2, h, lam):
 # --- fourth-derivative trace inequality -----------------------------------------
 
 
-def condition_e_terms(f: ScalarFunction, A, h, k, method: str = "hybrid") -> tuple:
+def condition_e_terms(f: ScalarFunction, A, h, k) -> tuple:
     """Both sides of the third-vs-second derivative trace inequality.
 
     Returns (lhs, rhs) with lhs = Tr[h Tinv D3psi(k, k, Tinv h)] and
@@ -155,15 +152,15 @@ def condition_e_terms(f: ScalarFunction, A, h, k, method: str = "hybrid") -> tup
     psi = f.derivative()
     T_inv = derivative_inverse(psi, dec)
     u = T_inv(h)
-    lhs = float(np.trace(h @ T_inv(frechet_d3(psi, A, k, k, u, method=method))).real)
+    lhs = float(np.trace(h @ T_inv(frechet_d3(psi, dec, k, k, u))).real)
     inner = T_inv(frechet_d2(psi, dec, k, u))
     rhs = 2.0 * float(np.trace(h @ T_inv(frechet_d2(psi, dec, k, inner))).real)
     return lhs, rhs
 
 
-def condition_e_margin(f: ScalarFunction, A, h, k, method: str = "hybrid") -> float:
+def condition_e_margin(f: ScalarFunction, A, h, k) -> float:
     """Relative slack (lhs - rhs) / max(1, |lhs|, |rhs|)."""
-    lhs, rhs = condition_e_terms(f, A, h, k, method=method)
+    lhs, rhs = condition_e_terms(f, A, h, k)
     return (lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 

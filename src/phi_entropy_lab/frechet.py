@@ -1,22 +1,22 @@
 """Directional (Frechet) derivatives of standard matrix functions.
 
-Orders one and two are exact divided-difference evaluations in the
+Orders one to three are exact divided-difference evaluations in the
 eigenbasis of the base point, given as a matrix or its decomposition; a
 base point and its directions may be stacks (..., d, d), and each matrix
-gets the values of its own call.  Order three defaults to one central
-difference of the exact order-two value; the pure third-divided-difference
-path is kept behind a flag for cross-checks at small dimension.  The
-inverse of X -> Dpsi[A](X), which conditions (a) and (e) need, is applied
-in A's eigenbasis (of one A or a stack) as an elementwise division by the
-divided-difference grid.  The d^2 x d^2 matricisation of the map under
-column stacking and its dense inverse are kept as the test oracle for that
-inverse.  The module also provides finite-difference oracles and checks
-for the chain rule and the derivatives of matrix inversion.
+gets the values of its own call.  The inverse of X -> Dpsi[A](X), which
+conditions (a) and (e) need, is applied in A's eigenbasis (of one A or a
+stack) as an elementwise division by the divided-difference grid.  The
+d^2 x d^2 matricisation of the map under column stacking and its dense
+inverse are kept as the test oracle for that inverse.  The module also
+provides finite-difference oracles and checks for the chain rule and the
+derivatives of matrix inversion.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Callable
 
 import numpy as np
@@ -40,9 +40,6 @@ from .spectral import (
     spectral_decompose,
     validate_hermitian,
 )
-
-# Step factor for the hybrid order-three derivative.
-D3_STEP_RTOL = 1e-5
 
 # Condition-number guard for inverting X -> Dpsi[A](X).  The suite inverts in
 # A's eigenbasis, where the singular values of the map are |psi^[1]|; the
@@ -88,51 +85,24 @@ def frechet_d2(f: ScalarFunction, A, X, Y) -> np.ndarray:
     return hermitian_part(U @ core @ Uh)
 
 
-def frechet_d3(f: ScalarFunction, A, X, Y, W, method: str = "hybrid") -> np.ndarray:
+def frechet_d3(f: ScalarFunction, A, X, Y, W) -> np.ndarray:
     """Third derivative; symmetric trilinear in (X, Y, W).
 
-    method="hybrid" (default) takes central differences of the exact
-    order-two value along each direction and averages, which keeps full
-    permutation symmetry.  method="divided_difference" evaluates the exact
-    third divided-difference tensor; O(d^4) memory, intended for d <= 4
-    cross-checks.
+    The third divided-difference tensor of A's eigenvalues is contracted
+    with the directions in A's eigenbasis, once per ordering of them.  An
+    ordering and its reverse give conjugate-transposed terms, which have the
+    same Hermitian part, so they share one contraction, as do orderings that
+    repeated directions make equal: (X, X, X) takes one, (X, X, W) two.
     """
-    if method == "hybrid":
-        A = validate_hermitian(A, "base point")
-        terms = [
-            _d3_fd_along(f, A, X, Y, W),
-            _d3_fd_along(f, A, X, W, Y),
-            _d3_fd_along(f, A, Y, W, X),
-        ]
-        return (terms[0] + terms[1] + terms[2]) / 3.0
-    if method == "divided_difference":
-        return _d3_exact(f, A, X, Y, W)
-    raise DomainError(f"unknown order-3 method '{method}'")
-
-
-def _d3_fd_along(f, A, X, Y, W) -> np.ndarray:
-    """Central difference of the exact order-two derivative along W."""
-    W = validate_hermitian(W, "direction")
-    scale = frobenius(W)
-    if scale == 0.0:
-        return np.zeros_like(np.asarray(A, dtype=complex))
-    Wu = W / scale
-    h = D3_STEP_RTOL * (1.0 + frobenius(A))
-    plus = frechet_d2(f, A + h * Wu, X, Y)
-    minus = frechet_d2(f, A - h * Wu, X, Y)
-    return scale * (plus - minus) / (2.0 * h)
-
-
-def _d3_exact(f, A, X, Y, W) -> np.ndarray:
-    dec, (X, Y, W) = _prepared(f, A, [X, Y, W], 3)
-    U, lam = dec.eigenvectors, dec.eigenvalues
-    T3 = dd3_grid(f, lam)
-    mats = [U.conj().T @ M @ U for M in (X, Y, W)]
-    core = np.zeros((len(lam), len(lam)), dtype=complex)
-    perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
-    for p in perms:
-        core += np.einsum("iklj,ik,kl,lj->ij", T3, mats[p[0]], mats[p[1]], mats[p[2]])
-    return hermitian_part(U @ core @ U.conj().T)
+    dec, mats = _prepared(f, A, [X, Y, W], 3)
+    U, Uh = dec.eigenvectors, dagger(dec.eigenvectors)
+    T3 = dd3_grid(f, dec.eigenvalues)
+    tilde = [Uh @ M @ U for M in mats]
+    first = [next(i for i in range(3) if np.array_equal(mats[i], M)) for M in mats]
+    counts = Counter(min(p, p[::-1]) for p in permutations(first))
+    core = sum(n * np.einsum("...iklj,...ik,...kl,...lj->...ij", T3, *(tilde[i] for i in p))
+               for p, n in counts.items())
+    return hermitian_part(U @ core @ Uh)
 
 
 def derivative_inverse(psi: ScalarFunction,

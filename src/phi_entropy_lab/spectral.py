@@ -44,15 +44,18 @@ def validate_hermitian(A, name: str = "matrix") -> np.ndarray:
     """Return A (a matrix or stack) as a complex array, raising if it is not Hermitian.
 
     The error names the first offending matrix of a stack and its worst
-    entry pair, so the caller can see which element broke the symmetry.
+    entry pair, so the caller can see which element broke the symmetry.  A
+    matrix with a NaN or infinite entry is rejected with a DomainError.
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2] or A.shape[-1] < 1:
         raise DimensionMismatchError(f"expected a square matrix, got shape {A.shape}")
     diff = np.abs(A - dagger(A))
-    if diff.max() <= HERM_RTOL:  # below every matrix's tolerance
+    if diff.max() <= HERM_RTOL:  # below every matrix's tolerance; False for NaN or inf
         return A
     for k in np.ndindex(A.shape[:-2]):
+        if not np.isfinite(A[k]).all():
+            raise DomainError(f"{name}{list(k) if k else ''} has a non-finite entry")
         M, worst, tol = A[k], diff[k].max(), HERM_RTOL * (1.0 + np.abs(A[k]).max())
         if worst > tol:
             i, j = np.unravel_index(int(np.argmax(diff[k])), M.shape)
@@ -118,27 +121,22 @@ def spectral_decompose(A, name: str = "matrix") -> SpectralDecomposition:
 def apply_scalar_function(f, A) -> np.ndarray:
     """Standard matrix function: U f(Lambda) U* in A's eigenbasis.
 
-    A is a matrix or a stack.  Raises DomainError if any eigenvalue falls
-    outside f's domain.
+    A is a matrix, a stack, or the SpectralDecomposition of either.  Raises
+    DomainError naming the first eigenvalue outside f's domain.
     """
-    return apply_scalar_function_stack(f, validate_hermitian(A))
+    if not isinstance(A, SpectralDecomposition):
+        return apply_scalar_function_stack(f, validate_hermitian(A))
+    lam, U = A.eigenvalues, A.eigenvectors
+    outside = ~f.domain.contains(lam)
+    if outside.any():
+        raise DomainError(f"eigenvalue {lam.flat[np.argmax(outside)]:.6g} outside the "
+                          f"domain {f.domain} of '{f.name}'")
+    return hermitian_part((U * np.asarray(f(lam), dtype=float)[..., None, :]) @ dagger(U))
 
 
 def apply_scalar_function_stack(f, atoms: np.ndarray) -> np.ndarray:
     """apply_scalar_function on matrices (..., d, d) already known to be Hermitian."""
-    lam, U = np.linalg.eigh(atoms)
-    require_spectrum_in_domain(f, lam)
-    vals = np.asarray(f(lam), dtype=float)
-    return hermitian_part((U * vals[..., None, :]) @ dagger(U))
-
-
-def require_spectrum_in_domain(f, eigenvalues: np.ndarray) -> None:
-    dom = f.domain
-    for lam in np.ravel(eigenvalues):
-        if not dom.contains(float(lam)):
-            raise DomainError(
-                f"eigenvalue {float(lam):.6g} outside the domain {dom} of '{f.name}'"
-            )
+    return apply_scalar_function(f, SpectralDecomposition(*np.linalg.eigh(atoms)))
 
 
 def loewner_compare(A, B, tol: float | None = None) -> LoewnerVerdict:

@@ -43,7 +43,6 @@ from . import __version__
 from .catalog import C2, C3, OUTSIDE_CLASS, ScalarFunction, from_spec
 from .channels import KrausChannel, monotonicity_gap, random_unital_channel
 from .characterizations import (
-    CONDITION_E_TOL,
     FUNCTIONAL_NAMES,
     BivariateFunctional,
     condition_a_slack,
@@ -297,6 +296,10 @@ def _convexity_tol(margins: list, base: dict) -> float:
     return 1e-9 * (1.0 + max(abs(m) for m in margins))
 
 
+def _relative_tol(margins: list, base: dict) -> float:
+    return 1e-9 * max(1.0, *(abs(m) for m in margins))
+
+
 def _draw_pairs(rng, d: int, config, base: dict) -> list:
     u1, v1, u2, v2 = (sample_psd(d, SPECTRAL_FLOOR, rng) for _ in range(4))
     t = float(rng.uniform(0.0, 1.0)) if base["functional"] == "gap_F_t" else None
@@ -380,16 +383,14 @@ CHECKS = {
         margin=lambda ps: condition_a_slack(ps[0]["phi"], ps[0]["A1"], ps[0]["A2"], ps[0]["h"],
                                             [p["lambda"] for p in ps]),
         draw=_draw_condition_a,
-        tolerance=lambda margins, base: 1e-9 * max(1.0, *(abs(m) for m in margins))),
+        tolerance=_relative_tol),
     "condition_e": Check(
-        fields=(("phi", _PHI), ("method", _VALUE), ("A", _MATRIX), ("h", _MATRIX),
-                ("k", _MATRIX)),
-        margin=_each(lambda p: condition_e_margin(p["phi"], p["A"], p["h"], p["k"],
-                                                  method=p["method"])),
+        fields=(("phi", _PHI), ("A", _MATRIX), ("h", _MATRIX), ("k", _MATRIX)),
+        margin=_each(lambda p: condition_e_margin(p["phi"], p["A"], p["h"], p["k"])),
         draw=lambda rng, d, config, base: [{"A": sample_psd(d, 0.5, rng, spectral_cap=4.0),
                                             "h": sample_hermitian_unit(d, rng),
                                             "k": sample_hermitian_unit(d, rng)}],
-        tolerance=lambda margins, base: CONDITION_E_TOL,
+        tolerance=_relative_tol,
         search_spectrum=(0.6, 3.8),
         name="condition_e[{phi}]"),
     "monotonicity": Check(
@@ -505,7 +506,7 @@ SWEEPS = {
     "condition_a": (Sweep("condition_a", ("phi", "d"), "condition_a[{phi},d={d}]",
                           {"item": "a"}),),
     "condition_e": (Sweep("condition_e", ("phi", "d"), "condition_e[{phi},d={d}]",
-                          {"item": "e", "method": "hybrid"}),),
+                          {"item": "e"}),),
     "monotonicity": (Sweep("monotonicity", _PER_VARIANT,
                            "monotonicity[{phi},{variant},d={d}]"),),
     "jensen": (Sweep("conditional_jensen", _PER_VARIANT, "jensen[{phi},{variant},d={d}]"),),
@@ -646,7 +647,7 @@ class _SearchSpace:
 
     The vector holds the record's matrix fields, d^2 parameters each, then
     one weight in (0, 1) that serves as lambda and, for gap_F_t, as t.
-    Searches run on the trace form with the hybrid condition-(e) evaluation.
+    Searches run on the trace form.
     """
 
     def __init__(self, f: ScalarFunction, check: str, dim: int):
@@ -667,8 +668,7 @@ class _SearchSpace:
         k = self.dim * self.dim
         lam = float(np.clip(params[len(self.matrix_keys) * k], 0.01, 0.99))
         point = {"phi": self.f, "functional": self.check, "variant": "trace",
-                 "method": "hybrid", "lambda": lam,
-                 "t": lam if self.check == "gap_F_t" else None}
+                 "lambda": lam, "t": lam if self.check == "gap_F_t" else None}
         for i, key in enumerate(self.matrix_keys):
             point[key] = _herm_from_params(params[i * k:(i + 1) * k], self.dim)
         return point

@@ -1,17 +1,25 @@
 """Scalar function registry and divided-difference tables."""
 
+from itertools import permutations, product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from phi_entropy_lab import DomainError, builtin, divided_differences, from_spec
+from phi_entropy_lab import DomainError, builtin, catalog, divided_differences, from_spec
 from phi_entropy_lab.catalog import (
     C1,
     C2,
     C3,
+    DERIV_FLOOR,
     OUTSIDE_CLASS,
+    TAYLOR_BAND,
     coincidence_threshold,
     dd1_grid,
+    dd3_grid,
+    require_nodes_in_derivative_domain,
 )
 
 ALL_NAMES = ["affine:1:2", "square", "xlogx", "power:1.5", "quartic", "exp"]
@@ -74,10 +82,10 @@ def test_spec_string_roundtrip():
 
 @pytest.mark.parametrize("spec", ALL_NAMES)
 def test_derivatives_match_finite_differences(spec):
-    # eval_1..eval_4 agree with central differences of the level below
+    # eval_1..eval_6 agree with central differences of the level below
     f = _resolve(spec)
     points = [0.3, 0.8, 1.0, 1.7, 2.5]
-    for order in range(1, 5):
+    for order in range(1, 7):
         for u in points:
             h = 1e-4 * (1.0 + abs(u))
             fd = (f.deriv(u + h, order - 1) - f.deriv(u - h, order - 1)) / (2.0 * h)
@@ -162,6 +170,56 @@ def test_nodes_outside_domain_rejected():
         divided_differences(builtin("xlogx"), [1.0, -0.2], 1)
     with pytest.raises(DomainError, match="node"):
         divided_differences(builtin("xlogx"), [0.0, 1.0], 1)  # not interior
+
+
+def test_derivative_floor_applies_only_to_functions_with_one():
+    nodes = np.array([-1.0, 2.0])
+    for spec in ("square", "affine:1:2", "quartic", "exp"):
+        for order in (1, 2, 3):
+            require_nodes_in_derivative_domain(_resolve(spec), nodes, order)
+    for spec in ("xlogx", "power:1.5"):
+        with pytest.raises(DomainError, match=r"node 5e-13 .*derivative floor 1e-12"):
+            require_nodes_in_derivative_domain(_resolve(spec), [1.0, 0.5 * DERIV_FLOOR, 2.0], 1)
+
+
+@st.composite
+def dd3_nodes(draw):
+    """Nodes with a pair coincident, or 0.9x or 1.1x the order-3 Taylor band
+    apart, in ascending or shuffled order."""
+    m = draw(st.integers(2, 6), label="m")
+    base = draw(st.floats(0.5, 4.0), label="clustered node")
+    offset = draw(st.sampled_from((0.0, 0.9, 1.1)), label="offset / Taylor band")
+    rest = draw(st.lists(st.floats(0.5, 4.0), min_size=m - 2, max_size=m - 2), label="rest")
+    nodes = np.array([base, base * (1.0 + offset * TAYLOR_BAND[3]), *rest])
+    shuffle = draw(st.permutations(range(m)), label="order")
+    return np.sort(nodes) if draw(st.booleans(), label="sorted") else nodes[list(shuffle)]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(nodes=dd3_nodes(), spec=st.sampled_from(("xlogx", "power:1.5", "exp", "square")))
+def test_dd3_grid_is_the_sorted_quadruple_value_at_every_index(nodes, spec):
+    f = _resolve(spec)
+    m = len(nodes)
+    grid = dd3_grid(f, nodes)
+    sorted_values = np.sort(nodes[np.array(list(product(range(m), repeat=4)))], axis=-1)
+    expected = catalog._dd3_sorted(f, *sorted_values.T, coincidence_threshold(nodes))
+    assert np.array_equal(grid, expected.reshape((m,) * 4))
+    for perm in permutations(range(4)):
+        assert np.array_equal(grid, grid.transpose(perm))
+
+
+def test_dd3_grid_evaluates_only_the_sorted_quadruples(monkeypatch):
+    sizes = []
+    evaluate = catalog._dd3_sorted
+
+    def counted(f, a, *rest):
+        sizes.append(np.size(a))
+        return evaluate(f, a, *rest)
+
+    monkeypatch.setattr(catalog, "_dd3_sorted", counted)
+    grid = dd3_grid(builtin("xlogx"), np.linspace(0.5, 4.0, 16))
+    assert sizes == [3876]  # C(16 + 3, 4), not 16^4 = 65,536
+    assert grid.shape == (16,) * 4
 
 
 def test_invalid_order():

@@ -244,7 +244,7 @@ def test_condition_a_exp_violated_scalar():
 
 def test_condition_e_square_both_sides_zero():
     A = sample_psd(2, 0.5, 21, spectral_cap=4.0)
-    report = check("condition_e", phi=SQ, method="hybrid", A=A, h=sample_hermitian_unit(2, 22),
+    report = check("condition_e", phi=SQ, A=A, h=sample_hermitian_unit(2, 22),
                    k=sample_hermitian_unit(2, 23))
     assert report.holds and abs(report.margin) < 1e-10
 
@@ -252,11 +252,21 @@ def test_condition_e_square_both_sides_zero():
 def test_condition_e_xlogx_boundary_case():
     # phi'''' phi'' - 2 phi'''^2 vanishes identically for xlogx
     A = np.array([[1.0]])
-    report = check("condition_e", phi=XLX, method="hybrid", A=A, h=np.array([[0.8]]),
-                   k=np.array([[1.2]]))
+    report = check("condition_e", phi=XLX, A=A, h=np.array([[0.8]]), k=np.array([[1.2]]))
     assert report.holds
-    assert abs(report.margin) < 1e-6
+    assert abs(report.margin) < 1e-14
     assert condition_e_scalar_oracle(XLX, 1.0, 0.8, 1.2) == pytest.approx(0.0, abs=1e-14)
+
+
+def test_condition_e_xlogx_equality_case_is_roundoff_at_d1():
+    # The exact third derivative leaves only roundoff on the equality case,
+    # at every drawn point, not just at A = 1.
+    rng = rng_for(26, "cond-e-equality")
+    for _ in range(50):
+        a = float(rng.uniform(0.5, 4.0))
+        h, k = (float(rng.uniform(-1.0, 1.0)) for _ in range(2))
+        margin = condition_e_margin(XLX, np.array([[a]]), np.array([[h]]), np.array([[k]]))
+        assert abs(margin) < 1e-14
 
 
 def test_condition_e_scalar_reduction_signs():
@@ -266,14 +276,14 @@ def test_condition_e_scalar_reduction_signs():
         h, k = float(rng.uniform(0.2, 1.0)), float(rng.uniform(0.2, 1.0))
         lhs, rhs = condition_e_terms(f, np.array([[a]]), np.array([[h]]), np.array([[k]]))
         expected = condition_e_scalar_oracle(f, a, h, k)
-        # hybrid path at d = 1 agrees with the closed form up to its FD layer
-        assert lhs - rhs == pytest.approx(expected, abs=1e-6 * (1.0 + abs(expected)))
+        # the exact path at d = 1 agrees with the closed form to roundoff
+        assert lhs - rhs == pytest.approx(expected, abs=1e-12 * (1.0 + abs(expected)))
         if positive is True:
             assert lhs - rhs > 1e-6
         elif positive is False:
             assert lhs - rhs < -1e-6
         else:
-            assert abs(lhs - rhs) < 1e-6
+            assert abs(lhs - rhs) < 1e-12
 
 
 def test_condition_e_in_class_matrix_sweep():
@@ -284,7 +294,7 @@ def test_condition_e_in_class_matrix_sweep():
                 A = sample_psd(d, 0.5, rng, spectral_cap=4.0)
                 h = sample_hermitian_unit(d, rng)
                 k = sample_hermitian_unit(d, rng)
-                assert condition_e_margin(f, A, h, k) >= -1e-4
+                assert condition_e_margin(f, A, h, k) >= -1e-9
 
 
 def test_condition_e_spectrum_restriction():

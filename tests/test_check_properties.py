@@ -45,7 +45,7 @@ def test_check_witness_replays_to_its_margin(kind, data):
     d = data.draw(st.sampled_from((1, 2, 3)), label="d")
     name, variant = data.draw(st.sampled_from(_in_class_choices(kind)), label="phi, variant")
     p = data.draw(st.sampled_from((1, 2, 3)), label="p")
-    base = {"phi": builtin(name), "variant": variant, "p": p, "method": "hybrid"}
+    base = {"phi": builtin(name), "variant": variant, "p": p}
     draw = record.draw or _draw_lemma
     drawn = draw(rng_for(seed, "check-property", kind), d, CONFIG, base)[0]
     point = {key: {**base, **drawn}[key] for key, _ in record.fields}

@@ -5,9 +5,18 @@ import json
 import numpy as np
 import pytest
 
-from phi_entropy_lab import MatrixEnsemble, RunConfig, matrix_from_json, run_suite
+from phi_entropy_lab import (
+    MatrixEnsemble,
+    RunConfig,
+    finite_diff_oracle,
+    from_spec,
+    matrix_from_json,
+    run_suite,
+)
 from phi_entropy_lab.cli import main
 from phi_entropy_lab.sampling import sample_ensemble, sample_product
+from phi_entropy_lab.spectral import relative_error
+from phi_entropy_lab.suite import ORACLE_TOLS
 
 
 @pytest.fixture()
@@ -60,6 +69,32 @@ def test_frechet_command(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     out = matrix_from_json(payload["derivative"])
     np.testing.assert_allclose(out, [[0.0, 3.0], [3.0, 0.0]], atol=1e-12)
+
+
+@pytest.mark.parametrize("phi, order", [("square", 1), ("exp", 2), ("quartic", 3)])
+def test_frechet_command_at_negative_eigenvalues(phi, order, tmp_path, capsys):
+    # Functions defined on the whole line have no derivative floor.
+    A, X = [[-1.0, 0.0], [0.0, 2.0]], [[0.3, 1.0], [1.0, -0.5]]
+    code = main(["frechet", "--phi", phi, "--order", str(order),
+                 "--matrix", _matrix_file(tmp_path, "a.json", A),
+                 "--direction", _matrix_file(tmp_path, "x.json", X)])
+    assert code == 0
+    out = matrix_from_json(json.loads(capsys.readouterr().out)["derivative"])
+    oracle = finite_diff_oracle(from_spec(phi, allow_outside_class=True), np.array(A),
+                                np.array(X), order)
+    assert relative_error(out, oracle) < ORACLE_TOLS[order]
+
+
+@pytest.mark.parametrize("base", [
+    [[5e-13, 0.0], [0.0, 2.0]],           # xlogx below its derivative floor
+    [[float("nan"), 0.0], [0.0, 1.0]],    # a NaN entry
+], ids=("below-floor", "nan"))
+def test_frechet_command_rejects_bad_base_points(base, tmp_path, capsys):
+    code = main(["frechet", "--phi", "xlogx", "--order", "1",
+                 "--matrix", _matrix_file(tmp_path, "a.json", base),
+                 "--direction", _matrix_file(tmp_path, "x.json", [[1.0, 0.0], [0.0, 1.0]])])
+    assert code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_check_subadditivity_command(product_file, capsys):

@@ -146,13 +146,15 @@ def test_d3_permutation_symmetry():
         assert relative_error(base, frechet_d3(XLX, A, *perm)) < 1e-9
 
 
-def test_d3_hybrid_matches_exact_tensor_path():
-    for d in (2, 3, 4):
-        A = sample_psd(d, 0.5, d, spectral_cap=4.0)
-        X, Y, W = (sample_hermitian_unit(d, 20 + d * 10 + s) for s in range(3))
-        hybrid = frechet_d3(XLX, A, X, Y, W)
-        exact = frechet_d3(XLX, A, X, Y, W, method="divided_difference")
-        assert relative_error(hybrid, exact) < 1e-7
+@pytest.mark.parametrize("d", (2, 3, 4, 8, 16))
+def test_d3_matches_central_difference_of_d2(d):
+    # The exact order-two derivative, differenced along W with a step
+    # balancing its O(h^2) truncation against roundoff.
+    A = sample_psd(d, 0.5, d, spectral_cap=4.0)
+    X, Y, W = (sample_hermitian_unit(d, 20 + d * 10 + s) for s in range(3))
+    h = 1e-5 * (1.0 + np.linalg.norm(A))
+    central = (frechet_d2(XLX, A + h * W, X, Y) - frechet_d2(XLX, A - h * W, X, Y)) / (2.0 * h)
+    assert relative_error(frechet_d3(XLX, A, X, Y, W), central) < 1e-7
 
 
 @pytest.mark.parametrize("f", [SQ, XLX, P15], ids=lambda f: f.spec_string())

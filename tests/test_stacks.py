@@ -12,18 +12,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phi_entropy_lab import builtin
-from phi_entropy_lab.catalog import TAYLOR_BAND, dd1_grid, dd2_grid
+from phi_entropy_lab.catalog import TAYLOR_BAND, dd1_grid, dd2_grid, dd3_grid
 from phi_entropy_lab.characterizations import (
     BivariateFunctional,
     condition_a_slack,
     convexity_slack_at,
+    eval_functional,
 )
-from phi_entropy_lab.errors import NonHermitianError, PhiLabError, SingularOperatorError
-from phi_entropy_lab.frechet import derivative_inverse, frechet_d1, frechet_d2
+from phi_entropy_lab.errors import (
+    DomainError,
+    NonHermitianError,
+    PhiLabError,
+    SingularOperatorError,
+)
+from phi_entropy_lab.frechet import derivative_inverse, frechet_d1, frechet_d2, frechet_d3
 from phi_entropy_lab.sampling import haar_unitary, rng_for, sample_hermitian, sample_psd
 from phi_entropy_lab.spectral import (
     apply_scalar_function,
     apply_scalar_function_stack,
+    hermitian_part,
     spectral_decompose,
 )
 
@@ -80,10 +87,14 @@ def test_stacked_layers_equal_per_matrix_calls(drawn, f):
 
     _same(apply_scalar_function_stack(f, A), [apply_scalar_function(f, M) for M in A])
     _same(apply_scalar_function(f, A), [apply_scalar_function(f, M) for M in A])
+    _same(apply_scalar_function(f, spectral_decompose(A)),
+          [apply_scalar_function(f, M) for M in A])
     _same(dd1_grid(f, nodes), [dd1_grid(f, lam) for lam in nodes])
     _same(dd2_grid(f, nodes), [dd2_grid(f, lam) for lam in nodes])
+    _same(dd3_grid(f, nodes), [dd3_grid(f, lam) for lam in nodes])
     _same(frechet_d1(f, A, X), [frechet_d1(f, M, Z) for M, Z in zip(A, X)])
     _same(frechet_d2(f, A, X, Y), [frechet_d2(f, M, Z, W) for M, Z, W in zip(A, X, Y)])
+    _same(frechet_d3(f, A, X, X, Y), [frechet_d3(f, M, Z, Z, W) for M, Z, W in zip(A, X, Y)])
     _same(frechet_d1(f, spectral_decompose(A), X), [frechet_d1(f, M, Z) for M, Z in zip(A, X)])
     psi = f.derivative()
     _same(derivative_inverse(psi, spectral_decompose(A))(X[0]),
@@ -102,7 +113,8 @@ def _error_type(call):
     np.diag([-0.5, 1.0]),               # outside xlogx's domain
     np.diag([1e-13, 1.0]),              # inside the domain, below the derivative floor
     np.array([[1.0, 0.5], [0.0, 1.0]]),  # not Hermitian
-], ids=("negative", "below-floor", "non-hermitian"))
+    np.array([[np.nan, 0.0], [0.0, 1.0]]),  # not finite
+], ids=("negative", "below-floor", "non-hermitian", "nan"))
 @pytest.mark.parametrize("position", (0, 1, 2))
 def test_stack_with_one_bad_matrix_raises_like_the_single_call(bad, position):
     good = [sample_psd(2, 0.5, seed) for seed in (1, 2)]
@@ -124,6 +136,9 @@ def test_stack_with_one_bad_matrix_raises_like_the_single_call(bad, position):
     assert raised - {None}
     if bad[0, 1] != bad[1, 0]:
         with pytest.raises(NonHermitianError, match=rf"matrix\[{position}\]"):
+            spectral_decompose(A)
+    if not np.isfinite(bad).all():
+        with pytest.raises(DomainError, match=rf"matrix\[{position}\] has a non-finite"):
             spectral_decompose(A)
 
 
@@ -157,3 +172,17 @@ def test_lambda_vector_slacks_equal_scalar_calls(seed, d, name, variant):
     A1, A2, h = sample_psd(d, 0.1, rng), sample_psd(d, 0.1, rng), sample_hermitian(d, rng)
     assert condition_a_slack(XLX, A1, A2, h, lams) == [condition_a_slack(XLX, A1, A2, h, lam)
                                                        for lam in lams]
+
+
+@pytest.mark.parametrize("variant", ("trace", "operator"))
+def test_bregman_stack_decomposes_u_once(variant, monkeypatch):
+    rng = rng_for(8, "bregman-eigh")
+    u, v = (np.stack([sample_psd(3, 0.1, rng) for _ in range(7)]) for _ in range(2))
+    out = hermitian_part(apply_scalar_function(XLX, u + v) - apply_scalar_function(XLX, u)
+                         - frechet_d1(XLX, u, v))
+    expected = np.trace(out, axis1=-2, axis2=-1).real if variant == "trace" else out
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(M.shape) or eigh(M))
+    got = eval_functional(BivariateFunctional("bregman_A", XLX, variant), u, v)
+    assert calls == [(7, 3, 3)] * 2  # u + v, and u once for f(u) and Df[u](v)
+    assert np.array_equal(got, expected)
