@@ -349,47 +349,48 @@ def dd1_grid(f: ScalarFunction, nodes: np.ndarray, delta: float | None = None) -
     return _dd1(f, nodes[..., :, None], nodes[..., None, :], delta)
 
 
-def dd2_grid(f: ScalarFunction, nodes: np.ndarray, delta: float | None = None) -> np.ndarray:
-    """Grid on nodes (m,), or on each row of (..., m) with the row's own threshold."""
-    nodes = np.asarray(nodes, dtype=float)
-    if delta is None:
-        delta = coincidence_threshold(nodes)
-    delta = np.expand_dims(delta, (-3, -2, -1))
-    grids = np.broadcast_arrays(nodes[..., :, None, None], nodes[..., None, :, None],
-                                nodes[..., None, None, :])
-    s = np.sort(np.stack(grids, axis=-1), axis=-1)
-    return _dd2_sorted(f, s[..., 0], s[..., 1], s[..., 2], delta)
+def _symmetric_grid(dd_sorted, order: int, f: ScalarFunction, nodes: np.ndarray,
+                    delta) -> np.ndarray:
+    """Grid (..., m, ..., m) of a divided difference symmetric in its nodes.
 
-
-def dd3_grid(f: ScalarFunction, nodes: np.ndarray, delta: float | None = None) -> np.ndarray:
-    """Grid on nodes (m,), or on each row of (..., m) with the row's own threshold.
-
-    The third divided difference is symmetric in its four nodes, so it is
-    evaluated once per sorted index quadruple i <= k <= l <= j, C(m+3, 4) of
-    the m^4 entries, and read off by symmetry for the rest.
+    It is evaluated once per sorted index tuple, C(m+order, order+1) of the
+    m^(order+1) entries, and read off by symmetry for the rest.
     """
     nodes = np.asarray(nodes, dtype=float)
     if delta is None:
         delta = coincidence_threshold(nodes)
-    quads, where = _sorted_quadruples(nodes.shape[-1])
-    s = nodes[..., quads]  # (..., 4, Q): the nodes of each quadruple
-    if np.any(np.diff(nodes, axis=-1) < 0.0):  # eigh's nodes ascend already
+    tuples, where = _sorted_tuples(nodes.shape[-1], order + 1)
+    s = nodes[..., tuples]  # (..., order+1, Q): the nodes of each tuple
+    if (nodes[..., 1:] < nodes[..., :-1]).any():  # eigh's nodes ascend already
         s = np.sort(s, axis=-2)
-    values = _dd3_sorted(f, *np.moveaxis(s, -2, 0), np.expand_dims(delta, -1))
+    values = dd_sorted(f, *(s[..., i, :] for i in range(order + 1)),
+                       np.asarray(delta)[..., None])
     return values[..., where]
 
 
-@lru_cache(maxsize=16)
-def _sorted_quadruples(m: int) -> tuple:
-    """The sorted index quadruples of range(m) as the rows of a (4, Q) array,
-    and the (m, m, m, m) map from an index quadruple to the column of its
-    sorted form."""
-    quads = np.array(list(combinations_with_replacement(range(m), 4)), dtype=np.intp).T.copy()
-    where = np.empty((m,) * 4, dtype=np.intp)
-    for perm in permutations(quads):
-        where[perm] = np.arange(quads.shape[1])
-    quads.flags.writeable = where.flags.writeable = False
-    return quads, where
+def dd2_grid(f: ScalarFunction, nodes: np.ndarray, delta: float | None = None) -> np.ndarray:
+    """Grid on nodes (m,), or on each row of (..., m) with the row's own threshold,
+    from the C(m+2, 3) sorted index triples."""
+    return _symmetric_grid(_dd2_sorted, 2, f, nodes, delta)
+
+
+def dd3_grid(f: ScalarFunction, nodes: np.ndarray, delta: float | None = None) -> np.ndarray:
+    """Grid on nodes (m,), or on each row of (..., m) with the row's own threshold,
+    from the C(m+3, 4) sorted index quadruples."""
+    return _symmetric_grid(_dd3_sorted, 3, f, nodes, delta)
+
+
+@lru_cache(maxsize=32)
+def _sorted_tuples(m: int, k: int) -> tuple:
+    """The sorted index k-tuples of range(m) as the rows of a (k, Q) array,
+    and the (m,)*k map from an index tuple to the column of its sorted form."""
+    tuples = np.array(list(combinations_with_replacement(range(m), k)), dtype=np.intp)
+    tuples = tuples.reshape(-1, k).T.copy()
+    where = np.empty((m,) * k, dtype=np.intp)
+    for perm in permutations(tuples):
+        where[perm] = np.arange(tuples.shape[1])
+    tuples.flags.writeable = where.flags.writeable = False
+    return tuples, where
 
 
 @dataclass(frozen=True)

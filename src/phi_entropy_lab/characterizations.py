@@ -25,7 +25,7 @@ import numpy as np
 from .catalog import ScalarFunction
 from .errors import DomainError
 from .frechet import derivative_inverse, frechet_d1, frechet_d2, frechet_d3
-from .entropy import MatrixEnsemble, ProductEnsemble, operator_phi_entropy
+from .entropy import ProductEnsemble, jensen_gap
 from .reports import VerificationReport
 from .spectral import (
     apply_scalar_function,
@@ -46,14 +46,15 @@ class BivariateFunctional:
     name: str
     phi: ScalarFunction
     variant: str = "trace"
-    t: float | None = None
+    t: float | np.ndarray | None = None  # gap_F_t: one number, or one per pair of a stack
 
     def __post_init__(self):
         if self.name not in FUNCTIONAL_NAMES:
             raise DomainError(f"unknown functional '{self.name}'; expected {FUNCTIONAL_NAMES}")
         if (self.t is not None) != (self.name == "gap_F_t"):
             raise DomainError("parameter t is required exactly when name == 'gap_F_t'")
-        if self.name == "gap_F_t" and not (0.0 <= self.t <= 1.0):
+        if self.name == "gap_F_t" and not np.all((0.0 <= np.asarray(self.t))
+                                                 & (np.asarray(self.t) <= 1.0)):
             raise DomainError(f"t must lie in [0, 1], got {self.t}")
         if self.variant not in ("trace", "operator"):
             raise DomainError(f"variant must be 'trace' or 'operator', got '{self.variant}'")
@@ -61,7 +62,8 @@ class BivariateFunctional:
 
 def eval_functional(F: BivariateFunctional, u, v):
     """Evaluate the functional at a matrix pair, or at each pair of two stacks;
-    a number per pair for the trace variant."""
+    a number per pair for the trace variant.  An array F.t holds the t of
+    each pair along the leading axes of the stacks."""
     f = F.phi
     u = validate_hermitian(u, "u")
     v = validate_hermitian(v, "v")
@@ -74,7 +76,7 @@ def eval_functional(F: BivariateFunctional, u, v):
     elif F.name == "map_C":
         out = frechet_d2(f, u, v, v)
     else:
-        t = F.t
+        t = np.reshape(F.t, np.shape(F.t) + (1,) * (u.ndim - np.ndim(F.t)))
         out = (t * apply_scalar_function(f, u) + (1.0 - t) * apply_scalar_function(f, v)
                - apply_scalar_function(f, t * u + (1.0 - t) * v))
     out = hermitian_part(out)
@@ -85,21 +87,39 @@ def eval_functional(F: BivariateFunctional, u, v):
 
 
 def _per_weight(lam, slacks):
-    """The slacks in the form lam came in: a float for a number, else a list."""
-    return float(slacks[0]) if np.ndim(lam) == 0 else [float(s) for s in slacks]
+    """The slacks in the form lam came in: a float for a number, else (nested) lists."""
+    return float(slacks.flat[0]) if np.ndim(lam) == 0 else slacks.tolist()
+
+
+def _weights(lam, pairs: np.ndarray) -> np.ndarray:
+    """lam as one row of weights per pair of the stack pairs (..., d, d)."""
+    return np.asarray(lam, dtype=float).reshape(pairs.shape[:-2] + (-1,))
+
+
+def _ends_and_mixes(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """a, b and their mixes w a + (1 - w) b along a new axis -3, per pair."""
+    a, b = a[..., None, :, :], b[..., None, :, :]
+    return np.concatenate([a, b, w * a + (1.0 - w) * b], axis=-3)
 
 
 def convexity_slack_at(F: BivariateFunctional, u1, v1, u2, v2, lam):
     """Convex-combination slack at weight lam (a list of them for a vector
-    lam); nonnegative for a jointly convex functional."""
-    lams = np.atleast_1d(np.asarray(lam, dtype=float))
-    w = lams[:, None, None]
+    lam); nonnegative for a jointly convex functional.
+
+    The pairs may be stacks (..., d, d); lam then holds a row of weights for
+    each, and the slacks come as nested lists (..., L).  All endpoints and
+    mixes are one stack.
+    """
     u1, v1, u2, v2 = map(np.asarray, (u1, v1, u2, v2))
-    values = eval_functional(F, np.concatenate([[u1, u2], w * u1 + (1.0 - w) * u2]),
-                             np.concatenate([[v1, v2], w * v1 + (1.0 - w) * v2]))
-    w = w if F.variant == "operator" else lams  # shaped to broadcast over the values
-    gap = w * values[0] + (1.0 - w) * values[1] - values[2:]
-    return _per_weight(lam, variant_margin(gap, "operator") if F.variant == "operator" else gap)
+    lams = _weights(lam, u1)
+    w = lams[..., None, None]
+    values = eval_functional(F, _ends_and_mixes(u1, u2, w), _ends_and_mixes(v1, v2, w))
+    if F.variant == "operator":
+        gap = (w * values[..., :1, :, :] + (1.0 - w) * values[..., 1:2, :, :]
+               - values[..., 2:, :, :])
+        return _per_weight(lam, variant_margin(gap, "operator"))
+    return _per_weight(lam, lams * values[..., :1] + (1.0 - lams) * values[..., 1:2]
+                       - values[..., 2:])
 
 
 # --- inverse-derivative concavity (condition on the derivative map) -------------
@@ -120,13 +140,13 @@ def inverse_derivative_quadratic_form(f: ScalarFunction, A, h):
 
 def condition_a_slack(f: ScalarFunction, A1, A2, h, lam):
     """Concavity slack of A -> <h, (Dpsi[A])^{-1} h> at the convex combination
-    of weight lam (a list of them for a vector lam)."""
-    lams = np.atleast_1d(np.asarray(lam, dtype=float))
-    w = lams[:, None, None]
+    of weight lam (a list of them for a vector lam).  A1, A2 and h may be
+    stacks, as the pairs of ``convexity_slack_at``."""
     A1, A2 = np.asarray(A1, dtype=complex), np.asarray(A2, dtype=complex)
+    lams = _weights(lam, A1)
     q = inverse_derivative_quadratic_form(
-        f, np.concatenate([[A1, A2], w * A1 + (1.0 - w) * A2]), h)
-    return _per_weight(lam, q[2:] - (lams * q[0] + (1.0 - lams) * q[1]))
+        f, _ends_and_mixes(A1, A2, lams[..., None, None]), np.asarray(h)[..., None, :, :])
+    return _per_weight(lam, q[..., 2:] - (lams * q[..., :1] + (1.0 - lams) * q[..., 1:2]))
 
 
 # --- fourth-derivative trace inequality -----------------------------------------
@@ -138,30 +158,32 @@ def condition_e_terms(f: ScalarFunction, A, h, k) -> tuple:
     Returns (lhs, rhs) with lhs = Tr[h Tinv D3psi(k, k, Tinv h)] and
     rhs = 2 Tr[h Tinv D2psi(k, Tinv D2psi(k, Tinv h))], T = Dpsi[A]; at
     d = 1 their difference reduces to the classical fourth-derivative
-    criterion.
+    criterion.  For stacks A, h, k both are arrays, one entry per matrix.
     """
     dec = spectral_decompose(A, "A")
     h = validate_hermitian(h, "h")
     k = validate_hermitian(k, "k")
-    lam = dec.eigenvalues
-    if lam[0] < 0.5 - 1e-9 or lam[-1] > 4.0 + 1e-9:
+    low, high = dec.eigenvalues[..., 0], dec.eigenvalues[..., -1]
+    outside = (low < 0.5 - 1e-9) | (high > 4.0 + 1e-9)
+    if outside.any():
+        i = np.argmax(outside)
         raise DomainError(
             f"condition (e) checks are restricted to spectra in [0.5, 4]; got "
-            f"[{lam[0]:.6g}, {lam[-1]:.6g}]"
+            f"[{low.flat[i]:.6g}, {high.flat[i]:.6g}]"
         )
     psi = f.derivative()
     T_inv = derivative_inverse(psi, dec)
     u = T_inv(h)
-    lhs = float(np.trace(h @ T_inv(frechet_d3(psi, dec, k, k, u))).real)
+    lhs = np.trace(h @ T_inv(frechet_d3(psi, dec, k, k, u)), axis1=-2, axis2=-1).real
     inner = T_inv(frechet_d2(psi, dec, k, u))
-    rhs = 2.0 * float(np.trace(h @ T_inv(frechet_d2(psi, dec, k, inner))).real)
-    return lhs, rhs
+    rhs = 2.0 * np.trace(h @ T_inv(frechet_d2(psi, dec, k, inner)), axis1=-2, axis2=-1).real
+    return (float(lhs), float(rhs)) if lhs.ndim == 0 else (lhs, rhs)
 
 
-def condition_e_margin(f: ScalarFunction, A, h, k) -> float:
-    """Relative slack (lhs - rhs) / max(1, |lhs|, |rhs|)."""
+def condition_e_margin(f: ScalarFunction, A, h, k):
+    """Relative slack (lhs - rhs) / max(1, |lhs|, |rhs|); one per matrix of stacks."""
     lhs, rhs = condition_e_terms(f, A, h, k)
-    return (lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+    return (lhs - rhs) / np.maximum(1.0, np.maximum(abs(lhs), abs(rhs)))
 
 
 def condition_e_scalar_oracle(f: ScalarFunction, a: float, h: float, k: float) -> float:
@@ -272,26 +294,28 @@ def convexity_lemma_margin(f: ScalarFunction, weights, A_atoms, X_atoms) -> floa
     return lhs - rhs
 
 
-def conditional_jensen_gap(f: ScalarFunction, P: ProductEnsemble) -> np.ndarray:
+def conditional_jensen_gap(f: ScalarFunction, P) -> np.ndarray:
     """E_1 H(Z | X_1) - H(E_1 Z) for a two-factor product, as an operator.
 
     E_1 averages over the first factor; H(. | X_1) is the entropy in the
-    second factor's randomness at fixed X_1.
+    second factor's randomness at fixed X_1.  A list of products of one
+    layout gives a stack of gaps.
     """
-    if P.n != 2:
-        raise DomainError(f"conditional Jensen check needs exactly two factors, got {P.n}")
-    w1 = P.factor_weights[0]
-    lhs = np.zeros((P.dim, P.dim), dtype=complex)
-    for s1, w in enumerate(w1):
-        lhs = lhs + float(w) * operator_phi_entropy(f, P.slice_over_complement(0, s1))
-    # E_1 Z is a random matrix in the second factor only.
-    w2 = P.factor_weights[1]
-    averaged = []
-    for s2 in range(len(w2)):
-        avg = np.zeros((P.dim, P.dim), dtype=complex)
-        for s1, w in enumerate(w1):
-            avg = avg + float(w) * P.z_map[(s1, s2)]
-        averaged.append(hermitian_part(avg))
-    E1Z = MatrixEnsemble(np.asarray(w2, dtype=float), np.stack(averaged))
-    rhs = operator_phi_entropy(f, E1Z)
-    return hermitian_part(lhs - rhs)
+    products = [P] if isinstance(P, ProductEnsemble) else list(P)
+    for Q in products:
+        if Q.n != 2:
+            raise DomainError(f"conditional Jensen check needs exactly two factors, got {Q.n}")
+    w1, w2 = (np.stack([Q.factor_weights[i] for Q in products]) for i in (0, 1))
+    Z = np.stack([Q.atoms for Q in products])
+    Z = Z.reshape(w1.shape + w2.shape[1:] + Z.shape[-2:])  # (B, s1, s2, d, d)
+    # H(Z | X_1 = s1) integrates over the second factor, its weights normalised.
+    slice_weights = np.stack([w / w.sum() for w in w2])
+    lhs = np.zeros(Z.shape[:1] + Z.shape[-2:], dtype=complex)
+    averaged = np.zeros(Z.shape[:1] + Z.shape[2:], dtype=complex)
+    for s1 in range(w1.shape[1]):
+        weight = w1[:, s1, None, None]
+        lhs = lhs + weight * jensen_gap(f, slice_weights, Z[:, s1])
+        # E_1 Z is a random matrix in the second factor only.
+        averaged = averaged + weight[..., None] * Z[:, s1]
+    gaps = hermitian_part(lhs - jensen_gap(f, w2, hermitian_part(averaged)))
+    return gaps[0] if isinstance(P, ProductEnsemble) else gaps

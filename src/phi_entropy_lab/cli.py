@@ -282,8 +282,10 @@ def _cmd_run_suite(args) -> int:
     payload = suite.to_json_dict()
     out_path = args.output or config.output_path
     if out_path:
+        # One json.dumps call without indent runs the C encoder; json.dump
+        # always runs the pure-Python one.
         with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
+            fh.write(json.dumps(payload))
     summary = suite.summary
     print(f"suite: {summary['pass']} pass, {summary['fail']} fail, "
           f"{summary['skip']} skip")

@@ -7,7 +7,9 @@ exact finite sums, so the inequalities under test carry no sampling error.
 
 This module gives the gaps of subadditivity, Efron-Stein and the dual
 representation; their margins and reports come from ``suite.check`` and
-the suite's check registry.
+the suite's check registry.  Each gap also takes a list of ensembles of one
+layout and returns a stack of gaps: the ensembles' atoms are then one stack
+through every layer.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import ScalarFunction
-from .errors import DimensionMismatchError, DomainError
+from .errors import DimensionMismatchError, DomainError, PhiLabError
 from .frechet import frechet_d1
 from .reports import VerificationReport
 from .spectral import (
@@ -58,6 +60,33 @@ def _check_psd(A: np.ndarray, what: str) -> None:
         raise DomainError(f"{what} is not positive semi-definite: min eigenvalue {lam_min:.3e}")
 
 
+def _checked_atoms(mats, name) -> np.ndarray:
+    """The Hermitian PSD matrices mats as one stack (m, d, d), checked at once.
+
+    When the stack fails, each matrix is checked alone, in order, so the
+    error is the one the first offending matrix raises, named name(i).
+    """
+    if len({np.shape(M) for M in mats}) == 1 and np.ndim(mats[0]) == 2:
+        atoms = np.asarray(mats, dtype=complex)
+        try:
+            validate_hermitian(atoms)
+            lam_min = np.linalg.eigvalsh(atoms)[:, 0]
+            if not any(
+                    lam_min[i] < -PSD_RTOL * (1.0 + frobenius(atoms[i]))
+                    for i in np.flatnonzero(lam_min < 0.0)):
+                return atoms
+        except PhiLabError:
+            pass
+    dim = None
+    for i, M in enumerate(mats):
+        A = validate_hermitian(M, name(i))
+        _check_psd(A, name(i))
+        if dim not in (None, A.shape[0]):
+            raise DimensionMismatchError(f"{name(i)} has dim {A.shape[0]}, expected {dim}")
+        dim = A.shape[0]
+    return np.asarray(mats, dtype=complex)
+
+
 @dataclass(frozen=True)
 class MatrixEnsemble:
     """Finitely-supported random PSD matrix: weights and a stack of atoms."""
@@ -72,11 +101,8 @@ class MatrixEnsemble:
             raise DimensionMismatchError(
                 f"atoms must have shape (m, d, d) matching {w.size} weights, got {atoms.shape}"
             )
-        for idx in range(atoms.shape[0]):
-            validate_hermitian(atoms[idx], f"atom {idx}")
-            _check_psd(atoms[idx], f"atom {idx}")
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "atoms", _checked_atoms(atoms, lambda i: f"atom {i}"))
 
     @property
     def dim(self) -> int:
@@ -113,11 +139,13 @@ class ProductEnsemble:
     """Random matrix driven by n independent finite factors.
 
     factor_weights[i] holds the outcome weights of factor i; z_map sends a
-    full outcome tuple to a PSD matrix.  The table must be total.
+    full outcome tuple to a PSD matrix.  The table must be total.  atoms
+    holds z_map's matrices in outcome order, as one stack.
     """
 
     factor_weights: tuple
     z_map: dict = field(repr=False)
+    atoms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         weights = tuple(
@@ -126,22 +154,15 @@ class ProductEnsemble:
         )
         if not weights:
             raise DomainError("product ensemble needs at least one factor")
-        z = {}
-        dim = None
-        for key in itertools.product(*(range(len(w)) for w in weights)):
+        keys = list(itertools.product(*(range(len(w)) for w in weights)))
+        for key in keys:
             if key not in self.z_map:
                 raise DomainError(f"z_map is missing outcome {key}")
-            A = validate_hermitian(self.z_map[key], f"z_map[{key}]")
-            _check_psd(A, f"z_map[{key}]")
-            if dim is None:
-                dim = A.shape[0]
-            elif A.shape[0] != dim:
-                raise DimensionMismatchError(
-                    f"z_map[{key}] has dim {A.shape[0]}, expected {dim}"
-                )
-            z[key] = A
+        atoms = _checked_atoms([self.z_map[key] for key in keys],
+                               lambda i: f"z_map[{keys[i]}]")
         object.__setattr__(self, "factor_weights", weights)
-        object.__setattr__(self, "z_map", z)
+        object.__setattr__(self, "z_map", dict(zip(keys, atoms)))
+        object.__setattr__(self, "atoms", atoms)
 
     @property
     def n(self) -> int:
@@ -149,7 +170,7 @@ class ProductEnsemble:
 
     @property
     def dim(self) -> int:
-        return next(iter(self.z_map.values())).shape[0]
+        return self.atoms.shape[-1]
 
     @property
     def support_sizes(self) -> tuple:
@@ -165,10 +186,8 @@ class ProductEnsemble:
         return p
 
     def flatten(self) -> MatrixEnsemble:
-        keys = list(self.outcomes())
-        weights = np.array([self.probability(k) for k in keys])
-        weights = weights / weights.sum()
-        return MatrixEnsemble(weights, np.stack([self.z_map[k] for k in keys]))
+        weights = np.array([self.probability(k) for k in self.outcomes()])
+        return MatrixEnsemble(weights / weights.sum(), self.atoms)
 
     def slice_over_factor(self, i: int, fixed: tuple) -> MatrixEnsemble:
         """Ensemble in factor i's randomness with the other factors pinned."""
@@ -238,20 +257,36 @@ def _check_variant(variant: str) -> None:
 # --- expectations and entropies -----------------------------------------------
 
 
+def _mean(weights: np.ndarray, atoms: np.ndarray) -> np.ndarray:
+    """Weighted sum over the atoms (..., m, d, d), weights (..., m)."""
+    return np.einsum("...m,...mij->...ij", weights, atoms)
+
+
+def _arrays(E) -> tuple:
+    """Weights and atoms of an ensemble; for a list of ensembles of one shape,
+    both stacked along a new leading axis."""
+    if isinstance(E, MatrixEnsemble):
+        return E.weights, E.atoms
+    return np.stack([e.weights for e in E]), np.stack([e.atoms for e in E])
+
+
 def expectation(E: MatrixEnsemble) -> np.ndarray:
     """Mean matrix of the ensemble; PSD by convexity of the atoms."""
-    return hermitian_part(np.einsum("m,mij->ij", E.weights, E.atoms))
+    return hermitian_part(_mean(E.weights, E.atoms))
 
 
-def _mean_phi(f: ScalarFunction, E: MatrixEnsemble) -> np.ndarray:
-    phis = apply_scalar_function_stack(f, E.atoms)
-    return np.einsum("m,mij->ij", E.weights, phis)
+def jensen_gap(f: ScalarFunction, weights: np.ndarray, atoms: np.ndarray) -> np.ndarray:
+    """E f(Z) - f(E Z) as a Hermitian matrix for weights (..., m) and atoms
+    (..., m, d, d): one gap per leading index."""
+    mean_phi = _mean(weights, apply_scalar_function_stack(f, atoms))
+    mean = hermitian_part(_mean(weights, atoms))
+    return hermitian_part(mean_phi - apply_scalar_function(f, mean))
 
 
-def operator_phi_entropy(f: ScalarFunction, E: MatrixEnsemble) -> np.ndarray:
-    """Jensen gap E f(Z) - f(E Z) as a Hermitian matrix."""
-    gap = _mean_phi(f, E) - apply_scalar_function(f, expectation(E))
-    return hermitian_part(gap)
+def operator_phi_entropy(f: ScalarFunction, E) -> np.ndarray:
+    """Jensen gap E f(Z) - f(E Z) as a Hermitian matrix; a stack of them for
+    a list of ensembles of one shape."""
+    return jensen_gap(f, *_arrays(E))
 
 
 def matrix_phi_entropy(f: ScalarFunction, E: MatrixEnsemble) -> float:
@@ -280,76 +315,91 @@ def conditional_entropy(f: ScalarFunction, P: ProductEnsemble, i: int, fixed,
     return operator_phi_entropy(f, E)
 
 
-def _complement_outcomes(P: ProductEnsemble, i: int):
-    """Outcome tuples of the factors other than i, with their probabilities."""
-    others = [j for j in range(P.n) if j != i]
-    for combo in itertools.product(*(range(len(P.factor_weights[j])) for j in others)):
-        p = 1.0
-        for j, c in zip(others, combo):
-            p *= float(P.factor_weights[j][c])
-        yield combo, p
+def _products(P) -> list:
+    """A product ensemble, or a list of them, as a list of one layout."""
+    products = [P] if isinstance(P, ProductEnsemble) else list(P)
+    layout = (products[0].support_sizes, products[0].dim)
+    if any((Q.support_sizes, Q.dim) != layout for Q in products):
+        raise DimensionMismatchError("product ensembles taken together must share one layout")
+    return products
 
 
-def subadditivity_gap(f: ScalarFunction, P: ProductEnsemble, variant: str) -> np.ndarray:
+def _slices(products: list):
+    """Every conditional slice of the products: for each factor i and each
+    outcome of the others, the factor's weights (B, s), the indices of the
+    slice's outcomes and the probability of the pinned outcome (B,)."""
+    first = products[0]
+    index = {key: n for n, key in enumerate(first.outcomes())}
+    for i in range(first.n):
+        w = np.stack([Q.factor_weights[i] for Q in products])
+        others = [j for j in range(first.n) if j != i]
+        for fixed in itertools.product(*(range(first.support_sizes[j]) for j in others)):
+            p = np.ones(len(products))
+            for j, c in zip(others, fixed):
+                p = p * np.array([Q.factor_weights[j][c] for Q in products])
+            yield w, [index[fixed[:i] + (s,) + fixed[i:]] for s in range(w.shape[-1])], p
+
+
+def subadditivity_gap(f: ScalarFunction, P, variant: str) -> np.ndarray:
     """sum_i E[conditional entropy] - total entropy, as an operator.
 
     Evaluates f over the outcome stack once and batches the per-slice
     means, so the n = 1 gap cancels exactly (identical code paths on both
-    sides of the difference).
+    sides of the difference).  A list of products of one layout gives a
+    stack of gaps.
     """
-    keys = list(P.outcomes())
-    index = {k: i for i, k in enumerate(keys)}
-    atoms = np.stack([P.z_map[k] for k in keys])
-    probs = np.array([P.probability(k) for k in keys])
+    products = _products(P)
+    keys = list(products[0].outcomes())
+    atoms = np.stack([Q.atoms for Q in products])
+    probs = np.array([[Q.probability(k) for k in keys] for Q in products])
     phis = apply_scalar_function_stack(f, atoms)
 
-    mean_phi = np.einsum("m,mij->ij", probs, phis)
-    mean_z = hermitian_part(np.einsum("m,mij->ij", probs, atoms))
+    mean_phi = _mean(probs, phis)
+    mean_z = hermitian_part(_mean(probs, atoms))
 
     cond_probs, cond_mean_phis, cond_means = [], [], []
-    for i in range(P.n):
-        w = np.asarray(P.factor_weights[i])
-        for fixed, p in _complement_outcomes(P, i):
-            idxs = [index[fixed[:i] + (s,) + fixed[i:]] for s in range(len(w))]
-            cond_probs.append(p)
-            cond_mean_phis.append(np.einsum("m,mij->ij", w, phis[idxs]))
-            cond_means.append(hermitian_part(np.einsum("m,mij->ij", w, atoms[idxs])))
+    for w, idxs, p in _slices(products):
+        cond_probs.append(p[:, None, None])
+        cond_mean_phis.append(_mean(w, phis[:, idxs]))
+        cond_means.append(hermitian_part(_mean(w, atoms[:, idxs])))
 
-    phi_of_means = apply_scalar_function_stack(f, np.stack(cond_means + [mean_z]))
-    total = mean_phi - phi_of_means[-1]
+    phi_of_means = apply_scalar_function_stack(f, np.stack(cond_means + [mean_z], axis=1))
+    total = mean_phi - phi_of_means[:, -1]
     acc = np.zeros_like(total)
-    for p, mphi, pofm in zip(cond_probs, cond_mean_phis, phi_of_means[:-1]):
-        acc = acc + p * (mphi - pofm)
-    return hermitian_part(acc - total)
+    for n, (p, mphi) in enumerate(zip(cond_probs, cond_mean_phis)):
+        acc = acc + p * (mphi - phi_of_means[:, n])
+    gaps = hermitian_part(acc - total)
+    return gaps[0] if isinstance(P, ProductEnsemble) else gaps
 
 
 # --- variance and resampling quantities ----------------------------------------
 
 
-def variance(E: MatrixEnsemble) -> np.ndarray:
-    """Operator-valued variance E Z^2 - (E Z)^2."""
-    second = np.einsum("m,mij->ij", E.weights, E.atoms @ E.atoms)
-    mean = expectation(E)
+def variance(E) -> np.ndarray:
+    """Operator-valued variance E Z^2 - (E Z)^2; a stack of them for a list
+    of ensembles of one shape."""
+    weights, atoms = _arrays(E)
+    second = _mean(weights, atoms @ atoms)
+    mean = hermitian_part(_mean(weights, atoms))
     return hermitian_part(second - mean @ mean)
 
 
-def efron_stein_quantity(P: ProductEnsemble) -> np.ndarray:
+def efron_stein_quantity(P) -> np.ndarray:
     """Half the expected sum of squared single-factor resampling differences.
 
-    Exact double sum over each factor's support pairs.
+    Exact double sum over each factor's support pairs.  A list of products
+    of one layout gives a stack of them.
     """
-    keys = list(P.outcomes())
-    index = {k: i for i, k in enumerate(keys)}
-    atoms = np.stack([P.z_map[k] for k in keys])
-    acc = np.zeros((P.dim, P.dim), dtype=complex)
-    for i in range(P.n):
-        w = np.asarray(P.factor_weights[i])
-        for fixed, p in _complement_outcomes(P, i):
-            idxs = [index[fixed[:i] + (s,) + fixed[i:]] for s in range(len(w))]
-            sub = atoms[idxs]
-            diffs = sub[:, None] - sub[None, :]
-            acc = acc + 0.5 * p * np.einsum("s,t,stij->ij", w, w, diffs @ diffs)
-    return hermitian_part(acc)
+    products = _products(P)
+    atoms = np.stack([Q.atoms for Q in products])
+    acc = np.zeros((len(products),) + atoms.shape[-2:], dtype=complex)
+    for w, idxs, p in _slices(products):
+        sub = atoms[:, idxs]
+        diffs = sub[:, :, None] - sub[:, None, :]
+        acc = acc + 0.5 * p[:, None, None] * np.einsum("...s,...t,...stij->...ij",
+                                                       w, w, diffs @ diffs)
+    out = hermitian_part(acc)
+    return out[0] if isinstance(P, ProductEnsemble) else out
 
 
 # --- dual representation --------------------------------------------------------
@@ -362,44 +412,52 @@ def _check_coupled(Z: MatrixEnsemble, T: MatrixEnsemble) -> None:
         raise DomainError("coupled ensembles must share sample-space weights")
 
 
-def _require_pd(E: MatrixEnsemble, f: ScalarFunction, what: str) -> None:
-    """E's atoms must be positive definite, and above SPECTRAL_FLOOR when f's
-    derivative needs it; the smallest eigenvalue is computed once for both."""
-    floor = E.spectral_floor()
-    if floor <= 0.0:
-        raise DomainError(f"{what} atoms must be strictly positive definite, "
-                          f"got min eigenvalue {floor:.3e}")
-    if f.deriv_floor > 0.0 and floor < SPECTRAL_FLOOR:
-        raise DomainError(
-            f"{what} with '{f.name}' needs atom spectra >= {SPECTRAL_FLOOR:g}, "
-            f"got min eigenvalue {floor:.3e}"
-        )
+def _require_pd(atoms: np.ndarray, f: ScalarFunction, what: str) -> None:
+    """The atoms (..., m, d, d) of an ensemble, or of each of a stack of them,
+    must be positive definite, and above SPECTRAL_FLOOR when f's derivative
+    needs it; each ensemble's smallest eigenvalue is computed once for both."""
+    for floor in np.atleast_1d(np.linalg.eigvalsh(atoms)[..., 0].min(axis=-1)):
+        if floor <= 0.0:
+            raise DomainError(f"{what} atoms must be strictly positive definite, "
+                              f"got min eigenvalue {floor:.3e}")
+        if f.deriv_floor > 0.0 and floor < SPECTRAL_FLOOR:
+            raise DomainError(
+                f"{what} with '{f.name}' needs atom spectra >= {SPECTRAL_FLOOR:g}, "
+                f"got min eigenvalue {floor:.3e}"
+            )
 
 
-def dual_value(f: ScalarFunction, Z: MatrixEnsemble, T: MatrixEnsemble) -> np.ndarray:
+def dual_value(f: ScalarFunction, Z, T) -> np.ndarray:
     """Lower-bound functional of the dual representation, as an operator.
 
     E[Df[T](Z-T) - Df[ET](Z-T) + f(T) - f(ET)], all expectations exact.
+    Lists of ensembles of one shape give a stack of values.
     """
-    mean_T = expectation(T)
-    diff = Z.atoms - T.atoms
-    acc = np.zeros((Z.dim, Z.dim), dtype=complex)
-    for w, t_atom, d_atom in zip(Z.weights, T.atoms, diff):
-        acc = acc + w * frechet_d1(f, t_atom, d_atom)
-    mean_diff = hermitian_part(np.einsum("m,mij->ij", Z.weights, diff))
+    z_weights, z_atoms = _arrays(Z)
+    t_weights, t_atoms = _arrays(T)
+    mean_T = hermitian_part(_mean(t_weights, t_atoms))
+    diff = z_atoms - t_atoms
+    terms = frechet_d1(f, t_atoms, diff)
+    acc = np.zeros(mean_T.shape, dtype=complex)
+    for k in range(diff.shape[-3]):
+        acc = acc + z_weights[..., k, None, None] * terms[..., k, :, :]
+    mean_diff = hermitian_part(_mean(z_weights, diff))
     acc = acc - frechet_d1(f, mean_T, mean_diff)
-    acc = acc + _mean_phi(f, T) - apply_scalar_function(f, mean_T)
+    acc = (acc + _mean(t_weights, apply_scalar_function_stack(f, t_atoms))
+           - apply_scalar_function(f, mean_T))
     return hermitian_part(acc)
 
 
-def dual_gap(f: ScalarFunction, Z: MatrixEnsemble, T: MatrixEnsemble) -> np.ndarray:
+def dual_gap(f: ScalarFunction, Z, T) -> np.ndarray:
     """Entropy minus the dual lower bound, as an operator; zero when T is Z.
 
     T must be coupled to Z (same weights) and positive definite, with its
-    spectrum above the floor when f's derivative needs one.
+    spectrum above the floor when f's derivative needs one.  Lists of
+    coupled pairs of one shape give a stack of gaps.
     """
-    _check_coupled(Z, T)
-    _require_pd(T, f, "dual representation T")
+    for z, t in [(Z, T)] if isinstance(Z, MatrixEnsemble) else zip(Z, T):
+        _check_coupled(z, t)
+    _require_pd(_arrays(T)[1], f, "dual representation T")
     return operator_phi_entropy(f, Z) - dual_value(f, Z, T)
 
 
@@ -413,8 +471,8 @@ def interpolation_derivative_scan(f: ScalarFunction, Z: MatrixEnsemble, T: Matri
     """
     _check_variant(variant)
     _check_coupled(Z, T)
-    _require_pd(T, f, "interpolation scan T")
-    _require_pd(Z, f, "interpolation scan Z")
+    _require_pd(T.atoms, f, "interpolation scan T")
+    _require_pd(Z.atoms, f, "interpolation scan Z")
     if grid is None:
         grid = np.linspace(0.0, 1.0, 11)
     grid = sorted(float(s) for s in grid)

@@ -204,19 +204,22 @@ _STENCILS = {
 _STENCIL_SCALE = {1: 2.0, 2: 1.0, 3: 2.0}
 
 
-def default_fd_step(order: int, A, X) -> float:
-    """Step balancing truncation against roundoff for the given order."""
+def default_fd_step(order: int, A, X):
+    """Step balancing truncation against roundoff for the given order; one
+    per matrix of stacks."""
     base = {1: 5e-6, 2: 2e-4, 3: 1e-3}[order]
-    return base * (1.0 + frobenius(A)) / max(1.0, frobenius(X))
+    return base * (1.0 + frobenius(A)) / np.maximum(1.0, frobenius(X))
 
 
-def finite_diff_oracle(f: ScalarFunction, A, X, order: int, step: float | None = None,
+def finite_diff_oracle(f: ScalarFunction, A, X, order: int, step=None,
                        richardson: bool = False) -> np.ndarray:
     """Central-difference approximation of the order-k derivative along X.
 
     Independent of the divided-difference engine: only evaluates the matrix
-    function itself on a stencil.  With richardson=True the result combines
-    steps h and h/2 for fourth-order accuracy.
+    function itself on a stencil.  A and X may be stacks; each matrix then
+    gets its own default step, or the step given for it.  With
+    richardson=True the result combines steps h and h/2 for fourth-order
+    accuracy.
     """
     if order not in _STENCILS:
         raise DomainError(f"finite-difference oracle supports orders 1..3, got {order}")
@@ -224,21 +227,25 @@ def finite_diff_oracle(f: ScalarFunction, A, X, order: int, step: float | None =
     X = validate_hermitian(X, "direction")
     if step is None:
         step = default_fd_step(order, A, X)
-    if step <= 0.0:
+    steps = np.broadcast_to(np.asarray(step, dtype=float), A.shape[:-2])
+    if np.any(steps <= 0.0):
         raise DomainError(f"step must be positive, got {step}")
     if richardson:
-        coarse = finite_diff_oracle(f, A, X, order, step)
-        fine = finite_diff_oracle(f, A, X, order, step / 2.0)
+        coarse = finite_diff_oracle(f, A, X, order, steps)
+        fine = finite_diff_oracle(f, A, X, order, steps / 2.0)
         return (4.0 * fine - coarse) / 3.0
+    h = np.expand_dims(steps, (-2, -1))
     acc = np.zeros_like(A)
     for offset, coeff in _STENCILS[order]:
         try:
-            acc = acc + coeff * apply_scalar_function(f, A + offset * step * X)
+            acc = acc + coeff * apply_scalar_function(f, A + offset * h * X)
         except DomainError as exc:
             raise DomainError(
                 f"domain exit during stencil evaluation at offset {offset}: {exc}"
             ) from exc
-    return hermitian_part(acc / (_STENCIL_SCALE[order] * step**order))
+    # Python's float power, as a call on one matrix takes it.
+    scale = [_STENCIL_SCALE[order] * s**order for s in steps.ravel().tolist()]
+    return hermitian_part(acc / np.reshape(scale, h.shape))
 
 
 # --- map families and derivative identity checks ------------------------------

@@ -67,17 +67,25 @@ def validate_hermitian(A, name: str = "matrix") -> np.ndarray:
     return A
 
 
-def frobenius(A: np.ndarray) -> float:
-    """Schatten-2 norm; the default scale factor in tolerances."""
-    return float(np.linalg.norm(A))
+def frobenius(A: np.ndarray):
+    """Schatten-2 norm; the default scale factor in tolerances.
+
+    A float for a matrix; for a stack (..., d, d), an array holding each
+    matrix's norm exactly as the call on that matrix alone computes it.
+    """
+    A = np.asarray(A)
+    if A.ndim <= 2:
+        return float(np.linalg.norm(A))
+    return np.array([np.linalg.norm(M) for M in A.reshape(-1, *A.shape[-2:])]
+                    ).reshape(A.shape[:-2])
 
 
-def relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1.0) -> float:
-    """Frobenius distance of a and b over max(|a|, |b|, floor)."""
+def relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1.0):
+    """Frobenius distance of a and b over max(|a|, |b|, floor); one per matrix of stacks."""
     a = np.asarray(a)
     b = np.asarray(b)
-    denom = max(frobenius(a), frobenius(b), floor)
-    return frobenius(a - b) / denom
+    error = frobenius(a - b) / np.maximum(np.maximum(frobenius(a), frobenius(b)), floor)
+    return float(error) if np.ndim(error) == 0 else error
 
 
 @dataclass(frozen=True)
@@ -169,11 +177,13 @@ def variant_margin(gap, variant: str):
     the smallest eigenvalue of its Hermitian part for the operator form
     (an array of them for a stack of gaps)."""
     if variant == "trace":
-        return normalized_trace(gap)
-    if variant == "operator":
+        gap = np.asarray(gap)
+        margin = np.trace(gap, axis1=-2, axis2=-1).real / gap.shape[-1]
+    elif variant == "operator":
         margin = np.linalg.eigvalsh(hermitian_part(gap))[..., 0]
-        return float(margin) if margin.ndim == 0 else margin
-    raise DomainError(f"variant must be 'trace' or 'operator', got '{variant}'")
+    else:
+        raise DomainError(f"variant must be 'trace' or 'operator', got '{variant}'")
+    return float(margin) if margin.ndim == 0 else margin
 
 
 def hs_inner(A, B) -> complex:

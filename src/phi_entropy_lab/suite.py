@@ -4,9 +4,11 @@
 suite measures.  A record says once:
 
 - how one suite trial draws its points from the trial's seeded stream;
-- the margins of the points of one draw, each >= 0 where the statement
-  holds: the points of a draw may share work (the convex weights of one
-  pair share its endpoints), and one point is a draw of one;
+- the margins of any list of a sweep's points, in trial order, each >= 0
+  where the statement holds: the map evaluates the points as one stack
+  through the batched layers, and the points of one draw may share work
+  (the convex weights of one pair share its endpoints); one point is a
+  list of one;
 - how a point is stored as a witness and read back (its fields, in order);
 - the tolerance a sweep's margins are judged by;
 - whether it is gated to the function class of its variant, and the name of
@@ -16,8 +18,9 @@ suite measures.  A record says once:
 each report measures, the labels of its stream and its name.  The rest is
 derived from the two tables:
 
-- ``sweep`` runs one report: every trial's points, the first strict minimum
-  of the margin, and the witness of that one point;
+- ``sweep`` runs one report: every trial's points, drawn in trial order
+  and evaluated by one margin call per chunk of trials, the first strict
+  minimum of the margin, and the witness of that one point;
 - ``run_suite`` runs the sweeps a ``RunConfig`` selects;
 - ``check`` reports one given point: class gate, margin, tolerance, witness;
 - ``replay_witness`` decodes a witness and recomputes its margin;
@@ -93,6 +96,11 @@ CHECK_NAMES = (
 )
 
 ORACLE_TOLS = {1: 1e-6, 2: 1e-4, 3: 1e-3}
+
+# A sweep evaluates max(1, SWEEP_ENTRIES // d^4) trials per margin call: a trial
+# of the order-3 oracle holds a d^4 divided-difference grid, so the stacks stay
+# within one d=16 trial's grid, and a sweep at d <= 4 is one call.
+SWEEP_ENTRIES = 16**4
 
 SEARCHABLE_CHECKS = ("bregman_A", "map_B", "map_C", "gap_F_t", "condition_a", "condition_e")
 
@@ -249,7 +257,8 @@ class Check:
     """
 
     fields: tuple                 # witness layout after "kind": (key, codec) pairs
-    margin: Callable              # points of one draw -> their margins, >= 0 where it holds
+    # Any list of a sweep's points, in trial order -> their margins, >= 0 where it holds.
+    margin: Callable
     draw: Callable | None = None  # (rng, d, config, base point) -> one trial's points
     tolerance: Callable | None = None  # (all margins, base point) -> tolerance
     class_gated: bool = True      # in class only for phi tagged for the variant
@@ -264,32 +273,74 @@ def _lambdas(rng) -> list:
 
 
 def _each(margin: Callable) -> Callable:
-    """The margin map of a record whose points share no work: one call per point."""
+    """The margin map of a record evaluated one point per call."""
     return lambda points: [margin(p) for p in points]
 
 
-def _frechet_margin(p: dict) -> float:
-    f, A, X, order = p["phi"], p["A"], p["X"], p["order"]
-    if order == 1:
-        exact = frechet_d1(f, A, X)
-    elif order == 2:
-        exact = frechet_d2(f, A, X, X)
-    else:
-        exact = frechet_d3(f, A, X, X, X)
-    return -relative_error(exact, finite_diff_oracle(f, A, X, order))
+def _all(points: list, key: str) -> list:
+    return [p[key] for p in points]
 
 
-def _poly_efron_stein_margin(p: dict) -> float:
-    P, q = p["product"], p["p"]
-    return (schatten_norm(efron_stein_quantity(P), q) ** q
-            - schatten_norm(variance(P.flatten()), q) ** q)
+def _stack(points: list, key: str) -> np.ndarray:
+    return np.array(_all(points, key))
 
 
-def _convexity_margins(points: list) -> list:
-    p = points[0]  # the points of a draw differ only in "lambda"
-    F = BivariateFunctional(p["functional"], p["phi"], p["variant"], t=p["t"])
-    return convexity_slack_at(F, p["u1"], p["v1"], p["u2"], p["v2"],
-                              [q["lambda"] for q in points])
+def _listed(margins) -> list:
+    """Margins as a flat list of floats, in point order."""
+    return np.ravel(margins).tolist()
+
+
+def _gap_margins(points: list, gaps: np.ndarray) -> list:
+    """Margins of a stack of operator gaps, one per point, in the points' variant."""
+    return _listed(variant_margin(gaps, points[0]["variant"]))
+
+
+def _frechet_margins(points: list) -> list:
+    f, order = points[0]["phi"], points[0]["order"]
+    A, X = _stack(points, "A"), _stack(points, "X")
+    exact = (frechet_d1, frechet_d2, frechet_d3)[order - 1](f, A, *[X] * order)
+    return _listed(-relative_error(exact, finite_diff_oracle(f, A, X, order)))
+
+
+def _efron_stein_terms(points: list) -> tuple:
+    """The Efron-Stein quantity and the variance of each point's product."""
+    products = _all(points, "product")
+    return efron_stein_quantity(products), variance([P.flatten() for P in products])
+
+
+def _poly_efron_stein_margins(points: list) -> list:
+    q = points[0]["p"]
+    return [schatten_norm(es, q) ** q - schatten_norm(var, q) ** q
+            for es, var in zip(*_efron_stein_terms(points))]
+
+
+def _by_draw(keys: tuple, slack: Callable) -> Callable:
+    """The margin map of a record whose draw is one tuple of matrices (the
+    fields keys) at several convex weights "lambda".
+
+    A draw's points are consecutive and share the matrix objects, and every
+    draw has as many weights (one point is a draw of one).  All draws go to
+    slack(first point of each draw, stacked matrices, weights per draw) as
+    one stack.
+    """
+    def margins(points: list) -> list:
+        draws = []
+        for p in points:
+            if draws and all(p[key] is draws[-1][0][key] for key in keys):
+                draws[-1].append(p)
+            else:
+                draws.append([p])
+        firsts = [draw[0] for draw in draws]
+        lams = [_all(draw, "lambda") for draw in draws]
+        return _listed(slack(firsts, *(_stack(firsts, key) for key in keys), lams))
+    return margins
+
+
+def _functional(firsts: list) -> BivariateFunctional:
+    """The functional of a sweep's draws; gap_F_t takes each draw's t."""
+    p = firsts[0]
+    t = None if p["t"] is None else np.array(_all(firsts, "t"))
+    return BivariateFunctional(p["functional"], p["phi"], p["variant"], t=t)
 
 
 def _convexity_tol(margins: list, base: dict) -> float:
@@ -327,36 +378,36 @@ def _draw_product(n_factors):
 CHECKS = {
     "frechet_oracle": Check(
         fields=(("phi", _PHI), ("order", _VALUE), ("A", _MATRIX), ("X", _MATRIX)),
-        margin=_each(_frechet_margin),
+        margin=_frechet_margins,
         draw=lambda rng, d, config, base: [{"A": sample_psd(d, 0.5, rng, spectral_cap=4.0),
                                             "X": sample_hermitian_unit(d, rng)}],
         tolerance=lambda margins, base: ORACLE_TOLS[base["order"]],
         class_gated=False),
     "subadditivity": Check(
         fields=(("phi", _PHI), ("variant", _VALUE), ("product", _PRODUCT)),
-        margin=_each(lambda p: variant_margin(
-            subadditivity_gap(p["phi"], p["product"], p["variant"]), p["variant"])),
+        margin=lambda ps: _gap_margins(ps, subadditivity_gap(
+            ps[0]["phi"], _all(ps, "product"), ps[0]["variant"])),
         draw=_draw_product(None),
         tolerance=lambda margins, base: 1e-10,
         name="subadditivity[{phi},{variant}]"),
     "efron_stein": Check(
         fields=(("product", _PRODUCT),),
-        margin=_each(lambda p: variant_margin(
-            efron_stein_quantity(p["product"]) - variance(p["product"].flatten()), "operator")),
+        margin=lambda ps: _listed(variant_margin(
+            np.subtract(*_efron_stein_terms(ps)), "operator")),
         draw=_draw_product(None),
         tolerance=lambda margins, base: 1e-10,
         class_gated=False,
         name="operator_efron_stein"),
     "poly_efron_stein": Check(
         fields=(("p", _VALUE), ("product", _PRODUCT)),
-        margin=_each(_poly_efron_stein_margin),
+        margin=_poly_efron_stein_margins,
         draw=_draw_product(None),
         tolerance=lambda margins, base: 1e-10,
         class_gated=False,
         name="polynomial_efron_stein[p={p}]"),
     "dual_representation": Check(
         fields=(("phi", _PHI), ("variant", _VALUE), ("Z", _ENSEMBLE), ("T", _ENSEMBLE)),
-        margin=_each(lambda p: variant_margin(dual_gap(p["phi"], p["Z"], p["T"]), p["variant"])),
+        margin=lambda ps: _gap_margins(ps, dual_gap(ps[0]["phi"], _all(ps, "Z"), _all(ps, "T"))),
         draw=lambda rng, d, config, base: [dict(zip(("Z", "T"), sample_coupled_ensembles(
             d, 3, rng, spectral_floor=SPECTRAL_FLOOR)))],
         tolerance=lambda margins, base: 1e-9,
@@ -366,27 +417,29 @@ CHECKS = {
         fields=(("functional", _VALUE), ("phi", _PHI), ("variant", _VALUE), ("t", _VALUE),
                 ("lambda", _VALUE), ("u1", _MATRIX), ("v1", _MATRIX), ("u2", _MATRIX),
                 ("v2", _MATRIX)),
-        margin=_convexity_margins,
+        margin=_by_draw(("u1", "v1", "u2", "v2"), lambda firsts, *pairs_and_lams:
+                        convexity_slack_at(_functional(firsts), *pairs_and_lams)),
         draw=_draw_pairs,
         tolerance=_convexity_tol),
     # Item (g), and the "jensen" check.
     "conditional_jensen": Check(
         fields=(("phi", _PHI), ("variant", _VALUE), ("product", _PRODUCT)),
-        margin=_each(lambda p: variant_margin(conditional_jensen_gap(p["phi"], p["product"]),
-                                              p["variant"])),
+        margin=lambda ps: _gap_margins(ps, conditional_jensen_gap(ps[0]["phi"],
+                                                                  _all(ps, "product"))),
         draw=_draw_product(2),
         tolerance=lambda margins, base: 1e-10,
         name="conditional_jensen[{phi},{variant}]"),
     "condition_a": Check(
         fields=(("phi", _PHI), ("lambda", _VALUE), ("A1", _MATRIX), ("A2", _MATRIX),
                 ("h", _MATRIX)),
-        margin=lambda ps: condition_a_slack(ps[0]["phi"], ps[0]["A1"], ps[0]["A2"], ps[0]["h"],
-                                            [p["lambda"] for p in ps]),
+        margin=_by_draw(("A1", "A2", "h"), lambda firsts, *mats_and_lams:
+                        condition_a_slack(firsts[0]["phi"], *mats_and_lams)),
         draw=_draw_condition_a,
         tolerance=_relative_tol),
     "condition_e": Check(
         fields=(("phi", _PHI), ("A", _MATRIX), ("h", _MATRIX), ("k", _MATRIX)),
-        margin=_each(lambda p: condition_e_margin(p["phi"], p["A"], p["h"], p["k"])),
+        margin=lambda ps: _listed(condition_e_margin(
+            ps[0]["phi"], _stack(ps, "A"), _stack(ps, "h"), _stack(ps, "k"))),
         draw=lambda rng, d, config, base: [{"A": sample_psd(d, 0.5, rng, spectral_cap=4.0),
                                             "h": sample_hermitian_unit(d, rng),
                                             "k": sample_hermitian_unit(d, rng)}],
@@ -396,6 +449,7 @@ CHECKS = {
     "monotonicity": Check(
         fields=(("phi", _PHI), ("variant", _VALUE), ("channel", _CHANNEL),
                 ("ensemble", _ENSEMBLE)),
+        # A trial's channel has its own number of Kraus operators: one point per call.
         margin=_each(lambda p: monotonicity_gap(p["phi"], p["channel"], p["ensemble"],
                                                 p["variant"])),
         draw=_draw_channel,
@@ -517,17 +571,22 @@ def sweep(config: RunConfig, check: str, s: Sweep, f: ScalarFunction | None,
           variant: str, d: int) -> VerificationReport:
     """Run one report: every trial's points, the worst margin and its witness.
 
-    The first strict minimum wins.  A tolerance set in the config for the
-    check replaces the record's rule, whatever its value.
+    The trials are drawn in order, and each chunk of trials (all of them at
+    d <= 4; see SWEEP_ENTRIES) is one margin call.  The first strict minimum
+    wins.  A tolerance set in the config for the check replaces the record's
+    rule, whatever its value.
     """
     record = CHECKS[s.kind]
     base = {"phi": f, "variant": variant, **s.fixed}
     labels = {**base, "phi": None if f is None else f.spec_string(), "d": d,
               "n": config.n_factors}
     margins, worst, best = [], np.inf, None
-    for trial in range(config.trials):
-        rng = rng_for(config.seed, check, *(labels[key] for key in s.key), trial)
-        points = [{**base, **drawn} for drawn in record.draw(rng, d, config, base)]
+    chunk = max(1, SWEEP_ENTRIES // d**4)
+    for start in range(0, config.trials, chunk):
+        points = []
+        for trial in range(start, min(start + chunk, config.trials)):
+            rng = rng_for(config.seed, check, *(labels[key] for key in s.key), trial)
+            points += [{**base, **drawn} for drawn in record.draw(rng, d, config, base)]
         for point, margin in zip(points, record.margin(points)):
             margins.append(margin)
             if margin < worst:

@@ -1,9 +1,10 @@
 """Run the suite's records batched or one point at a time, recording margins.
 
-A sweep hands a record every point of one draw at once (the convex weights
-of one pair, say), and the record may share work between them.  ``check``,
-``replay_witness`` and the counterexample search hand it one point.  The
-context manager below lets a test run the same suite both ways and compare.
+A sweep hands a record any list of its points, in trial order (every trial
+of a report at small d), and the record evaluates them as one stack.
+``check``, ``replay_witness`` and the counterexample search hand it one
+point.  The context manager below lets a test run the same suite both ways
+and compare.
 """
 
 import contextlib
@@ -16,7 +17,7 @@ from phi_entropy_lab import suite
 def recorded_margins(one_at_a_time: bool):
     """Yield a list that collects every margin the records return in the block.
 
-    With one_at_a_time each draw's points are evaluated as draws of one.
+    With one_at_a_time each point is evaluated alone, as a list of one.
     """
     seen = []
     originals = dict(suite.CHECKS)

@@ -18,6 +18,7 @@ from phi_entropy_lab.catalog import (
     TAYLOR_BAND,
     coincidence_threshold,
     dd1_grid,
+    dd2_grid,
     dd3_grid,
     require_nodes_in_derivative_domain,
 )
@@ -182,44 +183,70 @@ def test_derivative_floor_applies_only_to_functions_with_one():
             require_nodes_in_derivative_domain(_resolve(spec), [1.0, 0.5 * DERIV_FLOOR, 2.0], 1)
 
 
-@st.composite
-def dd3_nodes(draw):
-    """Nodes with a pair coincident, or 0.9x or 1.1x the order-3 Taylor band
+def band_nodes(order):
+    """Nodes with a pair coincident, or 0.9x or 1.1x the order's Taylor band
     apart, in ascending or shuffled order."""
-    m = draw(st.integers(2, 6), label="m")
-    base = draw(st.floats(0.5, 4.0), label="clustered node")
-    offset = draw(st.sampled_from((0.0, 0.9, 1.1)), label="offset / Taylor band")
-    rest = draw(st.lists(st.floats(0.5, 4.0), min_size=m - 2, max_size=m - 2), label="rest")
-    nodes = np.array([base, base * (1.0 + offset * TAYLOR_BAND[3]), *rest])
-    shuffle = draw(st.permutations(range(m)), label="order")
-    return np.sort(nodes) if draw(st.booleans(), label="sorted") else nodes[list(shuffle)]
+    @st.composite
+    def nodes(draw):
+        m = draw(st.integers(2, 6), label="m")
+        base = draw(st.floats(0.5, 4.0), label="clustered node")
+        offset = draw(st.sampled_from((0.0, 0.9, 1.1)), label="offset / Taylor band")
+        rest = draw(st.lists(st.floats(0.5, 4.0), min_size=m - 2, max_size=m - 2),
+                    label="rest")
+        nodes = np.array([base, base * (1.0 + offset * TAYLOR_BAND[order]), *rest])
+        shuffle = draw(st.permutations(range(m)), label="order")
+        return np.sort(nodes) if draw(st.booleans(), label="sorted") else nodes[list(shuffle)]
+    return nodes()
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(nodes=dd3_nodes(), spec=st.sampled_from(("xlogx", "power:1.5", "exp", "square")))
-def test_dd3_grid_is_the_sorted_quadruple_value_at_every_index(nodes, spec):
-    f = _resolve(spec)
+def _is_the_sorted_tuple_value_at_every_index(grid, dd_sorted, f, nodes, k):
     m = len(nodes)
-    grid = dd3_grid(f, nodes)
-    sorted_values = np.sort(nodes[np.array(list(product(range(m), repeat=4)))], axis=-1)
-    expected = catalog._dd3_sorted(f, *sorted_values.T, coincidence_threshold(nodes))
-    assert np.array_equal(grid, expected.reshape((m,) * 4))
-    for perm in permutations(range(4)):
+    sorted_values = np.sort(nodes[np.array(list(product(range(m), repeat=k)))], axis=-1)
+    expected = dd_sorted(f, *sorted_values.T, coincidence_threshold(nodes))
+    assert np.array_equal(grid, expected.reshape((m,) * k))
+    for perm in permutations(range(k)):
         assert np.array_equal(grid, grid.transpose(perm))
 
 
-def test_dd3_grid_evaluates_only_the_sorted_quadruples(monkeypatch):
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(nodes=band_nodes(3), spec=st.sampled_from(("xlogx", "power:1.5", "exp", "square")))
+def test_dd3_grid_is_the_sorted_quadruple_value_at_every_index(nodes, spec):
+    f = _resolve(spec)
+    _is_the_sorted_tuple_value_at_every_index(dd3_grid(f, nodes), catalog._dd3_sorted, f,
+                                              nodes, 4)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(nodes=band_nodes(2), spec=st.sampled_from(("xlogx", "power:1.5", "exp", "square")))
+def test_dd2_grid_is_the_sorted_triple_value_at_every_index(nodes, spec):
+    f = _resolve(spec)
+    _is_the_sorted_tuple_value_at_every_index(dd2_grid(f, nodes), catalog._dd2_sorted, f,
+                                              nodes, 3)
+
+
+def _evaluations(name, grid, monkeypatch):
+    """Sizes of the node arrays the grid's sorted-tuple evaluator is called on."""
     sizes = []
-    evaluate = catalog._dd3_sorted
+    evaluate = getattr(catalog, name)
 
     def counted(f, a, *rest):
         sizes.append(np.size(a))
         return evaluate(f, a, *rest)
 
-    monkeypatch.setattr(catalog, "_dd3_sorted", counted)
-    grid = dd3_grid(builtin("xlogx"), np.linspace(0.5, 4.0, 16))
-    assert sizes == [3876]  # C(16 + 3, 4), not 16^4 = 65,536
-    assert grid.shape == (16,) * 4
+    monkeypatch.setattr(catalog, name, counted)
+    out = grid(builtin("xlogx"), np.linspace(0.5, 4.0, 16))
+    assert out.shape == (16,) * out.ndim
+    return sizes
+
+
+def test_dd3_grid_evaluates_only_the_sorted_quadruples(monkeypatch):
+    # C(16 + 3, 4), not 16^4 = 65,536
+    assert _evaluations("_dd3_sorted", dd3_grid, monkeypatch) == [3876]
+
+
+def test_dd2_grid_evaluates_only_the_sorted_triples(monkeypatch):
+    # C(16 + 2, 3), not 16^3 = 4,096
+    assert _evaluations("_dd2_sorted", dd2_grid, monkeypatch) == [816]
 
 
 def test_invalid_order():

@@ -1,6 +1,7 @@
 """Ensembles, entropy functionals, Efron-Stein quantities, dual representation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from numpy.testing import assert_allclose
 import scalar_oracle as oracle
 from phi_entropy_lab import (
     ClassGateError,
+    DimensionMismatchError,
     DomainError,
     MatrixEnsemble,
+    NonHermitianError,
     ProductEnsemble,
     builtin,
     check,
@@ -75,6 +78,39 @@ def test_product_json_roundtrip():
 def test_product_requires_total_map():
     with pytest.raises(DomainError, match="missing"):
         ProductEnsemble((np.array([0.5, 0.5]),), {(0,): np.eye(2)})
+
+
+# One bad atom among good ones: the ensembles check their atoms as one stack,
+# and the error must still be the one the bad atom raises alone, named by it.
+BAD_ATOMS = {
+    "non-hermitian": (np.array([[1.0, 0.5], [0.0, 1.0]]), NonHermitianError, "not Hermitian"),
+    "not-psd": (np.diag([1.0, -0.5]), DomainError, "positive semi-definite"),
+    "non-finite": (np.array([[np.nan, 0.0], [0.0, 1.0]]), DomainError, "non-finite"),
+    "wrong-dim": (np.eye(3), DimensionMismatchError, None),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_ATOMS))
+@pytest.mark.parametrize("position", range(4))
+def test_ensembles_name_the_bad_atom_at_any_position(bad, position):
+    atom, error, message = BAD_ATOMS[bad]
+    good = [sample_ensemble(2, 1, seed=s).atoms[0] for s in range(4)]
+    mats = good[:position] + [atom] + good[position + 1:]
+    keys = [(i, j) for i in range(2) for j in range(2)]
+    # A dimension is wrong against the first outcome's, so outcome 1 is named
+    # when the odd one is outcome 0.
+    named = keys[max(position, 1)] if bad == "wrong-dim" else keys[position]
+    name = rf"z_map\[{re.escape(str(named))}\]"
+    with pytest.raises(error, match=name if message is None else rf"{name}.* {message}"):
+        ProductEnsemble((np.array([0.5, 0.5]),) * 2, dict(zip(keys, mats)))
+    if bad != "wrong-dim":  # a matrix ensemble's atoms are one array
+        with pytest.raises(error, match=rf"atom {position}.* {message}"):
+            MatrixEnsemble(np.full(4, 0.25), np.stack(mats))
+    # All good atoms construct, and both ensembles keep them as given.
+    P = ProductEnsemble((np.array([0.5, 0.5]),) * 2, dict(zip(keys, good)))
+    assert np.array_equal(P.atoms, np.stack(good))
+    assert all(np.array_equal(P.z_map[key], A) for key, A in zip(keys, good))
+    assert np.array_equal(MatrixEnsemble(np.full(4, 0.25), np.stack(good)).atoms, np.stack(good))
 
 
 def test_tower_property():

@@ -3,7 +3,9 @@
 The layers under the suite's batched sweeps take stacks (..., d, d).  Each
 matrix of a stack must get exactly the values, the divided-difference
 branch and the errors it gets on its own: its own coincidence threshold,
-its own domain check and its own singularity guard.
+its own domain check and its own singularity guard.  The same holds one
+level up: a record's margin on the points of several trials equals its
+margins on each point alone.
 """
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phi_entropy_lab import builtin
+from phi_entropy_lab import MatrixEnsemble, ProductEnsemble, RunConfig, builtin
 from phi_entropy_lab.catalog import TAYLOR_BAND, dd1_grid, dd2_grid, dd3_grid
 from phi_entropy_lab.characterizations import (
     BivariateFunctional,
@@ -25,14 +27,23 @@ from phi_entropy_lab.errors import (
     PhiLabError,
     SingularOperatorError,
 )
-from phi_entropy_lab.frechet import derivative_inverse, frechet_d1, frechet_d2, frechet_d3
+from phi_entropy_lab.frechet import (
+    derivative_inverse,
+    finite_diff_oracle,
+    frechet_d1,
+    frechet_d2,
+    frechet_d3,
+)
 from phi_entropy_lab.sampling import haar_unitary, rng_for, sample_hermitian, sample_psd
 from phi_entropy_lab.spectral import (
     apply_scalar_function,
     apply_scalar_function_stack,
+    frobenius,
     hermitian_part,
+    relative_error,
     spectral_decompose,
 )
+from phi_entropy_lab.suite import CHECKS, SWEEPS
 
 FUNCS = (builtin("square"), builtin("xlogx"), builtin("power", 1.5))
 XLX = builtin("xlogx")
@@ -99,6 +110,13 @@ def test_stacked_layers_equal_per_matrix_calls(drawn, f):
     psi = f.derivative()
     _same(derivative_inverse(psi, spectral_decompose(A))(X[0]),
           [derivative_inverse(psi, spectral_decompose(M))(X[0]) for M in A])
+    # Per-matrix scalars (norms, steps) must be the single call's, bit for bit.
+    # The stencils run on the square: a wide spectrum leaves xlogx's domain.
+    _same(frobenius(X), [frobenius(Z) for Z in X])
+    _same(relative_error(X, Y), [relative_error(Z, W) for Z, W in zip(X, Y)])
+    for order in (1, 2, 3):
+        _same(finite_diff_oracle(FUNCS[0], A, X, order),
+              [finite_diff_oracle(FUNCS[0], M, Z, order) for M, Z in zip(A, X)])
 
 
 def _error_type(call):
@@ -186,3 +204,67 @@ def test_bregman_stack_decomposes_u_once(variant, monkeypatch):
     got = eval_functional(BivariateFunctional("bregman_A", XLX, variant), u, v)
     assert calls == [(7, 3, 3)] * 2  # u + v, and u once for f(u) and Df[u](v)
     assert np.array_equal(got, expected)
+
+
+# --- the suite's records on points of several trials -----------------------------
+
+CONFIG = RunConfig()
+# Every report kind a sweep evaluates as one stack; monotonicity, whose trials
+# draw channels of different Kraus counts, runs one point per call.  "jensen"
+# sweeps the conditional_jensen record again and is left out.
+STACKED_SWEEPS = [s for check, sweeps in SWEEPS.items() if check != "jensen" for s in sweeps
+                  if s.kind != "monotonicity"]
+_PSD_FIELDS = ("A", "u1", "v1", "u2", "v2", "A1", "A2")
+
+
+def _near_band(d, band, rng):
+    """A matrix whose two lowest eigenvalues sit at a Taylor-band edge."""
+    order, offset, base = band
+    lam = np.concatenate([[base, base * (1.0 + offset * TAYLOR_BAND[order])],
+                          rng.uniform(0.5, 4.0, max(d - 2, 0))])[:d]
+    return _with_spectrum(lam, rng)
+
+
+def _with_near_band_spectra(drawn, d, band, rng):
+    """The points of one draw, their PSD matrices and ensemble atoms replaced
+    by near-band ones; the points keep sharing each replacement."""
+    point, new = drawn[0], {}
+    for key in _PSD_FIELDS:
+        if key in point:
+            new[key] = _near_band(d, band, rng)
+    if "product" in point:
+        P = point["product"]
+        new["product"] = ProductEnsemble(P.factor_weights, {
+            key: _near_band(d, band, rng) for key in P.outcomes()})
+    for key in ("Z", "T"):  # coupled: T keeps Z's weights
+        if key in point:
+            weights = point["Z"].weights
+            new[key] = MatrixEnsemble(weights, np.stack([_near_band(d, band, rng)
+                                                         for _ in weights]))
+    return [{**p, **new} for p in drawn]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(sweep=st.sampled_from(STACKED_SWEEPS), data=st.data())
+def test_stacked_record_margins_equal_point_by_point_margins(sweep, data):
+    # A record's margin on the points of several trials, as a sweep hands
+    # them over, must equal its margins on each point alone, bit for bit.
+    # Trials mix the record's own draws with spectra at Taylor-band edges.
+    record = CHECKS[sweep.kind]
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    d = data.draw(st.integers(1, 4), label="d")
+    phi = data.draw(st.sampled_from(FUNCS), label="phi")
+    variant = data.draw(st.sampled_from(("trace", "operator")), label="variant")
+    bands = data.draw(st.lists(st.one_of(st.none(), st.tuples(
+        st.sampled_from((1, 2, 3)), st.sampled_from((0.0, 0.9, 1.1)), st.floats(0.5, 3.9))),
+        min_size=2, max_size=4), label="trial spectra")
+    base = {"phi": phi, "variant": variant, **sweep.fixed}
+    points = []
+    for trial, band in enumerate(bands):
+        rng = rng_for(seed, "stacked-records", trial)
+        drawn = [{**base, **p} for p in record.draw(rng, d, CONFIG, base)]
+        points += drawn if band is None else _with_near_band_spectra(drawn, d, band, rng)
+
+    stacked = record.margin(points)
+    alone = [m for p in points for m in record.margin([p])]
+    assert np.asarray(stacked).tobytes() == np.asarray(alone).tobytes()

@@ -1,6 +1,10 @@
 """Suite runner: config validation, determinism, replay, exit codes."""
 
+import dataclasses
+import itertools
 import json
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from phi_entropy_lab import (
     run_suite,
 )
 from phi_entropy_lab.sampling import sample_coupled_ensembles, sample_product
+from phi_entropy_lab import suite
 from phi_entropy_lab.suite import CHECK_NAMES
 
 from batching import recorded_margins
@@ -214,3 +219,83 @@ def test_outside_class_suite_run_contains_counterexamples():
     assert any(not r.holds for r in search_reports)
     # found violations are out-of-class evidence: the exit code stays 0
     assert suite.exit_code() == 0
+
+
+def _counting_margins(monkeypatch) -> Counter:
+    """Count each record's margin calls while the test runs."""
+    calls = Counter()
+    for kind, record in list(suite.CHECKS.items()):
+        def counted(points, margin=record.margin, kind=kind):
+            calls[kind] += 1
+            return margin(points)
+        monkeypatch.setitem(suite.CHECKS, kind, dataclasses.replace(record, margin=counted))
+    return calls
+
+
+def test_sweep_makes_one_margin_call_per_report(monkeypatch):
+    # Each report's trials go to its record's margin together (monotonicity's
+    # map then evaluates them one at a time).
+    calls = _counting_margins(monkeypatch)
+    cfg = RunConfig(seed=1, dims=(2, 4), trials=6, variant="both")
+    reports = Counter(report.witness["kind"] for report, _, _ in run_suite(cfg).entries)
+    assert len(reports) == 10 and calls == reports
+
+
+def test_sweep_chunks_trials_at_large_d(monkeypatch):
+    # A d=8 trial of the order-3 oracle holds 8^4 grid entries, so a call
+    # takes SWEEP_ENTRIES // 8^4 = 16 trials: 20 trials are two calls.
+    calls = _counting_margins(monkeypatch)
+    cfg = RunConfig(seed=1, dims=(8,), trials=20, phi_list=("square",),
+                    checks=("frechet_oracle",))
+    assert len(run_suite(cfg).entries) == 3
+    assert calls == {"frechet_oracle": 3 * 2}
+
+
+def test_sweep_tie_keeps_the_earliest_trial(monkeypatch):
+    drawn = itertools.count()
+    worst = {2, 4}  # trials whose margin is the minimum
+    monkeypatch.setitem(suite.CHECKS, "tie", suite.Check(
+        fields=(("trial", suite._VALUE),),
+        margin=lambda points: [-1.0 if p["trial"] in worst else 0.5 for p in points],
+        draw=lambda rng, d, config, base: [{"trial": next(drawn)}],
+        tolerance=lambda margins, base: 0.0, class_gated=False))
+    s = suite.Sweep("tie", ("d",), "tie[d={d}]")
+    report = suite.sweep(RunConfig(trials=6), "tie", s, None, "trace", 2)
+    assert (report.margin, report.witness) == (-1.0, {"kind": "tie", "trial": 2})
+    worst.clear()  # all margins equal: the first trial's point
+    report = suite.sweep(RunConfig(trials=6), "tie", s, None, "trace", 2)
+    assert (report.margin, report.witness) == (0.5, {"kind": "tie", "trial": 6})
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden_suite_seed5.json"
+
+
+def _assert_close(got, want, where):
+    """Equal structure, strings, booleans and integers; floats to 1e-12."""
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), where
+        for key in want:
+            _assert_close(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float), where
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (where, got, want)
+    else:
+        assert type(got) is type(want) and got == want, (where, got, want)
+
+
+def test_suite_payload_matches_the_golden_payload():
+    # The payload of a small pinned run, timings stripped, as committed from
+    # the point-by-point sweeps: every name, verdict, class flag and witness
+    # layout exactly, every margin and witness entry to 1e-12.
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    cfg = RunConfig(seed=5, dims=(2, 3), trials=3, variant="both")
+    payload = json.loads(_strip_timing(run_suite(cfg).to_json_dict()))
+    assert [r["check_name"] for r in payload["reports"]] == \
+        [r["check_name"] for r in golden["reports"]]
+    assert [(r["holds"], r["in_class"]) for r in payload["reports"]] == \
+        [(r["holds"], r["in_class"]) for r in golden["reports"]]
+    _assert_close(payload, golden, "payload")
