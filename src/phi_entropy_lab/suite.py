@@ -97,10 +97,11 @@ CHECK_NAMES = (
 
 ORACLE_TOLS = {1: 1e-6, 2: 1e-4, 3: 1e-3}
 
-# A sweep evaluates max(1, SWEEP_ENTRIES // d^4) trials per margin call: a trial
-# of the order-3 oracle holds a d^4 divided-difference grid, so the stacks stay
-# within one d=16 trial's grid, and a sweep at d <= 4 is one call.
-SWEEP_ENTRIES = 16**4
+# A sweep evaluates max(1, SWEEP_ENTRIES // d^4) trials per margin call.  A trial
+# of the order-3 oracle holds a d^4 divided-difference grid, so this bounds the
+# memory of the stacks: 32 trials at d=4, 2 at d=8, one at d=16 (whose single
+# trial exceeds it, as before).
+SWEEP_ENTRIES = 2**13
 
 SEARCHABLE_CHECKS = ("bregman_A", "map_B", "map_C", "gap_F_t", "condition_a", "condition_e")
 
@@ -571,8 +572,8 @@ def sweep(config: RunConfig, check: str, s: Sweep, f: ScalarFunction | None,
           variant: str, d: int) -> VerificationReport:
     """Run one report: every trial's points, the worst margin and its witness.
 
-    The trials are drawn in order, and each chunk of trials (all of them at
-    d <= 4; see SWEEP_ENTRIES) is one margin call.  The first strict minimum
+    The trials are drawn in order, and each chunk of trials (see
+    SWEEP_ENTRIES) is one margin call.  The first strict minimum
     wins.  A tolerance set in the config for the check replaces the record's
     rule, whatever its value.
     """

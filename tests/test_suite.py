@@ -243,12 +243,12 @@ def test_sweep_makes_one_margin_call_per_report(monkeypatch):
 
 def test_sweep_chunks_trials_at_large_d(monkeypatch):
     # A d=8 trial of the order-3 oracle holds 8^4 grid entries, so a call
-    # takes SWEEP_ENTRIES // 8^4 = 16 trials: 20 trials are two calls.
+    # takes SWEEP_ENTRIES // 8^4 = 2 trials: 5 trials are three calls.
     calls = _counting_margins(monkeypatch)
-    cfg = RunConfig(seed=1, dims=(8,), trials=20, phi_list=("square",),
+    cfg = RunConfig(seed=1, dims=(8,), trials=5, phi_list=("square",),
                     checks=("frechet_oracle",))
     assert len(run_suite(cfg).entries) == 3
-    assert calls == {"frechet_oracle": 3 * 2}
+    assert calls == {"frechet_oracle": 3 * 3}
 
 
 def test_sweep_tie_keeps_the_earliest_trial(monkeypatch):
