@@ -257,6 +257,26 @@ def _cmd_search(args) -> int:
     return EXIT_VIOLATION if not report.holds else EXIT_OK
 
 
+def _write_payload(fh, payload: dict) -> None:
+    """Write json.dumps(payload) to fh, encoding its reports one at a time.
+
+    json.dumps without indent runs the C encoder (json.dump always runs the
+    pure-Python one), and one report at a time bounds the memory of the
+    write by the largest report instead of the whole file.
+    """
+    fh.write("{")
+    for n, (key, value) in enumerate(payload.items()):
+        fh.write((", " if n else "") + json.dumps(key) + ": ")
+        if key == "reports":
+            fh.write("[")
+            for i, report in enumerate(value):
+                fh.write((", " if i else "") + json.dumps(report))
+            fh.write("]")
+        else:
+            fh.write(json.dumps(value))
+    fh.write("}")
+
+
 def _cmd_run_suite(args) -> int:
     if args.config:
         config = RunConfig.from_json_dict(_read_json(args.config))
@@ -282,10 +302,8 @@ def _cmd_run_suite(args) -> int:
     payload = suite.to_json_dict()
     out_path = args.output or config.output_path
     if out_path:
-        # One json.dumps call without indent runs the C encoder; json.dump
-        # always runs the pure-Python one.
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload))
+            _write_payload(fh, payload)
     summary = suite.summary
     print(f"suite: {summary['pass']} pass, {summary['fail']} fail, "
           f"{summary['skip']} skip")

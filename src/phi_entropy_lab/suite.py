@@ -25,7 +25,10 @@ derived from the two tables:
 - ``check`` reports one given point: class gate, margin, tolerance, witness;
 - ``replay_witness`` decodes a witness and recomputes its margin;
 - ``counterexample_search`` packs the matrix fields of a searchable record
-  into real parameters and descends on the record's margin.
+  into real parameters, draws random points, then descends on the record's
+  margin; both phases hand the record stacks of proposals that double in
+  size and keep the first proposal that beats their bound, which is what
+  evaluating the proposals one at a time would keep.
 
 Trials are keyed by (seed, check, labels..., trial) through a counter-based
 generator, so a report does not depend on the order its sweeps run in, and
@@ -36,9 +39,10 @@ installed on those names sees every call.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -707,7 +711,8 @@ class _SearchSpace:
 
     The vector holds the record's matrix fields, d^2 parameters each, then
     one weight in (0, 1) that serves as lambda and, for gap_F_t, as t.
-    Searches run on the trace form.
+    Searches run on the trace form.  A margin call takes at most cap vectors,
+    the trials of one sweep call (see SWEEP_ENTRIES).
     """
 
     def __init__(self, f: ScalarFunction, check: str, dim: int):
@@ -717,6 +722,7 @@ class _SearchSpace:
         self.kind = "joint_convexity" if check in FUNCTIONAL_NAMES else check
         self.record = CHECKS[self.kind]
         self.matrix_keys = [key for key, codec in self.record.fields if codec is _MATRIX]
+        self.cap = max(1, SWEEP_ENTRIES // dim**4)
 
     def sample(self, rng) -> np.ndarray:
         floor, cap = self.record.search_spectrum
@@ -733,11 +739,18 @@ class _SearchSpace:
             point[key] = _herm_from_params(params[i * k:(i + 1) * k], self.dim)
         return point
 
-    def margin(self, params: np.ndarray) -> float:
+    def margins(self, stack: list) -> list:
+        """Margins of a stack of parameter vectors, +inf where out of the domain.
+
+        A stack that raises is evaluated again one vector at a time, so only
+        the vectors that raise alone get +inf (treated as non-violating).
+        """
         try:
-            return self.record.margin([self.point(params)])[0]
+            return self.record.margin([self.point(params) for params in stack])
         except PhiLabError:
-            return np.inf  # out-of-domain proposal; treat as non-violating
+            if len(stack) == 1:
+                return [np.inf]
+            return [m for params in stack for m in self.margins([params])]
 
     def witness(self, params: np.ndarray, margin: float) -> dict:
         codecs = dict(self.record.fields)
@@ -747,55 +760,96 @@ class _SearchSpace:
                    if key in codecs and key != "phi"}}
 
 
+def _scan(space: _SearchSpace, proposals: Iterator, bound: float, size: int) -> list:
+    """(vector, margin) of each proposal in order, up to the first margin below bound.
+
+    The proposals are evaluated in stacks of size, 2*size, 4*size, ...
+    vectors (at most space.cap), and the margins past that first one are
+    dropped: the result is that of evaluating them one at a time, since a
+    vector's margin does not depend on its stack.
+    """
+    scanned = []
+    while True:
+        stack = list(itertools.islice(proposals, min(size, space.cap)))
+        if not stack:
+            return scanned
+        for params, margin in zip(stack, space.margins(stack)):
+            scanned.append((params, margin))
+            if margin < bound:
+                return scanned
+        size *= 2
+
+
 def counterexample_search(f: ScalarFunction, check_name: str, budget: int, seed: int,
                           dim: int = 1, tol: float = 1e-9) -> VerificationReport:
     """Random search, then coordinate perturbation, for a check violation.
 
     A success is a point whose slack falls below -10*tol; the refined point
     is stored as a replayable witness.  Budget exhaustion reports
-    holds=True with the trial count; that is evidence, not a proof.
+    holds=True with the trial count and the first point of least margin;
+    that is evidence, not a proof.
+
+    Trial t draws its point from its own stream, so the trials are evaluated
+    in stacks of 1, 2, 4, ... (see _scan) and the report is that of drawing
+    and evaluating them one at a time: the first success stops the search
+    and the trials after it in its stack count for nothing.
     """
     if check_name not in SEARCHABLE_CHECKS:
         raise ConfigError(
             f"'{check_name}' is not searchable; choose from {SEARCHABLE_CHECKS}")
+    if not 1 <= dim <= 16:
+        raise ConfigError(f"dim must be in [1, 16], got {dim}")
+    if budget < 1:
+        raise ConfigError(f"budget must be >= 1, got {budget}")
     space = _SearchSpace(f, check_name, dim)
     threshold = -10.0 * tol
-    best_margin = np.inf
-    best_point = None
-    trials_used = 0
-    for trial in range(budget):
-        trials_used = trial + 1
-        rng = rng_for(seed, "search", check_name, f.spec_string(), dim, trial)
-        point = space.sample(rng)
-        margin = space.margin(point)
-        if margin < best_margin:
-            best_margin, best_point = margin, point
-        if margin < threshold:
-            point, margin = _refine(space, point, margin, rng)
-            return VerificationReport.from_margin(
-                f"counterexample_search[{check_name},{f.spec_string()},d={dim}]",
-                margin, 10.0 * tol, trials=trials_used,
-                witness=space.witness(point, margin))
-    witness = space.witness(best_point, best_margin) if best_point is not None else None
+    proposals = (space.sample(rng_for(seed, "search", check_name, f.spec_string(), dim, trial))
+                 for trial in range(budget))
+    scanned = _scan(space, proposals, threshold, 1)
+    point, margin = scanned[-1]
+    if margin < threshold:
+        point, margin = _refine(space, point, margin)
+    else:
+        point, margin = None, np.inf
+        for params, m in scanned:
+            if m < margin:
+                point, margin = params, m
     return VerificationReport.from_margin(
         f"counterexample_search[{check_name},{f.spec_string()},d={dim}]",
-        best_margin, 10.0 * tol, trials=trials_used, witness=witness)
+        margin, 10.0 * tol, trials=len(scanned),
+        witness=None if point is None else space.witness(point, margin))
 
 
-def _refine(space: _SearchSpace, point: np.ndarray, margin: float, rng,
+def _moves(point: np.ndarray, step: float, moves: range) -> Iterator:
+    """The given moves of a refine sweep from point: move 2i raises
+    coordinate i by step*(1 + |x_i|), move 2i+1 lowers it by as much."""
+    for move in moves:
+        i, sign = divmod(move, 2)
+        trial = point.copy()
+        trial[i] += (1.0, -1.0)[sign] * step * (1.0 + abs(trial[i]))
+        yield trial
+
+
+def _refine(space: _SearchSpace, point: np.ndarray, margin: float,
             sweeps: int = 8) -> tuple:
-    """Greedy coordinate descent pushing the slack further negative."""
+    """Greedy coordinate descent pushing the slack further negative.
+
+    Each sweep takes every move (see _moves) in order from the current
+    point, and moves there if it lowers the margin; a sweep that never moves
+    halves the step.  The moves are evaluated in stacks that start at two
+    and double (see _scan); after a move, the ones after it are proposed
+    again from the new point, so this is the one-at-a-time descent.
+    """
     step = 0.25
+    n_moves = 2 * point.size
     for _ in range(sweeps):
-        improved = False
-        for i in range(point.size):
-            for sign in (1.0, -1.0):
-                trial = point.copy()
-                trial[i] += sign * step * (1.0 + abs(trial[i]))
-                m = space.margin(trial)
-                if m < margin:
-                    point, margin = trial, m
-                    improved = True
+        improved, move = False, 0
+        while move < n_moves:
+            scanned = _scan(space, _moves(point, step, range(move, n_moves)), margin, 2)
+            move += len(scanned)
+            trial, m = scanned[-1]
+            if m < margin:
+                point, margin, improved = trial, m, True
         if not improved:
             step *= 0.5
     return point, margin

@@ -1,10 +1,10 @@
 """Run the suite's records batched or one point at a time, recording margins.
 
 A sweep hands a record any list of its points, in trial order (every trial
-of a report at small d), and the record evaluates them as one stack.
-``check``, ``replay_witness`` and the counterexample search hand it one
-point.  The context manager below lets a test run the same suite both ways
-and compare.
+of a report at small d), and the record evaluates them as one stack.  The
+counterexample search hands it stacks of proposals that double in size;
+``check`` and ``replay_witness`` hand it one point.  The context manager
+below lets a test run the same suite or search both ways and compare.
 """
 
 import contextlib

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, JSON I/O, exit-code contract."""
 
+import io
 import json
 
 import numpy as np
@@ -13,7 +14,7 @@ from phi_entropy_lab import (
     matrix_from_json,
     run_suite,
 )
-from phi_entropy_lab.cli import main
+from phi_entropy_lab.cli import _write_payload, main
 from phi_entropy_lab.sampling import sample_ensemble, sample_product
 from phi_entropy_lab.spectral import relative_error
 from phi_entropy_lab.suite import ORACLE_TOLS
@@ -164,6 +165,26 @@ def test_run_suite_command(tmp_path, capsys):
     assert payload["config"]["seed"] == 7
 
 
+def test_run_suite_file_is_json_dumps_of_its_payload(tmp_path, capsys):
+    out = tmp_path / "suite.json"
+    assert main(["run-suite", "--phi-list", "square,xlogx", "--dims", "2", "--trials", "2",
+                 "--variant", "both", "--seed", "3", "--output", str(out), "--quiet"]) == 0
+    text = out.read_text()
+    payload = json.loads(text)
+    assert payload["reports"] and payload["skipped"]
+    assert text == json.dumps(payload)
+
+
+@pytest.mark.parametrize("reports", [[], [{"check_name": "a", "margin": 0.1}],
+                                     [{"check_name": "a"}, {"check_name": "b", "x": [1.5]}]])
+def test_write_payload_writes_json_dumps(reports):
+    payload = {"artifact_version": "1", "config": {"dims": [2]}, "reports": reports,
+               "skipped": []}
+    buffer = io.StringIO()
+    _write_payload(buffer, payload)
+    assert buffer.getvalue() == json.dumps(payload)
+
+
 def test_run_suite_config_file(tmp_path, capsys):
     cfg = {"seed": 1, "dims": [2], "trials": 2, "phi_list": ["square"],
            "variant": "trace", "checks": ["jensen"]}
@@ -190,6 +211,9 @@ def test_exit_code_two_on_config_errors(tmp_path, capsys):
     ["check-characterizations", "--phi", "square", "--items", ","],
     ["check-efron-stein", "--input", "PRODUCT", "--p", "x"],
     ["run-suite", "--dims", "a", "--quiet"],
+    ["search-counterexample", "--phi", "quartic", "--check", "map_C", "--dim", "0"],
+    ["search-counterexample", "--phi", "quartic", "--check", "map_C", "--dim", "-2"],
+    ["search-counterexample", "--phi", "quartic", "--check", "map_C", "--budget", "0"],
 ])
 def test_exit_code_two_on_malformed_arguments(argv, product_file, capsys):
     argv = [product_file if arg == "PRODUCT" else arg for arg in argv]

@@ -18,10 +18,12 @@ from phi_entropy_lab import (
     builtin,
     check,
     counterexample_search,
+    from_spec,
     replay_witness,
     run_suite,
 )
-from phi_entropy_lab.sampling import sample_coupled_ensembles, sample_product
+from phi_entropy_lab.errors import PhiLabError
+from phi_entropy_lab.sampling import rng_for, sample_coupled_ensembles, sample_product
 from phi_entropy_lab import suite
 from phi_entropy_lab.suite import CHECK_NAMES
 
@@ -206,6 +208,104 @@ def test_counterexample_budget_exhaustion_reports_holds():
     report = counterexample_search(builtin("square"), "map_C", 50, seed=0, dim=1)
     assert report.holds
     assert report.trials == 50
+
+
+@pytest.mark.parametrize("dim, budget", [(0, 50), (-2, 50), (17, 50), (1, 0), (2, -1)])
+def test_counterexample_search_rejects_bad_dim_or_budget(dim, budget):
+    with pytest.raises(ConfigError):
+        counterexample_search(builtin("quartic"), "map_C", budget, seed=0, dim=dim)
+
+
+def _search_one_at_a_time(f, check_name: str, budget: int, seed: int, dim: int,
+                          tol: float = 1e-9) -> tuple:
+    """Margin, trials and witness of a search that proposes and evaluates one
+    point at a time: the reference for the stacked search."""
+    space = suite._SearchSpace(f, check_name, dim)
+    best_margin, best = np.inf, None
+    for trial in range(budget):
+        params = space.sample(rng_for(seed, "search", check_name, f.spec_string(), dim, trial))
+        margin = space.margins([params])[0]
+        if margin < -10 * tol:
+            step = 0.25
+            for _ in range(8):
+                improved = False
+                for i in range(params.size):
+                    for sign in (1.0, -1.0):
+                        moved = params.copy()
+                        moved[i] += sign * step * (1.0 + abs(moved[i]))
+                        m = space.margins([moved])[0]
+                        if m < margin:
+                            params, margin, improved = moved, m, True
+                if not improved:
+                    step *= 0.5
+            return margin, trial + 1, space.witness(params, margin)
+        if margin < best_margin:
+            best_margin, best = margin, params
+    return best_margin, budget, None if best is None else space.witness(best, best_margin)
+
+
+def _raising_margins(monkeypatch) -> Counter:
+    """Count the margin calls of each record that raise a PhiLabError."""
+    raised = Counter()
+    for kind, record in list(suite.CHECKS.items()):
+        def guarded(points, margin=record.margin, kind=kind):
+            try:
+                return margin(points)
+            except PhiLabError:
+                raised[kind] += 1
+                raise
+        monkeypatch.setitem(suite.CHECKS, kind, dataclasses.replace(record, margin=guarded))
+    return raised
+
+
+@pytest.mark.parametrize("phi, check_name, dim", [
+    # The descent of power:3 proposes points outside its domain.
+    ("power:3", "map_C", 1), ("power:3", "map_C", 2),
+    ("power:3", "bregman_A", 1), ("power:3", "bregman_A", 2),
+    ("quartic", "map_C", 1),  # a violation among the first trials
+    ("square", "map_C", 1),   # the budget runs out
+])
+def test_counterexample_search_is_the_same_batched_and_one_at_a_time(
+        phi, check_name, dim, monkeypatch):
+    f = from_spec(phi, allow_outside_class=True)
+    raised = _raising_margins(monkeypatch)
+    reports = []
+    for one_at_a_time in (False, True):
+        with recorded_margins(one_at_a_time):
+            reports.append(counterexample_search(f, check_name, 50, seed=0, dim=dim))
+    assert reports[0].to_json_dict() == reports[1].to_json_dict()
+    report = reports[0]
+    reference = _search_one_at_a_time(f, check_name, 50, seed=0, dim=dim)
+    assert (report.margin, report.trials, report.witness) == reference
+    assert bool(raised) == (phi == "power:3")
+    assert report.holds == (phi == "square")
+
+
+@pytest.mark.parametrize("margin", [1.0, None])
+def test_exhausted_search_keeps_the_first_least_margin(margin, monkeypatch):
+    # Every trial ties, or every trial is out of the domain (margin None):
+    # the first trial's point is the witness, or there is none.
+    def margins(points):
+        if margin is None:
+            raise DomainError("out of the domain")
+        return [margin] * len(points)
+    record = suite.CHECKS["joint_convexity"]
+    monkeypatch.setitem(suite.CHECKS, "joint_convexity",
+                        dataclasses.replace(record, margin=margins))
+    report = counterexample_search(builtin("square"), "map_C", 20, seed=0, dim=1)
+    reference = _search_one_at_a_time(builtin("square"), "map_C", 20, seed=0, dim=1)
+    assert (report.margin, report.trials, report.witness) == reference
+    assert report.holds and report.trials == 20
+    assert (report.witness is None) == (margin is None)
+
+
+def test_exhausted_search_stacks_its_trials(monkeypatch):
+    # 50 trials at d=1 go to the record in stacks of 1, 2, 4, 8, 16 and 19
+    # points; one point per call would be 50 calls.
+    calls = _counting_margins(monkeypatch)
+    report = counterexample_search(builtin("square"), "map_C", 50, seed=0, dim=1)
+    assert report.holds and report.trials == 50
+    assert sum(calls.values()) <= 6
 
 
 def test_outside_class_suite_run_contains_counterexamples():
