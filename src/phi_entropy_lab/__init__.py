@@ -18,15 +18,12 @@ from .catalog import (  # noqa: F401
 from .channels import (  # noqa: F401
     KrausChannel,
     apply_channel,
-    operator_jensen_check,
     pushforward,
     random_unital_channel,
 )
 from .characterizations import (  # noqa: F401
     BivariateFunctional,
     eval_functional,
-    integral_relation_check,
-    taylor_relation_check,
 )
 from .entropy import (  # noqa: F401
     MatrixEnsemble,
@@ -50,14 +47,11 @@ from .errors import (  # noqa: F401
 )
 from .frechet import (  # noqa: F401
     SuperOperatorMatrix,
-    chain_rule_check,
     derivative_inverse,
     finite_diff_oracle,
     frechet_d1,
     frechet_d2,
     frechet_d3,
-    inversion_derivative_check,
-    partial_derivative_check,
     superop_inverse,
     superop_matrix,
 )

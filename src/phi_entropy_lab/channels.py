@@ -1,10 +1,14 @@
-"""Unital completely positive maps in Kraus form.
+"""Unital completely positive maps in Kraus form, and two statements about them.
 
 Channels here are mixed-unitary by construction when sampled, which makes
 them unital and trace-preserving without any projection step.  The module
-gives the margin of entropy monotonicity under a channel, whose report
-comes from ``suite.check``, and checks the operator Jensen inequality for
-the channel action.
+gives the margins of two statements about a unital channel N; their
+reports come from the ``suite`` registry.
+
+The operator Jensen inequality f(N(A)) <= N(f(A)) holds in the PSD order
+for operator-convex f, and in trace for convex f (Hansen-Pedersen,
+Math. Ann. 258, 1982); every C3 function of the catalog is operator convex.
+The paper's monotonicity under unital channels rests on it.
 
 Monotonicity has two forms.  The trace form H_Phi(N(Z)) <= H_Phi(Z) is the
 paper's statement for the matrix Phi-entropy (class C2).  The operator form
@@ -24,17 +28,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import OPERATOR_CONVEX, ScalarFunction
+from .catalog import ScalarFunction
 from .entropy import MatrixEnsemble, matrix_phi_entropy, operator_phi_entropy
-from .errors import ClassGateError, DimensionMismatchError, DomainError
-from .reports import VerificationReport
+from .errors import DimensionMismatchError, DomainError
 from .spectral import (
+    SpectralDecomposition,
     apply_scalar_function,
     frobenius,
     hermitian_part,
     matrix_from_json,
     matrix_to_json,
-    trace,
     validate_hermitian,
     variant_margin,
 )
@@ -141,49 +144,27 @@ def monotonicity_gap(f: ScalarFunction, N: KrausChannel, E: MatrixEnsemble,
     return variant_margin(gap, variant)
 
 
-def operator_jensen_margin(f: ScalarFunction, N: KrausChannel, A, variant: str) -> float:
-    """Slack of f(N(A)) <= N(f(A)): PSD-order for operator, trace otherwise."""
+def operator_jensen_gap(f: ScalarFunction, channels: list, A) -> np.ndarray:
+    """N(f(A)) - f(N(A)) for each channel N of the list and matrix of the stack A.
+
+    PSD for operator-convex f, and of nonnegative trace for convex f.  The
+    channels may differ in their Kraus counts, so each is applied alone; f
+    runs once on each stack.
+    """
     A = validate_hermitian(A, "A")
-    NA = hermitian_part(apply_channel(N, A))
-    # Unitality keeps the spectrum inside [min eig A, max eig A].
-    lam_A = np.linalg.eigvalsh(A)
-    lam_NA = np.linalg.eigvalsh(NA)
+    NA = np.stack([apply_channel(N, M) for N, M in zip(channels, A)])
+    dec_A, dec_NA = (SpectralDecomposition(*np.linalg.eigh(M)) for M in (A, NA))
+    # Unitality keeps each output spectrum inside its input's convex hull.
+    low, high = dec_A.eigenvalues[..., 0], dec_A.eigenvalues[..., -1]
+    out_low, out_high = dec_NA.eigenvalues[..., 0], dec_NA.eigenvalues[..., -1]
     slack = 1e-10 * (1.0 + frobenius(A))
-    if lam_NA[0] < lam_A[0] - slack or lam_NA[-1] > lam_A[-1] + slack:
+    escaped = (out_low < low - slack) | (out_high > high + slack)
+    if escaped.any():
+        k = int(np.argmax(escaped))
         raise DomainError(
             "channel output spectrum escaped the input's convex hull: "
-            f"[{lam_NA[0]:.6g}, {lam_NA[-1]:.6g}] vs [{lam_A[0]:.6g}, {lam_A[-1]:.6g}]"
+            f"[{out_low[k]:.6g}, {out_high[k]:.6g}] vs [{low[k]:.6g}, {high[k]:.6g}]"
         )
-    lhs = apply_scalar_function(f, NA)
-    rhs = hermitian_part(apply_channel(N, apply_scalar_function(f, A)))
-    if variant == "operator":
-        return float(np.linalg.eigvalsh(hermitian_part(rhs - lhs))[0])
-    return trace(rhs - lhs)
-
-
-def operator_jensen_check(f: ScalarFunction, N: KrausChannel, A,
-                          variant: str = "auto", override: bool = False,
-                          tol: float | None = None) -> VerificationReport:
-    """Jensen inequality for the channel action.
-
-    The PSD-order form is asserted only for operator-convex functions; any
-    convex function gets the trace form.  variant="auto" picks the
-    strongest admissible form.
-    """
-    if variant == "auto":
-        variant = "operator" if f.has_tag(OPERATOR_CONVEX) else "trace"
-    if variant == "operator" and not f.has_tag(OPERATOR_CONVEX) and not override:
-        raise ClassGateError(
-            f"the PSD-order Jensen check needs an operator-convex function; "
-            f"'{f.name}' has tags {sorted(f.class_tags)}. Pass override=True to force."
-        )
-    if variant not in ("trace", "operator"):
-        raise DomainError(f"variant must be 'trace', 'operator' or 'auto', got '{variant}'")
-    margin = operator_jensen_margin(f, N, A, variant)
-    if tol is None:
-        tol = 1e-10 * (1.0 + frobenius(np.asarray(A)))
-    return VerificationReport.from_margin(
-        f"operator_jensen[{f.spec_string()},{variant}]", margin, tol,
-        witness={"kind": "operator_jensen", "phi": f.spec_string(), "variant": variant,
-                 "channel": N.to_json_dict(), "A": matrix_to_json(A)},
-    )
+    fA = apply_scalar_function(f, dec_A)
+    return (np.stack([apply_channel(N, M) for N, M in zip(channels, fA)])
+            - apply_scalar_function(f, dec_NA))

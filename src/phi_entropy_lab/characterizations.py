@@ -1,19 +1,16 @@
-"""Convexity functionals and their equivalence checks.
+"""Convexity functionals and the slacks of the paper's characterizations.
 
 The bivariate functionals here (Bregman remainder, derivative increment,
 second-derivative quadratic form, interpolation gap) characterise the
 subadditive entropy classes through joint convexity.  This module gives
-the slack of each condition: joint convexity of a functional, the integral
-and Taylor relations connecting the functionals, the inverse-derivative
-concavity condition, the fourth-derivative trace inequality, and the
-conditional Jensen inequality.  The two convexity slacks (of a functional,
-and condition (a)) take a vector of weights lambda too, one slack each: the
-two endpoints and all mixes are then one stack, with one batched ``eigh``.
-The suite sweeps these slacks over sampled points; its reports state "no
-violation in N trials", which is evidence, not a proof.  The report of one
-point of condition (e), the convexity lemma or the conditional Jensen
-inequality comes from ``suite.check``; the integral and Taylor relations
-keep their own checks.
+the slack of each condition: joint convexity of a functional, the
+inverse-derivative concavity condition (a), the fourth-derivative trace
+inequality (e), the convexity lemma and the conditional Jensen inequality
+(g).  The two convexity slacks (of a functional, and condition (a)) take a
+vector of weights lambda too, one slack each: the two endpoints and all
+mixes are then one stack, with one batched ``eigh``.  Every report of
+these slacks comes from the ``suite`` registry; a sweep's report states
+"no violation in N trials", which is evidence, not a proof.
 """
 
 from __future__ import annotations
@@ -26,11 +23,9 @@ from .catalog import ScalarFunction
 from .errors import DomainError
 from .frechet import derivative_inverse, frechet_d1, frechet_d2, frechet_d3
 from .entropy import ProductEnsemble, jensen_gap
-from .reports import VerificationReport
 from .spectral import (
     apply_scalar_function,
     hermitian_part,
-    matrix_to_json,
     spectral_decompose,
     validate_hermitian,
     variant_margin,
@@ -192,89 +187,6 @@ def condition_e_scalar_oracle(f: ScalarFunction, a: float, h: float, k: float) -
     d3 = float(f.deriv(a, 3))
     d4 = float(f.deriv(a, 4))
     return (d4 * d2 - 2.0 * d3**2) * (k * k * h * h) / d2**3
-
-
-# --- integral and Taylor relations ------------------------------------------------
-
-
-def _trace_functionals(f: ScalarFunction, variant: str = "trace"):
-    A = BivariateFunctional("bregman_A", f, variant)
-    B = BivariateFunctional("map_B", f, variant)
-    C = BivariateFunctional("map_C", f, variant)
-    return A, B, C
-
-
-def integral_relation_check(f: ScalarFunction, u, v, quadrature_points: int = 32,
-                            tol: float = 1e-6) -> VerificationReport:
-    """Gauss-Legendre reconstruction of the Bregman and increment functionals.
-
-    bregman_A(u,v) = int_0^1 (1-s) map_C(u+sv, v) ds and
-    map_B(u,v)     = int_0^1       map_C(u+sv, v) ds.
-    """
-    F_A, F_B, F_C = _trace_functionals(f)
-    x, w = np.polynomial.legendre.leggauss(quadrature_points)
-    s_nodes = 0.5 * (x + 1.0)
-    s_weights = 0.5 * w
-    u = validate_hermitian(u, "u")
-    v = validate_hermitian(v, "v")
-    c_vals = np.array([eval_functional(F_C, u + s * v, v) for s in s_nodes])
-    quad_A = float(np.sum(s_weights * (1.0 - s_nodes) * c_vals))
-    quad_B = float(np.sum(s_weights * c_vals))
-    direct_A = eval_functional(F_A, u, v)
-    direct_B = eval_functional(F_B, u, v)
-    scale = max(1.0, abs(direct_A), abs(direct_B))
-    err = max(abs(quad_A - direct_A), abs(quad_B - direct_B)) / scale
-    return VerificationReport.from_margin(
-        f"integral_relation[{f.spec_string()}]", -err, tol,
-        witness={"kind": "integral_relation", "phi": f.spec_string(),
-                 "u": matrix_to_json(u), "v": matrix_to_json(v),
-                 "quadrature_points": quadrature_points},
-    )
-
-
-def taylor_relation_check(f: ScalarFunction, u, v, eps_sequence=(1e-1, 3e-2, 1e-2, 3e-3, 1e-3),
-                          tol: float = 1e-2) -> VerificationReport:
-    """Small-direction expansion of the Bregman and increment functionals.
-
-    bregman_A(u, eps v)/eps^2 -> map_C(u, v)/2 and map_B(u, eps v)/eps^2 ->
-    map_C(u, v), with residuals shrinking at least linearly in eps.  The
-    margin is minus the worst relative residual at the smallest eps; a
-    failed convergence-order fit forces the report to fail (the fitted
-    slopes are recorded in the witness).
-    """
-    F_A, F_B, F_C = _trace_functionals(f)
-    eps_sequence = sorted((float(e) for e in eps_sequence), reverse=True)
-    u = validate_hermitian(u, "u")
-    v = validate_hermitian(v, "v")
-    c_half = 0.5 * eval_functional(F_C, u, v)
-    c_full = 2.0 * c_half
-    scale = max(1.0, abs(c_full))
-    res_A, res_B = [], []
-    for eps in eps_sequence:
-        res_A.append(abs(eval_functional(F_A, u, eps * v) / eps**2 - c_half) / scale)
-        res_B.append(abs(eval_functional(F_B, u, eps * v) / eps**2 - c_full) / scale)
-    # Residuals below this are cancellation roundoff amplified by 1/eps^2
-    # (polynomial case); a convergence-order fit on them is meaningless.
-    exact_floor = 1e-7
-    slopes = {}
-    ok = True
-    for name, res in (("A", res_A), ("B", res_B)):
-        if max(res) <= exact_floor:
-            slopes[name] = None
-            continue
-        logs = np.log(np.maximum(res, 1e-300))
-        slope = float(np.polyfit(np.log(eps_sequence), logs, 1)[0])
-        slopes[name] = slope
-        if slope < 0.9:
-            ok = False
-    margin = -max(res_A[-1], res_B[-1])
-    if not ok:
-        margin = min(margin, -2.0 * tol)  # force failure on a bad convergence order
-    return VerificationReport.from_margin(
-        f"taylor_relation[{f.spec_string()}]", margin, tol,
-        witness={"kind": "taylor_relation", "phi": f.spec_string(), "slopes": slopes,
-                 "u": matrix_to_json(u), "v": matrix_to_json(v)},
-    )
 
 
 # --- convexity lemma and conditional Jensen ---------------------------------------

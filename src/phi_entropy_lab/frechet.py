@@ -5,11 +5,10 @@ eigenbasis of the base point, given as a matrix or its decomposition; a
 base point and its directions may be stacks (..., d, d), and each matrix
 gets the values of its own call.  The inverse of X -> Dpsi[A](X), which
 conditions (a) and (e) need, is applied in A's eigenbasis (of one A or a
-stack) as an elementwise division by the divided-difference grid.  The
-d^2 x d^2 matricisation of the map under column stacking and its dense
-inverse are kept as the test oracle for that inverse.  The module also
-provides finite-difference oracles and checks for the chain rule and the
-derivatives of matrix inversion.
+stack) as an elementwise division by the divided-difference grid.  Two
+oracles stand independent of that engine: the d^2 x d^2 matricisation of
+the map under column stacking with its dense inverse, and central finite
+differences of the matrix function itself.
 """
 
 from __future__ import annotations
@@ -29,14 +28,12 @@ from .catalog import (
     require_nodes_in_derivative_domain,
 )
 from .errors import DimensionMismatchError, DomainError, SingularOperatorError
-from .reports import VerificationReport
 from .spectral import (
     SpectralDecomposition,
     apply_scalar_function,
     dagger,
     frobenius,
     hermitian_part,
-    relative_error,
     spectral_decompose,
     validate_hermitian,
 )
@@ -246,131 +243,3 @@ def finite_diff_oracle(f: ScalarFunction, A, X, order: int, step=None,
     # Python's float power, as a call on one matrix takes it.
     scale = [_STENCIL_SCALE[order] * s**order for s in steps.ravel().tolist()]
     return hermitian_part(acc / np.reshape(scale, h.shape))
-
-
-# --- map families and derivative identity checks ------------------------------
-
-
-@dataclass(frozen=True)
-class MapFamily:
-    """A matrix map together with its first two directional derivatives."""
-
-    name: str
-    value: Callable[[np.ndarray], np.ndarray]
-    d1: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    d2: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-
-
-def identity_map_family() -> MapFamily:
-    return MapFamily(
-        "identity",
-        lambda A: np.asarray(A, dtype=complex),
-        lambda A, h: np.asarray(h, dtype=complex),
-        lambda A, h, k: np.zeros_like(np.asarray(A, dtype=complex)),
-    )
-
-
-def constant_map_family(C) -> MapFamily:
-    C = np.asarray(C, dtype=complex)
-    return MapFamily(
-        "constant",
-        lambda A: C,
-        lambda A, h: np.zeros_like(C),
-        lambda A, h, k: np.zeros_like(C),
-    )
-
-
-def matrix_function_family(f: ScalarFunction) -> MapFamily:
-    return MapFamily(
-        f.name,
-        lambda A: apply_scalar_function(f, A),
-        lambda A, h: frechet_d1(f, A, h),
-        lambda A, h, k: frechet_d2(f, A, h, k),
-    )
-
-
-def _inverse_of(M: np.ndarray) -> np.ndarray:
-    s = np.linalg.svd(M, compute_uv=False)
-    if s[-1] <= 0.0 or s[0] / s[-1] > SUPEROP_COND_LIMIT:
-        raise SingularOperatorError(
-            f"map value numerically singular: smallest singular value {s[-1]:.3e}",
-            float(s[-1]),
-        )
-    return np.linalg.inv(M)
-
-
-def inversion_derivative_check(G: MapFamily, A, h, k, tol: float = 1e-5) -> VerificationReport:
-    """Check the two derivative identities of A -> G(A)^{-1}.
-
-    First order:  -G^{-1} DG(h) G^{-1}.
-    Second order: G^{-1} DG(h) G^{-1} DG(k) G^{-1} + (h <-> k)
-                  - G^{-1} D2G(h,k) G^{-1}.
-    Both are compared against finite differences of the inverted map.
-    """
-    A = validate_hermitian(A, "base point")
-    h = np.asarray(h, dtype=complex)
-    k = np.asarray(k, dtype=complex)
-    GA_inv = _inverse_of(G.value(A))
-
-    dG_h = G.d1(A, h)
-    dG_k = G.d1(A, k)
-    rhs1 = -GA_inv @ dG_h @ GA_inv
-    rhs2 = (
-        GA_inv @ dG_h @ GA_inv @ dG_k @ GA_inv
-        + GA_inv @ dG_k @ GA_inv @ dG_h @ GA_inv
-        - GA_inv @ G.d2(A, h, k) @ GA_inv
-    )
-
-    s = 1e-5 * (1.0 + frobenius(A)) / max(1.0, frobenius(h), frobenius(k))
-    inv = lambda u, v: _inverse_of(G.value(A + u * s * h + v * s * k))  # noqa: E731
-    lhs1 = (inv(1, 0) - inv(-1, 0)) / (2.0 * s)
-    lhs2 = (inv(1, 1) - inv(1, -1) - inv(-1, 1) + inv(-1, -1)) / (4.0 * s**2)
-
-    err = max(relative_error(lhs1, rhs1), relative_error(lhs2, rhs2))
-    return VerificationReport.from_margin(
-        f"inversion_derivative[{G.name}]", -err, tol,
-        witness={"first_order_error": relative_error(lhs1, rhs1),
-                 "second_order_error": relative_error(lhs2, rhs2)},
-    )
-
-
-def compose(f: ScalarFunction, g: ScalarFunction) -> ScalarFunction:
-    """Scalar composition f(g(u)) with derivatives to order two."""
-    c0 = lambda u: f.deriv(g.deriv(u, 0), 0)  # noqa: E731
-    c1 = lambda u: f.deriv(g.deriv(u, 0), 1) * g.deriv(u, 1)  # noqa: E731
-    c2 = lambda u: (  # noqa: E731
-        f.deriv(g.deriv(u, 0), 2) * g.deriv(u, 1) ** 2
-        + f.deriv(g.deriv(u, 0), 1) * g.deriv(u, 2)
-    )
-    return ScalarFunction(
-        name=f"{f.name}({g.name})",
-        domain=g.domain,
-        evals=(c0, c1, c2),
-        deriv_floor=max(f.deriv_floor, g.deriv_floor),
-    )
-
-
-def chain_rule_check(f: ScalarFunction, g: ScalarFunction, A, h,
-                     tol: float = 1e-6) -> VerificationReport:
-    """Verify D(f o g)[A](h) = Df[g(A)](Dg[A](h)), both sides independent."""
-    lhs = frechet_d1(compose(f, g), A, h)
-    rhs = frechet_d1(f, apply_scalar_function(g, A), frechet_d1(g, A, h))
-    err = relative_error(lhs, rhs)
-    return VerificationReport.from_margin(
-        f"chain_rule[{f.name} o {g.name}]", -err, tol
-    )
-
-
-def partial_derivative_check(F: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                             X, Y, h, k, tol: float = 1e-6) -> VerificationReport:
-    """Verify DF[X,Y](h,k) = D_X F(h) + D_Y F(k) by finite differences."""
-    X = np.asarray(X, dtype=complex)
-    Y = np.asarray(Y, dtype=complex)
-    h = np.asarray(h, dtype=complex)
-    k = np.asarray(k, dtype=complex)
-    s = 1e-5 * (1.0 + frobenius(X) + frobenius(Y)) / max(1.0, frobenius(h), frobenius(k))
-    total = (F(X + s * h, Y + s * k) - F(X - s * h, Y - s * k)) / (2.0 * s)
-    part_x = (F(X + s * h, Y) - F(X - s * h, Y)) / (2.0 * s)
-    part_y = (F(X, Y + s * k) - F(X, Y - s * k)) / (2.0 * s)
-    err = relative_error(total, part_x + part_y)
-    return VerificationReport.from_margin("partial_derivative_additivity", -err, tol)

@@ -1,7 +1,8 @@
 """Suite runner, counterexample search and witness replay, read off one table.
 
-``CHECKS`` holds one record per witness ``kind``, one for each statement the
-suite measures.  A record says once:
+``CHECKS`` holds one record per witness ``kind``, one for each statement of
+the paper that the package reports on.  The suite, single-point reports,
+witness replay and counterexample search all read it.  A record says once:
 
 - how one suite trial draws its points from the trial's seeded stream;
 - the margins of any list of a sweep's points, in trial order, each >= 0
@@ -48,7 +49,12 @@ import numpy as np
 
 from . import __version__
 from .catalog import C2, C3, OUTSIDE_CLASS, ScalarFunction, from_spec
-from .channels import KrausChannel, monotonicity_gap, random_unital_channel
+from .channels import (
+    KrausChannel,
+    monotonicity_gap,
+    operator_jensen_gap,
+    random_unital_channel,
+)
 from .characterizations import (
     FUNCTIONAL_NAMES,
     BivariateFunctional,
@@ -146,9 +152,6 @@ class RunConfig:
 
     def variants(self) -> tuple:
         return ("trace", "operator") if self.variant == "both" else (self.variant,)
-
-    def tolerance_for(self, check: str) -> float | None:
-        return self.tolerances.get(check)
 
     def to_json_dict(self) -> dict:
         return {
@@ -369,9 +372,8 @@ def _draw_condition_a(rng, d: int, config, base: dict) -> list:
     return [{"lambda": lam, "A1": A1, "A2": A2, "h": h} for lam in _lambdas(rng)]
 
 
-def _draw_channel(rng, d: int, config, base: dict) -> list:
-    N = random_unital_channel(d, int(rng.integers(1, 5)), rng)
-    return [{"channel": N, "ensemble": sample_ensemble(d, 3, rng, spectral_floor=0.0)}]
+def _draw_channel(rng, d: int) -> KrausChannel:
+    return random_unital_channel(d, int(rng.integers(1, 5)), rng)
 
 
 def _draw_product(n_factors):
@@ -426,7 +428,7 @@ CHECKS = {
                         convexity_slack_at(_functional(firsts), *pairs_and_lams)),
         draw=_draw_pairs,
         tolerance=_convexity_tol),
-    # Item (g), and the "jensen" check.
+    # Item (g).
     "conditional_jensen": Check(
         fields=(("phi", _PHI), ("variant", _VALUE), ("product", _PRODUCT)),
         margin=lambda ps: _gap_margins(ps, conditional_jensen_gap(ps[0]["phi"],
@@ -457,9 +459,20 @@ CHECKS = {
         # A trial's channel has its own number of Kraus operators: one point per call.
         margin=_each(lambda p: monotonicity_gap(p["phi"], p["channel"], p["ensemble"],
                                                 p["variant"])),
-        draw=_draw_channel,
+        draw=lambda rng, d, config, base: [{
+            "channel": _draw_channel(rng, d),
+            "ensemble": sample_ensemble(d, 3, rng, spectral_floor=0.0)}],
         tolerance=lambda margins, base: 1e-10,
         name="monotonicity[{phi},{variant}]"),
+    # The "jensen" check: f(N(A)) <= N(f(A)) for a unital channel N.
+    "operator_jensen": Check(
+        fields=(("phi", _PHI), ("variant", _VALUE), ("channel", _CHANNEL), ("A", _MATRIX)),
+        margin=lambda ps: _gap_margins(ps, operator_jensen_gap(
+            ps[0]["phi"], _all(ps, "channel"), _stack(ps, "A"))),
+        draw=lambda rng, d, config, base: [{"channel": _draw_channel(rng, d),
+                                            "A": sample_psd(d, SPECTRAL_FLOOR, rng)}],
+        tolerance=lambda margins, base: 1e-10,
+        name="operator_jensen[{phi},{variant}]"),
     # Not swept by the suite: single points through check, and their replay.
     "convexity_lemma": Check(
         fields=(("phi", _PHI), ("weights", _FLOATS), ("A", _MATRICES), ("X", _MATRICES)),
@@ -568,7 +581,7 @@ SWEEPS = {
                           {"item": "e"}),),
     "monotonicity": (Sweep("monotonicity", _PER_VARIANT,
                            "monotonicity[{phi},{variant},d={d}]"),),
-    "jensen": (Sweep("conditional_jensen", _PER_VARIANT, "jensen[{phi},{variant},d={d}]"),),
+    "jensen": (Sweep("operator_jensen", _PER_VARIANT, "jensen[{phi},{variant},d={d}]"),),
 }
 
 
@@ -596,7 +609,7 @@ def sweep(config: RunConfig, check: str, s: Sweep, f: ScalarFunction | None,
             margins.append(margin)
             if margin < worst:
                 worst, best = margin, point
-    tol = config.tolerance_for(check)
+    tol = config.tolerances.get(check)
     if tol is None:
         tol = record.tolerance(margins, base)
     witness = None if best is None else _encode_witness(s.kind, best)
@@ -784,8 +797,8 @@ def counterexample_search(f: ScalarFunction, check_name: str, budget: int, seed:
                           dim: int = 1, tol: float = 1e-9) -> VerificationReport:
     """Random search, then coordinate perturbation, for a check violation.
 
-    A success is a point whose slack falls below -10*tol; the refined point
-    is stored as a replayable witness.  Budget exhaustion reports
+    A success is a point whose slack falls below -10*tol (tol > 0); the
+    refined point is stored as a replayable witness.  Budget exhaustion reports
     holds=True with the trial count and the first point of least margin;
     that is evidence, not a proof.
 
@@ -801,6 +814,8 @@ def counterexample_search(f: ScalarFunction, check_name: str, budget: int, seed:
         raise ConfigError(f"dim must be in [1, 16], got {dim}")
     if budget < 1:
         raise ConfigError(f"budget must be >= 1, got {budget}")
+    if not tol > 0:
+        raise ConfigError(f"tol must be > 0, got {tol}")
     space = _SearchSpace(f, check_name, dim)
     threshold = -10.0 * tol
     proposals = (space.sample(rng_for(seed, "search", check_name, f.spec_string(), dim, trial))

@@ -1,5 +1,7 @@
 """Kraus channels: unitality, entropy monotonicity, operator Jensen."""
 
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -13,12 +15,13 @@ from phi_entropy_lab import (
     builtin,
     check,
     matrix_phi_entropy,
-    operator_jensen_check,
+    matrix_to_json,
     operator_phi_entropy,
     pushforward,
     random_unital_channel,
+    replay_witness,
 )
-from phi_entropy_lab.channels import monotonicity_gap, operator_jensen_margin
+from phi_entropy_lab.channels import monotonicity_gap
 from phi_entropy_lab.sampling import haar_unitary, rng_for, sample_ensemble, sample_psd
 
 SQ = builtin("square")
@@ -147,7 +150,7 @@ def test_monotonicity_dimension_mismatch():
 def test_operator_jensen_identity_channel_equality():
     N = KrausChannel(np.eye(2)[None, :, :])
     A = sample_psd(2, 0.2, 18)
-    assert abs(operator_jensen_margin(SQ, N, A, "operator")) < 1e-12
+    assert abs(check("operator_jensen", phi=SQ, variant="operator", channel=N, A=A).margin) < 1e-12
 
 
 def test_operator_jensen_dephasing_example():
@@ -156,7 +159,7 @@ def test_operator_jensen_dephasing_example():
     assert_allclose(lhs, np.diag([1.0, 1.0]), atol=1e-14)
     rhs = apply_channel(DEPHASING, A @ A)
     assert_allclose(rhs, np.diag([2.0, 2.0]), atol=1e-14)
-    report = operator_jensen_check(SQ, DEPHASING, A)
+    report = check("operator_jensen", phi=SQ, variant="operator", channel=DEPHASING, A=A)
     assert report.holds and report.margin >= 1.0 - 1e-12
 
 
@@ -166,10 +169,11 @@ def test_operator_jensen_sweeps():
         N = random_unital_channel(3, int(rng.integers(1, 4)), rng)
         A = sample_psd(3, 0.1, rng)
         # PSD-order form for the operator-convex square
-        assert operator_jensen_check(SQ, N, A).holds
+        assert check("operator_jensen", phi=SQ, variant="operator", channel=N, A=A).holds
         # trace form for merely convex functions
-        assert operator_jensen_check(XLX, N, A, variant="trace").holds
-        assert operator_jensen_check(builtin("quartic"), N, A, variant="trace").holds
+        assert check("operator_jensen", phi=XLX, variant="trace", channel=N, A=A).holds
+        assert check("operator_jensen", phi=builtin("quartic"), variant="trace", channel=N,
+                     A=A, override=True).holds
 
 
 def test_operator_jensen_gate():
@@ -177,5 +181,17 @@ def test_operator_jensen_gate():
     A = sample_psd(2, 0.1, 21)
     # xlogx is not tagged operator-convex here; the PSD-order form is gated
     with pytest.raises(ClassGateError):
-        operator_jensen_check(XLX, N, A, variant="operator")
-    assert operator_jensen_check(XLX, N, A).check_name.endswith("trace]")
+        check("operator_jensen", phi=XLX, variant="operator", channel=N, A=A)
+
+
+@pytest.mark.parametrize("f, variant", [(SQ, "operator"), (SQ, "trace"), (XLX, "trace")])
+def test_operator_jensen_witness_of_the_earlier_layout_replays(f, variant):
+    # Operator-Jensen witnesses written before the check joined the registry
+    # list the same fields in the same order, so they replay unchanged.
+    N = random_unital_channel(3, 2, seed=22)
+    A = sample_psd(3, 0.1, 23)
+    stored = {"kind": "operator_jensen", "phi": f.spec_string(), "variant": variant,
+              "channel": N.to_json_dict(), "A": matrix_to_json(A)}
+    report = check("operator_jensen", phi=f, variant=variant, channel=N, A=A)
+    assert report.witness == stored
+    assert replay_witness(json.loads(json.dumps(stored))) == report.margin

@@ -17,7 +17,8 @@ from phi_entropy_lab.sampling import rng_for, sample_hermitian, sample_psd
 from phi_entropy_lab.suite import CHECKS, RunConfig
 
 KINDS = ("subadditivity", "efron_stein", "poly_efron_stein", "dual_representation",
-         "conditional_jensen", "condition_e", "monotonicity", "convexity_lemma")
+         "conditional_jensen", "condition_e", "monotonicity", "operator_jensen",
+         "convexity_lemma")
 CONFIG = RunConfig()
 
 

@@ -214,6 +214,8 @@ def test_exit_code_two_on_config_errors(tmp_path, capsys):
     ["search-counterexample", "--phi", "quartic", "--check", "map_C", "--dim", "0"],
     ["search-counterexample", "--phi", "quartic", "--check", "map_C", "--dim", "-2"],
     ["search-counterexample", "--phi", "quartic", "--check", "map_C", "--budget", "0"],
+    ["search-counterexample", "--phi", "square", "--check", "map_C", "--tol", "-1",
+     "--budget", "5", "--quiet"],
 ])
 def test_exit_code_two_on_malformed_arguments(argv, product_file, capsys):
     argv = [product_file if arg == "PRODUCT" else arg for arg in argv]

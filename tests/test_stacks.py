@@ -210,9 +210,8 @@ def test_bregman_stack_decomposes_u_once(variant, monkeypatch):
 
 CONFIG = RunConfig()
 # Every report kind a sweep evaluates as one stack; monotonicity, whose trials
-# draw channels of different Kraus counts, runs one point per call.  "jensen"
-# sweeps the conditional_jensen record again and is left out.
-STACKED_SWEEPS = [s for check, sweeps in SWEEPS.items() if check != "jensen" for s in sweeps
+# draw channels of different Kraus counts, runs one point per call.
+STACKED_SWEEPS = [s for sweeps in SWEEPS.values() for s in sweeps
                   if s.kind != "monotonicity"]
 _PSD_FIELDS = ("A", "u1", "v1", "u2", "v2", "A1", "A2")
 

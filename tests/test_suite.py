@@ -125,7 +125,7 @@ def test_witness_replay_reproduces_margins():
         ("condition_a", None), ("condition_e", None),
         *((kind, variant)
           for kind in ("subadditivity", "dual_representation", "joint_convexity",
-                       "conditional_jensen", "monotonicity")
+                       "conditional_jensen", "monotonicity", "operator_jensen")
           for variant in ("trace", "operator")),
     }
 
@@ -214,6 +214,14 @@ def test_counterexample_budget_exhaustion_reports_holds():
 def test_counterexample_search_rejects_bad_dim_or_budget(dim, budget):
     with pytest.raises(ConfigError):
         counterexample_search(builtin("quartic"), "map_C", budget, seed=0, dim=dim)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, -1e-9, float("nan")])
+def test_counterexample_search_rejects_a_non_positive_tolerance(tol):
+    # -10 * tol would be a non-negative threshold: an in-class point would count
+    # as a violation.
+    with pytest.raises(ConfigError, match="tol"):
+        counterexample_search(builtin("square"), "map_C", 5, seed=0, tol=tol)
 
 
 def _search_one_at_a_time(f, check_name: str, budget: int, seed: int, dim: int,
@@ -338,7 +346,8 @@ def test_sweep_makes_one_margin_call_per_report(monkeypatch):
     calls = _counting_margins(monkeypatch)
     cfg = RunConfig(seed=1, dims=(2, 4), trials=6, variant="both")
     reports = Counter(report.witness["kind"] for report, _, _ in run_suite(cfg).entries)
-    assert len(reports) == 10 and calls == reports
+    assert set(reports) == {kind for kind, record in suite.CHECKS.items() if record.draw}
+    assert calls == reports
 
 
 def test_sweep_chunks_trials_at_large_d(monkeypatch):
