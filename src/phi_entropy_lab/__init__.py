@@ -8,11 +8,9 @@ from .catalog import (  # noqa: F401
     C3,
     OPERATOR_CONVEX,
     OUTSIDE_CLASS,
-    DividedDifferenceTable,
     Interval,
     ScalarFunction,
     builtin,
-    divided_differences,
     from_spec,
 )
 from .channels import (  # noqa: F401
@@ -28,10 +26,7 @@ from .characterizations import (  # noqa: F401
 from .entropy import (  # noqa: F401
     MatrixEnsemble,
     ProductEnsemble,
-    conditional_entropy,
     efron_stein_quantity,
-    expectation,
-    interpolation_derivative_scan,
     matrix_phi_entropy,
     operator_phi_entropy,
     variance,
@@ -66,17 +61,13 @@ from .sampling import (  # noqa: F401
     sample_psd,
 )
 from .spectral import (  # noqa: F401
-    LoewnerVerdict,
     SpectralDecomposition,
     apply_scalar_function,
-    hs_inner,
-    loewner_compare,
     matrix_from_json,
     matrix_to_json,
     normalized_trace,
     schatten_norm,
     spectral_decompose,
-    trace,
 )
 from .suite import (  # noqa: F401
     RunConfig,

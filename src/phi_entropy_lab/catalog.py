@@ -2,7 +2,7 @@
 
 Each entry carries evaluators for the function and its first six
 derivatives, a real domain, and membership tags for the subadditive
-entropy classes.  Divided-difference tables built here feed the matrix
+entropy classes.  The divided-difference grids here feed the matrix
 derivative engine.
 """
 
@@ -391,29 +391,6 @@ def _sorted_tuples(m: int, k: int) -> tuple:
         where[perm] = np.arange(tuples.shape[1])
     tuples.flags.writeable = where.flags.writeable = False
     return tuples, where
-
-
-@dataclass(frozen=True)
-class DividedDifferenceTable:
-    """Symmetric table of divided differences on a node vector.
-
-    values has shape (m,)*(order+1); entries with coincident nodes are
-    filled from derivatives of matching order.
-    """
-
-    order: int
-    nodes: np.ndarray
-    values: np.ndarray
-
-
-def divided_differences(f: ScalarFunction, nodes, order: int) -> DividedDifferenceTable:
-    """Build the order-1, -2 or -3 divided-difference table of f on nodes."""
-    nodes = np.asarray(nodes, dtype=float)
-    if order not in (1, 2, 3):
-        raise DomainError(f"divided differences support orders 1..3, got {order}")
-    require_nodes_in_derivative_domain(f, nodes, order)
-    grid = {1: dd1_grid, 2: dd2_grid, 3: dd3_grid}[order]
-    return DividedDifferenceTable(order, nodes, np.asarray(grid(f, nodes), dtype=float))
 
 
 def require_nodes_in_derivative_domain(f: ScalarFunction, nodes: np.ndarray, order: int) -> None:

@@ -36,7 +36,7 @@ from .spectral import (
     apply_scalar_function,
     frobenius,
     hermitian_part,
-    matrix_from_json,
+    matrices_from_json,
     matrix_to_json,
     validate_hermitian,
     variant_margin,
@@ -90,10 +90,7 @@ class KrausChannel:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "KrausChannel":
-        mats = data.get("kraus")
-        if not mats:
-            raise DomainError("channel JSON needs a non-empty 'kraus' list")
-        return cls(np.stack([matrix_from_json(m) for m in mats]))
+        return cls(matrices_from_json(data.get("kraus"), "channel JSON 'kraus'"))
 
 
 def apply_channel(N: KrausChannel, A) -> np.ndarray:

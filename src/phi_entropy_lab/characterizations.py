@@ -181,14 +181,6 @@ def condition_e_margin(f: ScalarFunction, A, h, k):
     return (lhs - rhs) / np.maximum(1.0, np.maximum(abs(lhs), abs(rhs)))
 
 
-def condition_e_scalar_oracle(f: ScalarFunction, a: float, h: float, k: float) -> float:
-    """Closed-form d = 1 value: (f'''' f'' - 2 f'''^2) k^2 h^2 / f''^3."""
-    d2 = float(f.deriv(a, 2))
-    d3 = float(f.deriv(a, 3))
-    d4 = float(f.deriv(a, 4))
-    return (d4 * d2 - 2.0 * d3**2) * (k * k * h * h) / d2**3
-
-
 # --- convexity lemma and conditional Jensen ---------------------------------------
 
 

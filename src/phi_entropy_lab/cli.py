@@ -39,9 +39,12 @@ EXIT_CONFIG = 2
 def _read_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read JSON from '{path}': {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"'{path}' must hold a JSON object, got {type(data).__name__}")
+    return data
 
 
 def _emit(payload, args) -> None:
@@ -96,17 +99,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True, help="base point JSON file")
     p.add_argument("--direction", required=True, help="direction JSON file")
 
-    p = sub.add_parser("check-subadditivity", parents=[common])
+    p = sub.add_parser("check-subadditivity", parents=[common],
+                       help="subadditivity of the entropy of a product ensemble")
     p.add_argument("--phi", required=True)
     p.add_argument("--variant", choices=["trace", "operator"], default="trace")
     p.add_argument("--input", required=True, help="product-ensemble JSON file")
     p.add_argument("--override", action="store_true", help="bypass the class gate")
 
-    p = sub.add_parser("check-efron-stein", parents=[common])
+    p = sub.add_parser("check-efron-stein", parents=[common],
+                       help="operator and polynomial Efron-Stein bounds of a product ensemble")
     p.add_argument("--input", required=True, help="product-ensemble JSON file")
     p.add_argument("--p", type=str, default="1,2,3", help="comma list of polynomial orders")
 
-    p = sub.add_parser("check-characterizations", parents=[common])
+    p = sub.add_parser("check-characterizations", parents=[common],
+                       help="sweeps of the convexity characterizations (a)-(g)")
     p.add_argument("--phi", required=True)
     p.add_argument("--items", type=str, default="b,c,d,e,f,g")
     p.add_argument("--dim", type=int, default=2)
@@ -114,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=["trace", "operator"], default="trace")
     p.add_argument("--override", action="store_true")
 
-    p = sub.add_parser("check-monotonicity", parents=[common])
+    p = sub.add_parser("check-monotonicity", parents=[common],
+                       help="monotonicity of the entropy under unital channels")
     p.add_argument("--phi", required=True)
     p.add_argument("--variant", choices=["trace", "operator"], default="trace")
     p.add_argument("--channel", required=True, help="channel JSON file or random:<k>")
@@ -122,13 +129,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--override", action="store_true")
 
-    p = sub.add_parser("search-counterexample", parents=[common])
+    p = sub.add_parser("search-counterexample", parents=[common],
+                       help="random search and descent for a violating point")
     p.add_argument("--phi", required=True)
     p.add_argument("--check", required=True, choices=list(SEARCHABLE_CHECKS))
     p.add_argument("--budget", type=int, default=10_000)
     p.add_argument("--dim", type=int, default=1)
 
-    p = sub.add_parser("run-suite", parents=[common])
+    p = sub.add_parser("run-suite", parents=[common], help="run every configured sweep")
     p.add_argument("--config", type=str, default=None, help="RunConfig JSON file")
     p.add_argument("--phi-list", type=str, default=None, help="comma list of functions")
     p.add_argument("--dims", type=str, default=None, help="comma list of dimensions")

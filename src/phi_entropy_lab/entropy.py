@@ -1,6 +1,6 @@
 """Entropy functionals of finitely-supported random matrices.
 
-Trace-valued and operator-valued Jensen gaps, conditional entropies over
+Trace-valued and operator-valued Jensen gaps, the subadditivity gap over
 product spaces, the operator variance, resampling (Efron-Stein style)
 quantities, and the dual lower-bound representation.  All expectations are
 exact finite sums, so the inequalities under test carry no sampling error.
@@ -22,17 +22,16 @@ import numpy as np
 from .catalog import ScalarFunction
 from .errors import DimensionMismatchError, DomainError, PhiLabError
 from .frechet import frechet_d1
-from .reports import VerificationReport
 from .spectral import (
     apply_scalar_function,
     apply_scalar_function_stack,
     frobenius,
     hermitian_part,
+    matrices_from_json,
     matrix_from_json,
     matrix_to_json,
     normalized_trace,
     validate_hermitian,
-    variant_margin,
 )
 
 WEIGHT_TOL = 1e-12
@@ -129,9 +128,12 @@ class MatrixEnsemble:
         atoms = data.get("atoms")
         if not atoms:
             raise DomainError("ensemble JSON needs a non-empty 'atoms' list")
-        weights = np.array([float(entry["w"]) for entry in atoms])
-        mats = np.stack([matrix_from_json(entry["m"]) for entry in atoms])
-        return cls(weights, mats)
+        try:
+            weights = np.array([float(entry["w"]) for entry in atoms])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DomainError(f"each ensemble atom needs a numeric 'w': {exc}") from exc
+        return cls(weights, matrices_from_json([entry.get("m") for entry in atoms],
+                                               "ensemble atoms"))
 
 
 @dataclass(frozen=True)
@@ -189,44 +191,6 @@ class ProductEnsemble:
         weights = np.array([self.probability(k) for k in self.outcomes()])
         return MatrixEnsemble(weights / weights.sum(), self.atoms)
 
-    def slice_over_factor(self, i: int, fixed: tuple) -> MatrixEnsemble:
-        """Ensemble in factor i's randomness with the other factors pinned."""
-        self._check_index(i)
-        fixed = tuple(fixed)
-        if len(fixed) != self.n - 1:
-            raise DomainError(
-                f"fixed tuple must pin the other {self.n - 1} factors, got {len(fixed)}"
-            )
-        atoms = []
-        for s in range(len(self.factor_weights[i])):
-            key = fixed[:i] + (s,) + fixed[i:]
-            if key not in self.z_map:
-                raise DomainError(f"invalid fixed outcome: {key} not in z_map")
-            atoms.append(self.z_map[key])
-        return MatrixEnsemble(np.asarray(self.factor_weights[i]), np.stack(atoms))
-
-    def slice_over_complement(self, i: int, fixed_outcome: int) -> MatrixEnsemble:
-        """Ensemble in the randomness of all factors but i, with X_i pinned."""
-        self._check_index(i)
-        if not (0 <= fixed_outcome < len(self.factor_weights[i])):
-            raise DomainError(f"factor {i} has no outcome {fixed_outcome}")
-        others = [j for j in range(self.n) if j != i]
-        keys, weights, atoms = [], [], []
-        for combo in itertools.product(*(range(len(self.factor_weights[j])) for j in others)):
-            key = list(combo)
-            key.insert(i, fixed_outcome)
-            key = tuple(key)
-            keys.append(key)
-            weights.append(np.prod([self.factor_weights[j][c] for j, c in zip(others, combo)])
-                           if others else 1.0)
-            atoms.append(self.z_map[key])
-        w = np.asarray(weights, dtype=float)
-        return MatrixEnsemble(w / w.sum(), np.stack(atoms))
-
-    def _check_index(self, i: int) -> None:
-        if not (0 <= i < self.n):
-            raise DomainError(f"factor index {i} out of range [0, {self.n})")
-
     def to_json_dict(self) -> dict:
         return {
             "factors": [list(map(float, w)) for w in self.factor_weights],
@@ -240,18 +204,14 @@ class ProductEnsemble:
     def from_json_dict(cls, data: dict) -> "ProductEnsemble":
         factors = data.get("factors")
         z = data.get("z")
-        if not factors or z is None:
-            raise DomainError("product JSON needs 'factors' and 'z'")
-        z_map = {
-            tuple(int(p) for p in key.split(",")): matrix_from_json(m)
-            for key, m in z.items()
-        }
-        return cls(tuple(np.asarray(w, dtype=float) for w in factors), z_map)
-
-
-def _check_variant(variant: str) -> None:
-    if variant not in ("trace", "operator"):
-        raise DomainError(f"variant must be 'trace' or 'operator', got '{variant}'")
+        if not factors or not isinstance(z, dict):
+            raise DomainError("product JSON needs 'factors' and a 'z' object")
+        try:
+            weights = tuple(np.asarray(w, dtype=float) for w in factors)
+            keys = [tuple(int(p) for p in key.split(",")) for key in z]
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"malformed product JSON: {exc}") from exc
+        return cls(weights, {key: matrix_from_json(m) for key, m in zip(keys, z.values())})
 
 
 # --- expectations and entropies -----------------------------------------------
@@ -268,11 +228,6 @@ def _arrays(E) -> tuple:
     if isinstance(E, MatrixEnsemble):
         return E.weights, E.atoms
     return np.stack([e.weights for e in E]), np.stack([e.atoms for e in E])
-
-
-def expectation(E: MatrixEnsemble) -> np.ndarray:
-    """Mean matrix of the ensemble; PSD by convexity of the atoms."""
-    return hermitian_part(_mean(E.weights, E.atoms))
 
 
 def jensen_gap(f: ScalarFunction, weights: np.ndarray, atoms: np.ndarray) -> np.ndarray:
@@ -292,27 +247,6 @@ def operator_phi_entropy(f: ScalarFunction, E) -> np.ndarray:
 def matrix_phi_entropy(f: ScalarFunction, E: MatrixEnsemble) -> float:
     """Normalized trace of the Jensen gap; nonnegative for convex f."""
     return normalized_trace(operator_phi_entropy(f, E))
-
-
-def conditional_entropy(f: ScalarFunction, P: ProductEnsemble, i: int, fixed,
-                        variant: str = "trace", integrate_over: str = "factor_i"):
-    """Entropy of the conditional slice of a product ensemble.
-
-    integrate_over="factor_i" integrates over factor i with the remaining
-    factors pinned at `fixed` (a tuple of n-1 outcomes).  "complement"
-    integrates over every factor but i, with X_i pinned at the single
-    outcome `fixed`.
-    """
-    _check_variant(variant)
-    if integrate_over == "factor_i":
-        E = P.slice_over_factor(i, tuple(np.atleast_1d(fixed)))
-    elif integrate_over == "complement":
-        E = P.slice_over_complement(i, int(fixed))
-    else:
-        raise DomainError(f"integrate_over must be 'factor_i' or 'complement', got '{integrate_over}'")
-    if variant == "trace":
-        return matrix_phi_entropy(f, E)
-    return operator_phi_entropy(f, E)
 
 
 def _products(P) -> list:
@@ -460,36 +394,3 @@ def dual_gap(f: ScalarFunction, Z, T) -> np.ndarray:
     _require_pd(_arrays(T)[1], f, "dual representation T")
     return operator_phi_entropy(f, Z) - dual_value(f, Z, T)
 
-
-def interpolation_derivative_scan(f: ScalarFunction, Z: MatrixEnsemble, T: MatrixEnsemble,
-                                  grid=None, variant: str = "operator",
-                                  tol: float | None = None) -> VerificationReport:
-    """Check the dual functional is nonincreasing along the segment Z -> T.
-
-    Evaluates F(s) on the grid and verifies F(s1) >= F(s2) for s1 < s2 in
-    the PSD order (or as scalars for the trace variant).
-    """
-    _check_variant(variant)
-    _check_coupled(Z, T)
-    _require_pd(T.atoms, f, "interpolation scan T")
-    _require_pd(Z.atoms, f, "interpolation scan Z")
-    if grid is None:
-        grid = np.linspace(0.0, 1.0, 11)
-    grid = sorted(float(s) for s in grid)
-    values = []
-    for s in grid:
-        T_s = MatrixEnsemble(Z.weights, (1.0 - s) * Z.atoms + s * T.atoms)
-        values.append(hermitian_part(dual_value(f, Z, T_s)))
-    scale = 1.0 + max(frobenius(v) for v in values)
-    if tol is None:
-        tol = 1e-9 * scale
-    margin = np.inf
-    for prev, nxt in zip(values, values[1:]):
-        step_margin = variant_margin(prev - nxt, variant)
-        margin = min(margin, step_margin)
-    return VerificationReport.from_margin(
-        f"interpolation_scan[{f.spec_string()},{variant}]", margin, tol,
-        trials=len(grid) - 1,
-        witness={"kind": "interpolation_scan", "phi": f.spec_string(), "variant": variant,
-                 "grid": list(grid), "Z": Z.to_json_dict(), "T": T.to_json_dict()},
-    )

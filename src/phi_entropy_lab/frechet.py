@@ -208,15 +208,12 @@ def default_fd_step(order: int, A, X):
     return base * (1.0 + frobenius(A)) / np.maximum(1.0, frobenius(X))
 
 
-def finite_diff_oracle(f: ScalarFunction, A, X, order: int, step=None,
-                       richardson: bool = False) -> np.ndarray:
+def finite_diff_oracle(f: ScalarFunction, A, X, order: int, step=None) -> np.ndarray:
     """Central-difference approximation of the order-k derivative along X.
 
     Independent of the divided-difference engine: only evaluates the matrix
     function itself on a stencil.  A and X may be stacks; each matrix then
-    gets its own default step, or the step given for it.  With
-    richardson=True the result combines steps h and h/2 for fourth-order
-    accuracy.
+    gets its own default step, or the step given for it.
     """
     if order not in _STENCILS:
         raise DomainError(f"finite-difference oracle supports orders 1..3, got {order}")
@@ -227,10 +224,6 @@ def finite_diff_oracle(f: ScalarFunction, A, X, order: int, step=None,
     steps = np.broadcast_to(np.asarray(step, dtype=float), A.shape[:-2])
     if np.any(steps <= 0.0):
         raise DomainError(f"step must be positive, got {step}")
-    if richardson:
-        coarse = finite_diff_oracle(f, A, X, order, steps)
-        fine = finite_diff_oracle(f, A, X, order, steps / 2.0)
-        return (4.0 * fine - coarse) / 3.0
     h = np.expand_dims(steps, (-2, -1))
     acc = np.zeros_like(A)
     for offset, coeff in _STENCILS[order]:

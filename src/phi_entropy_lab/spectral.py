@@ -1,10 +1,10 @@
 """Hermitian linear algebra foundation.
 
-Eigendecompositions, standard matrix functions, Loewner comparisons, traces
-and Schatten norms, plus the JSON wire format for dense complex matrices.
-All operations are pure functions on immutable values.  Validation,
-decomposition, matrix functions and operator margins also take stacks
-(..., d, d); each matrix gets the values and tolerance it gets on its own.
+Eigendecompositions, standard matrix functions, operator margins,
+normalised traces and Schatten norms, plus the JSON wire format for dense
+complex matrices.  All operations are pure functions on immutable values.
+Validation, decomposition, matrix functions and operator margins also take
+stacks (..., d, d); each matrix gets the values and tolerance of its own call.
 """
 
 from __future__ import annotations
@@ -15,12 +15,9 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, NonHermitianError
 
-# Relative tolerance factors; scale-free so tests behave identically for
+# Relative tolerance factor; scale-free so tests behave identically for
 # matrices of any magnitude.
 HERM_RTOL = 1e-10
-UNITARY_RTOL = 1e-10
-RECON_RTOL = 1e-10
-LOEWNER_RTOL = 1e-8
 
 
 def as_matrix(A) -> np.ndarray:
@@ -99,25 +96,6 @@ class SpectralDecomposition:
     def dim(self) -> int:
         return self.eigenvalues.shape[-1]
 
-    def reconstruct(self) -> np.ndarray:
-        U = self.eigenvectors
-        return (U * self.eigenvalues[..., None, :]) @ dagger(U)
-
-
-@dataclass(frozen=True)
-class LoewnerVerdict:
-    """Outcome of a positive-semidefinite-order comparison A >= B."""
-
-    min_eigenvalue: float
-    tolerance: float
-    holds: bool
-    witness_vector: np.ndarray | None = None
-
-    @classmethod
-    def from_min_eigenvalue(cls, min_eig, tol, witness=None) -> "LoewnerVerdict":
-        holds = bool(min_eig >= -tol)
-        return cls(float(min_eig), float(tol), holds, None if holds else witness)
-
 
 def spectral_decompose(A, name: str = "matrix") -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix or stack, eigenvalues ascending."""
@@ -147,26 +125,6 @@ def apply_scalar_function_stack(f, atoms: np.ndarray) -> np.ndarray:
     return apply_scalar_function(f, SpectralDecomposition(*np.linalg.eigh(atoms)))
 
 
-def loewner_compare(A, B, tol: float | None = None) -> LoewnerVerdict:
-    """Verdict on A >= B in the positive-semidefinite order.
-
-    Failing verdicts carry the eigenvector achieving the minimal eigenvalue
-    of A - B, so violations can be inspected directly.
-    """
-    A = validate_hermitian(A, "A")
-    B = validate_hermitian(B, "B")
-    if A.shape != B.shape:
-        raise DimensionMismatchError(f"dimension mismatch: {A.shape} vs {B.shape}")
-    if tol is None:
-        tol = LOEWNER_RTOL * (frobenius(A) + frobenius(B))
-    lam, U = np.linalg.eigh(A - B)
-    return LoewnerVerdict.from_min_eigenvalue(lam[0], tol, witness=U[:, 0])
-
-
-def trace(A) -> float:
-    return float(np.trace(as_matrix(A)).real)
-
-
 def normalized_trace(A) -> float:
     A = as_matrix(A)
     return float(np.trace(A).real) / A.shape[0]
@@ -186,15 +144,6 @@ def variant_margin(gap, variant: str):
     return float(margin) if margin.ndim == 0 else margin
 
 
-def hs_inner(A, B) -> complex:
-    """Hilbert-Schmidt inner product Tr(A* B)."""
-    A = as_matrix(A)
-    B = as_matrix(B)
-    if A.shape != B.shape:
-        raise DimensionMismatchError(f"dimension mismatch: {A.shape} vs {B.shape}")
-    return complex(np.trace(A.conj().T @ B))
-
-
 def schatten_norm(A, p: float) -> float:
     """Schatten p-norm: the l_p norm of the singular values."""
     if p < 1:
@@ -203,10 +152,6 @@ def schatten_norm(A, p: float) -> float:
     if np.isinf(p):
         return float(s.max())
     return float(np.sum(s**p) ** (1.0 / p))
-
-
-def min_eigenvalue(A) -> float:
-    return float(np.linalg.eigvalsh(validate_hermitian(A))[0])
 
 
 # --- JSON wire format -------------------------------------------------------
@@ -225,18 +170,29 @@ def matrix_from_json(data: dict) -> np.ndarray:
     try:
         dim = int(data["dim"])
         re = np.asarray(data["re"], dtype=float)
-    except (KeyError, TypeError) as exc:
+        im = None if data.get("im") is None else np.asarray(data["im"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed matrix JSON: {exc}") from exc
     if re.shape != (dim, dim):
         raise DimensionMismatchError(
             f"matrix JSON declares dim={dim} but 're' has shape {re.shape}"
         )
     A = re.astype(complex)
-    if "im" in data and data["im"] is not None:
-        im = np.asarray(data["im"], dtype=float)
+    if im is not None:
         if im.shape != (dim, dim):
             raise DimensionMismatchError(
                 f"matrix JSON declares dim={dim} but 'im' has shape {im.shape}"
             )
         A = A + 1j * im
     return A
+
+
+def matrices_from_json(items, what: str) -> np.ndarray:
+    """A JSON list of matrices as one stack (k, d, d); all must share one dim."""
+    if not isinstance(items, list) or not items:
+        raise DomainError(f"{what} must be a non-empty list of matrices")
+    mats = [matrix_from_json(m) for m in items]
+    dims = sorted({M.shape[0] for M in mats})
+    if len(dims) > 1:
+        raise DimensionMismatchError(f"{what} must share one dim, got dims {dims}")
+    return np.stack(mats)

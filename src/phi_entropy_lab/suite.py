@@ -41,8 +41,10 @@ installed on those names sees every call.
 from __future__ import annotations
 
 import itertools
+import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from typing import Callable, Iterator
 
 import numpy as np
@@ -116,6 +118,10 @@ SWEEP_ENTRIES = 2**13
 SEARCHABLE_CHECKS = ("bregman_A", "map_B", "map_C", "gap_F_t", "condition_a", "condition_e")
 
 
+def _integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Configuration of a suite run."""
@@ -133,6 +139,15 @@ class RunConfig:
     output_path: str | None = None
 
     def __post_init__(self):
+        for name in ("seed", "trials", "n_factors", "support"):
+            if not _integer(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not isinstance(self.dims, (list, tuple)) or not all(map(_integer, self.dims)):
+            raise ConfigError(f"dims must be a list of integers, got {self.dims!r}")
+        if not isinstance(self.tolerances, dict) or not all(
+                isinstance(t, numbers.Real) for t in self.tolerances.values()):
+            raise ConfigError(f"tolerances must map check names to numbers, "
+                              f"got {self.tolerances!r}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         dims = tuple(int(d) for d in self.dims)
@@ -154,41 +169,17 @@ class RunConfig:
         return ("trace", "operator") if self.variant == "both" else (self.variant,)
 
     def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "dims": list(self.dims),
-            "trials": self.trials,
-            "phi_list": list(self.phi_list),
-            "variant": self.variant,
-            "checks": list(self.checks),
-            "tolerances": dict(self.tolerances),
-            "n_factors": self.n_factors,
-            "support": self.support,
-            "allow_outside_class": self.allow_outside_class,
-            "output_path": self.output_path,
-        }
+        """The fields in declaration order; tuples as lists, tolerances copied."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {key: list(v) if isinstance(v, tuple) else dict(v) if isinstance(v, dict) else v
+                for key, v in values.items()}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RunConfig":
-        kwargs = {}
-        for key in ("seed", "trials", "variant", "n_factors", "support",
-                    "allow_outside_class", "output_path"):
-            if key in data:
-                kwargs[key] = data[key]
-        if "dims" in data:
-            kwargs["dims"] = tuple(data["dims"])
-        if "phi_list" in data:
-            kwargs["phi_list"] = tuple(data["phi_list"])
-        if "checks" in data:
-            kwargs["checks"] = tuple(data["checks"])
-        if "tolerances" in data:
-            kwargs["tolerances"] = dict(data["tolerances"])
-        extra = set(data) - {"seed", "dims", "trials", "phi_list", "variant", "checks",
-                             "tolerances", "n_factors", "support", "allow_outside_class",
-                             "output_path"}
+        extra = set(data) - {f.name for f in fields(cls)}
         if extra:
             raise ConfigError(f"unknown config fields: {sorted(extra)}")
-        return cls(**kwargs)
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -652,7 +643,13 @@ def _build_tasks(config: RunConfig, funcs: dict):
                 if "variant" in s.key:
                     for variant in variants:
                         add(check, s, f, variant, d)
-                elif "phi" in s.key and not (check == "condition_e" and d > 4):
+                elif check == "condition_e" and d > 4:
+                    skipped.append({
+                        "check_name": s.name.format(phi=name, d=d),
+                        "reason": "condition (e) is swept only at d <= 4, where its "
+                                  "third-derivative grids of d^4 entries stay small",
+                    })
+                elif "phi" in s.key:
                     add(check, s, f, "trace", d)
     for d in config.dims:
         for check, s in chosen:
@@ -694,29 +691,44 @@ def run_suite(config: RunConfig) -> SuiteReport:
 # --- counterexample search --------------------------------------------------------
 
 
+@lru_cache(maxsize=32)
+def _param_layout(d: int) -> tuple:
+    """Index arrays between d^2 search parameters and a d x d Hermitian matrix
+    seen as d x d x 2 floats (real part, imaginary part).
+
+    The parameters are the diagonal, then the real and imaginary parts of each
+    upper entry, row by row (np.triu_indices order).  source holds, for each
+    float of the matrix, its position in concat(p, -p, [0]); where holds, for
+    each parameter, the position of its float in the flattened matrix.
+    """
+    n = d * d
+    i, j = np.triu_indices(d, 1)
+    re = d + 2 * np.arange(i.size)  # the parameter of each upper entry's real part
+    source = np.full((d, d, 2), 2 * n)
+    source[range(d), range(d), 0] = range(d)
+    source[i, j, 0] = source[j, i, 0] = re
+    source[i, j, 1] = re + 1
+    source[j, i, 1] = n + re + 1
+    upper = 2 * (i * d + j)
+    where = np.concatenate([2 * (d + 1) * np.arange(d), np.stack([upper, upper + 1], -1).ravel()])
+    source.flags.writeable = where.flags.writeable = False
+    return source, where
+
+
 def _herm_from_params(p: np.ndarray, d: int) -> np.ndarray:
-    """Dense Hermitian matrix from d^2 real parameters."""
-    M = np.zeros((d, d), dtype=complex)
-    idx = 0
-    for i in range(d):
-        M[i, i] = p[idx]
-        idx += 1
-    for i in range(d):
-        for j in range(i + 1, d):
-            M[i, j] = p[idx] + 1j * p[idx + 1]
-            M[j, i] = p[idx] - 1j * p[idx + 1]
-            idx += 2
-    return M
+    """Dense Hermitian matrix from d^2 real parameters; a stack of them from
+    parameter vectors (..., d^2)."""
+    source, _ = _param_layout(d)
+    floats = np.concatenate([p, -p, np.zeros(p.shape[:-1] + (1,))], axis=-1)
+    return np.take(floats, source, axis=-1).view(complex)[..., 0]
 
 
 def _params_of(M: np.ndarray) -> np.ndarray:
-    """The d^2 real parameters of a Hermitian matrix; inverse of _herm_from_params."""
-    d = M.shape[0]
-    p = [float(M[i, i].real) for i in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            p.extend([float(M[i, j].real), float(M[i, j].imag)])
-    return np.asarray(p)
+    """The d^2 real parameters of a Hermitian matrix, or of each of a stack;
+    inverse of _herm_from_params."""
+    M = np.ascontiguousarray(M, dtype=complex)
+    _, where = _param_layout(M.shape[-1])
+    return M.view(float).reshape(M.shape[:-2] + (-1,))[..., where]
 
 
 class _SearchSpace:
@@ -740,16 +752,16 @@ class _SearchSpace:
     def sample(self, rng) -> np.ndarray:
         floor, cap = self.record.search_spectrum
         mats = [sample_psd(self.dim, floor, rng, spectral_cap=cap) for _ in self.matrix_keys]
-        return np.concatenate([*map(_params_of, mats), [rng.uniform(0.05, 0.95)]])
+        return np.concatenate([_params_of(np.stack(mats)).ravel(), [rng.uniform(0.05, 0.95)]])
 
     def point(self, params: np.ndarray) -> dict:
         """Search values first, in the order a search witness lists them, then matrices."""
-        k = self.dim * self.dim
-        lam = float(np.clip(params[len(self.matrix_keys) * k], 0.01, 0.99))
+        n = len(self.matrix_keys) * self.dim * self.dim
+        lam = float(np.clip(params[n], 0.01, 0.99))
         point = {"phi": self.f, "functional": self.check, "variant": "trace",
                  "lambda": lam, "t": lam if self.check == "gap_F_t" else None}
-        for i, key in enumerate(self.matrix_keys):
-            point[key] = _herm_from_params(params[i * k:(i + 1) * k], self.dim)
+        mats = _herm_from_params(params[:n].reshape(len(self.matrix_keys), -1), self.dim)
+        point.update(zip(self.matrix_keys, mats))
         return point
 
     def margins(self, stack: list) -> list:

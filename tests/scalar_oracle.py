@@ -119,6 +119,12 @@ def inverse_second_derivative_form(name, a, h, p=None):
     return h * h / phi_deriv(name, a, 2, p)
 
 
+def condition_e(name, a, h, k, p=None):
+    """Condition (e) at d = 1: (phi'''' phi'' - 2 phi'''^2) k^2 h^2 / phi''^3."""
+    d2, d3, d4 = (phi_deriv(name, a, order, p) for order in (2, 3, 4))
+    return (d4 * d2 - 2.0 * d3**2) * (k * k * h * h) / d2**3
+
+
 def dual_margin(name, weights, z_vals, t_vals, p=None):
     """Entropy minus the classical dual lower bound."""
     mean_t = sum(w * t for w, t in zip(weights, t_vals))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from phi_entropy_lab import DomainError, builtin, catalog, divided_differences, from_spec
+from phi_entropy_lab import DomainError, builtin, catalog, from_spec
 from phi_entropy_lab.catalog import (
     C1,
     C2,
@@ -111,36 +111,36 @@ def test_derivative_view():
 
 
 def test_divided_difference_square_order1():
-    table = divided_differences(builtin("square"), [1.0, 3.0], 1)
-    assert table.values[0, 1] == pytest.approx(4.0)  # (9 - 1) / (3 - 1)
+    grid = dd1_grid(builtin("square"), [1.0, 3.0])
+    assert grid[0, 1] == pytest.approx(4.0)  # (9 - 1) / (3 - 1)
 
 
 def test_divided_difference_square_order2_constant():
-    table = divided_differences(builtin("square"), [0.5, 1.2, 2.9], 2)
-    assert_allclose(table.values, np.ones((3, 3, 3)), atol=1e-12)
+    grid = dd2_grid(builtin("square"), [0.5, 1.2, 2.9])
+    assert_allclose(grid, np.ones((3, 3, 3)), atol=1e-12)
 
 
 def test_divided_difference_collapsed_node():
-    table = divided_differences(builtin("xlogx"), [1.0, 1.0], 1)
-    assert table.values[0, 1] == pytest.approx(1.0)  # phi'(1)
+    grid = dd1_grid(builtin("xlogx"), [1.0, 1.0])
+    assert grid[0, 1] == pytest.approx(1.0)  # phi'(1)
 
 
 def test_polynomial_tables_vanish_above_degree():
     affine = builtin("affine", 2.0, 3.0)
-    t2 = divided_differences(affine, [0.4, 1.1, 2.2], 2)
-    assert np.abs(t2.values).max() < 1e-12
-    t3 = divided_differences(builtin("square"), [0.4, 1.1, 2.2, 3.0], 3)
-    assert np.abs(t3.values).max() < 1e-12
+    t2 = dd2_grid(affine, [0.4, 1.1, 2.2])
+    assert np.abs(t2).max() < 1e-12
+    t3 = dd3_grid(builtin("square"), [0.4, 1.1, 2.2, 3.0])
+    assert np.abs(t3).max() < 1e-12
 
 
 @pytest.mark.parametrize("spec", ["xlogx", "power:1.5", "exp"])
 def test_table_symmetry(spec):
     f = _resolve(spec)
     nodes = [0.6, 1.3, 2.1]
-    t2 = divided_differences(f, nodes, 2).values
+    t2 = dd2_grid(f, nodes)
     assert_allclose(t2, np.transpose(t2, (2, 1, 0)), rtol=1e-9)
     assert_allclose(t2, np.transpose(t2, (1, 0, 2)), rtol=1e-9)
-    t3 = divided_differences(f, [0.6, 1.3, 2.1, 2.8], 3).values
+    t3 = dd3_grid(f, [0.6, 1.3, 2.1, 2.8])
     for perm in [(1, 0, 2, 3), (0, 2, 1, 3), (3, 1, 2, 0)]:
         assert_allclose(t3, np.transpose(t3, perm), rtol=1e-9)
 
@@ -148,10 +148,10 @@ def test_table_symmetry(spec):
 def test_collapsed_entries_match_derivatives():
     f = builtin("xlogx")
     nodes = [0.7, 1.4]
-    t1 = divided_differences(f, nodes, 1).values
+    t1 = dd1_grid(f, nodes)
     for i, u in enumerate(nodes):
         assert abs(t1[i, i] - f.deriv(u, 1)) < 1e-8
-    t2 = divided_differences(f, nodes, 2).values
+    t2 = dd2_grid(f, nodes)
     for i, u in enumerate(nodes):
         assert abs(t2[i, i, i] - 0.5 * f.deriv(u, 2)) < 1e-8
 
@@ -168,9 +168,9 @@ def test_continuity_across_coincidence_threshold():
 
 def test_nodes_outside_domain_rejected():
     with pytest.raises(DomainError, match="node"):
-        divided_differences(builtin("xlogx"), [1.0, -0.2], 1)
+        require_nodes_in_derivative_domain(builtin("xlogx"), [1.0, -0.2], 1)
     with pytest.raises(DomainError, match="node"):
-        divided_differences(builtin("xlogx"), [0.0, 1.0], 1)  # not interior
+        require_nodes_in_derivative_domain(builtin("xlogx"), [0.0, 1.0], 1)  # not interior
 
 
 def test_derivative_floor_applies_only_to_functions_with_one():
@@ -247,8 +247,3 @@ def test_dd3_grid_evaluates_only_the_sorted_quadruples(monkeypatch):
 def test_dd2_grid_evaluates_only_the_sorted_triples(monkeypatch):
     # C(16 + 2, 3), not 16^3 = 4,096
     assert _evaluations("_dd2_sorted", dd2_grid, monkeypatch) == [816]
-
-
-def test_invalid_order():
-    with pytest.raises(DomainError):
-        divided_differences(builtin("square"), [1.0], 4)

@@ -223,6 +223,39 @@ def test_exit_code_two_on_malformed_arguments(argv, product_file, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+_ONE = {"dim": 1, "re": [[1.0]]}
+_TWO = {"dim": 2, "re": [[1.0, 0.0], [0.0, 1.0]]}
+
+
+@pytest.mark.parametrize("command, data", [
+    ("frechet", {"dim": "two", "re": [[1.0]]}),
+    ("frechet", {"dim": 1, "re": [["a"]]}),
+    ("frechet", {"dim": 2, "re": [[1.0, 0.0], [0.0]]}),
+    ("entropy", {"atoms": [{"m": _ONE}]}),
+    ("entropy", [{"w": 1.0, "m": _ONE}]),
+    ("entropy", {"atoms": [{"w": 0.5, "m": _ONE}, {"w": 0.5, "m": _TWO}]}),
+    ("check-subadditivity", {"factors": [[1.0]], "z": {"x": _ONE}}),
+    ("check-subadditivity", {"factors": [["a"]], "z": {"0": _ONE}}),
+    ("check-monotonicity", {"kraus": 5}),
+    ("run-suite", {"trials": "5"}),
+    ("run-suite", {"dims": ["x"]}),
+], ids=["dim-word", "re-word", "re-ragged", "atom-no-w", "top-level-list", "atoms-mixed-dims",
+        "product-key", "factor-weight-word", "kraus-number", "trials-string", "dims-word"])
+def test_exit_code_two_on_malformed_input_files(command, data, ensemble_file, tmp_path, capsys):
+    path = str(tmp_path / "input.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    argv = {
+        "frechet": ["--order", "1", "--matrix", path, "--direction", path, "--phi", "square"],
+        "entropy": ["--phi", "square", "--input", path],
+        "check-subadditivity": ["--phi", "square", "--input", path],
+        "check-monotonicity": ["--phi", "square", "--channel", path, "--input", ensemble_file],
+        "run-suite": ["--config", path, "--quiet"],
+    }[command]
+    assert main([command, *argv]) == 2
+    assert "error" in capsys.readouterr().err
+
+
 def test_exit_code_one_on_violation(tmp_path, capsys):
     # a product whose subadditivity fails for the quartic (scalar embedding)
     q_table = {

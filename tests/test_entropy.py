@@ -17,10 +17,7 @@ from phi_entropy_lab import (
     ProductEnsemble,
     builtin,
     check,
-    conditional_entropy,
     efron_stein_quantity,
-    expectation,
-    interpolation_derivative_scan,
     matrix_phi_entropy,
     operator_phi_entropy,
     variance,
@@ -32,6 +29,7 @@ from phi_entropy_lab.sampling import (
     sample_ensemble,
     sample_product,
 )
+from phi_entropy_lab.spectral import frobenius, variant_margin
 
 SQ = builtin("square")
 XLX = builtin("xlogx")
@@ -52,12 +50,6 @@ def test_ensemble_invariants_enforced():
         MatrixEnsemble(np.array([0.5, 0.4]), np.stack([np.eye(2)] * 2))
     with pytest.raises(DomainError, match="positive semi-definite"):
         MatrixEnsemble(np.array([0.5, 0.5]), np.stack([np.eye(2), -np.eye(2)]))
-
-
-def test_expectation_examples():
-    single = MatrixEnsemble(np.array([1.0]), np.stack([np.diag([2.0, 5.0])]))
-    assert_allclose(expectation(single), np.diag([2.0, 5.0]))
-    assert_allclose(expectation(E0), np.diag([2.0, 3.0]))
 
 
 def test_ensemble_json_roundtrip():
@@ -116,7 +108,8 @@ def test_ensembles_name_the_bad_atom_at_any_position(bad, position):
 def test_tower_property():
     P = sample_product(3, 3, 2, seed=6)
     # iterate factor-wise in two different orders; must match the flat mean
-    flat_mean = expectation(P.flatten())
+    flat = P.flatten()
+    flat_mean = np.einsum("m,mij->ij", flat.weights, flat.atoms)
     acc = np.zeros((3, 3), dtype=complex)
     for key in P.outcomes():
         acc += P.probability(key) * P.z_map[key]
@@ -178,37 +171,35 @@ def test_commuting_ensemble_reduces_to_entrywise_entropy():
     assert matrix_phi_entropy(XLX, E) == pytest.approx(float(np.mean(expected)), abs=1e-10)
 
 
+# The conditional entropies below are the ones subadditivity_gap sums.
+
+
 def test_conditional_entropy_deterministic_factor():
     P = diag_product(
         [(0.4, 0.6), (1.0,)],
         {(0, 0): 1.0, (1, 0): 2.0},
     )
-    # factor 1 is deterministic: conditioning on factor 0 leaves no randomness
-    assert conditional_entropy(SQ, P, 1, (0,), "trace") == pytest.approx(0.0, abs=1e-14)
+    # factor 1 is deterministic: its conditional entropy is 0 and factor 0's
+    # is the whole entropy, so the gap vanishes
+    for variant in ("trace", "operator"):
+        gap = subadditivity_gap(SQ, P, variant)
+        assert abs(gap[0, 0]) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_conditional_entropy_single_factor_equals_unconditional():
     P = sample_product(2, 1, 3, seed=7)
-    h_cond = conditional_entropy(XLX, P, 0, (), "trace")
-    assert h_cond == pytest.approx(matrix_phi_entropy(XLX, P.flatten()), abs=1e-14)
+    # the only factor's conditional entropy is the entropy itself
+    assert np.abs(subadditivity_gap(XLX, P, "trace")).max() <= 1e-14
 
 
 def test_conditional_entropy_diagonal_matches_scalar_conditional_variance():
     w1, w2 = (0.3, 0.7), (0.25, 0.75)
     table = {(0, 0): 0.5, (0, 1): 1.5, (1, 0): 2.0, (1, 1): 0.7}
     P = diag_product([w1, w2], table)
-    # condition on factor 1 fixed at outcome 1, integrate factor 0
-    got = conditional_entropy(SQ, P, 0, (1,), "trace")
-    expected = oracle.variance(w1, [table[(0, 1)], table[(1, 1)]])
+    # for the square each conditional entropy is a scalar conditional variance
+    got = subadditivity_gap(SQ, P, "trace")[0, 0].real
+    expected = oracle.subadditivity_margin("square", [w1, w2], table)
     assert got == pytest.approx(expected, abs=1e-12)
-
-
-def test_conditional_entropy_complement_convention():
-    P = sample_product(2, 2, 2, seed=8)
-    # integrate over the complement of factor 0 with X_0 pinned
-    got = conditional_entropy(XLX, P, 0, 1, "trace", integrate_over="complement")
-    E = P.slice_over_complement(0, 1)
-    assert got == pytest.approx(matrix_phi_entropy(XLX, E), abs=1e-14)
 
 
 def test_subadditivity_single_factor_margin_exactly_zero():
@@ -327,7 +318,7 @@ def test_dual_gap_zero_at_coincident_ensembles():
 
 def test_dual_gap_deterministic_reference_is_entropy():
     Z, _ = sample_coupled_ensembles(3, 3, seed=3, spectral_floor=1e-2)
-    mean = expectation(Z)
+    mean = np.einsum("m,mij->ij", Z.weights, Z.atoms)
     T = MatrixEnsemble(Z.weights, np.stack([mean] * Z.support))
     value = dual_value(SQ, Z, T)
     # the reference term vanishes, leaving the entropy itself as the margin
@@ -363,21 +354,28 @@ def test_dual_gap_requires_positive_definite_reference():
         check("dual_representation", phi=SQ, variant="trace", Z=Z, T=T)
 
 
+def _dual_values_along(f, Z, T, grid):
+    """The dual functional F(s) = dual_value(f, Z, (1-s)Z + sT) on the grid."""
+    return np.stack([dual_value(f, Z, MatrixEnsemble(Z.weights, (1.0 - s) * Z.atoms + s * T.atoms))
+                     for s in grid])
+
+
 def test_interpolation_scan_constant_when_coincident():
     Z, _ = sample_coupled_ensembles(2, 3, seed=7, spectral_floor=1e-2)
-    report = interpolation_derivative_scan(SQ, Z, Z, grid=np.linspace(0, 1, 5))
-    assert report.holds
-    assert abs(report.margin) < 1e-12
+    values = _dual_values_along(SQ, Z, Z, np.linspace(0, 1, 5))
+    assert np.abs(variant_margin(values[:-1] - values[1:], "operator")).max() < 1e-12
 
 
 def test_interpolation_scan_monotone_and_anchored():
     grid = np.linspace(0.0, 1.0, 11)
     for trial in range(10):
         Z, T = sample_coupled_ensembles(3, 3, seed=trial, spectral_floor=1e-2)
-        report = interpolation_derivative_scan(SQ, Z, T, grid=grid, variant="operator")
-        assert report.holds, report
+        values = _dual_values_along(SQ, Z, T, grid)
+        # F is nonincreasing along Z -> T in the PSD order
+        tol = 1e-9 * (1.0 + frobenius(values).max())
+        assert variant_margin(values[:-1] - values[1:], "operator").min() >= -tol
         # F(0) equals the operator entropy of Z
-        assert np.abs(dual_value(SQ, Z, Z) - operator_phi_entropy(SQ, Z)).max() < 1e-12
+        assert np.abs(values[0] - operator_phi_entropy(SQ, Z)).max() < 1e-12
 
 
 def test_interpolation_scan_scalar_closed_form():

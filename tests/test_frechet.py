@@ -21,7 +21,6 @@ from phi_entropy_lab import (
     frechet_d1,
     frechet_d2,
     frechet_d3,
-    hs_inner,
     superop_inverse,
     superop_matrix,
 )
@@ -210,8 +209,8 @@ def test_trace_duality():
             X = sample_hermitian(3, rng)
             Y = sample_hermitian(3, rng)
             lhs = np.trace(frechet_d2(f, A, X, Y)).real
-            mid = hs_inner(X, frechet_d1(psi, A, Y)).real
-            rhs = hs_inner(Y, frechet_d1(psi, A, X)).real
+            mid = np.vdot(X, frechet_d1(psi, A, Y)).real
+            rhs = np.vdot(Y, frechet_d1(psi, A, X)).real
             scale = 1.0 + abs(lhs)
             assert abs(lhs - mid) < 1e-8 * scale
             assert abs(lhs - rhs) < 1e-8 * scale

@@ -23,7 +23,12 @@ from phi_entropy_lab import (
     run_suite,
 )
 from phi_entropy_lab.errors import PhiLabError
-from phi_entropy_lab.sampling import rng_for, sample_coupled_ensembles, sample_product
+from phi_entropy_lab.sampling import (
+    rng_for,
+    sample_coupled_ensembles,
+    sample_hermitian,
+    sample_product,
+)
 from phi_entropy_lab import suite
 from phi_entropy_lab.suite import CHECK_NAMES
 
@@ -52,6 +57,12 @@ def test_config_validation():
         RunConfig(variant="bogus")
     with pytest.raises(ConfigError):
         RunConfig(checks=("not_a_check",))
+    # fields read from a config file must have the right types
+    for bad in (dict(trials="5"), dict(seed=1.5), dict(n_factors=None), dict(support=True),
+                dict(dims=("x",)), dict(dims=(2.0,)), dict(dims=2), dict(tolerances=[1e-9]),
+                dict(tolerances={"jensen": "x"})):
+        with pytest.raises(ConfigError):
+            RunConfig(**bad)
 
 
 def test_unknown_phi_rejected_before_computation():
@@ -68,6 +79,11 @@ def test_config_json_roundtrip():
     cfg = RunConfig(**SMALL)
     back = RunConfig.from_json_dict(cfg.to_json_dict())
     assert back == cfg
+    # the config JSON names every field once, in declaration order
+    assert json.dumps(RunConfig(tolerances={"jensen": 1e-3}, **SMALL).to_json_dict()) == (
+        '{"seed": 5, "dims": [2], "trials": 5, "phi_list": ["square"], "variant": "trace", '
+        '"checks": ' + json.dumps(list(CHECK_NAMES)) + ', "tolerances": {"jensen": 0.001}, '
+        '"n_factors": 2, "support": 2, "allow_outside_class": false, "output_path": null}')
     with pytest.raises(ConfigError, match="unknown config fields"):
         RunConfig.from_json_dict({"bogus_field": 1})
 
@@ -107,6 +123,14 @@ def test_operator_variant_skips_untagged_functions():
                     checks=("subadditivity",))
     suite = run_suite(cfg)
     assert len(suite.entries) == 0
+    assert suite.summary["skip"] == 1
+
+
+def test_condition_e_above_d4_is_recorded_as_skipped():
+    cfg = RunConfig(seed=1, dims=(4, 8), trials=1, phi_list=("square",), checks=("condition_e",))
+    suite = run_suite(cfg)
+    assert [report.check_name for report, _, _ in suite.entries] == ["condition_e[square,d=4]"]
+    assert [entry["check_name"] for entry in suite.skipped] == ["condition_e[square,d=8]"]
     assert suite.summary["skip"] == 1
 
 
@@ -222,6 +246,33 @@ def test_counterexample_search_rejects_a_non_positive_tolerance(tol):
     # as a violation.
     with pytest.raises(ConfigError, match="tol"):
         counterexample_search(builtin("square"), "map_C", 5, seed=0, tol=tol)
+
+
+def _herm_from_params_entrywise(p, d):
+    """The search's parameter layout entry by entry: the reference for its index arrays."""
+    M = np.zeros((d, d), dtype=complex)
+    M[range(d), range(d)] = p[:d]
+    k = d
+    for i in range(d):
+        for j in range(i + 1, d):
+            M[i, j], M[j, i] = p[k] + 1j * p[k + 1], p[k] - 1j * p[k + 1]
+            k += 2
+    return M
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 16])
+def test_search_parameters_round_trip(d):
+    rng = rng_for(0, "params", d)
+    M = sample_hermitian(d, rng)
+    params = suite._params_of(M)
+    assert params.shape == (d * d,)
+    assert np.array_equal(suite._herm_from_params(params, d), M)
+    # a stack unpacks to the entry-by-entry matrices, bit for bit, and back
+    stack = rng.normal(size=(3, d * d))
+    mats = suite._herm_from_params(stack, d)
+    for p, got in zip(stack, mats):
+        assert got.tobytes() == _herm_from_params_entrywise(p, d).tobytes()
+    assert suite._params_of(mats).tobytes() == stack.tobytes()
 
 
 def _search_one_at_a_time(f, check_name: str, budget: int, seed: int, dim: int,
