@@ -1,9 +1,14 @@
 """Command-line interface.
 
-Subcommands compute entropies and derivatives on JSON inputs, run the
-individual inequality checks, search for counterexamples, and drive the
-full suite.  Exit codes: 0 all (in-class) checks pass, 1 a violation was
-found, 2 configuration error.
+Exit codes: 0 the checks hold, 1 a violation, 2 bad configuration or input.
+
+- ``entropy``, ``frechet`` (0, 2): an entropy, a directional derivative;
+- ``check``: one witness file, as a report stores it (its ``kind``, then
+  the fields of that ``suite.CHECKS`` record);
+- ``replay``: 1 if a witness margin of a ``run-suite`` file moves by > 1e-12;
+- ``check-characterizations``: sweeps of the characterizations (a)-(g);
+- ``search-counterexample``: 1 if a violating point is found;
+- ``run-suite``: 1 if an in-class check fails.
 """
 
 from __future__ import annotations
@@ -13,20 +18,20 @@ import json
 import sys
 
 from .catalog import from_spec
-from .channels import KrausChannel, random_unital_channel
-from .entropy import MatrixEnsemble, ProductEnsemble, matrix_phi_entropy, operator_phi_entropy
+from .entropy import MatrixEnsemble, matrix_phi_entropy, operator_phi_entropy
 from .errors import ConfigError, PhiLabError
 from .frechet import frechet_d1, frechet_d2, frechet_d3
-from .sampling import rng_for
 from .spectral import matrix_from_json, matrix_to_json
 from .suite import (
     CHECK_NAMES,
     RunConfig,
     SEARCHABLE_CHECKS,
     SWEEPS,
+    _decode_witness,
     check,
     class_gate,
     counterexample_search,
+    replay_witness,
     run_suite,
     sweep,
 )
@@ -34,6 +39,7 @@ from .suite import (
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
+REPLAY_TOL = 1e-12
 
 
 def _read_json(path: str) -> dict:
@@ -47,8 +53,14 @@ def _read_json(path: str) -> dict:
     return data
 
 
-def _emit(payload, args) -> None:
-    text = json.dumps(payload, indent=None if args.quiet else 2, sort_keys=False)
+def _emit(payload, args, line: str | None = None) -> None:
+    """Write payload as JSON to --output, or else to stdout.  Under --quiet
+    the JSON is compact, and a summary line, if given, replaces it on stdout."""
+    if args.quiet and line is not None:
+        print(line)
+        if not args.output:
+            return
+    text = json.dumps(payload, indent=None if args.quiet else 2)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -58,29 +70,19 @@ def _emit(payload, args) -> None:
         print(text)
 
 
-def _int_list(text: str, option: str) -> list:
-    """Integers of a comma list; a malformed entry is a configuration error."""
-    try:
-        return [int(s) for s in text.split(",") if s.strip()]
-    except ValueError:
-        raise ConfigError(f"{option} must be a comma list of integers, got '{text}'") from None
-
-
-def _summary_line(reports) -> str:
-    passed = sum(1 for r in reports if r.holds)
-    return f"{passed}/{len(reports)} checks passed"
-
-
-def _phi(args, allow_outside=False):
-    return from_spec(args.phi, allow_outside_class=allow_outside or getattr(args, "override", False))
+def _phi(args):
+    """The --phi function; outside every class only if ungated or under --override."""
+    return from_spec(args.phi, allow_outside_class=getattr(args, "override", True))
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    common.add_argument("--tol", type=float, default=None, help="tolerance override")
     common.add_argument("--output", type=str, default=None, help="write JSON here")
     common.add_argument("--quiet", action="store_true", help="print only the summary line")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    judged = argparse.ArgumentParser(add_help=False)
+    judged.add_argument("--tol", type=float, default=None, help="tolerance override")
 
     parser = argparse.ArgumentParser(
         prog="phi-entropy-lab",
@@ -99,19 +101,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True, help="base point JSON file")
     p.add_argument("--direction", required=True, help="direction JSON file")
 
-    p = sub.add_parser("check-subadditivity", parents=[common],
-                       help="subadditivity of the entropy of a product ensemble")
-    p.add_argument("--phi", required=True)
-    p.add_argument("--variant", choices=["trace", "operator"], default="trace")
-    p.add_argument("--input", required=True, help="product-ensemble JSON file")
+    p = sub.add_parser("check", parents=[common, judged], help="report of one stored witness")
+    p.add_argument("--input", required=True, help="witness JSON file: kind and record fields")
     p.add_argument("--override", action="store_true", help="bypass the class gate")
 
-    p = sub.add_parser("check-efron-stein", parents=[common],
-                       help="operator and polynomial Efron-Stein bounds of a product ensemble")
-    p.add_argument("--input", required=True, help="product-ensemble JSON file")
-    p.add_argument("--p", type=str, default="1,2,3", help="comma list of polynomial orders")
+    p = sub.add_parser("replay", parents=[common],
+                       help="recompute the margins of the witnesses of a run-suite file")
+    p.add_argument("--input", required=True, help="run-suite JSON file")
 
-    p = sub.add_parser("check-characterizations", parents=[common],
+    p = sub.add_parser("check-characterizations", parents=[common, seeded, judged],
                        help="sweeps of the convexity characterizations (a)-(g)")
     p.add_argument("--phi", required=True)
     p.add_argument("--items", type=str, default="b,c,d,e,f,g")
@@ -120,23 +118,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=["trace", "operator"], default="trace")
     p.add_argument("--override", action="store_true")
 
-    p = sub.add_parser("check-monotonicity", parents=[common],
-                       help="monotonicity of the entropy under unital channels")
-    p.add_argument("--phi", required=True)
-    p.add_argument("--variant", choices=["trace", "operator"], default="trace")
-    p.add_argument("--channel", required=True, help="channel JSON file or random:<k>")
-    p.add_argument("--input", required=True, help="ensemble JSON file")
-    p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--override", action="store_true")
-
-    p = sub.add_parser("search-counterexample", parents=[common],
+    p = sub.add_parser("search-counterexample", parents=[common, seeded, judged],
                        help="random search and descent for a violating point")
     p.add_argument("--phi", required=True)
     p.add_argument("--check", required=True, choices=list(SEARCHABLE_CHECKS))
     p.add_argument("--budget", type=int, default=10_000)
     p.add_argument("--dim", type=int, default=1)
 
-    p = sub.add_parser("run-suite", parents=[common], help="run every configured sweep")
+    p = sub.add_parser("run-suite", parents=[common, seeded], help="run every configured sweep")
     p.add_argument("--config", type=str, default=None, help="RunConfig JSON file")
     p.add_argument("--phi-list", type=str, default=None, help="comma list of functions")
     p.add_argument("--dims", type=str, default=None, help="comma list of dimensions")
@@ -149,27 +138,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_entropy(args) -> int:
-    f = _phi(args, allow_outside=True)
+    f = _phi(args)
     E = MatrixEnsemble.from_json_dict(_read_json(args.input))
     if args.variant == "trace":
         value = matrix_phi_entropy(f, E)
-        payload = {"command": "entropy", "phi": args.phi, "variant": "trace", "value": value}
-        if args.quiet:
-            print(f"entropy {value:.12g}")
-            if args.output:
-                _emit(payload, args)
-        else:
-            _emit(payload, args)
-        return EXIT_OK
-    gap = operator_phi_entropy(f, E)
-    payload = {"command": "entropy", "phi": args.phi, "variant": "operator",
-               "value": matrix_to_json(gap)}
-    _emit(payload, args)
+        line = f"entropy {value:.12g}"
+    else:
+        value, line = matrix_to_json(operator_phi_entropy(f, E)), None
+    _emit({"command": "entropy", "phi": args.phi, "variant": args.variant, "value": value},
+          args, line)
     return EXIT_OK
 
 
 def _cmd_frechet(args) -> int:
-    f = _phi(args, allow_outside=True)
+    f = _phi(args)
     A = matrix_from_json(_read_json(args.matrix))
     X = matrix_from_json(_read_json(args.direction))
     if args.order == 1:
@@ -187,29 +169,30 @@ def _reports_exit(reports, args) -> int:
     if not reports:
         raise ConfigError("the arguments select no check to run")
     payload = [r.to_json_dict() for r in reports]
-    if args.quiet:
-        print(_summary_line(reports))
-        if args.output:
-            _emit(payload if len(payload) > 1 else payload[0], args)
-    else:
-        _emit(payload if len(payload) > 1 else payload[0], args)
+    line = f"{sum(1 for r in reports if r.holds)}/{len(reports)} checks passed"
+    _emit(payload if len(payload) > 1 else payload[0], args, line)
     return EXIT_OK if all(r.holds for r in reports) else EXIT_VIOLATION
 
 
-def _cmd_check_subadditivity(args) -> int:
-    f = _phi(args)
-    P = ProductEnsemble.from_json_dict(_read_json(args.input))
-    report = check("subadditivity", tol=args.tol, override=args.override,
-                   phi=f, variant=args.variant, product=P)
-    return _reports_exit([report], args)
+def _cmd_check(args) -> int:
+    witness = _read_json(args.input)
+    point = _decode_witness(witness)
+    return _reports_exit([check(witness["kind"], tol=args.tol, override=args.override,
+                                **point)], args)
 
 
-def _cmd_check_efron_stein(args) -> int:
-    P = ProductEnsemble.from_json_dict(_read_json(args.input))
-    orders = _int_list(args.p, "--p")
-    reports = [check("efron_stein", tol=args.tol, product=P)]
-    reports += [check("poly_efron_stein", tol=args.tol, p=p, product=P) for p in orders]
-    return _reports_exit(reports, args)
+def _cmd_replay(args) -> int:
+    reports = _read_json(args.input).get("reports")
+    if not isinstance(reports, list) or not all(isinstance(r, dict) for r in reports):
+        raise ConfigError(f"'{args.input}' must hold a 'reports' list of objects")
+    stored = [r for r in reports if r.get("witness") is not None]
+    if any(type(r.get("margin")) not in (int, float) for r in stored):
+        raise ConfigError(f"'{args.input}' holds a witness without a numeric margin")
+    rows = [{"check_name": r.get("check_name"), "margin": r["margin"],
+             "replayed": replay_witness(r["witness"])} for r in stored]
+    kept = sum(1 for row in rows if abs(row["replayed"] - row["margin"]) <= REPLAY_TOL)
+    _emit(rows, args, f"{kept}/{len(rows)} witnesses replayed to their margins")
+    return EXIT_OK if kept == len(rows) else EXIT_VIOLATION
 
 
 def _cmd_check_characterizations(args) -> int:
@@ -231,35 +214,12 @@ def _cmd_check_characterizations(args) -> int:
     return _reports_exit(reports, args)
 
 
-def _cmd_check_monotonicity(args) -> int:
-    f = _phi(args)
-    E = MatrixEnsemble.from_json_dict(_read_json(args.input))
-    if args.channel.startswith("random:"):
-        try:
-            k = int(args.channel.split(":", 1)[1])
-        except ValueError as exc:
-            raise ConfigError(f"malformed channel spec '{args.channel}'") from exc
-        channels = [random_unital_channel(E.dim, k, rng_for(args.seed, "cli-channel", trial))
-                    for trial in range(args.trials)]
-    else:
-        channels = [KrausChannel.from_json_dict(_read_json(args.channel))]
-    reports = [check("monotonicity", tol=args.tol, override=args.override, phi=f,
-                     variant=args.variant, channel=N, ensemble=E) for N in channels]
-    return _reports_exit(reports, args)
-
-
 def _cmd_search(args) -> int:
-    f = from_spec(args.phi, allow_outside_class=True)
-    report = counterexample_search(f, args.check, args.budget, args.seed, dim=args.dim,
+    report = counterexample_search(_phi(args), args.check, args.budget, args.seed, dim=args.dim,
                                    tol=args.tol if args.tol is not None else 1e-9)
-    payload = report.to_json_dict()
-    if args.quiet:
-        found = "violation found" if not report.holds else "no violation"
-        print(f"{found} after {report.trials} trials (margin {report.margin:.3e})")
-        if args.output:
-            _emit(payload, args)
-    else:
-        _emit(payload, args)
+    found = "violation found" if not report.holds else "no violation"
+    _emit(report.to_json_dict(), args,
+          f"{found} after {report.trials} trials (margin {report.margin:.3e})")
     # A found counterexample is the expected success mode for outside-class
     # functions; the exit code still reports it as a violation.
     return EXIT_VIOLATION if not report.holds else EXIT_OK
@@ -293,7 +253,11 @@ def _cmd_run_suite(args) -> int:
         if args.phi_list is not None:
             kwargs["phi_list"] = tuple(s.strip() for s in args.phi_list.split(",") if s.strip())
         if args.dims is not None:
-            kwargs["dims"] = tuple(_int_list(args.dims, "--dims"))
+            try:
+                kwargs["dims"] = tuple(int(s) for s in args.dims.split(",") if s.strip())
+            except ValueError:
+                raise ConfigError(f"--dims must be a comma list of integers, "
+                                  f"got '{args.dims}'") from None
         if args.trials is not None:
             kwargs["trials"] = args.trials
         if args.variant is not None:
@@ -323,10 +287,9 @@ def _cmd_run_suite(args) -> int:
 _COMMANDS = {
     "entropy": _cmd_entropy,
     "frechet": _cmd_frechet,
-    "check-subadditivity": _cmd_check_subadditivity,
-    "check-efron-stein": _cmd_check_efron_stein,
+    "check": _cmd_check,
+    "replay": _cmd_replay,
     "check-characterizations": _cmd_check_characterizations,
-    "check-monotonicity": _cmd_check_monotonicity,
     "search-counterexample": _cmd_search,
     "run-suite": _cmd_run_suite,
 }

@@ -274,7 +274,7 @@ def _slices(products: list):
             yield w, [index[fixed[:i] + (s,) + fixed[i:]] for s in range(w.shape[-1])], p
 
 
-def subadditivity_gap(f: ScalarFunction, P, variant: str) -> np.ndarray:
+def subadditivity_gap(f: ScalarFunction, P) -> np.ndarray:
     """sum_i E[conditional entropy] - total entropy, as an operator.
 
     Evaluates f over the outcome stack once and batches the per-slice

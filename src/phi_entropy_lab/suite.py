@@ -13,7 +13,7 @@ witness replay and counterexample search all read it.  A record says once:
 - how a point is stored as a witness and read back (its fields, in order);
 - the tolerance a sweep's margins are judged by;
 - whether it is gated to the function class of its variant, and the name of
-  the report of one point, for the records that have one.
+  the report of one point.
 
 ``SWEEPS`` says which reports each entry of ``CHECK_NAMES`` makes: the record
 each report measures, the labels of its stream and its name.  The rest is
@@ -145,8 +145,9 @@ class RunConfig:
         if not isinstance(self.dims, (list, tuple)) or not all(map(_integer, self.dims)):
             raise ConfigError(f"dims must be a list of integers, got {self.dims!r}")
         if not isinstance(self.tolerances, dict) or not all(
-                isinstance(t, numbers.Real) for t in self.tolerances.values()):
-            raise ConfigError(f"tolerances must map check names to numbers, "
+                c in CHECK_NAMES and isinstance(t, numbers.Real)
+                for c, t in self.tolerances.items()):
+            raise ConfigError(f"tolerances must map names of {CHECK_NAMES} to numbers, "
                               f"got {self.tolerances!r}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
@@ -236,16 +237,39 @@ def _in_class(f: ScalarFunction, variant: str) -> bool:
 
 # --- the check registry ------------------------------------------------------------
 
-# Witness codecs: (encode, decode) between a point value and its JSON form.
-_VALUE = (lambda x: x, lambda x: x)
-_FLOATS = (lambda xs: [float(x) for x in xs], lambda xs: xs)
-_PHI = (lambda f: f.spec_string(), lambda s: from_spec(s, allow_outside_class=True))
-_MATRIX = (lambda A: matrix_to_json(A), lambda data: matrix_from_json(data))
+# Witness codecs: (encode, decode, what a stored value must be, the test of it)
+# between a point value and its JSON form.  A stored witness is input from
+# outside the program, so _decode_witness refuses a value that fails the test.
+
+
+def _real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _json_object(cls) -> tuple:
+    return (lambda v: v.to_json_dict(), lambda data: cls.from_json_dict(data), "an object",
+            lambda x: isinstance(x, dict))
+
+
+_AS_IS = (lambda x: x, lambda x: x)  # encode, decode of a value stored as it is
+_ORDER = (*_AS_IS, "1, 2 or 3", lambda x: _integer(x) and 1 <= x <= 3)
+_P = (*_AS_IS, "a number >= 1", lambda x: _real(x) and x >= 1)
+_LAMBDA = (*_AS_IS, "a number in [0, 1]", lambda x: _real(x) and 0 <= x <= 1)
+_T = (*_AS_IS, "null or a number in [0, 1]", lambda x: x is None or _LAMBDA[3](x))
+_VARIANT = (*_AS_IS, "'trace' or 'operator'", lambda x: x in ("trace", "operator"))
+_FUNCTIONAL = (*_AS_IS, f"one of {FUNCTIONAL_NAMES}", lambda x: x in FUNCTIONAL_NAMES)
+_FLOATS = (lambda xs: [float(x) for x in xs], lambda xs: xs, "a list of numbers",
+           lambda xs: isinstance(xs, list) and all(map(_real, xs)))
+_PHI = (lambda f: f.spec_string(), lambda s: from_spec(s, allow_outside_class=True),
+        "a function spec", lambda s: isinstance(s, str))
+_MATRIX = (lambda A: matrix_to_json(A), lambda data: matrix_from_json(data), "an object",
+           lambda x: isinstance(x, dict))
 _MATRICES = (lambda As: [matrix_to_json(A) for A in As],
-             lambda data: [matrix_from_json(A) for A in data])
-_PRODUCT = (lambda P: P.to_json_dict(), lambda data: ProductEnsemble.from_json_dict(data))
-_ENSEMBLE = (lambda E: E.to_json_dict(), lambda data: MatrixEnsemble.from_json_dict(data))
-_CHANNEL = (lambda N: N.to_json_dict(), lambda data: KrausChannel.from_json_dict(data))
+             lambda data: [matrix_from_json(A) for A in data], "a list of matrices",
+             lambda xs: isinstance(xs, list))
+_PRODUCT = _json_object(ProductEnsemble)
+_ENSEMBLE = _json_object(MatrixEnsemble)
+_CHANNEL = _json_object(KrausChannel)
 
 
 @dataclass(frozen=True)
@@ -256,12 +280,12 @@ class Check:
     """
 
     fields: tuple                 # witness layout after "kind": (key, codec) pairs
+    name: str                     # report of one point, formatted with its witness
     # Any list of a sweep's points, in trial order -> their margins, >= 0 where it holds.
     margin: Callable
     draw: Callable | None = None  # (rng, d, config, base point) -> one trial's points
     tolerance: Callable | None = None  # (all margins, base point) -> tolerance
     class_gated: bool = True      # in class only for phi tagged for the variant
-    name: str | None = None       # report of one point, formatted with its witness
     # Spectral floor and cap of the matrices a counterexample search draws.
     search_spectrum: tuple = (SPECTRAL_FLOOR + 0.05, None)
 
@@ -375,16 +399,16 @@ def _draw_product(n_factors):
 
 CHECKS = {
     "frechet_oracle": Check(
-        fields=(("phi", _PHI), ("order", _VALUE), ("A", _MATRIX), ("X", _MATRIX)),
+        fields=(("phi", _PHI), ("order", _ORDER), ("A", _MATRIX), ("X", _MATRIX)),
         margin=_frechet_margins,
         draw=lambda rng, d, config, base: [{"A": sample_psd(d, 0.5, rng, spectral_cap=4.0),
                                             "X": sample_hermitian_unit(d, rng)}],
         tolerance=lambda margins, base: ORACLE_TOLS[base["order"]],
-        class_gated=False),
+        class_gated=False,
+        name="frechet_oracle[{phi},order={order}]"),
     "subadditivity": Check(
-        fields=(("phi", _PHI), ("variant", _VALUE), ("product", _PRODUCT)),
-        margin=lambda ps: _gap_margins(ps, subadditivity_gap(
-            ps[0]["phi"], _all(ps, "product"), ps[0]["variant"])),
+        fields=(("phi", _PHI), ("variant", _VARIANT), ("product", _PRODUCT)),
+        margin=lambda ps: _gap_margins(ps, subadditivity_gap(ps[0]["phi"], _all(ps, "product"))),
         draw=_draw_product(None),
         tolerance=lambda margins, base: 1e-10,
         name="subadditivity[{phi},{variant}]"),
@@ -397,14 +421,14 @@ CHECKS = {
         class_gated=False,
         name="operator_efron_stein"),
     "poly_efron_stein": Check(
-        fields=(("p", _VALUE), ("product", _PRODUCT)),
+        fields=(("p", _P), ("product", _PRODUCT)),
         margin=_poly_efron_stein_margins,
         draw=_draw_product(None),
         tolerance=lambda margins, base: 1e-10,
         class_gated=False,
         name="polynomial_efron_stein[p={p}]"),
     "dual_representation": Check(
-        fields=(("phi", _PHI), ("variant", _VALUE), ("Z", _ENSEMBLE), ("T", _ENSEMBLE)),
+        fields=(("phi", _PHI), ("variant", _VARIANT), ("Z", _ENSEMBLE), ("T", _ENSEMBLE)),
         margin=lambda ps: _gap_margins(ps, dual_gap(ps[0]["phi"], _all(ps, "Z"), _all(ps, "T"))),
         draw=lambda rng, d, config, base: [dict(zip(("Z", "T"), sample_coupled_ensembles(
             d, 3, rng, spectral_floor=SPECTRAL_FLOOR)))],
@@ -412,28 +436,30 @@ CHECKS = {
         name="dual_representation[{phi},{variant}]"),
     # Items (b), (c), (d), (f): joint convexity of a bivariate functional.
     "joint_convexity": Check(
-        fields=(("functional", _VALUE), ("phi", _PHI), ("variant", _VALUE), ("t", _VALUE),
-                ("lambda", _VALUE), ("u1", _MATRIX), ("v1", _MATRIX), ("u2", _MATRIX),
+        fields=(("functional", _FUNCTIONAL), ("phi", _PHI), ("variant", _VARIANT), ("t", _T),
+                ("lambda", _LAMBDA), ("u1", _MATRIX), ("v1", _MATRIX), ("u2", _MATRIX),
                 ("v2", _MATRIX)),
         margin=_by_draw(("u1", "v1", "u2", "v2"), lambda firsts, *pairs_and_lams:
                         convexity_slack_at(_functional(firsts), *pairs_and_lams)),
         draw=_draw_pairs,
-        tolerance=_convexity_tol),
+        tolerance=_convexity_tol,
+        name="joint_convexity[{functional},{phi},{variant}]"),
     # Item (g).
     "conditional_jensen": Check(
-        fields=(("phi", _PHI), ("variant", _VALUE), ("product", _PRODUCT)),
+        fields=(("phi", _PHI), ("variant", _VARIANT), ("product", _PRODUCT)),
         margin=lambda ps: _gap_margins(ps, conditional_jensen_gap(ps[0]["phi"],
                                                                   _all(ps, "product"))),
         draw=_draw_product(2),
         tolerance=lambda margins, base: 1e-10,
         name="conditional_jensen[{phi},{variant}]"),
     "condition_a": Check(
-        fields=(("phi", _PHI), ("lambda", _VALUE), ("A1", _MATRIX), ("A2", _MATRIX),
+        fields=(("phi", _PHI), ("lambda", _LAMBDA), ("A1", _MATRIX), ("A2", _MATRIX),
                 ("h", _MATRIX)),
         margin=_by_draw(("A1", "A2", "h"), lambda firsts, *mats_and_lams:
                         condition_a_slack(firsts[0]["phi"], *mats_and_lams)),
         draw=_draw_condition_a,
-        tolerance=_relative_tol),
+        tolerance=_relative_tol,
+        name="condition_a[{phi}]"),
     "condition_e": Check(
         fields=(("phi", _PHI), ("A", _MATRIX), ("h", _MATRIX), ("k", _MATRIX)),
         margin=lambda ps: _listed(condition_e_margin(
@@ -445,7 +471,7 @@ CHECKS = {
         search_spectrum=(0.6, 3.8),
         name="condition_e[{phi}]"),
     "monotonicity": Check(
-        fields=(("phi", _PHI), ("variant", _VALUE), ("channel", _CHANNEL),
+        fields=(("phi", _PHI), ("variant", _VARIANT), ("channel", _CHANNEL),
                 ("ensemble", _ENSEMBLE)),
         # A trial's channel has its own number of Kraus operators: one point per call.
         margin=_each(lambda p: monotonicity_gap(p["phi"], p["channel"], p["ensemble"],
@@ -457,7 +483,7 @@ CHECKS = {
         name="monotonicity[{phi},{variant}]"),
     # The "jensen" check: f(N(A)) <= N(f(A)) for a unital channel N.
     "operator_jensen": Check(
-        fields=(("phi", _PHI), ("variant", _VALUE), ("channel", _CHANNEL), ("A", _MATRIX)),
+        fields=(("phi", _PHI), ("variant", _VARIANT), ("channel", _CHANNEL), ("A", _MATRIX)),
         margin=lambda ps: _gap_margins(ps, operator_jensen_gap(
             ps[0]["phi"], _all(ps, "channel"), _stack(ps, "A"))),
         draw=lambda rng, d, config, base: [{"channel": _draw_channel(rng, d),
@@ -476,15 +502,24 @@ CHECKS = {
 def _encode_witness(kind: str, point: dict) -> dict:
     """The witness of a point: its kind, then the record's fields in order."""
     return {"kind": kind, **{key: encode(point[key])
-                             for key, (encode, _) in CHECKS[kind].fields}}
+                             for key, (encode, *_) in CHECKS[kind].fields}}
 
 
 def _decode_witness(witness: dict) -> dict:
-    """The point a witness stores; raises ConfigError for an unknown kind."""
-    check = CHECKS.get(witness["kind"])
-    if check is None:
-        raise ConfigError(f"cannot replay witness of kind '{witness['kind']}'")
-    return {key: decode(witness[key]) for key, (_, decode) in check.fields}
+    """The point a witness stores.  A missing or unknown kind, and a field
+    missing or refused by its codec, are ConfigErrors that name them."""
+    if not isinstance(witness, dict) or "kind" not in witness:
+        raise ConfigError("a witness is a JSON object with a 'kind'")
+    kind = witness["kind"]
+    if not isinstance(kind, str) or kind not in CHECKS:
+        raise ConfigError(f"no check of witness kind {kind!r:.60}")
+    point = {}
+    for key, (_, decode, what, valid) in CHECKS[kind].fields:
+        if key not in witness or not valid(witness[key]):
+            got = f"got {witness[key]!r:.60}" if key in witness else "it is missing"
+            raise ConfigError(f"witness field '{key}' must be {what}; {got}")
+        point[key] = decode(witness[key])
+    return point
 
 
 def replay_witness(witness: dict) -> float:
@@ -510,7 +545,7 @@ def class_gate(kind: str, f: ScalarFunction | None, variant: str,
 
 def check(kind: str, *, tol: float | None = None, override: bool = False,
           **point) -> VerificationReport:
-    """Report of one point of a record that names such reports.
+    """Report of one point of a record.
 
     The point gives every witness field of the record, as values.  A
     class-gated record refuses a function outside the class of the point's
@@ -518,8 +553,8 @@ def check(kind: str, *, tol: float | None = None, override: bool = False,
     replaces the record's tolerance rule.
     """
     record = CHECKS.get(kind)
-    if record is None or record.name is None:
-        raise ConfigError(f"no single-point check of kind '{kind}'")
+    if record is None:
+        raise ConfigError(f"no check of kind '{kind}'")
     keys = [key for key, _ in record.fields]
     if set(point) != set(keys):
         raise ConfigError(f"check '{kind}' takes the fields {keys}, got {sorted(point)}")

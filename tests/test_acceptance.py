@@ -136,7 +136,7 @@ def test_criterion_3_subadditivity():
                 for trial in range(1000):
                     rng = rng_for(SEED, "c3", f.spec_string(), variant, d, n, trial)
                     P = sample_product(d, n, 2, rng)
-                    gap = subadditivity_gap(f, P, variant)
+                    gap = subadditivity_gap(f, P)
                     margin = normalized_trace(gap) if variant == "trace" else _min_eig(gap)
                     scale = 1.0 + frobenius(gap)
                     worst_scaled = min(worst_scaled, margin / scale)
@@ -380,7 +380,7 @@ def test_criterion_8_classical_reduction():
         w2 = rng.dirichlet(np.ones(2))
         table = {(s1, s2): float(rng.uniform(0.2, 2.5)) for s1 in range(2) for s2 in range(2)}
         P = ProductEnsemble((w1, w2), {k: np.array([[v]]) for k, v in table.items()})
-        track(subadditivity_gap(f, P, "trace")[0, 0].real,
+        track(subadditivity_gap(f, P)[0, 0].real,
               oracle.subadditivity_margin(name, [w1, w2], table, p))
         track(efron_stein_quantity(P)[0, 0].real, oracle.efron_stein([w1, w2], table))
         track(conditional_jensen_gap(f, P)[0, 0].real,

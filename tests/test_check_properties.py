@@ -1,6 +1,6 @@
 """Property tests of single-point reports: witness replay and tolerance rule.
 
-For every kind that ``check`` reports, a point drawn the way a suite trial
+For every record of ``CHECKS``, a point drawn the way a suite trial
 draws it must give a witness that replays, after a JSON round trip, to
 exactly the reported margin, under exactly the record's tolerance.
 """
@@ -13,12 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phi_entropy_lab import C2, C3, builtin, check, replay_witness
+from phi_entropy_lab.characterizations import FUNCTIONAL_NAMES
 from phi_entropy_lab.sampling import rng_for, sample_hermitian, sample_psd
 from phi_entropy_lab.suite import CHECKS, RunConfig
 
-KINDS = ("subadditivity", "efron_stein", "poly_efron_stein", "dual_representation",
-         "conditional_jensen", "condition_e", "monotonicity", "operator_jensen",
-         "convexity_lemma")
+KINDS = tuple(CHECKS)
 CONFIG = RunConfig()
 
 
@@ -46,7 +45,10 @@ def test_check_witness_replays_to_its_margin(kind, data):
     d = data.draw(st.sampled_from((1, 2, 3)), label="d")
     name, variant = data.draw(st.sampled_from(_in_class_choices(kind)), label="phi, variant")
     p = data.draw(st.sampled_from((1, 2, 3)), label="p")
-    base = {"phi": builtin(name), "variant": variant, "p": p}
+    functional = data.draw(st.sampled_from(FUNCTIONAL_NAMES), label="functional")
+    order = data.draw(st.sampled_from((1, 2, 3)), label="order")
+    base = {"phi": builtin(name), "variant": variant, "p": p, "functional": functional,
+            "order": order}
     draw = record.draw or _draw_lemma
     drawn = draw(rng_for(seed, "check-property", kind), d, CONFIG, base)[0]
     point = {key: {**base, **drawn}[key] for key, _ in record.fields}

@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 
 from phi_entropy_lab import (
-    MatrixEnsemble,
     RunConfig,
     finite_diff_oracle,
     from_spec,
     matrix_from_json,
+    random_unital_channel,
     run_suite,
 )
 from phi_entropy_lab.cli import _write_payload, main
-from phi_entropy_lab.sampling import sample_ensemble, sample_product
+from phi_entropy_lab.sampling import rng_for, sample_ensemble, sample_product
 from phi_entropy_lab.spectral import relative_error
 from phi_entropy_lab.suite import ORACLE_TOLS
 
@@ -36,10 +36,19 @@ def product_file(tmp_path):
     return str(path)
 
 
-def _matrix_file(tmp_path, name, data):
+def _json_file(tmp_path, name, data):
     path = tmp_path / name
-    path.write_text(json.dumps({"dim": len(data), "re": data}))
+    path.write_text(json.dumps(data))
     return str(path)
+
+
+def _read(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _matrix_file(tmp_path, name, data):
+    return _json_file(tmp_path, name, {"dim": len(data), "re": data})
 
 
 def test_entropy_command(ensemble_file, capsys, tmp_path):
@@ -98,19 +107,24 @@ def test_frechet_command_rejects_bad_base_points(base, tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_check_subadditivity_command(product_file, capsys):
-    code = main(["check-subadditivity", "--phi", "xlogx", "--input", product_file])
+def test_check_subadditivity_command(product_file, tmp_path, capsys):
+    witness = {"kind": "subadditivity", "phi": "xlogx", "variant": "trace",
+               "product": _read(product_file)}
+    code = main(["check", "--input", _json_file(tmp_path, "w.json", witness)])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["holds"] is True
+    assert payload["check_name"] == "subadditivity[xlogx,trace]"
 
 
-def test_check_efron_stein_command(product_file, capsys):
-    code = main(["check-efron-stein", "--input", product_file, "--p", "1,2"])
-    assert code == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert len(payload) == 3  # operator check plus two polynomial orders
-    assert all(r["holds"] for r in payload)
+def test_check_efron_stein_command(product_file, tmp_path, capsys):
+    # the operator bound and the polynomial bound at p = 1 and p = 2
+    product = _read(product_file)
+    witnesses = [{"kind": "efron_stein", "product": product}]
+    witnesses += [{"kind": "poly_efron_stein", "p": p, "product": product} for p in (1, 2)]
+    for witness in witnesses:
+        assert main(["check", "--input", _json_file(tmp_path, "w.json", witness)]) == 0
+        assert json.loads(capsys.readouterr().out)["holds"] is True
 
 
 def test_check_characterizations_command(capsys):
@@ -139,12 +153,14 @@ def test_check_characterizations_gates_the_function_class(phi, variant, capsys):
     assert main(argv + ["--override"]) in (0, 1)
 
 
-def test_check_monotonicity_command(ensemble_file, capsys):
-    code = main(["check-monotonicity", "--phi", "square", "--channel", "random:3",
-                 "--input", ensemble_file, "--trials", "4", "--seed", "5"])
-    assert code == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert len(payload) == 4 and all(r["holds"] for r in payload)
+def test_check_monotonicity_command(ensemble_file, tmp_path, capsys):
+    ensemble = _read(ensemble_file)
+    for trial in range(4):
+        channel = random_unital_channel(2, 3, rng_for(5, "cli-channel", trial))
+        witness = {"kind": "monotonicity", "phi": "square", "variant": "trace",
+                   "channel": channel.to_json_dict(), "ensemble": ensemble}
+        assert main(["check", "--input", _json_file(tmp_path, "w.json", witness)]) == 0
+        assert json.loads(capsys.readouterr().out)["holds"] is True
 
 
 def test_search_counterexample_command(capsys):
@@ -209,7 +225,7 @@ def test_exit_code_two_on_config_errors(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["check-characterizations", "--phi", "square", "--items", ","],
-    ["check-efron-stein", "--input", "PRODUCT", "--p", "x"],
+    ["check", "--input", "P_WORD"],
     ["run-suite", "--dims", "a", "--quiet"],
     ["search-counterexample", "--phi", "quartic", "--check", "map_C", "--dim", "0"],
     ["search-counterexample", "--phi", "quartic", "--check", "map_C", "--dim", "-2"],
@@ -217,14 +233,41 @@ def test_exit_code_two_on_config_errors(tmp_path, capsys):
     ["search-counterexample", "--phi", "square", "--check", "map_C", "--tol", "-1",
      "--budget", "5", "--quiet"],
 ])
-def test_exit_code_two_on_malformed_arguments(argv, product_file, capsys):
-    argv = [product_file if arg == "PRODUCT" else arg for arg in argv]
+def test_exit_code_two_on_malformed_arguments(argv, product_file, tmp_path, capsys):
+    p_word = {"kind": "poly_efron_stein", "p": "x", "product": _read(product_file)}
+    argv = [_json_file(tmp_path, "w.json", p_word) if arg == "P_WORD" else arg for arg in argv]
     assert main(argv) == 2
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run-suite", "--tol", "5", "--quiet"],
+    ["frechet", "--seed", "1", "--phi", "square", "--order", "1", "--matrix", "a.json",
+     "--direction", "x.json"],
+])
+def test_options_a_command_does_not_read_are_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 _ONE = {"dim": 1, "re": [[1.0]]}
 _TWO = {"dim": 2, "re": [[1.0, 0.0], [0.0, 1.0]]}
+
+
+def _sub(product):
+    return {"kind": "subadditivity", "phi": "square", "variant": "trace", "product": product}
+
+
+def _oracle(order):
+    return {"kind": "frechet_oracle", "phi": "square", "order": order, "A": _ONE, "X": _ONE}
+
+
+_LEMMA = {"kind": "convexity_lemma", "phi": "square", "weights": "ab", "A": [_ONE, _ONE],
+          "X": [_ONE, _ONE]}
+_CONDITION_A = {"kind": "condition_a", "phi": "square", "lambda": "a", "A1": _ONE, "A2": _ONE,
+                "h": _ONE}
 
 
 @pytest.mark.parametrize("command, data", [
@@ -234,40 +277,87 @@ _TWO = {"dim": 2, "re": [[1.0, 0.0], [0.0, 1.0]]}
     ("entropy", {"atoms": [{"m": _ONE}]}),
     ("entropy", [{"w": 1.0, "m": _ONE}]),
     ("entropy", {"atoms": [{"w": 0.5, "m": _ONE}, {"w": 0.5, "m": _TWO}]}),
-    ("check-subadditivity", {"factors": [[1.0]], "z": {"x": _ONE}}),
-    ("check-subadditivity", {"factors": [["a"]], "z": {"0": _ONE}}),
-    ("check-monotonicity", {"kraus": 5}),
+    ("check", _sub({"factors": [[1.0]], "z": {"x": _ONE}})),
+    ("check", _sub({"factors": [["a"]], "z": {"0": _ONE}})),
+    ("check", {"kind": "monotonicity", "phi": "square", "variant": "trace",
+               "channel": {"kraus": 5}, "ensemble": {"atoms": [{"w": 1.0, "m": _ONE}]}}),
     ("run-suite", {"trials": "5"}),
     ("run-suite", {"dims": ["x"]}),
+    ("check", {"phi": "square", "variant": "trace", "product": {}}),
+    ("check", {"kind": "no_such_kind"}),
+    ("check", {"kind": ["subadditivity"]}),
+    ("check", {"kind": "subadditivity", "phi": "square", "product": {}}),
+    ("check", _sub(5)),
+    ("check", {**_sub({}), "phi": 5}),
+    ("check", {**_sub({}), "variant": ["trace"]}),
+    ("check", _oracle(0)),
+    ("check", _oracle(7)),
+    ("check", _oracle("1")),
+    ("check", _CONDITION_A),
+    ("check", _LEMMA),
+    ("check", {**_LEMMA, "weights": [0.5, 0.5], "A": 5}),
 ], ids=["dim-word", "re-word", "re-ragged", "atom-no-w", "top-level-list", "atoms-mixed-dims",
-        "product-key", "factor-weight-word", "kraus-number", "trials-string", "dims-word"])
-def test_exit_code_two_on_malformed_input_files(command, data, ensemble_file, tmp_path, capsys):
-    path = str(tmp_path / "input.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh)
+        "product-key", "factor-weight-word", "kraus-number", "trials-string", "dims-word",
+        "no-kind", "unknown-kind", "kind-list", "missing-field", "product-number", "phi-number",
+        "variant-list", "order-0", "order-7", "order-string", "lambda-word", "weights-word",
+        "matrices-number"])
+def test_exit_code_two_on_malformed_input_files(command, data, tmp_path, capsys):
+    path = _json_file(tmp_path, "input.json", data)
     argv = {
         "frechet": ["--order", "1", "--matrix", path, "--direction", path, "--phi", "square"],
         "entropy": ["--phi", "square", "--input", path],
-        "check-subadditivity": ["--phi", "square", "--input", path],
-        "check-monotonicity": ["--phi", "square", "--channel", path, "--input", ensemble_file],
+        "check": ["--input", path],
         "run-suite": ["--config", path, "--quiet"],
     }[command]
     assert main([command, *argv]) == 2
-    assert "error" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error" in captured.err
 
 
 def test_exit_code_one_on_violation(tmp_path, capsys):
-    # a product whose subadditivity fails for the quartic (scalar embedding)
-    q_table = {
-        "factors": [[0.5, 0.5], [0.5, 0.5]],
-        "z": {"0,0": {"dim": 1, "re": [[0.1]]}, "0,1": {"dim": 1, "re": [[2.9]]},
-              "1,0": {"dim": 1, "re": [[2.7]]}, "1,1": {"dim": 1, "re": [[0.3]]}},
-    }
-    path = tmp_path / "quartic_product.json"
-    path.write_text(json.dumps(q_table))
-    code = main(["check-subadditivity", "--phi", "quartic", "--input", str(path),
-                 "--override", "--quiet"])
-    assert code in (0, 1)  # depends on the margin sign for this table
-    # force a guaranteed violation via the counterexample search instead
+    # exp is outside the class of condition (a): the search finds a violation,
+    # and its stored witness, checked on its own, is one.
+    found = str(tmp_path / "found.json")
     assert main(["search-counterexample", "--phi", "exp", "--check", "condition_a",
-                 "--budget", "2000", "--seed", "1", "--quiet"]) == 1
+                 "--budget", "2000", "--seed", "1", "--output", found, "--quiet"]) == 1
+    witness = _json_file(tmp_path, "w.json", _read(found)["witness"])
+    assert main(["check", "--input", witness, "--quiet"]) == 2  # the class gate
+    assert main(["check", "--input", witness, "--override", "--quiet"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "0/1 checks passed"
+
+
+def test_every_suite_witness_checks_and_replays_to_its_margin(tmp_path, capsys):
+    suite = str(tmp_path / "suite.json")
+    assert main(["run-suite", "--variant", "both", "--trials", "2", "--seed", "0",
+                 "--output", suite, "--quiet"]) == 0
+    reports = [r for r in _read(suite)["reports"] if r["witness"] is not None]
+    assert {r["witness"]["kind"] for r in reports} >= {
+        "frechet_oracle", "joint_convexity", "condition_a", "condition_e", "monotonicity"}
+    out = str(tmp_path / "report.json")
+    for r in reports:
+        witness = _json_file(tmp_path, "w.json", r["witness"])
+        override = [] if r["in_class"] else ["--override"]
+        code = main(["check", "--input", witness, "--output", out, "--quiet", *override])
+        report = _read(out)
+        assert report["margin"] == r["margin"], r["check_name"]
+        assert report["witness"] == r["witness"]
+        assert code == (0 if report["holds"] else 1)
+
+    assert main(["replay", "--input", suite, "--quiet"]) == 0
+    payload = _read(suite)
+    moved = next(r for r in payload["reports"] if r["witness"] is not None)
+    moved["margin"] += 1e-9
+    assert main(["replay", "--input", _json_file(tmp_path, "moved.json", payload),
+                 "--quiet"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == [f"{len(reports)}/{len(reports)} witnesses replayed to their margins",
+                          f"{len(reports) - 1}/{len(reports)} witnesses replayed to their margins"]
+
+
+@pytest.mark.parametrize("data", [{"reports": 5}, {"reports": [1]},
+                                  {"reports": [{"margin": "x", "witness": _oracle(1)}]}],
+                         ids=["reports-number", "report-number", "margin-word"])
+def test_replay_exits_two_on_malformed_suite_files(data, tmp_path, capsys):
+    assert main(["replay", "--input", _json_file(tmp_path, "suite.json", data)]) == 2
+    assert "config error" in capsys.readouterr().err

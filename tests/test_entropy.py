@@ -181,15 +181,15 @@ def test_conditional_entropy_deterministic_factor():
     )
     # factor 1 is deterministic: its conditional entropy is 0 and factor 0's
     # is the whole entropy, so the gap vanishes
+    gap = subadditivity_gap(SQ, P)
     for variant in ("trace", "operator"):
-        gap = subadditivity_gap(SQ, P, variant)
-        assert abs(gap[0, 0]) == pytest.approx(0.0, abs=1e-14)
+        assert abs(variant_margin(gap, variant)) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_conditional_entropy_single_factor_equals_unconditional():
     P = sample_product(2, 1, 3, seed=7)
     # the only factor's conditional entropy is the entropy itself
-    assert np.abs(subadditivity_gap(XLX, P, "trace")).max() <= 1e-14
+    assert np.abs(subadditivity_gap(XLX, P)).max() <= 1e-14
 
 
 def test_conditional_entropy_diagonal_matches_scalar_conditional_variance():
@@ -197,7 +197,7 @@ def test_conditional_entropy_diagonal_matches_scalar_conditional_variance():
     table = {(0, 0): 0.5, (0, 1): 1.5, (1, 0): 2.0, (1, 1): 0.7}
     P = diag_product([w1, w2], table)
     # for the square each conditional entropy is a scalar conditional variance
-    got = subadditivity_gap(SQ, P, "trace")[0, 0].real
+    got = subadditivity_gap(SQ, P)[0, 0].real
     expected = oracle.subadditivity_margin("square", [w1, w2], table)
     assert got == pytest.approx(expected, abs=1e-12)
 
@@ -206,8 +206,9 @@ def test_subadditivity_single_factor_margin_exactly_zero():
     for seed in range(5):
         P = sample_product(3, 1, 3, seed=seed)
         for variant, f in (("trace", XLX), ("operator", SQ)):
-            gap = subadditivity_gap(f, P, variant)
+            gap = subadditivity_gap(f, P)
             assert np.abs(gap).max() <= 1e-12
+            assert abs(variant_margin(gap, variant)) <= 1e-12
 
 
 def test_subadditivity_operator_square_random_sweep():

@@ -1,5 +1,7 @@
-"""Source layout: each module of the package uses every name it imports."""
+"""Source layout: each module of the package uses every name it imports, and
+each command of the command line reads every option it accepts."""
 
+import argparse
 import ast
 from pathlib import Path
 
@@ -33,3 +35,39 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _is_args(node) -> bool:
+    return isinstance(node, ast.Name) and node.id == "args"
+
+
+def _reads_of_args(functions: dict, name: str, seen: set) -> set:
+    """The option dests that cli function name and the cli functions it calls
+    read, as args.<dest> or getattr(args, "<dest>", ...)."""
+    seen.add(name)
+    reads = set()
+    for node in ast.walk(functions[name]):
+        if isinstance(node, ast.Attribute) and _is_args(node.value):
+            reads.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id == "getattr" and _is_args(node.args[0]):
+                reads.add(node.args[1].value)
+            elif node.func.id in functions and node.func.id not in seen:
+                reads |= _reads_of_args(functions, node.func.id, seen)
+    return reads
+
+
+def test_every_cli_option_is_read():
+    from phi_entropy_lab import cli
+
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    unread = {}
+    for command, parser in subparsers.choices.items():
+        reads = _reads_of_args(functions, cli._COMMANDS[command].__name__, set())
+        dests = {a.dest for a in parser._actions if a.dest != "help"}
+        if dests - reads:
+            unread[command] = sorted(dests - reads)
+    assert unread == {}

@@ -65,6 +65,13 @@ def test_config_validation():
             RunConfig(**bad)
 
 
+def test_misspelt_tolerance_key_is_refused():
+    # a key that names no check would leave the default tolerance in force
+    with pytest.raises(ConfigError, match="tolerances"):
+        RunConfig(dims=(2,), trials=2, phi_list=("square",), checks=("jensen",),
+                  tolerances={"jensn": 1.0})
+
+
 def test_unknown_phi_rejected_before_computation():
     with pytest.raises(ConfigError, match="resolve"):
         run_suite(RunConfig(phi_list=("mystery",), trials=1, dims=(2,)))
@@ -182,8 +189,8 @@ def test_check_rejects_kinds_and_points_it_cannot_report():
     P = sample_product(2, 2, 2, seed=0)
     with pytest.raises(ConfigError):
         check("no_such_kind", product=P)
-    with pytest.raises(ConfigError):  # swept by the suite, no single-point report
-        check("condition_a", phi=builtin("square"))
+    with pytest.raises(ConfigError):  # a field the record does not have
+        check("efron_stein", phi=builtin("square"), product=P)
     with pytest.raises(ConfigError):  # a witness field is missing
         check("subadditivity", phi=builtin("square"), product=P)
     with pytest.raises(DomainError):
@@ -415,7 +422,8 @@ def test_sweep_tie_keeps_the_earliest_trial(monkeypatch):
     drawn = itertools.count()
     worst = {2, 4}  # trials whose margin is the minimum
     monkeypatch.setitem(suite.CHECKS, "tie", suite.Check(
-        fields=(("trial", suite._VALUE),),
+        fields=(("trial", (*suite._AS_IS, "any value", lambda x: True)),),
+        name="tie",
         margin=lambda points: [-1.0 if p["trial"] in worst else 0.5 for p in points],
         draw=lambda rng, d, config, base: [{"trial": next(drawn)}],
         tolerance=lambda margins, base: 0.0, class_gated=False))
