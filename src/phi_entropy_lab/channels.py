@@ -3,7 +3,9 @@
 Channels here are mixed-unitary by construction when sampled, which makes
 them unital and trace-preserving without any projection step.  The module
 gives the margins of two statements about a unital channel N; their
-reports come from the ``suite`` registry.
+reports come from the ``suite`` registry.  Both take lists of points: the
+channels of a list act grouped by their Kraus counts, one batched product
+per group, and everything after the channels runs as one stack.
 
 The operator Jensen inequality f(N(A)) <= N(f(A)) holds in the PSD order
 for operator-convex f, and in trace for convex f (Hansen-Pedersen,
@@ -29,11 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import ScalarFunction
-from .entropy import MatrixEnsemble, matrix_phi_entropy, operator_phi_entropy
+from .entropy import MatrixEnsemble, checked_atoms, jensen_gap, operator_phi_entropy
 from .errors import DimensionMismatchError, DomainError
 from .spectral import (
     SpectralDecomposition,
     apply_scalar_function,
+    as_matrix,
+    dagger,
     frobenius,
     hermitian_part,
     matrices_from_json,
@@ -93,21 +97,44 @@ class KrausChannel:
         return cls(matrices_from_json(data.get("kraus"), "channel JSON 'kraus'"))
 
 
+def _kraus_images(channels: list, A: np.ndarray) -> np.ndarray:
+    """sum_i K_i A[n] K_i* for the n-th channel of the list and the n-th entry of
+    A (n, ..., d, d), a matrix or a stack of them.
+
+    The channels are grouped by Kraus count, and each group's products are
+    one batched call; each image is the one its channel gives alone.
+    """
+    if any(N.dim != A.shape[-1] for N in channels):
+        raise DimensionMismatchError(f"channels of dims {sorted({N.dim for N in channels})} "
+                                     f"applied to matrices of dim {A.shape[-1]}")
+    counts = [N.kraus.shape[0] for N in channels]
+    out = np.empty(A.shape, dtype=complex)
+    for k in sorted(set(counts)):  # np.unique would import numpy.ma, 1.6 MB
+        group = [n for n, count in enumerate(counts) if count == k]
+        K = np.stack([channels[n].kraus for n in group])
+        K = K.reshape(K.shape[:1] + (1,) * (A.ndim - 3) + K.shape[1:])
+        out[group] = (K @ A[group, ..., None, :, :] @ dagger(K)).sum(axis=-3)
+    return out
+
+
 def apply_channel(N: KrausChannel, A) -> np.ndarray:
     """Kraus action sum_i K_i A K_i*; Hermiticity- and positivity-preserving."""
-    A = np.asarray(A, dtype=complex)
-    if A.shape != (N.dim, N.dim):
-        raise DimensionMismatchError(
-            f"channel of dim {N.dim} applied to matrix of shape {A.shape}"
-        )
-    out = (N.kraus @ A @ N.kraus.conj().transpose(0, 2, 1)).sum(axis=0)
-    return hermitian_part(out) if np.allclose(A, A.conj().T) else out
+    A = as_matrix(A)
+    out = _kraus_images([N], A[None])[0]
+    return hermitian_part(out) if np.allclose(A, dagger(A)) else out
 
 
-def pushforward(N: KrausChannel, E: MatrixEnsemble) -> MatrixEnsemble:
-    """Image ensemble {(w_i, N(A_i))}."""
-    mapped = np.stack([apply_channel(N, a) for a in E.atoms])
-    return MatrixEnsemble(E.weights, mapped)
+def pushforward(N, E):
+    """Image ensemble {(w_i, N(A_i))}.
+
+    Lists of channels and of ensembles of one shape give the images' atoms
+    as one stack (n, m, d, d), checked Hermitian PSD at once.
+    """
+    if isinstance(E, MatrixEnsemble):
+        return MatrixEnsemble(E.weights, pushforward([N], [E])[0])
+    images = hermitian_part(_kraus_images(N, np.stack([e.atoms for e in E])))
+    flat = images.reshape(-1, *images.shape[-2:])
+    return checked_atoms(flat, lambda i: f"image atom {i}").reshape(images.shape)
 
 
 def random_unital_channel(d: int, k: int, seed) -> KrausChannel:
@@ -122,34 +149,38 @@ def random_unital_channel(d: int, k: int, seed) -> KrausChannel:
         raise DomainError(f"channel needs at least one Kraus operator, got k={k}")
     rng = as_generator(seed, "unital_channel", d, k)
     weights = rng.dirichlet(np.ones(k))
-    ops = np.stack([np.sqrt(w) * haar_unitary(d, rng) for w in weights])
+    ops = np.sqrt(weights)[:, None, None] * haar_unitary(d, rng, k)
     return KrausChannel(ops, trace_preserving=True)
 
 
-def monotonicity_gap(f: ScalarFunction, N: KrausChannel, E: MatrixEnsemble,
-                     variant: str) -> float:
+def monotonicity_gap(f: ScalarFunction, N, E, variant: str):
     """Slack of entropy monotonicity under N; >= 0 when the inequality holds.
 
     trace: H_Phi(Z) - H_Phi(N(Z)) for the matrix Phi-entropy (class C2).
     operator: minimal eigenvalue of N(H(Z)) - H(N(Z)) for the
     operator-valued entropy; certified only for class C3.
+
+    Lists of channels and of ensembles of one shape give an array of slacks,
+    one per pair: the pairs' image atoms and both entropies run as one stack.
     """
-    mapped = pushforward(N, E)
+    if isinstance(N, KrausChannel):
+        return float(monotonicity_gap(f, [N], [E], variant)[0])
+    mapped = jensen_gap(f, np.stack([e.weights for e in E]), pushforward(N, E))
+    entropy = operator_phi_entropy(f, E)
     if variant == "trace":
-        return matrix_phi_entropy(f, E) - matrix_phi_entropy(f, mapped)
-    gap = apply_channel(N, operator_phi_entropy(f, E)) - operator_phi_entropy(f, mapped)
-    return variant_margin(gap, variant)
+        return variant_margin(entropy, variant) - variant_margin(mapped, variant)
+    return variant_margin(hermitian_part(_kraus_images(N, entropy)) - mapped, variant)
 
 
 def operator_jensen_gap(f: ScalarFunction, channels: list, A) -> np.ndarray:
     """N(f(A)) - f(N(A)) for each channel N of the list and matrix of the stack A.
 
     PSD for operator-convex f, and of nonnegative trace for convex f.  The
-    channels may differ in their Kraus counts, so each is applied alone; f
-    runs once on each stack.
+    channels are grouped by Kraus count for their products; f runs once on
+    each stack.
     """
     A = validate_hermitian(A, "A")
-    NA = np.stack([apply_channel(N, M) for N, M in zip(channels, A)])
+    NA = hermitian_part(_kraus_images(channels, A))
     dec_A, dec_NA = (SpectralDecomposition(*np.linalg.eigh(M)) for M in (A, NA))
     # Unitality keeps each output spectrum inside its input's convex hull.
     low, high = dec_A.eigenvalues[..., 0], dec_A.eigenvalues[..., -1]
@@ -163,5 +194,4 @@ def operator_jensen_gap(f: ScalarFunction, channels: list, A) -> np.ndarray:
             f"[{out_low[k]:.6g}, {out_high[k]:.6g}] vs [{low[k]:.6g}, {high[k]:.6g}]"
         )
     fA = apply_scalar_function(f, dec_A)
-    return (np.stack([apply_channel(N, M) for N, M in zip(channels, fA)])
-            - apply_scalar_function(f, dec_NA))
+    return hermitian_part(_kraus_images(channels, fA)) - apply_scalar_function(f, dec_NA)

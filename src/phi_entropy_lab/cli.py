@@ -125,8 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=10_000)
     p.add_argument("--dim", type=int, default=1)
 
-    p = sub.add_parser("run-suite", parents=[common, seeded], help="run every configured sweep")
-    p.add_argument("--config", type=str, default=None, help="RunConfig JSON file")
+    p = sub.add_parser("run-suite", parents=[common], help="run every configured sweep")
+    p.add_argument("--config", type=str, default=None, help="RunConfig JSON file, the whole run")
+    p.add_argument("--seed", type=int, default=None, help="base RNG seed (default 0)")
     p.add_argument("--phi-list", type=str, default=None, help="comma list of functions")
     p.add_argument("--dims", type=str, default=None, help="comma list of dimensions")
     p.add_argument("--trials", type=int, default=None)
@@ -246,7 +247,15 @@ def _write_payload(fh, payload: dict) -> None:
 
 
 def _cmd_run_suite(args) -> int:
+    # The options a --config file replaces.
+    run_options = {"--seed": args.seed, "--trials": args.trials, "--dims": args.dims,
+                   "--phi-list": args.phi_list, "--variant": args.variant, "--checks": args.checks,
+                   "--allow-outside-class": args.allow_outside_class or None}
     if args.config:
+        given = [flag for flag, value in run_options.items() if value is not None]
+        if given:
+            raise ConfigError(f"--config holds the whole run; {', '.join(given)} "
+                              "cannot be given with it")
         config = RunConfig.from_json_dict(_read_json(args.config))
     else:
         kwargs = {}
@@ -268,7 +277,8 @@ def _cmd_run_suite(args) -> int:
             kwargs["allow_outside_class"] = True
         if args.output:
             kwargs["output_path"] = args.output
-        kwargs["seed"] = args.seed
+        if args.seed is not None:
+            kwargs["seed"] = args.seed
         config = RunConfig(**kwargs)
     suite = run_suite(config)
     payload = suite.to_json_dict()

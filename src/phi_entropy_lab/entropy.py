@@ -59,7 +59,7 @@ def _check_psd(A: np.ndarray, what: str) -> None:
         raise DomainError(f"{what} is not positive semi-definite: min eigenvalue {lam_min:.3e}")
 
 
-def _checked_atoms(mats, name) -> np.ndarray:
+def checked_atoms(mats, name) -> np.ndarray:
     """The Hermitian PSD matrices mats as one stack (m, d, d), checked at once.
 
     When the stack fails, each matrix is checked alone, in order, so the
@@ -101,7 +101,7 @@ class MatrixEnsemble:
                 f"atoms must have shape (m, d, d) matching {w.size} weights, got {atoms.shape}"
             )
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "atoms", _checked_atoms(atoms, lambda i: f"atom {i}"))
+        object.__setattr__(self, "atoms", checked_atoms(atoms, lambda i: f"atom {i}"))
 
     @property
     def dim(self) -> int:
@@ -160,8 +160,8 @@ class ProductEnsemble:
         for key in keys:
             if key not in self.z_map:
                 raise DomainError(f"z_map is missing outcome {key}")
-        atoms = _checked_atoms([self.z_map[key] for key in keys],
-                               lambda i: f"z_map[{keys[i]}]")
+        atoms = checked_atoms([self.z_map[key] for key in keys],
+                              lambda i: f"z_map[{keys[i]}]")
         object.__setattr__(self, "factor_weights", weights)
         object.__setattr__(self, "z_map", dict(zip(keys, atoms)))
         object.__setattr__(self, "atoms", atoms)

@@ -38,14 +38,3 @@ class VerificationReport:
             "trials": self.trials,
             "witness": self.witness,
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "VerificationReport":
-        return cls(
-            check_name=data["check_name"],
-            holds=bool(data["holds"]),
-            margin=float(data["margin"]),
-            tolerance=float(data["tolerance"]),
-            trials=int(data.get("trials", 1)),
-            witness=data.get("witness"),
-        )

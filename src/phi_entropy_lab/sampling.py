@@ -3,6 +3,11 @@
 Streams are counter-based: a generator is keyed by (seed, labels...) through
 a hash, so parallel and serial sweeps draw identical values regardless of
 execution order.
+
+Given a count k, a sampler returns a stack of k matrices, bit for bit those
+of k sequential one-matrix calls on the same generator: one draw, in their
+order, then one stacked product or QR.  A one-matrix call is the stack of
+one, and a count does not re-key an integer seed's stream.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import numpy as np
 
 from .entropy import MatrixEnsemble, ProductEnsemble
 from .errors import DomainError
-from .spectral import hermitian_part
+from .spectral import dagger, hermitian_part
 
 
 def rng_for(seed: int, *labels) -> np.random.Generator:
@@ -31,24 +36,29 @@ def as_generator(seed, *labels) -> np.random.Generator:
     return rng_for(int(seed), *labels)
 
 
-def _complex_gaussian(rng: np.random.Generator, d: int) -> np.ndarray:
-    return (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
+def _complex_gaussian(z: np.ndarray) -> np.ndarray:
+    """Complex Gaussians from normals (..., 2, d, d): real parts, then imaginary."""
+    return (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / np.sqrt(2.0)
 
 
-def haar_unitary(d: int, seed) -> np.ndarray:
-    """Haar-distributed unitary via QR with phase fixing for determinism."""
+def _haar(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from normals (k, 2, d, d): one stacked QR, phases fixed."""
+    Q, R = np.linalg.qr(_complex_gaussian(z))
+    phases = np.diagonal(R, axis1=-2, axis2=-1)
+    return Q * (phases / np.abs(phases))[..., None, :]
+
+
+def haar_unitary(d: int, seed, count: int | None = None) -> np.ndarray:
+    """Haar unitary via QR with phase fixing; with count, a stack of count."""
     rng = as_generator(seed, "haar", d)
-    Q, R = np.linalg.qr(_complex_gaussian(rng, d))
-    phases = np.diagonal(R).copy()
-    phases = phases / np.abs(phases)
-    return Q * phases
+    U = _haar(rng.standard_normal((1 if count is None else count, 2, d, d)))
+    return U[0] if count is None else U
 
 
 def sample_hermitian(d: int, seed, scale: float = 1.0) -> np.ndarray:
     """GUE-style Hermitian sample, entries O(scale)."""
     rng = as_generator(seed, "hermitian", d)
-    G = _complex_gaussian(rng, d)
-    return hermitian_part(G) * scale
+    return hermitian_part(_complex_gaussian(rng.standard_normal((2, d, d)))) * scale
 
 
 def sample_hermitian_unit(d: int, seed) -> np.ndarray:
@@ -58,8 +68,8 @@ def sample_hermitian_unit(d: int, seed) -> np.ndarray:
 
 
 def sample_psd(d: int, spectral_floor: float = 0.0, seed=0,
-               spectral_cap: float | None = None) -> np.ndarray:
-    """PSD sample with min eigenvalue >= spectral_floor.
+               spectral_cap: float | None = None, count: int | None = None) -> np.ndarray:
+    """PSD sample with min eigenvalue >= spectral_floor; with count, a stack of count.
 
     Default construction is Wishart-type G*G/d + floor*I, whose spread
     exercises divided differences.  With spectral_cap set, eigenvalues are
@@ -68,14 +78,19 @@ def sample_psd(d: int, spectral_floor: float = 0.0, seed=0,
     if spectral_floor < 0.0:
         raise DomainError(f"spectral floor must be nonnegative, got {spectral_floor}")
     rng = as_generator(seed, "psd", d, spectral_floor)
+    k = 1 if count is None else count
     if spectral_cap is not None:
         if spectral_cap <= spectral_floor:
             raise DomainError("spectral cap must exceed the floor")
-        lam = rng.uniform(spectral_floor, spectral_cap, size=d)
-        U = haar_unitary(d, rng)
-        return hermitian_part((U * lam) @ U.conj().T)
-    G = _complex_gaussian(rng, d)
-    return hermitian_part(G.conj().T @ G / d + spectral_floor * np.eye(d))
+        # Each matrix draws its eigenvalues, then the normals of its basis.
+        lam, z = zip(*[(rng.uniform(spectral_floor, spectral_cap, size=d),
+                        rng.standard_normal((2, d, d))) for _ in range(k)])
+        U = _haar(np.stack(z))
+        out = hermitian_part((U * np.stack(lam)[:, None, :]) @ dagger(U))
+    else:
+        G = _complex_gaussian(rng.standard_normal((k, 2, d, d)))
+        out = hermitian_part(dagger(G) @ G / d + spectral_floor * np.eye(d))
+    return out[0] if count is None else out
 
 
 def sample_ensemble(d: int, atoms: int, seed=0, spectral_floor: float = 0.0,
@@ -85,10 +100,7 @@ def sample_ensemble(d: int, atoms: int, seed=0, spectral_floor: float = 0.0,
         raise DomainError(f"ensemble needs at least one atom, got {atoms}")
     rng = as_generator(seed, "ensemble", d, atoms)
     weights = rng.dirichlet(np.ones(atoms))
-    mats = np.stack([
-        sample_psd(d, spectral_floor, rng, spectral_cap) for _ in range(atoms)
-    ])
-    return MatrixEnsemble(weights, mats)
+    return MatrixEnsemble(weights, sample_psd(d, spectral_floor, rng, spectral_cap, atoms))
 
 
 def sample_product(d: int, n: int, support_sizes, seed=0,
@@ -102,10 +114,8 @@ def sample_product(d: int, n: int, support_sizes, seed=0,
         raise DomainError(f"need {n} positive support sizes, got {support_sizes}")
     rng = as_generator(seed, "product", d, n, support_sizes)
     factors = tuple(rng.dirichlet(np.ones(s)) for s in support_sizes)
-    z_map = {
-        key: sample_psd(d, spectral_floor, rng, spectral_cap)
-        for key in itertools.product(*(range(s) for s in support_sizes))
-    }
+    keys = list(itertools.product(*(range(s) for s in support_sizes)))
+    z_map = dict(zip(keys, sample_psd(d, spectral_floor, rng, spectral_cap, len(keys))))
     return ProductEnsemble(factors, z_map)
 
 
@@ -115,8 +125,5 @@ def sample_coupled_ensembles(d: int, atoms: int, seed=0,
     """Pair (Z, T) on one sample space: shared weights, independent atoms."""
     rng = as_generator(seed, "coupled", d, atoms)
     weights = rng.dirichlet(np.ones(atoms))
-    z_atoms = np.stack([sample_psd(d, spectral_floor, rng, spectral_cap)
-                        for _ in range(atoms)])
-    t_atoms = np.stack([sample_psd(d, spectral_floor, rng, spectral_cap)
-                        for _ in range(atoms)])
-    return MatrixEnsemble(weights, z_atoms), MatrixEnsemble(weights, t_atoms)
+    mats = sample_psd(d, spectral_floor, rng, spectral_cap, 2 * atoms)
+    return MatrixEnsemble(weights, mats[:atoms]), MatrixEnsemble(weights, mats[atoms:])

@@ -9,6 +9,7 @@ stacks (..., d, d); each matrix gets the values and tolerance of its own call.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,11 +169,13 @@ def matrix_to_json(A) -> dict:
 
 def matrix_from_json(data: dict) -> np.ndarray:
     try:
-        dim = int(data["dim"])
+        dim = data["dim"]
         re = np.asarray(data["re"], dtype=float)
         im = None if data.get("im") is None else np.asarray(data["im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed matrix JSON: {exc}") from exc
+    if not isinstance(dim, numbers.Integral) or isinstance(dim, bool):
+        raise DomainError(f"matrix JSON 'dim' must be an integer, got {dim!r:.60}")
     if re.shape != (dim, dim):
         raise DimensionMismatchError(
             f"matrix JSON declares dim={dim} but 're' has shape {re.shape}"

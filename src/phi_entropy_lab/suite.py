@@ -4,12 +4,13 @@
 the paper that the package reports on.  The suite, single-point reports,
 witness replay and counterexample search all read it.  A record says once:
 
-- how one suite trial draws its points from the trial's seeded stream;
+- how one suite trial draws its points from the trial's seeded stream, a
+  trial's matrices of one kind as one stack;
 - the margins of any list of a sweep's points, in trial order, each >= 0
   where the statement holds: the map evaluates the points as one stack
-  through the batched layers, and the points of one draw may share work
-  (the convex weights of one pair share its endpoints); one point is a
-  list of one;
+  through the batched layers (channels act grouped by their Kraus counts),
+  and the points of one draw may share work (the convex weights of one pair
+  share its endpoints); one point is a list of one;
 - how a point is stored as a witness and read back (its fields, in order);
 - the tolerance a sweep's margins are judged by;
 - whether it is gated to the function class of its variant, and the name of
@@ -216,15 +217,6 @@ class SuiteReport:
             "skipped": list(self.skipped),
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SuiteReport":
-        entries = tuple(
-            (VerificationReport.from_json_dict(entry), bool(entry["in_class"]),
-             float(entry["seconds"]))
-            for entry in data["reports"]
-        )
-        return cls(config=data["config"], entries=entries, skipped=tuple(data["skipped"]))
-
 
 _CLASS_TAG = {"trace": C2, "operator": C3}
 
@@ -293,11 +285,6 @@ class Check:
 def _lambdas(rng) -> list:
     """Convex weights tried on each drawn pair: three fixed, two drawn."""
     return [0.25, 0.5, 0.75, float(rng.uniform()), float(rng.uniform())]
-
-
-def _each(margin: Callable) -> Callable:
-    """The margin map of a record evaluated one point per call."""
-    return lambda points: [margin(p) for p in points]
 
 
 def _all(points: list, key: str) -> list:
@@ -375,14 +362,14 @@ def _relative_tol(margins: list, base: dict) -> float:
 
 
 def _draw_pairs(rng, d: int, config, base: dict) -> list:
-    u1, v1, u2, v2 = (sample_psd(d, SPECTRAL_FLOOR, rng) for _ in range(4))
+    u1, v1, u2, v2 = sample_psd(d, SPECTRAL_FLOOR, rng, count=4)
     t = float(rng.uniform(0.0, 1.0)) if base["functional"] == "gap_F_t" else None
     return [{"t": t, "lambda": lam, "u1": u1, "v1": v1, "u2": u2, "v2": v2}
             for lam in _lambdas(rng)]
 
 
 def _draw_condition_a(rng, d: int, config, base: dict) -> list:
-    A1, A2 = sample_psd(d, SPECTRAL_FLOOR, rng), sample_psd(d, SPECTRAL_FLOOR, rng)
+    A1, A2 = sample_psd(d, SPECTRAL_FLOOR, rng, count=2)
     h = sample_hermitian_unit(d, rng)
     return [{"lambda": lam, "A1": A1, "A2": A2, "h": h} for lam in _lambdas(rng)]
 
@@ -473,9 +460,9 @@ CHECKS = {
     "monotonicity": Check(
         fields=(("phi", _PHI), ("variant", _VARIANT), ("channel", _CHANNEL),
                 ("ensemble", _ENSEMBLE)),
-        # A trial's channel has its own number of Kraus operators: one point per call.
-        margin=_each(lambda p: monotonicity_gap(p["phi"], p["channel"], p["ensemble"],
-                                                p["variant"])),
+        # The channels' products run grouped by Kraus count, the rest as one stack.
+        margin=lambda ps: _listed(monotonicity_gap(ps[0]["phi"], _all(ps, "channel"),
+                                                   _all(ps, "ensemble"), ps[0]["variant"])),
         draw=lambda rng, d, config, base: [{
             "channel": _draw_channel(rng, d),
             "ensemble": sample_ensemble(d, 3, rng, spectral_floor=0.0)}],
@@ -493,7 +480,9 @@ CHECKS = {
     # Not swept by the suite: single points through check, and their replay.
     "convexity_lemma": Check(
         fields=(("phi", _PHI), ("weights", _FLOATS), ("A", _MATRICES), ("X", _MATRICES)),
-        margin=_each(lambda p: convexity_lemma_margin(p["phi"], p["weights"], p["A"], p["X"])),
+        # Lemma points may differ in their numbers of matrices: one point per call.
+        margin=lambda ps: [convexity_lemma_margin(p["phi"], p["weights"], p["A"], p["X"])
+                           for p in ps],
         tolerance=_convexity_tol,
         name="convexity_lemma[{phi}]"),
 }
@@ -786,8 +775,8 @@ class _SearchSpace:
 
     def sample(self, rng) -> np.ndarray:
         floor, cap = self.record.search_spectrum
-        mats = [sample_psd(self.dim, floor, rng, spectral_cap=cap) for _ in self.matrix_keys]
-        return np.concatenate([_params_of(np.stack(mats)).ravel(), [rng.uniform(0.05, 0.95)]])
+        mats = sample_psd(self.dim, floor, rng, cap, len(self.matrix_keys))
+        return np.concatenate([_params_of(mats).ravel(), [rng.uniform(0.05, 0.95)]])
 
     def point(self, params: np.ndarray) -> dict:
         """Search values first, in the order a search witness lists them, then matrices."""

@@ -209,6 +209,24 @@ def test_run_suite_config_file(tmp_path, capsys):
     assert main(["run-suite", "--config", str(path), "--quiet"]) == 0
 
 
+@pytest.mark.parametrize("option", [["--seed", "0"], ["--seed", "9"], ["--trials", "7"],
+                                    ["--dims", "3"], ["--phi-list", "xlogx"],
+                                    ["--variant", "both"], ["--checks", "efron_stein"],
+                                    ["--allow-outside-class"]])
+def test_run_suite_config_refuses_the_options_it_replaces(option, tmp_path, capsys):
+    # The file holds the whole run: an option it would override unread is
+    # refused by name, and nothing runs.  --output still names the file.
+    path = _json_file(tmp_path, "config.json", {"seed": 1, "dims": [2], "trials": 2,
+                                                "phi_list": ["square"], "checks": ["jensen"]})
+    out = tmp_path / "suite.json"
+    assert main(["run-suite", "--config", path, *option, "--output", str(out), "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert "config error" in captured.err and option[0] in captured.err
+    assert main(["run-suite", "--config", path, "--output", str(out), "--quiet"]) == 0
+    assert json.loads(out.read_text())["config"]["seed"] == 1
+
+
 def test_exit_code_two_on_config_errors(tmp_path, capsys):
     # unknown function name
     assert main(["run-suite", "--phi-list", "", "--quiet"]) == 2
@@ -272,6 +290,8 @@ _CONDITION_A = {"kind": "condition_a", "phi": "square", "lambda": "a", "A1": _ON
 
 @pytest.mark.parametrize("command, data", [
     ("frechet", {"dim": "two", "re": [[1.0]]}),
+    ("frechet", {"dim": 1.9, "re": [[1.0]]}),
+    ("frechet", {"dim": True, "re": [[1.0]]}),
     ("frechet", {"dim": 1, "re": [["a"]]}),
     ("frechet", {"dim": 2, "re": [[1.0, 0.0], [0.0]]}),
     ("entropy", {"atoms": [{"m": _ONE}]}),
@@ -296,7 +316,8 @@ _CONDITION_A = {"kind": "condition_a", "phi": "square", "lambda": "a", "A1": _ON
     ("check", _CONDITION_A),
     ("check", _LEMMA),
     ("check", {**_LEMMA, "weights": [0.5, 0.5], "A": 5}),
-], ids=["dim-word", "re-word", "re-ragged", "atom-no-w", "top-level-list", "atoms-mixed-dims",
+], ids=["dim-word", "dim-float", "dim-bool", "re-word", "re-ragged", "atom-no-w",
+        "top-level-list", "atoms-mixed-dims",
         "product-key", "factor-weight-word", "kraus-number", "trials-string", "dims-word",
         "no-kind", "unknown-kind", "kind-list", "missing-field", "product-number", "phi-number",
         "variant-list", "order-0", "order-7", "order-string", "lambda-word", "weights-word",

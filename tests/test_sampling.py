@@ -77,3 +77,46 @@ def test_coupled_sampler_shares_weights():
     Z, T = sample_coupled_ensembles(3, 4, seed=9, spectral_floor=1e-3)
     assert np.array_equal(Z.weights, T.weights)
     assert not np.array_equal(Z.atoms, T.atoms)
+
+
+@pytest.mark.parametrize("d", (1, 2, 3, 4, 8, 16))
+def test_count_draw_equals_sequential_draws(d):
+    # A stack of k draws holds, byte for byte, the matrices of k one-matrix
+    # calls on one generator, and leaves the generator where they leave it.
+    def both(draw, label, k):
+        stacked, sequential = rng_for(k, label, d), rng_for(k, label, d)
+        got = draw(stacked, k)
+        want = np.stack([draw(sequential, None) for _ in range(k)])
+        assert got.tobytes() == want.tobytes(), (label, k)
+        assert stacked.standard_normal() == sequential.standard_normal()
+
+    for k in range(1, 13):
+        both(lambda rng, count: sample_psd(d, 0.5, rng, count=count), "wishart", k)
+        both(lambda rng, count: sample_psd(d, 0.5, rng, 4.0, count), "capped", k)
+        both(lambda rng, count: haar_unitary(d, rng, count), "haar", k)
+
+
+def test_integer_seed_streams_unchanged():
+    # A count does not re-key an integer seed's stream, and the streams hold
+    # the values they held before draws took counts.
+    for d in (1, 3):
+        assert np.array_equal(sample_psd(d, 0.5, 42, count=3)[0], sample_psd(d, 0.5, 42))
+        assert np.array_equal(sample_psd(d, 0.5, 42, 4.0, count=2)[0],
+                              sample_psd(d, 0.5, 42, spectral_cap=4.0))
+        assert np.array_equal(haar_unitary(d, 9, count=2)[0], haar_unitary(d, 9))
+    pinned = [
+        (sample_psd(2, 0.5, 42), [[1.8453876735840233, 0.2502206355574519 - 0.4658128784518389j],
+                                  [0.2502206355574519 + 0.4658128784518389j, 1.261271254352232]]),
+        (sample_psd(2, 0.5, 42, spectral_cap=4.0),
+         [[2.772361028122606, 0.2272370344103967 - 0.4504229968261939j],
+          [0.2272370344103967 + 0.4504229968261939j, 2.506330270108734]]),
+        (haar_unitary(2, 9), [[-0.820604559182869 - 0.08003888075431749j,
+                               -0.40212239493025803 + 0.3981199750219006j],
+                              [0.5491582103386111 + 0.1364814823834316j,
+                               -0.6642534842970059 + 0.4884315444188695j]]),
+        (sample_ensemble(2, 2, 6).atoms[1],
+         [[1.973495917020023, 0.19109493009447287 + 0.8094179716638625j],
+          [0.19109493009447287 - 0.8094179716638625j, 0.44324435715694105]]),
+    ]
+    for got, want in pinned:
+        assert_allclose(got, want, rtol=1e-13, atol=1e-15)

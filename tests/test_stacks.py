@@ -13,7 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phi_entropy_lab import MatrixEnsemble, ProductEnsemble, RunConfig, builtin
+from phi_entropy_lab import (
+    MatrixEnsemble,
+    ProductEnsemble,
+    RunConfig,
+    builtin,
+    random_unital_channel,
+)
 from phi_entropy_lab.catalog import TAYLOR_BAND, dd1_grid, dd2_grid, dd3_grid
 from phi_entropy_lab.characterizations import (
     BivariateFunctional,
@@ -209,10 +215,7 @@ def test_bregman_stack_decomposes_u_once(variant, monkeypatch):
 # --- the suite's records on points of several trials -----------------------------
 
 CONFIG = RunConfig()
-# Every report kind a sweep evaluates as one stack; monotonicity, whose trials
-# draw channels of different Kraus counts, runs one point per call.
-STACKED_SWEEPS = [s for sweeps in SWEEPS.values() for s in sweeps
-                  if s.kind != "monotonicity"]
+STACKED_SWEEPS = [s for sweeps in SWEEPS.values() for s in sweeps]
 _PSD_FIELDS = ("A", "u1", "v1", "u2", "v2", "A1", "A2")
 
 
@@ -235,9 +238,9 @@ def _with_near_band_spectra(drawn, d, band, rng):
         P = point["product"]
         new["product"] = ProductEnsemble(P.factor_weights, {
             key: _near_band(d, band, rng) for key in P.outcomes()})
-    for key in ("Z", "T"):  # coupled: T keeps Z's weights
+    for key in ("Z", "T", "ensemble"):  # coupled: T keeps Z's weights
         if key in point:
-            weights = point["Z"].weights
+            weights = point[key].weights
             new[key] = MatrixEnsemble(weights, np.stack([_near_band(d, band, rng)
                                                          for _ in weights]))
     return [{**p, **new} for p in drawn]
@@ -248,7 +251,8 @@ def _with_near_band_spectra(drawn, d, band, rng):
 def test_stacked_record_margins_equal_point_by_point_margins(sweep, data):
     # A record's margin on the points of several trials, as a sweep hands
     # them over, must equal its margins on each point alone, bit for bit.
-    # Trials mix the record's own draws with spectra at Taylor-band edges.
+    # Trials mix the record's own draws with spectra at Taylor-band edges,
+    # and their channels have at least two Kraus counts.
     record = CHECKS[sweep.kind]
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     d = data.draw(st.integers(1, 4), label="d")
@@ -257,11 +261,16 @@ def test_stacked_record_margins_equal_point_by_point_margins(sweep, data):
     bands = data.draw(st.lists(st.one_of(st.none(), st.tuples(
         st.sampled_from((1, 2, 3)), st.sampled_from((0.0, 0.9, 1.1)), st.floats(0.5, 3.9))),
         min_size=2, max_size=4), label="trial spectra")
+    counts = data.draw(st.lists(st.integers(1, 4), min_size=len(bands), max_size=len(bands))
+                       .filter(lambda c: len(set(c)) > 1), label="Kraus counts")
     base = {"phi": phi, "variant": variant, **sweep.fixed}
     points = []
     for trial, band in enumerate(bands):
         rng = rng_for(seed, "stacked-records", trial)
         drawn = [{**base, **p} for p in record.draw(rng, d, CONFIG, base)]
+        if "channel" in drawn[0]:
+            channel = random_unital_channel(d, counts[trial], rng)
+            drawn = [{**p, "channel": channel} for p in drawn]
         points += drawn if band is None else _with_near_band_spectra(drawn, d, band, rng)
 
     stacked = record.margin(points)

@@ -14,7 +14,6 @@ from phi_entropy_lab import (
     DomainError,
     MatrixEnsemble,
     RunConfig,
-    SuiteReport,
     builtin,
     check,
     counterexample_search,
@@ -102,13 +101,6 @@ def test_small_suite_passes_and_counts():
     assert summary["fail"] == 0 and summary["pass"] == len(suite.entries)
     names = [r.check_name for r, _, _ in suite.entries]
     assert len(set(names)) == len(names)  # each configured check appears once
-
-
-def test_suite_report_roundtrip_identity():
-    suite = run_suite(RunConfig(**SMALL))
-    payload = suite.to_json_dict()
-    back = SuiteReport.from_json_dict(json.loads(json.dumps(payload)))
-    assert _strip_timing(back.to_json_dict()) == _strip_timing(payload)
 
 
 def test_batched_and_point_by_point_reports_identical_modulo_timing():
