@@ -3,11 +3,15 @@
 Each entry carries evaluators for the function and its first six
 derivatives, a real domain, and membership tags for the subadditive
 entropy classes.  The divided-difference grids here feed the matrix
-derivative engine.
+derivative engine.  One evaluator serves every order k: polynomials in
+closed form, else the quotient recursion, which inside the order's Taylor
+band gives way to the mean-centered form (m the nodes' mean)
+f^(k)(m)/k! + f^(k+2)(m) sum_i (x_i - m)^2 / (2 (k+2)!).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
@@ -86,7 +90,7 @@ class ScalarFunction:
         if order >= len(self.evals) or self.evals[order] is None:
             raise DomainError(f"'{self.name}' has no derivative of order {order}")
         u = np.asarray(u, dtype=float)
-        if order >= 1 and self.deriv_floor > 0.0 and np.any(u < self.deriv_floor):
+        if order >= 1 and self.deriv_floor > 0.0 and (u < self.deriv_floor).any():
             raise DomainError(
                 f"derivative of '{self.name}' requires arguments >= "
                 f"{self.deriv_floor:g}, got {float(np.min(u)):.6g}"
@@ -278,80 +282,37 @@ def _poly_dd(coeffs, order, *nodes):
     return out
 
 
-def _band(order: int, delta: float, *nodes):
-    local = np.abs(nodes[0])
-    for n in nodes[1:]:
-        local = np.maximum(local, np.abs(n))
-    return np.maximum(delta, TAYLOR_BAND[order] * local)
+def _band(order: int, delta, lo, hi):
+    """Taylor band of sorted nodes from lo to hi, whose ends carry the largest |x|."""
+    return np.maximum(delta, TAYLOR_BAND[order] * np.maximum(np.abs(lo), np.abs(hi)))
 
 
 def _has_order(f: ScalarFunction, order: int) -> bool:
     return order < len(f.evals) and f.evals[order] is not None
 
 
-def _dd1(f: ScalarFunction, x, y, delta: float):
-    """First divided difference; symmetric, Taylor form near coincidence."""
+def _dd(f: ScalarFunction, delta, *nodes):
+    """Divided difference f[x_0, ..., x_k] of order k = len(nodes) - 1 on
+    sorted nodes x_0 <= ... <= x_k, elementwise over node arrays."""
+    order = len(nodes) - 1
     if f.monomial_coeffs is not None:
-        return _poly_dd(f.monomial_coeffs, 1, x, y)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    diff = x - y
-    close = np.abs(diff) <= _band(1, delta, x, y)
-    mid = 0.5 * (x + y)
-    safe = np.where(close, 1.0, diff)
-    quot = (f.deriv(x, 0) - f.deriv(y, 0)) / safe
-    taylor = f.deriv(mid, 1)
-    if _has_order(f, 3):
-        taylor = taylor + f.deriv(mid, 3) * diff * diff / 24.0
-    return np.where(close, taylor, quot)
-
-
-def _dd2_sorted(f: ScalarFunction, a, b, c, delta: float):
-    """Second divided difference on sorted nodes a <= b <= c."""
-    if f.monomial_coeffs is not None:
-        return _poly_dd(f.monomial_coeffs, 2, a, b, c)
-    spread = c - a
-    close = spread <= _band(2, delta, a, c)
-    mid = (a + b + c) / 3.0
-    safe = np.where(close, 1.0, spread)
-    quot = (_dd1(f, b, c, delta) - _dd1(f, a, b, delta)) / safe
-    taylor = 0.5 * f.deriv(mid, 2)
-    if _has_order(f, 4):
+        return _poly_dd(f.monomial_coeffs, order, *nodes)
+    lower = f if order == 1 else (lambda *sub: _dd(f, delta, *sub))
+    spread = nodes[-1] - nodes[0]
+    close = spread <= _band(order, delta, nodes[0], nodes[-1])
+    mid = sum(nodes) / (order + 1)
+    quot = (lower(*nodes[1:]) - lower(*nodes[:-1])) / np.where(close, 1.0, spread)
+    taylor = f.deriv(mid, order) / math.factorial(order)
+    if _has_order(f, order + 2):
         # mean-centered: the linear term drops, leaving the h_2 correction
-        sum_sq = (a - mid) ** 2 + (b - mid) ** 2 + (c - mid) ** 2
-        taylor = taylor + f.deriv(mid, 4) * sum_sq / 48.0
+        sum_sq = sum((n - mid) ** 2 for n in nodes)
+        taylor = taylor + f.deriv(mid, order + 2) * sum_sq / (2 * math.factorial(order + 2))
     return np.where(close, taylor, quot)
 
 
-def _dd3_sorted(f: ScalarFunction, a, b, c, d, delta: float):
-    """Third divided difference on sorted nodes a <= b <= c <= d."""
-    if f.monomial_coeffs is not None:
-        return _poly_dd(f.monomial_coeffs, 3, a, b, c, d)
-    spread = d - a
-    close = spread <= _band(3, delta, a, d)
-    mid = (a + b + c + d) / 4.0
-    safe = np.where(close, 1.0, spread)
-    quot = (_dd2_sorted(f, b, c, d, delta) - _dd2_sorted(f, a, b, c, delta)) / safe
-    taylor = f.deriv(mid, 3) / 6.0
-    if _has_order(f, 5):
-        # the h_2 term, as in _dd2_sorted; order-6 evaluators give it to derivative views
-        sum_sq = (a - mid) ** 2 + (b - mid) ** 2 + (c - mid) ** 2 + (d - mid) ** 2
-        taylor = taylor + f.deriv(mid, 5) * sum_sq / 240.0
-    return np.where(close, taylor, quot)
-
-
-def dd1_grid(f: ScalarFunction, nodes: np.ndarray, delta: float | None = None) -> np.ndarray:
-    """Grid on nodes (m,), or on each row of (..., m) with the row's own threshold."""
-    nodes = np.asarray(nodes, dtype=float)
-    if delta is None:
-        delta = coincidence_threshold(nodes)
-    delta = np.expand_dims(delta, (-2, -1))
-    return _dd1(f, nodes[..., :, None], nodes[..., None, :], delta)
-
-
-def _symmetric_grid(dd_sorted, order: int, f: ScalarFunction, nodes: np.ndarray,
-                    delta) -> np.ndarray:
-    """Grid (..., m, ..., m) of a divided difference symmetric in its nodes.
+def _symmetric_grid(order: int, f: ScalarFunction, nodes: np.ndarray, delta) -> np.ndarray:
+    """Grid (..., m, ..., m) of the order-th divided difference on nodes (..., m),
+    each row with its own threshold unless delta is given.
 
     It is evaluated once per sorted index tuple, C(m+order, order+1) of the
     m^(order+1) entries, and read off by symmetry for the rest.
@@ -363,21 +324,23 @@ def _symmetric_grid(dd_sorted, order: int, f: ScalarFunction, nodes: np.ndarray,
     s = nodes[..., tuples]  # (..., order+1, Q): the nodes of each tuple
     if (nodes[..., 1:] < nodes[..., :-1]).any():  # eigh's nodes ascend already
         s = np.sort(s, axis=-2)
-    values = dd_sorted(f, *(s[..., i, :] for i in range(order + 1)),
-                       np.asarray(delta)[..., None])
+    values = _dd(f, np.asarray(delta)[..., None], *(s[..., i, :] for i in range(order + 1)))
     return values[..., where]
 
 
+def dd1_grid(f: ScalarFunction, nodes: np.ndarray, delta: float | None = None) -> np.ndarray:
+    """Grid on nodes (m,), or on each row of (..., m), from the C(m+1, 2) sorted pairs."""
+    return _symmetric_grid(1, f, nodes, delta)
+
+
 def dd2_grid(f: ScalarFunction, nodes: np.ndarray, delta: float | None = None) -> np.ndarray:
-    """Grid on nodes (m,), or on each row of (..., m) with the row's own threshold,
-    from the C(m+2, 3) sorted index triples."""
-    return _symmetric_grid(_dd2_sorted, 2, f, nodes, delta)
+    """Grid on nodes (m,), or on each row of (..., m), from the C(m+2, 3) sorted triples."""
+    return _symmetric_grid(2, f, nodes, delta)
 
 
 def dd3_grid(f: ScalarFunction, nodes: np.ndarray, delta: float | None = None) -> np.ndarray:
-    """Grid on nodes (m,), or on each row of (..., m) with the row's own threshold,
-    from the C(m+3, 4) sorted index quadruples."""
-    return _symmetric_grid(_dd3_sorted, 3, f, nodes, delta)
+    """Grid on nodes (m,), or on each row of (..., m), from the C(m+3, 4) sorted quadruples."""
+    return _symmetric_grid(3, f, nodes, delta)
 
 
 @lru_cache(maxsize=32)

@@ -31,7 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import ScalarFunction
-from .entropy import MatrixEnsemble, checked_atoms, jensen_gap, operator_phi_entropy
+from .entropy import (
+    MatrixEnsemble,
+    checked_atoms,
+    ensemble_arrays,
+    jensen_gap,
+    operator_phi_entropy,
+)
 from .errors import DimensionMismatchError, DomainError
 from .spectral import (
     SpectralDecomposition,
@@ -132,7 +138,7 @@ def pushforward(N, E):
     """
     if isinstance(E, MatrixEnsemble):
         return MatrixEnsemble(E.weights, pushforward([N], [E])[0])
-    images = hermitian_part(_kraus_images(N, np.stack([e.atoms for e in E])))
+    images = hermitian_part(_kraus_images(N, ensemble_arrays(E)[1]))
     flat = images.reshape(-1, *images.shape[-2:])
     return checked_atoms(flat, lambda i: f"image atom {i}").reshape(images.shape)
 
@@ -165,7 +171,7 @@ def monotonicity_gap(f: ScalarFunction, N, E, variant: str):
     """
     if isinstance(N, KrausChannel):
         return float(monotonicity_gap(f, [N], [E], variant)[0])
-    mapped = jensen_gap(f, np.stack([e.weights for e in E]), pushforward(N, E))
+    mapped = jensen_gap(f, ensemble_arrays(E)[0], pushforward(N, E))
     entropy = operator_phi_entropy(f, E)
     if variant == "trace":
         return variant_margin(entropy, variant) - variant_margin(mapped, variant)

@@ -211,7 +211,10 @@ class ProductEnsemble:
             keys = [tuple(int(p) for p in key.split(",")) for key in z]
         except (TypeError, ValueError) as exc:
             raise DomainError(f"malformed product JSON: {exc}") from exc
-        return cls(weights, {key: matrix_from_json(m) for key, m in zip(keys, z.values())})
+        P = cls(weights, {key: matrix_from_json(m) for key, m in zip(keys, z.values())})
+        if sorted(keys) != sorted(P.z_map):  # a key named twice, or not an outcome
+            raise DomainError(f"product JSON 'z' must name each outcome once, got {list(z)}")
+        return P
 
 
 # --- expectations and entropies -----------------------------------------------
@@ -222,11 +225,15 @@ def _mean(weights: np.ndarray, atoms: np.ndarray) -> np.ndarray:
     return np.einsum("...m,...mij->...ij", weights, atoms)
 
 
-def _arrays(E) -> tuple:
+def ensemble_arrays(E) -> tuple:
     """Weights and atoms of an ensemble; for a list of ensembles of one shape,
     both stacked along a new leading axis."""
     if isinstance(E, MatrixEnsemble):
         return E.weights, E.atoms
+    shapes = sorted({e.atoms.shape for e in E})
+    if len(shapes) > 1:
+        raise DimensionMismatchError(f"ensembles taken together must share one shape "
+                                     f"(atoms, d, d), got {shapes}")
     return np.stack([e.weights for e in E]), np.stack([e.atoms for e in E])
 
 
@@ -241,7 +248,7 @@ def jensen_gap(f: ScalarFunction, weights: np.ndarray, atoms: np.ndarray) -> np.
 def operator_phi_entropy(f: ScalarFunction, E) -> np.ndarray:
     """Jensen gap E f(Z) - f(E Z) as a Hermitian matrix; a stack of them for
     a list of ensembles of one shape."""
-    return jensen_gap(f, *_arrays(E))
+    return jensen_gap(f, *ensemble_arrays(E))
 
 
 def matrix_phi_entropy(f: ScalarFunction, E: MatrixEnsemble) -> float:
@@ -312,7 +319,7 @@ def subadditivity_gap(f: ScalarFunction, P) -> np.ndarray:
 def variance(E) -> np.ndarray:
     """Operator-valued variance E Z^2 - (E Z)^2; a stack of them for a list
     of ensembles of one shape."""
-    weights, atoms = _arrays(E)
+    weights, atoms = ensemble_arrays(E)
     second = _mean(weights, atoms @ atoms)
     mean = hermitian_part(_mean(weights, atoms))
     return hermitian_part(second - mean @ mean)
@@ -367,8 +374,8 @@ def dual_value(f: ScalarFunction, Z, T) -> np.ndarray:
     E[Df[T](Z-T) - Df[ET](Z-T) + f(T) - f(ET)], all expectations exact.
     Lists of ensembles of one shape give a stack of values.
     """
-    z_weights, z_atoms = _arrays(Z)
-    t_weights, t_atoms = _arrays(T)
+    z_weights, z_atoms = ensemble_arrays(Z)
+    t_weights, t_atoms = ensemble_arrays(T)
     mean_T = hermitian_part(_mean(t_weights, t_atoms))
     diff = z_atoms - t_atoms
     terms = frechet_d1(f, t_atoms, diff)
@@ -391,6 +398,6 @@ def dual_gap(f: ScalarFunction, Z, T) -> np.ndarray:
     """
     for z, t in [(Z, T)] if isinstance(Z, MatrixEnsemble) else zip(Z, T):
         _check_coupled(z, t)
-    _require_pd(_arrays(T)[1], f, "dual representation T")
+    _require_pd(ensemble_arrays(T)[1], f, "dual representation T")
     return operator_phi_entropy(f, Z) - dual_value(f, Z, T)
 

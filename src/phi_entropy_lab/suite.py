@@ -146,10 +146,18 @@ class RunConfig:
         if not isinstance(self.dims, (list, tuple)) or not all(map(_integer, self.dims)):
             raise ConfigError(f"dims must be a list of integers, got {self.dims!r}")
         if not isinstance(self.tolerances, dict) or not all(
-                c in CHECK_NAMES and isinstance(t, numbers.Real)
+                c in CHECK_NAMES and isinstance(t, numbers.Real) and not isinstance(t, bool)
                 for c, t in self.tolerances.items()):
             raise ConfigError(f"tolerances must map names of {CHECK_NAMES} to numbers, "
                               f"got {self.tolerances!r}")
+        if not isinstance(self.phi_list, (list, tuple)) or not all(
+                isinstance(p, str) for p in self.phi_list):
+            raise ConfigError(f"phi_list must be a list of function names, got {self.phi_list!r}")
+        if not isinstance(self.allow_outside_class, bool):
+            raise ConfigError(f"allow_outside_class must be true or false, "
+                              f"got {self.allow_outside_class!r}")
+        if not isinstance(self.output_path, (str, type(None))):
+            raise ConfigError(f"output_path must be a path string, got {self.output_path!r}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         dims = tuple(int(d) for d in self.dims)

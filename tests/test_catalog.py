@@ -199,51 +199,79 @@ def band_nodes(order):
     return nodes()
 
 
-def _is_the_sorted_tuple_value_at_every_index(grid, dd_sorted, f, nodes, k):
-    m = len(nodes)
+GRIDS = {1: dd1_grid, 2: dd2_grid, 3: dd3_grid}
+
+
+@pytest.mark.parametrize("order", (1, 2, 3))
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), spec=st.sampled_from(("xlogx", "power:1.5", "exp", "square")))
+def test_dd_grid_is_the_sorted_tuple_value_at_every_index(order, data, spec):
+    f = _resolve(spec)
+    nodes = data.draw(band_nodes(order), label="nodes")
+    grid, m, k = GRIDS[order](f, nodes), len(nodes), order + 1
     sorted_values = np.sort(nodes[np.array(list(product(range(m), repeat=k)))], axis=-1)
-    expected = dd_sorted(f, *sorted_values.T, coincidence_threshold(nodes))
+    expected = catalog._dd(f, coincidence_threshold(nodes), *sorted_values.T)
     assert np.array_equal(grid, expected.reshape((m,) * k))
     for perm in permutations(range(k)):
         assert np.array_equal(grid, grid.transpose(perm))
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(nodes=band_nodes(3), spec=st.sampled_from(("xlogx", "power:1.5", "exp", "square")))
-def test_dd3_grid_is_the_sorted_quadruple_value_at_every_index(nodes, spec):
-    f = _resolve(spec)
-    _is_the_sorted_tuple_value_at_every_index(dd3_grid(f, nodes), catalog._dd3_sorted, f,
-                                              nodes, 4)
-
-
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(nodes=band_nodes(2), spec=st.sampled_from(("xlogx", "power:1.5", "exp", "square")))
-def test_dd2_grid_is_the_sorted_triple_value_at_every_index(nodes, spec):
-    f = _resolve(spec)
-    _is_the_sorted_tuple_value_at_every_index(dd2_grid(f, nodes), catalog._dd2_sorted, f,
-                                              nodes, 3)
-
-
-def _evaluations(name, grid, monkeypatch):
-    """Sizes of the node arrays the grid's sorted-tuple evaluator is called on."""
+def _evaluations(order, monkeypatch):
+    """Sizes of the node arrays of the top-level order-th `_dd` calls the grid
+    makes; `_dd` recurses through its module name, so lower orders are skipped."""
     sizes = []
-    evaluate = getattr(catalog, name)
+    evaluate = catalog._dd
 
-    def counted(f, a, *rest):
-        sizes.append(np.size(a))
-        return evaluate(f, a, *rest)
+    def counted(f, delta, *nodes):
+        if len(nodes) == order + 1:
+            sizes.append(np.size(nodes[0]))
+        return evaluate(f, delta, *nodes)
 
-    monkeypatch.setattr(catalog, name, counted)
-    out = grid(builtin("xlogx"), np.linspace(0.5, 4.0, 16))
+    monkeypatch.setattr(catalog, "_dd", counted)
+    out = GRIDS[order](builtin("xlogx"), np.linspace(0.5, 4.0, 16))
     assert out.shape == (16,) * out.ndim
     return sizes
 
 
 def test_dd3_grid_evaluates_only_the_sorted_quadruples(monkeypatch):
     # C(16 + 3, 4), not 16^4 = 65,536
-    assert _evaluations("_dd3_sorted", dd3_grid, monkeypatch) == [3876]
+    assert _evaluations(3, monkeypatch) == [3876]
 
 
 def test_dd2_grid_evaluates_only_the_sorted_triples(monkeypatch):
     # C(16 + 2, 3), not 16^3 = 4,096
-    assert _evaluations("_dd2_sorted", dd2_grid, monkeypatch) == [816]
+    assert _evaluations(2, monkeypatch) == [816]
+
+
+def test_dd1_grid_evaluates_only_the_sorted_pairs(monkeypatch):
+    # C(16 + 1, 2), not 16^2 = 256
+    assert _evaluations(1, monkeypatch) == [136]
+
+
+def _mp_dd(mpmath, g, nodes):
+    """Divided difference in mpmath arithmetic, by derivative where all nodes coincide."""
+    k = len(nodes) - 1
+    if nodes[0] == nodes[-1]:
+        return mpmath.diff(g, nodes[0], k) / mpmath.factorial(k)
+    return (_mp_dd(mpmath, g, nodes[1:]) - _mp_dd(mpmath, g, nodes[:-1])) / (nodes[-1] - nodes[0])
+
+
+@pytest.mark.parametrize("order", (1, 2, 3))
+@pytest.mark.parametrize("spec", ("xlogx", "power:1.5", "exp"))
+def test_taylor_branch_matches_50_digit_divided_differences(order, spec):
+    mpmath = pytest.importorskip("mpmath")
+    g = {"xlogx": lambda x: x * mpmath.log(x), "power:1.5": lambda x: x ** 1.5,
+         "exp": mpmath.exp}[spec]
+    f = _resolve(spec)
+    rng = np.random.default_rng(order)
+    for base in (0.5, 1.0, 2.5, 7.0):
+        for frac in (0.0, 0.5, 0.9):
+            spread = frac * TAYLOR_BAND[order] * base
+            nodes = np.array([base, *(base + np.sort(rng.uniform(0.0, spread, order - 1))),
+                              base + spread])
+            # the cluster lies inside the band, so the Taylor form gives every entry
+            assert nodes[-1] - nodes[0] <= TAYLOR_BAND[order] * nodes[-1]
+            got = GRIDS[order](f, nodes)[tuple(range(order + 1))]
+            with mpmath.workdps(50):
+                want = float(_mp_dd(mpmath, g, [mpmath.mpf(float(x)) for x in nodes]))
+            assert abs(got - want) <= 1e-8 * abs(want)

@@ -147,6 +147,15 @@ def test_monotonicity_dimension_mismatch():
         check("monotonicity", phi=SQ, variant="trace", channel=N, ensemble=E)
 
 
+def test_list_forms_reject_ensembles_of_different_shapes():
+    N = random_unital_channel(2, 2, seed=16)
+    with pytest.raises(DimensionMismatchError, match="one shape"):
+        monotonicity_gap(SQ, [N, N], [sample_ensemble(2, 3, 1), sample_ensemble(2, 2, 2)],
+                         "trace")
+    with pytest.raises(DimensionMismatchError, match="one shape"):
+        operator_phi_entropy(SQ, [sample_ensemble(2, 3, 1), sample_ensemble(3, 3, 2)])
+
+
 def test_operator_jensen_identity_channel_equality():
     N = KrausChannel(np.eye(2)[None, :, :])
     A = sample_psd(2, 0.2, 18)

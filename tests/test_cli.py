@@ -303,6 +303,14 @@ _CONDITION_A = {"kind": "condition_a", "phi": "square", "lambda": "a", "A1": _ON
                "channel": {"kraus": 5}, "ensemble": {"atoms": [{"w": 1.0, "m": _ONE}]}}),
     ("run-suite", {"trials": "5"}),
     ("run-suite", {"dims": ["x"]}),
+    ("run-suite", {"output_path": 7}),
+    ("run-suite", {"allow_outside_class": "no"}),
+    ("run-suite", {"phi_list": [1]}),
+    ("run-suite", {"tolerances": {"jensen": True}}),
+    ("check", _sub({"factors": [[1.0]], "z": {"0": _ONE, "5,5": _ONE}})),
+    ("check", _sub({"factors": [[0.5, 0.5], [0.5, 0.5]],
+                    "z": {"0,0": _ONE, "0,1": _ONE, "1,0": _ONE, "1,1": _ONE,
+                          "0, 1": {"dim": 1, "re": [[2.0]]}}})),
     ("check", {"phi": "square", "variant": "trace", "product": {}}),
     ("check", {"kind": "no_such_kind"}),
     ("check", {"kind": ["subadditivity"]}),
@@ -319,6 +327,8 @@ _CONDITION_A = {"kind": "condition_a", "phi": "square", "lambda": "a", "A1": _ON
 ], ids=["dim-word", "dim-float", "dim-bool", "re-word", "re-ragged", "atom-no-w",
         "top-level-list", "atoms-mixed-dims",
         "product-key", "factor-weight-word", "kraus-number", "trials-string", "dims-word",
+        "output-path-number", "allow-outside-class-word", "phi-list-number", "tolerance-bool",
+        "product-key-not-an-outcome", "product-key-twice",
         "no-kind", "unknown-kind", "kind-list", "missing-field", "product-number", "phi-number",
         "variant-list", "order-0", "order-7", "order-string", "lambda-word", "weights-word",
         "matrices-number"])

@@ -59,7 +59,8 @@ def test_config_validation():
     # fields read from a config file must have the right types
     for bad in (dict(trials="5"), dict(seed=1.5), dict(n_factors=None), dict(support=True),
                 dict(dims=("x",)), dict(dims=(2.0,)), dict(dims=2), dict(tolerances=[1e-9]),
-                dict(tolerances={"jensen": "x"})):
+                dict(tolerances={"jensen": "x"}), dict(tolerances={"jensen": True}),
+                dict(phi_list=[1]), dict(allow_outside_class="no"), dict(output_path=7)):
         with pytest.raises(ConfigError):
             RunConfig(**bad)
 
