@@ -143,20 +143,24 @@ def pushforward(N, E):
     return checked_atoms(flat, lambda i: f"image atom {i}").reshape(images.shape)
 
 
-def random_unital_channel(d: int, k: int, seed) -> KrausChannel:
+def random_unital_channel(d: int, k, seed) -> KrausChannel:
     """Mixed-unitary channel: k Haar unitaries with random convex weights.
 
     Unital and trace-preserving by construction; bit-reproducible for a
-    fixed seed.
+    fixed seed.  A list of generators takes a list of counts k.
     """
-    from .sampling import as_generator, haar_unitary
+    from .sampling import as_generators, haar_unitary
 
-    if k < 1:
-        raise DomainError(f"channel needs at least one Kraus operator, got k={k}")
-    rng = as_generator(seed, "unital_channel", d, k)
-    weights = rng.dirichlet(np.ones(k))
-    ops = np.sqrt(weights)[:, None, None] * haar_unitary(d, rng, k)
-    return KrausChannel(ops, trace_preserving=True)
+    rngs, listed = as_generators(seed, "unital_channel", d, k)
+    counts = list(k) if listed else [k]
+    if min(counts) < 1:
+        raise DomainError(f"channel needs at least one Kraus operator, got k={min(counts)}")
+    weights = [rng.dirichlet(np.ones(n)) for rng, n in zip(rngs, counts)]
+    # A generator listed n times draws n unitaries in turn; all go through one QR.
+    U = haar_unitary(d, [rng for rng, n in zip(rngs, counts) for _ in range(n)])
+    out = [KrausChannel(np.sqrt(w)[:, None, None] * U_i, trace_preserving=True)
+           for w, U_i in zip(weights, np.split(U, np.cumsum(counts)[:-1]))]
+    return out if listed else out[0]
 
 
 def monotonicity_gap(f: ScalarFunction, N, E, variant: str):

@@ -247,39 +247,25 @@ def _write_payload(fh, payload: dict) -> None:
 
 
 def _cmd_run_suite(args) -> int:
-    # The options a --config file replaces.
-    run_options = {"--seed": args.seed, "--trials": args.trials, "--dims": args.dims,
-                   "--phi-list": args.phi_list, "--variant": args.variant, "--checks": args.checks,
-                   "--allow-outside-class": args.allow_outside_class or None}
+    def split(text, cast=str):
+        return None if text is None else tuple(cast(s.strip()) for s in text.split(",")
+                                               if s.strip())
+    try:
+        dims = split(args.dims, int)
+    except ValueError:
+        raise ConfigError(f"--dims must be a comma list of integers, got '{args.dims}'") from None
+    # The options a --config file replaces, by RunConfig field.
+    options = {"seed": args.seed, "trials": args.trials, "dims": dims, "variant": args.variant,
+               "phi_list": split(args.phi_list), "checks": split(args.checks),
+               "allow_outside_class": args.allow_outside_class or None}
+    given = {key: value for key, value in options.items() if value is not None}
     if args.config:
-        given = [flag for flag, value in run_options.items() if value is not None]
         if given:
-            raise ConfigError(f"--config holds the whole run; {', '.join(given)} "
-                              "cannot be given with it")
+            flags = ", ".join("--" + key.replace("_", "-") for key in given)
+            raise ConfigError(f"--config holds the whole run; {flags} cannot be given with it")
         config = RunConfig.from_json_dict(_read_json(args.config))
     else:
-        kwargs = {}
-        if args.phi_list is not None:
-            kwargs["phi_list"] = tuple(s.strip() for s in args.phi_list.split(",") if s.strip())
-        if args.dims is not None:
-            try:
-                kwargs["dims"] = tuple(int(s) for s in args.dims.split(",") if s.strip())
-            except ValueError:
-                raise ConfigError(f"--dims must be a comma list of integers, "
-                                  f"got '{args.dims}'") from None
-        if args.trials is not None:
-            kwargs["trials"] = args.trials
-        if args.variant is not None:
-            kwargs["variant"] = args.variant
-        if args.checks is not None:
-            kwargs["checks"] = tuple(s.strip() for s in args.checks.split(",") if s.strip())
-        if args.allow_outside_class:
-            kwargs["allow_outside_class"] = True
-        if args.output:
-            kwargs["output_path"] = args.output
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-        config = RunConfig(**kwargs)
+        config = RunConfig(**given, output_path=args.output or None)
     suite = run_suite(config)
     payload = suite.to_json_dict()
     out_path = args.output or config.output_path

@@ -4,14 +4,16 @@ Streams are counter-based: a generator is keyed by (seed, labels...) through
 a hash, so parallel and serial sweeps draw identical values regardless of
 execution order.
 
-Given a count k, a sampler returns a stack of k matrices, bit for bit those
-of k sequential one-matrix calls on the same generator: one draw, in their
-order, then one stacked product or QR.  A one-matrix call is the stack of
-one, and a count does not re-key an integer seed's stream.
+A list of generators gives one draw per generator, stacked on a new leading
+axis (objects: a list): each makes the calls it makes alone, then the matrix
+algebra, which acts matrix by matrix, runs once over the stack.  A seed or one
+generator is the list of one.  With a count k, a draw is k matrices, bit for
+bit those of k one-matrix calls on the same generator.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 
@@ -19,21 +21,42 @@ import numpy as np
 
 from .entropy import MatrixEnsemble, ProductEnsemble
 from .errors import DomainError
-from .spectral import dagger, hermitian_part
+from .spectral import dagger, frobenius, hermitian_part
+
+
+@functools.cache
+def _key_sequence():
+    """Seed sequence whose state is a given digest.  Philox(key=...) would also
+    read OS entropy; numpy.random is imported on first use, not at start-up."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class KeySequence(ISeedSequence):
+        def __init__(self, digest: bytes):
+            self.digest = digest
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return np.frombuffer(self.digest, np.dtype(dtype).newbyteorder("<"), n_words)
+    return KeySequence
 
 
 def rng_for(seed: int, *labels) -> np.random.Generator:
     """Independent generator keyed by (seed, labels...); Philox counter-based."""
     material = ":".join([str(int(seed)), *map(str, labels)]).encode()
-    key = int.from_bytes(hashlib.blake2b(material, digest_size=16).digest(), "little")
-    return np.random.Generator(np.random.Philox(key=key))
+    digest = hashlib.blake2b(material, digest_size=16).digest()
+    return np.random.Generator(np.random.Philox(_key_sequence()(digest)))
 
 
-def as_generator(seed, *labels) -> np.random.Generator:
-    """Accept either an integer seed (keyed with labels) or an existing generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return rng_for(int(seed), *labels)
+def as_generators(seed, *labels) -> tuple:
+    """(generators, whether a list was given); an integer seed is keyed by labels."""
+    if isinstance(seed, list):
+        return seed, True
+    return [seed if isinstance(seed, np.random.Generator) else rng_for(int(seed), *labels)], False
+
+
+def _shaped(out: np.ndarray, n: int, count: int | None, listed: bool) -> np.ndarray:
+    """n draws of k matrices (n * k, d, d) as asked: one matrix without count."""
+    out = out.reshape(n, -1, *out.shape[1:])[:, 0 if count is None else slice(None)]
+    return out if listed else out[0]
 
 
 def _complex_gaussian(z: np.ndarray) -> np.ndarray:
@@ -50,21 +73,23 @@ def _haar(z: np.ndarray) -> np.ndarray:
 
 def haar_unitary(d: int, seed, count: int | None = None) -> np.ndarray:
     """Haar unitary via QR with phase fixing; with count, a stack of count."""
-    rng = as_generator(seed, "haar", d)
-    U = _haar(rng.standard_normal((1 if count is None else count, 2, d, d)))
-    return U[0] if count is None else U
+    rngs, listed = as_generators(seed, "haar", d)
+    k = 1 if count is None else count
+    U = _haar(np.concatenate([rng.standard_normal((k, 2, d, d)) for rng in rngs]))
+    return _shaped(U, len(rngs), count, listed)
 
 
-def sample_hermitian(d: int, seed, scale: float = 1.0) -> np.ndarray:
-    """GUE-style Hermitian sample, entries O(scale)."""
-    rng = as_generator(seed, "hermitian", d)
-    return hermitian_part(_complex_gaussian(rng.standard_normal((2, d, d)))) * scale
+def sample_hermitian(d: int, seed) -> np.ndarray:
+    """GUE-style Hermitian sample, entries O(1)."""
+    rngs, listed = as_generators(seed, "hermitian", d)
+    z = np.stack([rng.standard_normal((2, d, d)) for rng in rngs])
+    return _shaped(hermitian_part(_complex_gaussian(z)), len(rngs), None, listed)
 
 
 def sample_hermitian_unit(d: int, seed) -> np.ndarray:
     """Hermitian direction normalized to unit Frobenius norm."""
     H = sample_hermitian(d, seed)
-    return H / np.linalg.norm(H)
+    return H / np.reshape(frobenius(H), H.shape[:-2] + (1, 1))
 
 
 def sample_psd(d: int, spectral_floor: float = 0.0, seed=0,
@@ -77,20 +102,20 @@ def sample_psd(d: int, spectral_floor: float = 0.0, seed=0,
     """
     if spectral_floor < 0.0:
         raise DomainError(f"spectral floor must be nonnegative, got {spectral_floor}")
-    rng = as_generator(seed, "psd", d, spectral_floor)
+    rngs, listed = as_generators(seed, "psd", d, spectral_floor)
     k = 1 if count is None else count
     if spectral_cap is not None:
         if spectral_cap <= spectral_floor:
             raise DomainError("spectral cap must exceed the floor")
         # Each matrix draws its eigenvalues, then the normals of its basis.
         lam, z = zip(*[(rng.uniform(spectral_floor, spectral_cap, size=d),
-                        rng.standard_normal((2, d, d))) for _ in range(k)])
+                        rng.standard_normal((2, d, d))) for rng in rngs for _ in range(k)])
         U = _haar(np.stack(z))
         out = hermitian_part((U * np.stack(lam)[:, None, :]) @ dagger(U))
     else:
-        G = _complex_gaussian(rng.standard_normal((k, 2, d, d)))
+        G = _complex_gaussian(np.concatenate([rng.standard_normal((k, 2, d, d)) for rng in rngs]))
         out = hermitian_part(dagger(G) @ G / d + spectral_floor * np.eye(d))
-    return out[0] if count is None else out
+    return _shaped(out, len(rngs), count, listed)
 
 
 def sample_ensemble(d: int, atoms: int, seed=0, spectral_floor: float = 0.0,
@@ -98,9 +123,11 @@ def sample_ensemble(d: int, atoms: int, seed=0, spectral_floor: float = 0.0,
     """Random ensemble: uniform-simplex weights over PSD samples."""
     if atoms < 1:
         raise DomainError(f"ensemble needs at least one atom, got {atoms}")
-    rng = as_generator(seed, "ensemble", d, atoms)
-    weights = rng.dirichlet(np.ones(atoms))
-    return MatrixEnsemble(weights, sample_psd(d, spectral_floor, rng, spectral_cap, atoms))
+    rngs, listed = as_generators(seed, "ensemble", d, atoms)
+    weights = [rng.dirichlet(np.ones(atoms)) for rng in rngs]
+    mats = sample_psd(d, spectral_floor, rngs, spectral_cap, atoms)
+    out = [MatrixEnsemble(w, m) for w, m in zip(weights, mats)]
+    return out if listed else out[0]
 
 
 def sample_product(d: int, n: int, support_sizes, seed=0,
@@ -112,18 +139,21 @@ def sample_product(d: int, n: int, support_sizes, seed=0,
     support_sizes = tuple(int(s) for s in support_sizes)
     if len(support_sizes) != n or any(s < 1 for s in support_sizes):
         raise DomainError(f"need {n} positive support sizes, got {support_sizes}")
-    rng = as_generator(seed, "product", d, n, support_sizes)
-    factors = tuple(rng.dirichlet(np.ones(s)) for s in support_sizes)
+    rngs, listed = as_generators(seed, "product", d, n, support_sizes)
+    factors = [tuple(rng.dirichlet(np.ones(s)) for s in support_sizes) for rng in rngs]
     keys = list(itertools.product(*(range(s) for s in support_sizes)))
-    z_map = dict(zip(keys, sample_psd(d, spectral_floor, rng, spectral_cap, len(keys))))
-    return ProductEnsemble(factors, z_map)
+    mats = sample_psd(d, spectral_floor, rngs, spectral_cap, len(keys))
+    out = [ProductEnsemble(f, dict(zip(keys, m))) for f, m in zip(factors, mats)]
+    return out if listed else out[0]
 
 
 def sample_coupled_ensembles(d: int, atoms: int, seed=0,
                              spectral_floor: float = 0.0,
                              spectral_cap: float | None = None):
     """Pair (Z, T) on one sample space: shared weights, independent atoms."""
-    rng = as_generator(seed, "coupled", d, atoms)
-    weights = rng.dirichlet(np.ones(atoms))
-    mats = sample_psd(d, spectral_floor, rng, spectral_cap, 2 * atoms)
-    return MatrixEnsemble(weights, mats[:atoms]), MatrixEnsemble(weights, mats[atoms:])
+    rngs, listed = as_generators(seed, "coupled", d, atoms)
+    weights = [rng.dirichlet(np.ones(atoms)) for rng in rngs]
+    mats = sample_psd(d, spectral_floor, rngs, spectral_cap, 2 * atoms)
+    out = [(MatrixEnsemble(w, m[:atoms]), MatrixEnsemble(w, m[atoms:]))
+           for w, m in zip(weights, mats)]
+    return out if listed else out[0]

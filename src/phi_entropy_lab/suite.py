@@ -4,8 +4,8 @@
 the paper that the package reports on.  The suite, single-point reports,
 witness replay and counterexample search all read it.  A record says once:
 
-- how one suite trial draws its points from the trial's seeded stream, a
-  trial's matrices of one kind as one stack;
+- how a chunk of suite trials draws its points, in trial order, from their
+  seeded streams, the chunk's matrices of one kind as one stack;
 - the margins of any list of a sweep's points, in trial order, each >= 0
   where the statement holds: the map evaluates the points as one stack
   through the batched layers (channels act grouped by their Kraus counts),
@@ -20,9 +20,9 @@ witness replay and counterexample search all read it.  A record says once:
 each report measures, the labels of its stream and its name.  The rest is
 derived from the two tables:
 
-- ``sweep`` runs one report: every trial's points, drawn in trial order
-  and evaluated by one margin call per chunk of trials, the first strict
-  minimum of the margin, and the witness of that one point;
+- ``sweep`` runs one report: every trial's points, one draw and one margin
+  call per chunk of trials, the first strict minimum of the margin, and the
+  witness of that one point;
 - ``run_suite`` runs the sweeps a ``RunConfig`` selects;
 - ``check`` reports one given point: class gate, margin, tolerance, witness;
 - ``replay_witness`` decodes a witness and recomputes its margin;
@@ -42,6 +42,7 @@ installed on those names sees every call.
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 import time
 from dataclasses import dataclass, field, fields
@@ -123,6 +124,15 @@ def _integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _tolerance(x) -> bool:
+    """Whether x can judge margins: a finite number >= 0."""
+    return _real(x) and math.isfinite(x) and x >= 0
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Configuration of a suite run."""
@@ -146,13 +156,17 @@ class RunConfig:
         if not isinstance(self.dims, (list, tuple)) or not all(map(_integer, self.dims)):
             raise ConfigError(f"dims must be a list of integers, got {self.dims!r}")
         if not isinstance(self.tolerances, dict) or not all(
-                c in CHECK_NAMES and isinstance(t, numbers.Real) and not isinstance(t, bool)
-                for c, t in self.tolerances.items()):
-            raise ConfigError(f"tolerances must map names of {CHECK_NAMES} to numbers, "
-                              f"got {self.tolerances!r}")
-        if not isinstance(self.phi_list, (list, tuple)) or not all(
+                c in CHECK_NAMES and _tolerance(t) for c, t in self.tolerances.items()):
+            raise ConfigError(f"tolerances must map names of {CHECK_NAMES} to finite "
+                              f"numbers >= 0, got {self.tolerances!r}")
+        if not isinstance(self.checks, (list, tuple)) or not all(
+                c in CHECK_NAMES for c in self.checks):
+            raise ConfigError(f"checks must be a list of names from {CHECK_NAMES}, "
+                              f"got {self.checks!r}")
+        if not isinstance(self.phi_list, (list, tuple)) or not self.phi_list or not all(
                 isinstance(p, str) for p in self.phi_list):
-            raise ConfigError(f"phi_list must be a list of function names, got {self.phi_list!r}")
+            raise ConfigError(f"phi_list must be a non-empty list of function names, "
+                              f"got {self.phi_list!r}")
         if not isinstance(self.allow_outside_class, bool):
             raise ConfigError(f"allow_outside_class must be true or false, "
                               f"got {self.allow_outside_class!r}")
@@ -161,19 +175,13 @@ class RunConfig:
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         dims = tuple(int(d) for d in self.dims)
-        if not dims or any(d < 1 or d > 16 for d in dims):
+        if not dims or any(d < 1 or d > 16 for d in dims) or len(set(dims)) < len(dims):
             raise ConfigError(f"dims must be a non-empty subset of [1, 16], got {dims}")
-        if not self.phi_list:
-            raise ConfigError("phi_list must not be empty")
         if self.variant not in ("trace", "operator", "both"):
             raise ConfigError(f"variant must be trace|operator|both, got '{self.variant}'")
-        checks = tuple(self.checks)
-        unknown = [c for c in checks if c not in CHECK_NAMES]
-        if unknown:
-            raise ConfigError(f"unknown checks {unknown}; valid names: {CHECK_NAMES}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "phi_list", tuple(self.phi_list))
-        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "checks", tuple(self.checks))
 
     def variants(self) -> tuple:
         return ("trace", "operator") if self.variant == "both" else (self.variant,)
@@ -208,10 +216,7 @@ class SuiteReport:
 
     def exit_code(self) -> int:
         """0 iff no in-class check failed."""
-        for report, in_class, _ in self.entries:
-            if in_class and not report.holds:
-                return 1
-        return 0
+        return int(any(in_class and not report.holds for report, in_class, _ in self.entries))
 
     def to_json_dict(self) -> dict:
         return {
@@ -230,9 +235,7 @@ _CLASS_TAG = {"trace": C2, "operator": C3}
 
 
 def _in_class(f: ScalarFunction, variant: str) -> bool:
-    if f.has_tag(OUTSIDE_CLASS):
-        return False
-    return f.has_tag(_CLASS_TAG[variant])
+    return not f.has_tag(OUTSIDE_CLASS) and f.has_tag(_CLASS_TAG[variant])
 
 
 # --- the check registry ------------------------------------------------------------
@@ -240,10 +243,6 @@ def _in_class(f: ScalarFunction, variant: str) -> bool:
 # Witness codecs: (encode, decode, what a stored value must be, the test of it)
 # between a point value and its JSON form.  A stored witness is input from
 # outside the program, so _decode_witness refuses a value that fails the test.
-
-
-def _real(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def _json_object(cls) -> tuple:
@@ -283,7 +282,7 @@ class Check:
     name: str                     # report of one point, formatted with its witness
     # Any list of a sweep's points, in trial order -> their margins, >= 0 where it holds.
     margin: Callable
-    draw: Callable | None = None  # (rng, d, config, base point) -> one trial's points
+    draw: Callable | None = None  # (trials' generators, d, config, base point) -> points
     tolerance: Callable | None = None  # (all margins, base point) -> tolerance
     class_gated: bool = True      # in class only for phi tagged for the variant
     # Spectral floor and cap of the matrices a counterexample search draws.
@@ -369,35 +368,42 @@ def _relative_tol(margins: list, base: dict) -> float:
     return 1e-9 * max(1.0, *(abs(m) for m in margins))
 
 
-def _draw_pairs(rng, d: int, config, base: dict) -> list:
-    u1, v1, u2, v2 = sample_psd(d, SPECTRAL_FLOOR, rng, count=4)
-    t = float(rng.uniform(0.0, 1.0)) if base["functional"] == "gap_F_t" else None
+def _draw_pairs(rngs: list, d: int, config, base: dict) -> list:
+    mats = sample_psd(d, SPECTRAL_FLOOR, rngs, count=4)
+    ts = [float(rng.uniform(0.0, 1.0)) if base["functional"] == "gap_F_t" else None
+          for rng in rngs]
     return [{"t": t, "lambda": lam, "u1": u1, "v1": v1, "u2": u2, "v2": v2}
+            for rng, t, (u1, v1, u2, v2) in zip(rngs, ts, mats) for lam in _lambdas(rng)]
+
+
+def _draw_condition_a(rngs: list, d: int, config, base: dict) -> list:
+    pairs = sample_psd(d, SPECTRAL_FLOOR, rngs, count=2)
+    return [{"lambda": lam, "A1": A1, "A2": A2, "h": h}
+            for rng, (A1, A2), h in zip(rngs, pairs, sample_hermitian_unit(d, rngs))
             for lam in _lambdas(rng)]
 
 
-def _draw_condition_a(rng, d: int, config, base: dict) -> list:
-    A1, A2 = sample_psd(d, SPECTRAL_FLOOR, rng, count=2)
-    h = sample_hermitian_unit(d, rng)
-    return [{"lambda": lam, "A1": A1, "A2": A2, "h": h} for lam in _lambdas(rng)]
+def _points(**columns) -> list:
+    """One point per trial, holding the trial's entry of each column."""
+    return [dict(zip(columns, values)) for values in zip(*columns.values())]
 
 
-def _draw_channel(rng, d: int) -> KrausChannel:
-    return random_unital_channel(d, int(rng.integers(1, 5)), rng)
+def _draw_channels(rngs: list, d: int) -> list:
+    return random_unital_channel(d, [int(rng.integers(1, 5)) for rng in rngs], rngs)
 
 
 def _draw_product(n_factors):
-    """Draw of one product ensemble; n_factors=None takes the config's."""
-    return lambda rng, d, config, base: [{"product": sample_product(
-        d, n_factors or config.n_factors, config.support, rng)}]
+    """Draw of product ensembles; n_factors=None takes the config's."""
+    return lambda rngs, d, config, base: _points(product=sample_product(
+        d, n_factors or config.n_factors, config.support, rngs))
 
 
 CHECKS = {
     "frechet_oracle": Check(
         fields=(("phi", _PHI), ("order", _ORDER), ("A", _MATRIX), ("X", _MATRIX)),
         margin=_frechet_margins,
-        draw=lambda rng, d, config, base: [{"A": sample_psd(d, 0.5, rng, spectral_cap=4.0),
-                                            "X": sample_hermitian_unit(d, rng)}],
+        draw=lambda rngs, d, config, base: _points(
+            A=sample_psd(d, 0.5, rngs, spectral_cap=4.0), X=sample_hermitian_unit(d, rngs)),
         tolerance=lambda margins, base: ORACLE_TOLS[base["order"]],
         class_gated=False,
         name="frechet_oracle[{phi},order={order}]"),
@@ -425,8 +431,8 @@ CHECKS = {
     "dual_representation": Check(
         fields=(("phi", _PHI), ("variant", _VARIANT), ("Z", _ENSEMBLE), ("T", _ENSEMBLE)),
         margin=lambda ps: _gap_margins(ps, dual_gap(ps[0]["phi"], _all(ps, "Z"), _all(ps, "T"))),
-        draw=lambda rng, d, config, base: [dict(zip(("Z", "T"), sample_coupled_ensembles(
-            d, 3, rng, spectral_floor=SPECTRAL_FLOOR)))],
+        draw=lambda rngs, d, config, base: [{"Z": Z, "T": T} for Z, T in sample_coupled_ensembles(
+            d, 3, rngs, spectral_floor=SPECTRAL_FLOOR)],
         tolerance=lambda margins, base: 1e-9,
         name="dual_representation[{phi},{variant}]"),
     # Items (b), (c), (d), (f): joint convexity of a bivariate functional.
@@ -459,9 +465,9 @@ CHECKS = {
         fields=(("phi", _PHI), ("A", _MATRIX), ("h", _MATRIX), ("k", _MATRIX)),
         margin=lambda ps: _listed(condition_e_margin(
             ps[0]["phi"], _stack(ps, "A"), _stack(ps, "h"), _stack(ps, "k"))),
-        draw=lambda rng, d, config, base: [{"A": sample_psd(d, 0.5, rng, spectral_cap=4.0),
-                                            "h": sample_hermitian_unit(d, rng),
-                                            "k": sample_hermitian_unit(d, rng)}],
+        draw=lambda rngs, d, config, base: _points(
+            A=sample_psd(d, 0.5, rngs, spectral_cap=4.0), h=sample_hermitian_unit(d, rngs),
+            k=sample_hermitian_unit(d, rngs)),
         tolerance=_relative_tol,
         search_spectrum=(0.6, 3.8),
         name="condition_e[{phi}]"),
@@ -471,9 +477,8 @@ CHECKS = {
         # The channels' products run grouped by Kraus count, the rest as one stack.
         margin=lambda ps: _listed(monotonicity_gap(ps[0]["phi"], _all(ps, "channel"),
                                                    _all(ps, "ensemble"), ps[0]["variant"])),
-        draw=lambda rng, d, config, base: [{
-            "channel": _draw_channel(rng, d),
-            "ensemble": sample_ensemble(d, 3, rng, spectral_floor=0.0)}],
+        draw=lambda rngs, d, config, base: _points(
+            channel=_draw_channels(rngs, d), ensemble=sample_ensemble(d, 3, rngs)),
         tolerance=lambda margins, base: 1e-10,
         name="monotonicity[{phi},{variant}]"),
     # The "jensen" check: f(N(A)) <= N(f(A)) for a unital channel N.
@@ -481,8 +486,8 @@ CHECKS = {
         fields=(("phi", _PHI), ("variant", _VARIANT), ("channel", _CHANNEL), ("A", _MATRIX)),
         margin=lambda ps: _gap_margins(ps, operator_jensen_gap(
             ps[0]["phi"], _all(ps, "channel"), _stack(ps, "A"))),
-        draw=lambda rng, d, config, base: [{"channel": _draw_channel(rng, d),
-                                            "A": sample_psd(d, SPECTRAL_FLOOR, rng)}],
+        draw=lambda rngs, d, config, base: _points(
+            channel=_draw_channels(rngs, d), A=sample_psd(d, SPECTRAL_FLOOR, rngs)),
         tolerance=lambda margins, base: 1e-10,
         name="operator_jensen[{phi},{variant}]"),
     # Not swept by the suite: single points through check, and their replay.
@@ -556,6 +561,8 @@ def check(kind: str, *, tol: float | None = None, override: bool = False,
     if set(point) != set(keys):
         raise ConfigError(f"check '{kind}' takes the fields {keys}, got {sorted(point)}")
     class_gate(kind, point.get("phi"), point.get("variant", "trace"), override)
+    if tol is not None and not _tolerance(tol):
+        raise ConfigError(f"tol must be a finite number >= 0, got {tol!r}")
     margin = record.margin([point])[0]
     if tol is None:
         tol = record.tolerance([margin], point)
@@ -612,10 +619,9 @@ def sweep(config: RunConfig, check: str, s: Sweep, f: ScalarFunction | None,
           variant: str, d: int) -> VerificationReport:
     """Run one report: every trial's points, the worst margin and its witness.
 
-    The trials are drawn in order, and each chunk of trials (see
-    SWEEP_ENTRIES) is one margin call.  The first strict minimum
-    wins.  A tolerance set in the config for the check replaces the record's
-    rule, whatever its value.
+    Each chunk of trials (see SWEEP_ENTRIES) is one draw, in trial order,
+    and one margin call.  The first strict minimum wins.  A tolerance set in
+    the config for the check replaces the record's rule, whatever its value.
     """
     record = CHECKS[s.kind]
     base = {"phi": f, "variant": variant, **s.fixed}
@@ -624,10 +630,9 @@ def sweep(config: RunConfig, check: str, s: Sweep, f: ScalarFunction | None,
     margins, worst, best = [], np.inf, None
     chunk = max(1, SWEEP_ENTRIES // d**4)
     for start in range(0, config.trials, chunk):
-        points = []
-        for trial in range(start, min(start + chunk, config.trials)):
-            rng = rng_for(config.seed, check, *(labels[key] for key in s.key), trial)
-            points += [{**base, **drawn} for drawn in record.draw(rng, d, config, base)]
+        rngs = [rng_for(config.seed, check, *(labels[key] for key in s.key), trial)
+                for trial in range(start, min(start + chunk, config.trials))]
+        points = [{**base, **drawn} for drawn in record.draw(rngs, d, config, base)]
         for point, margin in zip(points, record.margin(points)):
             margins.append(margin)
             if margin < worst:
@@ -698,6 +703,8 @@ def run_suite(config: RunConfig) -> SuiteReport:
             f = from_spec(name, allow_outside_class=config.allow_outside_class)
         except PhiLabError as exc:
             raise ConfigError(f"cannot resolve function '{name}': {exc}") from exc
+        if f.spec_string() in {g.spec_string() for g in funcs.values()}:
+            raise ConfigError(f"'{name}' names a function phi_list already holds")
         if f.has_tag(OUTSIDE_CLASS) and not config.allow_outside_class:
             raise ConfigError(
                 f"'{name}' is outside the subadditive classes; set "
@@ -858,8 +865,8 @@ def counterexample_search(f: ScalarFunction, check_name: str, budget: int, seed:
         raise ConfigError(f"dim must be in [1, 16], got {dim}")
     if budget < 1:
         raise ConfigError(f"budget must be >= 1, got {budget}")
-    if not tol > 0:
-        raise ConfigError(f"tol must be > 0, got {tol}")
+    if not (_tolerance(tol) and tol > 0):
+        raise ConfigError(f"tol must be a finite number > 0, got {tol}")
     space = _SearchSpace(f, check_name, dim)
     threshold = -10.0 * tol
     proposals = (space.sample(rng_for(seed, "search", check_name, f.spec_string(), dim, trial))

@@ -21,8 +21,9 @@ KINDS = tuple(CHECKS)
 CONFIG = RunConfig()
 
 
-def _draw_lemma(rng, d, config, base):
+def _draw_lemma(rngs, d, config, base):
     """The convexity lemma is not swept by the suite, so its record has no draw."""
+    (rng,) = rngs
     return [{"weights": rng.dirichlet(np.ones(3)),
              "A": [sample_psd(d, 0.5, rng) for _ in range(3)],
              "X": [sample_hermitian(d, rng) for _ in range(3)]}]
@@ -50,7 +51,7 @@ def test_check_witness_replays_to_its_margin(kind, data):
     base = {"phi": builtin(name), "variant": variant, "p": p, "functional": functional,
             "order": order}
     draw = record.draw or _draw_lemma
-    drawn = draw(rng_for(seed, "check-property", kind), d, CONFIG, base)[0]
+    drawn = draw([rng_for(seed, "check-property", kind)], d, CONFIG, base)[0]
     point = {key: {**base, **drawn}[key] for key, _ in record.fields}
 
     report = check(kind, **point)

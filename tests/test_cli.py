@@ -282,6 +282,8 @@ def _oracle(order):
     return {"kind": "frechet_oracle", "phi": "square", "order": order, "A": _ONE, "X": _ONE}
 
 
+# A subadditivity witness that holds, so only the options can make it fail.
+_SUB_WITNESS = _sub({"factors": [[1.0]], "z": {"0": _ONE}})
 _LEMMA = {"kind": "convexity_lemma", "phi": "square", "weights": "ab", "A": [_ONE, _ONE],
           "X": [_ONE, _ONE]}
 _CONDITION_A = {"kind": "condition_a", "phi": "square", "lambda": "a", "A1": _ONE, "A2": _ONE,
@@ -324,6 +326,12 @@ _CONDITION_A = {"kind": "condition_a", "phi": "square", "lambda": "a", "A1": _ON
     ("check", _CONDITION_A),
     ("check", _LEMMA),
     ("check", {**_LEMMA, "weights": [0.5, 0.5], "A": 5}),
+    ("run-suite", {"tolerances": {"subadditivity": float("nan")}}),
+    ("run-suite", {"dims": [2, 2]}),
+    ("run-suite", {"checks": "subadditivity"}),
+    ("check --tol nan", _SUB_WITNESS),
+    ("check --tol -1", _SUB_WITNESS),
+    ("check --tol inf", _SUB_WITNESS),
 ], ids=["dim-word", "dim-float", "dim-bool", "re-word", "re-ragged", "atom-no-w",
         "top-level-list", "atoms-mixed-dims",
         "product-key", "factor-weight-word", "kraus-number", "trials-string", "dims-word",
@@ -331,16 +339,18 @@ _CONDITION_A = {"kind": "condition_a", "phi": "square", "lambda": "a", "A1": _ON
         "product-key-not-an-outcome", "product-key-twice",
         "no-kind", "unknown-kind", "kind-list", "missing-field", "product-number", "phi-number",
         "variant-list", "order-0", "order-7", "order-string", "lambda-word", "weights-word",
-        "matrices-number"])
+        "matrices-number", "tolerance-nan", "dims-repeated", "checks-string", "tol-nan",
+        "tol-negative", "tol-inf"])
 def test_exit_code_two_on_malformed_input_files(command, data, tmp_path, capsys):
     path = _json_file(tmp_path, "input.json", data)
+    command, *options = command.split()
     argv = {
         "frechet": ["--order", "1", "--matrix", path, "--direction", path, "--phi", "square"],
         "entropy": ["--phi", "square", "--input", path],
         "check": ["--input", path],
         "run-suite": ["--config", path, "--quiet"],
     }[command]
-    assert main([command, *argv]) == 2
+    assert main([command, *argv, *options]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error" in captured.err

@@ -1,8 +1,11 @@
-"""Source layout: each module of the package uses every name it imports, and
-each command of the command line reads every option it accepts."""
+"""Source layout: each module of the package uses every name it imports,
+each command of the command line reads every option it accepts, and importing
+the package leaves the heavy numpy submodules unloaded."""
 
 import argparse
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -71,3 +74,13 @@ def test_every_cli_option_is_read():
         if dests - reads:
             unread[command] = sorted(dests - reads)
     assert unread == {}
+
+
+def test_import_leaves_numpy_random_and_ma_unloaded():
+    # Every command pays for what importing the package loads; numpy.random
+    # is loaded on the first draw, and numpy.ma is never needed.
+    code = ("import sys, phi_entropy_lab, phi_entropy_lab.cli; "
+            "print(sorted(m for m in ('numpy.random', 'numpy.ma') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=PACKAGE.parent, check=True)
+    assert done.stdout.strip() == "[]"

@@ -1,12 +1,16 @@
 """Samplers: determinism, floors, invariant audits."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from phi_entropy_lab import (
     DomainError,
+    KrausChannel,
     haar_unitary,
+    random_unital_channel,
     rng_for,
     sample_coupled_ensembles,
     sample_ensemble,
@@ -79,21 +83,75 @@ def test_coupled_sampler_shares_weights():
     assert not np.array_equal(Z.atoms, T.atoms)
 
 
+def _state(rng) -> str:
+    return repr(rng.bit_generator.state)
+
+
 @pytest.mark.parametrize("d", (1, 2, 3, 4, 8, 16))
 def test_count_draw_equals_sequential_draws(d):
     # A stack of k draws holds, byte for byte, the matrices of k one-matrix
     # calls on one generator, and leaves the generator where they leave it.
+    # A list of generators holds the draw of each alone on a leading axis.
     def both(draw, label, k):
         stacked, sequential = rng_for(k, label, d), rng_for(k, label, d)
         got = draw(stacked, k)
         want = np.stack([draw(sequential, None) for _ in range(k)])
         assert got.tobytes() == want.tobytes(), (label, k)
-        assert stacked.standard_normal() == sequential.standard_normal()
+        assert _state(stacked) == _state(sequential)
+        for count in (None, k):
+            listed = [rng_for(k, label, d, i) for i in range(3)]
+            alone = [rng_for(k, label, d, i) for i in range(3)]
+            got = draw(listed, count)
+            want = np.stack([draw(rng, count) for rng in alone])
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (label, k)
+            assert list(map(_state, listed)) == list(map(_state, alone))
 
     for k in range(1, 13):
         both(lambda rng, count: sample_psd(d, 0.5, rng, count=count), "wishart", k)
         both(lambda rng, count: sample_psd(d, 0.5, rng, 4.0, count), "capped", k)
         both(lambda rng, count: haar_unitary(d, rng, count), "haar", k)
+
+
+@pytest.mark.parametrize("labels", [(), ("alpha",), ("psd", 3, 0.5), ("haar", 16),
+                                    ("subadditivity", "xlogx", "trace", 4, 199)])
+def test_rng_for_starts_from_the_keyed_philox_state(labels):
+    # The key is the blake2b digest of the labels, read little-endian.
+    for seed in (0, 9001):
+        material = ":".join([str(seed), *map(str, labels)]).encode()
+        key = int.from_bytes(hashlib.blake2b(material, digest_size=16).digest(), "little")
+        want = np.random.Generator(np.random.Philox(key=key))
+        rng = rng_for(seed, *labels)
+        assert _state(rng) == _state(want)
+        assert rng.standard_normal(5).tobytes() == want.standard_normal(5).tobytes()
+
+
+def test_object_samplers_take_generator_lists():
+    # Each generator of a list draws the object it draws alone.
+    def arrays(value):
+        if isinstance(value, tuple):
+            return [a for v in value for a in arrays(v)]
+        if isinstance(value, KrausChannel):
+            return [value.kraus.tobytes()]
+        weights = getattr(value, "factor_weights", None) or (value.weights,)
+        return [w.tobytes() for w in weights] + [value.atoms.tobytes()]
+
+    counts = [1, 3, 2]
+    samplers = [
+        lambda rngs, n: sample_ensemble(2, 3, rngs, spectral_floor=0.1),
+        lambda rngs, n: sample_product(2, 2, (2, 3), rngs),
+        lambda rngs, n: sample_coupled_ensembles(3, 2, rngs, spectral_cap=2.0),
+        lambda rngs, n: random_unital_channel(2, n, rngs),
+    ]
+    for draw in samplers:
+        listed = [rng_for(4, "objects", i) for i in range(3)]
+        alone = [rng_for(4, "objects", i) for i in range(3)]
+        got = draw(listed, counts)
+        assert isinstance(got, list)
+        assert list(map(arrays, got)) == [arrays(draw(rng, n)) for rng, n in zip(alone, counts)]
+        assert list(map(_state, listed)) == list(map(_state, alone))
+    assert [N.kraus.shape[0] for N in random_unital_channel(2, counts, listed)] == counts
+    with pytest.raises(DomainError):
+        random_unital_channel(2, [2, 0], listed[:2])
 
 
 def test_integer_seed_streams_unchanged():

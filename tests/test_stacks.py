@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phi_entropy_lab import (
+    KrausChannel,
     MatrixEnsemble,
     ProductEnsemble,
     RunConfig,
@@ -267,7 +268,7 @@ def test_stacked_record_margins_equal_point_by_point_margins(sweep, data):
     points = []
     for trial, band in enumerate(bands):
         rng = rng_for(seed, "stacked-records", trial)
-        drawn = [{**base, **p} for p in record.draw(rng, d, CONFIG, base)]
+        drawn = [{**base, **p} for p in record.draw([rng], d, CONFIG, base)]
         if "channel" in drawn[0]:
             channel = random_unital_channel(d, counts[trial], rng)
             drawn = [{**p, "channel": channel} for p in drawn]
@@ -276,3 +277,36 @@ def test_stacked_record_margins_equal_point_by_point_margins(sweep, data):
     stacked = record.margin(points)
     alone = [m for p in points for m in record.margin([p])]
     assert np.asarray(stacked).tobytes() == np.asarray(alone).tobytes()
+
+
+def _exact(value):
+    """A drawn value as dtypes, shapes and bytes: equal iff the values are identical."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, MatrixEnsemble):
+        return _exact(value.weights), _exact(value.atoms)
+    if isinstance(value, ProductEnsemble):
+        return tuple(map(_exact, value.factor_weights)), _exact(value.atoms)
+    if isinstance(value, KrausChannel):
+        return _exact(value.kraus)
+    assert value is None or type(value) is float, value
+    return value
+
+
+@pytest.mark.parametrize("sweep", STACKED_SWEEPS, ids=lambda s: s.name)
+def test_chunk_draw_equals_the_draws_of_its_trials(sweep):
+    # A sweep draws a chunk of trials at once.  Its points must be, in order,
+    # those of drawing each trial alone, and every trial's generator must end
+    # where it ends alone.
+    record = CHECKS[sweep.kind]
+    base = {"phi": XLX, "variant": "trace", **sweep.fixed}
+    for d in (1, 2, 3, 4, 8):
+        for k in (1, 2, 5):
+            chunk = [rng_for(k, "chunk-draw", sweep.kind, d, trial) for trial in range(k)]
+            alone = [rng_for(k, "chunk-draw", sweep.kind, d, trial) for trial in range(k)]
+            got = record.draw(chunk, d, CONFIG, base)
+            want = [p for rng in alone for p in record.draw([rng], d, CONFIG, base)]
+            assert [{key: _exact(v) for key, v in p.items()} for p in got] == \
+                [{key: _exact(v) for key, v in p.items()} for p in want], (d, k)
+            assert [repr(rng.bit_generator.state) for rng in chunk] == \
+                [repr(rng.bit_generator.state) for rng in alone], (d, k)

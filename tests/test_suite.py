@@ -60,9 +60,15 @@ def test_config_validation():
     for bad in (dict(trials="5"), dict(seed=1.5), dict(n_factors=None), dict(support=True),
                 dict(dims=("x",)), dict(dims=(2.0,)), dict(dims=2), dict(tolerances=[1e-9]),
                 dict(tolerances={"jensen": "x"}), dict(tolerances={"jensen": True}),
-                dict(phi_list=[1]), dict(allow_outside_class="no"), dict(output_path=7)):
+                dict(phi_list=[1]), dict(allow_outside_class="no"), dict(output_path=7),
+                # tolerances must be able to judge a margin
+                dict(tolerances={"jensen": float("nan")}), dict(tolerances={"jensen": -1.0}),
+                dict(tolerances={"jensen": float("inf")}),
+                # a repeated dim would run its sweeps twice; a string is not a list
+                dict(dims=(2, 2)), dict(checks="subadditivity")):
         with pytest.raises(ConfigError):
             RunConfig(**bad)
+    assert RunConfig(tolerances={"jensen": 0}).tolerances == {"jensen": 0}
 
 
 def test_misspelt_tolerance_key_is_refused():
@@ -75,6 +81,13 @@ def test_misspelt_tolerance_key_is_refused():
 def test_unknown_phi_rejected_before_computation():
     with pytest.raises(ConfigError, match="resolve"):
         run_suite(RunConfig(phi_list=("mystery",), trials=1, dims=(2,)))
+
+
+def test_phi_list_naming_one_function_twice_is_refused_before_computation():
+    # Both spellings would make reports of one name, found only after the run.
+    with pytest.raises(ConfigError, match="already"):
+        run_suite(RunConfig(phi_list=("power:1.5", "power:1.50"), trials=1, dims=(2,),
+                            checks=("jensen",)))
 
 
 def test_outside_class_requires_flag():
@@ -240,10 +253,10 @@ def test_counterexample_search_rejects_bad_dim_or_budget(dim, budget):
         counterexample_search(builtin("quartic"), "map_C", budget, seed=0, dim=dim)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, -1e-9, float("nan")])
+@pytest.mark.parametrize("tol", [0.0, -1.0, -1e-9, float("nan"), float("inf")])
 def test_counterexample_search_rejects_a_non_positive_tolerance(tol):
     # -10 * tol would be a non-negative threshold: an in-class point would count
-    # as a violation.
+    # as a violation; an infinite one would let no point count.
     with pytest.raises(ConfigError, match="tol"):
         counterexample_search(builtin("square"), "map_C", 5, seed=0, tol=tol)
 
@@ -418,7 +431,7 @@ def test_sweep_tie_keeps_the_earliest_trial(monkeypatch):
         fields=(("trial", (*suite._AS_IS, "any value", lambda x: True)),),
         name="tie",
         margin=lambda points: [-1.0 if p["trial"] in worst else 0.5 for p in points],
-        draw=lambda rng, d, config, base: [{"trial": next(drawn)}],
+        draw=lambda rngs, d, config, base: [{"trial": next(drawn)} for _ in rngs],
         tolerance=lambda margins, base: 0.0, class_gated=False))
     s = suite.Sweep("tie", ("d",), "tie[d={d}]")
     report = suite.sweep(RunConfig(trials=6), "tie", s, None, "trace", 2)
