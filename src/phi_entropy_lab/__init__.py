@@ -15,7 +15,6 @@ from .catalog import (  # noqa: F401
 )
 from .channels import (  # noqa: F401
     KrausChannel,
-    apply_channel,
     pushforward,
     random_unital_channel,
 )

@@ -1,7 +1,9 @@
 """Unital completely positive maps in Kraus form, and two statements about them.
 
 Channels here are mixed-unitary by construction when sampled, which makes
-them unital and trace-preserving without any projection step.  The module
+them unital and trace-preserving without any projection step; a sweep
+chunk's channels of one Kraus count are checked at once, and images of
+checked ensembles under them, PSD by construction, are not.  The module
 gives the margins of two statements about a unital channel N; their
 reports come from the ``suite`` registry.  Both take lists of points: the
 channels of a list act grouped by their Kraus counts, one batched product
@@ -33,7 +35,7 @@ import numpy as np
 from .catalog import ScalarFunction
 from .entropy import (
     MatrixEnsemble,
-    checked_atoms,
+    _set,
     ensemble_arrays,
     jensen_gap,
     operator_phi_entropy,
@@ -42,7 +44,6 @@ from .errors import DimensionMismatchError, DomainError
 from .spectral import (
     SpectralDecomposition,
     apply_scalar_function,
-    as_matrix,
     dagger,
     frobenius,
     hermitian_part,
@@ -68,28 +69,33 @@ class KrausChannel:
     trace_preserving: bool = False
 
     def __post_init__(self):
-        kraus = np.asarray(self.kraus, dtype=complex)
-        if kraus.ndim != 3 or kraus.shape[1] != kraus.shape[2] or kraus.shape[0] < 1:
+        _set(self, vars(self.stack(np.asarray(self.kraus, dtype=complex)[None],
+                                   self.trace_preserving)[0]))
+
+    @classmethod
+    def stack(cls, kraus, trace_preserving: bool = False) -> list:
+        """The channels of Kraus stacks (n, k, d, d), checked at once; the first
+        channel that fails raises what it raises alone."""
+        kraus = np.asarray(kraus, dtype=complex)
+        if kraus.ndim != 4 or kraus.shape[2] != kraus.shape[3] or kraus.shape[1] < 1:
             raise DimensionMismatchError(
-                f"Kraus stack must have shape (k, d, d), got {kraus.shape}"
-            )
-        d = kraus.shape[1]
-        eye = np.eye(d)
-        tol = UNITALITY_TOL * (1.0 + float(np.abs(kraus).max()) ** 2 * kraus.shape[0])
-        unital = np.einsum("aij,akj->ik", kraus, kraus.conj())
-        if np.abs(unital - eye).max() > tol:
-            raise DomainError(
-                f"channel is not unital: sum K K* deviates from I by "
-                f"{np.abs(unital - eye).max():.3e}"
-            )
-        if self.trace_preserving:
-            tp = np.einsum("aji,ajk->ik", kraus.conj(), kraus)
-            if np.abs(tp - eye).max() > tol:
-                raise DomainError(
-                    f"channel does not preserve the trace: sum K* K deviates from I "
-                    f"by {np.abs(tp - eye).max():.3e}"
-                )
-        object.__setattr__(self, "kraus", kraus)
+                f"Kraus stack must have shape (k, d, d), got {kraus.shape[1:]}")
+        eye = np.eye(kraus.shape[-1])
+        tol = UNITALITY_TOL * (1.0 + np.abs(kraus).max(axis=(1, 2, 3)) ** 2 * kraus.shape[1])
+        sums = {"is not unital: sum K K*": np.einsum("naij,nakj->nik", kraus, kraus.conj())}
+        if trace_preserving:
+            sums["does not preserve the trace: sum K* K"] = np.einsum(
+                "naji,najk->nik", kraus.conj(), kraus)
+        deviations = {what: np.abs(s - eye).max(axis=(1, 2)) for what, s in sums.items()}
+        finite = np.isfinite(kraus).all(axis=(1, 2, 3))
+        for n in range(len(kraus)):
+            if not finite[n]:
+                raise DomainError("channel has a Kraus operator with a non-finite entry")
+            for what, deviation in deviations.items():
+                if deviation[n] > tol[n]:
+                    raise DomainError(f"channel {what} deviates from I by {deviation[n]:.3e}")
+        return [_set(object.__new__(cls), {"kraus": K, "trace_preserving": trace_preserving})
+                for K in kraus]
 
     @property
     def dim(self) -> int:
@@ -103,6 +109,12 @@ class KrausChannel:
         return cls(matrices_from_json(data.get("kraus"), "channel JSON 'kraus'"))
 
 
+def _by_count(counts: list) -> list:
+    """The indices of each Kraus count, ascending by count."""
+    # np.unique would import numpy.ma, 1.6 MB
+    return [[n for n, c in enumerate(counts) if c == k] for k in sorted(set(counts))]
+
+
 def _kraus_images(channels: list, A: np.ndarray) -> np.ndarray:
     """sum_i K_i A[n] K_i* for the n-th channel of the list and the n-th entry of
     A (n, ..., d, d), a matrix or a stack of them.
@@ -113,34 +125,24 @@ def _kraus_images(channels: list, A: np.ndarray) -> np.ndarray:
     if any(N.dim != A.shape[-1] for N in channels):
         raise DimensionMismatchError(f"channels of dims {sorted({N.dim for N in channels})} "
                                      f"applied to matrices of dim {A.shape[-1]}")
-    counts = [N.kraus.shape[0] for N in channels]
     out = np.empty(A.shape, dtype=complex)
-    for k in sorted(set(counts)):  # np.unique would import numpy.ma, 1.6 MB
-        group = [n for n, count in enumerate(counts) if count == k]
+    for group in _by_count([N.kraus.shape[0] for N in channels]):
         K = np.stack([channels[n].kraus for n in group])
         K = K.reshape(K.shape[:1] + (1,) * (A.ndim - 3) + K.shape[1:])
         out[group] = (K @ A[group, ..., None, :, :] @ dagger(K)).sum(axis=-3)
     return out
 
 
-def apply_channel(N: KrausChannel, A) -> np.ndarray:
-    """Kraus action sum_i K_i A K_i*; Hermiticity- and positivity-preserving."""
-    A = as_matrix(A)
-    out = _kraus_images([N], A[None])[0]
-    return hermitian_part(out) if np.allclose(A, dagger(A)) else out
-
-
 def pushforward(N, E):
     """Image ensemble {(w_i, N(A_i))}.
 
     Lists of channels and of ensembles of one shape give the images' atoms
-    as one stack (n, m, d, d), checked Hermitian PSD at once.
+    as one stack (n, m, d, d); they are PSD by construction, so only the
+    image ensemble of one channel is checked, by its constructor.
     """
     if isinstance(E, MatrixEnsemble):
         return MatrixEnsemble(E.weights, pushforward([N], [E])[0])
-    images = hermitian_part(_kraus_images(N, ensemble_arrays(E)[1]))
-    flat = images.reshape(-1, *images.shape[-2:])
-    return checked_atoms(flat, lambda i: f"image atom {i}").reshape(images.shape)
+    return hermitian_part(_kraus_images(N, ensemble_arrays(E)[1]))
 
 
 def random_unital_channel(d: int, k, seed) -> KrausChannel:
@@ -158,8 +160,13 @@ def random_unital_channel(d: int, k, seed) -> KrausChannel:
     weights = [rng.dirichlet(np.ones(n)) for rng, n in zip(rngs, counts)]
     # A generator listed n times draws n unitaries in turn; all go through one QR.
     U = haar_unitary(d, [rng for rng, n in zip(rngs, counts) for _ in range(n)])
-    out = [KrausChannel(np.sqrt(w)[:, None, None] * U_i, trace_preserving=True)
-           for w, U_i in zip(weights, np.split(U, np.cumsum(counts)[:-1]))]
+    kraus = [np.sqrt(w)[:, None, None] * U_i
+             for w, U_i in zip(weights, np.split(U, np.cumsum(counts)[:-1]))]
+    out = {}
+    for group in _by_count(counts):  # one check per Kraus count
+        channels = KrausChannel.stack([kraus[n] for n in group], trace_preserving=True)
+        out.update(zip(group, channels))
+    out = [out[n] for n in range(len(counts))]
     return out if listed else out[0]
 
 

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import ScalarFunction
-from .errors import DomainError
+from .errors import DimensionMismatchError, DomainError
 from .frechet import derivative_inverse, frechet_d1, frechet_d2, frechet_d3
-from .entropy import ProductEnsemble, jensen_gap
+from .entropy import ProductEnsemble, _check_weights, jensen_gap
 from .spectral import (
     apply_scalar_function,
     hermitian_part,
@@ -186,8 +186,12 @@ def condition_e_margin(f: ScalarFunction, A, h, k):
 
 def convexity_lemma_margin(f: ScalarFunction, weights, A_atoms, X_atoms) -> float:
     """E<X, Dpsi[A] X> - <EX, Dpsi[EA] EX>; nonnegative for in-class f."""
+    weights = _check_weights(np.asarray(weights, dtype=float)[None], "convexity lemma weights")[0]
+    if not len(weights) == len(A_atoms) == len(X_atoms):
+        raise DimensionMismatchError(f"convexity lemma needs one weight per matrix of A and X, "
+                                     f"got {len(weights)} weights, {len(A_atoms)} A and "
+                                     f"{len(X_atoms)} X")
     psi = f.derivative()
-    weights = np.asarray(weights, dtype=float)
     lhs = 0.0
     for w, A, X in zip(weights, A_atoms, X_atoms):
         lhs += float(w) * float(np.trace(

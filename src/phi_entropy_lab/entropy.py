@@ -10,6 +10,10 @@ representation; their margins and reports come from ``suite.check`` and
 the suite's check registry.  Each gap also takes a list of ensembles of one
 layout and returns a stack of gaps: the ensembles' atoms are then one stack
 through every layer.
+
+Checks run in full in the constructors (and so on decoded JSON), once per
+sweep chunk in each class's ``stack``, and never on values derived here
+from checked objects (``flatten``, the decompositions in ``dual_value``).
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .catalog import ScalarFunction
 from .errors import DimensionMismatchError, DomainError, PhiLabError
 from .frechet import frechet_d1
 from .spectral import (
+    SpectralDecomposition,
     apply_scalar_function,
     apply_scalar_function_stack,
     frobenius,
@@ -42,30 +47,33 @@ PSD_RTOL = 1e-10
 SPECTRAL_FLOOR = 1e-3
 
 
-def _check_weights(w: np.ndarray, what: str) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 1 or w.size == 0:
+def _check_weights(rows, what: str) -> np.ndarray:
+    """Weight rows (n, m), each a probability vector, checked at once; the
+    first bad row raises what it raises alone (NaN fails every comparison)."""
+    w = np.asarray(rows, dtype=float)
+    if w.ndim != 2 or w.shape[1] == 0:
         raise DomainError(f"{what} must be a non-empty weight vector")
-    if np.any(w < -WEIGHT_TOL) or np.any(w > 1.0 + WEIGHT_TOL):
-        raise DomainError(f"{what} must lie in [0, 1]")
-    if abs(float(w.sum()) - 1.0) > WEIGHT_TOL:
-        raise DomainError(f"{what} must sum to 1, got {float(w.sum()):.15g}")
+    sums = w.sum(axis=1)
+    bad = ~((w >= -WEIGHT_TOL).all(axis=1) & (w <= 1.0 + WEIGHT_TOL).all(axis=1)
+            & (np.abs(sums - 1.0) <= WEIGHT_TOL))
+    if bad.any():
+        row, total = w[np.argmax(bad)], float(sums[np.argmax(bad)])
+        if not np.isfinite(row).all():
+            raise DomainError(f"{what} must be finite, got {row.tolist()}")
+        if np.any(row < -WEIGHT_TOL) or np.any(row > 1.0 + WEIGHT_TOL):
+            raise DomainError(f"{what} must lie in [0, 1]")
+        raise DomainError(f"{what} must sum to 1, got {total:.15g}")
     return w
 
 
-def _check_psd(A: np.ndarray, what: str) -> None:
-    lam_min = float(np.linalg.eigvalsh(A)[0])
-    if lam_min < -PSD_RTOL * (1.0 + frobenius(A)):
-        raise DomainError(f"{what} is not positive semi-definite: min eigenvalue {lam_min:.3e}")
-
-
 def checked_atoms(mats, name) -> np.ndarray:
-    """The Hermitian PSD matrices mats as one stack (m, d, d), checked at once.
+    """The Hermitian PSD matrices mats (a list or stack) as one stack, checked at once.
 
     When the stack fails, each matrix is checked alone, in order, so the
     error is the one the first offending matrix raises, named name(i).
     """
-    if len({np.shape(M) for M in mats}) == 1 and np.ndim(mats[0]) == 2:
+    if isinstance(mats, np.ndarray) or (
+            len({np.shape(M) for M in mats}) == 1 and np.ndim(mats[0]) == 2):
         atoms = np.asarray(mats, dtype=complex)
         try:
             validate_hermitian(atoms)
@@ -79,11 +87,21 @@ def checked_atoms(mats, name) -> np.ndarray:
     dim = None
     for i, M in enumerate(mats):
         A = validate_hermitian(M, name(i))
-        _check_psd(A, name(i))
+        lam_min = float(np.linalg.eigvalsh(A)[0])
+        if lam_min < -PSD_RTOL * (1.0 + frobenius(A)):
+            raise DomainError(f"{name(i)} is not positive semi-definite: "
+                              f"min eigenvalue {lam_min:.3e}")
         if dim not in (None, A.shape[0]):
             raise DimensionMismatchError(f"{name(i)} has dim {A.shape[0]}, expected {dim}")
         dim = A.shape[0]
     return np.asarray(mats, dtype=complex)
+
+
+def _set(obj, values: dict):
+    """obj, a frozen dataclass instance, with the checked field values set."""
+    for key, value in values.items():
+        object.__setattr__(obj, key, value)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -94,14 +112,22 @@ class MatrixEnsemble:
     atoms: np.ndarray
 
     def __post_init__(self):
-        w = _check_weights(self.weights, "ensemble weights")
-        atoms = np.asarray(self.atoms, dtype=complex)
-        if atoms.ndim != 3 or atoms.shape[0] != w.size or atoms.shape[1] != atoms.shape[2]:
-            raise DimensionMismatchError(
-                f"atoms must have shape (m, d, d) matching {w.size} weights, got {atoms.shape}"
-            )
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "atoms", checked_atoms(atoms, lambda i: f"atom {i}"))
+        _set(self, vars(self.stack(np.asarray(self.weights, dtype=float)[None],
+                                   np.asarray(self.atoms, dtype=complex)[None])[0]))
+
+    @classmethod
+    def stack(cls, weights, atoms) -> list:
+        """The ensembles of weight rows (n, m) and atoms (n, m, d, d), checked
+        as one stack; each raises what it raises alone, naming its atom."""
+        w = _check_weights(weights, "ensemble weights")
+        atoms = np.asarray(atoms, dtype=complex)
+        if atoms.ndim != 4 or atoms.shape[:2] != w.shape or atoms.shape[2] != atoms.shape[3]:
+            raise DimensionMismatchError(f"atoms must have shape (m, d, d) matching "
+                                         f"{w.shape[1]} weights, got {atoms.shape[1:]}")
+        m = w.shape[1]
+        flat = checked_atoms(atoms.reshape((w.size,) + atoms.shape[2:]), lambda i: f"atom {i % m}")
+        return [_set(object.__new__(cls), {"weights": wi, "atoms": ai})
+                for wi, ai in zip(w, flat.reshape(atoms.shape))]
 
     @property
     def dim(self) -> int:
@@ -148,23 +174,33 @@ class ProductEnsemble:
     factor_weights: tuple
     z_map: dict = field(repr=False)
     atoms: np.ndarray = field(init=False, repr=False, compare=False)
+    joint_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        weights = tuple(
-            _check_weights(np.asarray(w, dtype=float), f"factor {i} weights")
-            for i, w in enumerate(self.factor_weights)
-        )
-        if not weights:
+        _set(self, vars(self.stack([np.asarray(w, dtype=float)[None]
+                                    for w in self.factor_weights], [self.z_map])[0]))
+
+    @classmethod
+    def stack(cls, factor_rows, z_maps) -> list:
+        """The products of factor weight rows [(n, s_i)] and n outcome tables, checked
+        as one stack; each raises what it raises alone, naming its outcome."""
+        rows = [_check_weights(w, f"factor {i} weights") for i, w in enumerate(factor_rows)]
+        if not rows:
             raise DomainError("product ensemble needs at least one factor")
-        keys = list(itertools.product(*(range(len(w)) for w in weights)))
-        for key in keys:
-            if key not in self.z_map:
-                raise DomainError(f"z_map is missing outcome {key}")
-        atoms = checked_atoms([self.z_map[key] for key in keys],
-                              lambda i: f"z_map[{keys[i]}]")
-        object.__setattr__(self, "factor_weights", weights)
-        object.__setattr__(self, "z_map", dict(zip(keys, atoms)))
-        object.__setattr__(self, "atoms", atoms)
+        keys = list(itertools.product(*(range(w.shape[1]) for w in rows)))
+        missing = [key for z_map in z_maps for key in keys if key not in z_map]
+        if missing:
+            raise DomainError(f"z_map is missing outcome {missing[0]}")
+        flat = checked_atoms([z_map[key] for z_map in z_maps for key in keys],
+                             lambda i: f"z_map[{keys[i % len(keys)]}]")
+        atoms = flat.reshape((len(z_maps), len(keys)) + flat.shape[1:])
+        # Each outcome's probability, its factors' weights multiplied from the first on.
+        joint = rows[0]
+        for w in rows[1:]:
+            joint = (joint[:, :, None] * w[:, None, :]).reshape(len(w), -1)
+        return [_set(object.__new__(cls), {
+            "factor_weights": tuple(w[n] for w in rows), "z_map": dict(zip(keys, atoms[n])),
+            "atoms": atoms[n], "joint_weights": joint[n]}) for n in range(len(z_maps))]
 
     @property
     def n(self) -> int:
@@ -181,15 +217,10 @@ class ProductEnsemble:
     def outcomes(self):
         return itertools.product(*(range(len(w)) for w in self.factor_weights))
 
-    def probability(self, key) -> float:
-        p = 1.0
-        for i, s in enumerate(key):
-            p *= float(self.factor_weights[i][s])
-        return p
-
     def flatten(self) -> MatrixEnsemble:
-        weights = np.array([self.probability(k) for k in self.outcomes()])
-        return MatrixEnsemble(weights / weights.sum(), self.atoms)
+        """The ensemble of the outcomes, built from the product's checked values."""
+        return _set(object.__new__(MatrixEnsemble), {
+            "weights": self.joint_weights / self.joint_weights.sum(), "atoms": self.atoms})
 
     def to_json_dict(self) -> dict:
         return {
@@ -290,9 +321,8 @@ def subadditivity_gap(f: ScalarFunction, P) -> np.ndarray:
     stack of gaps.
     """
     products = _products(P)
-    keys = list(products[0].outcomes())
     atoms = np.stack([Q.atoms for Q in products])
-    probs = np.array([[Q.probability(k) for k in keys] for Q in products])
+    probs = np.stack([Q.joint_weights for Q in products])
     phis = apply_scalar_function_stack(f, atoms)
 
     mean_phi = _mean(probs, phis)
@@ -377,15 +407,17 @@ def dual_value(f: ScalarFunction, Z, T) -> np.ndarray:
     z_weights, z_atoms = ensemble_arrays(Z)
     t_weights, t_atoms = ensemble_arrays(T)
     mean_T = hermitian_part(_mean(t_weights, t_atoms))
+    # T's atoms and E T are decomposed once each, for Df and for f.
+    dec_T, dec_mean = (SpectralDecomposition(*np.linalg.eigh(M)) for M in (t_atoms, mean_T))
     diff = z_atoms - t_atoms
-    terms = frechet_d1(f, t_atoms, diff)
+    terms = frechet_d1(f, dec_T, diff)
     acc = np.zeros(mean_T.shape, dtype=complex)
     for k in range(diff.shape[-3]):
         acc = acc + z_weights[..., k, None, None] * terms[..., k, :, :]
     mean_diff = hermitian_part(_mean(z_weights, diff))
-    acc = acc - frechet_d1(f, mean_T, mean_diff)
-    acc = (acc + _mean(t_weights, apply_scalar_function_stack(f, t_atoms))
-           - apply_scalar_function(f, mean_T))
+    acc = acc - frechet_d1(f, dec_mean, mean_diff)
+    acc = (acc + _mean(t_weights, apply_scalar_function(f, dec_T))
+           - apply_scalar_function(f, dec_mean))
     return hermitian_part(acc)
 
 

@@ -8,7 +8,8 @@ A list of generators gives one draw per generator, stacked on a new leading
 axis (objects: a list): each makes the calls it makes alone, then the matrix
 algebra, which acts matrix by matrix, runs once over the stack.  A seed or one
 generator is the list of one.  With a count k, a draw is k matrices, bit for
-bit those of k one-matrix calls on the same generator.
+bit those of k one-matrix calls on the same generator.  The object samplers
+check all their objects at once, through their class's ``stack``.
 """
 
 from __future__ import annotations
@@ -125,8 +126,7 @@ def sample_ensemble(d: int, atoms: int, seed=0, spectral_floor: float = 0.0,
         raise DomainError(f"ensemble needs at least one atom, got {atoms}")
     rngs, listed = as_generators(seed, "ensemble", d, atoms)
     weights = [rng.dirichlet(np.ones(atoms)) for rng in rngs]
-    mats = sample_psd(d, spectral_floor, rngs, spectral_cap, atoms)
-    out = [MatrixEnsemble(w, m) for w, m in zip(weights, mats)]
+    out = MatrixEnsemble.stack(weights, sample_psd(d, spectral_floor, rngs, spectral_cap, atoms))
     return out if listed else out[0]
 
 
@@ -140,10 +140,11 @@ def sample_product(d: int, n: int, support_sizes, seed=0,
     if len(support_sizes) != n or any(s < 1 for s in support_sizes):
         raise DomainError(f"need {n} positive support sizes, got {support_sizes}")
     rngs, listed = as_generators(seed, "product", d, n, support_sizes)
-    factors = [tuple(rng.dirichlet(np.ones(s)) for s in support_sizes) for rng in rngs]
+    factors = [[rng.dirichlet(np.ones(s)) for s in support_sizes] for rng in rngs]
     keys = list(itertools.product(*(range(s) for s in support_sizes)))
     mats = sample_psd(d, spectral_floor, rngs, spectral_cap, len(keys))
-    out = [ProductEnsemble(f, dict(zip(keys, m))) for f, m in zip(factors, mats)]
+    out = ProductEnsemble.stack([np.stack(rows) for rows in zip(*factors)],
+                                [dict(zip(keys, m)) for m in mats])
     return out if listed else out[0]
 
 
@@ -154,6 +155,8 @@ def sample_coupled_ensembles(d: int, atoms: int, seed=0,
     rngs, listed = as_generators(seed, "coupled", d, atoms)
     weights = [rng.dirichlet(np.ones(atoms)) for rng in rngs]
     mats = sample_psd(d, spectral_floor, rngs, spectral_cap, 2 * atoms)
-    out = [(MatrixEnsemble(w, m[:atoms]), MatrixEnsemble(w, m[atoms:]))
-           for w, m in zip(weights, mats)]
+    # Z and T of each pair are consecutive ensembles of one stack.
+    ensembles = MatrixEnsemble.stack(np.repeat(weights, 2, axis=0),
+                                     mats.reshape(2 * len(rngs), atoms, d, d))
+    out = list(zip(ensembles[::2], ensembles[1::2]))
     return out if listed else out[0]

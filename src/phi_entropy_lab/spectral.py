@@ -145,14 +145,15 @@ def variant_margin(gap, variant: str):
     return float(margin) if margin.ndim == 0 else margin
 
 
-def schatten_norm(A, p: float) -> float:
-    """Schatten p-norm: the l_p norm of the singular values."""
+def schatten_norm(A, p: float):
+    """Schatten p-norm of a Hermitian matrix: the l_p norm of its singular
+    values, which are the moduli of its eigenvalues.  For a stack, an array
+    of the norms of its matrices, from one eigvalsh call."""
     if p < 1:
         raise DomainError(f"Schatten norm requires p >= 1, got p={p}")
-    s = np.linalg.svd(as_matrix(A), compute_uv=False)
-    if np.isinf(p):
-        return float(s.max())
-    return float(np.sum(s**p) ** (1.0 / p))
+    s = np.abs(np.linalg.eigvalsh(validate_hermitian(A)))
+    norms = s.max(axis=-1) if np.isinf(p) else np.sum(s**p, axis=-1) ** (1.0 / p)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 # --- JSON wire format -------------------------------------------------------

@@ -252,7 +252,7 @@ def _json_object(cls) -> tuple:
 
 _AS_IS = (lambda x: x, lambda x: x)  # encode, decode of a value stored as it is
 _ORDER = (*_AS_IS, "1, 2 or 3", lambda x: _integer(x) and 1 <= x <= 3)
-_P = (*_AS_IS, "a number >= 1", lambda x: _real(x) and x >= 1)
+_P = (*_AS_IS, "a finite number >= 1", lambda x: _real(x) and math.isfinite(x) and x >= 1)
 _LAMBDA = (*_AS_IS, "a number in [0, 1]", lambda x: _real(x) and 0 <= x <= 1)
 _T = (*_AS_IS, "null or a number in [0, 1]", lambda x: x is None or _LAMBDA[3](x))
 _VARIANT = (*_AS_IS, "'trace' or 'operator'", lambda x: x in ("trace", "operator"))
@@ -327,8 +327,9 @@ def _efron_stein_terms(points: list) -> tuple:
 
 def _poly_efron_stein_margins(points: list) -> list:
     q = points[0]["p"]
-    return [schatten_norm(es, q) ** q - schatten_norm(var, q) ** q
-            for es, var in zip(*_efron_stein_terms(points))]
+    # The norms of every point's two terms come from one stacked call.
+    es, var = schatten_norm(np.concatenate(_efron_stein_terms(points)), q).reshape(2, -1) ** q
+    return _listed(es - var)
 
 
 def _by_draw(keys: tuple, slack: Callable) -> Callable:

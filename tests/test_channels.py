@@ -11,7 +11,6 @@ from phi_entropy_lab import (
     DimensionMismatchError,
     DomainError,
     KrausChannel,
-    apply_channel,
     builtin,
     check,
     matrix_phi_entropy,
@@ -26,6 +25,13 @@ from phi_entropy_lab.sampling import haar_unitary, rng_for, sample_ensemble, sam
 
 SQ = builtin("square")
 XLX = builtin("xlogx")
+
+def apply_channel(N: KrausChannel, A) -> np.ndarray:
+    """Kraus action sum_i K_i A K_i*, Hermitian-scrubbed for a Hermitian A."""
+    A = np.asarray(A, dtype=complex)
+    out = sum(K @ A @ K.conj().T for K in N.kraus)
+    return 0.5 * (out + out.conj().T) if np.allclose(A, A.conj().T) else out
+
 
 DEPHASING = KrausChannel(np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex),
                          trace_preserving=True)

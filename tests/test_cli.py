@@ -286,6 +286,7 @@ def _oracle(order):
 _SUB_WITNESS = _sub({"factors": [[1.0]], "z": {"0": _ONE}})
 _LEMMA = {"kind": "convexity_lemma", "phi": "square", "weights": "ab", "A": [_ONE, _ONE],
           "X": [_ONE, _ONE]}
+_NAN_WEIGHT_PRODUCT = {"factors": [[float("nan"), 1.0]], "z": {"0": _ONE, "1": _ONE}}
 _CONDITION_A = {"kind": "condition_a", "phi": "square", "lambda": "a", "A1": _ONE, "A2": _ONE,
                 "h": _ONE}
 
@@ -332,6 +333,12 @@ _CONDITION_A = {"kind": "condition_a", "phi": "square", "lambda": "a", "A1": _ON
     ("check --tol nan", _SUB_WITNESS),
     ("check --tol -1", _SUB_WITNESS),
     ("check --tol inf", _SUB_WITNESS),
+    ("check", {"kind": "efron_stein", "product": _NAN_WEIGHT_PRODUCT}),
+    ("check", {"kind": "poly_efron_stein", "p": 2, "product": _NAN_WEIGHT_PRODUCT}),
+    ("check", {**_LEMMA, "weights": [2.0, -1.0]}),
+    ("check", {**_LEMMA, "weights": [0.5]}),
+    ("check", {"kind": "poly_efron_stein", "p": float("inf"),
+               "product": {"factors": [[1.0]], "z": {"0": _ONE}}}),
 ], ids=["dim-word", "dim-float", "dim-bool", "re-word", "re-ragged", "atom-no-w",
         "top-level-list", "atoms-mixed-dims",
         "product-key", "factor-weight-word", "kraus-number", "trials-string", "dims-word",
@@ -340,7 +347,8 @@ _CONDITION_A = {"kind": "condition_a", "phi": "square", "lambda": "a", "A1": _ON
         "no-kind", "unknown-kind", "kind-list", "missing-field", "product-number", "phi-number",
         "variant-list", "order-0", "order-7", "order-string", "lambda-word", "weights-word",
         "matrices-number", "tolerance-nan", "dims-repeated", "checks-string", "tol-nan",
-        "tol-negative", "tol-inf"])
+        "tol-negative", "tol-inf", "es-weight-nan", "poly-es-weight-nan",
+        "lemma-weights-not-a-distribution", "lemma-weights-too-few", "p-infinite"])
 def test_exit_code_two_on_malformed_input_files(command, data, tmp_path, capsys):
     path = _json_file(tmp_path, "input.json", data)
     command, *options = command.split()

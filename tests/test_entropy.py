@@ -52,6 +52,17 @@ def test_ensemble_invariants_enforced():
         MatrixEnsemble(np.array([0.5, 0.5]), np.stack([np.eye(2), -np.eye(2)]))
 
 
+@pytest.mark.parametrize("bad", ([np.nan, 1.0], [1.0, np.nan], [np.inf, 0.0], [-np.inf, 1.0]),
+                         ids=("nan-first", "nan-last", "inf", "minus-inf"))
+def test_constructors_refuse_non_finite_weights(bad):
+    atoms = np.stack([np.eye(2)] * 2)
+    with pytest.raises(DomainError, match=r"ensemble weights must be finite, got \[.*(nan|inf)"):
+        MatrixEnsemble(np.array(bad), atoms)
+    with pytest.raises(DomainError, match=r"factor 1 weights must be finite"):
+        ProductEnsemble((np.array([0.5, 0.5]), np.array(bad)), {
+            (i, j): np.eye(2) for i in range(2) for j in range(2)})
+
+
 def test_ensemble_json_roundtrip():
     E = sample_ensemble(3, 3, seed=4)
     back = MatrixEnsemble.from_json_dict(E.to_json_dict())
@@ -112,7 +123,7 @@ def test_tower_property():
     flat_mean = np.einsum("m,mij->ij", flat.weights, flat.atoms)
     acc = np.zeros((3, 3), dtype=complex)
     for key in P.outcomes():
-        acc += P.probability(key) * P.z_map[key]
+        acc += np.prod([P.factor_weights[i][s] for i, s in enumerate(key)]) * P.z_map[key]
     assert_allclose(flat_mean, acc, atol=1e-12)
 
 

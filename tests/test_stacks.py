@@ -8,6 +8,8 @@ level up: a record's margin on the points of several trials equals its
 margins on each point alone.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,7 +43,16 @@ from phi_entropy_lab.frechet import (
     frechet_d2,
     frechet_d3,
 )
-from phi_entropy_lab.sampling import haar_unitary, rng_for, sample_hermitian, sample_psd
+from phi_entropy_lab import entropy
+from phi_entropy_lab.sampling import (
+    haar_unitary,
+    rng_for,
+    sample_coupled_ensembles,
+    sample_ensemble,
+    sample_hermitian,
+    sample_product,
+    sample_psd,
+)
 from phi_entropy_lab.spectral import (
     apply_scalar_function,
     apply_scalar_function_stack,
@@ -50,7 +61,7 @@ from phi_entropy_lab.spectral import (
     relative_error,
     spectral_decompose,
 )
-from phi_entropy_lab.suite import CHECKS, SWEEPS
+from phi_entropy_lab.suite import CHECKS, SWEEPS, sweep
 
 FUNCS = (builtin("square"), builtin("xlogx"), builtin("power", 1.5))
 XLX = builtin("xlogx")
@@ -310,3 +321,127 @@ def test_chunk_draw_equals_the_draws_of_its_trials(sweep):
                 [{key: _exact(v) for key, v in p.items()} for p in want], (d, k)
             assert [repr(rng.bit_generator.state) for rng in chunk] == \
                 [repr(rng.bit_generator.state) for rng in alone], (d, k)
+
+
+# --- objects checked once per chunk ------------------------------------------------
+
+
+def _fields(obj) -> dict:
+    """Every field of an object, arrays as dtype, shape and bytes: equal iff identical."""
+    def exact(value):
+        if isinstance(value, np.ndarray):
+            return value.dtype.str, value.shape, value.tobytes()
+        if isinstance(value, dict):
+            return {key: exact(v) for key, v in value.items()}
+        if isinstance(value, tuple):
+            return tuple(map(exact, value))
+        return value
+    return {key: exact(value) for key, value in vars(obj).items()}
+
+
+def _chunk(d: int, label: str) -> list:
+    return [rng_for(d, "chunk-objects", label, trial) for trial in range(5)]
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_chunk_objects_equal_the_constructors_objects(d):
+    # The samplers build a chunk through the classes' stack; each object must
+    # be, field by field, the one its constructor builds from the same draws.
+    got = sample_ensemble(d, 3, _chunk(d, "ensemble"))
+    want = []
+    for rng in _chunk(d, "ensemble"):
+        weights = rng.dirichlet(np.ones(3))
+        want.append(MatrixEnsemble(weights, sample_psd(d, 0.0, rng, count=3)))
+    assert list(map(_fields, got)) == list(map(_fields, want))
+
+    got = sample_coupled_ensembles(d, 3, _chunk(d, "coupled"), spectral_floor=0.1)
+    want = []
+    for rng in _chunk(d, "coupled"):
+        weights = rng.dirichlet(np.ones(3))
+        mats = sample_psd(d, 0.1, rng, count=6)
+        want.append((MatrixEnsemble(weights, mats[:3]), MatrixEnsemble(weights, mats[3:])))
+    assert [tuple(map(_fields, pair)) for pair in got] == \
+        [tuple(map(_fields, pair)) for pair in want]
+
+    for sizes in ((3,), (2, 3), (2, 1, 2)):
+        got = sample_product(d, len(sizes), sizes, _chunk(d, f"product{sizes}"))
+        keys = list(itertools.product(*map(range, sizes)))
+        want = []
+        for rng in _chunk(d, f"product{sizes}"):
+            factors = tuple(rng.dirichlet(np.ones(s)) for s in sizes)
+            mats = sample_psd(d, 0.0, rng, count=len(keys))
+            want.append(ProductEnsemble(factors, dict(zip(keys, mats))))
+        assert list(map(_fields, got)) == list(map(_fields, want)), sizes
+
+    counts = [2, 1, 3, 2, 4]
+    got = random_unital_channel(d, counts, _chunk(d, "channel"))
+    want = []
+    for rng, k in zip(_chunk(d, "channel"), counts):
+        weights = rng.dirichlet(np.ones(k))
+        U = haar_unitary(d, rng, count=k)
+        want.append(KrausChannel(np.sqrt(weights)[:, None, None] * U, trace_preserving=True))
+    assert list(map(_fields, got)) == list(map(_fields, want))
+
+
+_GOOD = [sample_psd(2, 0.5, seed) for seed in range(6)]
+_NOT_TP = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]])  # unital only
+_BAD_OBJECTS = {  # an ensemble's atom 1, its weight row, or a channel's Kraus stack
+    "atom-non-hermitian": np.array([[1.0, 0.5], [0.0, 1.0]]),
+    "atom-not-psd": np.diag([1.0, -0.5]),
+    "atom-nan": np.array([[np.nan, 0.0], [0.0, 1.0]]),
+    "weights-nan": np.array([np.nan, 0.5, 0.5]),
+    "weights-outside": np.array([0.7, 0.7, -0.4]),
+    "weights-sum": np.array([0.5, 0.4, 0.0]),
+    "kraus-not-unital": 1.1 * np.eye(2)[None],
+    "kraus-not-tp": _NOT_TP,
+    "kraus-inf": np.array([[[np.inf, 0.0], [0.0, 1.0]]]),
+}
+
+
+def _raised(call) -> tuple:
+    with pytest.raises(PhiLabError) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_OBJECTS))
+@pytest.mark.parametrize("position", (0, 1, 2))
+def test_chunk_with_one_bad_object_raises_like_its_constructor(bad, position):
+    value = _BAD_OBJECTS[bad]
+    if bad.startswith("kraus"):
+        k = len(value)  # the good channels: k copies of I / sqrt(k)
+        kraus = np.broadcast_to(np.eye(2) / np.sqrt(k), (3, k, 2, 2)).astype(complex)
+        kraus[position] = value
+        alone = _raised(lambda: KrausChannel(value, trace_preserving=True))
+        assert _raised(lambda: KrausChannel.stack(kraus, trace_preserving=True)) == alone
+        return
+    weights = np.full((3, 3), 1.0 / 3.0)
+    atoms = np.stack([_GOOD[:3], _GOOD[1:4], _GOOD[2:5]]).astype(complex)
+    if bad.startswith("weights"):
+        weights[position] = value
+    else:
+        atoms[position, 1] = value
+    alone = _raised(lambda: MatrixEnsemble(weights[position], atoms[position]))
+    assert _raised(lambda: MatrixEnsemble.stack(weights, atoms)) == alone
+    # As products of a 3-outcome factor and a 1-outcome one.
+    rows = [weights, np.ones((3, 1))]
+    tables = [{(s, 0): A for s, A in enumerate(mats)} for mats in atoms]
+    alone = _raised(lambda: ProductEnsemble((weights[position], np.ones(1)), tables[position]))
+    assert _raised(lambda: ProductEnsemble.stack(rows, tables)) == alone
+
+
+@pytest.mark.parametrize("check, matrices", [
+    ("subadditivity", 5 * 4), ("dual_representation", 5 * 2 * 3), ("monotonicity", 5 * 3)])
+def test_a_sweep_chunk_checks_its_drawn_atoms_once(check, matrices, monkeypatch):
+    # One chunk of five trials: every drawn object's atoms go through one
+    # checked_atoms call, and no constructor runs.
+    calls = []
+    checked_atoms = entropy.checked_atoms
+    monkeypatch.setattr(entropy, "checked_atoms",
+                        lambda mats, name: calls.append(len(mats)) or checked_atoms(mats, name))
+    for cls in (MatrixEnsemble, ProductEnsemble, KrausChannel):
+        monkeypatch.setattr(cls, "__post_init__", lambda self: pytest.fail("constructor ran"))
+    config = RunConfig(trials=5, dims=(2,))
+    report = sweep(config, check, SWEEPS[check][0], XLX, "trace", 2)
+    assert report.holds
+    assert calls == [matrices]
