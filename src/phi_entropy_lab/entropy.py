@@ -383,11 +383,11 @@ def _check_coupled(Z: MatrixEnsemble, T: MatrixEnsemble) -> None:
         raise DomainError("coupled ensembles must share sample-space weights")
 
 
-def _require_pd(atoms: np.ndarray, f: ScalarFunction, what: str) -> None:
-    """The atoms (..., m, d, d) of an ensemble, or of each of a stack of them,
-    must be positive definite, and above SPECTRAL_FLOOR when f's derivative
-    needs it; each ensemble's smallest eigenvalue is computed once for both."""
-    for floor in np.atleast_1d(np.linalg.eigvalsh(atoms)[..., 0].min(axis=-1)):
+def _require_pd(eigenvalues: np.ndarray, f: ScalarFunction, what: str) -> None:
+    """The atoms of an ensemble, or of each of a stack of them, given by their
+    ascending eigenvalues (..., m, d), must be positive definite, and above
+    SPECTRAL_FLOOR when f's derivative needs it."""
+    for floor in np.atleast_1d(eigenvalues[..., 0].min(axis=-1)):
         if floor <= 0.0:
             raise DomainError(f"{what} atoms must be strictly positive definite, "
                               f"got min eigenvalue {floor:.3e}")
@@ -398,17 +398,20 @@ def _require_pd(atoms: np.ndarray, f: ScalarFunction, what: str) -> None:
             )
 
 
-def dual_value(f: ScalarFunction, Z, T) -> np.ndarray:
+def dual_value(f: ScalarFunction, Z, T, dec_T: SpectralDecomposition | None = None) -> np.ndarray:
     """Lower-bound functional of the dual representation, as an operator.
 
     E[Df[T](Z-T) - Df[ET](Z-T) + f(T) - f(ET)], all expectations exact.
-    Lists of ensembles of one shape give a stack of values.
+    Lists of ensembles of one shape give a stack of values.  dec_T, when
+    given, is the decomposition of T's atoms.
     """
     z_weights, z_atoms = ensemble_arrays(Z)
     t_weights, t_atoms = ensemble_arrays(T)
     mean_T = hermitian_part(_mean(t_weights, t_atoms))
     # T's atoms and E T are decomposed once each, for Df and for f.
-    dec_T, dec_mean = (SpectralDecomposition(*np.linalg.eigh(M)) for M in (t_atoms, mean_T))
+    if dec_T is None:
+        dec_T = SpectralDecomposition(*np.linalg.eigh(t_atoms))
+    dec_mean = SpectralDecomposition(*np.linalg.eigh(mean_T))
     diff = z_atoms - t_atoms
     terms = frechet_d1(f, dec_T, diff)
     acc = np.zeros(mean_T.shape, dtype=complex)
@@ -425,11 +428,13 @@ def dual_gap(f: ScalarFunction, Z, T) -> np.ndarray:
     """Entropy minus the dual lower bound, as an operator; zero when T is Z.
 
     T must be coupled to Z (same weights) and positive definite, with its
-    spectrum above the floor when f's derivative needs one.  Lists of
-    coupled pairs of one shape give a stack of gaps.
+    spectrum above the floor when f's derivative needs one; T's atoms are
+    decomposed once, for that check and for the bound.  Lists of coupled
+    pairs of one shape give a stack of gaps.
     """
     for z, t in [(Z, T)] if isinstance(Z, MatrixEnsemble) else zip(Z, T):
         _check_coupled(z, t)
-    _require_pd(ensemble_arrays(T)[1], f, "dual representation T")
-    return operator_phi_entropy(f, Z) - dual_value(f, Z, T)
+    dec_T = SpectralDecomposition(*np.linalg.eigh(ensemble_arrays(T)[1]))
+    _require_pd(dec_T.eigenvalues, f, "dual representation T")
+    return operator_phi_entropy(f, Z) - dual_value(f, Z, T, dec_T)
 

@@ -28,9 +28,12 @@ derived from the two tables:
 - ``replay_witness`` decodes a witness and recomputes its margin;
 - ``counterexample_search`` packs the matrix fields of a searchable record
   into real parameters, draws random points, then descends on the record's
-  margin; both phases hand the record stacks of proposals that double in
-  size and keep the first proposal that beats their bound, which is what
-  evaluating the proposals one at a time would keep.
+  margin.  The random phase hands the record stacks of draws that double in
+  size and keeps the first that beats its bound; the descent hands it the
+  moves along the path the previous sweep's outcomes predict and keeps them
+  up to the first that goes otherwise.  Both keep what proposing and
+  evaluating one point at a time would keep, since a point's margin does
+  not depend on its stack.
 
 Trials are keyed by (seed, check, labels..., trial) through a counter-based
 generator, so a report does not depend on the order its sweeps run in, and
@@ -508,6 +511,15 @@ def _encode_witness(kind: str, point: dict) -> dict:
                              for key, (encode, *_) in CHECKS[kind].fields}}
 
 
+def _require_fields(kind: str, witness: dict) -> None:
+    """Refuse a witness field that is missing or refused by its codec: a
+    ConfigError that names it."""
+    for key, (_, _, what, valid) in CHECKS[kind].fields:
+        if key not in witness or not valid(witness[key]):
+            got = f"got {witness[key]!r:.60}" if key in witness else "it is missing"
+            raise ConfigError(f"witness field '{key}' must be {what}; {got}")
+
+
 def _decode_witness(witness: dict) -> dict:
     """The point a witness stores.  A missing or unknown kind, and a field
     missing or refused by its codec, are ConfigErrors that name them."""
@@ -516,13 +528,8 @@ def _decode_witness(witness: dict) -> dict:
     kind = witness["kind"]
     if not isinstance(kind, str) or kind not in CHECKS:
         raise ConfigError(f"no check of witness kind {kind!r:.60}")
-    point = {}
-    for key, (_, decode, what, valid) in CHECKS[kind].fields:
-        if key not in witness or not valid(witness[key]):
-            got = f"got {witness[key]!r:.60}" if key in witness else "it is missing"
-            raise ConfigError(f"witness field '{key}' must be {what}; {got}")
-        point[key] = decode(witness[key])
-    return point
+    _require_fields(kind, witness)
+    return {key: decode(witness[key]) for key, (_, decode, *_) in CHECKS[kind].fields}
 
 
 def replay_witness(witness: dict) -> float:
@@ -550,10 +557,11 @@ def check(kind: str, *, tol: float | None = None, override: bool = False,
           **point) -> VerificationReport:
     """Report of one point of a record.
 
-    The point gives every witness field of the record, as values.  A
-    class-gated record refuses a function outside the class of the point's
-    variant (the trace form when it has none) unless override is set.  tol
-    replaces the record's tolerance rule.
+    The point gives every witness field of the record, as values; a value
+    whose witness entry a replay would refuse is a ConfigError that names
+    its field.  A class-gated record refuses a function outside the class
+    of the point's variant (the trace form when it has none) unless override
+    is set.  tol replaces the record's tolerance rule.
     """
     record = CHECKS.get(kind)
     if record is None:
@@ -564,10 +572,11 @@ def check(kind: str, *, tol: float | None = None, override: bool = False,
     class_gate(kind, point.get("phi"), point.get("variant", "trace"), override)
     if tol is not None and not _tolerance(tol):
         raise ConfigError(f"tol must be a finite number >= 0, got {tol!r}")
+    witness = _encode_witness(kind, point)
+    _require_fields(kind, witness)
     margin = record.margin([point])[0]
     if tol is None:
         tol = record.tolerance([margin], point)
-    witness = _encode_witness(kind, point)
     return VerificationReport.from_margin(record.name.format(**witness), margin, tol,
                                           witness=witness)
 
@@ -776,8 +785,9 @@ class _SearchSpace:
 
     The vector holds the record's matrix fields, d^2 parameters each, then
     one weight in (0, 1) that serves as lambda and, for gap_F_t, as t.
-    Searches run on the trace form.  A margin call takes at most cap vectors,
-    the trials of one sweep call (see SWEEP_ENTRIES).
+    Searches run on the trace form.  Vectors travel as stacks (n, size): a
+    margin call takes at most cap of them, the trials of one sweep call (see
+    SWEEP_ENTRIES), and each stack is drawn and unpacked in one call.
     """
 
     def __init__(self, f: ScalarFunction, check: str, dim: int):
@@ -789,55 +799,62 @@ class _SearchSpace:
         self.matrix_keys = [key for key, codec in self.record.fields if codec is _MATRIX]
         self.cap = max(1, SWEEP_ENTRIES // dim**4)
 
-    def sample(self, rng) -> np.ndarray:
+    def sample(self, rngs: list) -> np.ndarray:
+        """One vector per generator: each draws its matrices, then its weight."""
         floor, cap = self.record.search_spectrum
-        mats = sample_psd(self.dim, floor, rng, cap, len(self.matrix_keys))
-        return np.concatenate([_params_of(mats).ravel(), [rng.uniform(0.05, 0.95)]])
+        mats = sample_psd(self.dim, floor, rngs, cap, len(self.matrix_keys))
+        weights = [[rng.uniform(0.05, 0.95)] for rng in rngs]
+        return np.concatenate([_params_of(mats).reshape(len(rngs), -1), weights], axis=1)
 
-    def point(self, params: np.ndarray) -> dict:
-        """Search values first, in the order a search witness lists them, then matrices."""
+    def points(self, stack: np.ndarray) -> list:
+        """The point of each vector: search values first, in the order a
+        search witness lists them, then matrices."""
         n = len(self.matrix_keys) * self.dim * self.dim
-        lam = float(np.clip(params[n], 0.01, 0.99))
-        point = {"phi": self.f, "functional": self.check, "variant": "trace",
-                 "lambda": lam, "t": lam if self.check == "gap_F_t" else None}
-        mats = _herm_from_params(params[:n].reshape(len(self.matrix_keys), -1), self.dim)
-        point.update(zip(self.matrix_keys, mats))
-        return point
+        lams = np.clip(stack[:, n], 0.01, 0.99).tolist()
+        mats = _herm_from_params(stack[:, :n].reshape(len(stack), len(self.matrix_keys), -1),
+                                 self.dim)
+        return [{"phi": self.f, "functional": self.check, "variant": "trace", "lambda": lam,
+                 "t": lam if self.check == "gap_F_t" else None, **dict(zip(self.matrix_keys, m))}
+                for lam, m in zip(lams, mats)]
 
-    def margins(self, stack: list) -> list:
+    def margins(self, stack: np.ndarray) -> list:
         """Margins of a stack of parameter vectors, +inf where out of the domain.
 
         A stack that raises is evaluated again one vector at a time, so only
         the vectors that raise alone get +inf (treated as non-violating).
         """
         try:
-            return self.record.margin([self.point(params) for params in stack])
+            return self.record.margin(self.points(stack))
         except PhiLabError:
             if len(stack) == 1:
                 return [np.inf]
-            return [m for params in stack for m in self.margins([params])]
+            return [m for params in stack for m in self.margins(params[None])]
 
     def witness(self, params: np.ndarray, margin: float) -> dict:
         codecs = dict(self.record.fields)
+        point = self.points(params[None])[0]
         return {"phi": self.f.spec_string(), "dim": self.dim, "margin": margin,
                 "kind": self.kind,
-                **{key: codecs[key][0](value) for key, value in self.point(params).items()
+                **{key: codecs[key][0](value) for key, value in point.items()
                    if key in codecs and key != "phi"}}
 
 
-def _scan(space: _SearchSpace, proposals: Iterator, bound: float, size: int) -> list:
-    """(vector, margin) of each proposal in order, up to the first margin below bound.
+def _scan(space: _SearchSpace, rngs: Iterator, bound: float) -> list:
+    """(vector, margin) of each generator's draw in order, up to the first
+    margin below bound.
 
-    The proposals are evaluated in stacks of size, 2*size, 4*size, ...
-    vectors (at most space.cap), and the margins past that first one are
-    dropped: the result is that of evaluating them one at a time, since a
-    vector's margin does not depend on its stack.
+    The draws are made and evaluated in stacks of 1, 2, 4, ... vectors (at
+    most space.cap), and the margins past that first one are dropped: the
+    result is that of drawing and evaluating them one at a time, since each
+    vector comes from its own stream and its margin does not depend on its
+    stack.
     """
-    scanned = []
+    scanned, size = [], 1
     while True:
-        stack = list(itertools.islice(proposals, min(size, space.cap)))
-        if not stack:
+        rng_stack = list(itertools.islice(rngs, min(size, space.cap)))
+        if not rng_stack:
             return scanned
+        stack = space.sample(rng_stack)
         for params, margin in zip(stack, space.margins(stack)):
             scanned.append((params, margin))
             if margin < bound:
@@ -854,10 +871,10 @@ def counterexample_search(f: ScalarFunction, check_name: str, budget: int, seed:
     holds=True with the trial count and the first point of least margin;
     that is evidence, not a proof.
 
-    Trial t draws its point from its own stream, so the trials are evaluated
-    in stacks of 1, 2, 4, ... (see _scan) and the report is that of drawing
-    and evaluating them one at a time: the first success stops the search
-    and the trials after it in its stack count for nothing.
+    Trial t draws its point from its own stream, so the trials are drawn and
+    evaluated in stacks of 1, 2, 4, ... (see _scan) and the report is that of
+    drawing and evaluating them one at a time: the first success stops the
+    search and the trials after it in its stack count for nothing.
     """
     if check_name not in SEARCHABLE_CHECKS:
         raise ConfigError(
@@ -870,9 +887,9 @@ def counterexample_search(f: ScalarFunction, check_name: str, budget: int, seed:
         raise ConfigError(f"tol must be a finite number > 0, got {tol}")
     space = _SearchSpace(f, check_name, dim)
     threshold = -10.0 * tol
-    proposals = (space.sample(rng_for(seed, "search", check_name, f.spec_string(), dim, trial))
-                 for trial in range(budget))
-    scanned = _scan(space, proposals, threshold, 1)
+    rngs = (rng_for(seed, "search", check_name, f.spec_string(), dim, trial)
+            for trial in range(budget))
+    scanned = _scan(space, rngs, threshold)
     point, margin = scanned[-1]
     if margin < threshold:
         point, margin = _refine(space, point, margin)
@@ -887,36 +904,50 @@ def counterexample_search(f: ScalarFunction, check_name: str, budget: int, seed:
         witness=None if point is None else space.witness(point, margin))
 
 
-def _moves(point: np.ndarray, step: float, moves: range) -> Iterator:
-    """The given moves of a refine sweep from point: move 2i raises
-    coordinate i by step*(1 + |x_i|), move 2i+1 lowers it by as much."""
-    for move in moves:
-        i, sign = divmod(move, 2)
-        trial = point.copy()
-        trial[i] += (1.0, -1.0)[sign] * step * (1.0 + abs(trial[i]))
-        yield trial
-
-
 def _refine(space: _SearchSpace, point: np.ndarray, margin: float,
             sweeps: int = 8) -> tuple:
     """Greedy coordinate descent pushing the slack further negative.
 
-    Each sweep takes every move (see _moves) in order from the current
-    point, and moves there if it lowers the margin; a sweep that never moves
-    halves the step.  The moves are evaluated in stacks that start at two
-    and double (see _scan); after a move, the ones after it are proposed
-    again from the new point, so this is the one-at-a-time descent.
+    Each sweep takes every move in order from the current point, and moves
+    there if it lowers the margin (move 2i raises coordinate i by
+    step*(1 + |x_i|), move 2i+1 lowers it by as much); a sweep that never
+    moves halves the step.
+
+    A sweep mostly repeats the previous one's outcomes, so each move is
+    predicted to go as it went then (the first sweep predicts none taken).
+    One margin call takes the moves from the current one on as a chain of
+    at most space.cap trials, each proposed from the point its predecessors'
+    predicted outcomes reach; a move whose trial left the domain last sweep
+    is a chain of its own.  The chain is walked in order and cut after
+    the first move that goes against its prediction.  Every trial kept is
+    the one the one-at-a-time descent proposes at that step, and a vector's
+    margin does not depend on its stack, so this is that descent.
     """
     step = 0.25
     n_moves = 2 * point.size
+    # Each move's outcome when last proposed: taken, and out of the domain.
+    taken, raised = np.zeros(n_moves, bool), np.zeros(n_moves, bool)
     for _ in range(sweeps):
         improved, move = False, 0
         while move < n_moves:
-            scanned = _scan(space, _moves(point, step, range(move, n_moves)), margin, 2)
-            move += len(scanned)
-            trial, m = scanned[-1]
-            if m < margin:
-                point, margin, improved = trial, m, True
+            chain, at = [], point
+            for j in range(move, min(move + space.cap, n_moves)):
+                if chain and (raised[move] or raised[j]):
+                    break
+                i, sign = divmod(j, 2)
+                trial = at.copy()
+                trial[i] += (1.0, -1.0)[sign] * step * (1.0 + abs(trial[i]))
+                chain.append(trial)
+                at = trial if taken[j] else at
+            for trial, m in zip(chain, space.margins(np.stack(chain))):
+                took = m < margin
+                if took:
+                    point, margin, improved = trial, m, True
+                predicted = taken[move]
+                taken[move], raised[move] = took, m == np.inf
+                move += 1
+                if took != predicted:
+                    break
         if not improved:
             step *= 0.5
     return point, margin

@@ -2,8 +2,9 @@
 
 A sweep hands a record any list of its points, in trial order (every trial
 of a report at small d), and the record evaluates them as one stack.  The
-counterexample search hands it stacks of proposals that double in size;
-``check`` and ``replay_witness`` hand it one point.  The context manager
+counterexample search hands it stacks of random draws that double in size,
+then the moves of its descent along predicted paths; ``check`` and
+``replay_witness`` hand it one point.  The context manager
 below lets a test run the same suite or search both ways and compare.
 """
 

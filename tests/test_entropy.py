@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 import scalar_oracle as oracle
 from phi_entropy_lab import (
     ClassGateError,
+    ConfigError,
     DimensionMismatchError,
     DomainError,
     MatrixEnsemble,
@@ -317,7 +318,8 @@ def test_polynomial_efron_stein():
         for trial in range(20):
             P = sample_product(3, 2, 2, seed=trial)
             assert check("poly_efron_stein", p=p, product=P).holds
-    with pytest.raises(DomainError):
+    # p < 1 is refused as in a stored witness (schatten_norm refuses it too)
+    with pytest.raises(ConfigError, match="'p'"):
         check("poly_efron_stein", p=0, product=P1)
 
 

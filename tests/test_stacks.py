@@ -224,6 +224,24 @@ def test_bregman_stack_decomposes_u_once(variant, monkeypatch):
     assert np.array_equal(got, expected)
 
 
+def test_dual_gap_decomposes_t_once(monkeypatch):
+    # A call on five coupled pairs: T's atoms go to one eigh, which serves the
+    # domain check and the bound alike, and to no eigvalsh.
+    pairs = sample_coupled_ensembles(3, 4, [rng_for(9, "dual", i) for i in range(5)],
+                                     spectral_floor=0.05)
+    Zs, Ts = map(list, zip(*pairs))
+    expected = entropy.operator_phi_entropy(XLX, Zs) - entropy.dual_value(XLX, Zs, Ts)
+    t_atoms = np.stack([T.atoms for T in Ts])
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, lambda M, name=name, call=getattr(np.linalg, name):
+                            calls.append((name, np.array_equal(M, t_atoms))) or call(M))
+    got = entropy.dual_gap(XLX, Zs, Ts)
+    assert calls.count(("eigh", True)) == 1
+    assert not [name for name, _ in calls if name == "eigvalsh"]
+    assert np.array_equal(got, expected)
+
+
 # --- the suite's records on points of several trials -----------------------------
 
 CONFIG = RunConfig()

@@ -27,6 +27,7 @@ from phi_entropy_lab.sampling import (
     sample_coupled_ensembles,
     sample_hermitian,
     sample_product,
+    sample_psd,
 )
 from phi_entropy_lab import suite
 from phi_entropy_lab.suite import CHECK_NAMES
@@ -201,6 +202,17 @@ def test_check_rejects_kinds_and_points_it_cannot_report():
         check("subadditivity", phi=builtin("square"), product=P)
     with pytest.raises(DomainError):
         check("subadditivity", phi=builtin("square"), variant="both", product=P)
+    # values a stored witness may not hold: the record would report them
+    # (p = inf holds with margin 0, p = nan gives margin nan, lambda = 1.5
+    # makes the square jointly "non-convex")
+    one = sample_product(2, 1, 2, seed=0)
+    for p in (float("inf"), float("nan")):
+        with pytest.raises(ConfigError, match="witness field 'p' must be"):
+            check("poly_efron_stein", p=p, product=one)
+    A, B = sample_psd(2, 0.1, [rng_for(0, "check", i) for i in range(2)])
+    with pytest.raises(ConfigError, match="witness field 'lambda' must be"):
+        check("joint_convexity", phi=builtin("square"), functional="map_C", variant="trace",
+              t=None, u1=A, v1=B, u2=B, v2=A, **{"lambda": 1.5})
 
 
 def test_frechet_oracle_tolerance_override_of_zero_is_applied():
@@ -295,8 +307,9 @@ def _search_one_at_a_time(f, check_name: str, budget: int, seed: int, dim: int,
     space = suite._SearchSpace(f, check_name, dim)
     best_margin, best = np.inf, None
     for trial in range(budget):
-        params = space.sample(rng_for(seed, "search", check_name, f.spec_string(), dim, trial))
-        margin = space.margins([params])[0]
+        rng = rng_for(seed, "search", check_name, f.spec_string(), dim, trial)
+        params = space.sample([rng])[0]
+        margin = space.margins(params[None])[0]
         if margin < -10 * tol:
             step = 0.25
             for _ in range(8):
@@ -305,7 +318,7 @@ def _search_one_at_a_time(f, check_name: str, budget: int, seed: int, dim: int,
                     for sign in (1.0, -1.0):
                         moved = params.copy()
                         moved[i] += sign * step * (1.0 + abs(moved[i]))
-                        m = space.margins([moved])[0]
+                        m = space.margins(moved[None])[0]
                         if m < margin:
                             params, margin, improved = moved, m, True
                 if not improved:
@@ -336,6 +349,10 @@ def _raising_margins(monkeypatch) -> Counter:
     ("power:3", "bregman_A", 1), ("power:3", "bregman_A", 2),
     ("quartic", "map_C", 1),  # a violation among the first trials
     ("square", "map_C", 1),   # the budget runs out
+    # Descents whose moves go against the outcomes the last sweep predicts;
+    # the power:3 one also leaves the domain.
+    ("exp", "gap_F_t", 1), ("quartic", "condition_e", 1), ("power:3", "gap_F_t", 1),
+    ("power:3", "gap_F_t", 2),  # the budget runs out, in the domain throughout
 ])
 def test_counterexample_search_is_the_same_batched_and_one_at_a_time(
         phi, check_name, dim, monkeypatch):
@@ -349,8 +366,9 @@ def test_counterexample_search_is_the_same_batched_and_one_at_a_time(
     report = reports[0]
     reference = _search_one_at_a_time(f, check_name, 50, seed=0, dim=dim)
     assert (report.margin, report.trials, report.witness) == reference
-    assert bool(raised) == (phi == "power:3")
-    assert report.holds == (phi == "square")
+    exhausted = phi == "square" or (phi, check_name, dim) == ("power:3", "gap_F_t", 2)
+    assert bool(raised) == (phi == "power:3" and not exhausted)
+    assert report.holds == exhausted
 
 
 @pytest.mark.parametrize("margin", [1.0, None])
@@ -378,6 +396,38 @@ def test_exhausted_search_stacks_its_trials(monkeypatch):
     report = counterexample_search(builtin("square"), "map_C", 50, seed=0, dim=1)
     assert report.holds and report.trials == 50
     assert sum(calls.values()) <= 6
+
+
+SEARCH_PHIS = ("square", "xlogx", "quartic", "exp", "power:3")
+
+
+def test_refine_evaluates_predicted_paths(monkeypatch):
+    # Each margin call of the descent takes the moves along the path the
+    # last sweep's outcomes predict, not a stack cut at the first move taken.
+    calls = _counting_margins(monkeypatch)
+    counterexample_search(from_spec("quartic", allow_outside_class=True), "map_C", 50,
+                          seed=0, dim=1)
+    assert sum(calls.values()) <= 30  # 47 when each stack stopped at a move taken
+    calls.clear()
+    for phi in SEARCH_PHIS:
+        f = from_spec(phi, allow_outside_class=True)
+        for check_name in suite.SEARCHABLE_CHECKS:
+            counterexample_search(f, check_name, 50, seed=0, dim=1)
+    assert sum(calls.values()) <= 620  # 930 when each stack stopped at a move taken
+
+
+GOLDEN_SEARCH = Path(__file__).parent / "data" / "golden_search_seed0.json"
+
+
+def test_search_reports_match_the_golden_reports():
+    # The 30 searches at d=1, seed 0 and budget 50, as committed from the
+    # descent that evaluated its moves in doubling stacks: every name,
+    # verdict, trial count and witness layout exactly, every float to 1e-12.
+    golden = json.loads(GOLDEN_SEARCH.read_text(encoding="utf-8"))
+    reports = [counterexample_search(from_spec(phi, allow_outside_class=True), check_name, 50,
+                                     seed=0, dim=1).to_json_dict()
+               for phi in SEARCH_PHIS for check_name in suite.SEARCHABLE_CHECKS]
+    _assert_close(reports, golden, "reports")
 
 
 def test_outside_class_suite_run_contains_counterexamples():
