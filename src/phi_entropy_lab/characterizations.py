@@ -6,11 +6,12 @@ subadditive entropy classes through joint convexity.  This module gives
 the slack of each condition: joint convexity of a functional, the
 inverse-derivative concavity condition (a), the fourth-derivative trace
 inequality (e), the convexity lemma and the conditional Jensen inequality
-(g).  The two convexity slacks (of a functional, and condition (a)) take a
-vector of weights lambda too, one slack each: the two endpoints and all
-mixes are then one stack, with one batched ``eigh``.  Every report of
-these slacks comes from the ``suite`` registry; a sweep's report states
-"no violation in N trials", which is evidence, not a proof.
+(g), which for two factors is the subadditivity gap.  The two convexity
+slacks (of a functional, and condition (a)) take a vector of weights lambda
+too, one slack each: the two endpoints and all mixes are then one stack,
+with one batched ``eigh``.  Every report of these slacks comes from the
+``suite`` registry; a sweep's report states "no violation in N trials",
+which is evidence, not a proof.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .catalog import ScalarFunction
 from .errors import DimensionMismatchError, DomainError
 from .frechet import derivative_inverse, frechet_d1, frechet_d2, frechet_d3
-from .entropy import ProductEnsemble, _check_weights, jensen_gap
+from .entropy import ProductEnsemble, _check_weights, subadditivity_gap
 from .spectral import (
     apply_scalar_function,
     hermitian_part,
@@ -206,24 +207,12 @@ def conditional_jensen_gap(f: ScalarFunction, P) -> np.ndarray:
     """E_1 H(Z | X_1) - H(E_1 Z) for a two-factor product, as an operator.
 
     E_1 averages over the first factor; H(. | X_1) is the entropy in the
-    second factor's randomness at fixed X_1.  A list of products of one
-    layout gives a stack of gaps.
+    second factor's randomness at fixed X_1.  It and the subadditivity gap
+    both expand to E phi(Z) - E_1 phi(E_2 Z) - E_2 phi(E_1 Z) + phi(EZ), so
+    ``subadditivity_gap`` computes it.  A list of products of one layout
+    gives a stack of gaps.
     """
-    products = [P] if isinstance(P, ProductEnsemble) else list(P)
-    for Q in products:
+    for Q in [P] if isinstance(P, ProductEnsemble) else P:
         if Q.n != 2:
             raise DomainError(f"conditional Jensen check needs exactly two factors, got {Q.n}")
-    w1, w2 = (np.stack([Q.factor_weights[i] for Q in products]) for i in (0, 1))
-    Z = np.stack([Q.atoms for Q in products])
-    Z = Z.reshape(w1.shape + w2.shape[1:] + Z.shape[-2:])  # (B, s1, s2, d, d)
-    # H(Z | X_1 = s1) integrates over the second factor, its weights normalised.
-    slice_weights = np.stack([w / w.sum() for w in w2])
-    lhs = np.zeros(Z.shape[:1] + Z.shape[-2:], dtype=complex)
-    averaged = np.zeros(Z.shape[:1] + Z.shape[2:], dtype=complex)
-    for s1 in range(w1.shape[1]):
-        weight = w1[:, s1, None, None]
-        lhs = lhs + weight * jensen_gap(f, slice_weights, Z[:, s1])
-        # E_1 Z is a random matrix in the second factor only.
-        averaged = averaged + weight[..., None] * Z[:, s1]
-    gaps = hermitian_part(lhs - jensen_gap(f, w2, hermitian_part(averaged)))
-    return gaps[0] if isinstance(P, ProductEnsemble) else gaps
+    return subadditivity_gap(f, P)

@@ -6,9 +6,12 @@ Exit codes: 0 the checks hold, 1 a violation, 2 bad configuration or input.
 - ``check``: one witness file, as a report stores it (its ``kind``, then
   the fields of that ``suite.CHECKS`` record);
 - ``replay``: 1 if a witness margin of a ``run-suite`` file moves by > 1e-12;
-- ``check-characterizations``: sweeps of the characterizations (a)-(g);
 - ``search-counterexample``: 1 if a violating point is found;
-- ``run-suite``: 1 if an in-class check fails.
+- ``run-suite``: 1 if an in-class check fails.  The sweeps of the
+  characterizations (a)-(g) of one function F at one dimension D are
+  ``run-suite --checks characterizations,condition_a,condition_e
+  --phi-list F --dims D``, with ``--trials``, ``--variant`` and ``--seed``
+  as needed; outside F's class, ``check --override`` reports one point.
 """
 
 from __future__ import annotations
@@ -26,14 +29,11 @@ from .suite import (
     CHECK_NAMES,
     RunConfig,
     SEARCHABLE_CHECKS,
-    SWEEPS,
     _decode_witness,
     check,
-    class_gate,
     counterexample_search,
     replay_witness,
     run_suite,
-    sweep,
 )
 
 EXIT_OK = 0
@@ -71,16 +71,14 @@ def _emit(payload, args, line: str | None = None) -> None:
 
 
 def _phi(args):
-    """The --phi function; outside every class only if ungated or under --override."""
-    return from_spec(args.phi, allow_outside_class=getattr(args, "override", True))
+    """The --phi function, whatever its class."""
+    return from_spec(args.phi, allow_outside_class=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", type=str, default=None, help="write JSON here")
     common.add_argument("--quiet", action="store_true", help="print only the summary line")
-    seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0, help="base RNG seed")
     judged = argparse.ArgumentParser(add_help=False)
     judged.add_argument("--tol", type=float, default=None, help="tolerance override")
 
@@ -109,18 +107,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="recompute the margins of the witnesses of a run-suite file")
     p.add_argument("--input", required=True, help="run-suite JSON file")
 
-    p = sub.add_parser("check-characterizations", parents=[common, seeded, judged],
-                       help="sweeps of the convexity characterizations (a)-(g)")
-    p.add_argument("--phi", required=True)
-    p.add_argument("--items", type=str, default="b,c,d,e,f,g")
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--variant", choices=["trace", "operator"], default="trace")
-    p.add_argument("--override", action="store_true")
-
-    p = sub.add_parser("search-counterexample", parents=[common, seeded, judged],
+    p = sub.add_parser("search-counterexample", parents=[common, judged],
                        help="random search and descent for a violating point")
     p.add_argument("--phi", required=True)
+    p.add_argument("--seed", type=int, default=0, help="base RNG seed")
     p.add_argument("--check", required=True, choices=list(SEARCHABLE_CHECKS))
     p.add_argument("--budget", type=int, default=10_000)
     p.add_argument("--dim", type=int, default=1)
@@ -155,31 +145,18 @@ def _cmd_frechet(args) -> int:
     f = _phi(args)
     A = matrix_from_json(_read_json(args.matrix))
     X = matrix_from_json(_read_json(args.direction))
-    if args.order == 1:
-        out = frechet_d1(f, A, X)
-    elif args.order == 2:
-        out = frechet_d2(f, A, X, X)
-    else:
-        out = frechet_d3(f, A, X, X, X)
+    out = (frechet_d1, frechet_d2, frechet_d3)[args.order - 1](f, A, *[X] * args.order)
     _emit({"command": "frechet", "phi": args.phi, "order": args.order,
            "derivative": matrix_to_json(out)}, args)
     return EXIT_OK
 
 
-def _reports_exit(reports, args) -> int:
-    if not reports:
-        raise ConfigError("the arguments select no check to run")
-    payload = [r.to_json_dict() for r in reports]
-    line = f"{sum(1 for r in reports if r.holds)}/{len(reports)} checks passed"
-    _emit(payload if len(payload) > 1 else payload[0], args, line)
-    return EXIT_OK if all(r.holds for r in reports) else EXIT_VIOLATION
-
-
 def _cmd_check(args) -> int:
     witness = _read_json(args.input)
     point = _decode_witness(witness)
-    return _reports_exit([check(witness["kind"], tol=args.tol, override=args.override,
-                                **point)], args)
+    report = check(witness["kind"], tol=args.tol, override=args.override, **point)
+    _emit(report.to_json_dict(), args, f"{int(report.holds)}/1 checks passed")
+    return EXIT_OK if report.holds else EXIT_VIOLATION
 
 
 def _cmd_replay(args) -> int:
@@ -194,25 +171,6 @@ def _cmd_replay(args) -> int:
     kept = sum(1 for row in rows if abs(row["replayed"] - row["margin"]) <= REPLAY_TOL)
     _emit(rows, args, f"{kept}/{len(rows)} witnesses replayed to their margins")
     return EXIT_OK if kept == len(rows) else EXIT_VIOLATION
-
-
-def _cmd_check_characterizations(args) -> int:
-    f = _phi(args)
-    items = [s.strip() for s in args.items.split(",") if s.strip()]
-    valid = set("abcdefg")
-    bad = [i for i in items if i not in valid]
-    if bad:
-        raise ConfigError(f"unknown characterization items {bad}; valid: a-g")
-    checks = ("characterizations", "condition_a", "condition_e")
-    config = RunConfig(seed=args.seed, dims=(args.dim,), trials=args.trials,
-                       phi_list=(args.phi,), variant=args.variant,
-                       allow_outside_class=args.override,
-                       tolerances={} if args.tol is None else dict.fromkeys(checks, args.tol))
-    chosen = [(name, s) for name in checks for s in SWEEPS[name] if s.fixed["item"] in items]
-    for _, s in chosen:
-        class_gate(s.kind, f, args.variant, args.override)
-    reports = [sweep(config, name, s, f, args.variant, args.dim) for name, s in chosen]
-    return _reports_exit(reports, args)
 
 
 def _cmd_search(args) -> int:
@@ -265,17 +223,16 @@ def _cmd_run_suite(args) -> int:
             raise ConfigError(f"--config holds the whole run; {flags} cannot be given with it")
         config = RunConfig.from_json_dict(_read_json(args.config))
     else:
-        config = RunConfig(**given, output_path=args.output or None)
+        config = RunConfig(**given)
     suite = run_suite(config)
     payload = suite.to_json_dict()
-    out_path = args.output or config.output_path
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             _write_payload(fh, payload)
     summary = suite.summary
     print(f"suite: {summary['pass']} pass, {summary['fail']} fail, "
           f"{summary['skip']} skip")
-    if not args.quiet and not out_path:
+    if not args.quiet and not args.output:
         print(json.dumps(payload, indent=2))
     return suite.exit_code()
 
@@ -285,7 +242,6 @@ _COMMANDS = {
     "frechet": _cmd_frechet,
     "check": _cmd_check,
     "replay": _cmd_replay,
-    "check-characterizations": _cmd_check_characterizations,
     "search-counterexample": _cmd_search,
     "run-suite": _cmd_run_suite,
 }

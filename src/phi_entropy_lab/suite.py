@@ -150,7 +150,6 @@ class RunConfig:
     n_factors: int = 2
     support: int = 2
     allow_outside_class: bool = False
-    output_path: str | None = None
 
     def __post_init__(self):
         for name in ("seed", "trials", "n_factors", "support"):
@@ -173,10 +172,9 @@ class RunConfig:
         if not isinstance(self.allow_outside_class, bool):
             raise ConfigError(f"allow_outside_class must be true or false, "
                               f"got {self.allow_outside_class!r}")
-        if not isinstance(self.output_path, (str, type(None))):
-            raise ConfigError(f"output_path must be a path string, got {self.output_path!r}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        for name in ("trials", "n_factors", "support"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         dims = tuple(int(d) for d in self.dims)
         if not dims or any(d < 1 or d > 16 for d in dims) or len(set(dims)) < len(dims):
             raise ConfigError(f"dims must be a non-empty subset of [1, 16], got {dims}")
@@ -538,21 +536,6 @@ def replay_witness(witness: dict) -> float:
     return CHECKS[witness["kind"]].margin([point])[0]
 
 
-def class_gate(kind: str, f: ScalarFunction | None, variant: str,
-               override: bool = False) -> None:
-    """Refuse f outside the class of the variant (the trace form for a record
-    without a variant field) for a class-gated record, unless override is set."""
-    record = CHECKS[kind]
-    if "variant" not in dict(record.fields):
-        variant = "trace"
-    if variant not in _CLASS_TAG:
-        raise DomainError(f"variant must be 'trace' or 'operator', got '{variant}'")
-    if record.class_gated and not override and not _in_class(f, variant):
-        raise ClassGateError(
-            f"{kind} ({variant}) requires a function tagged {_CLASS_TAG[variant]}; "
-            f"'{f.name}' has tags {sorted(f.class_tags)}. Pass override=True to force.")
-
-
 def check(kind: str, *, tol: float | None = None, override: bool = False,
           **point) -> VerificationReport:
     """Report of one point of a record.
@@ -569,7 +552,13 @@ def check(kind: str, *, tol: float | None = None, override: bool = False,
     keys = [key for key, _ in record.fields]
     if set(point) != set(keys):
         raise ConfigError(f"check '{kind}' takes the fields {keys}, got {sorted(point)}")
-    class_gate(kind, point.get("phi"), point.get("variant", "trace"), override)
+    f, variant = point.get("phi"), point.get("variant", "trace")
+    if variant not in _CLASS_TAG:
+        raise DomainError(f"variant must be 'trace' or 'operator', got '{variant}'")
+    if record.class_gated and not override and not _in_class(f, variant):
+        raise ClassGateError(
+            f"{kind} ({variant}) requires a function tagged {_CLASS_TAG[variant]}; "
+            f"'{f.name}' has tags {sorted(f.class_tags)}. Pass override=True to force.")
     if tol is not None and not _tolerance(tol):
         raise ConfigError(f"tol must be a finite number >= 0, got {tol!r}")
     witness = _encode_witness(kind, point)

@@ -20,6 +20,7 @@ from phi_entropy_lab import (
     eval_functional,
     frechet,
     frechet_d1,
+    from_spec,
 )
 from phi_entropy_lab.characterizations import (
     condition_a_slack,
@@ -29,7 +30,12 @@ from phi_entropy_lab.characterizations import (
     convexity_lemma_margin,
     convexity_slack_at,
 )
-from phi_entropy_lab.entropy import MatrixEnsemble, ProductEnsemble, SPECTRAL_FLOOR
+from phi_entropy_lab.entropy import (
+    MatrixEnsemble,
+    ProductEnsemble,
+    SPECTRAL_FLOOR,
+    operator_phi_entropy,
+)
 from phi_entropy_lab.suite import RunConfig, run_suite
 from phi_entropy_lab.sampling import (
     rng_for,
@@ -459,6 +465,30 @@ def test_conditional_jensen_scalar_oracle():
     got = conditional_jensen_gap(XLX, P)[0, 0].real
     assert got == pytest.approx(
         oracle.conditional_jensen_margin("xlogx", w1, w2, table), abs=1e-10)
+
+
+@pytest.mark.parametrize("name", ["square", "xlogx", "power:1.5"])
+@pytest.mark.parametrize("supports", [(2, 2), (3, 2), (2, 4)])
+@pytest.mark.parametrize("d", [2, 3])
+def test_conditional_jensen_gap_is_the_gap_of_per_slice_entropies(d, supports, name):
+    # E_1 H(Z | X_1) - H(E_1 Z) from one entropy per outcome of X_1, against
+    # the gap and against the margins of both forms of the record.
+    f = from_spec(name)
+    for trial in range(3):
+        P = sample_product(d, 2, supports, seed=36 + trial)
+        w1, w2 = P.factor_weights
+        Z = P.atoms.reshape(supports + (d, d))
+        conditional = sum(a * operator_phi_entropy(f, MatrixEnsemble(w2, Z[s1]))
+                          for s1, a in enumerate(w1))
+        averaged = MatrixEnsemble(w2, np.einsum("s,stij->tij", w1, Z))
+        want = conditional - operator_phi_entropy(f, averaged)
+        scale = max(1.0, np.abs(want).max())
+        assert np.abs(conditional_jensen_gap(f, P) - want).max() <= 1e-12 * scale
+        margins = {"trace": np.trace(want).real / d, "operator": np.linalg.eigvalsh(want)[0]}
+        for variant, margin in margins.items():
+            got = check("conditional_jensen", phi=f, variant=variant, product=P,
+                        override=True).margin
+            assert abs(got - margin) <= 1e-12 * max(1.0, abs(margin)), (variant, trial)
 
 
 def test_conditional_jensen_rejects_wrong_arity():

@@ -7,12 +7,10 @@ import numpy as np
 import pytest
 
 from phi_entropy_lab import (
-    RunConfig,
     finite_diff_oracle,
     from_spec,
     matrix_from_json,
     random_unital_channel,
-    run_suite,
 )
 from phi_entropy_lab.cli import _write_payload, main
 from phi_entropy_lab.sampling import rng_for, sample_ensemble, sample_product
@@ -127,32 +125,6 @@ def test_check_efron_stein_command(product_file, tmp_path, capsys):
         assert json.loads(capsys.readouterr().out)["holds"] is True
 
 
-def test_check_characterizations_command(capsys):
-    code = main(["check-characterizations", "--phi", "square", "--items", "b,d,g",
-                 "--dim", "2", "--trials", "5", "--seed", "3"])
-    assert code == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert len(payload) == 3
-    assert {r["holds"] for r in payload} == {True}
-    # the command runs the suite's own sweeps: same reports for the same seed
-    suite = run_suite(RunConfig(seed=3, dims=(2,), trials=5, phi_list=("square",),
-                                checks=("characterizations",)))
-    expected = {r.check_name: r.to_json_dict() for r, _, _ in suite.entries}
-    assert payload == [expected[f"characterizations[{item},square,trace,d=2]"]
-                       for item in "bdg"]
-
-
-@pytest.mark.parametrize("phi, variant", [("xlogx", "operator"), ("quartic", "trace")])
-def test_check_characterizations_gates_the_function_class(phi, variant, capsys):
-    # xlogx is outside C3 and quartic outside every class: the selected sweeps
-    # are refused, as check-subadditivity refuses them, unless --override.
-    argv = ["check-characterizations", "--phi", phi, "--variant", variant, "--items", "c",
-            "--dim", "2", "--trials", "5", "--quiet"]
-    assert main(argv) == 2
-    assert "requires a function tagged" in capsys.readouterr().err
-    assert main(argv + ["--override"]) in (0, 1)
-
-
 def test_check_monotonicity_command(ensemble_file, tmp_path, capsys):
     ensemble = _read(ensemble_file)
     for trial in range(4):
@@ -179,6 +151,8 @@ def test_run_suite_command(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["summary"]["fail"] == 0
     assert payload["config"]["seed"] == 7
+    # the output file is not part of the run's configuration
+    assert "output_path" not in payload["config"]
 
 
 def test_run_suite_file_is_json_dumps_of_its_payload(tmp_path, capsys):
@@ -242,7 +216,6 @@ def test_exit_code_two_on_config_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["check-characterizations", "--phi", "square", "--items", ","],
     ["check", "--input", "P_WORD"],
     ["run-suite", "--dims", "a", "--quiet"],
     ["search-counterexample", "--phi", "quartic", "--check", "map_C", "--dim", "0"],
@@ -268,6 +241,15 @@ def test_options_a_command_does_not_read_are_refused(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_check_characterizations_is_not_a_command(capsys):
+    # run-suite --checks characterizations,condition_a,condition_e --phi-list F
+    # --dims D runs the sweeps that command ran.
+    with pytest.raises(SystemExit) as exc:
+        main(["check-characterizations", "--phi", "square"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'check-characterizations'" in capsys.readouterr().err
 
 
 _ONE = {"dim": 1, "re": [[1.0]]}

@@ -61,7 +61,9 @@ def test_config_validation():
     for bad in (dict(trials="5"), dict(seed=1.5), dict(n_factors=None), dict(support=True),
                 dict(dims=("x",)), dict(dims=(2.0,)), dict(dims=2), dict(tolerances=[1e-9]),
                 dict(tolerances={"jensen": "x"}), dict(tolerances={"jensen": True}),
-                dict(phi_list=[1]), dict(allow_outside_class="no"), dict(output_path=7),
+                dict(phi_list=[1]), dict(allow_outside_class="no"),
+                # a product layout needs at least one factor with at least one outcome
+                dict(n_factors=0), dict(n_factors=-1), dict(support=0),
                 # tolerances must be able to judge a margin
                 dict(tolerances={"jensen": float("nan")}), dict(tolerances={"jensen": -1.0}),
                 dict(tolerances={"jensen": float("inf")}),
@@ -104,7 +106,7 @@ def test_config_json_roundtrip():
     assert json.dumps(RunConfig(tolerances={"jensen": 1e-3}, **SMALL).to_json_dict()) == (
         '{"seed": 5, "dims": [2], "trials": 5, "phi_list": ["square"], "variant": "trace", '
         '"checks": ' + json.dumps(list(CHECK_NAMES)) + ', "tolerances": {"jensen": 0.001}, '
-        '"n_factors": 2, "support": 2, "allow_outside_class": false, "output_path": null}')
+        '"n_factors": 2, "support": 2, "allow_outside_class": false}')
     with pytest.raises(ConfigError, match="unknown config fields"):
         RunConfig.from_json_dict({"bogus_field": 1})
 
