@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .catalog import (  # noqa: F401
-    C1,
     C2,
     C3,
     OPERATOR_CONVEX,

@@ -1,11 +1,12 @@
 """Registry of scalar convex functions with analytic derivatives.
 
 Each entry carries evaluators for the function and its first six
-derivatives, a real domain, and membership tags for the subadditive
-entropy classes.  The divided-difference grids here feed the matrix
-derivative engine.  One evaluator serves every order k: polynomials in
-closed form, else the quotient recursion, which inside the order's Taylor
-band gives way to the mean-centered form (m the nodes' mean)
+derivatives, each family's from one formula of the order k, a real
+domain, and membership tags for the subadditive entropy classes.  The
+divided-difference grids here feed the matrix derivative engine.  One
+evaluator serves every order k: polynomials in closed form, else the
+quotient recursion, which inside the order's Taylor band gives way to the
+mean-centered form (m the nodes' mean)
 f^(k)(m)/k! + f^(k+2)(m) sum_i (x_i - m)^2 / (2 (k+2)!).
 """
 
@@ -22,7 +23,6 @@ import numpy as np
 from .errors import DomainError
 
 # Class tags.
-C1 = "C1"  # classical subadditive entropy class
 C2 = "C2"  # trace-functional subadditive class
 C3 = "C3"  # operator-valued subadditive class
 OPERATOR_CONVEX = "operator_convex"
@@ -124,14 +124,32 @@ class ScalarFunction:
         return self.name
 
 
-def _const(c: float):
-    return lambda u: np.full_like(np.asarray(u, dtype=float), c)
+def _polynomial(name: str, coeffs: tuple, tags: frozenset, params: tuple = ()):
+    """The polynomial sum_m c_m u^m; its k-th derivative sums
+    c_m m!/(m-k)! u^(m-k) over the nonzero c_m with m >= k."""
+    def dk(k):
+        terms = [(c * math.perm(m, k), m - k) for m, c in enumerate(coeffs)
+                 if c != 0.0 and m >= k]
+
+        def evaluate(u):
+            u = np.asarray(u, dtype=float)
+            values = [c * u**e for c, e in terms] or [np.zeros_like(u)]
+            return sum(values[1:], values[0])
+        return evaluate
+    return ScalarFunction(name, REAL_LINE, tuple(dk(k) for k in range(7)), tags,
+                          params=params, monomial_coeffs=coeffs)
 
 
 def _xlogx(u):
     u = np.asarray(u, dtype=float)
     safe = np.where(u > 0.0, u, 1.0)
     return np.where(u > 0.0, u * np.log(safe), 0.0)
+
+
+def _xlogx_deriv(k: int):
+    """The k-th derivative of x log x for k >= 2: (-1)^k (k-2)! / u^(k-1)."""
+    c = float((-1) ** k * math.factorial(k - 2))
+    return lambda u: c / u ** (k - 1)
 
 
 _BUILTIN_NAMES = ("affine", "square", "xlogx", "power", "quartic", "exp")
@@ -149,37 +167,14 @@ def builtin(name: str, *params: float, allow_outside_class: bool = False) -> Sca
         if len(params) != 2:
             raise DomainError("affine requires two parameters a, b")
         a, b = map(float, params)
-        return ScalarFunction(
-            "affine",
-            REAL_LINE,
-            (lambda u: a + b * np.asarray(u, dtype=float), _const(b), *[_const(0.0)] * 5),
-            frozenset({C1, C2, C3, OPERATOR_CONVEX}),
-            params=(a, b),
-            monomial_coeffs=(a, b),
-        )
+        return _polynomial("affine", (a, b), frozenset({C2, C3, OPERATOR_CONVEX}), (a, b))
     if name == "square":
-        return ScalarFunction(
-            "square",
-            REAL_LINE,
-            (lambda u: np.asarray(u, dtype=float) ** 2,
-             lambda u: 2.0 * np.asarray(u, dtype=float),
-             _const(2.0), *[_const(0.0)] * 4),
-            frozenset({C1, C2, C3, OPERATOR_CONVEX}),
-            monomial_coeffs=(0.0, 0.0, 1.0),
-        )
+        return _polynomial("square", (0.0, 0.0, 1.0), frozenset({C2, C3, OPERATOR_CONVEX}))
     if name == "xlogx":
         return ScalarFunction(
-            "xlogx",
-            HALF_LINE,
-            (_xlogx,
-             lambda u: np.log(u) + 1.0,
-             lambda u: 1.0 / u,
-             lambda u: -1.0 / u**2,
-             lambda u: 2.0 / u**3,
-             lambda u: -6.0 / u**4,
-             lambda u: 24.0 / u**5),
-            frozenset({C1, C2}),
-            deriv_floor=DERIV_FLOOR,
+            "xlogx", HALF_LINE,
+            (_xlogx, lambda u: np.log(u) + 1.0, *map(_xlogx_deriv, range(2, 7))),
+            frozenset({C2}), deriv_floor=DERIV_FLOOR,
         )
     if name == "power":
         if len(params) != 1:
@@ -198,23 +193,13 @@ def builtin(name: str, *params: float, allow_outside_class: bool = False) -> Sca
                 coeff *= p - j
             return lambda u, c=coeff, e=p - k: c * np.asarray(u, dtype=float) ** e
 
-        tags = frozenset({OUTSIDE_CLASS}) if outside else frozenset({C1, C2})
+        tags = frozenset({OUTSIDE_CLASS}) if outside else frozenset({C2})
         return ScalarFunction(
             "power", HALF_LINE, tuple(dk(k) for k in range(7)), tags,
             deriv_floor=DERIV_FLOOR, params=(p,),
         )
     if name == "quartic":
-        return ScalarFunction(
-            "quartic",
-            REAL_LINE,
-            (lambda u: np.asarray(u, dtype=float) ** 4,
-             lambda u: 4.0 * np.asarray(u, dtype=float) ** 3,
-             lambda u: 12.0 * np.asarray(u, dtype=float) ** 2,
-             lambda u: 24.0 * np.asarray(u, dtype=float),
-             _const(24.0), _const(0.0), _const(0.0)),
-            frozenset({OUTSIDE_CLASS}),
-            monomial_coeffs=(0.0, 0.0, 0.0, 0.0, 1.0),
-        )
+        return _polynomial("quartic", (0.0, 0.0, 0.0, 0.0, 1.0), frozenset({OUTSIDE_CLASS}))
     if name == "exp":
         exp = lambda u: np.exp(np.asarray(u, dtype=float))  # noqa: E731
         return ScalarFunction(
@@ -310,16 +295,15 @@ def _dd(f: ScalarFunction, delta, *nodes):
     return np.where(close, taylor, quot)
 
 
-def _symmetric_grid(order: int, f: ScalarFunction, nodes: np.ndarray, delta) -> np.ndarray:
+def _symmetric_grid(order: int, f: ScalarFunction, nodes: np.ndarray) -> np.ndarray:
     """Grid (..., m, ..., m) of the order-th divided difference on nodes (..., m),
-    each row with its own threshold unless delta is given.
+    each row with its own coincidence threshold.
 
     It is evaluated once per sorted index tuple, C(m+order, order+1) of the
     m^(order+1) entries, and read off by symmetry for the rest.
     """
     nodes = np.asarray(nodes, dtype=float)
-    if delta is None:
-        delta = coincidence_threshold(nodes)
+    delta = coincidence_threshold(nodes)
     tuples, where = _sorted_tuples(nodes.shape[-1], order + 1)
     s = nodes[..., tuples]  # (..., order+1, Q): the nodes of each tuple
     if (nodes[..., 1:] < nodes[..., :-1]).any():  # eigh's nodes ascend already
@@ -328,19 +312,19 @@ def _symmetric_grid(order: int, f: ScalarFunction, nodes: np.ndarray, delta) -> 
     return values[..., where]
 
 
-def dd1_grid(f: ScalarFunction, nodes: np.ndarray, delta: float | None = None) -> np.ndarray:
+def dd1_grid(f: ScalarFunction, nodes: np.ndarray) -> np.ndarray:
     """Grid on nodes (m,), or on each row of (..., m), from the C(m+1, 2) sorted pairs."""
-    return _symmetric_grid(1, f, nodes, delta)
+    return _symmetric_grid(1, f, nodes)
 
 
-def dd2_grid(f: ScalarFunction, nodes: np.ndarray, delta: float | None = None) -> np.ndarray:
+def dd2_grid(f: ScalarFunction, nodes: np.ndarray) -> np.ndarray:
     """Grid on nodes (m,), or on each row of (..., m), from the C(m+2, 3) sorted triples."""
-    return _symmetric_grid(2, f, nodes, delta)
+    return _symmetric_grid(2, f, nodes)
 
 
-def dd3_grid(f: ScalarFunction, nodes: np.ndarray, delta: float | None = None) -> np.ndarray:
+def dd3_grid(f: ScalarFunction, nodes: np.ndarray) -> np.ndarray:
     """Grid on nodes (m,), or on each row of (..., m), from the C(m+3, 4) sorted quadruples."""
-    return _symmetric_grid(3, f, nodes, delta)
+    return _symmetric_grid(3, f, nodes)
 
 
 @lru_cache(maxsize=32)

@@ -1,7 +1,9 @@
-"""Unital completely positive maps in Kraus form, and two statements about them.
+"""Unital quantum channels in Kraus form, and two statements about them.
 
-Channels here are mixed-unitary by construction when sampled, which makes
-them unital and trace-preserving without any projection step; a sweep
+A channel here is completely positive, trace preserving and unital, as the
+paper's unital quantum channels are: every channel, sampled or read from a
+witness, is checked for sum K*K = I and sum KK* = I.  Sampled channels are
+mixed-unitary, which makes them both without any projection step; a sweep
 chunk's channels of one Kraus count are checked at once, and images of
 checked ensembles under them, PSD by construction, are not.  The module
 gives the margins of two statements about a unital channel N; their
@@ -22,8 +24,8 @@ statement is N(H(Z)) >= H(N(Z)) in the PSD order, not H(Z) >= H(N(Z)), which
 fails already for a unitary N.  It is certified only for class C3: for the
 square, H(Z) = Var Z and Kadison-Schwarz for a unital CP map gives
 Var N(Z) = E[N(Z - EZ)^2] <= E N((Z - EZ)^2) = N(Var Z); affine functions
-have H = 0.  For a trace-preserving N the normalised trace of the operator
-form is the trace form.
+have H = 0.  Since N preserves the trace, the normalised trace of the
+operator form is the trace form.
 """
 
 from __future__ import annotations
@@ -58,22 +60,18 @@ UNITALITY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A unital CP map A -> sum_i K_i A K_i*.
-
-    Unitality (sum_i K_i K_i* = I) is enforced at construction; the
-    trace-preserving property (sum_i K_i* K_i = I) is validated only when
-    the flag is set.
+    """A unital quantum channel A -> sum_i K_i A K_i*: completely positive,
+    trace preserving (sum_i K_i* K_i = I) and unital (sum_i K_i K_i* = I),
+    both enforced at construction.
     """
 
     kraus: np.ndarray
-    trace_preserving: bool = False
 
     def __post_init__(self):
-        _set(self, vars(self.stack(np.asarray(self.kraus, dtype=complex)[None],
-                                   self.trace_preserving)[0]))
+        _set(self, vars(self.stack(np.asarray(self.kraus, dtype=complex)[None])[0]))
 
     @classmethod
-    def stack(cls, kraus, trace_preserving: bool = False) -> list:
+    def stack(cls, kraus) -> list:
         """The channels of Kraus stacks (n, k, d, d), checked at once; the first
         channel that fails raises what it raises alone."""
         kraus = np.asarray(kraus, dtype=complex)
@@ -82,10 +80,9 @@ class KrausChannel:
                 f"Kraus stack must have shape (k, d, d), got {kraus.shape[1:]}")
         eye = np.eye(kraus.shape[-1])
         tol = UNITALITY_TOL * (1.0 + np.abs(kraus).max(axis=(1, 2, 3)) ** 2 * kraus.shape[1])
-        sums = {"is not unital: sum K K*": np.einsum("naij,nakj->nik", kraus, kraus.conj())}
-        if trace_preserving:
-            sums["does not preserve the trace: sum K* K"] = np.einsum(
-                "naji,najk->nik", kraus.conj(), kraus)
+        sums = {"is not unital: sum K K*": np.einsum("naij,nakj->nik", kraus, kraus.conj()),
+                "does not preserve the trace: sum K* K": np.einsum(
+                    "naji,najk->nik", kraus.conj(), kraus)}
         deviations = {what: np.abs(s - eye).max(axis=(1, 2)) for what, s in sums.items()}
         finite = np.isfinite(kraus).all(axis=(1, 2, 3))
         for n in range(len(kraus)):
@@ -94,8 +91,7 @@ class KrausChannel:
             for what, deviation in deviations.items():
                 if deviation[n] > tol[n]:
                     raise DomainError(f"channel {what} deviates from I by {deviation[n]:.3e}")
-        return [_set(object.__new__(cls), {"kraus": K, "trace_preserving": trace_preserving})
-                for K in kraus]
+        return [_set(object.__new__(cls), {"kraus": K}) for K in kraus]
 
     @property
     def dim(self) -> int:
@@ -164,7 +160,7 @@ def random_unital_channel(d: int, k, seed) -> KrausChannel:
              for w, U_i in zip(weights, np.split(U, np.cumsum(counts)[:-1]))]
     out = {}
     for group in _by_count(counts):  # one check per Kraus count
-        channels = KrausChannel.stack([kraus[n] for n in group], trace_preserving=True)
+        channels = KrausChannel.stack([kraus[n] for n in group])
         out.update(zip(group, channels))
     out = [out[n] for n in range(len(counts))]
     return out if listed else out[0]

@@ -137,9 +137,6 @@ class MatrixEnsemble:
     def support(self) -> int:
         return self.atoms.shape[0]
 
-    def spectral_floor(self) -> float:
-        return float(np.linalg.eigvalsh(self.atoms)[:, 0].min())
-
     def to_json_dict(self) -> dict:
         return {
             "dim": self.dim,

@@ -20,20 +20,18 @@ witness replay and counterexample search all read it.  A record says once:
 each report measures, the labels of its stream and its name.  The rest is
 derived from the two tables:
 
-- ``sweep`` runs one report: every trial's points, one draw and one margin
-  call per chunk of trials, the first strict minimum of the margin, and the
-  witness of that one point;
+- ``sweep`` runs one report: ``_scan`` makes one draw and one margin call
+  per chunk of trials, ``_least`` picks the first strict minimum of the
+  margin, and the witness is that one point's;
 - ``run_suite`` runs the sweeps a ``RunConfig`` selects;
 - ``check`` reports one given point: class gate, margin, tolerance, witness;
 - ``replay_witness`` decodes a witness and recomputes its margin;
 - ``counterexample_search`` packs the matrix fields of a searchable record
-  into real parameters, draws random points, then descends on the record's
-  margin.  The random phase hands the record stacks of draws that double in
-  size and keeps the first that beats its bound; the descent hands it the
-  moves along the path the previous sweep's outcomes predict and keeps them
-  up to the first that goes otherwise.  Both keep what proposing and
-  evaluating one point at a time would keep, since a point's margin does
-  not depend on its stack.
+  into real parameters, runs ``_scan`` with a stop rule on stacks that
+  double in size, then descends on the record's margin along the path the
+  previous descent sweep's outcomes predict, up to the first move that goes
+  otherwise.  Both keep what proposing and evaluating one point at a time
+  would keep, since a point's margin does not depend on its stack.
 
 Trials are keyed by (seed, check, labels..., trial) through a counter-based
 generator, so a report does not depend on the order its sweeps run in, and
@@ -114,13 +112,15 @@ CHECK_NAMES = (
 
 ORACLE_TOLS = {1: 1e-6, 2: 1e-4, 3: 1e-3}
 
-# A sweep evaluates max(1, SWEEP_ENTRIES // d^4) trials per margin call.  A trial
-# of the order-3 oracle holds a d^4 divided-difference grid, so this bounds the
-# memory of the stacks: 32 trials at d=4, 2 at d=8, one at d=16 (whose single
-# trial exceeds it, as before).
+# A trial of the order-3 oracle holds a d^4 divided-difference grid, so this
+# bounds the memory of a margin call's stack: 32 trials at d=4, 2 at d=8, one
+# at d=16 (whose single trial exceeds it).
 SWEEP_ENTRIES = 2**13
 
-SEARCHABLE_CHECKS = ("bregman_A", "map_B", "map_C", "gap_F_t", "condition_a", "condition_e")
+
+def _chunk(d: int) -> int:
+    """The most trials of dimension d one margin call takes."""
+    return max(1, SWEEP_ENTRIES // d**4)
 
 
 def _integer(value) -> bool:
@@ -502,6 +502,14 @@ CHECKS = {
         name="convexity_lemma[{phi}]"),
 }
 
+# The records whose fields are matrices or values _SearchSpace.points fills;
+# joint convexity once per functional.
+SEARCHABLE_CHECKS = tuple(
+    name for kind, record in CHECKS.items()
+    if all(codec is _MATRIX or key in ("phi", "variant", "functional", "lambda", "t")
+           for key, codec in record.fields)
+    for name in (FUNCTIONAL_NAMES if kind == "joint_convexity" else (kind,)))
+
 
 def _encode_witness(kind: str, point: dict) -> dict:
     """The witness of a point: its kind, then the record's fields in order."""
@@ -614,31 +622,59 @@ SWEEPS = {
 }
 
 
+def _scan(draw: Callable, margins: Callable, rngs: Iterator, sizes: Iterator,
+          bound: float = -np.inf) -> list:
+    """(point, margin) of each point drawn from the generators, in order, up to
+    the first margin below bound, which ends the scan.
+
+    Each stack of generators (of the given sizes) is one draw and one margin
+    call.  A trial draws from its own stream and a point's margin does not
+    depend on its stack, so this is drawing and evaluating one at a time.
+    """
+    scanned = []
+    for size in sizes:
+        rng_stack = list(itertools.islice(rngs, size))
+        if not rng_stack:
+            break
+        points = draw(rng_stack)
+        for point, margin in zip(points, margins(points)):
+            scanned.append((point, margin))
+            if margin < bound:
+                return scanned
+    return scanned
+
+
+def _least(scanned: list) -> tuple:
+    """The first (point, margin) of strictly least margin; (None, inf) when no
+    margin is below inf."""
+    best = (None, np.inf)
+    for point, margin in scanned:
+        if margin < best[1]:
+            best = (point, margin)
+    return best
+
+
 def sweep(config: RunConfig, check: str, s: Sweep, f: ScalarFunction | None,
           variant: str, d: int) -> VerificationReport:
     """Run one report: every trial's points, the worst margin and its witness.
 
-    Each chunk of trials (see SWEEP_ENTRIES) is one draw, in trial order,
-    and one margin call.  The first strict minimum wins.  A tolerance set in
-    the config for the check replaces the record's rule, whatever its value.
+    The trials are scanned in chunks of _chunk(d), in trial order.  The first
+    strict minimum wins.  A tolerance set in the config for the check
+    replaces the record's rule, whatever its value.
     """
     record = CHECKS[s.kind]
     base = {"phi": f, "variant": variant, **s.fixed}
     labels = {**base, "phi": None if f is None else f.spec_string(), "d": d,
               "n": config.n_factors}
-    margins, worst, best = [], np.inf, None
-    chunk = max(1, SWEEP_ENTRIES // d**4)
-    for start in range(0, config.trials, chunk):
-        rngs = [rng_for(config.seed, check, *(labels[key] for key in s.key), trial)
-                for trial in range(start, min(start + chunk, config.trials))]
-        points = [{**base, **drawn} for drawn in record.draw(rngs, d, config, base)]
-        for point, margin in zip(points, record.margin(points)):
-            margins.append(margin)
-            if margin < worst:
-                worst, best = margin, point
+    rngs = (rng_for(config.seed, check, *(labels[key] for key in s.key), trial)
+            for trial in range(config.trials))
+    scanned = _scan(lambda rngs: [{**base, **drawn}
+                                  for drawn in record.draw(rngs, d, config, base)],
+                    record.margin, rngs, itertools.repeat(_chunk(d)))
+    best, worst = _least(scanned)
     tol = config.tolerances.get(check)
     if tol is None:
-        tol = record.tolerance(margins, base)
+        tol = record.tolerance([margin for _, margin in scanned], base)
     witness = None if best is None else _encode_witness(s.kind, best)
     return VerificationReport.from_margin(s.name.format(**labels), worst, tol,
                                           trials=config.trials, witness=witness)
@@ -775,8 +811,8 @@ class _SearchSpace:
     The vector holds the record's matrix fields, d^2 parameters each, then
     one weight in (0, 1) that serves as lambda and, for gap_F_t, as t.
     Searches run on the trace form.  Vectors travel as stacks (n, size): a
-    margin call takes at most cap of them, the trials of one sweep call (see
-    SWEEP_ENTRIES), and each stack is drawn and unpacked in one call.
+    margin call takes at most cap of them, the trials of one sweep call, and
+    each stack is drawn and unpacked in one call.
     """
 
     def __init__(self, f: ScalarFunction, check: str, dim: int):
@@ -786,7 +822,7 @@ class _SearchSpace:
         self.kind = "joint_convexity" if check in FUNCTIONAL_NAMES else check
         self.record = CHECKS[self.kind]
         self.matrix_keys = [key for key, codec in self.record.fields if codec is _MATRIX]
-        self.cap = max(1, SWEEP_ENTRIES // dim**4)
+        self.cap = _chunk(dim)
 
     def sample(self, rngs: list) -> np.ndarray:
         """One vector per generator: each draws its matrices, then its weight."""
@@ -796,8 +832,7 @@ class _SearchSpace:
         return np.concatenate([_params_of(mats).reshape(len(rngs), -1), weights], axis=1)
 
     def points(self, stack: np.ndarray) -> list:
-        """The point of each vector: search values first, in the order a
-        search witness lists them, then matrices."""
+        """The point of each vector: the values it fills, then matrices."""
         n = len(self.matrix_keys) * self.dim * self.dim
         lams = np.clip(stack[:, n], 0.01, 0.99).tolist()
         mats = _herm_from_params(stack[:, :n].reshape(len(stack), len(self.matrix_keys), -1),
@@ -806,49 +841,23 @@ class _SearchSpace:
                  "t": lam if self.check == "gap_F_t" else None, **dict(zip(self.matrix_keys, m))}
                 for lam, m in zip(lams, mats)]
 
-    def margins(self, stack: np.ndarray) -> list:
+    def margins(self, stack: np.ndarray) -> Iterator:
         """Margins of a stack of parameter vectors, +inf where out of the domain.
 
-        A stack that raises is evaluated again one vector at a time, so only
-        the vectors that raise alone get +inf (treated as non-violating).
+        A stack that raises is evaluated again one vector at a time as its
+        margins are read: the vectors that raise alone get +inf (treated as
+        non-violating), and those never read are not evaluated.
         """
         try:
-            return self.record.margin(self.points(stack))
+            return iter(self.record.margin(self.points(stack)))
         except PhiLabError:
             if len(stack) == 1:
-                return [np.inf]
-            return [m for params in stack for m in self.margins(params[None])]
+                return iter([np.inf])
+            return (m for params in stack for m in self.margins(params[None]))
 
     def witness(self, params: np.ndarray, margin: float) -> dict:
-        codecs = dict(self.record.fields)
-        point = self.points(params[None])[0]
         return {"phi": self.f.spec_string(), "dim": self.dim, "margin": margin,
-                "kind": self.kind,
-                **{key: codecs[key][0](value) for key, value in point.items()
-                   if key in codecs and key != "phi"}}
-
-
-def _scan(space: _SearchSpace, rngs: Iterator, bound: float) -> list:
-    """(vector, margin) of each generator's draw in order, up to the first
-    margin below bound.
-
-    The draws are made and evaluated in stacks of 1, 2, 4, ... vectors (at
-    most space.cap), and the margins past that first one are dropped: the
-    result is that of drawing and evaluating them one at a time, since each
-    vector comes from its own stream and its margin does not depend on its
-    stack.
-    """
-    scanned, size = [], 1
-    while True:
-        rng_stack = list(itertools.islice(rngs, min(size, space.cap)))
-        if not rng_stack:
-            return scanned
-        stack = space.sample(rng_stack)
-        for params, margin in zip(stack, space.margins(stack)):
-            scanned.append((params, margin))
-            if margin < bound:
-                return scanned
-        size *= 2
+                **_encode_witness(self.kind, self.points(params[None])[0])}
 
 
 def counterexample_search(f: ScalarFunction, check_name: str, budget: int, seed: int,
@@ -860,10 +869,10 @@ def counterexample_search(f: ScalarFunction, check_name: str, budget: int, seed:
     holds=True with the trial count and the first point of least margin;
     that is evidence, not a proof.
 
-    Trial t draws its point from its own stream, so the trials are drawn and
-    evaluated in stacks of 1, 2, 4, ... (see _scan) and the report is that of
-    drawing and evaluating them one at a time: the first success stops the
-    search and the trials after it in its stack count for nothing.
+    The random phase is a sweep with a stop rule: _scan on stacks of 1, 2,
+    4, ... trials up to a sweep's chunk, stopped at the first success; the
+    trials after it in its stack count for nothing.  An exhausted search
+    keeps the sweep's least margin (_least).
     """
     if check_name not in SEARCHABLE_CHECKS:
         raise ConfigError(
@@ -878,27 +887,24 @@ def counterexample_search(f: ScalarFunction, check_name: str, budget: int, seed:
     threshold = -10.0 * tol
     rngs = (rng_for(seed, "search", check_name, f.spec_string(), dim, trial)
             for trial in range(budget))
-    scanned = _scan(space, rngs, threshold)
+    doubling = (min(2**i, space.cap) for i in itertools.count())
+    scanned = _scan(space.sample, space.margins, rngs, doubling, threshold)
     point, margin = scanned[-1]
     if margin < threshold:
         point, margin = _refine(space, point, margin)
     else:
-        point, margin = None, np.inf
-        for params, m in scanned:
-            if m < margin:
-                point, margin = params, m
+        point, margin = _least(scanned)
     return VerificationReport.from_margin(
         f"counterexample_search[{check_name},{f.spec_string()},d={dim}]",
         margin, 10.0 * tol, trials=len(scanned),
         witness=None if point is None else space.witness(point, margin))
 
 
-def _refine(space: _SearchSpace, point: np.ndarray, margin: float,
-            sweeps: int = 8) -> tuple:
+def _refine(space: _SearchSpace, point: np.ndarray, margin: float) -> tuple:
     """Greedy coordinate descent pushing the slack further negative.
 
-    Each sweep takes every move in order from the current point, and moves
-    there if it lowers the margin (move 2i raises coordinate i by
+    Each of eight sweeps takes every move in order from the current point,
+    and moves there if it lowers the margin (move 2i raises coordinate i by
     step*(1 + |x_i|), move 2i+1 lowers it by as much); a sweep that never
     moves halves the step.
 
@@ -916,7 +922,7 @@ def _refine(space: _SearchSpace, point: np.ndarray, margin: float,
     n_moves = 2 * point.size
     # Each move's outcome when last proposed: taken, and out of the domain.
     taken, raised = np.zeros(n_moves, bool), np.zeros(n_moves, bool)
-    for _ in range(sweeps):
+    for _ in range(8):
         improved, move = False, 0
         while move < n_moves:
             chain, at = [], point

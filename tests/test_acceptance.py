@@ -302,7 +302,7 @@ def test_criterion_7a_monotonicity_trace():
             assert margin >= -1e-10, (f.spec_string(), trial)
             if trial % 10 == 0:
                 U = haar_unitary(d, rng)
-                NU = KrausChannel(U[None, :, :], trace_preserving=True)
+                NU = KrausChannel(U[None, :, :])
                 mu = monotonicity_gap(f, NU, E, "trace")
                 worst_unitary = max(worst_unitary, abs(mu))
                 assert abs(mu) <= 1e-10
@@ -345,7 +345,7 @@ def test_criterion_7b_monotonicity_operator():
         worst_outside[QT] = min(worst_outside[QT], m_qt)
         if trial % 10 == 0:
             U = haar_unitary(d, rng)
-            NU = KrausChannel(U[None, :, :], trace_preserving=True)
+            NU = KrausChannel(U[None, :, :])
             worst_unitary = max(worst_unitary, abs(monotonicity_gap(SQ, NU, E, "operator")))
     ok = (worst >= -1e-10 and worst_unitary <= 1e-10
           and outside[XLX] > 0 and outside[QT] > 0)

@@ -33,8 +33,7 @@ def apply_channel(N: KrausChannel, A) -> np.ndarray:
     return 0.5 * (out + out.conj().T) if np.allclose(A, A.conj().T) else out
 
 
-DEPHASING = KrausChannel(np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex),
-                         trace_preserving=True)
+DEPHASING = KrausChannel(np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex))
 
 
 def test_identity_channel():
@@ -60,12 +59,15 @@ def test_non_unital_rejected():
 
 
 def test_trace_preserving_flag_validated():
-    # unital but not trace preserving: K1 = |0><1|, K2 = |1><1|
+    # unital but not trace preserving: K1 = |0><1|, K2 = |1><1|.  A unital
+    # quantum channel is trace preserving too, so the map is refused.
     K = np.stack([np.array([[0.0, 1.0], [0.0, 0.0]]),
                   np.array([[0.0, 0.0], [0.0, 1.0]])]).astype(complex)
-    KrausChannel(K)  # unital: K1 K1* + K2 K2* = I
-    with pytest.raises(DomainError, match="trace"):
-        KrausChannel(K, trace_preserving=True)
+    assert np.allclose(K[0] @ K[0].conj().T + K[1] @ K[1].conj().T, np.eye(2))  # unital
+    with pytest.raises(DomainError, match="does not preserve the trace"):
+        KrausChannel(K)
+    with pytest.raises(DomainError, match="does not preserve the trace"):
+        KrausChannel.from_json_dict({"dim": 2, "kraus": [matrix_to_json(k) for k in K]})
 
 
 def test_channel_json_roundtrip():
@@ -120,7 +122,7 @@ def test_monotonicity_unitary_channel_trace_invariant():
     # invariant; the operator entropy is covariant, H(N(Z)) = U H(Z) U*.
     E = sample_ensemble(3, 3, seed=9)
     U = haar_unitary(3, 10)
-    N = KrausChannel(U[None, :, :], trace_preserving=True)
+    N = KrausChannel(U[None, :, :])
     for f in (SQ, XLX):
         assert abs(monotonicity_gap(f, N, E, "trace")) < 1e-12
     cov = apply_channel(N, operator_phi_entropy(SQ, E))

@@ -271,6 +271,14 @@ _LEMMA = {"kind": "convexity_lemma", "phi": "square", "weights": "ab", "A": [_ON
 _NAN_WEIGHT_PRODUCT = {"factors": [[float("nan"), 1.0]], "z": {"0": _ONE, "1": _ONE}}
 _CONDITION_A = {"kind": "condition_a", "phi": "square", "lambda": "a", "A1": _ONE, "A2": _ONE,
                 "h": _ONE}
+# A unital map that is not trace preserving (K1 = |0><1|, K2 = |1><1|) is no
+# unital quantum channel; its margin would be -0.98.
+_NOT_TP_MONOTONICITY = {
+    "kind": "monotonicity", "phi": "square", "variant": "trace",
+    "channel": {"dim": 2, "kraus": [{"dim": 2, "re": [[0.0, 1.0], [0.0, 0.0]]},
+                                    {"dim": 2, "re": [[0.0, 0.0], [0.0, 1.0]]}]},
+    "ensemble": {"atoms": [{"w": 0.5, "m": {"dim": 2, "re": [[1.0, 0.0], [0.0, 0.2]]}},
+                           {"w": 0.5, "m": {"dim": 2, "re": [[1.0, 0.0], [0.0, 3.0]]}}]}}
 
 
 @pytest.mark.parametrize("command, data", [
@@ -321,6 +329,7 @@ _CONDITION_A = {"kind": "condition_a", "phi": "square", "lambda": "a", "A1": _ON
     ("check", {**_LEMMA, "weights": [0.5]}),
     ("check", {"kind": "poly_efron_stein", "p": float("inf"),
                "product": {"factors": [[1.0]], "z": {"0": _ONE}}}),
+    ("check", _NOT_TP_MONOTONICITY),
 ], ids=["dim-word", "dim-float", "dim-bool", "re-word", "re-ragged", "atom-no-w",
         "top-level-list", "atoms-mixed-dims",
         "product-key", "factor-weight-word", "kraus-number", "trials-string", "dims-word",
@@ -330,7 +339,8 @@ _CONDITION_A = {"kind": "condition_a", "phi": "square", "lambda": "a", "A1": _ON
         "variant-list", "order-0", "order-7", "order-string", "lambda-word", "weights-word",
         "matrices-number", "tolerance-nan", "dims-repeated", "checks-string", "tol-nan",
         "tol-negative", "tol-inf", "es-weight-nan", "poly-es-weight-nan",
-        "lemma-weights-not-a-distribution", "lemma-weights-too-few", "p-infinite"])
+        "lemma-weights-not-a-distribution", "lemma-weights-too-few", "p-infinite",
+        "kraus-not-trace-preserving"])
 def test_exit_code_two_on_malformed_input_files(command, data, tmp_path, capsys):
     path = _json_file(tmp_path, "input.json", data)
     command, *options = command.split()

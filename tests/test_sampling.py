@@ -63,7 +63,7 @@ def test_ensemble_sampler_invariants():
     E = sample_ensemble(3, 4, seed=6, spectral_floor=0.2)
     assert E.support == 4
     assert abs(E.weights.sum() - 1.0) < 1e-12
-    assert E.spectral_floor() >= 0.2 - 1e-12
+    assert np.linalg.eigvalsh(E.atoms)[:, 0].min() >= 0.2 - 1e-12
 
 
 def test_product_sampler_audit():

@@ -397,7 +397,7 @@ def test_chunk_objects_equal_the_constructors_objects(d):
     for rng, k in zip(_chunk(d, "channel"), counts):
         weights = rng.dirichlet(np.ones(k))
         U = haar_unitary(d, rng, count=k)
-        want.append(KrausChannel(np.sqrt(weights)[:, None, None] * U, trace_preserving=True))
+        want.append(KrausChannel(np.sqrt(weights)[:, None, None] * U))
     assert list(map(_fields, got)) == list(map(_fields, want))
 
 
@@ -430,8 +430,8 @@ def test_chunk_with_one_bad_object_raises_like_its_constructor(bad, position):
         k = len(value)  # the good channels: k copies of I / sqrt(k)
         kraus = np.broadcast_to(np.eye(2) / np.sqrt(k), (3, k, 2, 2)).astype(complex)
         kraus[position] = value
-        alone = _raised(lambda: KrausChannel(value, trace_preserving=True))
-        assert _raised(lambda: KrausChannel.stack(kraus, trace_preserving=True)) == alone
+        alone = _raised(lambda: KrausChannel(value))
+        assert _raised(lambda: KrausChannel.stack(kraus)) == alone
         return
     weights = np.full((3, 3), 1.0 / 3.0)
     atoms = np.stack([_GOOD[:3], _GOOD[1:4], _GOOD[2:5]]).astype(complex)

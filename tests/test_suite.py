@@ -21,6 +21,7 @@ from phi_entropy_lab import (
     replay_witness,
     run_suite,
 )
+from phi_entropy_lab.characterizations import FUNCTIONAL_NAMES
 from phi_entropy_lab.errors import PhiLabError
 from phi_entropy_lab.sampling import (
     rng_for,
@@ -311,7 +312,7 @@ def _search_one_at_a_time(f, check_name: str, budget: int, seed: int, dim: int,
     for trial in range(budget):
         rng = rng_for(seed, "search", check_name, f.spec_string(), dim, trial)
         params = space.sample([rng])[0]
-        margin = space.margins(params[None])[0]
+        margin = next(space.margins(params[None]))
         if margin < -10 * tol:
             step = 0.25
             for _ in range(8):
@@ -320,7 +321,7 @@ def _search_one_at_a_time(f, check_name: str, budget: int, seed: int, dim: int,
                     for sign in (1.0, -1.0):
                         moved = params.copy()
                         moved[i] += sign * step * (1.0 + abs(moved[i]))
-                        m = space.margins(moved[None])[0]
+                        m = next(space.margins(moved[None]))
                         if m < margin:
                             params, margin, improved = moved, m, True
                 if not improved:
@@ -415,7 +416,40 @@ def test_refine_evaluates_predicted_paths(monkeypatch):
         f = from_spec(phi, allow_outside_class=True)
         for check_name in suite.SEARCHABLE_CHECKS:
             counterexample_search(f, check_name, 50, seed=0, dim=1)
-    assert sum(calls.values()) <= 620  # 930 when each stack stopped at a move taken
+    # 930 when each stack stopped at a move taken; 577 when a stack that raised
+    # was evaluated again vector by vector past the first move read.
+    assert sum(calls.values()) <= 530
+
+
+def test_searchable_checks_are_the_records_whose_other_fields_the_search_fills():
+    # Every record left out has a field the search cannot fill; joint
+    # convexity is searched once per functional.
+    fills = {"phi", "variant", "functional", "lambda", "t"}
+    searched = ("joint_convexity", "condition_a", "condition_e")
+    for kind, record in suite.CHECKS.items():
+        unfilled = {key for key, codec in record.fields if codec is not suite._MATRIX} - fills
+        assert bool(unfilled) == (kind not in searched), kind
+    assert suite.SEARCHABLE_CHECKS == (*FUNCTIONAL_NAMES, *searched[1:]) == (
+        "bregman_A", "map_B", "map_C", "gap_F_t", "condition_a", "condition_e")
+
+
+@pytest.mark.parametrize("phi, check_name, dim", [
+    ("quartic", "map_C", 1), ("exp", "gap_F_t", 1), ("exp", "condition_a", 2),
+    ("quartic", "condition_e", 1), ("square", "bregman_A", 2),
+])
+def test_search_witness_is_the_records_witness_of_its_point(phi, check_name, dim):
+    # A search witness is the record's encoding of its point, in the record's
+    # field order, after the function, dimension and margin; it replays to
+    # its margin.
+    f = from_spec(phi, allow_outside_class=True)
+    report = counterexample_search(f, check_name, 50, seed=0, dim=dim)
+    witness = json.loads(json.dumps(report.witness))
+    kind = witness["kind"]
+    assert list(witness) == ["phi", "dim", "margin", "kind",
+                             *(key for key, _ in suite.CHECKS[kind].fields if key != "phi")]
+    assert witness == {"phi": f.spec_string(), "dim": dim, "margin": report.margin,
+                       **suite._encode_witness(kind, suite._decode_witness(witness))}
+    assert abs(replay_witness(witness) - report.margin) <= 1e-12
 
 
 GOLDEN_SEARCH = Path(__file__).parent / "data" / "golden_search_seed0.json"
