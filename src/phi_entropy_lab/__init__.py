@@ -63,7 +63,6 @@ from .spectral import (  # noqa: F401
     apply_scalar_function,
     matrix_from_json,
     matrix_to_json,
-    normalized_trace,
     schatten_norm,
     spectral_decompose,
 )

@@ -6,7 +6,7 @@ witness, is checked for sum K*K = I and sum KK* = I.  Sampled channels are
 mixed-unitary, which makes them both without any projection step; a sweep
 chunk's channels of one Kraus count are checked at once, and images of
 checked ensembles under them, PSD by construction, are not.  The module
-gives the margins of two statements about a unital channel N; their
+gives the operator gaps of two statements about a unital channel N; their
 reports come from the ``suite`` registry.  Both take lists of points: the
 channels of a list act grouped by their Kraus counts, one batched product
 per group, and everything after the channels runs as one stack.
@@ -25,7 +25,9 @@ fails already for a unitary N.  It is certified only for class C3: for the
 square, H(Z) = Var Z and Kadison-Schwarz for a unital CP map gives
 Var N(Z) = E[N(Z - EZ)^2] <= E N((Z - EZ)^2) = N(Var Z); affine functions
 have H = 0.  Since N preserves the trace, the normalised trace of the
-operator form is the trace form.
+gap N(H(Z)) - H(N(Z)) is the trace form's slack H_Phi(Z) - H_Phi(N(Z)):
+``monotonicity_gap`` gives that one operator, and ``spectral.variant_margin``
+reads it in either form.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from .spectral import (
     matrices_from_json,
     matrix_to_json,
     validate_hermitian,
-    variant_margin,
 )
 
 UNITALITY_TOL = 1e-10
@@ -166,23 +167,18 @@ def random_unital_channel(d: int, k, seed) -> KrausChannel:
     return out if listed else out[0]
 
 
-def monotonicity_gap(f: ScalarFunction, N, E, variant: str):
-    """Slack of entropy monotonicity under N; >= 0 when the inequality holds.
+def monotonicity_gap(f: ScalarFunction, N, E) -> np.ndarray:
+    """N(H(Z)) - H(N(Z)) as an operator, H the operator-valued entropy.
 
-    trace: H_Phi(Z) - H_Phi(N(Z)) for the matrix Phi-entropy (class C2).
-    operator: minimal eigenvalue of N(H(Z)) - H(N(Z)) for the
-    operator-valued entropy; certified only for class C3.
-
-    Lists of channels and of ensembles of one shape give an array of slacks,
-    one per pair: the pairs' image atoms and both entropies run as one stack.
+    Its normalised trace is H_Phi(Z) - H_Phi(N(Z)), its least eigenvalue the
+    operator form's margin.  Lists of channels and of ensembles of one shape
+    give a stack of gaps, one per pair: the pairs' image atoms and both
+    entropies run as one stack.
     """
     if isinstance(N, KrausChannel):
-        return float(monotonicity_gap(f, [N], [E], variant)[0])
+        return monotonicity_gap(f, [N], [E])[0]
     mapped = jensen_gap(f, ensemble_arrays(E)[0], pushforward(N, E))
-    entropy = operator_phi_entropy(f, E)
-    if variant == "trace":
-        return variant_margin(entropy, variant) - variant_margin(mapped, variant)
-    return variant_margin(hermitian_part(_kraus_images(N, entropy)) - mapped, variant)
+    return hermitian_part(_kraus_images(N, operator_phi_entropy(f, E))) - mapped
 
 
 def operator_jensen_gap(f: ScalarFunction, channels: list, A) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 The bivariate functionals here (Bregman remainder, derivative increment,
 second-derivative quadratic form, interpolation gap) characterise the
-subadditive entropy classes through joint convexity.  This module gives
+subadditive entropy classes through joint convexity.  The functionals are
+operators; the slack of joint convexity is an operator gap, read in the
+variant it is given by ``spectral.variant_margin``.  This module gives
 the slack of each condition: joint convexity of a functional, the
 inverse-derivative concavity condition (a), the fourth-derivative trace
 inequality (e), the convexity lemma and the conditional Jensen inequality
@@ -37,11 +39,10 @@ FUNCTIONAL_NAMES = ("bregman_A", "map_B", "map_C", "gap_F_t")
 
 @dataclass(frozen=True)
 class BivariateFunctional:
-    """One of the convexity functionals, in trace or operator form."""
+    """One of the convexity functionals; its value at a pair is an operator."""
 
     name: str
     phi: ScalarFunction
-    variant: str = "trace"
     t: float | np.ndarray | None = None  # gap_F_t: one number, or one per pair of a stack
 
     def __post_init__(self):
@@ -52,13 +53,11 @@ class BivariateFunctional:
         if self.name == "gap_F_t" and not np.all((0.0 <= np.asarray(self.t))
                                                  & (np.asarray(self.t) <= 1.0)):
             raise DomainError(f"t must lie in [0, 1], got {self.t}")
-        if self.variant not in ("trace", "operator"):
-            raise DomainError(f"variant must be 'trace' or 'operator', got '{self.variant}'")
 
 
 def eval_functional(F: BivariateFunctional, u, v):
-    """Evaluate the functional at a matrix pair, or at each pair of two stacks;
-    a number per pair for the trace variant.  An array F.t holds the t of
+    """The Hermitian operator value of the functional at a matrix pair, or a
+    stack of them at the pairs of two stacks.  An array F.t holds the t of
     each pair along the leading axes of the stacks."""
     f = F.phi
     u = validate_hermitian(u, "u")
@@ -75,11 +74,7 @@ def eval_functional(F: BivariateFunctional, u, v):
         t = np.reshape(F.t, np.shape(F.t) + (1,) * (u.ndim - np.ndim(F.t)))
         out = (t * apply_scalar_function(f, u) + (1.0 - t) * apply_scalar_function(f, v)
                - apply_scalar_function(f, t * u + (1.0 - t) * v))
-    out = hermitian_part(out)
-    if F.variant == "trace":
-        value = np.trace(out, axis1=-2, axis2=-1).real
-        return float(value) if value.ndim == 0 else value
-    return out
+    return hermitian_part(out)
 
 
 def _per_weight(lam, slacks):
@@ -98,24 +93,20 @@ def _ends_and_mixes(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.concatenate([a, b, w * a + (1.0 - w) * b], axis=-3)
 
 
-def convexity_slack_at(F: BivariateFunctional, u1, v1, u2, v2, lam):
+def convexity_slack_at(F: BivariateFunctional, u1, v1, u2, v2, lam, variant: str):
     """Convex-combination slack at weight lam (a list of them for a vector
     lam); nonnegative for a jointly convex functional.
 
-    The pairs may be stacks (..., d, d); lam then holds a row of weights for
-    each, and the slacks come as nested lists (..., L).  All endpoints and
-    mixes are one stack.
+    The slack is the variant's margin of the gap w F(p1) + (1 - w) F(p2) -
+    F(w p1 + (1 - w) p2) at each weight w.  The pairs may be stacks
+    (..., d, d); lam then holds a row of weights for each, and the slacks
+    come as nested lists (..., L).  All endpoints and mixes are one stack.
     """
     u1, v1, u2, v2 = map(np.asarray, (u1, v1, u2, v2))
-    lams = _weights(lam, u1)
-    w = lams[..., None, None]
+    w = _weights(lam, u1)[..., None, None]
     values = eval_functional(F, _ends_and_mixes(u1, u2, w), _ends_and_mixes(v1, v2, w))
-    if F.variant == "operator":
-        gap = (w * values[..., :1, :, :] + (1.0 - w) * values[..., 1:2, :, :]
-               - values[..., 2:, :, :])
-        return _per_weight(lam, variant_margin(gap, "operator"))
-    return _per_weight(lam, lams * values[..., :1] + (1.0 - lams) * values[..., 1:2]
-                       - values[..., 2:])
+    gap = w * values[..., :1, :, :] + (1.0 - w) * values[..., 1:2, :, :] - values[..., 2:, :, :]
+    return _per_weight(lam, variant_margin(gap, variant))
 
 
 # --- inverse-derivative concavity (condition on the derivative map) -------------

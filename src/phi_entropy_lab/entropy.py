@@ -35,8 +35,8 @@ from .spectral import (
     matrices_from_json,
     matrix_from_json,
     matrix_to_json,
-    normalized_trace,
     validate_hermitian,
+    variant_margin,
 )
 
 WEIGHT_TOL = 1e-12
@@ -281,7 +281,7 @@ def operator_phi_entropy(f: ScalarFunction, E) -> np.ndarray:
 
 def matrix_phi_entropy(f: ScalarFunction, E: MatrixEnsemble) -> float:
     """Normalized trace of the Jensen gap; nonnegative for convex f."""
-    return normalized_trace(operator_phi_entropy(f, E))
+    return variant_margin(operator_phi_entropy(f, E), "trace")
 
 
 def _products(P) -> list:

@@ -1,8 +1,8 @@
 """Hermitian linear algebra foundation.
 
-Eigendecompositions, standard matrix functions, operator margins,
-normalised traces and Schatten norms, plus the JSON wire format for dense
-complex matrices.  All operations are pure functions on immutable values.
+Eigendecompositions, standard matrix functions, the margins of operator
+gaps and Schatten norms, plus the JSON wire format for dense complex
+matrices.  All operations are pure functions on immutable values.
 Validation, decomposition, matrix functions and operator margins also take
 stacks (..., d, d); each matrix gets the values and tolerance of its own call.
 """
@@ -126,15 +126,11 @@ def apply_scalar_function_stack(f, atoms: np.ndarray) -> np.ndarray:
     return apply_scalar_function(f, SpectralDecomposition(*np.linalg.eigh(atoms)))
 
 
-def normalized_trace(A) -> float:
-    A = as_matrix(A)
-    return float(np.trace(A).real) / A.shape[0]
-
-
 def variant_margin(gap, variant: str):
-    """Margin of an operator gap: its normalised trace for the trace form,
-    the smallest eigenvalue of its Hermitian part for the operator form
-    (an array of them for a stack of gaps)."""
+    """Margin of an operator gap: the one rule that reads the gap of every
+    statement with both forms.  The trace form is its normalised trace Tr/d,
+    the operator form the least eigenvalue of its Hermitian part; a stack of
+    gaps gives an array of margins."""
     if variant == "trace":
         gap = np.asarray(gap)
         margin = np.trace(gap, axis1=-2, axis2=-1).real / gap.shape[-1]

@@ -112,6 +112,9 @@ CHECK_NAMES = (
 
 ORACLE_TOLS = {1: 1e-6, 2: 1e-4, 3: 1e-3}
 
+# Every product ensemble a sweep draws has N_FACTORS factors of SUPPORT outcomes.
+N_FACTORS, SUPPORT = 2, 2
+
 # A trial of the order-3 oracle holds a d^4 divided-difference grid, so this
 # bounds the memory of a margin call's stack: 32 trials at d=4, 2 at d=8, one
 # at d=16 (whose single trial exceeds it).
@@ -147,12 +150,10 @@ class RunConfig:
     variant: str = "trace"
     checks: tuple = CHECK_NAMES
     tolerances: dict = field(default_factory=dict)
-    n_factors: int = 2
-    support: int = 2
     allow_outside_class: bool = False
 
     def __post_init__(self):
-        for name in ("seed", "trials", "n_factors", "support"):
+        for name in ("seed", "trials"):
             if not _integer(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not isinstance(self.dims, (list, tuple)) or not all(map(_integer, self.dims)):
@@ -161,10 +162,10 @@ class RunConfig:
                 c in CHECK_NAMES and _tolerance(t) for c, t in self.tolerances.items()):
             raise ConfigError(f"tolerances must map names of {CHECK_NAMES} to finite "
                               f"numbers >= 0, got {self.tolerances!r}")
-        if not isinstance(self.checks, (list, tuple)) or not all(
-                c in CHECK_NAMES for c in self.checks):
-            raise ConfigError(f"checks must be a list of names from {CHECK_NAMES}, "
-                              f"got {self.checks!r}")
+        if not isinstance(self.checks, (list, tuple)) or not self.checks or not all(
+                c in CHECK_NAMES for c in self.checks) or len(set(self.checks)) < len(self.checks):
+            raise ConfigError(f"checks must be a non-empty list of distinct names from "
+                              f"{CHECK_NAMES}, got {self.checks!r}")
         if not isinstance(self.phi_list, (list, tuple)) or not self.phi_list or not all(
                 isinstance(p, str) for p in self.phi_list):
             raise ConfigError(f"phi_list must be a non-empty list of function names, "
@@ -172,9 +173,8 @@ class RunConfig:
         if not isinstance(self.allow_outside_class, bool):
             raise ConfigError(f"allow_outside_class must be true or false, "
                               f"got {self.allow_outside_class!r}")
-        for name in ("trials", "n_factors", "support"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.trials < 1:
+            raise ConfigError(f"trials must be >= 1, got {self.trials}")
         dims = tuple(int(d) for d in self.dims)
         if not dims or any(d < 1 or d > 16 for d in dims) or len(set(dims)) < len(dims):
             raise ConfigError(f"dims must be a non-empty subset of [1, 16], got {dims}")
@@ -283,7 +283,7 @@ class Check:
     name: str                     # report of one point, formatted with its witness
     # Any list of a sweep's points, in trial order -> their margins, >= 0 where it holds.
     margin: Callable
-    draw: Callable | None = None  # (trials' generators, d, config, base point) -> points
+    draw: Callable | None = None  # (trials' generators, d, base point) -> points
     tolerance: Callable | None = None  # (all margins, base point) -> tolerance
     class_gated: bool = True      # in class only for phi tagged for the variant
     # Spectral floor and cap of the matrices a counterexample search draws.
@@ -359,7 +359,7 @@ def _functional(firsts: list) -> BivariateFunctional:
     """The functional of a sweep's draws; gap_F_t takes each draw's t."""
     p = firsts[0]
     t = None if p["t"] is None else np.array(_all(firsts, "t"))
-    return BivariateFunctional(p["functional"], p["phi"], p["variant"], t=t)
+    return BivariateFunctional(p["functional"], p["phi"], t=t)
 
 
 def _convexity_tol(margins: list, base: dict) -> float:
@@ -370,7 +370,7 @@ def _relative_tol(margins: list, base: dict) -> float:
     return 1e-9 * max(1.0, *(abs(m) for m in margins))
 
 
-def _draw_pairs(rngs: list, d: int, config, base: dict) -> list:
+def _draw_pairs(rngs: list, d: int, base: dict) -> list:
     mats = sample_psd(d, SPECTRAL_FLOOR, rngs, count=4)
     ts = [float(rng.uniform(0.0, 1.0)) if base["functional"] == "gap_F_t" else None
           for rng in rngs]
@@ -378,7 +378,7 @@ def _draw_pairs(rngs: list, d: int, config, base: dict) -> list:
             for rng, t, (u1, v1, u2, v2) in zip(rngs, ts, mats) for lam in _lambdas(rng)]
 
 
-def _draw_condition_a(rngs: list, d: int, config, base: dict) -> list:
+def _draw_condition_a(rngs: list, d: int, base: dict) -> list:
     pairs = sample_psd(d, SPECTRAL_FLOOR, rngs, count=2)
     return [{"lambda": lam, "A1": A1, "A2": A2, "h": h}
             for rng, (A1, A2), h in zip(rngs, pairs, sample_hermitian_unit(d, rngs))
@@ -394,17 +394,15 @@ def _draw_channels(rngs: list, d: int) -> list:
     return random_unital_channel(d, [int(rng.integers(1, 5)) for rng in rngs], rngs)
 
 
-def _draw_product(n_factors):
-    """Draw of product ensembles; n_factors=None takes the config's."""
-    return lambda rngs, d, config, base: _points(product=sample_product(
-        d, n_factors or config.n_factors, config.support, rngs))
+def _draw_products(rngs: list, d: int, base: dict) -> list:
+    return _points(product=sample_product(d, N_FACTORS, SUPPORT, rngs))
 
 
 CHECKS = {
     "frechet_oracle": Check(
         fields=(("phi", _PHI), ("order", _ORDER), ("A", _MATRIX), ("X", _MATRIX)),
         margin=_frechet_margins,
-        draw=lambda rngs, d, config, base: _points(
+        draw=lambda rngs, d, base: _points(
             A=sample_psd(d, 0.5, rngs, spectral_cap=4.0), X=sample_hermitian_unit(d, rngs)),
         tolerance=lambda margins, base: ORACLE_TOLS[base["order"]],
         class_gated=False,
@@ -412,28 +410,28 @@ CHECKS = {
     "subadditivity": Check(
         fields=(("phi", _PHI), ("variant", _VARIANT), ("product", _PRODUCT)),
         margin=lambda ps: _gap_margins(ps, subadditivity_gap(ps[0]["phi"], _all(ps, "product"))),
-        draw=_draw_product(None),
+        draw=_draw_products,
         tolerance=lambda margins, base: 1e-10,
         name="subadditivity[{phi},{variant}]"),
     "efron_stein": Check(
         fields=(("product", _PRODUCT),),
         margin=lambda ps: _listed(variant_margin(
             np.subtract(*_efron_stein_terms(ps)), "operator")),
-        draw=_draw_product(None),
+        draw=_draw_products,
         tolerance=lambda margins, base: 1e-10,
         class_gated=False,
         name="operator_efron_stein"),
     "poly_efron_stein": Check(
         fields=(("p", _P), ("product", _PRODUCT)),
         margin=_poly_efron_stein_margins,
-        draw=_draw_product(None),
+        draw=_draw_products,
         tolerance=lambda margins, base: 1e-10,
         class_gated=False,
         name="polynomial_efron_stein[p={p}]"),
     "dual_representation": Check(
         fields=(("phi", _PHI), ("variant", _VARIANT), ("Z", _ENSEMBLE), ("T", _ENSEMBLE)),
         margin=lambda ps: _gap_margins(ps, dual_gap(ps[0]["phi"], _all(ps, "Z"), _all(ps, "T"))),
-        draw=lambda rngs, d, config, base: [{"Z": Z, "T": T} for Z, T in sample_coupled_ensembles(
+        draw=lambda rngs, d, base: [{"Z": Z, "T": T} for Z, T in sample_coupled_ensembles(
             d, 3, rngs, spectral_floor=SPECTRAL_FLOOR)],
         tolerance=lambda margins, base: 1e-9,
         name="dual_representation[{phi},{variant}]"),
@@ -443,7 +441,8 @@ CHECKS = {
                 ("lambda", _LAMBDA), ("u1", _MATRIX), ("v1", _MATRIX), ("u2", _MATRIX),
                 ("v2", _MATRIX)),
         margin=_by_draw(("u1", "v1", "u2", "v2"), lambda firsts, *pairs_and_lams:
-                        convexity_slack_at(_functional(firsts), *pairs_and_lams)),
+                        convexity_slack_at(_functional(firsts), *pairs_and_lams,
+                                           firsts[0]["variant"])),
         draw=_draw_pairs,
         tolerance=_convexity_tol,
         name="joint_convexity[{functional},{phi},{variant}]"),
@@ -452,7 +451,7 @@ CHECKS = {
         fields=(("phi", _PHI), ("variant", _VARIANT), ("product", _PRODUCT)),
         margin=lambda ps: _gap_margins(ps, conditional_jensen_gap(ps[0]["phi"],
                                                                   _all(ps, "product"))),
-        draw=_draw_product(2),
+        draw=_draw_products,
         tolerance=lambda margins, base: 1e-10,
         name="conditional_jensen[{phi},{variant}]"),
     "condition_a": Check(
@@ -467,7 +466,7 @@ CHECKS = {
         fields=(("phi", _PHI), ("A", _MATRIX), ("h", _MATRIX), ("k", _MATRIX)),
         margin=lambda ps: _listed(condition_e_margin(
             ps[0]["phi"], _stack(ps, "A"), _stack(ps, "h"), _stack(ps, "k"))),
-        draw=lambda rngs, d, config, base: _points(
+        draw=lambda rngs, d, base: _points(
             A=sample_psd(d, 0.5, rngs, spectral_cap=4.0), h=sample_hermitian_unit(d, rngs),
             k=sample_hermitian_unit(d, rngs)),
         tolerance=_relative_tol,
@@ -477,9 +476,9 @@ CHECKS = {
         fields=(("phi", _PHI), ("variant", _VARIANT), ("channel", _CHANNEL),
                 ("ensemble", _ENSEMBLE)),
         # The channels' products run grouped by Kraus count, the rest as one stack.
-        margin=lambda ps: _listed(monotonicity_gap(ps[0]["phi"], _all(ps, "channel"),
-                                                   _all(ps, "ensemble"), ps[0]["variant"])),
-        draw=lambda rngs, d, config, base: _points(
+        margin=lambda ps: _gap_margins(ps, monotonicity_gap(ps[0]["phi"], _all(ps, "channel"),
+                                                            _all(ps, "ensemble"))),
+        draw=lambda rngs, d, base: _points(
             channel=_draw_channels(rngs, d), ensemble=sample_ensemble(d, 3, rngs)),
         tolerance=lambda margins, base: 1e-10,
         name="monotonicity[{phi},{variant}]"),
@@ -488,7 +487,7 @@ CHECKS = {
         fields=(("phi", _PHI), ("variant", _VARIANT), ("channel", _CHANNEL), ("A", _MATRIX)),
         margin=lambda ps: _gap_margins(ps, operator_jensen_gap(
             ps[0]["phi"], _all(ps, "channel"), _stack(ps, "A"))),
-        draw=lambda rngs, d, config, base: _points(
+        draw=lambda rngs, d, base: _points(
             channel=_draw_channels(rngs, d), A=sample_psd(d, SPECTRAL_FLOOR, rngs)),
         tolerance=lambda margins, base: 1e-10,
         name="operator_jensen[{phi},{variant}]"),
@@ -664,12 +663,11 @@ def sweep(config: RunConfig, check: str, s: Sweep, f: ScalarFunction | None,
     """
     record = CHECKS[s.kind]
     base = {"phi": f, "variant": variant, **s.fixed}
-    labels = {**base, "phi": None if f is None else f.spec_string(), "d": d,
-              "n": config.n_factors}
+    labels = {**base, "phi": None if f is None else f.spec_string(), "d": d, "n": N_FACTORS}
     rngs = (rng_for(config.seed, check, *(labels[key] for key in s.key), trial)
             for trial in range(config.trials))
     scanned = _scan(lambda rngs: [{**base, **drawn}
-                                  for drawn in record.draw(rngs, d, config, base)],
+                                  for drawn in record.draw(rngs, d, base)],
                     record.margin, rngs, itertools.repeat(_chunk(d)))
     best, worst = _least(scanned)
     tol = config.tolerances.get(check)

@@ -55,7 +55,7 @@ from phi_entropy_lab.sampling import (
     sample_product,
     sample_psd,
 )
-from phi_entropy_lab.spectral import frobenius, hermitian_part, normalized_trace, relative_error, schatten_norm
+from phi_entropy_lab.spectral import frobenius, hermitian_part, relative_error, schatten_norm
 
 SEED = 20250811
 
@@ -76,6 +76,11 @@ def _verdict(criterion, ok, detail):
 
 def _min_eig(M):
     return float(np.linalg.eigvalsh(hermitian_part(M))[0])
+
+
+def _tr_bar(M):
+    """Normalised trace Tr M / d."""
+    return float(np.trace(M).real) / M.shape[-1]
 
 
 def test_criterion_1_frechet_oracle_agreement():
@@ -137,7 +142,7 @@ def test_criterion_3_subadditivity():
                     rng = rng_for(SEED, "c3", f.spec_string(), variant, d, n, trial)
                     P = sample_product(d, n, 2, rng)
                     gap = subadditivity_gap(f, P)
-                    margin = normalized_trace(gap) if variant == "trace" else _min_eig(gap)
+                    margin = _tr_bar(gap) if variant == "trace" else _min_eig(gap)
                     scale = 1.0 + frobenius(gap)
                     worst_scaled = min(worst_scaled, margin / scale)
                     if n == 1:
@@ -189,12 +194,12 @@ def test_criterion_5_dual_representation():
             d = (2, 3, 4)[trial % 3]
             Z, T = sample_coupled_ensembles(d, 3, rng, spectral_floor=SPECTRAL_FLOOR)
             gap = operator_phi_entropy(f, Z) - dual_value(f, Z, T)
-            margin = normalized_trace(gap) if variant == "trace" else _min_eig(gap)
+            margin = _tr_bar(gap) if variant == "trace" else _min_eig(gap)
             worst = min(worst, margin)
             assert margin >= -1e-9, (f.spec_string(), variant, trial)
             if trial % 10 == 0:
                 gap_zz = operator_phi_entropy(f, Z) - dual_value(f, Z, Z)
-                mz = normalized_trace(gap_zz) if variant == "trace" else _min_eig(gap_zz)
+                mz = _tr_bar(gap_zz) if variant == "trace" else _min_eig(gap_zz)
                 worst_coincident = max(worst_coincident, abs(mz))
                 assert abs(mz) <= 1e-12
     # interpolation scans: nonincreasing in the PSD order on an 11-point grid
@@ -231,9 +236,8 @@ def test_criterion_6_characterization_cooccurrence():
             t = float(rng.uniform())
             slacks = {}
             for item in items:
-                F = BivariateFunctional(functional_of[item], f, variant,
-                                        t=t if item == "f" else None)
-                slack = convexity_slack_at(F, u1, v1, u2, v2, lam)
+                F = BivariateFunctional(functional_of[item], f, t=t if item == "f" else None)
+                slack = convexity_slack_at(F, u1, v1, u2, v2, lam, variant)
                 scale = 1.0 + abs(slack) if variant == "trace" else 1.0 + abs(slack)
                 slacks[item] = slack
                 key = (f.spec_string(), variant, item)
@@ -245,7 +249,7 @@ def test_criterion_6_characterization_cooccurrence():
             # item (g): conditional Jensen on a fresh two-factor product
             P = sample_product(d, 2, 2, rng)
             gap = conditional_jensen_gap(f, P)
-            margin = normalized_trace(gap) if variant == "trace" else _min_eig(gap)
+            margin = _tr_bar(gap) if variant == "trace" else _min_eig(gap)
             key = (f.spec_string(), variant, "g")
             worst[key] = min(worst.get(key, np.inf), margin)
             assert margin >= -1e-10 * (1.0 + frobenius(gap)), (key, trial)
@@ -297,13 +301,13 @@ def test_criterion_7a_monotonicity_trace():
             d = (2, 3, 4)[trial % 3]
             N = random_unital_channel(d, int(rng.integers(1, 5)), rng)
             E = sample_ensemble(d, 3, rng)
-            margin = monotonicity_gap(f, N, E, "trace")
+            margin = _tr_bar(monotonicity_gap(f, N, E))
             worst = min(worst, margin)
             assert margin >= -1e-10, (f.spec_string(), trial)
             if trial % 10 == 0:
                 U = haar_unitary(d, rng)
                 NU = KrausChannel(U[None, :, :])
-                mu = monotonicity_gap(f, NU, E, "trace")
+                mu = _tr_bar(monotonicity_gap(f, NU, E))
                 worst_unitary = max(worst_unitary, abs(mu))
                 assert abs(mu) <= 1e-10
     ok = worst >= -1e-10 and worst_unitary <= 1e-10
@@ -332,13 +336,13 @@ def test_criterion_7b_monotonicity_operator():
         d = (2, 3, 4)[trial % 3]
         N = random_unital_channel(d, int(rng.integers(1, 5)), rng)
         E = sample_ensemble(d, 3, rng)
-        margin = monotonicity_gap(SQ, N, E, "operator")
+        margin = _min_eig(monotonicity_gap(SQ, N, E))
         worst = min(worst, margin)
         if margin < -1e-10:
             violations += 1
         report = check("monotonicity", override=True, phi=XLX, variant="operator", channel=N,
                        ensemble=E)
-        m_qt = monotonicity_gap(QT, N, E, "operator")
+        m_qt = _min_eig(monotonicity_gap(QT, N, E))
         outside[XLX] += not report.holds and report.margin < -1e-8
         outside[QT] += m_qt < -1e-8
         worst_outside[XLX] = min(worst_outside[XLX], report.margin)
@@ -346,7 +350,7 @@ def test_criterion_7b_monotonicity_operator():
         if trial % 10 == 0:
             U = haar_unitary(d, rng)
             NU = KrausChannel(U[None, :, :])
-            worst_unitary = max(worst_unitary, abs(monotonicity_gap(SQ, NU, E, "operator")))
+            worst_unitary = max(worst_unitary, abs(_min_eig(monotonicity_gap(SQ, NU, E))))
     ok = (worst >= -1e-10 and worst_unitary <= 1e-10
           and outside[XLX] > 0 and outside[QT] > 0)
     _verdict("7b", ok, f"operator monotonicity N(H(Z)) >= H(N(Z)): worst margin "
@@ -390,18 +394,18 @@ def test_criterion_8_classical_reduction():
         u, v = float(rng.uniform(0.3, 2.0)), float(rng.uniform(0.1, 1.2))
         U, V = np.array([[u]]), np.array([[v]])
         lam_t = float(rng.uniform(0.1, 0.9))
-        track(convexity_slack_at(BivariateFunctional("bregman_A", f, "trace"), U, V,
-                                 np.array([[u + 0.3]]), np.array([[v + 0.2]]), lam_t),
+        track(convexity_slack_at(BivariateFunctional("bregman_A", f), U, V,
+                                 np.array([[u + 0.3]]), np.array([[v + 0.2]]), lam_t, "trace"),
               lam_t * oracle.bregman(name, u, v, p)
               + (1 - lam_t) * oracle.bregman(name, u + 0.3, v + 0.2, p)
               - oracle.bregman(name, lam_t * u + (1 - lam_t) * (u + 0.3),
                                lam_t * v + (1 - lam_t) * (v + 0.2), p))
         from phi_entropy_lab import eval_functional
-        track(eval_functional(BivariateFunctional("map_B", f, "trace"), U, V),
+        track(eval_functional(BivariateFunctional("map_B", f), U, V)[0, 0].real,
               oracle.increment(name, u, v, p))
-        track(eval_functional(BivariateFunctional("map_C", f, "trace"), U, V),
+        track(eval_functional(BivariateFunctional("map_C", f), U, V)[0, 0].real,
               oracle.quadratic_form(name, u, v, p))
-        track(eval_functional(BivariateFunctional("gap_F_t", f, "trace", t=lam_t), U, V),
+        track(eval_functional(BivariateFunctional("gap_F_t", f, t=lam_t), U, V)[0, 0].real,
               oracle.interpolation_gap(name, lam_t, u, v, p))
 
         # concavity slack of the inverted derivative map
@@ -429,7 +433,7 @@ def test_criterion_8_classical_reduction():
 
         # unital channels at d = 1 collapse to the identity
         N = random_unital_channel(1, 2, rng)
-        track(monotonicity_gap(f, N, E, "trace"), 0.0)
+        track(_tr_bar(monotonicity_gap(f, N, E)), 0.0)
     _verdict(8, True, f"d=1 checks match the scalar oracle, worst diff {worst:.2e} "
                       f"(<= 1e-10)")
 

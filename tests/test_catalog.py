@@ -201,14 +201,23 @@ def test_collapsed_entries_match_derivatives():
         assert abs(t2[i, i, i] - 0.5 * f.deriv(u, 2)) < 1e-8
 
 
-def test_continuity_across_coincidence_threshold():
-    f = builtin("xlogx")
-    base = np.array([1.0, 2.0])
-    delta = coincidence_threshold(base)
-    for factor in (0.99, 1.01):
-        lo = dd1_grid(f, np.array([1.0, 1.0 + 0.99 * delta]))[0, 1]
-        hi = dd1_grid(f, np.array([1.0, 1.0 + 1.01 * delta]))[0, 1]
-    assert abs(lo - hi) <= 1e-6 * abs(hi)
+def test_continuity_across_the_order_1_taylor_switch():
+    # dd1 takes the Taylor form for two nodes within TAYLOR_BAND[1] x of each
+    # other and the difference quotient beyond; just inside and just outside
+    # the band, both agree with 50-digit divided differences.
+    mpmath = pytest.importorskip("mpmath")
+    for spec, g in (("xlogx", lambda x: x * mpmath.log(x)), ("power:1.5", lambda x: x ** 1.5),
+                    ("exp", mpmath.exp)):
+        f = _resolve(spec)
+        for x in (0.5, 1.0, 2.0, 4.0):
+            for factor in (0.99, 1.01):
+                nodes = np.array([x, x + factor * TAYLOR_BAND[1] * x])
+                inside = nodes[1] - nodes[0] <= TAYLOR_BAND[1] * nodes[1]
+                assert inside == (factor < 1.0) and coincidence_threshold(nodes) < nodes[1] - x
+                got = dd1_grid(f, nodes)[0, 1]
+                with mpmath.workdps(50):
+                    want = float(_mp_dd(mpmath, g, [mpmath.mpf(float(n)) for n in nodes]))
+                assert abs(got - want) <= 1e-11 * abs(want), (spec, x, factor)
 
 
 def test_nodes_outside_domain_rejected():

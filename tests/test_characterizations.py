@@ -66,6 +66,11 @@ def cond_a_sampler(d):
     return sample
 
 
+def trace_value(F, u, v):
+    """Tr of the functional's operator value at a pair."""
+    return float(np.trace(eval_functional(F, u, v)).real)
+
+
 def test_functional_validation():
     with pytest.raises(DomainError):
         BivariateFunctional("nope", SQ)
@@ -79,21 +84,21 @@ def test_affine_functionals_vanish():
     u = sample_psd(3, 0.1, 1)
     v = sample_psd(3, 0.1, 2)
     for name, t in (("bregman_A", None), ("map_B", None), ("map_C", None), ("gap_F_t", 0.3)):
-        F = BivariateFunctional(name, AFF, "trace", t=t)
-        assert abs(eval_functional(F, u, v)) < 1e-10
+        F = BivariateFunctional(name, AFF, t=t)
+        assert abs(trace_value(F, u, v)) < 1e-10
 
 
 def test_square_functional_closed_forms():
     u = sample_psd(3, 0.1, 3)
     v = sample_psd(3, 0.1, 4)
     tr_v2 = float(np.trace(v @ v).real)
-    assert eval_functional(BivariateFunctional("bregman_A", SQ, "trace"), u, v) == \
+    assert trace_value(BivariateFunctional("bregman_A", SQ), u, v) == \
         pytest.approx(tr_v2, rel=1e-10)
-    assert_allclose(eval_functional(BivariateFunctional("bregman_A", SQ, "operator"), u, v),
+    assert_allclose(eval_functional(BivariateFunctional("bregman_A", SQ), u, v),
                     v @ v, atol=1e-10)
-    assert eval_functional(BivariateFunctional("map_B", SQ, "trace"), u, v) == \
+    assert trace_value(BivariateFunctional("map_B", SQ), u, v) == \
         pytest.approx(2 * tr_v2, rel=1e-10)
-    assert eval_functional(BivariateFunctional("map_C", SQ, "trace"), u, v) == \
+    assert trace_value(BivariateFunctional("map_C", SQ), u, v) == \
         pytest.approx(2 * tr_v2, rel=1e-10)
 
 
@@ -101,8 +106,8 @@ def test_gap_f_t_vanishes_at_endpoints():
     u = sample_psd(2, 0.5, 5)
     v = sample_psd(2, 0.5, 6)
     for t in (0.0, 1.0):
-        F = BivariateFunctional("gap_F_t", XLX, "trace", t=t)
-        assert abs(eval_functional(F, u, v)) < 1e-10
+        F = BivariateFunctional("gap_F_t", XLX, t=t)
+        assert abs(trace_value(F, u, v)) < 1e-10
 
 
 def test_gap_f_t_nonnegative_between_endpoints():
@@ -111,9 +116,9 @@ def test_gap_f_t_nonnegative_between_endpoints():
         u = sample_psd(3, 1e-3, rng)
         v = sample_psd(3, 1e-3, rng)
         t = float(rng.uniform())
-        F_tr = BivariateFunctional("gap_F_t", XLX, "trace", t=t)
-        assert eval_functional(F_tr, u, v) >= -1e-10
-        F_op = BivariateFunctional("gap_F_t", SQ, "operator", t=t)
+        F_tr = BivariateFunctional("gap_F_t", XLX, t=t)
+        assert trace_value(F_tr, u, v) >= -1e-10
+        F_op = BivariateFunctional("gap_F_t", SQ, t=t)
         assert np.linalg.eigvalsh(eval_functional(F_op, u, v))[0] >= -1e-10
 
 
@@ -129,8 +134,8 @@ def test_functional_values_match_scalar_formulas():
             ("gap_F_t", 0.4, oracle.interpolation_gap("xlogx", 0.4, u, v)),
         ]
         for name, t, expected in checks:
-            F = BivariateFunctional(name, XLX, "trace", t=t)
-            assert eval_functional(F, U, V) == pytest.approx(expected, abs=1e-11)
+            F = BivariateFunctional(name, XLX, t=t)
+            assert trace_value(F, U, V) == pytest.approx(expected, abs=1e-11)
 
 
 def test_map_c_trace_duality():
@@ -138,8 +143,8 @@ def test_map_c_trace_duality():
         psi = f.derivative()
         u = sample_psd(3, 0.5, 7)
         v = sample_hermitian(3, 8)
-        F = BivariateFunctional("map_C", f, "trace")
-        lhs = eval_functional(F, u, v)
+        F = BivariateFunctional("map_C", f)
+        lhs = trace_value(F, u, v)
         rhs = np.vdot(v, frechet_d1(psi, u, v)).real
         assert abs(lhs - rhs) < 1e-8 * (1.0 + abs(lhs))
 
@@ -175,9 +180,9 @@ def test_joint_convexity_in_class_sweeps():
 
 def test_joint_convexity_quartic_violation_found():
     # 12 u^2 v^2 is not jointly convex; hand-checkable at (1,0)/(0,1)
-    F = BivariateFunctional("map_C", QT, "trace")
+    F = BivariateFunctional("map_C", QT)
     one, zero = np.array([[1.0]]), np.array([[1e-4]])
-    slack = convexity_slack_at(F, one, zero, zero, one, 0.5)
+    slack = convexity_slack_at(F, one, zero, zero, one, 0.5, "trace")
     assert slack < -0.5
 
 
@@ -192,8 +197,8 @@ def test_implication_lattice_on_shared_samples():
             lam = float(rng.uniform(0.2, 0.8))
             slacks = {}
             for name in ("bregman_A", "map_B", "map_C"):
-                F = BivariateFunctional(name, f, "trace")
-                slacks[name] = convexity_slack_at(F, *pair1, *pair2, lam)
+                F = BivariateFunctional(name, f)
+                slacks[name] = convexity_slack_at(F, *pair1, *pair2, lam, "trace")
             if slacks["map_C"] >= -tol:
                 assert slacks["bregman_A"] >= -2 * tol
                 assert slacks["map_B"] >= -2 * tol
@@ -345,10 +350,10 @@ def _integral_relation_error(f, u, v, quadrature_points: int = 32) -> float:
     F_A, F_B, F_C = _functionals_abc(f)
     x, w = np.polynomial.legendre.leggauss(quadrature_points)
     s_nodes, s_weights = 0.5 * (x + 1.0), 0.5 * w
-    c_vals = np.array([eval_functional(F_C, u + s * v, v) for s in s_nodes])
+    c_vals = np.array([trace_value(F_C, u + s * v, v) for s in s_nodes])
     quad_A = float(np.sum(s_weights * (1.0 - s_nodes) * c_vals))
     quad_B = float(np.sum(s_weights * c_vals))
-    direct_A, direct_B = eval_functional(F_A, u, v), eval_functional(F_B, u, v)
+    direct_A, direct_B = trace_value(F_A, u, v), trace_value(F_B, u, v)
     scale = max(1.0, abs(direct_A), abs(direct_B))
     return max(abs(quad_A - direct_A), abs(quad_B - direct_B)) / scale
 
@@ -368,11 +373,11 @@ def _taylor_relation(f, u, v, eps_sequence=(1e-1, 3e-2, 1e-2, 3e-3, 1e-3)) -> tu
     """
     F_A, F_B, F_C = _functionals_abc(f)
     eps_sequence = sorted((float(e) for e in eps_sequence), reverse=True)
-    c_full = eval_functional(F_C, u, v)
+    c_full = trace_value(F_C, u, v)
     scale = max(1.0, abs(c_full))
-    res = {"A": [abs(eval_functional(F_A, u, eps * v) / eps**2 - 0.5 * c_full) / scale
+    res = {"A": [abs(trace_value(F_A, u, eps * v) / eps**2 - 0.5 * c_full) / scale
                  for eps in eps_sequence],
-           "B": [abs(eval_functional(F_B, u, eps * v) / eps**2 - c_full) / scale
+           "B": [abs(trace_value(F_B, u, eps * v) / eps**2 - c_full) / scale
                  for eps in eps_sequence]}
     slopes = {name: None if max(r) <= TAYLOR_EXACT_FLOOR else float(
         np.polyfit(np.log(eps_sequence), np.log(np.maximum(r, 1e-300)), 1)[0])

@@ -3,6 +3,10 @@
 For every record of ``CHECKS``, a point drawn the way a suite trial
 draws it must give a witness that replays, after a JSON round trip, to
 exactly the reported margin, under exactly the record's tolerance.
+
+Every record with a variant reads the normalised trace or the least
+eigenvalue of an operator gap, so a d = 1 point with each scalar a replaced
+by a I_k has the d = 1 margins in both forms.
 """
 
 import json
@@ -12,7 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phi_entropy_lab import C2, C3, builtin, check, replay_witness
+from phi_entropy_lab import (
+    C2,
+    C3,
+    KrausChannel,
+    MatrixEnsemble,
+    ProductEnsemble,
+    builtin,
+    check,
+    replay_witness,
+)
 from phi_entropy_lab.characterizations import FUNCTIONAL_NAMES
 from phi_entropy_lab.sampling import rng_for, sample_hermitian, sample_psd
 from phi_entropy_lab.suite import CHECKS, RunConfig
@@ -21,7 +34,7 @@ KINDS = tuple(CHECKS)
 CONFIG = RunConfig()
 
 
-def _draw_lemma(rngs, d, config, base):
+def _draw_lemma(rngs, d, base):
     """The convexity lemma is not swept by the suite, so its record has no draw."""
     (rng,) = rngs
     return [{"weights": rng.dirichlet(np.ones(3)),
@@ -51,7 +64,7 @@ def test_check_witness_replays_to_its_margin(kind, data):
     base = {"phi": builtin(name), "variant": variant, "p": p, "functional": functional,
             "order": order}
     draw = record.draw or _draw_lemma
-    drawn = draw([rng_for(seed, "check-property", kind)], d, CONFIG, base)[0]
+    drawn = draw([rng_for(seed, "check-property", kind)], d, base)[0]
     point = {key: {**base, **drawn}[key] for key, _ in record.fields}
 
     report = check(kind, **point)
@@ -59,3 +72,40 @@ def test_check_witness_replays_to_its_margin(kind, data):
     witness = json.loads(json.dumps(report.witness))
     assert replay_witness(witness) == report.margin
     assert report.tolerance == record.tolerance([report.margin], point)
+
+
+# Each record with a variant field, joint convexity once per functional.
+VARIANT_CASES = [(kind, {}) for kind, record in CHECKS.items()
+                 if "variant" in dict(record.fields) and kind != "joint_convexity"] + [
+    ("joint_convexity", {"functional": name}) for name in FUNCTIONAL_NAMES]
+
+
+def _times_identity(value, k):
+    """A d = 1 value with every scalar a replaced by a I_k."""
+    if isinstance(value, np.ndarray):
+        return value[..., :1, :1] * np.eye(k)
+    if isinstance(value, MatrixEnsemble):
+        return MatrixEnsemble(value.weights, _times_identity(value.atoms, k))
+    if isinstance(value, ProductEnsemble):
+        return ProductEnsemble(value.factor_weights, {
+            key: _times_identity(M, k) for key, M in value.z_map.items()})
+    if isinstance(value, KrausChannel):
+        return KrausChannel(_times_identity(value.kraus, k))
+    return value
+
+
+@pytest.mark.parametrize("kind, fixed", VARIANT_CASES,
+                         ids=[fixed.get("functional", kind) for kind, fixed in VARIANT_CASES])
+def test_margins_at_scalar_multiples_of_the_identity_equal_the_d1_margins(kind, fixed):
+    record = CHECKS[kind]
+    for name in ("square", "xlogx", "quartic"):
+        for variant in ("trace", "operator"):
+            base = {"phi": builtin(name), "variant": variant, **fixed}
+            rng = rng_for(3, "scalar-identity", kind, name, variant, *fixed.values())
+            for drawn in record.draw([rng], 1, base):
+                point = {key: {**base, **drawn}[key] for key, _ in record.fields}
+                m1 = check(kind, override=True, **point).margin
+                for k in (2, 3):
+                    lifted = {key: _times_identity(v, k) for key, v in point.items()}
+                    mk = check(kind, override=True, **lifted).margin
+                    assert abs(mk - m1) <= 1e-12 * max(1.0, abs(m1)), (name, variant, k, m1, mk)

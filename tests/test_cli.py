@@ -207,6 +207,9 @@ def test_exit_code_two_on_config_errors(tmp_path, capsys):
     assert main(["run-suite", "--phi-list", "mystery", "--quiet"]) == 2
     # unknown check name
     assert main(["run-suite", "--phi-list", "square", "--checks", "bogus", "--quiet"]) == 2
+    # a run that checks nothing, or runs one check twice
+    assert main(["run-suite", "--checks", ",", "--quiet"]) == 2
+    assert main(["run-suite", "--checks", "jensen,jensen", "--quiet"]) == 2
     # outside-class function without the override flag
     assert main(["run-suite", "--phi-list", "quartic", "--quiet"]) == 2
     # malformed input file
@@ -320,6 +323,10 @@ _NOT_TP_MONOTONICITY = {
     ("run-suite", {"tolerances": {"subadditivity": float("nan")}}),
     ("run-suite", {"dims": [2, 2]}),
     ("run-suite", {"checks": "subadditivity"}),
+    ("run-suite", {"checks": []}),
+    ("run-suite", {"checks": ["jensen", "jensen"]}),
+    ("run-suite", {"n_factors": 2}),
+    ("run-suite", {"support": 2}),
     ("check --tol nan", _SUB_WITNESS),
     ("check --tol -1", _SUB_WITNESS),
     ("check --tol inf", _SUB_WITNESS),
@@ -337,7 +344,8 @@ _NOT_TP_MONOTONICITY = {
         "product-key-not-an-outcome", "product-key-twice",
         "no-kind", "unknown-kind", "kind-list", "missing-field", "product-number", "phi-number",
         "variant-list", "order-0", "order-7", "order-string", "lambda-word", "weights-word",
-        "matrices-number", "tolerance-nan", "dims-repeated", "checks-string", "tol-nan",
+        "matrices-number", "tolerance-nan", "dims-repeated", "checks-string", "checks-empty",
+        "checks-repeated", "n-factors-field", "support-field", "tol-nan",
         "tol-negative", "tol-inf", "es-weight-nan", "poly-es-weight-nan",
         "lemma-weights-not-a-distribution", "lemma-weights-too-few", "p-infinite",
         "kraus-not-trace-preserving"])

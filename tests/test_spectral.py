@@ -12,7 +12,6 @@ from phi_entropy_lab import (
     builtin,
     matrix_from_json,
     matrix_to_json,
-    normalized_trace,
     schatten_norm,
     spectral_decompose,
 )
@@ -110,10 +109,10 @@ def test_loewner_transitivity_with_stacked_tolerance():
 
 
 def test_traces_and_inner_product():
-    assert normalized_trace(np.eye(3)) == pytest.approx(1.0)
+    assert variant_margin(np.eye(3), "trace") == pytest.approx(1.0)
     # the normalised Hilbert-Schmidt inner product Tr(A* B) / d
     A, B = np.diag([1.0, 2.0]), np.diag([3.0, 4.0])
-    assert normalized_trace(A.conj().T @ B) == pytest.approx(5.5)
+    assert variant_margin(A.conj().T @ B, "trace") == pytest.approx(5.5)
 
 
 def test_schatten_norms():
@@ -125,10 +124,10 @@ def test_schatten_norms():
     assert schatten_norm(A, 2) ** 2 == pytest.approx(np.vdot(A, A).real, rel=1e-10)
 
 
-def test_normalized_trace_unitary_invariance():
+def test_trace_margin_unitary_invariance():
     A = sample_hermitian(4, 2)
     U = haar_unitary(4, 11)
-    assert abs(normalized_trace(U @ A @ U.conj().T) - normalized_trace(A)) < 1e-12
+    assert abs(variant_margin(U @ A @ U.conj().T, "trace") - variant_margin(A, "trace")) < 1e-12
 
 
 def test_matrix_json_roundtrip():

@@ -201,25 +201,23 @@ def test_lambda_vector_slacks_equal_scalar_calls(seed, d, name, variant):
     rng = rng_for(seed, "lambda-vector")
     lams = [0.25, 0.5, 0.75, float(rng.uniform()), float(rng.uniform())]
     f = builtin("square") if variant == "operator" else XLX
-    F = BivariateFunctional(name, f, variant, t=0.3 if name == "gap_F_t" else None)
+    F = BivariateFunctional(name, f, t=0.3 if name == "gap_F_t" else None)
     pair = [sample_psd(d, 0.1, rng) for _ in range(4)]
-    assert convexity_slack_at(F, *pair, lams) == [convexity_slack_at(F, *pair, lam)
-                                                  for lam in lams]
+    assert convexity_slack_at(F, *pair, lams, variant) == [
+        convexity_slack_at(F, *pair, lam, variant) for lam in lams]
     A1, A2, h = sample_psd(d, 0.1, rng), sample_psd(d, 0.1, rng), sample_hermitian(d, rng)
     assert condition_a_slack(XLX, A1, A2, h, lams) == [condition_a_slack(XLX, A1, A2, h, lam)
                                                        for lam in lams]
 
 
-@pytest.mark.parametrize("variant", ("trace", "operator"))
-def test_bregman_stack_decomposes_u_once(variant, monkeypatch):
+def test_bregman_stack_decomposes_u_once(monkeypatch):
     rng = rng_for(8, "bregman-eigh")
     u, v = (np.stack([sample_psd(3, 0.1, rng) for _ in range(7)]) for _ in range(2))
-    out = hermitian_part(apply_scalar_function(XLX, u + v) - apply_scalar_function(XLX, u)
-                         - frechet_d1(XLX, u, v))
-    expected = np.trace(out, axis1=-2, axis2=-1).real if variant == "trace" else out
+    expected = hermitian_part(apply_scalar_function(XLX, u + v) - apply_scalar_function(XLX, u)
+                              - frechet_d1(XLX, u, v))
     eigh, calls = np.linalg.eigh, []
     monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(M.shape) or eigh(M))
-    got = eval_functional(BivariateFunctional("bregman_A", XLX, variant), u, v)
+    got = eval_functional(BivariateFunctional("bregman_A", XLX), u, v)
     assert calls == [(7, 3, 3)] * 2  # u + v, and u once for f(u) and Df[u](v)
     assert np.array_equal(got, expected)
 
@@ -244,7 +242,6 @@ def test_dual_gap_decomposes_t_once(monkeypatch):
 
 # --- the suite's records on points of several trials -----------------------------
 
-CONFIG = RunConfig()
 STACKED_SWEEPS = [s for sweeps in SWEEPS.values() for s in sweeps]
 _PSD_FIELDS = ("A", "u1", "v1", "u2", "v2", "A1", "A2")
 
@@ -297,7 +294,7 @@ def test_stacked_record_margins_equal_point_by_point_margins(sweep, data):
     points = []
     for trial, band in enumerate(bands):
         rng = rng_for(seed, "stacked-records", trial)
-        drawn = [{**base, **p} for p in record.draw([rng], d, CONFIG, base)]
+        drawn = [{**base, **p} for p in record.draw([rng], d, base)]
         if "channel" in drawn[0]:
             channel = random_unital_channel(d, counts[trial], rng)
             drawn = [{**p, "channel": channel} for p in drawn]
@@ -333,8 +330,8 @@ def test_chunk_draw_equals_the_draws_of_its_trials(sweep):
         for k in (1, 2, 5):
             chunk = [rng_for(k, "chunk-draw", sweep.kind, d, trial) for trial in range(k)]
             alone = [rng_for(k, "chunk-draw", sweep.kind, d, trial) for trial in range(k)]
-            got = record.draw(chunk, d, CONFIG, base)
-            want = [p for rng in alone for p in record.draw([rng], d, CONFIG, base)]
+            got = record.draw(chunk, d, base)
+            want = [p for rng in alone for p in record.draw([rng], d, base)]
             assert [{key: _exact(v) for key, v in p.items()} for p in got] == \
                 [{key: _exact(v) for key, v in p.items()} for p in want], (d, k)
             assert [repr(rng.bit_generator.state) for rng in chunk] == \

@@ -59,12 +59,12 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(checks=("not_a_check",))
     # fields read from a config file must have the right types
-    for bad in (dict(trials="5"), dict(seed=1.5), dict(n_factors=None), dict(support=True),
+    for bad in (dict(trials="5"), dict(seed=1.5), dict(trials=True),
                 dict(dims=("x",)), dict(dims=(2.0,)), dict(dims=2), dict(tolerances=[1e-9]),
                 dict(tolerances={"jensen": "x"}), dict(tolerances={"jensen": True}),
                 dict(phi_list=[1]), dict(allow_outside_class="no"),
-                # a product layout needs at least one factor with at least one outcome
-                dict(n_factors=0), dict(n_factors=-1), dict(support=0),
+                # a run that checks nothing, or one check twice, is refused
+                dict(checks=()), dict(checks=[]), dict(checks=("jensen", "jensen")),
                 # tolerances must be able to judge a margin
                 dict(tolerances={"jensen": float("nan")}), dict(tolerances={"jensen": -1.0}),
                 dict(tolerances={"jensen": float("inf")}),
@@ -107,9 +107,11 @@ def test_config_json_roundtrip():
     assert json.dumps(RunConfig(tolerances={"jensen": 1e-3}, **SMALL).to_json_dict()) == (
         '{"seed": 5, "dims": [2], "trials": 5, "phi_list": ["square"], "variant": "trace", '
         '"checks": ' + json.dumps(list(CHECK_NAMES)) + ', "tolerances": {"jensen": 0.001}, '
-        '"n_factors": 2, "support": 2, "allow_outside_class": false}')
-    with pytest.raises(ConfigError, match="unknown config fields"):
-        RunConfig.from_json_dict({"bogus_field": 1})
+        '"allow_outside_class": false}')
+    # the product layout is fixed, not a field: a file that names it is refused
+    for field in ("bogus_field", "n_factors", "support"):
+        with pytest.raises(ConfigError, match="unknown config fields"):
+            RunConfig.from_json_dict({field: 2})
 
 
 def test_small_suite_passes_and_counts():
@@ -517,7 +519,7 @@ def test_sweep_tie_keeps_the_earliest_trial(monkeypatch):
         fields=(("trial", (*suite._AS_IS, "any value", lambda x: True)),),
         name="tie",
         margin=lambda points: [-1.0 if p["trial"] in worst else 0.5 for p in points],
-        draw=lambda rngs, d, config, base: [{"trial": next(drawn)} for _ in rngs],
+        draw=lambda rngs, d, base: [{"trial": next(drawn)} for _ in rngs],
         tolerance=lambda margins, base: 0.0, class_gated=False))
     s = suite.Sweep("tie", ("d",), "tie[d={d}]")
     report = suite.sweep(RunConfig(trials=6), "tie", s, None, "trace", 2)
