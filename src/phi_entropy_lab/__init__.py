@@ -39,7 +39,6 @@ from .errors import (  # noqa: F401
     SingularOperatorError,
 )
 from .frechet import (  # noqa: F401
-    SuperOperatorMatrix,
     derivative_inverse,
     finite_diff_oracle,
     frechet_d1,

@@ -42,7 +42,6 @@ from .entropy import (
     _set,
     ensemble_arrays,
     jensen_gap,
-    operator_phi_entropy,
 )
 from .errors import DimensionMismatchError, DomainError
 from .spectral import (
@@ -130,16 +129,10 @@ def _kraus_images(channels: list, A: np.ndarray) -> np.ndarray:
     return out
 
 
-def pushforward(N, E):
-    """Image ensemble {(w_i, N(A_i))}.
-
-    Lists of channels and of ensembles of one shape give the images' atoms
-    as one stack (n, m, d, d); they are PSD by construction, so only the
-    image ensemble of one channel is checked, by its constructor.
-    """
-    if isinstance(E, MatrixEnsemble):
-        return MatrixEnsemble(E.weights, pushforward([N], [E])[0])
-    return hermitian_part(_kraus_images(N, ensemble_arrays(E)[1]))
+def pushforward(N: KrausChannel, E: MatrixEnsemble) -> MatrixEnsemble:
+    """Image ensemble {(w_i, N(A_i))} of one channel and one ensemble, checked
+    by its constructor."""
+    return MatrixEnsemble(E.weights, hermitian_part(_kraus_images([N], E.atoms[None]))[0])
 
 
 def random_unital_channel(d: int, k, seed) -> KrausChannel:
@@ -177,8 +170,9 @@ def monotonicity_gap(f: ScalarFunction, N, E) -> np.ndarray:
     """
     if isinstance(N, KrausChannel):
         return monotonicity_gap(f, [N], [E])[0]
-    mapped = jensen_gap(f, ensemble_arrays(E)[0], pushforward(N, E))
-    return hermitian_part(_kraus_images(N, operator_phi_entropy(f, E))) - mapped
+    weights, atoms = ensemble_arrays(E)
+    mapped = jensen_gap(f, weights, hermitian_part(_kraus_images(N, atoms)))
+    return hermitian_part(_kraus_images(N, jensen_gap(f, weights, atoms))) - mapped
 
 
 def operator_jensen_gap(f: ScalarFunction, channels: list, A) -> np.ndarray:

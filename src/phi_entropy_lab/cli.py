@@ -79,8 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", type=str, default=None, help="write JSON here")
     common.add_argument("--quiet", action="store_true", help="print only the summary line")
-    judged = argparse.ArgumentParser(add_help=False)
-    judged.add_argument("--tol", type=float, default=None, help="tolerance override")
 
     parser = argparse.ArgumentParser(
         prog="phi-entropy-lab",
@@ -99,15 +97,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True, help="base point JSON file")
     p.add_argument("--direction", required=True, help="direction JSON file")
 
-    p = sub.add_parser("check", parents=[common, judged], help="report of one stored witness")
+    p = sub.add_parser("check", parents=[common], help="report of one stored witness")
     p.add_argument("--input", required=True, help="witness JSON file: kind and record fields")
+    p.add_argument("--tol", type=float, default=None, help="tolerance override")
     p.add_argument("--override", action="store_true", help="bypass the class gate")
 
     p = sub.add_parser("replay", parents=[common],
                        help="recompute the margins of the witnesses of a run-suite file")
     p.add_argument("--input", required=True, help="run-suite JSON file")
 
-    p = sub.add_parser("search-counterexample", parents=[common, judged],
+    p = sub.add_parser("search-counterexample", parents=[common],
                        help="random search and descent for a violating point")
     p.add_argument("--phi", required=True)
     p.add_argument("--seed", type=int, default=0, help="base RNG seed")
@@ -174,8 +173,7 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    report = counterexample_search(_phi(args), args.check, args.budget, args.seed, dim=args.dim,
-                                   tol=args.tol if args.tol is not None else 1e-9)
+    report = counterexample_search(_phi(args), args.check, args.budget, args.seed, dim=args.dim)
     found = "violation found" if not report.holds else "no violation"
     _emit(report.to_json_dict(), args,
           f"{found} after {report.trials} trials (margin {report.margin:.3e})")

@@ -6,15 +6,14 @@ base point and its directions may be stacks (..., d, d), and each matrix
 gets the values of its own call.  The inverse of X -> Dpsi[A](X), which
 conditions (a) and (e) need, is applied in A's eigenbasis (of one A or a
 stack) as an elementwise division by the divided-difference grid.  Two
-oracles stand independent of that engine: the d^2 x d^2 matricisation of
-the map under column stacking with its dense inverse, and central finite
-differences of the matrix function itself.
+oracles stand independent of that engine: the d^2 x d^2 matrix of the map
+under column stacking and its dense inverse, both plain arrays, and central
+finite differences of the matrix function itself.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable
 
@@ -132,55 +131,28 @@ def derivative_inverse(psi: ScalarFunction,
 # --- superoperator matricisation (dense oracle) --------------------------------
 
 
-def stack(X) -> np.ndarray:
-    """Column-stack a matrix: vec(X) concatenates the columns of X."""
-    return np.asarray(X, dtype=complex).reshape(-1, order="F")
+def superop_matrix(psi: ScalarFunction, A) -> np.ndarray:
+    """The d^2 x d^2 matrix of X -> Dpsi[A](X) under column stacking.
 
-
-def unstack(v) -> np.ndarray:
-    v = np.asarray(v, dtype=complex).ravel()
-    d = int(round(np.sqrt(v.size)))
-    if d * d != v.size:
-        raise DimensionMismatchError(f"cannot unstack a vector of length {v.size}")
-    return v.reshape(d, d, order="F")
-
-
-@dataclass(frozen=True)
-class SuperOperatorMatrix:
-    """d^2 x d^2 matrix acting on column-stacked d x d matrices."""
-
-    dim: int
-    entries: np.ndarray
-
-    def apply(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=complex)
-        if X.shape != (self.dim, self.dim):
-            raise DimensionMismatchError(
-                f"superoperator of dim {self.dim} applied to shape {X.shape}"
-            )
-        return unstack(self.entries @ stack(X))
-
-
-def superop_matrix(psi: ScalarFunction, A) -> SuperOperatorMatrix:
-    """Matricise X -> Dpsi[A](X) under column stacking.
-
-    The caller passes the scalar function psi whose matrix-function
-    derivative is wanted (typically the derivative view of a catalog entry).
-    Under column stacking, X -> B X C matricises to C^T (x) B, so the map
-    is (conj(U) (x) U) diag(vec(psi^[1])) (conj(U) (x) U)* in A's eigenbasis.
+    vec(X) concatenates the columns of X, so Dpsi[A](X) is
+    T @ X.reshape(-1, order="F"), reshaped back in the same order.  The caller
+    passes the scalar function psi whose matrix-function derivative is wanted
+    (typically the derivative view of a catalog entry).  Under column
+    stacking, X -> B X C matricises to C^T (x) B, so the map is
+    (conj(U) (x) U) diag(vec(psi^[1])) (conj(U) (x) U)* in A's eigenbasis.
     """
     dec = spectral_decompose(A, "base point")
     require_nodes_in_derivative_domain(psi, dec.eigenvalues, 1)
     U, lam = dec.eigenvectors, dec.eigenvalues
     K = dd1_grid(psi, lam)
     B = np.kron(U.conj(), U)
-    T = (B * stack(K)) @ B.conj().T
-    return SuperOperatorMatrix(len(lam), hermitian_part(T))
+    return hermitian_part((B * K.reshape(-1, order="F")) @ B.conj().T)
 
 
-def superop_inverse(T: SuperOperatorMatrix) -> SuperOperatorMatrix:
-    """Dense inverse under the SUPEROP_COND_LIMIT guard; the oracle of derivative_inverse."""
-    s = np.linalg.svd(T.entries, compute_uv=False)
+def superop_inverse(T: np.ndarray) -> np.ndarray:
+    """Dense inverse of a superoperator matrix under the SUPEROP_COND_LIMIT
+    guard; the oracle of derivative_inverse."""
+    s = np.linalg.svd(T, compute_uv=False)
     smallest = float(s[-1])
     if smallest <= 0.0 or s[0] / smallest > SUPEROP_COND_LIMIT:
         raise SingularOperatorError(
@@ -188,7 +160,7 @@ def superop_inverse(T: SuperOperatorMatrix) -> SuperOperatorMatrix:
             f"{smallest:.3e}, largest {float(s[0]):.3e}",
             smallest,
         )
-    return SuperOperatorMatrix(T.dim, np.linalg.inv(T.entries))
+    return np.linalg.inv(T)
 
 
 # --- finite-difference oracles ------------------------------------------------

@@ -16,9 +16,9 @@ witness replay and counterexample search all read it.  A record says once:
 - whether it is gated to the function class of its variant, and the name of
   the report of one point.
 
-``SWEEPS`` says which reports each entry of ``CHECK_NAMES`` makes: the record
-each report measures, the labels of its stream and its name.  The rest is
-derived from the two tables:
+``SWEEPS`` says which reports each check makes: the record each report
+measures, the labels of its stream and its name; its keys, in order, are
+``CHECK_NAMES``.  The rest is derived from the two tables:
 
 - ``sweep`` runs one report: ``_scan`` makes one draw and one margin call
   per chunk of trials, ``_least`` picks the first strict minimum of the
@@ -97,20 +97,54 @@ from .spectral import (
     variant_margin,
 )
 
-CHECK_NAMES = (
-    "frechet_oracle",
-    "subadditivity",
-    "efron_stein",
-    "poly_efron_stein",
-    "dual_representation",
-    "characterizations",
-    "condition_a",
-    "condition_e",
-    "monotonicity",
-    "jensen",
-)
+
+@dataclass(frozen=True)
+class Sweep:
+    """One report of a suite check, repeated over functions, variants and dims."""
+
+    kind: str    # the record it measures
+    key: tuple   # labels of its stream after the check name, in order
+    name: str    # report name, formatted with the labels
+    fixed: dict = field(default_factory=dict)  # point values and labels fixed for it
+
+
+_PER_VARIANT = ("phi", "variant", "d")
+_ITEM_KEY = ("item", *_PER_VARIANT)
+_ITEM_NAME = "characterizations[{item},{phi},{variant},d={d}]"
+
+SWEEPS = {
+    "frechet_oracle": tuple(
+        Sweep("frechet_oracle", ("phi", "d", "order"),
+              "frechet_oracle[{phi},d={d},order={order}]", {"order": order})
+        for order in (1, 2, 3)),
+    "subadditivity": (Sweep("subadditivity", _PER_VARIANT,
+                            "subadditivity[{phi},{variant},d={d},n={n}]"),),
+    "efron_stein": (Sweep("efron_stein", ("d",), "efron_stein[d={d},n={n}]"),),
+    "poly_efron_stein": tuple(
+        Sweep("poly_efron_stein", ("d", "p"), "poly_efron_stein[d={d},p={p}]", {"p": p})
+        for p in (1, 2, 3)),
+    "dual_representation": (Sweep("dual_representation", _PER_VARIANT,
+                                  "dual_representation[{phi},{variant},d={d}]"),),
+    "characterizations": tuple(
+        Sweep("joint_convexity", _ITEM_KEY, _ITEM_NAME, {"item": item, "functional": name})
+        for item, name in zip("bcdf", FUNCTIONAL_NAMES)
+    ) + (Sweep("conditional_jensen", _ITEM_KEY, _ITEM_NAME, {"item": "g"}),),
+    "condition_a": (Sweep("condition_a", ("phi", "d"), "condition_a[{phi},d={d}]",
+                          {"item": "a"}),),
+    "condition_e": (Sweep("condition_e", ("phi", "d"), "condition_e[{phi},d={d}]",
+                          {"item": "e"}),),
+    "monotonicity": (Sweep("monotonicity", _PER_VARIANT,
+                           "monotonicity[{phi},{variant},d={d}]"),),
+    "jensen": (Sweep("operator_jensen", _PER_VARIANT, "jensen[{phi},{variant},d={d}]"),),
+}
+
+CHECK_NAMES = tuple(SWEEPS)
 
 ORACLE_TOLS = {1: 1e-6, 2: 1e-4, 3: 1e-3}
+
+# A counterexample search succeeds at a margin below -SEARCH_TOL, and its
+# report is judged by SEARCH_TOL.
+SEARCH_TOL = 1e-8
 
 # Every product ensemble a sweep draws has N_FACTORS factors of SUPPORT outcomes.
 N_FACTORS, SUPPORT = 2, 2
@@ -580,47 +614,6 @@ def check(kind: str, *, tol: float | None = None, override: bool = False,
 # --- sweeps ------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Sweep:
-    """One report of a suite check, repeated over functions, variants and dims."""
-
-    kind: str    # the record it measures
-    key: tuple   # labels of its stream after the check name, in order
-    name: str    # report name, formatted with the labels
-    fixed: dict = field(default_factory=dict)  # point values and labels fixed for it
-
-
-_PER_VARIANT = ("phi", "variant", "d")
-_ITEM_KEY = ("item", *_PER_VARIANT)
-_ITEM_NAME = "characterizations[{item},{phi},{variant},d={d}]"
-
-SWEEPS = {
-    "frechet_oracle": tuple(
-        Sweep("frechet_oracle", ("phi", "d", "order"),
-              "frechet_oracle[{phi},d={d},order={order}]", {"order": order})
-        for order in (1, 2, 3)),
-    "subadditivity": (Sweep("subadditivity", _PER_VARIANT,
-                            "subadditivity[{phi},{variant},d={d},n={n}]"),),
-    "efron_stein": (Sweep("efron_stein", ("d",), "efron_stein[d={d},n={n}]"),),
-    "poly_efron_stein": tuple(
-        Sweep("poly_efron_stein", ("d", "p"), "poly_efron_stein[d={d},p={p}]", {"p": p})
-        for p in (1, 2, 3)),
-    "dual_representation": (Sweep("dual_representation", _PER_VARIANT,
-                                  "dual_representation[{phi},{variant},d={d}]"),),
-    "characterizations": tuple(
-        Sweep("joint_convexity", _ITEM_KEY, _ITEM_NAME, {"item": item, "functional": name})
-        for item, name in zip("bcdf", FUNCTIONAL_NAMES)
-    ) + (Sweep("conditional_jensen", _ITEM_KEY, _ITEM_NAME, {"item": "g"}),),
-    "condition_a": (Sweep("condition_a", ("phi", "d"), "condition_a[{phi},d={d}]",
-                          {"item": "a"}),),
-    "condition_e": (Sweep("condition_e", ("phi", "d"), "condition_e[{phi},d={d}]",
-                          {"item": "e"}),),
-    "monotonicity": (Sweep("monotonicity", _PER_VARIANT,
-                           "monotonicity[{phi},{variant},d={d}]"),),
-    "jensen": (Sweep("operator_jensen", _PER_VARIANT, "jensen[{phi},{variant},d={d}]"),),
-}
-
-
 def _scan(draw: Callable, margins: Callable, rngs: Iterator, sizes: Iterator,
           bound: float = -np.inf) -> list:
     """(point, margin) of each point drawn from the generators, in order, up to
@@ -859,11 +852,12 @@ class _SearchSpace:
 
 
 def counterexample_search(f: ScalarFunction, check_name: str, budget: int, seed: int,
-                          dim: int = 1, tol: float = 1e-9) -> VerificationReport:
+                          dim: int = 1) -> VerificationReport:
     """Random search, then coordinate perturbation, for a check violation.
 
-    A success is a point whose slack falls below -10*tol (tol > 0); the
-    refined point is stored as a replayable witness.  Budget exhaustion reports
+    A success is a point whose slack falls below -SEARCH_TOL, the tolerance
+    its report is judged by; the refined point is stored as a replayable
+    witness.  Budget exhaustion reports
     holds=True with the trial count and the first point of least margin;
     that is evidence, not a proof.
 
@@ -879,22 +873,19 @@ def counterexample_search(f: ScalarFunction, check_name: str, budget: int, seed:
         raise ConfigError(f"dim must be in [1, 16], got {dim}")
     if budget < 1:
         raise ConfigError(f"budget must be >= 1, got {budget}")
-    if not (_tolerance(tol) and tol > 0):
-        raise ConfigError(f"tol must be a finite number > 0, got {tol}")
     space = _SearchSpace(f, check_name, dim)
-    threshold = -10.0 * tol
     rngs = (rng_for(seed, "search", check_name, f.spec_string(), dim, trial)
             for trial in range(budget))
     doubling = (min(2**i, space.cap) for i in itertools.count())
-    scanned = _scan(space.sample, space.margins, rngs, doubling, threshold)
+    scanned = _scan(space.sample, space.margins, rngs, doubling, -SEARCH_TOL)
     point, margin = scanned[-1]
-    if margin < threshold:
+    if margin < -SEARCH_TOL:
         point, margin = _refine(space, point, margin)
     else:
         point, margin = _least(scanned)
     return VerificationReport.from_margin(
         f"counterexample_search[{check_name},{f.spec_string()},d={dim}]",
-        margin, 10.0 * tol, trials=len(scanned),
+        margin, SEARCH_TOL, trials=len(scanned),
         witness=None if point is None else space.witness(point, margin))
 
 

@@ -10,7 +10,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 import scalar_oracle as oracle
 from batching import recorded_margins
@@ -75,12 +74,25 @@ def _verdict(criterion, ok, detail):
 
 
 def _min_eig(M):
-    return float(np.linalg.eigvalsh(hermitian_part(M))[0])
+    """Least eigenvalue of M, or of each matrix of a stack."""
+    return np.linalg.eigvalsh(hermitian_part(M))[..., 0]
 
 
 def _tr_bar(M):
-    """Normalised trace Tr M / d."""
-    return float(np.trace(M).real) / M.shape[-1]
+    """Normalised trace Tr M / d, of M or of each matrix of a stack."""
+    return np.trace(M, axis1=-2, axis2=-1).real / M.shape[-1]
+
+
+def _margin(gap, variant):
+    """The variant's margin of an operator gap, or of each gap of a stack."""
+    return _tr_bar(gap) if variant == "trace" else _min_eig(gap)
+
+
+def _first_failing(holds, trials):
+    """The first of the trials whose assertion fails, or None; holds is
+    the assertion of each trial, in order."""
+    failing = np.flatnonzero(~np.asarray(holds))
+    return trials[failing[0]] if failing.size else None
 
 
 def test_criterion_1_frechet_oracle_agreement():
@@ -135,21 +147,23 @@ def test_criterion_3_subadditivity():
     start = time.perf_counter()
     worst_scaled = np.inf
     worst_n1 = 0.0
+    # Each cell's 1000 trials are one draw and one margin call.
     for f, variant in IN_CLASS_COMBOS:
         for d in (2, 3, 4):
             for n in (1, 2, 3):
-                for trial in range(1000):
-                    rng = rng_for(SEED, "c3", f.spec_string(), variant, d, n, trial)
-                    P = sample_product(d, n, 2, rng)
-                    gap = subadditivity_gap(f, P)
-                    margin = _tr_bar(gap) if variant == "trace" else _min_eig(gap)
-                    scale = 1.0 + frobenius(gap)
-                    worst_scaled = min(worst_scaled, margin / scale)
-                    if n == 1:
-                        worst_n1 = max(worst_n1, abs(margin))
-                    assert margin >= -1e-10 * scale, (f.spec_string(), variant, d, n, trial)
-                    if n == 1:
-                        assert abs(margin) <= 1e-12
+                trials = range(1000)
+                rngs = [rng_for(SEED, "c3", f.spec_string(), variant, d, n, trial)
+                        for trial in trials]
+                gaps = subadditivity_gap(f, sample_product(d, n, 2, rngs))
+                margins = _margin(gaps, variant)
+                scales = 1.0 + frobenius(gaps)
+                worst_scaled = min(worst_scaled, float(np.min(margins / scales)))
+                trial = _first_failing(margins >= -1e-10 * scales, trials)
+                assert trial is None, (f.spec_string(), variant, d, n, trial)
+                if n == 1:
+                    worst_n1 = max(worst_n1, float(np.max(np.abs(margins))))
+                    trial = _first_failing(np.abs(margins) <= 1e-12, trials)
+                    assert trial is None, (f.spec_string(), variant, d, n, trial)
     elapsed = time.perf_counter() - start
     ok = worst_scaled >= -1e-10 and worst_n1 <= 1e-12 and elapsed < 120.0
     _verdict(3, ok, f"27000 ensembles, worst scaled margin {worst_scaled:.2e}, "
@@ -194,12 +208,12 @@ def test_criterion_5_dual_representation():
             d = (2, 3, 4)[trial % 3]
             Z, T = sample_coupled_ensembles(d, 3, rng, spectral_floor=SPECTRAL_FLOOR)
             gap = operator_phi_entropy(f, Z) - dual_value(f, Z, T)
-            margin = _tr_bar(gap) if variant == "trace" else _min_eig(gap)
+            margin = _margin(gap, variant)
             worst = min(worst, margin)
             assert margin >= -1e-9, (f.spec_string(), variant, trial)
             if trial % 10 == 0:
                 gap_zz = operator_phi_entropy(f, Z) - dual_value(f, Z, Z)
-                mz = _tr_bar(gap_zz) if variant == "trace" else _min_eig(gap_zz)
+                mz = _margin(gap_zz, variant)
                 worst_coincident = max(worst_coincident, abs(mz))
                 assert abs(mz) <= 1e-12
     # interpolation scans: nonincreasing in the PSD order on an 11-point grid
@@ -226,33 +240,34 @@ def test_criterion_6_characterization_cooccurrence():
     items = ("b", "c", "d", "f")
     functional_of = {"b": "bregman_A", "c": "map_B", "d": "map_C", "f": "gap_F_t"}
     worst = {}
+    # A cell is the trials of one dimension: one draw and one call per item.
     for f, variant in IN_CLASS_COMBOS:
-        for trial in range(1000):
-            rng = rng_for(SEED, "c6", f.spec_string(), variant, trial)
-            d = (2, 3)[trial % 2]
-            u1, v1 = sample_psd(d, SPECTRAL_FLOOR, rng), sample_psd(d, SPECTRAL_FLOOR, rng)
-            u2, v2 = sample_psd(d, SPECTRAL_FLOOR, rng), sample_psd(d, SPECTRAL_FLOOR, rng)
-            lam = float(rng.uniform(0.1, 0.9))
-            t = float(rng.uniform())
+        for d in (2, 3):
+            trials = range(d - 2, 1000, 2)
+            rngs = [rng_for(SEED, "c6", f.spec_string(), variant, trial) for trial in trials]
+            u1, v1, u2, v2 = np.moveaxis(sample_psd(d, SPECTRAL_FLOOR, rngs, count=4), 1, 0)
+            lams = [[float(rng.uniform(0.1, 0.9))] for rng in rngs]  # one weight per pair
+            ts = np.array([float(rng.uniform()) for rng in rngs])
             slacks = {}
             for item in items:
-                F = BivariateFunctional(functional_of[item], f, t=t if item == "f" else None)
-                slack = convexity_slack_at(F, u1, v1, u2, v2, lam, variant)
-                scale = 1.0 + abs(slack) if variant == "trace" else 1.0 + abs(slack)
+                F = BivariateFunctional(functional_of[item], f, t=ts if item == "f" else None)
+                slack = np.ravel(convexity_slack_at(F, u1, v1, u2, v2, lams, variant))
                 slacks[item] = slack
                 key = (f.spec_string(), variant, item)
-                worst[key] = min(worst.get(key, np.inf), slack)
-                assert slack >= -tol * scale, (key, trial)
+                worst[key] = min(worst.get(key, np.inf), float(np.min(slack)))
+                trial = _first_failing(slack >= -tol * (1.0 + np.abs(slack)), trials)
+                assert trial is None, (key, trial)
             # the quadratic form dominating implies the other two on shared samples
-            if slacks["d"] >= -tol:
-                assert slacks["b"] >= -2 * tol and slacks["c"] >= -2 * tol
+            trial = _first_failing(~(slacks["d"] >= -tol) | (
+                (slacks["b"] >= -2 * tol) & (slacks["c"] >= -2 * tol)), trials)
+            assert trial is None, (f.spec_string(), variant, trial)
             # item (g): conditional Jensen on a fresh two-factor product
-            P = sample_product(d, 2, 2, rng)
-            gap = conditional_jensen_gap(f, P)
-            margin = _tr_bar(gap) if variant == "trace" else _min_eig(gap)
+            gaps = conditional_jensen_gap(f, sample_product(d, 2, 2, rngs))
+            margins = _margin(gaps, variant)
             key = (f.spec_string(), variant, "g")
-            worst[key] = min(worst.get(key, np.inf), margin)
-            assert margin >= -1e-10 * (1.0 + frobenius(gap)), (key, trial)
+            worst[key] = min(worst.get(key, np.inf), float(np.min(margins)))
+            trial = _first_failing(margins >= -1e-10 * (1.0 + frobenius(gaps)), trials)
+            assert trial is None, (key, trial)
     fail_d = counterexample_search(QT, "map_C", 10_000, seed=SEED, dim=1)
     assert not fail_d.holds and fail_d.margin < -1e-8
     fail_a = counterexample_search(EXP, "condition_a", 10_000, seed=SEED, dim=1)

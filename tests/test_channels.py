@@ -13,7 +13,6 @@ from phi_entropy_lab import (
     KrausChannel,
     builtin,
     check,
-    matrix_phi_entropy,
     matrix_to_json,
     operator_phi_entropy,
     pushforward,

@@ -224,8 +224,6 @@ def test_exit_code_two_on_config_errors(tmp_path, capsys):
     ["search-counterexample", "--phi", "quartic", "--check", "map_C", "--dim", "0"],
     ["search-counterexample", "--phi", "quartic", "--check", "map_C", "--dim", "-2"],
     ["search-counterexample", "--phi", "quartic", "--check", "map_C", "--budget", "0"],
-    ["search-counterexample", "--phi", "square", "--check", "map_C", "--tol", "-1",
-     "--budget", "5", "--quiet"],
 ])
 def test_exit_code_two_on_malformed_arguments(argv, product_file, tmp_path, capsys):
     p_word = {"kind": "poly_efron_stein", "p": "x", "product": _read(product_file)}
@@ -238,6 +236,8 @@ def test_exit_code_two_on_malformed_arguments(argv, product_file, tmp_path, caps
     ["run-suite", "--tol", "5", "--quiet"],
     ["frechet", "--seed", "1", "--phi", "square", "--order", "1", "--matrix", "a.json",
      "--direction", "x.json"],
+    ["search-counterexample", "--phi", "square", "--check", "map_C", "--tol", "1",
+     "--budget", "5", "--quiet"],
 ])
 def test_options_a_command_does_not_read_are_refused(argv, capsys):
     with pytest.raises(SystemExit) as exc:

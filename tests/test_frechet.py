@@ -6,6 +6,8 @@ rule and the additivity of partial derivatives.  Their helpers return the
 relative errors, and each test bounds them.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,6 @@ from phi_entropy_lab import (
 )
 from phi_entropy_lab.catalog import REAL_LINE, TAYLOR_BAND, ScalarFunction
 from phi_entropy_lab.characterizations import inverse_derivative_quadratic_form
-from phi_entropy_lab.frechet import SuperOperatorMatrix, stack, unstack
 from phi_entropy_lab.sampling import (
     haar_unitary,
     rng_for,
@@ -216,23 +217,32 @@ def test_trace_duality():
             assert abs(lhs - rhs) < 1e-8 * scale
 
 
+def vec(X):
+    """Column-stack a matrix: the order superop_matrix acts in."""
+    return np.asarray(X, dtype=complex).reshape(-1, order="F")
+
+
+def unvec(v):
+    return v.reshape(math.isqrt(v.size), -1, order="F")
+
+
 def test_superop_scalar_case():
     T = superop_matrix(XLX.derivative(), np.array([[2.0]]))
-    assert T.entries.shape == (1, 1)
-    assert T.entries[0, 0].real == pytest.approx(0.5)  # psi'(a) = 1/a
+    assert T.shape == (1, 1)
+    assert T[0, 0].real == pytest.approx(0.5)  # psi'(a) = 1/a
     Tinv = superop_inverse(T)
-    assert Tinv.entries[0, 0].real == pytest.approx(2.0)
+    assert Tinv[0, 0].real == pytest.approx(2.0)
 
 
 def test_superop_square_is_twice_identity():
     T = superop_matrix(SQ.derivative(), sample_psd(3, 0.1, 9))
-    assert_allclose(T.entries, 2.0 * np.eye(9), atol=1e-10)
+    assert_allclose(T, 2.0 * np.eye(9), atol=1e-10)
 
 
 def test_superop_diagonal_entries_from_divided_differences():
     T = superop_matrix(XLX.derivative(), np.diag([1.0, 2.0]))
     expected = sorted([1.0, np.log(2.0), np.log(2.0), 0.5])
-    assert_allclose(sorted(np.diag(T.entries).real), expected, atol=1e-12)
+    assert_allclose(sorted(np.diag(T).real), expected, atol=1e-12)
 
 
 def test_superop_action_matches_derivative():
@@ -243,7 +253,7 @@ def test_superop_action_matches_derivative():
         for seed in range(5):
             X = sample_hermitian(3, seed)
             direct = frechet_d1(psi, A, X)
-            assert relative_error(T.apply(X), direct) < 1e-9
+            assert relative_error(unvec(T @ vec(X)), direct) < 1e-9
 
 
 def test_superop_quadratic_form_positive_definite():
@@ -252,14 +262,14 @@ def test_superop_quadratic_form_positive_definite():
     T = superop_matrix(XLX.derivative(), A)
     for seed in range(10):
         h = sample_hermitian(4, 200 + seed)
-        v = stack(h)
-        assert (v.conj() @ T.entries @ v).real > 0.0
+        v = vec(h)
+        assert (v.conj() @ T @ v).real > 0.0
 
 
 def test_superop_preserves_hermiticity():
     A = sample_psd(3, 0.5, 13)
     T = superop_matrix(XLX.derivative(), A)
-    out = T.apply(sample_hermitian(3, 14))
+    out = unvec(T @ vec(sample_hermitian(3, 14)))
     assert np.abs(out - out.conj().T).max() < 1e-10
 
 
@@ -267,20 +277,19 @@ def test_superop_inverse_roundtrip():
     A = sample_psd(3, 0.5, 15)
     T = superop_matrix(XLX.derivative(), A)
     Tinv = superop_inverse(T)
-    assert_allclose(Tinv.entries @ T.entries, np.eye(9), atol=1e-8)
+    assert_allclose(Tinv @ T, np.eye(9), atol=1e-8)
     X = sample_hermitian(3, 16)
-    assert_allclose(Tinv.apply(T.apply(X)), X, atol=1e-10)
+    assert_allclose(unvec(Tinv @ (T @ vec(X))), X, atol=1e-10)
 
 
 def test_superop_inverse_singular_guard():
-    T = SuperOperatorMatrix(2, np.diag([1.0, 1.0, 1.0, 0.0]).astype(complex))
     with pytest.raises(SingularOperatorError) as err:
-        superop_inverse(T)
+        superop_inverse(np.diag([1.0, 1.0, 1.0, 0.0]).astype(complex))
     assert err.value.smallest_singular_value == pytest.approx(0.0)
 
 
 def _dense_inverse(psi, A, X):
-    return superop_inverse(superop_matrix(psi, A)).apply(X)
+    return unvec(superop_inverse(superop_matrix(psi, A)) @ vec(X))
 
 
 def _assert_inverse_matches_dense(psi, A, X):
@@ -342,12 +351,12 @@ def test_derivative_inverse_guard_admits_condition_just_inside_limit():
 
 def test_stack_convention_column_major():
     X = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert_allclose(stack(X).real, [1.0, 3.0, 2.0, 4.0])
-    assert_allclose(unstack(stack(X)), X)
+    assert_allclose(vec(X).real, [1.0, 3.0, 2.0, 4.0])
+    assert_allclose(unvec(vec(X)), X)
     # vec(B X C) = (C^T kron B) vec(X)
     B = sample_hermitian(2, 17)
     C = sample_hermitian(2, 18)
-    assert_allclose(np.kron(C.T, B) @ stack(X), stack(B @ X @ C), atol=1e-12)
+    assert_allclose(np.kron(C.T, B) @ vec(X), vec(B @ X @ C), atol=1e-12)
 
 
 # --- derivative identities ---------------------------------------------------------

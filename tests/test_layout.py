@@ -1,5 +1,5 @@
-"""Source layout: each module of the package uses every name it imports,
-each command of the command line reads every option it accepts, and importing
+"""Source layout: each module of the package and of its tests uses every
+name it imports, each command of the command line reads every option it accepts, and importing
 the package leaves the heavy numpy submodules unloaded."""
 
 import argparse
@@ -11,14 +11,20 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "phi_entropy_lab"
+TESTS = Path(__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
-    """Names bound by the imports of source that no other line references."""
+    """Names bound by the imports of source that no other line references;
+    an import line marked "# noqa: F401" is kept for its side effect."""
     tree = ast.parse(source)
+    lines = source.splitlines()
     imported = {}
     for node in ast.walk(tree):
+        if isinstance(node, ast.stmt) and "# noqa: F401" in lines[node.lineno - 1]:
+            continue
         if isinstance(node, ast.Import):
             for alias in node.names:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
@@ -31,11 +37,13 @@ def unused_imports(source: str) -> list:
 
 
 def test_unused_imports_are_found():
-    source = "import numpy as np\nfrom os import path, sep\nprint(np.pi, sep)\n"
+    source = ("import numpy as np\nfrom os import path, sep\nimport json  # noqa: F401\n"
+              "print(np.pi, sep)\n")
     assert unused_imports(source) == ["path (line 2)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES,
+                         ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}")
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

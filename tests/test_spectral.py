@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from phi_entropy_lab import (
-    DimensionMismatchError,
     DomainError,
     NonHermitianError,
     apply_scalar_function,
