@@ -857,9 +857,8 @@ def counterexample_search(f: ScalarFunction, check_name: str, budget: int, seed:
 
     A success is a point whose slack falls below -SEARCH_TOL, the tolerance
     its report is judged by; the refined point is stored as a replayable
-    witness.  Budget exhaustion reports
-    holds=True with the trial count and the first point of least margin;
-    that is evidence, not a proof.
+    witness.  Budget exhaustion reports holds=True with the trial count and
+    the first point of least margin; that is evidence, not a proof.
 
     The random phase is a sweep with a stop rule: _scan on stacks of 1, 2,
     4, ... trials up to a sweep's chunk, stopped at the first success; the

@@ -1,6 +1,7 @@
 """Source layout: each module of the package and of its tests uses every
-name it imports, each command of the command line reads every option it accepts, and importing
-the package leaves the heavy numpy submodules unloaded."""
+name it imports, each command of the command line reads every option it
+accepts, and importing the package leaves the heavy numpy submodules
+unloaded."""
 
 import argparse
 import ast
@@ -11,9 +12,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "phi_entropy_lab"
-TESTS = Path(__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-TEST_MODULES = sorted(TESTS.glob("*.py"))
+TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
