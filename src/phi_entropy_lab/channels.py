@@ -7,9 +7,9 @@ mixed-unitary, which makes them both without any projection step; a sweep
 chunk's channels of one Kraus count are checked at once, and images of
 checked ensembles under them, PSD by construction, are not.  The module
 gives the operator gaps of two statements about a unital channel N; their
-reports come from the ``suite`` registry.  Both take lists of points: the
-channels of a list act grouped by their Kraus counts, one batched product
-per group, and everything after the channels runs as one stack.
+reports come from the ``suite`` registry.  Both take lists of points and
+give one gap per entry: each channel acts once, in one batched product per
+Kraus count, and everything after the channels runs as one stack.
 
 The operator Jensen inequality f(N(A)) <= N(f(A)) holds in the PSD order
 for operator-convex f, and in trace for convex f (Hansen-Pedersen,
@@ -58,7 +58,7 @@ from .spectral import (
 UNITALITY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """A unital quantum channel A -> sum_i K_i A K_i*: completely positive,
     trace preserving (sum_i K_i* K_i = I) and unital (sum_i K_i K_i* = I),
@@ -112,8 +112,8 @@ def _by_count(counts: list) -> list:
 
 
 def _kraus_images(channels: list, A: np.ndarray) -> np.ndarray:
-    """sum_i K_i A[n] K_i* for the n-th channel of the list and the n-th entry of
-    A (n, ..., d, d), a matrix or a stack of them.
+    """The Hermitian part of sum_i K_i A[n] K_i* for the n-th channel of the
+    list and the n-th entry of A (n, ..., d, d), a matrix or a stack of them.
 
     The channels are grouped by Kraus count, and each group's products are
     one batched call; each image is the one its channel gives alone.
@@ -126,13 +126,13 @@ def _kraus_images(channels: list, A: np.ndarray) -> np.ndarray:
         K = np.stack([channels[n].kraus for n in group])
         K = K.reshape(K.shape[:1] + (1,) * (A.ndim - 3) + K.shape[1:])
         out[group] = (K @ A[group, ..., None, :, :] @ dagger(K)).sum(axis=-3)
-    return out
+    return hermitian_part(out)
 
 
 def pushforward(N: KrausChannel, E: MatrixEnsemble) -> MatrixEnsemble:
     """Image ensemble {(w_i, N(A_i))} of one channel and one ensemble, checked
     by its constructor."""
-    return MatrixEnsemble(E.weights, hermitian_part(_kraus_images([N], E.atoms[None]))[0])
+    return MatrixEnsemble(E.weights, _kraus_images([N], E.atoms[None])[0])
 
 
 def random_unital_channel(d: int, k, seed) -> KrausChannel:
@@ -160,19 +160,18 @@ def random_unital_channel(d: int, k, seed) -> KrausChannel:
     return out if listed else out[0]
 
 
-def monotonicity_gap(f: ScalarFunction, N, E) -> np.ndarray:
-    """N(H(Z)) - H(N(Z)) as an operator, H the operator-valued entropy.
+def monotonicity_gap(f: ScalarFunction, N: list, E: list) -> np.ndarray:
+    """N(H(Z)) - H(N(Z)) as an operator, H the operator-valued entropy, one
+    per entry of the lists of channels and of ensembles of one shape.
 
     Its normalised trace is H_Phi(Z) - H_Phi(N(Z)), its least eigenvalue the
-    operator form's margin.  Lists of channels and of ensembles of one shape
-    give a stack of gaps, one per pair: the pairs' image atoms and both
-    entropies run as one stack.
+    operator form's margin.  Each channel maps its ensemble's atoms and H(Z)
+    in one call; both entropies run as one stack.
     """
-    if isinstance(N, KrausChannel):
-        return monotonicity_gap(f, [N], [E])[0]
     weights, atoms = ensemble_arrays(E)
-    mapped = jensen_gap(f, weights, hermitian_part(_kraus_images(N, atoms)))
-    return hermitian_part(_kraus_images(N, jensen_gap(f, weights, atoms))) - mapped
+    H = jensen_gap(f, weights, atoms)
+    images = _kraus_images(N, np.concatenate([atoms, H[:, None]], axis=1))
+    return images[:, -1] - jensen_gap(f, weights, images[:, :-1])
 
 
 def operator_jensen_gap(f: ScalarFunction, channels: list, A) -> np.ndarray:
@@ -180,11 +179,12 @@ def operator_jensen_gap(f: ScalarFunction, channels: list, A) -> np.ndarray:
 
     PSD for operator-convex f, and of nonnegative trace for convex f.  The
     channels are grouped by Kraus count for their products; f runs once on
-    each stack.
+    each stack, and each channel maps A and f(A) in one call.
     """
     A = validate_hermitian(A, "A")
-    NA = hermitian_part(_kraus_images(channels, A))
-    dec_A, dec_NA = (SpectralDecomposition(*np.linalg.eigh(M)) for M in (A, NA))
+    dec_A = SpectralDecomposition(*np.linalg.eigh(A))
+    images = _kraus_images(channels, np.stack([A, apply_scalar_function(f, dec_A)], axis=1))
+    dec_NA = SpectralDecomposition(*np.linalg.eigh(images[:, 0]))
     # Unitality keeps each output spectrum inside its input's convex hull.
     low, high = dec_A.eigenvalues[..., 0], dec_A.eigenvalues[..., -1]
     out_low, out_high = dec_NA.eigenvalues[..., 0], dec_NA.eigenvalues[..., -1]
@@ -196,5 +196,4 @@ def operator_jensen_gap(f: ScalarFunction, channels: list, A) -> np.ndarray:
             "channel output spectrum escaped the input's convex hull: "
             f"[{out_low[k]:.6g}, {out_high[k]:.6g}] vs [{low[k]:.6g}, {high[k]:.6g}]"
         )
-    fA = apply_scalar_function(f, dec_A)
-    return hermitian_part(_kraus_images(channels, fA)) - apply_scalar_function(f, dec_NA)
+    return images[:, 1] - apply_scalar_function(f, dec_NA)

@@ -8,12 +8,13 @@ variant it is given by ``spectral.variant_margin``.  This module gives
 the slack of each condition: joint convexity of a functional, the
 inverse-derivative concavity condition (a), the fourth-derivative trace
 inequality (e), the convexity lemma and the conditional Jensen inequality
-(g), which for two factors is the subadditivity gap.  The two convexity
-slacks (of a functional, and condition (a)) take a vector of weights lambda
-too, one slack each: the two endpoints and all mixes are then one stack,
-with one batched ``eigh``.  Every report of these slacks comes from the
-``suite`` registry; a sweep's report states "no violation in N trials",
-which is evidence, not a proof.
+(g), which for two factors is the subadditivity gap.  Each slack but the
+lemma's takes a list or stack of points and gives one result per entry.
+The two convexity slacks (of a functional, and condition (a)) take a row
+of weights lambda per pair, one slack each: the two endpoints and all
+mixes are then one stack, with one batched ``eigh``.  Every report of
+these slacks comes from the ``suite`` registry; a sweep's report states
+"no violation in N trials", which is evidence, not a proof.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .catalog import ScalarFunction
 from .errors import DimensionMismatchError, DomainError
 from .frechet import derivative_inverse, frechet_d1, frechet_d2, frechet_d3
-from .entropy import ProductEnsemble, _check_weights, subadditivity_gap
+from .entropy import _check_weights, _mean, subadditivity_gap
 from .spectral import (
     apply_scalar_function,
     hermitian_part,
@@ -77,11 +78,6 @@ def eval_functional(F: BivariateFunctional, u, v):
     return hermitian_part(out)
 
 
-def _per_weight(lam, slacks):
-    """The slacks in the form lam came in: a float for a number, else (nested) lists."""
-    return float(slacks.flat[0]) if np.ndim(lam) == 0 else slacks.tolist()
-
-
 def _weights(lam, pairs: np.ndarray) -> np.ndarray:
     """lam as one row of weights per pair of the stack pairs (..., d, d)."""
     return np.asarray(lam, dtype=float).reshape(pairs.shape[:-2] + (-1,))
@@ -93,20 +89,20 @@ def _ends_and_mixes(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.concatenate([a, b, w * a + (1.0 - w) * b], axis=-3)
 
 
-def convexity_slack_at(F: BivariateFunctional, u1, v1, u2, v2, lam, variant: str):
-    """Convex-combination slack at weight lam (a list of them for a vector
-    lam); nonnegative for a jointly convex functional.
+def convexity_slack_at(F: BivariateFunctional, u1, v1, u2, v2, lam, variant: str) -> np.ndarray:
+    """Convex-combination slacks (..., L), one per weight of lam: a number is
+    a row of one; nonnegative for a jointly convex functional.
 
     The slack is the variant's margin of the gap w F(p1) + (1 - w) F(p2) -
     F(w p1 + (1 - w) p2) at each weight w.  The pairs may be stacks
-    (..., d, d); lam then holds a row of weights for each, and the slacks
-    come as nested lists (..., L).  All endpoints and mixes are one stack.
+    (..., d, d); lam then holds a row of weights for each.  All endpoints
+    and mixes are one stack.
     """
     u1, v1, u2, v2 = map(np.asarray, (u1, v1, u2, v2))
     w = _weights(lam, u1)[..., None, None]
     values = eval_functional(F, _ends_and_mixes(u1, u2, w), _ends_and_mixes(v1, v2, w))
     gap = w * values[..., :1, :, :] + (1.0 - w) * values[..., 1:2, :, :] - values[..., 2:, :, :]
-    return _per_weight(lam, variant_margin(gap, variant))
+    return variant_margin(gap, variant)
 
 
 # --- inverse-derivative concavity (condition on the derivative map) -------------
@@ -121,19 +117,18 @@ def inverse_derivative_quadratic_form(f: ScalarFunction, A, h):
     """
     h = validate_hermitian(h, "h")
     T_inv = derivative_inverse(f.derivative(), spectral_decompose(A, "base point"))
-    q = np.trace(h @ T_inv(h), axis1=-2, axis2=-1).real
-    return float(q) if q.ndim == 0 else q
+    return np.trace(h @ T_inv(h), axis1=-2, axis2=-1).real
 
 
-def condition_a_slack(f: ScalarFunction, A1, A2, h, lam):
-    """Concavity slack of A -> <h, (Dpsi[A])^{-1} h> at the convex combination
-    of weight lam (a list of them for a vector lam).  A1, A2 and h may be
-    stacks, as the pairs of ``convexity_slack_at``."""
+def condition_a_slack(f: ScalarFunction, A1, A2, h, lam) -> np.ndarray:
+    """Concavity slacks of A -> <h, (Dpsi[A])^{-1} h> at the convex
+    combinations of the weights lam, one per weight, as ``convexity_slack_at``
+    gives them; A1, A2 and h may be stacks, as its pairs."""
     A1, A2 = np.asarray(A1, dtype=complex), np.asarray(A2, dtype=complex)
     lams = _weights(lam, A1)
     q = inverse_derivative_quadratic_form(
         f, _ends_and_mixes(A1, A2, lams[..., None, None]), np.asarray(h)[..., None, :, :])
-    return _per_weight(lam, q[..., 2:] - (lams * q[..., :1] + (1.0 - lams) * q[..., 1:2]))
+    return q[..., 2:] - (lams * q[..., :1] + (1.0 - lams) * q[..., 1:2])
 
 
 # --- fourth-derivative trace inequality -----------------------------------------
@@ -145,7 +140,7 @@ def condition_e_terms(f: ScalarFunction, A, h, k) -> tuple:
     Returns (lhs, rhs) with lhs = Tr[h Tinv D3psi(k, k, Tinv h)] and
     rhs = 2 Tr[h Tinv D2psi(k, Tinv D2psi(k, Tinv h))], T = Dpsi[A]; at
     d = 1 their difference reduces to the classical fourth-derivative
-    criterion.  For stacks A, h, k both are arrays, one entry per matrix.
+    criterion.  Both have one entry per matrix of stacks A, h, k.
     """
     dec = spectral_decompose(A, "A")
     h = validate_hermitian(h, "h")
@@ -164,7 +159,7 @@ def condition_e_terms(f: ScalarFunction, A, h, k) -> tuple:
     lhs = np.trace(h @ T_inv(frechet_d3(psi, dec, k, k, u)), axis1=-2, axis2=-1).real
     inner = T_inv(frechet_d2(psi, dec, k, u))
     rhs = 2.0 * np.trace(h @ T_inv(frechet_d2(psi, dec, k, inner)), axis1=-2, axis2=-1).real
-    return (float(lhs), float(rhs)) if lhs.ndim == 0 else (lhs, rhs)
+    return lhs, rhs
 
 
 def condition_e_margin(f: ScalarFunction, A, h, k):
@@ -177,33 +172,33 @@ def condition_e_margin(f: ScalarFunction, A, h, k):
 
 
 def convexity_lemma_margin(f: ScalarFunction, weights, A_atoms, X_atoms) -> float:
-    """E<X, Dpsi[A] X> - <EX, Dpsi[EA] EX>; nonnegative for in-class f."""
+    """E<X, Dpsi[A] X> - <EX, Dpsi[EA] EX>; nonnegative for in-class f.
+
+    <X, Dpsi[A] X> = Tr D^2 f[A](X, X) is Tr map_C(A, X), item (d)'s functional,
+    so the margin is the Jensen gap of Tr map_C: one call on the pairs and their means.
+    """
     weights = _check_weights(np.asarray(weights, dtype=float)[None], "convexity lemma weights")[0]
     if not len(weights) == len(A_atoms) == len(X_atoms):
         raise DimensionMismatchError(f"convexity lemma needs one weight per matrix of A and X, "
                                      f"got {len(weights)} weights, {len(A_atoms)} A and "
                                      f"{len(X_atoms)} X")
-    psi = f.derivative()
-    lhs = 0.0
-    for w, A, X in zip(weights, A_atoms, X_atoms):
-        lhs += float(w) * float(np.trace(
-            np.asarray(X, dtype=complex).conj().T @ frechet_d1(psi, A, X)).real)
-    mean_A = hermitian_part(np.einsum("m,mij->ij", weights, np.asarray(A_atoms, dtype=complex)))
-    mean_X = hermitian_part(np.einsum("m,mij->ij", weights, np.asarray(X_atoms, dtype=complex)))
-    rhs = float(np.trace(mean_X.conj().T @ frechet_d1(psi, mean_A, mean_X)).real)
-    return lhs - rhs
+    u, v = (np.concatenate([M, hermitian_part(_mean(weights, M))[None]])
+            for M in (np.asarray(A_atoms, dtype=complex), np.asarray(X_atoms, dtype=complex)))
+    traces = np.trace(eval_functional(BivariateFunctional("map_C", f), u, v),
+                      axis1=-2, axis2=-1).real
+    return float(weights @ traces[:-1] - traces[-1])
 
 
-def conditional_jensen_gap(f: ScalarFunction, P) -> np.ndarray:
-    """E_1 H(Z | X_1) - H(E_1 Z) for a two-factor product, as an operator.
+def conditional_jensen_gap(f: ScalarFunction, P: list) -> np.ndarray:
+    """E_1 H(Z | X_1) - H(E_1 Z) for a two-factor product, as an operator,
+    one per entry of the list of products of one layout.
 
     E_1 averages over the first factor; H(. | X_1) is the entropy in the
     second factor's randomness at fixed X_1.  It and the subadditivity gap
     both expand to E phi(Z) - E_1 phi(E_2 Z) - E_2 phi(E_1 Z) + phi(EZ), so
-    ``subadditivity_gap`` computes it.  A list of products of one layout
-    gives a stack of gaps.
+    ``subadditivity_gap`` computes it.
     """
-    for Q in [P] if isinstance(P, ProductEnsemble) else P:
+    for Q in P:
         if Q.n != 2:
             raise DomainError(f"conditional Jensen check needs exactly two factors, got {Q.n}")
     return subadditivity_gap(f, P)

@@ -131,10 +131,10 @@ def _cmd_entropy(args) -> int:
     f = _phi(args)
     E = MatrixEnsemble.from_json_dict(_read_json(args.input))
     if args.variant == "trace":
-        value = matrix_phi_entropy(f, E)
+        value = matrix_phi_entropy(f, [E])[0]
         line = f"entropy {value:.12g}"
     else:
-        value, line = matrix_to_json(operator_phi_entropy(f, E)), None
+        value, line = matrix_to_json(operator_phi_entropy(f, [E])[0]), None
     _emit({"command": "entropy", "phi": args.phi, "variant": args.variant, "value": value},
           args, line)
     return EXIT_OK

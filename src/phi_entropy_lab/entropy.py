@@ -7,9 +7,9 @@ exact finite sums, so the inequalities under test carry no sampling error.
 
 This module gives the gaps of subadditivity, Efron-Stein and the dual
 representation; their margins and reports come from ``suite.check`` and
-the suite's check registry.  Each gap also takes a list of ensembles of one
-layout and returns a stack of gaps: the ensembles' atoms are then one stack
-through every layer.
+the suite's check registry.  Each gap takes a list of ensembles of one
+layout and returns one gap per entry of the list, the atoms one stack
+through every layer; one ensemble is a list of one.
 
 Checks run in full in the constructors (and so on decoded JSON), once per
 sweep chunk in each class's ``stack``, and never on values derived here
@@ -104,7 +104,7 @@ def _set(obj, values: dict):
     return obj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixEnsemble:
     """Finitely-supported random PSD matrix: weights and a stack of atoms."""
 
@@ -159,7 +159,7 @@ class MatrixEnsemble:
                                                "ensemble atoms"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductEnsemble:
     """Random matrix driven by n independent finite factors.
 
@@ -170,8 +170,8 @@ class ProductEnsemble:
 
     factor_weights: tuple
     z_map: dict = field(repr=False)
-    atoms: np.ndarray = field(init=False, repr=False, compare=False)
-    joint_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    atoms: np.ndarray = field(init=False, repr=False)
+    joint_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         _set(self, vars(self.stack([np.asarray(w, dtype=float)[None]
@@ -253,11 +253,9 @@ def _mean(weights: np.ndarray, atoms: np.ndarray) -> np.ndarray:
     return np.einsum("...m,...mij->...ij", weights, atoms)
 
 
-def ensemble_arrays(E) -> tuple:
-    """Weights and atoms of an ensemble; for a list of ensembles of one shape,
-    both stacked along a new leading axis."""
-    if isinstance(E, MatrixEnsemble):
-        return E.weights, E.atoms
+def ensemble_arrays(E: list) -> tuple:
+    """Weights and atoms of a list of ensembles of one shape, each stacked
+    along a new leading axis: one entry per entry of the list."""
     shapes = sorted({e.atoms.shape for e in E})
     if len(shapes) > 1:
         raise DimensionMismatchError(f"ensembles taken together must share one shape "
@@ -273,20 +271,19 @@ def jensen_gap(f: ScalarFunction, weights: np.ndarray, atoms: np.ndarray) -> np.
     return hermitian_part(mean_phi - apply_scalar_function(f, mean))
 
 
-def operator_phi_entropy(f: ScalarFunction, E) -> np.ndarray:
-    """Jensen gap E f(Z) - f(E Z) as a Hermitian matrix; a stack of them for
-    a list of ensembles of one shape."""
+def operator_phi_entropy(f: ScalarFunction, E: list) -> np.ndarray:
+    """Jensen gap E f(Z) - f(E Z) as a Hermitian matrix, one per entry of the
+    list of ensembles of one shape."""
     return jensen_gap(f, *ensemble_arrays(E))
 
 
-def matrix_phi_entropy(f: ScalarFunction, E: MatrixEnsemble) -> float:
-    """Normalized trace of the Jensen gap; nonnegative for convex f."""
+def matrix_phi_entropy(f: ScalarFunction, E: list) -> np.ndarray:
+    """Normalized trace of the Jensen gap, one per entry; nonnegative for convex f."""
     return variant_margin(operator_phi_entropy(f, E), "trace")
 
 
-def _products(P) -> list:
-    """A product ensemble, or a list of them, as a list of one layout."""
-    products = [P] if isinstance(P, ProductEnsemble) else list(P)
+def _products(products: list) -> list:
+    """The list of product ensembles, checked to share one layout."""
     layout = (products[0].support_sizes, products[0].dim)
     if any((Q.support_sizes, Q.dim) != layout for Q in products):
         raise DimensionMismatchError("product ensembles taken together must share one layout")
@@ -309,13 +306,13 @@ def _slices(products: list):
             yield w, [index[fixed[:i] + (s,) + fixed[i:]] for s in range(w.shape[-1])], p
 
 
-def subadditivity_gap(f: ScalarFunction, P) -> np.ndarray:
-    """sum_i E[conditional entropy] - total entropy, as an operator.
+def subadditivity_gap(f: ScalarFunction, P: list) -> np.ndarray:
+    """sum_i E[conditional entropy] - total entropy, as an operator, one per
+    entry of the list of products of one layout.
 
     Evaluates f over the outcome stack once and batches the per-slice
     means, so the n = 1 gap cancels exactly (identical code paths on both
-    sides of the difference).  A list of products of one layout gives a
-    stack of gaps.
+    sides of the difference).
     """
     products = _products(P)
     atoms = np.stack([Q.atoms for Q in products])
@@ -336,15 +333,14 @@ def subadditivity_gap(f: ScalarFunction, P) -> np.ndarray:
     acc = np.zeros_like(total)
     for n, (p, mphi) in enumerate(zip(cond_probs, cond_mean_phis)):
         acc = acc + p * (mphi - phi_of_means[:, n])
-    gaps = hermitian_part(acc - total)
-    return gaps[0] if isinstance(P, ProductEnsemble) else gaps
+    return hermitian_part(acc - total)
 
 
 # --- variance and resampling quantities ----------------------------------------
 
 
-def variance(E) -> np.ndarray:
-    """Operator-valued variance E Z^2 - (E Z)^2; a stack of them for a list
+def variance(E: list) -> np.ndarray:
+    """Operator-valued variance E Z^2 - (E Z)^2, one per entry of the list
     of ensembles of one shape."""
     weights, atoms = ensemble_arrays(E)
     second = _mean(weights, atoms @ atoms)
@@ -352,11 +348,11 @@ def variance(E) -> np.ndarray:
     return hermitian_part(second - mean @ mean)
 
 
-def efron_stein_quantity(P) -> np.ndarray:
-    """Half the expected sum of squared single-factor resampling differences.
+def efron_stein_quantity(P: list) -> np.ndarray:
+    """Half the expected sum of squared single-factor resampling differences,
+    one per entry of the list of products of one layout.
 
-    Exact double sum over each factor's support pairs.  A list of products
-    of one layout gives a stack of them.
+    Exact double sum over each factor's support pairs.
     """
     products = _products(P)
     atoms = np.stack([Q.atoms for Q in products])
@@ -366,8 +362,7 @@ def efron_stein_quantity(P) -> np.ndarray:
         diffs = sub[:, :, None] - sub[:, None, :]
         acc = acc + 0.5 * p[:, None, None] * np.einsum("...s,...t,...stij->...ij",
                                                        w, w, diffs @ diffs)
-    out = hermitian_part(acc)
-    return out[0] if isinstance(P, ProductEnsemble) else out
+    return hermitian_part(acc)
 
 
 # --- dual representation --------------------------------------------------------
@@ -381,10 +376,10 @@ def _check_coupled(Z: MatrixEnsemble, T: MatrixEnsemble) -> None:
 
 
 def _require_pd(eigenvalues: np.ndarray, f: ScalarFunction, what: str) -> None:
-    """The atoms of an ensemble, or of each of a stack of them, given by their
-    ascending eigenvalues (..., m, d), must be positive definite, and above
+    """The atoms of each of a stack of ensembles, given by their ascending
+    eigenvalues (n, m, d), must be positive definite, and above
     SPECTRAL_FLOOR when f's derivative needs it."""
-    for floor in np.atleast_1d(eigenvalues[..., 0].min(axis=-1)):
+    for floor in eigenvalues[..., 0].min(axis=-1):
         if floor <= 0.0:
             raise DomainError(f"{what} atoms must be strictly positive definite, "
                               f"got min eigenvalue {floor:.3e}")
@@ -396,11 +391,11 @@ def _require_pd(eigenvalues: np.ndarray, f: ScalarFunction, what: str) -> None:
 
 
 def dual_value(f: ScalarFunction, Z, T, dec_T: SpectralDecomposition | None = None) -> np.ndarray:
-    """Lower-bound functional of the dual representation, as an operator.
+    """Lower-bound functional of the dual representation, as an operator,
+    one per entry of the lists of ensembles of one shape.
 
     E[Df[T](Z-T) - Df[ET](Z-T) + f(T) - f(ET)], all expectations exact.
-    Lists of ensembles of one shape give a stack of values.  dec_T, when
-    given, is the decomposition of T's atoms.
+    dec_T, when given, is the decomposition of T's atoms.
     """
     z_weights, z_atoms = ensemble_arrays(Z)
     t_weights, t_atoms = ensemble_arrays(T)
@@ -421,15 +416,15 @@ def dual_value(f: ScalarFunction, Z, T, dec_T: SpectralDecomposition | None = No
     return hermitian_part(acc)
 
 
-def dual_gap(f: ScalarFunction, Z, T) -> np.ndarray:
-    """Entropy minus the dual lower bound, as an operator; zero when T is Z.
+def dual_gap(f: ScalarFunction, Z: list, T: list) -> np.ndarray:
+    """Entropy minus the dual lower bound, as an operator, one per entry of
+    the lists of coupled ensembles of one shape; zero when T is Z.
 
     T must be coupled to Z (same weights) and positive definite, with its
     spectrum above the floor when f's derivative needs one; T's atoms are
-    decomposed once, for that check and for the bound.  Lists of coupled
-    pairs of one shape give a stack of gaps.
+    decomposed once, for that check and for the bound.
     """
-    for z, t in [(Z, T)] if isinstance(Z, MatrixEnsemble) else zip(Z, T):
+    for z, t in zip(Z, T):
         _check_coupled(z, t)
     dec_T = SpectralDecomposition(*np.linalg.eigh(ensemble_arrays(T)[1]))
     _require_pd(dec_T.eigenvalues, f, "dual representation T")

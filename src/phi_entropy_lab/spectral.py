@@ -86,7 +86,7 @@ def relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1.0):
     return float(error) if np.ndim(error) == 0 else error
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Eigensystem of a Hermitian matrix or stack: ascending eigenvalues, unitary columns."""
 

@@ -101,12 +101,13 @@ def test_criterion_1_frechet_oracle_agreement():
     dims = (2, 3, 4, 6, 8)
     start = time.perf_counter()
     worst = {order: 0.0 for order in tols}
+    # A cell is one function's trials of one dimension: one draw, one call per order.
     for f in (SQ, XLX, P15):
-        for trial in range(500):
-            rng = rng_for(SEED, "c1", f.spec_string(), trial)
-            d = dims[trial % len(dims)]
-            A = sample_psd(d, 0.5, rng, spectral_cap=4.0)
-            X = sample_hermitian_unit(d, rng)
+        for cell, d in enumerate(dims):
+            trials = range(cell, 500, len(dims))
+            rngs = [rng_for(SEED, "c1", f.spec_string(), trial) for trial in trials]
+            A = sample_psd(d, 0.5, rngs, spectral_cap=4.0)
+            X = sample_hermitian_unit(d, rngs)
             exact = {
                 1: frechet_d1(f, A, X),
                 2: frechet_d2(f, A, X, X),
@@ -114,8 +115,9 @@ def test_criterion_1_frechet_oracle_agreement():
             }
             for order, tol in tols.items():
                 err = relative_error(exact[order], finite_diff_oracle(f, A, X, order))
-                worst[order] = max(worst[order], err)
-                assert err <= tol, (f.spec_string(), order, trial, err)
+                worst[order] = max(worst[order], float(np.max(err)))
+                trial = _first_failing(err <= tol, trials)
+                assert trial is None, (f.spec_string(), order, trial)
     elapsed = time.perf_counter() - start
     ok = all(worst[k] <= tols[k] for k in tols) and elapsed < 30.0
     _verdict(1, ok, f"worst errors {[f'{worst[k]:.2e}' for k in (1, 2, 3)]}, "
@@ -174,24 +176,29 @@ def test_criterion_4_operator_efron_stein():
     worst_scaled = np.inf
     worst_n1 = 0.0
     worst_poly = np.inf
-    for trial in range(1000):
-        rng = rng_for(SEED, "c4", trial)
-        d = (2, 3, 4)[trial % 3]
-        n = (1, 2, 3)[(trial // 3) % 3]
-        P = sample_product(d, n, 2, rng)
-        es = efron_stein_quantity(P)
-        var = variance(P.flatten())
-        margin = _min_eig(es - var)
-        scale = 1.0 + frobenius(es) + frobenius(var)
-        worst_scaled = min(worst_scaled, margin / scale)
-        assert margin >= -1e-10 * scale, trial
+    # Trial t has d = (2, 3, 4)[t % 3] and n = (1, 2, 3)[t // 3 % 3]: a cell is
+    # the trials of one t % 9, one draw and one call per quantity.
+    for cell in range(9):
+        d, n = (2, 3, 4)[cell % 3], (1, 2, 3)[cell // 3]
+        trials = range(cell, 1000, 9)
+        products = sample_product(d, n, 2, [rng_for(SEED, "c4", trial) for trial in trials])
+        es = efron_stein_quantity(products)
+        var = variance([P.flatten() for P in products])
+        margins = _min_eig(es - var)
+        scales = 1.0 + frobenius(es) + frobenius(var)
+        worst_scaled = min(worst_scaled, float(np.min(margins / scales)))
+        trial = _first_failing(margins >= -1e-10 * scales, trials)
+        assert trial is None, trial
         if n == 1:
-            worst_n1 = max(worst_n1, float(np.abs(es - var).max()))
-            assert worst_n1 <= 1e-12
+            equality = np.abs(es - var).max(axis=(-2, -1))
+            worst_n1 = max(worst_n1, float(np.max(equality)))
+            trial = _first_failing(equality <= 1e-12, trials)
+            assert trial is None, trial
         for p in (1, 2, 3):
             poly = schatten_norm(es, p) ** p - schatten_norm(var, p) ** p
-            worst_poly = min(worst_poly, poly / scale)
-            assert poly >= -1e-10 * scale, (trial, p)
+            worst_poly = min(worst_poly, float(np.min(poly / scales)))
+            trial = _first_failing(poly >= -1e-10 * scales, trials)
+            assert trial is None, (trial, p)
     ok = worst_scaled >= -1e-10 and worst_n1 <= 1e-12 and worst_poly >= -1e-10
     _verdict(4, ok, f"1000 ensembles, worst scaled margin {worst_scaled:.2e}, "
                     f"n=1 equality {worst_n1:.2e} (<= 1e-12), "
@@ -202,34 +209,41 @@ def test_criterion_5_dual_representation():
     worst = np.inf
     worst_coincident = 0.0
     combos = ((SQ, "operator"), (SQ, "trace"), (XLX, "trace"))
+    # A cell is one combination's trials of one dimension: one draw, one call.
     for f, variant in combos:
-        for trial in range(500):
-            rng = rng_for(SEED, "c5", f.spec_string(), variant, trial)
-            d = (2, 3, 4)[trial % 3]
-            Z, T = sample_coupled_ensembles(d, 3, rng, spectral_floor=SPECTRAL_FLOOR)
-            gap = operator_phi_entropy(f, Z) - dual_value(f, Z, T)
-            margin = _margin(gap, variant)
-            worst = min(worst, margin)
-            assert margin >= -1e-9, (f.spec_string(), variant, trial)
-            if trial % 10 == 0:
-                gap_zz = operator_phi_entropy(f, Z) - dual_value(f, Z, Z)
-                mz = _margin(gap_zz, variant)
-                worst_coincident = max(worst_coincident, abs(mz))
-                assert abs(mz) <= 1e-12
-    # interpolation scans: nonincreasing in the PSD order on an 11-point grid
+        for cell, d in enumerate((2, 3, 4)):
+            trials = range(cell, 500, 3)
+            rngs = [rng_for(SEED, "c5", f.spec_string(), variant, trial) for trial in trials]
+            Zs, Ts = map(list, zip(*sample_coupled_ensembles(
+                d, 3, rngs, spectral_floor=SPECTRAL_FLOOR)))
+            margins = _margin(operator_phi_entropy(f, Zs) - dual_value(f, Zs, Ts), variant)
+            worst = min(worst, float(np.min(margins)))
+            trial = _first_failing(margins >= -1e-9, trials)
+            assert trial is None, (f.spec_string(), variant, trial)
+            # every tenth trial at T = Z
+            tenth = [trial for trial in trials if trial % 10 == 0]
+            Zc = [Zs[trials.index(trial)] for trial in tenth]
+            mz = np.abs(_margin(operator_phi_entropy(f, Zc) - dual_value(f, Zc, Zc), variant))
+            worst_coincident = max(worst_coincident, float(np.max(mz)))
+            trial = _first_failing(mz <= 1e-12, tenth)
+            assert trial is None, (f.spec_string(), variant, trial)
+    # interpolation scans: nonincreasing in the PSD order on an 11-point grid,
+    # each grid point one call on all 50 trials
     grid = np.linspace(0.0, 1.0, 11)
     worst_scan = np.inf
-    for trial in range(50):
-        rng = rng_for(SEED, "c5-scan", trial)
-        Z, T = sample_coupled_ensembles(3, 3, rng, spectral_floor=SPECTRAL_FLOOR)
-        values = []
-        for s in grid:
-            T_s = MatrixEnsemble(Z.weights, (1.0 - s) * Z.atoms + s * T.atoms)
-            values.append(dual_value(SQ, Z, T_s))
-        for prev, nxt in zip(values, values[1:]):
-            step = _min_eig(prev - nxt)
-            worst_scan = min(worst_scan, step)
-            assert step >= -1e-9, trial
+    trials = range(50)
+    Zs, Ts = map(list, zip(*sample_coupled_ensembles(
+        3, 3, [rng_for(SEED, "c5-scan", trial) for trial in trials],
+        spectral_floor=SPECTRAL_FLOOR)))
+    weights = np.stack([Z.weights for Z in Zs])
+    z_atoms, t_atoms = (np.stack([E.atoms for E in Es]) for Es in (Zs, Ts))
+    values = [dual_value(SQ, Zs, MatrixEnsemble.stack(weights, (1.0 - s) * z_atoms + s * t_atoms))
+              for s in grid]
+    for prev, nxt in zip(values, values[1:]):
+        steps = _min_eig(prev - nxt)
+        worst_scan = min(worst_scan, float(np.min(steps)))
+        trial = _first_failing(steps >= -1e-9, trials)
+        assert trial is None, trial
     ok = worst >= -1e-9 and worst_coincident <= 1e-12 and worst_scan >= -1e-9
     _verdict(5, ok, f"worst margin {worst:.2e} (>= -1e-9), coincident gap "
                     f"{worst_coincident:.2e} (<= 1e-12), scan step {worst_scan:.2e}")
@@ -307,24 +321,39 @@ def test_criterion_6_characterization_cooccurrence():
                     f"{fail_a.trials} trials; condition-e worst {worst_e:.2e} (>= -1e-4)")
 
 
+def _draw_channel_ensembles(rngs, d):
+    """Each trial's channel of 1-4 Kraus operators, then its ensemble of 3 atoms."""
+    channels = random_unital_channel(d, [int(rng.integers(1, 5)) for rng in rngs], rngs)
+    return channels, sample_ensemble(d, 3, rngs)
+
+
+def _unitary_draws(trials, rngs, d, ensembles):
+    """Every tenth trial, a Haar unitary channel drawn after its ensemble,
+    and the ensemble: (those trials, their channels, their ensembles)."""
+    tenth = [trial for trial in trials if trial % 10 == 0]
+    picks = [trials.index(trial) for trial in tenth]
+    U = haar_unitary(d, [rngs[i] for i in picks])
+    return tenth, KrausChannel.stack(U[:, None]), [ensembles[i] for i in picks]
+
+
 def test_criterion_7a_monotonicity_trace():
     worst = np.inf
     worst_unitary = 0.0
+    # A cell is one function's trials of one dimension: one draw, one call.
     for f in (SQ, XLX):
-        for trial in range(1000):
-            rng = rng_for(SEED, "c7", f.spec_string(), trial)
-            d = (2, 3, 4)[trial % 3]
-            N = random_unital_channel(d, int(rng.integers(1, 5)), rng)
-            E = sample_ensemble(d, 3, rng)
-            margin = _tr_bar(monotonicity_gap(f, N, E))
-            worst = min(worst, margin)
-            assert margin >= -1e-10, (f.spec_string(), trial)
-            if trial % 10 == 0:
-                U = haar_unitary(d, rng)
-                NU = KrausChannel(U[None, :, :])
-                mu = _tr_bar(monotonicity_gap(f, NU, E))
-                worst_unitary = max(worst_unitary, abs(mu))
-                assert abs(mu) <= 1e-10
+        for cell, d in enumerate((2, 3, 4)):
+            trials = range(cell, 1000, 3)
+            rngs = [rng_for(SEED, "c7", f.spec_string(), trial) for trial in trials]
+            channels, ensembles = _draw_channel_ensembles(rngs, d)
+            margins = _tr_bar(monotonicity_gap(f, channels, ensembles))
+            worst = min(worst, float(np.min(margins)))
+            trial = _first_failing(margins >= -1e-10, trials)
+            assert trial is None, (f.spec_string(), trial)
+            tenth, unitaries, picked = _unitary_draws(trials, rngs, d, ensembles)
+            mu = np.abs(_tr_bar(monotonicity_gap(f, unitaries, picked)))
+            worst_unitary = max(worst_unitary, float(np.max(mu)))
+            trial = _first_failing(mu <= 1e-10, tenth)
+            assert trial is None, (f.spec_string(), trial)
     ok = worst >= -1e-10 and worst_unitary <= 1e-10
     _verdict("7a", ok, f"trace monotonicity over 2000 channel/ensemble draws, worst "
                        f"margin {worst:.2e}; unitary |margin| {worst_unitary:.2e}")
@@ -346,26 +375,26 @@ def test_criterion_7b_monotonicity_operator():
     violations = 0
     outside = {XLX: 0, QT: 0}
     worst_outside = {XLX: np.inf, QT: np.inf}
-    for trial in range(1000):
-        rng = rng_for(SEED, "c7b", trial)
-        d = (2, 3, 4)[trial % 3]
-        N = random_unital_channel(d, int(rng.integers(1, 5)), rng)
-        E = sample_ensemble(d, 3, rng)
-        margin = _min_eig(monotonicity_gap(SQ, N, E))
-        worst = min(worst, margin)
-        if margin < -1e-10:
-            violations += 1
-        report = check("monotonicity", override=True, phi=XLX, variant="operator", channel=N,
-                       ensemble=E)
-        m_qt = _min_eig(monotonicity_gap(QT, N, E))
-        outside[XLX] += not report.holds and report.margin < -1e-8
-        outside[QT] += m_qt < -1e-8
-        worst_outside[XLX] = min(worst_outside[XLX], report.margin)
-        worst_outside[QT] = min(worst_outside[QT], m_qt)
-        if trial % 10 == 0:
-            U = haar_unitary(d, rng)
-            NU = KrausChannel(U[None, :, :])
-            worst_unitary = max(worst_unitary, abs(_min_eig(monotonicity_gap(SQ, NU, E))))
+    # A cell is the trials of one dimension: one draw, one call per function.
+    for cell, d in enumerate((2, 3, 4)):
+        trials = range(cell, 1000, 3)
+        rngs = [rng_for(SEED, "c7b", trial) for trial in trials]
+        channels, ensembles = _draw_channel_ensembles(rngs, d)
+        margins = _min_eig(monotonicity_gap(SQ, channels, ensembles))
+        worst = min(worst, float(np.min(margins)))
+        violations += int(np.sum(margins < -1e-10))
+        m = {f: _min_eig(monotonicity_gap(f, channels, ensembles)) for f in (XLX, QT)}
+        for f in (XLX, QT):
+            outside[f] += int(np.sum(m[f] < -1e-8))
+            worst_outside[f] = min(worst_outside[f], float(np.min(m[f])))
+        # the report of the cell's least xlogx margin gives that margin and verdict
+        i = int(np.argmin(m[XLX]))
+        report = check("monotonicity", override=True, phi=XLX, variant="operator",
+                       channel=channels[i], ensemble=ensembles[i])
+        assert report.margin == m[XLX][i] and report.holds == (m[XLX][i] >= -1e-10)
+        _, unitaries, picked = _unitary_draws(trials, rngs, d, ensembles)
+        mu = np.abs(_min_eig(monotonicity_gap(SQ, unitaries, picked)))
+        worst_unitary = max(worst_unitary, float(np.max(mu)))
     ok = (worst >= -1e-10 and worst_unitary <= 1e-10
           and outside[XLX] > 0 and outside[QT] > 0)
     _verdict("7b", ok, f"operator monotonicity N(H(Z)) >= H(N(Z)): worst margin "
@@ -391,18 +420,18 @@ def test_criterion_8_classical_reduction():
         w = rng.dirichlet(np.ones(3))
         z = rng.uniform(0.2, 2.5, size=3)
         E = MatrixEnsemble(w, z.reshape(-1, 1, 1).astype(complex))
-        track(matrix_phi_entropy(f, E), oracle.entropy(name, w, z, p))
-        track(variance(E)[0, 0].real, oracle.variance(w, z))
+        track(matrix_phi_entropy(f, [E])[0], oracle.entropy(name, w, z, p))
+        track(variance([E])[0][0, 0].real, oracle.variance(w, z))
 
         # two-factor product: subadditivity, resampling bound, conditional Jensen
         w1 = rng.dirichlet(np.ones(2))
         w2 = rng.dirichlet(np.ones(2))
         table = {(s1, s2): float(rng.uniform(0.2, 2.5)) for s1 in range(2) for s2 in range(2)}
         P = ProductEnsemble((w1, w2), {k: np.array([[v]]) for k, v in table.items()})
-        track(subadditivity_gap(f, P)[0, 0].real,
+        track(subadditivity_gap(f, [P])[0][0, 0].real,
               oracle.subadditivity_margin(name, [w1, w2], table, p))
-        track(efron_stein_quantity(P)[0, 0].real, oracle.efron_stein([w1, w2], table))
-        track(conditional_jensen_gap(f, P)[0, 0].real,
+        track(efron_stein_quantity([P])[0][0, 0].real, oracle.efron_stein([w1, w2], table))
+        track(conditional_jensen_gap(f, [P])[0][0, 0].real,
               oracle.conditional_jensen_margin(name, w1, w2, table, p))
 
         # bivariate functionals at scalar arguments
@@ -410,7 +439,7 @@ def test_criterion_8_classical_reduction():
         U, V = np.array([[u]]), np.array([[v]])
         lam_t = float(rng.uniform(0.1, 0.9))
         track(convexity_slack_at(BivariateFunctional("bregman_A", f), U, V,
-                                 np.array([[u + 0.3]]), np.array([[v + 0.2]]), lam_t, "trace"),
+                                 np.array([[u + 0.3]]), np.array([[v + 0.2]]), lam_t, "trace")[0],
               lam_t * oracle.bregman(name, u, v, p)
               + (1 - lam_t) * oracle.bregman(name, u + 0.3, v + 0.2, p)
               - oracle.bregman(name, lam_t * u + (1 - lam_t) * (u + 0.3),
@@ -428,7 +457,7 @@ def test_criterion_8_classical_reduction():
         h = float(rng.uniform(-1.0, 1.0))
         mix = lam_t * a1 + (1 - lam_t) * a2
         track(condition_a_slack(f, np.array([[a1]]), np.array([[a2]]),
-                                np.array([[h]]), lam_t),
+                                np.array([[h]]), lam_t)[0],
               oracle.inverse_second_derivative_form(name, mix, h, p)
               - lam_t * oracle.inverse_second_derivative_form(name, a1, h, p)
               - (1 - lam_t) * oracle.inverse_second_derivative_form(name, a2, h, p))
@@ -436,7 +465,7 @@ def test_criterion_8_classical_reduction():
         # dual lower-bound margin
         t_vals = rng.uniform(0.2, 2.5, size=3)
         T = MatrixEnsemble(w, t_vals.reshape(-1, 1, 1).astype(complex))
-        gap = operator_phi_entropy(f, E) - dual_value(f, E, T)
+        gap = operator_phi_entropy(f, [E])[0] - dual_value(f, [E], [T])[0]
         track(gap[0, 0].real, oracle.dual_margin(name, w, z, t_vals, p))
 
         # derivative-map Jensen bound
@@ -448,7 +477,7 @@ def test_criterion_8_classical_reduction():
 
         # unital channels at d = 1 collapse to the identity
         N = random_unital_channel(1, 2, rng)
-        track(_tr_bar(monotonicity_gap(f, N, E)), 0.0)
+        track(_tr_bar(monotonicity_gap(f, [N], [E])[0]), 0.0)
     _verdict(8, True, f"d=1 checks match the scalar oracle, worst diff {worst:.2e} "
                       f"(<= 1e-10)")
 

@@ -120,7 +120,7 @@ def test_monotonicity_identity_channel_zero_margin():
     N = KrausChannel(np.eye(3)[None, :, :])
     E = sample_ensemble(3, 3, seed=8)
     for f, variant in ((SQ, "trace"), (SQ, "operator"), (XLX, "trace")):
-        assert abs(gap_margin(monotonicity_gap(f, N, E), variant)) < 1e-12
+        assert abs(gap_margin(monotonicity_gap(f, [N], [E])[0], variant)) < 1e-12
 
 
 def test_monotonicity_unitary_channel_trace_invariant():
@@ -130,10 +130,10 @@ def test_monotonicity_unitary_channel_trace_invariant():
     U = haar_unitary(3, 10)
     N = KrausChannel(U[None, :, :])
     for f in (SQ, XLX):
-        assert abs(gap_margin(monotonicity_gap(f, N, E), "trace")) < 1e-12
-    cov = apply_channel(N, operator_phi_entropy(SQ, E))
-    assert_allclose(operator_phi_entropy(SQ, pushforward(N, E)), cov, atol=1e-12)
-    assert abs(gap_margin(monotonicity_gap(SQ, N, E), "operator")) < 1e-12
+        assert abs(gap_margin(monotonicity_gap(f, [N], [E])[0], "trace")) < 1e-12
+    cov = apply_channel(N, operator_phi_entropy(SQ, [E])[0])
+    assert_allclose(operator_phi_entropy(SQ, [pushforward(N, E)])[0], cov, atol=1e-12)
+    assert abs(gap_margin(monotonicity_gap(SQ, [N], [E])[0], "operator")) < 1e-12
 
 
 def test_monotonicity_trace_sweep():

@@ -182,7 +182,7 @@ def test_joint_convexity_quartic_violation_found():
     # 12 u^2 v^2 is not jointly convex; hand-checkable at (1,0)/(0,1)
     F = BivariateFunctional("map_C", QT)
     one, zero = np.array([[1.0]]), np.array([[1e-4]])
-    slack = convexity_slack_at(F, one, zero, zero, one, 0.5, "trace")
+    slack = convexity_slack_at(F, one, zero, zero, one, 0.5, "trace")[0]
     assert slack < -0.5
 
 
@@ -198,7 +198,7 @@ def test_implication_lattice_on_shared_samples():
             slacks = {}
             for name in ("bregman_A", "map_B", "map_C"):
                 F = BivariateFunctional(name, f)
-                slacks[name] = convexity_slack_at(F, *pair1, *pair2, lam, "trace")
+                slacks[name] = convexity_slack_at(F, *pair1, *pair2, lam, "trace")[0]
             if slacks["map_C"] >= -tol:
                 assert slacks["bregman_A"] >= -2 * tol
                 assert slacks["map_B"] >= -2 * tol
@@ -208,7 +208,7 @@ def test_condition_a_square_exact_zero():
     # constant derivative map: the quadratic form is affine in A
     rng = rng_for(16, "cond-a-sq")
     A1, A2, h = cond_a_sampler(3)(rng)
-    assert abs(condition_a_slack(SQ, A1, A2, h, 0.3)) < 1e-12
+    assert abs(condition_a_slack(SQ, A1, A2, h, 0.3)[0]) < 1e-12
 
 
 def test_condition_a_xlogx_scalar_linear():
@@ -218,7 +218,7 @@ def test_condition_a_xlogx_scalar_linear():
         a1, a2 = rng.uniform(0.2, 3.0, size=2)
         h = float(rng.uniform(-1, 1))
         slack = condition_a_slack(XLX, np.array([[a1]]), np.array([[a2]]),
-                                  np.array([[h]]), 0.5)
+                                  np.array([[h]]), 0.5)[0]
         assert abs(slack) < 1e-12
 
 
@@ -229,7 +229,7 @@ def test_condition_a_scalar_matches_oracle():
         a1, a2 = rng.uniform(0.5, 2.5, size=2)
         h = float(rng.uniform(-1, 1))
         lam = 0.4
-        got = condition_a_slack(f, np.array([[a1]]), np.array([[a2]]), np.array([[h]]), lam)
+        got = condition_a_slack(f, np.array([[a1]]), np.array([[a2]]), np.array([[h]]), lam)[0]
         mix = lam * a1 + (1 - lam) * a2
         expected = (oracle.inverse_second_derivative_form(name, mix, h, p)
                     - lam * oracle.inverse_second_derivative_form(name, a1, h, p)
@@ -248,7 +248,8 @@ def test_condition_a_exp_violated_scalar():
     # 1 / psi'(a) = exp(-a) is convex, not concave: the slack is
     # exp(-mix) - (lam exp(-a1) + (1 - lam) exp(-a2)) < 0
     a1, a2, lam = 0.2, 2.5, 0.5
-    slack = condition_a_slack(EXP, np.array([[a1]]), np.array([[a2]]), np.array([[1.0]]), lam)
+    slack = condition_a_slack(EXP, np.array([[a1]]), np.array([[a2]]), np.array([[1.0]]),
+                              lam)[0]
     expected = np.exp(-(lam * a1 + (1 - lam) * a2)) - lam * np.exp(-a1) - (1 - lam) * np.exp(-a2)
     assert slack == pytest.approx(expected, abs=1e-12)
     assert slack < -0.1
@@ -330,7 +331,7 @@ def test_conditions_a_and_e_bypass_the_dense_superoperator(monkeypatch):
 
     rng = rng_for(30, "dense-guard")
     A1, A2, h = cond_a_sampler(16)(rng)
-    assert np.isfinite(condition_a_slack(XLX, A1, A2, h, 0.4))
+    assert np.isfinite(condition_a_slack(XLX, A1, A2, h, 0.4)[0])
     A = sample_psd(4, 0.5, rng, spectral_cap=4.0)
     k = sample_hermitian_unit(4, rng)
     assert np.isfinite(condition_e_margin(XLX, A, sample_hermitian_unit(4, rng), k))
@@ -447,11 +448,11 @@ def test_conditional_jensen_deterministic_factors():
     w1, w2 = (1.0,), (0.3, 0.7)
     table = {(0, 0): np.diag([1.0, 2.0]), (0, 1): np.diag([2.0, 0.5])}
     P = ProductEnsemble((np.array(w1), np.array(w2)), table)
-    assert np.abs(conditional_jensen_gap(XLX, P)).max() < 1e-12
+    assert np.abs(conditional_jensen_gap(XLX, [P])[0]).max() < 1e-12
     # X2 deterministic: both sides vanish
     table = {(0, 0): np.diag([1.0, 2.0]), (1, 0): np.diag([2.0, 0.5])}
     P = ProductEnsemble((np.array(w2), np.array(w1)), table)
-    assert np.abs(conditional_jensen_gap(XLX, P)).max() < 1e-12
+    assert np.abs(conditional_jensen_gap(XLX, [P])[0]).max() < 1e-12
 
 
 def test_conditional_jensen_sweeps():
@@ -467,7 +468,7 @@ def test_conditional_jensen_scalar_oracle():
     w2 = rng.dirichlet(np.ones(3))
     table = {(s1, s2): float(rng.uniform(0.2, 2.0)) for s1 in range(2) for s2 in range(3)}
     P = ProductEnsemble((w1, w2), {k: np.array([[v]]) for k, v in table.items()})
-    got = conditional_jensen_gap(XLX, P)[0, 0].real
+    got = conditional_jensen_gap(XLX, [P])[0][0, 0].real
     assert got == pytest.approx(
         oracle.conditional_jensen_margin("xlogx", w1, w2, table), abs=1e-10)
 
@@ -483,12 +484,12 @@ def test_conditional_jensen_gap_is_the_gap_of_per_slice_entropies(d, supports, n
         P = sample_product(d, 2, supports, seed=36 + trial)
         w1, w2 = P.factor_weights
         Z = P.atoms.reshape(supports + (d, d))
-        conditional = sum(a * operator_phi_entropy(f, MatrixEnsemble(w2, Z[s1]))
+        conditional = sum(a * operator_phi_entropy(f, [MatrixEnsemble(w2, Z[s1])])[0]
                           for s1, a in enumerate(w1))
         averaged = MatrixEnsemble(w2, np.einsum("s,stij->tij", w1, Z))
-        want = conditional - operator_phi_entropy(f, averaged)
+        want = conditional - operator_phi_entropy(f, [averaged])[0]
         scale = max(1.0, np.abs(want).max())
-        assert np.abs(conditional_jensen_gap(f, P) - want).max() <= 1e-12 * scale
+        assert np.abs(conditional_jensen_gap(f, [P])[0] - want).max() <= 1e-12 * scale
         margins = {"trace": np.trace(want).real / d, "operator": np.linalg.eigvalsh(want)[0]}
         for variant, margin in margins.items():
             got = check("conditional_jensen", phi=f, variant=variant, product=P,
@@ -499,4 +500,4 @@ def test_conditional_jensen_gap_is_the_gap_of_per_slice_entropies(d, supports, n
 def test_conditional_jensen_rejects_wrong_arity():
     P = sample_product(2, 3, 2, seed=1)
     with pytest.raises(DomainError, match="two factors"):
-        conditional_jensen_gap(XLX, P)
+        conditional_jensen_gap(XLX, [P])

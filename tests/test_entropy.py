@@ -21,6 +21,8 @@ from phi_entropy_lab import (
     efron_stein_quantity,
     matrix_phi_entropy,
     operator_phi_entropy,
+    random_unital_channel,
+    spectral_decompose,
     variance,
 )
 from phi_entropy_lab.entropy import dual_value, subadditivity_gap
@@ -117,6 +119,21 @@ def test_ensembles_name_the_bad_atom_at_any_position(bad, position):
     assert np.array_equal(MatrixEnsemble(np.full(4, 0.25), np.stack(good)).atoms, np.stack(good))
 
 
+def test_array_holding_values_compare_by_identity():
+    # Two draws from one seed hold equal arrays but are distinct values:
+    # == and hash are the instance's own and never compare the arrays.
+    makers = {
+        "MatrixEnsemble": lambda: sample_ensemble(2, 3, seed=1),
+        "ProductEnsemble": lambda: sample_product(2, 2, 2, seed=1),
+        "KrausChannel": lambda: random_unital_channel(2, 2, seed=1),
+        "SpectralDecomposition": lambda: spectral_decompose(np.diag([1.0, 2.0])),
+    }
+    for name, make in makers.items():
+        a, b = make(), make()
+        assert a == a and a != b and hash(a) == hash(a), name
+        assert a in [b, a] and b not in [a] and len({a, b}) == 2, name
+
+
 def test_tower_property():
     P = sample_product(3, 3, 2, seed=6)
     # iterate factor-wise in two different orders; must match the flat mean
@@ -130,27 +147,27 @@ def test_tower_property():
 
 def test_trace_entropy_deterministic_zero():
     single = MatrixEnsemble(np.array([1.0]), np.stack([np.diag([1.0, 2.0])]))
-    assert matrix_phi_entropy(SQ, single) == pytest.approx(0.0, abs=1e-14)
-    assert np.abs(operator_phi_entropy(SQ, single)).max() < 1e-14
+    assert matrix_phi_entropy(SQ, [single])[0] == pytest.approx(0.0, abs=1e-14)
+    assert np.abs(operator_phi_entropy(SQ, [single])[0]).max() < 1e-14
 
 
 def test_trace_entropy_square_example():
     # E phi(Z) - phi(EZ) = diag(5,10) - diag(4,9) -> normalized trace 1
-    assert matrix_phi_entropy(SQ, E0) == pytest.approx(1.0, abs=1e-12)
+    assert matrix_phi_entropy(SQ, [E0])[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_trace_entropy_xlogx_commuting_example():
     E = MatrixEnsemble(np.array([0.5, 0.5]), np.stack([np.diag([1.0, 1.0]), np.diag([3.0, 1.0])]))
     expected = (3.0 * math.log(3.0) / 2.0 - 2.0 * math.log(2.0)) / 2.0
-    assert matrix_phi_entropy(XLX, E) == pytest.approx(expected, rel=1e-12)
+    assert matrix_phi_entropy(XLX, [E])[0] == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(0.13081, abs=5e-6)
 
 
 def test_operator_entropy_square_equals_variance():
     for seed in range(5):
         E = sample_ensemble(3, 3, seed=seed)
-        assert np.abs(operator_phi_entropy(SQ, E) - variance(E)).max() < 1e-12
-    assert_allclose(operator_phi_entropy(SQ, E0), np.diag([1.0, 1.0]), atol=1e-12)
+        assert np.abs(operator_phi_entropy(SQ, [E])[0] - variance([E])[0]).max() < 1e-12
+    assert_allclose(operator_phi_entropy(SQ, [E0])[0], np.diag([1.0, 1.0]), atol=1e-12)
 
 
 def test_trace_entropy_nonnegative_for_all_convex_functions():
@@ -158,7 +175,7 @@ def test_trace_entropy_nonnegative_for_all_convex_functions():
         f = builtin(*([spec] if ":" not in spec else ["power", 1.5]))
         for seed in range(5):
             E = sample_ensemble(3, 3, seed=seed, spectral_floor=1e-3, spectral_cap=3.0)
-            assert matrix_phi_entropy(f, E) >= -1e-10
+            assert matrix_phi_entropy(f, [E])[0] >= -1e-10
 
 
 def test_scalar_ensemble_matches_classical_entropy():
@@ -168,7 +185,7 @@ def test_scalar_ensemble_matches_classical_entropy():
         z = rng.uniform(0.1, 3.0, size=4)
         E = MatrixEnsemble(w, z.reshape(-1, 1, 1).astype(complex))
         for name, f in (("square", SQ), ("xlogx", XLX)):
-            assert matrix_phi_entropy(f, E) == pytest.approx(
+            assert matrix_phi_entropy(f, [E])[0] == pytest.approx(
                 oracle.entropy(name, w, z), abs=1e-12)
 
 
@@ -177,10 +194,10 @@ def test_commuting_ensemble_reduces_to_entrywise_entropy():
     w = rng.dirichlet(np.ones(3))
     diags = rng.uniform(0.2, 2.0, size=(3, 4))
     E = MatrixEnsemble(w, np.stack([np.diag(d) for d in diags]).astype(complex))
-    gap = operator_phi_entropy(XLX, E)
+    gap = operator_phi_entropy(XLX, [E])[0]
     expected = [oracle.entropy("xlogx", w, diags[:, j]) for j in range(4)]
     assert_allclose(np.diag(gap).real, expected, atol=1e-10)
-    assert matrix_phi_entropy(XLX, E) == pytest.approx(float(np.mean(expected)), abs=1e-10)
+    assert matrix_phi_entropy(XLX, [E])[0] == pytest.approx(float(np.mean(expected)), abs=1e-10)
 
 
 # The conditional entropies below are the ones subadditivity_gap sums.
@@ -193,7 +210,7 @@ def test_conditional_entropy_deterministic_factor():
     )
     # factor 1 is deterministic: its conditional entropy is 0 and factor 0's
     # is the whole entropy, so the gap vanishes
-    gap = subadditivity_gap(SQ, P)
+    gap = subadditivity_gap(SQ, [P])[0]
     for variant in ("trace", "operator"):
         assert abs(variant_margin(gap, variant)) == pytest.approx(0.0, abs=1e-14)
 
@@ -201,7 +218,7 @@ def test_conditional_entropy_deterministic_factor():
 def test_conditional_entropy_single_factor_equals_unconditional():
     P = sample_product(2, 1, 3, seed=7)
     # the only factor's conditional entropy is the entropy itself
-    assert np.abs(subadditivity_gap(XLX, P)).max() <= 1e-14
+    assert np.abs(subadditivity_gap(XLX, [P])[0]).max() <= 1e-14
 
 
 def test_conditional_entropy_diagonal_matches_scalar_conditional_variance():
@@ -209,7 +226,7 @@ def test_conditional_entropy_diagonal_matches_scalar_conditional_variance():
     table = {(0, 0): 0.5, (0, 1): 1.5, (1, 0): 2.0, (1, 1): 0.7}
     P = diag_product([w1, w2], table)
     # for the square each conditional entropy is a scalar conditional variance
-    got = subadditivity_gap(SQ, P)[0, 0].real
+    got = subadditivity_gap(SQ, [P])[0][0, 0].real
     expected = oracle.subadditivity_margin("square", [w1, w2], table)
     assert got == pytest.approx(expected, abs=1e-12)
 
@@ -218,7 +235,7 @@ def test_subadditivity_single_factor_margin_exactly_zero():
     for seed in range(5):
         P = sample_product(3, 1, 3, seed=seed)
         for variant, f in (("trace", XLX), ("operator", SQ)):
-            gap = subadditivity_gap(f, P)
+            gap = subadditivity_gap(f, [P])[0]
             assert np.abs(gap).max() <= 1e-12
             assert abs(variant_margin(gap, variant)) <= 1e-12
 
@@ -270,35 +287,35 @@ def test_subadditivity_quartic_scalar_counterexample_search():
 
 def test_variance_properties():
     single = MatrixEnsemble(np.array([1.0]), np.stack([np.diag([1.0, 2.0])]))
-    assert np.abs(variance(single)).max() < 1e-14
-    assert_allclose(variance(E0), np.diag([1.0, 1.0]), atol=1e-12)
+    assert np.abs(variance([single])[0]).max() < 1e-14
+    assert_allclose(variance([E0])[0], np.diag([1.0, 1.0]), atol=1e-12)
     rng = rng_for(5, "variance")
     w = rng.dirichlet(np.ones(3))
     diags = rng.uniform(0.1, 2.0, size=(3, 3))
     E = MatrixEnsemble(w, np.stack([np.diag(d) for d in diags]).astype(complex))
     expected = [oracle.variance(w, diags[:, j]) for j in range(3)]
-    assert_allclose(np.diag(variance(E)).real, expected, atol=1e-12)
+    assert_allclose(np.diag(variance([E])[0]).real, expected, atol=1e-12)
     # PSD
-    assert np.linalg.eigvalsh(variance(sample_ensemble(4, 3, seed=3)))[0] >= -1e-12
+    assert np.linalg.eigvalsh(variance([sample_ensemble(4, 3, seed=3)])[0])[0] >= -1e-12
 
 
 def test_efron_stein_single_factor_equals_variance():
     for seed in range(5):
         P = sample_product(3, 1, 4, seed=seed)
-        assert np.abs(efron_stein_quantity(P) - variance(P.flatten())).max() < 1e-12
+        assert np.abs(efron_stein_quantity([P])[0] - variance([P.flatten()])[0]).max() < 1e-12
 
 
 def test_efron_stein_deterministic_map_is_zero():
     A = np.diag([1.0, 2.0])
     P = ProductEnsemble((np.array([0.5, 0.5]),), {(0,): A, (1,): A})
-    assert np.abs(efron_stein_quantity(P)).max() < 1e-14
+    assert np.abs(efron_stein_quantity([P])[0]).max() < 1e-14
 
 
 def test_efron_stein_diagonal_matches_scalar_brute_force():
     w = [(0.3, 0.7), (0.6, 0.4)]
     table = {(0, 0): 0.2, (0, 1): 1.4, (1, 0): 2.3, (1, 1): 0.9}
     P = diag_product(w, table)
-    got = efron_stein_quantity(P)[0, 0].real
+    got = efron_stein_quantity([P])[0][0, 0].real
     assert got == pytest.approx(oracle.efron_stein(w, table), abs=1e-12)
 
 
@@ -334,7 +351,7 @@ def test_dual_gap_deterministic_reference_is_entropy():
     Z, _ = sample_coupled_ensembles(3, 3, seed=3, spectral_floor=1e-2)
     mean = np.einsum("m,mij->ij", Z.weights, Z.atoms)
     T = MatrixEnsemble(Z.weights, np.stack([mean] * Z.support))
-    value = dual_value(SQ, Z, T)
+    value = dual_value(SQ, [Z], [T])[0]
     # the reference term vanishes, leaving the entropy itself as the margin
     assert np.abs(value).max() < 1e-10
     report = check("dual_representation", phi=SQ, variant="operator", Z=Z, T=T)
@@ -370,7 +387,8 @@ def test_dual_gap_requires_positive_definite_reference():
 
 def _dual_values_along(f, Z, T, grid):
     """The dual functional F(s) = dual_value(f, Z, (1-s)Z + sT) on the grid."""
-    return np.stack([dual_value(f, Z, MatrixEnsemble(Z.weights, (1.0 - s) * Z.atoms + s * T.atoms))
+    return np.stack([dual_value(f, [Z], [MatrixEnsemble(Z.weights,
+                                                        (1.0 - s) * Z.atoms + s * T.atoms)])[0]
                      for s in grid])
 
 
@@ -389,7 +407,7 @@ def test_interpolation_scan_monotone_and_anchored():
         tol = 1e-9 * (1.0 + frobenius(values).max())
         assert variant_margin(values[:-1] - values[1:], "operator").min() >= -tol
         # F(0) equals the operator entropy of Z
-        assert np.abs(values[0] - operator_phi_entropy(SQ, Z)).max() < 1e-12
+        assert np.abs(values[0] - operator_phi_entropy(SQ, [Z])[0]).max() < 1e-12
 
 
 def test_interpolation_scan_scalar_closed_form():
@@ -404,5 +422,5 @@ def test_interpolation_scan_scalar_closed_form():
     var_diff = oracle.variance(w, t - z)
     for s in (0.0, 0.3, 0.8, 1.0):
         T_s = MatrixEnsemble(w, ((1 - s) * z + s * t).reshape(-1, 1, 1).astype(complex))
-        f_s = dual_value(SQ, Z, T_s)[0, 0].real
+        f_s = dual_value(SQ, [Z], [T_s])[0][0, 0].real
         assert f_s == pytest.approx(h_z - s * s * var_diff, abs=1e-12)

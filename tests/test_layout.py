@@ -1,7 +1,7 @@
 """Source layout: each module of the package and of its tests uses every
-name it imports, each command of the command line reads every option it
-accepts, and importing the package leaves the heavy numpy submodules
-unloaded."""
+name it imports, the gap modules never branch on a single ensemble or
+channel, each command of the command line reads every option it accepts,
+and importing the package leaves the heavy numpy submodules unloaded."""
 
 import argparse
 import ast
@@ -46,6 +46,23 @@ def test_unused_imports_are_found():
                          ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}")
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def point_class_dispatches(source: str) -> list:
+    """The lines of source that call isinstance against an ensemble or channel class."""
+    classes = {"MatrixEnsemble", "ProductEnsemble", "KrausChannel"}
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                  and classes & {getattr(n, "id", getattr(n, "attr", None))
+                                 for n in ast.walk(node.args[-1])})
+
+
+def test_gap_functions_take_lists_only():
+    # One form per gap function: lists in, one result per entry, so no gap
+    # module branches on a single ensemble, product or channel.
+    found = {name: point_class_dispatches((PACKAGE / name).read_text(encoding="utf-8"))
+             for name in ("entropy.py", "channels.py", "characterizations.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def _is_args(node) -> bool:

@@ -203,11 +203,11 @@ def test_lambda_vector_slacks_equal_scalar_calls(seed, d, name, variant):
     f = builtin("square") if variant == "operator" else XLX
     F = BivariateFunctional(name, f, t=0.3 if name == "gap_F_t" else None)
     pair = [sample_psd(d, 0.1, rng) for _ in range(4)]
-    assert convexity_slack_at(F, *pair, lams, variant) == [
-        convexity_slack_at(F, *pair, lam, variant) for lam in lams]
+    assert convexity_slack_at(F, *pair, lams, variant).tolist() == [
+        convexity_slack_at(F, *pair, [lam], variant)[0] for lam in lams]
     A1, A2, h = sample_psd(d, 0.1, rng), sample_psd(d, 0.1, rng), sample_hermitian(d, rng)
-    assert condition_a_slack(XLX, A1, A2, h, lams) == [condition_a_slack(XLX, A1, A2, h, lam)
-                                                       for lam in lams]
+    assert condition_a_slack(XLX, A1, A2, h, lams).tolist() == [
+        condition_a_slack(XLX, A1, A2, h, [lam])[0] for lam in lams]
 
 
 def test_bregman_stack_decomposes_u_once(monkeypatch):
