@@ -183,9 +183,9 @@ def default_fd_step(order: int, A, X):
 def finite_diff_oracle(f: ScalarFunction, A, X, order: int, step=None) -> np.ndarray:
     """Central-difference approximation of the order-k derivative along X.
 
-    Independent of the divided-difference engine: only evaluates the matrix
-    function itself on a stencil.  A and X may be stacks; each matrix then
-    gets its own default step, or the step given for it.
+    Independent of the divided-difference engine: evaluates only the matrix
+    function, at all stencil points in one call.  A and X may be stacks;
+    each matrix then gets its own default step, or the step given for it.
     """
     if order not in _STENCILS:
         raise DomainError(f"finite-difference oracle supports orders 1..3, got {order}")
@@ -197,14 +197,12 @@ def finite_diff_oracle(f: ScalarFunction, A, X, order: int, step=None) -> np.nda
     if np.any(steps <= 0.0):
         raise DomainError(f"step must be positive, got {step}")
     h = np.expand_dims(steps, (-2, -1))
-    acc = np.zeros_like(A)
-    for offset, coeff in _STENCILS[order]:
-        try:
-            acc = acc + coeff * apply_scalar_function(f, A + offset * h * X)
-        except DomainError as exc:
-            raise DomainError(
-                f"domain exit during stencil evaluation at offset {offset}: {exc}"
-            ) from exc
+    stencil = _STENCILS[order]
+    try:
+        values = apply_scalar_function(f, np.stack([A + offset * h * X for offset, _ in stencil]))
+    except DomainError as exc:
+        raise DomainError(f"domain exit during stencil evaluation: {exc}") from exc
+    acc = sum(coeff * value for (_, coeff), value in zip(stencil, values))
     # Python's float power, as a call on one matrix takes it.
     scale = [_STENCIL_SCALE[order] * s**order for s in steps.ravel().tolist()]
     return hermitian_part(acc / np.reshape(scale, h.shape))

@@ -1,16 +1,21 @@
 """Hermitian linear algebra foundation.
 
 Eigendecompositions, standard matrix functions, the margins of operator
-gaps and Schatten norms, plus the JSON wire format for dense complex
-matrices.  All operations are pure functions on immutable values.
-Validation, decomposition, matrix functions and operator margins also take
-stacks (..., d, d); each matrix gets the values and tolerance of its own call.
+gaps and Schatten norms, all pure functions that also take stacks
+(..., d, d), each matrix getting the values and tolerance of its own call.
+
+A d x d Hermitian matrix has one parametrisation by d^2 reals: the diagonal,
+then the real and imaginary parts of each upper entry, row by row.  The
+counterexample search moves in it, and the JSON wire format writes such a
+matrix as {"dim": d, "h": [d^2 reals]}; any other matrix (a Kraus operator)
+as {"dim": d, "re": [[...]], "im": [[...]]}.  Both forms are read.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,13 +24,6 @@ from .errors import DimensionMismatchError, DomainError, NonHermitianError
 # Relative tolerance factor; scale-free so tests behave identically for
 # matrices of any magnitude.
 HERM_RTOL = 1e-10
-
-
-def as_matrix(A) -> np.ndarray:
-    A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {A.shape}")
-    return A
 
 
 def dagger(A: np.ndarray) -> np.ndarray:
@@ -144,20 +142,65 @@ def variant_margin(gap, variant: str):
 def schatten_norm(A, p: float):
     """Schatten p-norm of a Hermitian matrix: the l_p norm of its singular
     values, which are the moduli of its eigenvalues.  For a stack, an array
-    of the norms of its matrices, from one eigvalsh call."""
+    of the norms of its matrices, from one eigvalsh call.  One matrix is
+    reduced as a stack of one, so its norm is its entry of a stacked call."""
     if p < 1:
         raise DomainError(f"Schatten norm requires p >= 1, got p={p}")
-    s = np.abs(np.linalg.eigvalsh(validate_hermitian(A)))
+    A = validate_hermitian(A)
+    s = np.abs(np.linalg.eigvalsh(A.reshape(-1, *A.shape[-2:])))
     norms = s.max(axis=-1) if np.isinf(p) else np.sum(s**p, axis=-1) ** (1.0 / p)
-    return float(norms) if norms.ndim == 0 else norms
+    return float(norms[0]) if A.ndim == 2 else norms.reshape(A.shape[:-2])
 
 
-# --- JSON wire format -------------------------------------------------------
+# --- Hermitian parameters and the JSON wire format ----------------------------
+
+
+@lru_cache(maxsize=32)
+def _param_layout(d: int) -> tuple:
+    """Index arrays between the d^2 parameters p (np.triu_indices order) and
+    a d x d matrix seen as d x d x 2 floats: source holds, for each float of
+    the matrix, its position in concat(p, 0 - p, [0]); where holds, for each
+    parameter, the position of its float in the flattened matrix."""
+    n = d * d
+    i, j = np.triu_indices(d, 1)
+    re = d + 2 * np.arange(i.size)  # the parameter of each upper entry's real part
+    source = np.full((d, d, 2), 2 * n)
+    source[range(d), range(d), 0] = range(d)
+    source[i, j, 0] = source[j, i, 0] = re
+    source[i, j, 1] = re + 1
+    source[j, i, 1] = n + re + 1
+    upper = 2 * (i * d + j)
+    where = np.concatenate([2 * (d + 1) * np.arange(d), np.stack([upper, upper + 1], -1).ravel()])
+    source.flags.writeable = where.flags.writeable = False
+    return source, where
+
+
+def herm_from_params(p: np.ndarray, d: int) -> np.ndarray:
+    """Dense Hermitian matrix from d^2 real parameters, or a stack of them from
+    parameter vectors (..., d^2); a zero lower imaginary part is +0.0."""
+    source, _ = _param_layout(d)
+    floats = np.concatenate([p, 0.0 - p, np.zeros(p.shape[:-1] + (1,))], axis=-1)
+    return np.take(floats, source, axis=-1).view(complex)[..., 0]
+
+
+def params_of(M: np.ndarray) -> np.ndarray:
+    """The d^2 real parameters of a Hermitian matrix, or of each of a stack;
+    inverse of herm_from_params."""
+    M = np.ascontiguousarray(M, dtype=complex)
+    _, where = _param_layout(M.shape[-1])
+    return M.view(float).reshape(M.shape[:-2] + (-1,))[..., where]
 
 
 def matrix_to_json(A) -> dict:
-    """Serialize as {"dim": d, "re": [[...]], "im": [[...]]}; "im" omitted when real."""
-    A = as_matrix(A)
+    """{"dim": d, "h": [d^2 reals]} if herm_from_params rebuilds A from them
+    bit for bit, else {"dim": d, "re": [[...]], "im": [[...]]}, "im" omitted
+    when A is real."""
+    A = np.asarray(A, dtype=complex)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
+        raise DimensionMismatchError(f"expected a square matrix, got shape {A.shape}")
+    p = params_of(A)
+    if herm_from_params(p, A.shape[0]).tobytes() == A.tobytes():
+        return {"dim": A.shape[0], "h": p.tolist()}
     out = {"dim": A.shape[0], "re": A.real.tolist()}
     if np.any(A.imag != 0.0):
         out["im"] = A.imag.tolist()
@@ -165,26 +208,22 @@ def matrix_to_json(A) -> dict:
 
 
 def matrix_from_json(data: dict) -> np.ndarray:
+    """A matrix from either form of matrix_to_json."""
     try:
         dim = data["dim"]
-        re = np.asarray(data["re"], dtype=float)
-        im = None if data.get("im") is None else np.asarray(data["im"], dtype=float)
+        keys = ["h"] if "h" in data else ["re"] + (["im"] if data.get("im") is not None else [])
+        blocks = {key: np.asarray(data[key], dtype=float) for key in keys}
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed matrix JSON: {exc}") from exc
-    if not isinstance(dim, numbers.Integral) or isinstance(dim, bool):
-        raise DomainError(f"matrix JSON 'dim' must be an integer, got {dim!r:.60}")
-    if re.shape != (dim, dim):
-        raise DimensionMismatchError(
-            f"matrix JSON declares dim={dim} but 're' has shape {re.shape}"
-        )
-    A = re.astype(complex)
-    if im is not None:
-        if im.shape != (dim, dim):
+    if not isinstance(dim, numbers.Integral) or isinstance(dim, bool) or dim < 1:
+        raise DomainError(f"matrix JSON 'dim' must be a positive integer, got {dim!r:.60}")
+    for key, block in blocks.items():
+        if block.shape != ((dim * dim,) if key == "h" else (dim, dim)):
             raise DimensionMismatchError(
-                f"matrix JSON declares dim={dim} but 'im' has shape {im.shape}"
-            )
-        A = A + 1j * im
-    return A
+                f"matrix JSON declares dim={dim} but '{key}' has shape {block.shape}")
+    if "h" in blocks:
+        return herm_from_params(blocks["h"], dim)
+    return blocks["re"] + 1j * blocks["im"] if "im" in blocks else blocks["re"].astype(complex)
 
 
 def matrices_from_json(items, what: str) -> np.ndarray:

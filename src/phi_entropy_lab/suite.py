@@ -47,7 +47,6 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
 from typing import Callable, Iterator
 
 import numpy as np
@@ -90,8 +89,10 @@ from .sampling import (
     sample_psd,
 )
 from .spectral import (
+    herm_from_params,
     matrix_from_json,
     matrix_to_json,
+    params_of,
     relative_error,
     schatten_norm,
     variant_margin,
@@ -756,51 +757,12 @@ def run_suite(config: RunConfig) -> SuiteReport:
 # --- counterexample search --------------------------------------------------------
 
 
-@lru_cache(maxsize=32)
-def _param_layout(d: int) -> tuple:
-    """Index arrays between d^2 search parameters and a d x d Hermitian matrix
-    seen as d x d x 2 floats (real part, imaginary part).
-
-    The parameters are the diagonal, then the real and imaginary parts of each
-    upper entry, row by row (np.triu_indices order).  source holds, for each
-    float of the matrix, its position in concat(p, -p, [0]); where holds, for
-    each parameter, the position of its float in the flattened matrix.
-    """
-    n = d * d
-    i, j = np.triu_indices(d, 1)
-    re = d + 2 * np.arange(i.size)  # the parameter of each upper entry's real part
-    source = np.full((d, d, 2), 2 * n)
-    source[range(d), range(d), 0] = range(d)
-    source[i, j, 0] = source[j, i, 0] = re
-    source[i, j, 1] = re + 1
-    source[j, i, 1] = n + re + 1
-    upper = 2 * (i * d + j)
-    where = np.concatenate([2 * (d + 1) * np.arange(d), np.stack([upper, upper + 1], -1).ravel()])
-    source.flags.writeable = where.flags.writeable = False
-    return source, where
-
-
-def _herm_from_params(p: np.ndarray, d: int) -> np.ndarray:
-    """Dense Hermitian matrix from d^2 real parameters; a stack of them from
-    parameter vectors (..., d^2)."""
-    source, _ = _param_layout(d)
-    floats = np.concatenate([p, -p, np.zeros(p.shape[:-1] + (1,))], axis=-1)
-    return np.take(floats, source, axis=-1).view(complex)[..., 0]
-
-
-def _params_of(M: np.ndarray) -> np.ndarray:
-    """The d^2 real parameters of a Hermitian matrix, or of each of a stack;
-    inverse of _herm_from_params."""
-    M = np.ascontiguousarray(M, dtype=complex)
-    _, where = _param_layout(M.shape[-1])
-    return M.view(float).reshape(M.shape[:-2] + (-1,))[..., where]
-
-
 class _SearchSpace:
     """A searchable record's points as real parameter vectors.
 
-    The vector holds the record's matrix fields, d^2 parameters each, then
-    one weight in (0, 1) that serves as lambda and, for gap_F_t, as t.
+    The vector holds the record's matrix fields, d^2 Hermitian parameters
+    each (spectral.herm_from_params), then one weight in (0, 1) that serves
+    as lambda and, for gap_F_t, as t.
     Searches run on the trace form.  Vectors travel as stacks (n, size): a
     margin call takes at most cap of them, the trials of one sweep call, and
     each stack is drawn and unpacked in one call.
@@ -820,14 +782,14 @@ class _SearchSpace:
         floor, cap = self.record.search_spectrum
         mats = sample_psd(self.dim, floor, rngs, cap, len(self.matrix_keys))
         weights = [[rng.uniform(0.05, 0.95)] for rng in rngs]
-        return np.concatenate([_params_of(mats).reshape(len(rngs), -1), weights], axis=1)
+        return np.concatenate([params_of(mats).reshape(len(rngs), -1), weights], axis=1)
 
     def points(self, stack: np.ndarray) -> list:
         """The point of each vector: the values it fills, then matrices."""
         n = len(self.matrix_keys) * self.dim * self.dim
         lams = np.clip(stack[:, n], 0.01, 0.99).tolist()
-        mats = _herm_from_params(stack[:, :n].reshape(len(stack), len(self.matrix_keys), -1),
-                                 self.dim)
+        mats = herm_from_params(stack[:, :n].reshape(len(stack), len(self.matrix_keys), -1),
+                                self.dim)
         return [{"phi": self.f, "functional": self.check, "variant": "trace", "lambda": lam,
                  "t": lam if self.check == "gap_F_t" else None, **dict(zip(self.matrix_keys, m))}
                 for lam, m in zip(lams, mats)]

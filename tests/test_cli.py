@@ -2,6 +2,7 @@
 
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -337,6 +338,9 @@ _NOT_TP_MONOTONICITY = {
     ("check", {"kind": "poly_efron_stein", "p": float("inf"),
                "product": {"factors": [[1.0]], "z": {"0": _ONE}}}),
     ("check", _NOT_TP_MONOTONICITY),
+    ("frechet", {"dim": 2, "h": [1.0, 0.0, 1.0]}),
+    ("frechet", {"dim": 1, "h": ["a"]}),
+    ("frechet", {"dim": 1.5, "h": [1.0]}),
 ], ids=["dim-word", "dim-float", "dim-bool", "re-word", "re-ragged", "atom-no-w",
         "top-level-list", "atoms-mixed-dims",
         "product-key", "factor-weight-word", "kraus-number", "trials-string", "dims-word",
@@ -348,7 +352,7 @@ _NOT_TP_MONOTONICITY = {
         "checks-repeated", "n-factors-field", "support-field", "tol-nan",
         "tol-negative", "tol-inf", "es-weight-nan", "poly-es-weight-nan",
         "lemma-weights-not-a-distribution", "lemma-weights-too-few", "p-infinite",
-        "kraus-not-trace-preserving"])
+        "kraus-not-trace-preserving", "h-short", "h-word", "h-dim-float"])
 def test_exit_code_two_on_malformed_input_files(command, data, tmp_path, capsys):
     path = _json_file(tmp_path, "input.json", data)
     command, *options = command.split()
@@ -402,6 +406,13 @@ def test_every_suite_witness_checks_and_replays_to_its_margin(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[-2:] == [f"{len(reports)}/{len(reports)} witnesses replayed to their margins",
                           f"{len(reports) - 1}/{len(reports)} witnesses replayed to their margins"]
+
+
+def test_replay_reads_a_run_file_of_the_old_matrix_form(capsys):
+    # Matrices written as "re"/"im" blocks only, before the "h" form existed.
+    old = str(Path(__file__).parent / "data" / "old_form_suite.json")
+    assert main(["replay", "--input", old, "--quiet"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "4/4 witnesses replayed to their margins"
 
 
 @pytest.mark.parametrize("data", [{"reports": 5}, {"reports": [1]},

@@ -1,7 +1,8 @@
 """Source layout: each module of the package and of its tests uses every
 name it imports, the gap modules never branch on a single ensemble or
-channel, each command of the command line reads every option it accepts,
-and importing the package leaves the heavy numpy submodules unloaded."""
+channel, one module lays out the Hermitian parameters, each command of the
+command line reads every option it accepts, and importing the package
+leaves the heavy numpy submodules unloaded."""
 
 import argparse
 import ast
@@ -63,6 +64,14 @@ def test_gap_functions_take_lists_only():
     found = {name: point_class_dispatches((PACKAGE / name).read_text(encoding="utf-8"))
              for name in ("entropy.py", "channels.py", "characterizations.py")}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_one_hermitian_parameter_layout():
+    # spectral.herm_from_params is the one layout of a Hermitian matrix's d^2
+    # reals, read by the wire format and the counterexample search alike.
+    calls = {path.name for path in PACKAGE.glob("*.py")
+             if "triu_indices(" in path.read_text(encoding="utf-8")}
+    assert calls == {"spectral.py"}
 
 
 def _is_args(node) -> bool:

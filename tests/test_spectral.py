@@ -1,21 +1,28 @@
-"""Eigendecomposition, matrix functions, Loewner order, traces and norms."""
+"""Eigendecomposition, matrix functions, Loewner order, traces, norms, the
+Hermitian parameters and the matrix wire format."""
+
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from phi_entropy_lab import (
+    DimensionMismatchError,
     DomainError,
     NonHermitianError,
     apply_scalar_function,
     builtin,
     matrix_from_json,
     matrix_to_json,
+    random_unital_channel,
     schatten_norm,
     spectral_decompose,
 )
 from phi_entropy_lab.sampling import haar_unitary, rng_for, sample_hermitian, sample_psd
-from phi_entropy_lab.spectral import variant_margin
+from phi_entropy_lab.spectral import herm_from_params, params_of, variant_margin
 
 
 def test_decompose_diagonal():
@@ -133,7 +140,100 @@ def test_matrix_json_roundtrip():
     A = sample_hermitian(3, 4)
     back = matrix_from_json(matrix_to_json(A))
     assert_allclose(back, A, atol=0)  # floats round-trip exactly
-    # real matrices omit the imaginary block
-    data = matrix_to_json(np.eye(2))
-    assert "im" not in data
-    assert_allclose(matrix_from_json(data), np.eye(2))
+    # real matrices that are not Hermitian omit the imaginary block
+    B = np.array([[1.0, 2.0], [0.0, 1.0]])
+    data = matrix_to_json(B)
+    assert "im" not in data and "h" not in data
+    assert_allclose(matrix_from_json(data), B)
+
+
+def _herm_from_params_entrywise(p, d):
+    """The Hermitian parameter layout entry by entry: the reference for its index arrays."""
+    M = np.zeros((d, d), dtype=complex)
+    M[range(d), range(d)] = p[:d]
+    k = d
+    for i in range(d):
+        for j in range(i + 1, d):
+            M[i, j], M[j, i] = p[k] + 1j * p[k + 1], p[k] - 1j * p[k + 1]
+            k += 2
+    return M
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 16])
+def test_hermitian_parameters_round_trip(d):
+    rng = rng_for(0, "params", d)
+    M = sample_hermitian(d, rng)
+    params = params_of(M)
+    assert params.shape == (d * d,)
+    assert np.array_equal(herm_from_params(params, d), M)
+    # a stack unpacks to the entry-by-entry matrices, bit for bit, and back
+    stack = rng.normal(size=(3, d * d))
+    mats = herm_from_params(stack, d)
+    for p, got in zip(stack, mats):
+        assert got.tobytes() == _herm_from_params_entrywise(p, d).tobytes()
+    assert params_of(mats).tobytes() == stack.tobytes()
+
+
+def test_schatten_norm_of_one_matrix_is_its_entry_of_a_stack():
+    # 256 norms per p: a numpy scalar power and the stacked one round apart.
+    rng = rng_for(0, "schatten")
+    for d in (2, 3, 4, 5):
+        A = np.stack([sample_hermitian(d, rng) * 10.0 ** rng.uniform(-3, 3) for _ in range(64)])
+        for p in (1, 2, 3, 1.5, np.inf):
+            assert [schatten_norm(M, p) for M in A] == schatten_norm(A, p).tolist()
+
+
+def _hermitian(kind: str, d: int, rng) -> np.ndarray:
+    if kind == "identity":
+        return np.eye(d)
+    if kind == "real symmetric":
+        B = rng.normal(size=(d, d))
+        return B + B.T
+    return sample_hermitian(d, rng) * 10.0 ** rng.uniform(-8, 8)
+
+
+def _decoded(data):
+    return matrix_from_json(json.loads(json.dumps(data)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 16), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["complex", "real symmetric", "identity"]))
+def test_hermitian_matrices_are_written_as_their_parameters(d, seed, kind):
+    A = np.asarray(_hermitian(kind, d, rng_for(seed, "codec", d)), dtype=complex)
+    data = matrix_to_json(A)
+    assert sorted(data) == ["dim", "h"] and len(data["h"]) == d * d
+    assert _decoded(data).tobytes() == A.tobytes()
+    # its re/im form decodes to the same array
+    both = {"dim": d, "re": A.real.tolist(), "im": A.imag.tolist()}
+    assert _decoded(both).tobytes() == _decoded(data).tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(2, 16), seed=st.integers(0, 2**32 - 1), real=st.booleans())
+def test_other_matrices_are_written_as_real_and_imaginary_blocks(d, seed, real):
+    rng = rng_for(seed, "codec", d)
+    A = (rng.normal(size=(d, d)) if real
+         else random_unital_channel(d, 3, rng).kraus[0]).astype(complex)
+    data = matrix_to_json(A)
+    assert sorted(data) == (["dim", "re"] if real else ["dim", "im", "re"])
+    assert _decoded(data).tobytes() == A.tobytes()
+
+
+@pytest.mark.parametrize("data, error", [
+    ({"dim": 2, "h": [1.0, 0.0, 1.0]}, DimensionMismatchError),
+    ({"dim": 2, "h": [[1.0, 0.0], [0.0, 1.0]]}, DimensionMismatchError),
+    ({"dim": 1, "h": ["a"]}, DomainError),
+    ({"dim": 1, "h": [{"x": 1}]}, DomainError),
+    ({"dim": 1.5, "h": [1.0]}, DomainError),
+    ({"dim": "one", "h": [1.0]}, DomainError),
+    ({"dim": True, "h": [1.0]}, DomainError),
+    ({"dim": 0, "h": []}, DomainError),
+    ({"dim": 2, "re": [[1.0, 0.0], [0.0]]}, DomainError),
+    ({"dim": 1, "re": [["a"]]}, DomainError),
+    ({"dim": 1.5, "re": [[1.0]]}, DomainError),
+], ids=["h-short", "h-nested", "h-word", "h-object", "h-dim-float", "h-dim-word",
+        "h-dim-bool", "h-dim-zero", "re-ragged", "re-word", "re-dim-float"])
+def test_malformed_matrix_json_is_refused(data, error):
+    with pytest.raises(error):
+        matrix_from_json(data)

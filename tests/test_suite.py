@@ -26,7 +26,6 @@ from phi_entropy_lab.errors import PhiLabError
 from phi_entropy_lab.sampling import (
     rng_for,
     sample_coupled_ensembles,
-    sample_hermitian,
     sample_product,
     sample_psd,
 )
@@ -270,33 +269,6 @@ def test_counterexample_search_rejects_bad_dim_or_budget(dim, budget):
         counterexample_search(builtin("quartic"), "map_C", budget, seed=0, dim=dim)
 
 
-def _herm_from_params_entrywise(p, d):
-    """The search's parameter layout entry by entry: the reference for its index arrays."""
-    M = np.zeros((d, d), dtype=complex)
-    M[range(d), range(d)] = p[:d]
-    k = d
-    for i in range(d):
-        for j in range(i + 1, d):
-            M[i, j], M[j, i] = p[k] + 1j * p[k + 1], p[k] - 1j * p[k + 1]
-            k += 2
-    return M
-
-
-@pytest.mark.parametrize("d", [1, 2, 3, 16])
-def test_search_parameters_round_trip(d):
-    rng = rng_for(0, "params", d)
-    M = sample_hermitian(d, rng)
-    params = suite._params_of(M)
-    assert params.shape == (d * d,)
-    assert np.array_equal(suite._herm_from_params(params, d), M)
-    # a stack unpacks to the entry-by-entry matrices, bit for bit, and back
-    stack = rng.normal(size=(3, d * d))
-    mats = suite._herm_from_params(stack, d)
-    for p, got in zip(stack, mats):
-        assert got.tobytes() == _herm_from_params_entrywise(p, d).tobytes()
-    assert suite._params_of(mats).tobytes() == stack.tobytes()
-
-
 def _search_one_at_a_time(f, check_name: str, budget: int, seed: int, dim: int,
                           tol: float = 1e-9) -> tuple:
     """Margin, trials and witness of a search that proposes and evaluates one
@@ -458,6 +430,23 @@ def test_search_reports_match_the_golden_reports():
                                      seed=0, dim=1).to_json_dict()
                for phi in SEARCH_PHIS for check_name in suite.SEARCHABLE_CHECKS]
     _assert_close(reports, golden, "reports")
+
+
+OLD_FORM = Path(__file__).parent / "data" / "old_form_suite.json"
+
+
+def test_old_form_witnesses_replay_to_their_margins():
+    # Four reports of a run file written before Hermitian matrices took the
+    # "h" form, one per codec that holds matrices: every matrix is a "re"/"im"
+    # block, and each witness still replays to its recorded margin exactly.
+    text = OLD_FORM.read_text(encoding="utf-8")
+    assert '"h":' not in text
+    reports = json.loads(text)["reports"]
+    # ensembles, matrices, a channel and a product, in that order
+    assert [r["witness"]["kind"] for r in reports] == [
+        "dual_representation", "frechet_oracle", "monotonicity", "subadditivity"]
+    for r in reports:
+        assert replay_witness(r["witness"]) == r["margin"], r["check_name"]
 
 
 def test_outside_class_suite_run_contains_counterexamples():
