@@ -95,8 +95,7 @@ class ScalarFunction:
                 f"derivative of '{self.name}' requires arguments >= "
                 f"{self.deriv_floor:g}, got {float(np.min(u)):.6g}"
             )
-        out = np.asarray(self.evals[order](u), dtype=float)
-        return out if out.shape else float(out)
+        return np.asarray(self.evals[order](u), dtype=float)
 
     def derivative(self) -> "ScalarFunction":
         """View of the first derivative, with derivatives shifted down one order."""
@@ -226,11 +225,10 @@ def from_spec(spec: str, allow_outside_class: bool = False) -> ScalarFunction:
 TAYLOR_BAND = {1: 1e-4, 2: 1e-3, 3: 3e-3}
 
 
-def coincidence_threshold(nodes: np.ndarray):
-    """Threshold of a node vector, or one per row of a stack (..., m)."""
+def coincidence_threshold(nodes: np.ndarray) -> np.ndarray:
+    """Threshold of each row of nodes (..., m), m >= 1."""
     nodes = np.asarray(nodes, dtype=float)
-    diameter = nodes.max(axis=-1) - nodes.min(axis=-1) if nodes.size else 0.0
-    return COINCIDENCE_RTOL * (1.0 + diameter)
+    return COINCIDENCE_RTOL * (1.0 + (nodes.max(axis=-1) - nodes.min(axis=-1)))
 
 
 def _h1(*vars_):
@@ -308,7 +306,7 @@ def _symmetric_grid(order: int, f: ScalarFunction, nodes: np.ndarray) -> np.ndar
     s = nodes[..., tuples]  # (..., order+1, Q): the nodes of each tuple
     if (nodes[..., 1:] < nodes[..., :-1]).any():  # eigh's nodes ascend already
         s = np.sort(s, axis=-2)
-    values = _dd(f, np.asarray(delta)[..., None], *(s[..., i, :] for i in range(order + 1)))
+    values = _dd(f, delta[..., None], *(s[..., i, :] for i in range(order + 1)))
     return values[..., where]
 
 

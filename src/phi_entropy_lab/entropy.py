@@ -390,19 +390,20 @@ def _require_pd(eigenvalues: np.ndarray, f: ScalarFunction, what: str) -> None:
             )
 
 
-def dual_value(f: ScalarFunction, Z, T, dec_T: SpectralDecomposition | None = None) -> np.ndarray:
+def dual_value(f: ScalarFunction, Z, T) -> np.ndarray:
     """Lower-bound functional of the dual representation, as an operator,
     one per entry of the lists of ensembles of one shape.
 
     E[Df[T](Z-T) - Df[ET](Z-T) + f(T) - f(ET)], all expectations exact.
-    dec_T, when given, is the decomposition of T's atoms.
+    T must be positive definite, with its spectrum above the floor when f's
+    derivative needs one; T's atoms are decomposed once, for that check
+    (made before Z is read), for Df and for f.
     """
-    z_weights, z_atoms = ensemble_arrays(Z)
     t_weights, t_atoms = ensemble_arrays(T)
+    dec_T = SpectralDecomposition(*np.linalg.eigh(t_atoms))
+    _require_pd(dec_T.eigenvalues, f, "dual representation T")
+    z_weights, z_atoms = ensemble_arrays(Z)
     mean_T = hermitian_part(_mean(t_weights, t_atoms))
-    # T's atoms and E T are decomposed once each, for Df and for f.
-    if dec_T is None:
-        dec_T = SpectralDecomposition(*np.linalg.eigh(t_atoms))
     dec_mean = SpectralDecomposition(*np.linalg.eigh(mean_T))
     diff = z_atoms - t_atoms
     terms = frechet_d1(f, dec_T, diff)
@@ -420,13 +421,10 @@ def dual_gap(f: ScalarFunction, Z: list, T: list) -> np.ndarray:
     """Entropy minus the dual lower bound, as an operator, one per entry of
     the lists of coupled ensembles of one shape; zero when T is Z.
 
-    T must be coupled to Z (same weights) and positive definite, with its
-    spectrum above the floor when f's derivative needs one; T's atoms are
-    decomposed once, for that check and for the bound.
+    T must be coupled to Z (same weights); dual_value checks the rest,
+    before the entropy reads Z.
     """
     for z, t in zip(Z, T):
         _check_coupled(z, t)
-    dec_T = SpectralDecomposition(*np.linalg.eigh(ensemble_arrays(T)[1]))
-    _require_pd(dec_T.eigenvalues, f, "dual representation T")
-    return operator_phi_entropy(f, Z) - dual_value(f, Z, T, dec_T)
-
+    bound = dual_value(f, Z, T)
+    return operator_phi_entropy(f, Z) - bound

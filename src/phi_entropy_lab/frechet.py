@@ -173,7 +173,7 @@ _STENCILS = {
 _STENCIL_SCALE = {1: 2.0, 2: 1.0, 3: 2.0}
 
 
-def default_fd_step(order: int, A, X):
+def default_fd_step(order: int, A, X) -> np.ndarray:
     """Step balancing truncation against roundoff for the given order; one
     per matrix of stacks."""
     base = {1: 5e-6, 2: 2e-4, 3: 1e-3}[order]
@@ -203,6 +203,4 @@ def finite_diff_oracle(f: ScalarFunction, A, X, order: int, step=None) -> np.nda
     except DomainError as exc:
         raise DomainError(f"domain exit during stencil evaluation: {exc}") from exc
     acc = sum(coeff * value for (_, coeff), value in zip(stencil, values))
-    # Python's float power, as a call on one matrix takes it.
-    scale = [_STENCIL_SCALE[order] * s**order for s in steps.ravel().tolist()]
-    return hermitian_part(acc / np.reshape(scale, h.shape))
+    return hermitian_part(acc / (_STENCIL_SCALE[order] * h**order))

@@ -1,8 +1,10 @@
 """Hermitian linear algebra foundation.
 
 Eigendecompositions, standard matrix functions, the margins of operator
-gaps and Schatten norms, all pure functions that also take stacks
-(..., d, d), each matrix getting the values and tolerance of its own call.
+gaps and Schatten norms: pure functions of stacks (..., d, d), one matrix
+being a stack with no leading axes, so each matrix of a stack gets the
+values and tolerance of its own call.  A per-matrix scalar comes back as
+numpy values of shape (...), never as a Python float.
 
 A d x d Hermitian matrix has one parametrisation by d^2 reals: the diagonal,
 then the real and imaginary parts of each upper entry, row by row.  The
@@ -63,25 +65,20 @@ def validate_hermitian(A, name: str = "matrix") -> np.ndarray:
     return A
 
 
-def frobenius(A: np.ndarray):
-    """Schatten-2 norm; the default scale factor in tolerances.
-
-    A float for a matrix; for a stack (..., d, d), an array holding each
-    matrix's norm exactly as the call on that matrix alone computes it.
-    """
+def frobenius(A: np.ndarray) -> np.ndarray:
+    """Schatten-2 norm, the default scale factor in tolerances: for a stack
+    (..., d, d), the array (...) of its matrices' norms, one np.linalg.norm
+    call per matrix (a vectorised norm rounds differently)."""
     A = np.asarray(A)
-    if A.ndim <= 2:
-        return float(np.linalg.norm(A))
     return np.array([np.linalg.norm(M) for M in A.reshape(-1, *A.shape[-2:])]
                     ).reshape(A.shape[:-2])
 
 
-def relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1.0):
+def relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1.0) -> np.ndarray:
     """Frobenius distance of a and b over max(|a|, |b|, floor); one per matrix of stacks."""
     a = np.asarray(a)
     b = np.asarray(b)
-    error = frobenius(a - b) / np.maximum(np.maximum(frobenius(a), frobenius(b)), floor)
-    return float(error) if np.ndim(error) == 0 else error
+    return frobenius(a - b) / np.maximum(np.maximum(frobenius(a), frobenius(b)), floor)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,10 +87,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[-1]
 
 
 def spectral_decompose(A, name: str = "matrix") -> SpectralDecomposition:
@@ -124,32 +117,30 @@ def apply_scalar_function_stack(f, atoms: np.ndarray) -> np.ndarray:
     return apply_scalar_function(f, SpectralDecomposition(*np.linalg.eigh(atoms)))
 
 
-def variant_margin(gap, variant: str):
+def variant_margin(gap, variant: str) -> np.ndarray:
     """Margin of an operator gap: the one rule that reads the gap of every
     statement with both forms.  The trace form is its normalised trace Tr/d,
-    the operator form the least eigenvalue of its Hermitian part; a stack of
-    gaps gives an array of margins."""
+    the operator form the least eigenvalue of its Hermitian part; one margin
+    per gap of a stack (..., d, d)."""
     if variant == "trace":
         gap = np.asarray(gap)
-        margin = np.trace(gap, axis1=-2, axis2=-1).real / gap.shape[-1]
-    elif variant == "operator":
-        margin = np.linalg.eigvalsh(hermitian_part(gap))[..., 0]
-    else:
-        raise DomainError(f"variant must be 'trace' or 'operator', got '{variant}'")
-    return float(margin) if margin.ndim == 0 else margin
+        return np.trace(gap, axis1=-2, axis2=-1).real / gap.shape[-1]
+    if variant == "operator":
+        return np.linalg.eigvalsh(hermitian_part(gap))[..., 0]
+    raise DomainError(f"variant must be 'trace' or 'operator', got '{variant}'")
 
 
-def schatten_norm(A, p: float):
-    """Schatten p-norm of a Hermitian matrix: the l_p norm of its singular
-    values, which are the moduli of its eigenvalues.  For a stack, an array
-    of the norms of its matrices, from one eigvalsh call.  One matrix is
-    reduced as a stack of one, so its norm is its entry of a stacked call."""
+def schatten_norm(A, p: float) -> np.ndarray:
+    """Schatten p-norm of each Hermitian matrix of a stack (..., d, d): the
+    l_p norm of its singular values, which are the moduli of its eigenvalues.
+    The stack goes to eigvalsh as (-1, d, d), so a matrix's norm does not
+    depend on the stack it comes in."""
     if p < 1:
         raise DomainError(f"Schatten norm requires p >= 1, got p={p}")
     A = validate_hermitian(A)
     s = np.abs(np.linalg.eigvalsh(A.reshape(-1, *A.shape[-2:])))
     norms = s.max(axis=-1) if np.isinf(p) else np.sum(s**p, axis=-1) ** (1.0 / p)
-    return float(norms[0]) if A.ndim == 2 else norms.reshape(A.shape[:-2])
+    return norms.reshape(A.shape[:-2])
 
 
 # --- Hermitian parameters and the JSON wire format ----------------------------
@@ -194,7 +185,7 @@ def params_of(M: np.ndarray) -> np.ndarray:
 def matrix_to_json(A) -> dict:
     """{"dim": d, "h": [d^2 reals]} if herm_from_params rebuilds A from them
     bit for bit, else {"dim": d, "re": [[...]], "im": [[...]]}, "im" omitted
-    when A is real."""
+    when every imaginary part is +0.0."""
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
         raise DimensionMismatchError(f"expected a square matrix, got shape {A.shape}")
@@ -202,7 +193,7 @@ def matrix_to_json(A) -> dict:
     if herm_from_params(p, A.shape[0]).tobytes() == A.tobytes():
         return {"dim": A.shape[0], "h": p.tolist()}
     out = {"dim": A.shape[0], "re": A.real.tolist()}
-    if np.any(A.imag != 0.0):
+    if np.signbit(A.imag).any() or A.imag.any():
         out["im"] = A.imag.tolist()
     return out
 
@@ -223,7 +214,9 @@ def matrix_from_json(data: dict) -> np.ndarray:
                 f"matrix JSON declares dim={dim} but '{key}' has shape {block.shape}")
     if "h" in blocks:
         return herm_from_params(blocks["h"], dim)
-    return blocks["re"] + 1j * blocks["im"] if "im" in blocks else blocks["re"].astype(complex)
+    A = blocks["re"].astype(complex)
+    A.imag = blocks.get("im", 0.0)
+    return A
 
 
 def matrices_from_json(items, what: str) -> np.ndarray:

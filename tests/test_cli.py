@@ -219,6 +219,16 @@ def test_exit_code_two_on_config_errors(tmp_path, capsys):
     assert main(["entropy", "--phi", "square", "--input", str(bad)]) == 2
 
 
+def test_outside_class_functions_in_a_run_meet_one_rule(capsys):
+    # An exponent outside [1, 2] and a tagged catalog entry are refused by
+    # one rule, with one message.
+    errors = {}
+    for phi in ("power:3", "quartic"):
+        assert main(["run-suite", "--phi-list", phi, "--quiet"]) == 2
+        errors[phi] = capsys.readouterr().err
+    assert errors["power:3"].replace("power:3", "quartic") == errors["quartic"]
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "--input", "P_WORD"],
     ["run-suite", "--dims", "a", "--quiet"],

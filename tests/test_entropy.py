@@ -385,6 +385,18 @@ def test_dual_gap_requires_positive_definite_reference():
         check("dual_representation", phi=SQ, variant="trace", Z=Z, T=T)
 
 
+def test_dual_value_checks_the_reference_spectrum_before_reading_z():
+    # dual_value alone refuses a T below SPECTRAL_FLOOR for xlogx, whose
+    # derivative needs it, and that error wins over a Z list of two shapes.
+    Z = [sample_ensemble(2, 2, seed=1, spectral_floor=0.1),
+         sample_ensemble(3, 2, seed=2, spectral_floor=0.1)]
+    T = MatrixEnsemble(Z[0].weights, np.stack([np.diag([1.0, 1e-4]), np.eye(2)]))
+    with pytest.raises(DomainError, match="needs atom spectra"):
+        dual_value(XLX, Z, [T])
+    with pytest.raises(DimensionMismatchError):
+        dual_value(XLX, Z, [MatrixEnsemble(Z[0].weights, np.stack([np.eye(2)] * 2))])
+
+
 def _dual_values_along(f, Z, T, grid):
     """The dual functional F(s) = dual_value(f, Z, (1-s)Z + sT) on the grid."""
     return np.stack([dual_value(f, [Z], [MatrixEnsemble(Z.weights,

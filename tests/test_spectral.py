@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -210,13 +210,20 @@ def test_hermitian_matrices_are_written_as_their_parameters(d, seed, kind):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(d=st.integers(2, 16), seed=st.integers(0, 2**32 - 1), real=st.booleans())
-def test_other_matrices_are_written_as_real_and_imaginary_blocks(d, seed, real):
+@given(d=st.integers(2, 16), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["real", "kraus", "signed zero"]))
+@example(d=2, seed=0, kind="signed zero")  # [[1, 2], [3, 4]], -0.0j at (0, 1)
+def test_other_matrices_are_written_as_real_and_imaginary_blocks(d, seed, kind):
     rng = rng_for(seed, "codec", d)
-    A = (rng.normal(size=(d, d)) if real
-         else random_unital_channel(d, 3, rng).kraus[0]).astype(complex)
+    if kind == "kraus":
+        A = random_unital_channel(d, 3, rng).kraus[0]
+    elif kind == "real":
+        A = rng.normal(size=(d, d)).astype(complex)
+    else:  # real entries, one imaginary part -0.0: not a real matrix bit for bit
+        A = np.arange(1.0, d * d + 1.0).reshape(d, d).astype(complex)
+        A.imag[0, 1] = -0.0
     data = matrix_to_json(A)
-    assert sorted(data) == (["dim", "re"] if real else ["dim", "im", "re"])
+    assert sorted(data) == (["dim", "re"] if kind == "real" else ["dim", "im", "re"])
     assert _decoded(data).tobytes() == A.tobytes()
 
 

@@ -37,6 +37,7 @@ from phi_entropy_lab.errors import (
     SingularOperatorError,
 )
 from phi_entropy_lab.frechet import (
+    default_fd_step,
     derivative_inverse,
     finite_diff_oracle,
     frechet_d1,
@@ -59,7 +60,9 @@ from phi_entropy_lab.spectral import (
     frobenius,
     hermitian_part,
     relative_error,
+    schatten_norm,
     spectral_decompose,
+    variant_margin,
 )
 from phi_entropy_lab.suite import CHECKS, SWEEPS, sweep
 
@@ -101,9 +104,14 @@ def stacks(draw):
 
 
 def _same(stacked, singles):
+    # A single call returns numpy values (an array, or the numpy scalar a
+    # ufunc makes of a 0-d result), never a Python float, bit for bit its
+    # entry of the stacked call.
     assert len(stacked) == len(singles)
     for got, want in zip(stacked, singles):
-        assert np.array_equal(got, want)
+        assert isinstance(want, (np.ndarray, np.generic)), type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -132,7 +140,16 @@ def test_stacked_layers_equal_per_matrix_calls(drawn, f):
     # The stencils run on the square: a wide spectrum leaves xlogx's domain.
     _same(frobenius(X), [frobenius(Z) for Z in X])
     _same(relative_error(X, Y), [relative_error(Z, W) for Z, W in zip(X, Y)])
+    for variant in ("trace", "operator"):
+        _same(variant_margin(X - Y, variant), [variant_margin(Z - W, variant)
+                                               for Z, W in zip(X, Y)])
+    for p in (1, 1.5, 2, 3, np.inf):
+        _same(schatten_norm(X, p), [schatten_norm(Z, p) for Z in X])
+    for k in range(4):  # each eigenvalue alone is a stack with no leading axes
+        _same(f.deriv(nodes, k).ravel(), [f.deriv(u, k) for u in nodes.ravel()])
     for order in (1, 2, 3):
+        _same(default_fd_step(order, A, X),
+              [default_fd_step(order, M, Z) for M, Z in zip(A, X)])
         _same(finite_diff_oracle(FUNCS[0], A, X, order),
               [finite_diff_oracle(FUNCS[0], M, Z, order) for M, Z in zip(A, X)])
 
