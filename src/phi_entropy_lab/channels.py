@@ -102,7 +102,7 @@ class KrausChannel:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "KrausChannel":
-        return cls(matrices_from_json(data.get("kraus"), "channel JSON 'kraus'"))
+        return cls(matrices_from_json(data.get("kraus"), "channel JSON 'kraus'", data.get("dim")))
 
 
 def _by_count(counts: list) -> list:

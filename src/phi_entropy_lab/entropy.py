@@ -18,7 +18,7 @@ from checked objects (``flatten``, the decompositions in ``dual_value``).
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +33,6 @@ from .spectral import (
     frobenius,
     hermitian_part,
     matrices_from_json,
-    matrix_from_json,
     matrix_to_json,
     validate_hermitian,
     variant_margin,
@@ -66,35 +65,26 @@ def _check_weights(rows, what: str) -> np.ndarray:
     return w
 
 
-def checked_atoms(mats, name) -> np.ndarray:
-    """The Hermitian PSD matrices mats (a list or stack) as one stack, checked at once.
+def checked_atoms(atoms: np.ndarray, name) -> None:
+    """Check the matrices of a stack (k, d, d) Hermitian and PSD, all at once.
 
     When the stack fails, each matrix is checked alone, in order, so the
     error is the one the first offending matrix raises, named name(i).
     """
-    if isinstance(mats, np.ndarray) or (
-            len({np.shape(M) for M in mats}) == 1 and np.ndim(mats[0]) == 2):
-        atoms = np.asarray(mats, dtype=complex)
-        try:
-            validate_hermitian(atoms)
-            lam_min = np.linalg.eigvalsh(atoms)[:, 0]
-            if not any(
-                    lam_min[i] < -PSD_RTOL * (1.0 + frobenius(atoms[i]))
-                    for i in np.flatnonzero(lam_min < 0.0)):
-                return atoms
-        except PhiLabError:
-            pass
-    dim = None
-    for i, M in enumerate(mats):
-        A = validate_hermitian(M, name(i))
+    try:
+        validate_hermitian(atoms)
+        lam_min = np.linalg.eigvalsh(atoms)[:, 0]
+        if not any(lam_min[i] < -PSD_RTOL * (1.0 + frobenius(atoms[i]))
+                   for i in np.flatnonzero(lam_min < 0.0)):
+            return
+    except PhiLabError:
+        pass
+    for i, A in enumerate(atoms):
+        validate_hermitian(A, name(i))
         lam_min = float(np.linalg.eigvalsh(A)[0])
         if lam_min < -PSD_RTOL * (1.0 + frobenius(A)):
             raise DomainError(f"{name(i)} is not positive semi-definite: "
                               f"min eigenvalue {lam_min:.3e}")
-        if dim not in (None, A.shape[0]):
-            raise DimensionMismatchError(f"{name(i)} has dim {A.shape[0]}, expected {dim}")
-        dim = A.shape[0]
-    return np.asarray(mats, dtype=complex)
 
 
 def _set(obj, values: dict):
@@ -125,9 +115,9 @@ class MatrixEnsemble:
             raise DimensionMismatchError(f"atoms must have shape (m, d, d) matching "
                                          f"{w.shape[1]} weights, got {atoms.shape[1:]}")
         m = w.shape[1]
-        flat = checked_atoms(atoms.reshape((w.size,) + atoms.shape[2:]), lambda i: f"atom {i % m}")
+        checked_atoms(atoms.reshape((w.size,) + atoms.shape[2:]), lambda i: f"atom {i % m}")
         return [_set(object.__new__(cls), {"weights": wi, "atoms": ai})
-                for wi, ai in zip(w, flat.reshape(atoms.shape))]
+                for wi, ai in zip(w, atoms)]
 
     @property
     def dim(self) -> int:
@@ -156,48 +146,51 @@ class MatrixEnsemble:
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"each ensemble atom needs a numeric 'w': {exc}") from exc
         return cls(weights, matrices_from_json([entry.get("m") for entry in atoms],
-                                               "ensemble atoms"))
+                                               "ensemble atoms", data.get("dim")))
 
 
 @dataclass(frozen=True, eq=False)
 class ProductEnsemble:
-    """Random matrix driven by n independent finite factors.
+    """Random matrix Z = z(X_1, ..., X_n) of n independent finite factors.
 
-    factor_weights[i] holds the outcome weights of factor i; z_map sends a
-    full outcome tuple to a PSD matrix.  The table must be total.  atoms
-    holds z_map's matrices in outcome order, as one stack.
+    factor_weights[i] holds the s_i outcome weights of factor i.  atoms is
+    the outcome table, one PSD matrix per outcome, as one stack (S, d, d) with
+    S = s_1 ... s_n in row-major outcome order: the last factor varies
+    fastest.  joint_weights holds each outcome's probability in that order.
     """
 
     factor_weights: tuple
-    z_map: dict = field(repr=False)
-    atoms: np.ndarray = field(init=False, repr=False)
+    atoms: np.ndarray = field(repr=False)
     joint_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        _set(self, vars(self.stack([np.asarray(w, dtype=float)[None]
-                                    for w in self.factor_weights], [self.z_map])[0]))
+        _set(self, vars(self.stack([np.asarray(w, dtype=float)[None] for w in self.factor_weights],
+                                   np.asarray(self.atoms, dtype=complex)[None])[0]))
 
     @classmethod
-    def stack(cls, factor_rows, z_maps) -> list:
-        """The products of factor weight rows [(n, s_i)] and n outcome tables, checked
-        as one stack; each raises what it raises alone, naming its outcome."""
+    def stack(cls, factor_rows, atoms) -> list:
+        """The products of factor weight rows [(B, s_i)] and outcome tables
+        (B, S, d, d), checked as one stack; each raises what it raises alone,
+        naming its outcome."""
         rows = [_check_weights(w, f"factor {i} weights") for i, w in enumerate(factor_rows)]
         if not rows:
             raise DomainError("product ensemble needs at least one factor")
-        keys = list(itertools.product(*(range(w.shape[1]) for w in rows)))
-        missing = [key for z_map in z_maps for key in keys if key not in z_map]
-        if missing:
-            raise DomainError(f"z_map is missing outcome {missing[0]}")
-        flat = checked_atoms([z_map[key] for z_map in z_maps for key in keys],
-                             lambda i: f"z_map[{keys[i % len(keys)]}]")
-        atoms = flat.reshape((len(z_maps), len(keys)) + flat.shape[1:])
+        sizes = tuple(w.shape[1] for w in rows)
+        S = math.prod(sizes)
+        atoms = np.asarray(atoms, dtype=complex)
+        if (atoms.ndim != 4 or atoms.shape[:2] != (len(rows[0]), S)
+                or atoms.shape[2] != atoms.shape[3]):
+            raise DimensionMismatchError(f"atoms must have shape (S, d, d), one matrix per "
+                                         f"outcome of {sizes}, got {atoms.shape[1:]}")
+        checked_atoms(atoms.reshape((-1,) + atoms.shape[2:]),
+                      lambda i: f"outcome {tuple(map(int, np.unravel_index(i % S, sizes)))}")
         # Each outcome's probability, its factors' weights multiplied from the first on.
         joint = rows[0]
         for w in rows[1:]:
             joint = (joint[:, :, None] * w[:, None, :]).reshape(len(w), -1)
         return [_set(object.__new__(cls), {
-            "factor_weights": tuple(w[n] for w in rows), "z_map": dict(zip(keys, atoms[n])),
-            "atoms": atoms[n], "joint_weights": joint[n]}) for n in range(len(z_maps))]
+            "factor_weights": tuple(w[n] for w in rows), "atoms": atoms[n],
+            "joint_weights": joint[n]}) for n in range(len(atoms))]
 
     @property
     def n(self) -> int:
@@ -207,13 +200,6 @@ class ProductEnsemble:
     def dim(self) -> int:
         return self.atoms.shape[-1]
 
-    @property
-    def support_sizes(self) -> tuple:
-        return tuple(len(w) for w in self.factor_weights)
-
-    def outcomes(self):
-        return itertools.product(*(range(len(w)) for w in self.factor_weights))
-
     def flatten(self) -> MatrixEnsemble:
         """The ensemble of the outcomes, built from the product's checked values."""
         return _set(object.__new__(MatrixEnsemble), {
@@ -222,27 +208,26 @@ class ProductEnsemble:
     def to_json_dict(self) -> dict:
         return {
             "factors": [list(map(float, w)) for w in self.factor_weights],
-            "z": {
-                ",".join(map(str, key)): matrix_to_json(self.z_map[key])
-                for key in self.outcomes()
-            },
+            "z": {",".join(map(str, key)): matrix_to_json(A)
+                  for key, A in zip(np.ndindex(*map(len, self.factor_weights)), self.atoms)},
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ProductEnsemble":
-        factors = data.get("factors")
-        z = data.get("z")
+        factors, z = data.get("factors"), data.get("z")
         if not factors or not isinstance(z, dict):
             raise DomainError("product JSON needs 'factors' and a 'z' object")
         try:
             weights = tuple(np.asarray(w, dtype=float) for w in factors)
-            keys = [tuple(int(p) for p in key.split(",")) for key in z]
+            outcomes = list(np.ndindex(*map(len, weights)))
+            table = {tuple(int(p) for p in key.split(",")): m for key, m in z.items()}
         except (TypeError, ValueError) as exc:
             raise DomainError(f"malformed product JSON: {exc}") from exc
-        P = cls(weights, {key: matrix_from_json(m) for key, m in zip(keys, z.values())})
-        if sorted(keys) != sorted(P.z_map):  # a key named twice, or not an outcome
+        # A key named twice, a key that is no outcome, or an outcome missing.
+        if len(table) != len(z) or sorted(table) != outcomes:
             raise DomainError(f"product JSON 'z' must name each outcome once, got {list(z)}")
-        return P
+        return cls(weights, matrices_from_json([table[key] for key in outcomes],
+                                               "product JSON 'z'"))
 
 
 # --- expectations and entropies -----------------------------------------------
@@ -282,28 +267,29 @@ def matrix_phi_entropy(f: ScalarFunction, E: list) -> np.ndarray:
     return variant_margin(operator_phi_entropy(f, E), "trace")
 
 
-def _products(products: list) -> list:
-    """The list of product ensembles, checked to share one layout."""
-    layout = (products[0].support_sizes, products[0].dim)
-    if any((Q.support_sizes, Q.dim) != layout for Q in products):
+def product_arrays(P: list) -> tuple:
+    """The factor weights [(B, s_i)], joint weights (B, S) and atoms (B, S, d, d)
+    of a list of B products of one layout: one entry per entry of the list."""
+    if len({(tuple(map(len, Q.factor_weights)), Q.atoms.shape) for Q in P}) > 1:
         raise DimensionMismatchError("product ensembles taken together must share one layout")
-    return products
+    return ([np.stack(w) for w in zip(*(Q.factor_weights for Q in P))],
+            np.stack([Q.joint_weights for Q in P]), np.stack([Q.atoms for Q in P]))
 
 
-def _slices(products: list):
-    """Every conditional slice of the products: for each factor i and each
-    outcome of the others, the factor's weights (B, s), the indices of the
-    slice's outcomes and the probability of the pinned outcome (B,)."""
-    first = products[0]
-    index = {key: n for n, key in enumerate(first.outcomes())}
-    for i in range(first.n):
-        w = np.stack([Q.factor_weights[i] for Q in products])
-        others = [j for j in range(first.n) if j != i]
-        for fixed in itertools.product(*(range(first.support_sizes[j]) for j in others)):
-            p = np.ones(len(products))
+def _slices(rows: list):
+    """Every conditional slice of products of factor weight rows [(B, s_i)]: for
+    each factor i and each outcome of the others, in row-major order, the factor's
+    weights, the indices of the slice's outcomes in the outcome stack, and the
+    pinned outcome's probability (B,), its weights multiplied from 1 factor by factor."""
+    sizes = [w.shape[1] for w in rows]
+    index = np.arange(math.prod(sizes)).reshape(sizes)
+    for i, w in enumerate(rows):
+        others = [j for j in range(len(rows)) if j != i]
+        for fixed in np.ndindex(*(sizes[j] for j in others)):
+            p = np.ones(len(w))
             for j, c in zip(others, fixed):
-                p = p * np.array([Q.factor_weights[j][c] for Q in products])
-            yield w, [index[fixed[:i] + (s,) + fixed[i:]] for s in range(w.shape[-1])], p
+                p = p * rows[j][:, c]
+            yield w, index[fixed[:i] + (slice(None),) + fixed[i:]], p
 
 
 def subadditivity_gap(f: ScalarFunction, P: list) -> np.ndarray:
@@ -314,16 +300,14 @@ def subadditivity_gap(f: ScalarFunction, P: list) -> np.ndarray:
     means, so the n = 1 gap cancels exactly (identical code paths on both
     sides of the difference).
     """
-    products = _products(P)
-    atoms = np.stack([Q.atoms for Q in products])
-    probs = np.stack([Q.joint_weights for Q in products])
+    rows, probs, atoms = product_arrays(P)
     phis = apply_scalar_function_stack(f, atoms)
 
     mean_phi = _mean(probs, phis)
     mean_z = hermitian_part(_mean(probs, atoms))
 
     cond_probs, cond_mean_phis, cond_means = [], [], []
-    for w, idxs, p in _slices(products):
+    for w, idxs, p in _slices(rows):
         cond_probs.append(p[:, None, None])
         cond_mean_phis.append(_mean(w, phis[:, idxs]))
         cond_means.append(hermitian_part(_mean(w, atoms[:, idxs])))
@@ -354,10 +338,9 @@ def efron_stein_quantity(P: list) -> np.ndarray:
 
     Exact double sum over each factor's support pairs.
     """
-    products = _products(P)
-    atoms = np.stack([Q.atoms for Q in products])
-    acc = np.zeros((len(products),) + atoms.shape[-2:], dtype=complex)
-    for w, idxs, p in _slices(products):
+    rows, _, atoms = product_arrays(P)
+    acc = np.zeros((len(P),) + atoms.shape[-2:], dtype=complex)
+    for w, idxs, p in _slices(rows):
         sub = atoms[:, idxs]
         diffs = sub[:, :, None] - sub[:, None, :]
         acc = acc + 0.5 * p[:, None, None] * np.einsum("...s,...t,...stij->...ij",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
+import math
 
 import numpy as np
 
@@ -141,10 +141,8 @@ def sample_product(d: int, n: int, support_sizes, seed=0,
         raise DomainError(f"need {n} positive support sizes, got {support_sizes}")
     rngs, listed = as_generators(seed, "product", d, n, support_sizes)
     factors = [[rng.dirichlet(np.ones(s)) for s in support_sizes] for rng in rngs]
-    keys = list(itertools.product(*(range(s) for s in support_sizes)))
-    mats = sample_psd(d, spectral_floor, rngs, spectral_cap, len(keys))
-    out = ProductEnsemble.stack([np.stack(rows) for rows in zip(*factors)],
-                                [dict(zip(keys, m)) for m in mats])
+    mats = sample_psd(d, spectral_floor, rngs, spectral_cap, math.prod(support_sizes))
+    out = ProductEnsemble.stack([np.stack(rows) for rows in zip(*factors)], mats)
     return out if listed else out[0]
 
 

@@ -219,12 +219,15 @@ def matrix_from_json(data: dict) -> np.ndarray:
     return A
 
 
-def matrices_from_json(items, what: str) -> np.ndarray:
-    """A JSON list of matrices as one stack (k, d, d); all must share one dim."""
+def matrices_from_json(items, what: str, dim=None) -> np.ndarray:
+    """A JSON list of matrices as one stack (k, d, d); all must share one dim,
+    and it must be dim, the 'dim' of the object that holds them, when given."""
     if not isinstance(items, list) or not items:
         raise DomainError(f"{what} must be a non-empty list of matrices")
     mats = [matrix_from_json(m) for m in items]
     dims = sorted({M.shape[0] for M in mats})
     if len(dims) > 1:
         raise DimensionMismatchError(f"{what} must share one dim, got dims {dims}")
+    if dim is not None and (type(dim) is not int or dim != dims[0]):  # an int, and no bool
+        raise DimensionMismatchError(f"{what} have dim {dims[0]}, but 'dim' is {dim!r:.60}")
     return np.stack(mats)

@@ -550,12 +550,16 @@ def _encode_witness(kind: str, point: dict) -> dict:
 
 
 def _require_fields(kind: str, witness: dict) -> None:
-    """Refuse a witness field that is missing or refused by its codec: a
-    ConfigError that names it."""
+    """Refuse a witness field that is missing or refused by its codec, and
+    matrices of more than one dim: a ConfigError that names them."""
     for key, (_, _, what, valid) in CHECKS[kind].fields:
         if key not in witness or not valid(witness[key]):
             got = f"got {witness[key]!r:.60}" if key in witness else "it is missing"
             raise ConfigError(f"witness field '{key}' must be {what}; {got}")
+    dims = [m.get("dim") for key, codec in CHECKS[kind].fields if codec in (_MATRIX, _MATRICES)
+            for m in ([witness[key]] if codec is _MATRIX else witness[key]) if isinstance(m, dict)]
+    if any(dim != dims[0] for dim in dims):
+        raise ConfigError(f"the matrices of a {kind} witness must share one dim, got {dims!r:.60}")
 
 
 def _decode_witness(witness: dict) -> dict:

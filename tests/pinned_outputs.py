@@ -11,6 +11,10 @@ imports phi_entropy_lab from the directory SRC and writes into OUT:
 
 ``diff -r`` of the OUT directories of two trees then names every report
 that moved.  The same file name holds the same configuration in every tree.
+
+Then it replays every witness it wrote, as written, and prints their count
+and the largest |replayed - margin|; it exits 1 when that exceeds the
+replay tolerance of the ``replay`` command.
 """
 
 import json
@@ -44,16 +48,19 @@ def main(argv) -> int:
     src, out = (Path(arg).resolve() for arg in argv)
     sys.path.insert(0, str(src))
     from phi_entropy_lab.catalog import from_spec
+    from phi_entropy_lab.cli import REPLAY_TOL
     from phi_entropy_lab.suite import (
-        SEARCHABLE_CHECKS, RunConfig, counterexample_search, run_suite)
+        SEARCHABLE_CHECKS, RunConfig, counterexample_search, replay_witness, run_suite)
 
     out.mkdir(parents=True, exist_ok=True)
+    written = []  # every report line, as written
     for name, options in PINNED_SUITES.items():
         payload = run_suite(RunConfig(**options)).to_json_dict()
         payload.pop("artifact_version")
         reports = [{k: v for k, v in r.items() if k != "seconds"} for r in payload.pop("reports")]
         with open(out / f"{name}.jsonl", "w", encoding="utf-8") as fh:
             fh.writelines([_line(payload), *map(_line, reports)])
+        written += map(_line, reports)
     with open(out / "search.jsonl", "w", encoding="utf-8") as fh:
         for phi in SEARCH_PHIS:
             f = from_spec(phi, allow_outside_class=True)
@@ -61,8 +68,12 @@ def main(argv) -> int:
                 for seed in SEARCH_SEEDS:
                     for check in SEARCHABLE_CHECKS:
                         report = counterexample_search(f, check, SEARCH_BUDGET, seed, dim=dim)
-                        fh.write(_line(report.to_json_dict()))
-    return 0
+                        written.append(_line(report.to_json_dict()))
+                        fh.write(written[-1])
+    stored = [r for r in map(json.loads, written) if r["witness"] is not None]
+    worst = max((abs(replay_witness(r["witness"]) - r["margin"]) for r in stored), default=0.0)
+    print(f"{len(stored)} witnesses replayed; largest |replayed - margin| = {worst:.3g}")
+    return 0 if worst <= REPLAY_TOL else 1
 
 
 if __name__ == "__main__":

@@ -427,7 +427,7 @@ def test_criterion_8_classical_reduction():
         w1 = rng.dirichlet(np.ones(2))
         w2 = rng.dirichlet(np.ones(2))
         table = {(s1, s2): float(rng.uniform(0.2, 2.5)) for s1 in range(2) for s2 in range(2)}
-        P = ProductEnsemble((w1, w2), {k: np.array([[v]]) for k, v in table.items()})
+        P = ProductEnsemble((w1, w2), np.array([[[table[k]]] for k in sorted(table)]))
         track(subadditivity_gap(f, [P])[0][0, 0].real,
               oracle.subadditivity_margin(name, [w1, w2], table, p))
         track(efron_stein_quantity([P])[0][0, 0].real, oracle.efron_stein([w1, w2], table))

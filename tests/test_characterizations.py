@@ -446,11 +446,11 @@ def test_convexity_lemma_scalar_oracle():
 def test_conditional_jensen_deterministic_factors():
     # X1 deterministic: equality of both sides
     w1, w2 = (1.0,), (0.3, 0.7)
-    table = {(0, 0): np.diag([1.0, 2.0]), (0, 1): np.diag([2.0, 0.5])}
+    table = np.stack([np.diag([1.0, 2.0]), np.diag([2.0, 0.5])])  # outcomes (0, 0), (0, 1)
     P = ProductEnsemble((np.array(w1), np.array(w2)), table)
     assert np.abs(conditional_jensen_gap(XLX, [P])[0]).max() < 1e-12
     # X2 deterministic: both sides vanish
-    table = {(0, 0): np.diag([1.0, 2.0]), (1, 0): np.diag([2.0, 0.5])}
+    # The same atoms as outcomes (0, 0), (1, 0).
     P = ProductEnsemble((np.array(w2), np.array(w1)), table)
     assert np.abs(conditional_jensen_gap(XLX, [P])[0]).max() < 1e-12
 
@@ -467,7 +467,7 @@ def test_conditional_jensen_scalar_oracle():
     w1 = rng.dirichlet(np.ones(2))
     w2 = rng.dirichlet(np.ones(3))
     table = {(s1, s2): float(rng.uniform(0.2, 2.0)) for s1 in range(2) for s2 in range(3)}
-    P = ProductEnsemble((w1, w2), {k: np.array([[v]]) for k, v in table.items()})
+    P = ProductEnsemble((w1, w2), np.array([[[table[k]]] for k in sorted(table)]))
     got = conditional_jensen_gap(XLX, [P])[0][0, 0].real
     assert got == pytest.approx(
         oracle.conditional_jensen_margin("xlogx", w1, w2, table), abs=1e-10)

@@ -27,8 +27,11 @@ from phi_entropy_lab import (
     replay_witness,
 )
 from phi_entropy_lab.characterizations import FUNCTIONAL_NAMES
+from phi_entropy_lab.cli import main
+from phi_entropy_lab.errors import ConfigError
 from phi_entropy_lab.sampling import rng_for, sample_hermitian, sample_psd
-from phi_entropy_lab.suite import CHECKS, RunConfig
+from phi_entropy_lab.spectral import matrix_to_json
+from phi_entropy_lab.suite import _MATRICES, _MATRIX, CHECKS, RunConfig
 
 KINDS = tuple(CHECKS)
 CONFIG = RunConfig()
@@ -87,8 +90,7 @@ def _times_identity(value, k):
     if isinstance(value, MatrixEnsemble):
         return MatrixEnsemble(value.weights, _times_identity(value.atoms, k))
     if isinstance(value, ProductEnsemble):
-        return ProductEnsemble(value.factor_weights, {
-            key: _times_identity(M, k) for key, M in value.z_map.items()})
+        return ProductEnsemble(value.factor_weights, _times_identity(value.atoms, k))
     if isinstance(value, KrausChannel):
         return KrausChannel(_times_identity(value.kraus, k))
     return value
@@ -109,3 +111,40 @@ def test_margins_at_scalar_multiples_of_the_identity_equal_the_d1_margins(kind, 
                     lifted = {key: _times_identity(v, k) for key, v in point.items()}
                     mk = check(kind, override=True, **lifted).margin
                     assert abs(mk - m1) <= 1e-12 * max(1.0, abs(m1)), (name, variant, k, m1, mk)
+
+
+def _matrix_slots(record, point) -> list:
+    """(key, None) for each matrix field of a point, (key, i) for each entry
+    i of a list of matrices."""
+    return [(key, i) for key, codec in record.fields if codec in (_MATRIX, _MATRICES)
+            for i in ([None] if codec is _MATRIX else range(len(point[key])))]
+
+
+# The records whose witnesses hold two or more matrices; a list holds two or more.
+@pytest.mark.parametrize("kind", [kind for kind, record in CHECKS.items() if sum(
+    1 if codec is _MATRIX else 2 if codec is _MATRICES else 0 for _, codec in record.fields) >= 2])
+def test_witness_matrices_of_two_dims_are_refused(kind, tmp_path, capsys):
+    # Each matrix of a d = 2 point in turn, alone replaced by I_3: check
+    # refuses the point, and check --input and replay its witness.
+    record = CHECKS[kind]
+    base = {"phi": builtin("square"), "variant": "trace", "p": 2, "functional": "map_C",
+            "order": 1}
+    drawn = (record.draw or _draw_lemma)([rng_for(4, "two-dims", kind)], 2, base)[0]
+    point = {key: {**base, **drawn}[key] for key, _ in record.fields}
+    witness = check(kind, override=True, **point).witness
+    refused = f"the matrices of a {kind} witness must share one dim"
+    for key, i in _matrix_slots(record, point):
+        bad_point, bad_witness = {**point}, json.loads(json.dumps(witness))
+        if i is None:
+            bad_point[key], bad_witness[key] = np.eye(3), matrix_to_json(np.eye(3))
+        else:
+            bad_point[key] = [np.eye(3) if j == i else A for j, A in enumerate(point[key])]
+            bad_witness[key][i] = matrix_to_json(np.eye(3))
+        with pytest.raises(ConfigError, match=refused):
+            check(kind, override=True, **bad_point)
+        with pytest.raises(ConfigError, match=refused):
+            replay_witness(bad_witness)
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps(bad_witness))
+        assert main(["check", "--input", str(path), "--override", "--quiet"]) == 2, (key, i)
+        assert refused in capsys.readouterr().err

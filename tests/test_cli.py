@@ -351,6 +351,11 @@ _NOT_TP_MONOTONICITY = {
     ("frechet", {"dim": 2, "h": [1.0, 0.0, 1.0]}),
     ("frechet", {"dim": 1, "h": ["a"]}),
     ("frechet", {"dim": 1.5, "h": [1.0]}),
+    ("entropy", {"dim": 7, "atoms": [{"w": 1.0, "m": _TWO}]}),
+    ("check", {"kind": "monotonicity", "phi": "square", "variant": "trace",
+               "channel": {"dim": "x", "kraus": [_ONE]},
+               "ensemble": {"atoms": [{"w": 1.0, "m": _ONE}]}}),
+    ("check", _sub({"factors": [[0.5, 0.5]], "z": {"0": _ONE}})),
 ], ids=["dim-word", "dim-float", "dim-bool", "re-word", "re-ragged", "atom-no-w",
         "top-level-list", "atoms-mixed-dims",
         "product-key", "factor-weight-word", "kraus-number", "trials-string", "dims-word",
@@ -362,7 +367,8 @@ _NOT_TP_MONOTONICITY = {
         "checks-repeated", "n-factors-field", "support-field", "tol-nan",
         "tol-negative", "tol-inf", "es-weight-nan", "poly-es-weight-nan",
         "lemma-weights-not-a-distribution", "lemma-weights-too-few", "p-infinite",
-        "kraus-not-trace-preserving", "h-short", "h-word", "h-dim-float"])
+        "kraus-not-trace-preserving", "h-short", "h-word", "h-dim-float", "ensemble-dim-other",
+        "channel-dim-word", "product-missing-outcome"])
 def test_exit_code_two_on_malformed_input_files(command, data, tmp_path, capsys):
     path = _json_file(tmp_path, "input.json", data)
     command, *options = command.split()

@@ -1,5 +1,6 @@
 """Ensembles, entropy functionals, Efron-Stein quantities, dual representation."""
 
+import itertools
 import math
 import re
 
@@ -32,7 +33,7 @@ from phi_entropy_lab.sampling import (
     sample_ensemble,
     sample_product,
 )
-from phi_entropy_lab.spectral import frobenius, variant_margin
+from phi_entropy_lab.spectral import frobenius, matrix_to_json, variant_margin
 
 SQ = builtin("square")
 XLX = builtin("xlogx")
@@ -42,10 +43,8 @@ E0 = MatrixEnsemble(np.array([0.5, 0.5]), np.stack([np.diag([1.0, 2.0]), np.diag
 
 def diag_product(factor_weights, scalar_map):
     """Product ensemble with 1x1 atoms from a scalar outcome table."""
-    return ProductEnsemble(
-        tuple(np.asarray(w) for w in factor_weights),
-        {k: np.array([[v]]) for k, v in scalar_map.items()},
-    )
+    return ProductEnsemble(tuple(np.asarray(w) for w in factor_weights),
+                           np.array([[[scalar_map[k]]] for k in sorted(scalar_map)]))
 
 
 def test_ensemble_invariants_enforced():
@@ -62,8 +61,7 @@ def test_constructors_refuse_non_finite_weights(bad):
     with pytest.raises(DomainError, match=r"ensemble weights must be finite, got \[.*(nan|inf)"):
         MatrixEnsemble(np.array(bad), atoms)
     with pytest.raises(DomainError, match=r"factor 1 weights must be finite"):
-        ProductEnsemble((np.array([0.5, 0.5]), np.array(bad)), {
-            (i, j): np.eye(2) for i in range(2) for j in range(2)})
+        ProductEnsemble((np.array([0.5, 0.5]), np.array(bad)), np.stack([np.eye(2)] * 4))
 
 
 def test_ensemble_json_roundtrip():
@@ -74,16 +72,27 @@ def test_ensemble_json_roundtrip():
 
 
 def test_product_json_roundtrip():
-    P = sample_product(2, 2, (2, 3), seed=5)
-    back = ProductEnsemble.from_json_dict(P.to_json_dict())
-    assert back.support_sizes == P.support_sizes
-    for key in P.outcomes():
-        assert_allclose(back.z_map[key], P.z_map[key], atol=0)
+    for sizes, d in itertools.product(((2, 3), (3,), (2, 1, 2)), (1, 2)):
+        P = sample_product(d, len(sizes), sizes, seed=5)
+        data = P.to_json_dict()
+        # The table is written in row-major outcome order: the last factor fastest.
+        assert list(data["z"]) == [",".join(map(str, key))
+                                   for key in itertools.product(*map(range, sizes))]
+        # A table in another order decodes to the same bytes.
+        for z in (data["z"], dict(reversed(data["z"].items()))):
+            back = ProductEnsemble.from_json_dict({**data, "z": z})
+            assert back.atoms.tobytes() == P.atoms.tobytes(), (sizes, d)
+            assert back.joint_weights.tobytes() == P.joint_weights.tobytes(), (sizes, d)
+            assert [w.tobytes() for w in back.factor_weights] == \
+                [w.tobytes() for w in P.factor_weights], (sizes, d)
 
 
 def test_product_requires_total_map():
-    with pytest.raises(DomainError, match="missing"):
-        ProductEnsemble((np.array([0.5, 0.5]),), {(0,): np.eye(2)})
+    with pytest.raises(DimensionMismatchError, match="one matrix per outcome of \\(2,\\)"):
+        ProductEnsemble((np.array([0.5, 0.5]),), np.eye(2)[None])
+    with pytest.raises(DomainError, match="each outcome once"):
+        ProductEnsemble.from_json_dict({"factors": [[0.5, 0.5]],
+                                        "z": {"0": matrix_to_json(np.eye(1))}})
 
 
 # One bad atom among good ones: the ensembles check their atoms as one stack,
@@ -103,19 +112,19 @@ def test_ensembles_name_the_bad_atom_at_any_position(bad, position):
     good = [sample_ensemble(2, 1, seed=s).atoms[0] for s in range(4)]
     mats = good[:position] + [atom] + good[position + 1:]
     keys = [(i, j) for i in range(2) for j in range(2)]
-    # A dimension is wrong against the first outcome's, so outcome 1 is named
-    # when the odd one is outcome 0.
-    named = keys[max(position, 1)] if bad == "wrong-dim" else keys[position]
-    name = rf"z_map\[{re.escape(str(named))}\]"
-    with pytest.raises(error, match=name if message is None else rf"{name}.* {message}"):
-        ProductEnsemble((np.array([0.5, 0.5]),) * 2, dict(zip(keys, mats)))
-    if bad != "wrong-dim":  # a matrix ensemble's atoms are one array
+    if bad == "wrong-dim":  # the atoms of both ensembles are one array; JSON tables are not
+        table = {f"{i},{j}": matrix_to_json(A) for (i, j), A in zip(keys, mats)}
+        with pytest.raises(error, match="must share one dim"):
+            ProductEnsemble.from_json_dict({"factors": [[0.5, 0.5]] * 2, "z": table})
+    else:
+        name = rf"outcome {re.escape(str(keys[position]))}"
+        with pytest.raises(error, match=rf"{name}.* {message}"):
+            ProductEnsemble((np.array([0.5, 0.5]),) * 2, np.stack(mats))
         with pytest.raises(error, match=rf"atom {position}.* {message}"):
             MatrixEnsemble(np.full(4, 0.25), np.stack(mats))
     # All good atoms construct, and both ensembles keep them as given.
-    P = ProductEnsemble((np.array([0.5, 0.5]),) * 2, dict(zip(keys, good)))
+    P = ProductEnsemble((np.array([0.5, 0.5]),) * 2, np.stack(good))
     assert np.array_equal(P.atoms, np.stack(good))
-    assert all(np.array_equal(P.z_map[key], A) for key, A in zip(keys, good))
     assert np.array_equal(MatrixEnsemble(np.full(4, 0.25), np.stack(good)).atoms, np.stack(good))
 
 
@@ -140,8 +149,8 @@ def test_tower_property():
     flat = P.flatten()
     flat_mean = np.einsum("m,mij->ij", flat.weights, flat.atoms)
     acc = np.zeros((3, 3), dtype=complex)
-    for key in P.outcomes():
-        acc += np.prod([P.factor_weights[i][s] for i, s in enumerate(key)]) * P.z_map[key]
+    for key, A in zip(itertools.product(*map(range, map(len, P.factor_weights))), P.atoms):
+        acc += np.prod([P.factor_weights[i][s] for i, s in enumerate(key)]) * A
     assert_allclose(flat_mean, acc, atol=1e-12)
 
 
@@ -307,7 +316,7 @@ def test_efron_stein_single_factor_equals_variance():
 
 def test_efron_stein_deterministic_map_is_zero():
     A = np.diag([1.0, 2.0])
-    P = ProductEnsemble((np.array([0.5, 0.5]),), {(0,): A, (1,): A})
+    P = ProductEnsemble((np.array([0.5, 0.5]),), np.stack([A, A]))
     assert np.abs(efron_stein_quantity([P])[0]).max() < 1e-14
 
 

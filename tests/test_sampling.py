@@ -68,13 +68,13 @@ def test_ensemble_sampler_invariants():
 
 def test_product_sampler_audit():
     P = sample_product(2, 2, (2, 2), seed=7)
-    assert P.support_sizes == (2, 2)
-    assert len(list(P.outcomes())) == 4
+    assert [len(w) for w in P.factor_weights] == [2, 2]
+    assert P.atoms.shape == (4, 2, 2)
     for w in P.factor_weights:
         assert abs(float(np.sum(w)) - 1.0) < 1e-12
     P = sample_product(2, 3, 2, seed=8, spectral_floor=0.5)
-    for key in P.outcomes():
-        assert np.linalg.eigvalsh(P.z_map[key])[0] >= 0.5 - 1e-12
+    assert P.atoms.shape == (8, 2, 2)
+    assert np.linalg.eigvalsh(P.atoms)[:, 0].min() >= 0.5 - 1e-12
 
 
 def test_coupled_sampler_shares_weights():

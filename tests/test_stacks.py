@@ -8,7 +8,7 @@ level up: a record's margin on the points of several trials equals its
 margins on each point alone.
 """
 
-import itertools
+import math
 
 import numpy as np
 import pytest
@@ -280,8 +280,8 @@ def _with_near_band_spectra(drawn, d, band, rng):
             new[key] = _near_band(d, band, rng)
     if "product" in point:
         P = point["product"]
-        new["product"] = ProductEnsemble(P.factor_weights, {
-            key: _near_band(d, band, rng) for key in P.outcomes()})
+        new["product"] = ProductEnsemble(P.factor_weights,
+                                         np.stack([_near_band(d, band, rng) for _ in P.atoms]))
     for key in ("Z", "T", "ensemble"):  # coupled: T keeps Z's weights
         if key in point:
             weights = point[key].weights
@@ -397,12 +397,10 @@ def test_chunk_objects_equal_the_constructors_objects(d):
 
     for sizes in ((3,), (2, 3), (2, 1, 2)):
         got = sample_product(d, len(sizes), sizes, _chunk(d, f"product{sizes}"))
-        keys = list(itertools.product(*map(range, sizes)))
         want = []
         for rng in _chunk(d, f"product{sizes}"):
             factors = tuple(rng.dirichlet(np.ones(s)) for s in sizes)
-            mats = sample_psd(d, 0.0, rng, count=len(keys))
-            want.append(ProductEnsemble(factors, dict(zip(keys, mats))))
+            want.append(ProductEnsemble(factors, sample_psd(d, 0.0, rng, count=math.prod(sizes))))
         assert list(map(_fields, got)) == list(map(_fields, want)), sizes
 
     counts = [2, 1, 3, 2, 4]
@@ -457,9 +455,8 @@ def test_chunk_with_one_bad_object_raises_like_its_constructor(bad, position):
     assert _raised(lambda: MatrixEnsemble.stack(weights, atoms)) == alone
     # As products of a 3-outcome factor and a 1-outcome one.
     rows = [weights, np.ones((3, 1))]
-    tables = [{(s, 0): A for s, A in enumerate(mats)} for mats in atoms]
-    alone = _raised(lambda: ProductEnsemble((weights[position], np.ones(1)), tables[position]))
-    assert _raised(lambda: ProductEnsemble.stack(rows, tables)) == alone
+    alone = _raised(lambda: ProductEnsemble((weights[position], np.ones(1)), atoms[position]))
+    assert _raised(lambda: ProductEnsemble.stack(rows, atoms)) == alone
 
 
 @pytest.mark.parametrize("check, matrices", [
