@@ -40,6 +40,7 @@ from .catalog import ScalarFunction
 from .entropy import (
     MatrixEnsemble,
     _set,
+    as_stacks,
     ensemble_arrays,
     jensen_gap,
 )
@@ -68,13 +69,13 @@ class KrausChannel:
     kraus: np.ndarray
 
     def __post_init__(self):
-        _set(self, vars(self.stack(np.asarray(self.kraus, dtype=complex)[None])[0]))
+        _set(self, vars(self.stack([self.kraus])[0]))
 
     @classmethod
     def stack(cls, kraus) -> list:
         """The channels of Kraus stacks (n, k, d, d), checked at once; the first
         channel that fails raises what it raises alone."""
-        kraus = np.asarray(kraus, dtype=complex)
+        kraus = as_stacks(kraus, "Kraus operator {}".format)
         if kraus.ndim != 4 or kraus.shape[2] != kraus.shape[3] or kraus.shape[1] < 1:
             raise DimensionMismatchError(
                 f"Kraus stack must have shape (k, d, d), got {kraus.shape[1:]}")

@@ -2,9 +2,8 @@
 
 Exit codes: 0 the checks hold, 1 a violation, 2 bad configuration or input.
 
-- ``entropy``, ``frechet`` (0, 2): an entropy, a directional derivative;
-- ``check``: one witness file, as a report stores it (its ``kind``, then
-  the fields of that ``suite.CHECKS`` record);
+- ``check``: 1 if the statement fails at one witness file, as a report
+  stores it (its ``kind``, then the fields of that ``suite.CHECKS`` record);
 - ``replay``: 1 if a witness margin of a ``run-suite`` file moves by > 1e-12;
 - ``search-counterexample``: 1 if a violating point is found;
 - ``run-suite``: 1 if an in-class check fails.  The sweeps of the
@@ -21,10 +20,7 @@ import json
 import sys
 
 from .catalog import from_spec
-from .entropy import MatrixEnsemble, matrix_phi_entropy, operator_phi_entropy
 from .errors import ConfigError, PhiLabError
-from .frechet import frechet_d1, frechet_d2, frechet_d3
-from .spectral import matrix_from_json, matrix_to_json
 from .suite import (
     CHECK_NAMES,
     RunConfig,
@@ -53,10 +49,10 @@ def _read_json(path: str) -> dict:
     return data
 
 
-def _emit(payload, args, line: str | None = None) -> None:
+def _emit(payload, args, line: str) -> None:
     """Write payload as JSON to --output, or else to stdout.  Under --quiet
-    the JSON is compact, and a summary line, if given, replaces it on stdout."""
-    if args.quiet and line is not None:
+    the JSON is compact, and the summary line replaces it on stdout."""
+    if args.quiet:
         print(line)
         if not args.output:
             return
@@ -70,11 +66,6 @@ def _emit(payload, args, line: str | None = None) -> None:
         print(text)
 
 
-def _phi(args):
-    """The --phi function, whatever its class."""
-    return from_spec(args.phi, allow_outside_class=True)
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", type=str, default=None, help="write JSON here")
@@ -85,17 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical checks for matrix and operator-valued entropy inequalities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("entropy", parents=[common], help="entropy of an ensemble")
-    p.add_argument("--phi", required=True)
-    p.add_argument("--variant", choices=["trace", "operator"], default="trace")
-    p.add_argument("--input", required=True, help="ensemble JSON file")
-
-    p = sub.add_parser("frechet", parents=[common], help="directional derivative of a matrix function")
-    p.add_argument("--phi", required=True)
-    p.add_argument("--order", type=int, choices=[1, 2, 3], required=True)
-    p.add_argument("--matrix", required=True, help="base point JSON file")
-    p.add_argument("--direction", required=True, help="direction JSON file")
 
     p = sub.add_parser("check", parents=[common], help="report of one stored witness")
     p.add_argument("--input", required=True, help="witness JSON file: kind and record fields")
@@ -127,29 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_entropy(args) -> int:
-    f = _phi(args)
-    E = MatrixEnsemble.from_json_dict(_read_json(args.input))
-    if args.variant == "trace":
-        value = matrix_phi_entropy(f, [E])[0]
-        line = f"entropy {value:.12g}"
-    else:
-        value, line = matrix_to_json(operator_phi_entropy(f, [E])[0]), None
-    _emit({"command": "entropy", "phi": args.phi, "variant": args.variant, "value": value},
-          args, line)
-    return EXIT_OK
-
-
-def _cmd_frechet(args) -> int:
-    f = _phi(args)
-    A = matrix_from_json(_read_json(args.matrix))
-    X = matrix_from_json(_read_json(args.direction))
-    out = (frechet_d1, frechet_d2, frechet_d3)[args.order - 1](f, A, *[X] * args.order)
-    _emit({"command": "frechet", "phi": args.phi, "order": args.order,
-           "derivative": matrix_to_json(out)}, args)
-    return EXIT_OK
-
-
 def _cmd_check(args) -> int:
     witness = _read_json(args.input)
     point = _decode_witness(witness)
@@ -173,7 +130,8 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    report = counterexample_search(_phi(args), args.check, args.budget, args.seed, dim=args.dim)
+    f = from_spec(args.phi, allow_outside_class=True)  # whatever its class
+    report = counterexample_search(f, args.check, args.budget, args.seed, dim=args.dim)
     found = "violation found" if not report.holds else "no violation"
     _emit(report.to_json_dict(), args,
           f"{found} after {report.trials} trials (margin {report.margin:.3e})")
@@ -236,8 +194,6 @@ def _cmd_run_suite(args) -> int:
 
 
 _COMMANDS = {
-    "entropy": _cmd_entropy,
-    "frechet": _cmd_frechet,
     "check": _cmd_check,
     "replay": _cmd_replay,
     "search-counterexample": _cmd_search,

@@ -87,6 +87,20 @@ def checked_atoms(atoms: np.ndarray, name) -> None:
                               f"min eigenvalue {lam_min:.3e}")
 
 
+def as_stacks(stacks, name) -> np.ndarray:
+    """Stacks of matrices (n, k, d, d) as one complex array; the first matrix
+    of another shape than the first is a DimensionMismatchError named name(i)."""
+    try:
+        return np.asarray(stacks, dtype=complex)
+    except ValueError:
+        shapes = [(i, np.shape(M)) for mats in stacks for i, M in enumerate(mats)]
+        for i, shape in shapes:
+            if shape != shapes[0][1]:
+                raise DimensionMismatchError(f"{name(i)} has shape {shape}, "
+                                             f"not {shapes[0][1]} like the first") from None
+        raise
+
+
 def _set(obj, values: dict):
     """obj, a frozen dataclass instance, with the checked field values set."""
     for key, value in values.items():
@@ -103,14 +117,14 @@ class MatrixEnsemble:
 
     def __post_init__(self):
         _set(self, vars(self.stack(np.asarray(self.weights, dtype=float)[None],
-                                   np.asarray(self.atoms, dtype=complex)[None])[0]))
+                                   [self.atoms])[0]))
 
     @classmethod
     def stack(cls, weights, atoms) -> list:
         """The ensembles of weight rows (n, m) and atoms (n, m, d, d), checked
         as one stack; each raises what it raises alone, naming its atom."""
         w = _check_weights(weights, "ensemble weights")
-        atoms = np.asarray(atoms, dtype=complex)
+        atoms = as_stacks(atoms, "atom {}".format)
         if atoms.ndim != 4 or atoms.shape[:2] != w.shape or atoms.shape[2] != atoms.shape[3]:
             raise DimensionMismatchError(f"atoms must have shape (m, d, d) matching "
                                          f"{w.shape[1]} weights, got {atoms.shape[1:]}")
@@ -165,7 +179,7 @@ class ProductEnsemble:
 
     def __post_init__(self):
         _set(self, vars(self.stack([np.asarray(w, dtype=float)[None] for w in self.factor_weights],
-                                   np.asarray(self.atoms, dtype=complex)[None])[0]))
+                                   [self.atoms])[0]))
 
     @classmethod
     def stack(cls, factor_rows, atoms) -> list:
@@ -177,13 +191,14 @@ class ProductEnsemble:
             raise DomainError("product ensemble needs at least one factor")
         sizes = tuple(w.shape[1] for w in rows)
         S = math.prod(sizes)
-        atoms = np.asarray(atoms, dtype=complex)
+        def outcome(i):
+            return f"outcome {tuple(map(int, np.unravel_index(i % S, sizes)))}"
+        atoms = as_stacks(atoms, outcome)
         if (atoms.ndim != 4 or atoms.shape[:2] != (len(rows[0]), S)
                 or atoms.shape[2] != atoms.shape[3]):
             raise DimensionMismatchError(f"atoms must have shape (S, d, d), one matrix per "
                                          f"outcome of {sizes}, got {atoms.shape[1:]}")
-        checked_atoms(atoms.reshape((-1,) + atoms.shape[2:]),
-                      lambda i: f"outcome {tuple(map(int, np.unravel_index(i % S, sizes)))}")
+        checked_atoms(atoms.reshape((-1,) + atoms.shape[2:]), outcome)
         # Each outcome's probability, its factors' weights multiplied from the first on.
         joint = rows[0]
         for w in rows[1:]:

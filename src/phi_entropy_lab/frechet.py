@@ -8,7 +8,8 @@ conditions (a) and (e) need, is applied in A's eigenbasis (of one A or a
 stack) as an elementwise division by the divided-difference grid.  Two
 oracles stand independent of that engine: the d^2 x d^2 matrix of the map
 under column stacking and its dense inverse, both plain arrays, and central
-finite differences of the matrix function itself.
+finite differences of the matrix function itself: the tests' references,
+kept here because ``perfbench/tracing.py`` wraps them by name.
 """
 
 from __future__ import annotations

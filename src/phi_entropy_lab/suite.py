@@ -78,7 +78,6 @@ from .entropy import (
     variance,
 )
 from .errors import ClassGateError, ConfigError, DomainError, PhiLabError
-from .frechet import finite_diff_oracle, frechet_d1, frechet_d2, frechet_d3
 from .reports import VerificationReport
 from .sampling import (
     rng_for,
@@ -93,7 +92,6 @@ from .spectral import (
     matrix_from_json,
     matrix_to_json,
     params_of,
-    relative_error,
     schatten_norm,
     variant_margin,
 )
@@ -114,10 +112,6 @@ _ITEM_KEY = ("item", *_PER_VARIANT)
 _ITEM_NAME = "characterizations[{item},{phi},{variant},d={d}]"
 
 SWEEPS = {
-    "frechet_oracle": tuple(
-        Sweep("frechet_oracle", ("phi", "d", "order"),
-              "frechet_oracle[{phi},d={d},order={order}]", {"order": order})
-        for order in (1, 2, 3)),
     "subadditivity": (Sweep("subadditivity", _PER_VARIANT,
                             "subadditivity[{phi},{variant},d={d},n={n}]"),),
     "efron_stein": (Sweep("efron_stein", ("d",), "efron_stein[d={d},n={n}]"),),
@@ -139,8 +133,6 @@ SWEEPS = {
 
 CHECK_NAMES = tuple(SWEEPS)
 
-ORACLE_TOLS = {1: 1e-6, 2: 1e-4, 3: 1e-3}
-
 # A counterexample search succeeds at a margin below -SEARCH_TOL, and its
 # report is judged by SEARCH_TOL.
 SEARCH_TOL = 1e-8
@@ -148,9 +140,10 @@ SEARCH_TOL = 1e-8
 # Every product ensemble a sweep draws has N_FACTORS factors of SUPPORT outcomes.
 N_FACTORS, SUPPORT = 2, 2
 
-# A trial of the order-3 oracle holds a d^4 divided-difference grid, so this
-# bounds the memory of a margin call's stack: 32 trials at d=4, 2 at d=8, one
-# at d=16 (whose single trial exceeds it).
+# A trial of condition (e), in a sweep (d <= 4) or a search (any d), holds a
+# d^4 third divided-difference grid, so this bounds the memory of a margin
+# call's stack: 32 trials at d=4, 2 at d=8, one at d=16 (whose single trial
+# exceeds it).
 SWEEP_ENTRIES = 2**13
 
 
@@ -285,7 +278,6 @@ def _json_object(cls) -> tuple:
 
 
 _AS_IS = (lambda x: x, lambda x: x)  # encode, decode of a value stored as it is
-_ORDER = (*_AS_IS, "1, 2 or 3", lambda x: _integer(x) and 1 <= x <= 3)
 _P = (*_AS_IS, "a finite number >= 1", lambda x: _real(x) and math.isfinite(x) and x >= 1)
 _LAMBDA = (*_AS_IS, "a number in [0, 1]", lambda x: _real(x) and 0 <= x <= 1)
 _T = (*_AS_IS, "null or a number in [0, 1]", lambda x: x is None or _LAMBDA[3](x))
@@ -317,7 +309,7 @@ class Check:
     # Any list of a sweep's points, in trial order -> their margins, >= 0 where it holds.
     margin: Callable
     draw: Callable | None = None  # (trials' generators, d, base point) -> points
-    tolerance: Callable | None = None  # (all margins, base point) -> tolerance
+    tolerance: Callable | None = None  # all margins -> tolerance
     class_gated: bool = True      # in class only for phi tagged for the variant
     # Spectral floor and cap of the matrices a counterexample search draws.
     search_spectrum: tuple = (SPECTRAL_FLOOR + 0.05, None)
@@ -344,13 +336,6 @@ def _listed(margins) -> list:
 def _gap_margins(points: list, gaps: np.ndarray) -> list:
     """Margins of a stack of operator gaps, one per point, in the points' variant."""
     return _listed(variant_margin(gaps, points[0]["variant"]))
-
-
-def _frechet_margins(points: list) -> list:
-    f, order = points[0]["phi"], points[0]["order"]
-    A, X = _stack(points, "A"), _stack(points, "X")
-    exact = (frechet_d1, frechet_d2, frechet_d3)[order - 1](f, A, *[X] * order)
-    return _listed(-relative_error(exact, finite_diff_oracle(f, A, X, order)))
 
 
 def _efron_stein_terms(points: list) -> tuple:
@@ -395,11 +380,11 @@ def _functional(firsts: list) -> BivariateFunctional:
     return BivariateFunctional(p["functional"], p["phi"], t=t)
 
 
-def _convexity_tol(margins: list, base: dict) -> float:
+def _convexity_tol(margins: list) -> float:
     return 1e-9 * (1.0 + max(abs(m) for m in margins))
 
 
-def _relative_tol(margins: list, base: dict) -> float:
+def _relative_tol(margins: list) -> float:
     return 1e-9 * max(1.0, *(abs(m) for m in margins))
 
 
@@ -432,33 +417,25 @@ def _draw_products(rngs: list, d: int, base: dict) -> list:
 
 
 CHECKS = {
-    "frechet_oracle": Check(
-        fields=(("phi", _PHI), ("order", _ORDER), ("A", _MATRIX), ("X", _MATRIX)),
-        margin=_frechet_margins,
-        draw=lambda rngs, d, base: _points(
-            A=sample_psd(d, 0.5, rngs, spectral_cap=4.0), X=sample_hermitian_unit(d, rngs)),
-        tolerance=lambda margins, base: ORACLE_TOLS[base["order"]],
-        class_gated=False,
-        name="frechet_oracle[{phi},order={order}]"),
     "subadditivity": Check(
         fields=(("phi", _PHI), ("variant", _VARIANT), ("product", _PRODUCT)),
         margin=lambda ps: _gap_margins(ps, subadditivity_gap(ps[0]["phi"], _all(ps, "product"))),
         draw=_draw_products,
-        tolerance=lambda margins, base: 1e-10,
+        tolerance=lambda margins: 1e-10,
         name="subadditivity[{phi},{variant}]"),
     "efron_stein": Check(
         fields=(("product", _PRODUCT),),
         margin=lambda ps: _listed(variant_margin(
             np.subtract(*_efron_stein_terms(ps)), "operator")),
         draw=_draw_products,
-        tolerance=lambda margins, base: 1e-10,
+        tolerance=lambda margins: 1e-10,
         class_gated=False,
         name="operator_efron_stein"),
     "poly_efron_stein": Check(
         fields=(("p", _P), ("product", _PRODUCT)),
         margin=_poly_efron_stein_margins,
         draw=_draw_products,
-        tolerance=lambda margins, base: 1e-10,
+        tolerance=lambda margins: 1e-10,
         class_gated=False,
         name="polynomial_efron_stein[p={p}]"),
     "dual_representation": Check(
@@ -466,7 +443,7 @@ CHECKS = {
         margin=lambda ps: _gap_margins(ps, dual_gap(ps[0]["phi"], _all(ps, "Z"), _all(ps, "T"))),
         draw=lambda rngs, d, base: [{"Z": Z, "T": T} for Z, T in sample_coupled_ensembles(
             d, 3, rngs, spectral_floor=SPECTRAL_FLOOR)],
-        tolerance=lambda margins, base: 1e-9,
+        tolerance=lambda margins: 1e-9,
         name="dual_representation[{phi},{variant}]"),
     # Items (b), (c), (d), (f): joint convexity of a bivariate functional.
     "joint_convexity": Check(
@@ -485,7 +462,7 @@ CHECKS = {
         margin=lambda ps: _gap_margins(ps, conditional_jensen_gap(ps[0]["phi"],
                                                                   _all(ps, "product"))),
         draw=_draw_products,
-        tolerance=lambda margins, base: 1e-10,
+        tolerance=lambda margins: 1e-10,
         name="conditional_jensen[{phi},{variant}]"),
     "condition_a": Check(
         fields=(("phi", _PHI), ("lambda", _LAMBDA), ("A1", _MATRIX), ("A2", _MATRIX),
@@ -513,7 +490,7 @@ CHECKS = {
                                                             _all(ps, "ensemble"))),
         draw=lambda rngs, d, base: _points(
             channel=_draw_channels(rngs, d), ensemble=sample_ensemble(d, 3, rngs)),
-        tolerance=lambda margins, base: 1e-10,
+        tolerance=lambda margins: 1e-10,
         name="monotonicity[{phi},{variant}]"),
     # The "jensen" check: f(N(A)) <= N(f(A)) for a unital channel N.
     "operator_jensen": Check(
@@ -522,7 +499,7 @@ CHECKS = {
             ps[0]["phi"], _all(ps, "channel"), _stack(ps, "A"))),
         draw=lambda rngs, d, base: _points(
             channel=_draw_channels(rngs, d), A=sample_psd(d, SPECTRAL_FLOOR, rngs)),
-        tolerance=lambda margins, base: 1e-10,
+        tolerance=lambda margins: 1e-10,
         name="operator_jensen[{phi},{variant}]"),
     # Not swept by the suite: single points through check, and their replay.
     "convexity_lemma": Check(
@@ -609,7 +586,7 @@ def check(kind: str, *, tol: float | None = None, override: bool = False,
     _require_fields(kind, witness)
     margin = record.margin([point])[0]
     if tol is None:
-        tol = record.tolerance([margin], point)
+        tol = record.tolerance([margin])
     return VerificationReport.from_margin(record.name.format(**witness), margin, tol,
                                           witness=witness)
 
@@ -668,7 +645,7 @@ def sweep(config: RunConfig, check: str, s: Sweep, f: ScalarFunction | None,
     best, worst = _least(scanned)
     tol = config.tolerances.get(check)
     if tol is None:
-        tol = record.tolerance([margin for _, margin in scanned], base)
+        tol = record.tolerance([margin for _, margin in scanned])
     witness = None if best is None else _encode_witness(s.kind, best)
     return VerificationReport.from_margin(s.name.format(**labels), worst, tol,
                                           trials=config.trials, witness=witness)

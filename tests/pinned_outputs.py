@@ -12,9 +12,11 @@ imports phi_entropy_lab from the directory SRC and writes into OUT:
 ``diff -r`` of the OUT directories of two trees then names every report
 that moved.  The same file name holds the same configuration in every tree.
 
-Then it replays every witness it wrote, as written, and prints their count
-and the largest |replayed - margin|; it exits 1 when that exceeds the
-replay tolerance of the ``replay`` command.
+It prints the size of each pinned configuration's payload: the bytes of
+its ``json.dumps(payload, sort_keys=True)`` without the timing, with the
+"artifact_version".  Then it replays every witness it wrote, as written,
+and prints their count and the largest |replayed - margin|; it exits 1 when
+that exceeds the replay tolerance of the ``replay`` command.
 """
 
 import json
@@ -56,8 +58,11 @@ def main(argv) -> int:
     written = []  # every report line, as written
     for name, options in PINNED_SUITES.items():
         payload = run_suite(RunConfig(**options)).to_json_dict()
+        reports = [{k: v for k, v in r.items() if k != "seconds"} for r in payload["reports"]]
+        size = len(json.dumps({**payload, "reports": reports}, sort_keys=True).encode())
+        print(f"{name}: {size} bytes")
         payload.pop("artifact_version")
-        reports = [{k: v for k, v in r.items() if k != "seconds"} for r in payload.pop("reports")]
+        payload.pop("reports")
         with open(out / f"{name}.jsonl", "w", encoding="utf-8") as fh:
             fh.writelines([_line(payload), *map(_line, reports)])
         written += map(_line, reports)

@@ -63,9 +63,7 @@ def test_check_witness_replays_to_its_margin(kind, data):
     name, variant = data.draw(st.sampled_from(_in_class_choices(kind)), label="phi, variant")
     p = data.draw(st.sampled_from((1, 2, 3)), label="p")
     functional = data.draw(st.sampled_from(FUNCTIONAL_NAMES), label="functional")
-    order = data.draw(st.sampled_from((1, 2, 3)), label="order")
-    base = {"phi": builtin(name), "variant": variant, "p": p, "functional": functional,
-            "order": order}
+    base = {"phi": builtin(name), "variant": variant, "p": p, "functional": functional}
     draw = record.draw or _draw_lemma
     drawn = draw([rng_for(seed, "check-property", kind)], d, base)[0]
     point = {key: {**base, **drawn}[key] for key, _ in record.fields}
@@ -74,7 +72,7 @@ def test_check_witness_replays_to_its_margin(kind, data):
 
     witness = json.loads(json.dumps(report.witness))
     assert replay_witness(witness) == report.margin
-    assert report.tolerance == record.tolerance([report.margin], point)
+    assert report.tolerance == record.tolerance([report.margin])
 
 
 # Each record with a variant field, joint convexity once per functional.
@@ -127,8 +125,7 @@ def test_witness_matrices_of_two_dims_are_refused(kind, tmp_path, capsys):
     # Each matrix of a d = 2 point in turn, alone replaced by I_3: check
     # refuses the point, and check --input and replay its witness.
     record = CHECKS[kind]
-    base = {"phi": builtin("square"), "variant": "trace", "p": 2, "functional": "map_C",
-            "order": 1}
+    base = {"phi": builtin("square"), "variant": "trace", "p": 2, "functional": "map_C"}
     drawn = (record.draw or _draw_lemma)([rng_for(4, "two-dims", kind)], 2, base)[0]
     point = {key: {**base, **drawn}[key] for key, _ in record.fields}
     witness = check(kind, override=True, **point).witness

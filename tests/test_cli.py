@@ -4,19 +4,11 @@ import io
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from phi_entropy_lab import (
-    finite_diff_oracle,
-    from_spec,
-    matrix_from_json,
-    random_unital_channel,
-)
+from phi_entropy_lab import random_unital_channel
 from phi_entropy_lab.cli import _write_payload, main
 from phi_entropy_lab.sampling import rng_for, sample_ensemble, sample_product
-from phi_entropy_lab.spectral import relative_error
-from phi_entropy_lab.suite import ORACLE_TOLS
 
 
 @pytest.fixture()
@@ -44,66 +36,6 @@ def _json_file(tmp_path, name, data):
 def _read(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def _matrix_file(tmp_path, name, data):
-    return _json_file(tmp_path, name, {"dim": len(data), "re": data})
-
-
-def test_entropy_command(ensemble_file, capsys, tmp_path):
-    out = tmp_path / "out.json"
-    code = main(["entropy", "--phi", "square", "--input", ensemble_file,
-                 "--output", str(out)])
-    assert code == 0
-    payload = json.loads(out.read_text())
-    assert payload["variant"] == "trace"
-    assert payload["value"] >= 0.0
-
-
-def test_entropy_operator_variant(ensemble_file, capsys):
-    code = main(["entropy", "--phi", "square", "--variant", "operator",
-                 "--input", ensemble_file])
-    assert code == 0
-    payload = json.loads(capsys.readouterr().out)
-    gap = matrix_from_json(payload["value"])
-    assert np.linalg.eigvalsh(gap)[0] >= -1e-10
-
-
-def test_frechet_command(tmp_path, capsys):
-    m = _matrix_file(tmp_path, "a.json", [[1.0, 0.0], [0.0, 2.0]])
-    x = _matrix_file(tmp_path, "x.json", [[0.0, 1.0], [1.0, 0.0]])
-    code = main(["frechet", "--phi", "square", "--order", "1",
-                 "--matrix", m, "--direction", x])
-    assert code == 0
-    payload = json.loads(capsys.readouterr().out)
-    out = matrix_from_json(payload["derivative"])
-    np.testing.assert_allclose(out, [[0.0, 3.0], [3.0, 0.0]], atol=1e-12)
-
-
-@pytest.mark.parametrize("phi, order", [("square", 1), ("exp", 2), ("quartic", 3)])
-def test_frechet_command_at_negative_eigenvalues(phi, order, tmp_path, capsys):
-    # Functions defined on the whole line have no derivative floor.
-    A, X = [[-1.0, 0.0], [0.0, 2.0]], [[0.3, 1.0], [1.0, -0.5]]
-    code = main(["frechet", "--phi", phi, "--order", str(order),
-                 "--matrix", _matrix_file(tmp_path, "a.json", A),
-                 "--direction", _matrix_file(tmp_path, "x.json", X)])
-    assert code == 0
-    out = matrix_from_json(json.loads(capsys.readouterr().out)["derivative"])
-    oracle = finite_diff_oracle(from_spec(phi, allow_outside_class=True), np.array(A),
-                                np.array(X), order)
-    assert relative_error(out, oracle) < ORACLE_TOLS[order]
-
-
-@pytest.mark.parametrize("base", [
-    [[5e-13, 0.0], [0.0, 2.0]],           # xlogx below its derivative floor
-    [[float("nan"), 0.0], [0.0, 1.0]],    # a NaN entry
-], ids=("below-floor", "nan"))
-def test_frechet_command_rejects_bad_base_points(base, tmp_path, capsys):
-    code = main(["frechet", "--phi", "xlogx", "--order", "1",
-                 "--matrix", _matrix_file(tmp_path, "a.json", base),
-                 "--direction", _matrix_file(tmp_path, "x.json", [[1.0, 0.0], [0.0, 1.0]])])
-    assert code == 2
-    assert capsys.readouterr().out == ""
 
 
 def test_check_subadditivity_command(product_file, tmp_path, capsys):
@@ -216,7 +148,7 @@ def test_exit_code_two_on_config_errors(tmp_path, capsys):
     # malformed input file
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    assert main(["entropy", "--phi", "square", "--input", str(bad)]) == 2
+    assert main(["check", "--input", str(bad)]) == 2
 
 
 def test_outside_class_functions_in_a_run_meet_one_rule(capsys):
@@ -245,8 +177,7 @@ def test_exit_code_two_on_malformed_arguments(argv, product_file, tmp_path, caps
 
 @pytest.mark.parametrize("argv", [
     ["run-suite", "--tol", "5", "--quiet"],
-    ["frechet", "--seed", "1", "--phi", "square", "--order", "1", "--matrix", "a.json",
-     "--direction", "x.json"],
+    ["check", "--seed", "1", "--input", "w.json"],
     ["search-counterexample", "--phi", "square", "--check", "map_C", "--tol", "1",
      "--budget", "5", "--quiet"],
 ])
@@ -274,8 +205,15 @@ def _sub(product):
     return {"kind": "subadditivity", "phi": "square", "variant": "trace", "product": product}
 
 
-def _oracle(order):
-    return {"kind": "frechet_oracle", "phi": "square", "order": order, "A": _ONE, "X": _ONE}
+def _matrices(m):
+    """A witness of three matrix fields, each m."""
+    return {"kind": "condition_e", "phi": "square", "A": m, "h": m, "k": m}
+
+
+def _ensemble(e):
+    """A witness whose ensemble field is e, after a channel that decodes."""
+    return {"kind": "monotonicity", "phi": "square", "variant": "trace",
+            "channel": {"dim": 1, "kraus": [_ONE]}, "ensemble": e}
 
 
 # A subadditivity witness that holds, so only the options can make it fail.
@@ -296,14 +234,14 @@ _NOT_TP_MONOTONICITY = {
 
 
 @pytest.mark.parametrize("command, data", [
-    ("frechet", {"dim": "two", "re": [[1.0]]}),
-    ("frechet", {"dim": 1.9, "re": [[1.0]]}),
-    ("frechet", {"dim": True, "re": [[1.0]]}),
-    ("frechet", {"dim": 1, "re": [["a"]]}),
-    ("frechet", {"dim": 2, "re": [[1.0, 0.0], [0.0]]}),
-    ("entropy", {"atoms": [{"m": _ONE}]}),
-    ("entropy", [{"w": 1.0, "m": _ONE}]),
-    ("entropy", {"atoms": [{"w": 0.5, "m": _ONE}, {"w": 0.5, "m": _TWO}]}),
+    ("check", _matrices({"dim": "two", "re": [[1.0]]})),
+    ("check", _matrices({"dim": 1.9, "re": [[1.0]]})),
+    ("check", _matrices({"dim": True, "re": [[1.0]]})),
+    ("check", _matrices({"dim": 1, "re": [["a"]]})),
+    ("check", _matrices({"dim": 2, "re": [[1.0, 0.0], [0.0]]})),
+    ("check", _ensemble({"atoms": [{"m": _ONE}]})),
+    ("check", _ensemble([{"w": 1.0, "m": _ONE}])),
+    ("check", _ensemble({"atoms": [{"w": 0.5, "m": _ONE}, {"w": 0.5, "m": _TWO}]})),
     ("check", _sub({"factors": [[1.0]], "z": {"x": _ONE}})),
     ("check", _sub({"factors": [["a"]], "z": {"0": _ONE}})),
     ("check", {"kind": "monotonicity", "phi": "square", "variant": "trace",
@@ -325,9 +263,6 @@ _NOT_TP_MONOTONICITY = {
     ("check", _sub(5)),
     ("check", {**_sub({}), "phi": 5}),
     ("check", {**_sub({}), "variant": ["trace"]}),
-    ("check", _oracle(0)),
-    ("check", _oracle(7)),
-    ("check", _oracle("1")),
     ("check", _CONDITION_A),
     ("check", _LEMMA),
     ("check", {**_LEMMA, "weights": [0.5, 0.5], "A": 5}),
@@ -348,10 +283,10 @@ _NOT_TP_MONOTONICITY = {
     ("check", {"kind": "poly_efron_stein", "p": float("inf"),
                "product": {"factors": [[1.0]], "z": {"0": _ONE}}}),
     ("check", _NOT_TP_MONOTONICITY),
-    ("frechet", {"dim": 2, "h": [1.0, 0.0, 1.0]}),
-    ("frechet", {"dim": 1, "h": ["a"]}),
-    ("frechet", {"dim": 1.5, "h": [1.0]}),
-    ("entropy", {"dim": 7, "atoms": [{"w": 1.0, "m": _TWO}]}),
+    ("check", _matrices({"dim": 2, "h": [1.0, 0.0, 1.0]})),
+    ("check", _matrices({"dim": 1, "h": ["a"]})),
+    ("check", _matrices({"dim": 1.5, "h": [1.0]})),
+    ("check", _ensemble({"dim": 7, "atoms": [{"w": 1.0, "m": _TWO}]})),
     ("check", {"kind": "monotonicity", "phi": "square", "variant": "trace",
                "channel": {"dim": "x", "kraus": [_ONE]},
                "ensemble": {"atoms": [{"w": 1.0, "m": _ONE}]}}),
@@ -362,7 +297,7 @@ _NOT_TP_MONOTONICITY = {
         "output-path-number", "allow-outside-class-word", "phi-list-number", "tolerance-bool",
         "product-key-not-an-outcome", "product-key-twice",
         "no-kind", "unknown-kind", "kind-list", "missing-field", "product-number", "phi-number",
-        "variant-list", "order-0", "order-7", "order-string", "lambda-word", "weights-word",
+        "variant-list", "lambda-word", "weights-word",
         "matrices-number", "tolerance-nan", "dims-repeated", "checks-string", "checks-empty",
         "checks-repeated", "n-factors-field", "support-field", "tol-nan",
         "tol-negative", "tol-inf", "es-weight-nan", "poly-es-weight-nan",
@@ -373,8 +308,6 @@ def test_exit_code_two_on_malformed_input_files(command, data, tmp_path, capsys)
     path = _json_file(tmp_path, "input.json", data)
     command, *options = command.split()
     argv = {
-        "frechet": ["--order", "1", "--matrix", path, "--direction", path, "--phi", "square"],
-        "entropy": ["--phi", "square", "--input", path],
         "check": ["--input", path],
         "run-suite": ["--config", path, "--quiet"],
     }[command]
@@ -402,7 +335,7 @@ def test_every_suite_witness_checks_and_replays_to_its_margin(tmp_path, capsys):
                  "--output", suite, "--quiet"]) == 0
     reports = [r for r in _read(suite)["reports"] if r["witness"] is not None]
     assert {r["witness"]["kind"] for r in reports} >= {
-        "frechet_oracle", "joint_convexity", "condition_a", "condition_e", "monotonicity"}
+        "joint_convexity", "condition_a", "condition_e", "monotonicity"}
     out = str(tmp_path / "report.json")
     for r in reports:
         witness = _json_file(tmp_path, "w.json", r["witness"])
@@ -432,7 +365,7 @@ def test_replay_reads_a_run_file_of_the_old_matrix_form(capsys):
 
 
 @pytest.mark.parametrize("data", [{"reports": 5}, {"reports": [1]},
-                                  {"reports": [{"margin": "x", "witness": _oracle(1)}]}],
+                                  {"reports": [{"margin": "x", "witness": _SUB_WITNESS}]}],
                          ids=["reports-number", "report-number", "margin-word"])
 def test_replay_exits_two_on_malformed_suite_files(data, tmp_path, capsys):
     assert main(["replay", "--input", _json_file(tmp_path, "suite.json", data)]) == 2

@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import scalar_oracle as oracle
@@ -14,24 +16,27 @@ from phi_entropy_lab import (
     ConfigError,
     DimensionMismatchError,
     DomainError,
+    KrausChannel,
     MatrixEnsemble,
     NonHermitianError,
     ProductEnsemble,
     builtin,
     check,
     efron_stein_quantity,
+    from_spec,
     matrix_phi_entropy,
     operator_phi_entropy,
     random_unital_channel,
     spectral_decompose,
     variance,
 )
-from phi_entropy_lab.entropy import dual_value, subadditivity_gap
+from phi_entropy_lab.entropy import SPECTRAL_FLOOR, dual_value, subadditivity_gap
 from phi_entropy_lab.sampling import (
     rng_for,
     sample_coupled_ensembles,
     sample_ensemble,
     sample_product,
+    sample_psd,
 )
 from phi_entropy_lab.spectral import frobenius, matrix_to_json, variant_margin
 
@@ -126,6 +131,18 @@ def test_ensembles_name_the_bad_atom_at_any_position(bad, position):
     P = ProductEnsemble((np.array([0.5, 0.5]),) * 2, np.stack(good))
     assert np.array_equal(P.atoms, np.stack(good))
     assert np.array_equal(MatrixEnsemble(np.full(4, 0.25), np.stack(good)).atoms, np.stack(good))
+
+
+@pytest.mark.parametrize("build, named", [
+    (lambda mats: MatrixEnsemble(np.array([0.5, 0.5]), mats), "atom 1"),
+    (lambda mats: ProductEnsemble((np.array([0.5, 0.5]),), mats), "outcome (1,)"),
+    (lambda mats: KrausChannel([mats[0] / np.sqrt(2), mats[1]]), "Kraus operator 1"),
+], ids=["ensemble", "product", "channel"])
+def test_constructors_name_a_matrix_of_another_dim_in_a_list(build, named):
+    # A list of a 2x2 and a 3x3 matrix does not stack: the constructor names
+    # the matrix, where numpy alone would raise its own ValueError.
+    with pytest.raises(DimensionMismatchError, match=re.escape(f"{named} has shape (3, 3)")):
+        build([np.eye(2), np.eye(3)])
 
 
 def test_array_holding_values_compare_by_identity():
@@ -445,3 +462,31 @@ def test_interpolation_scan_scalar_closed_form():
         T_s = MatrixEnsemble(w, ((1 - s) * z + s * t).reshape(-1, 1, 1).astype(complex))
         f_s = dual_value(SQ, [Z], [T_s])[0][0, 0].real
         assert f_s == pytest.approx(h_z - s * s * var_diff, abs=1e-12)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_zero_weight_atoms_change_nothing(data):
+    # An atom of weight zero, appended to an ensemble or as an outcome of one
+    # factor of a product, adds exact zeros to every sum: each quantity keeps
+    # its bits.
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    d = data.draw(st.integers(1, 4), label="d")
+    f = from_spec(data.draw(st.sampled_from(("square", "xlogx", "power:1.5")), label="phi"))
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3), label="sizes")
+    i = data.draw(st.integers(0, len(sizes) - 1), label="factor")
+    rng = rng_for(seed, "zero-weight")
+    E = sample_ensemble(d, sizes[0], rng, spectral_floor=SPECTRAL_FLOOR)
+    E0 = MatrixEnsemble(np.append(E.weights, 0.0),
+                        np.concatenate([E.atoms, sample_psd(d, SPECTRAL_FLOOR, rng, count=1)]))
+    for quantity in (lambda E: operator_phi_entropy(f, E), variance):
+        assert np.array_equal(quantity([E0]), quantity([E]))
+
+    P = sample_product(d, len(sizes), sizes, rng, spectral_floor=SPECTRAL_FLOOR)
+    grown = sizes[:i] + [1] + sizes[i + 1:]
+    extra = sample_psd(d, SPECTRAL_FLOOR, rng, count=math.prod(grown)).reshape(grown + [d, d])
+    table = np.concatenate([P.atoms.reshape(sizes + [d, d]), extra], axis=i)
+    weights = [np.append(w, 0.0) if j == i else w for j, w in enumerate(P.factor_weights)]
+    P0 = ProductEnsemble(tuple(weights), table.reshape((-1, d, d)))
+    for quantity in (lambda P: subadditivity_gap(f, P), efron_stein_quantity):
+        assert np.array_equal(quantity([P0]), quantity([P]))

@@ -163,7 +163,7 @@ def test_witness_replay_reproduces_margins():
         assert abs(replay_witness(payload) - report.margin) <= 1e-12, report.check_name
         replayed.add((payload["kind"], payload.get("variant")))
     assert replayed == {
-        ("frechet_oracle", None), ("efron_stein", None), ("poly_efron_stein", None),
+        ("efron_stein", None), ("poly_efron_stein", None),
         ("condition_a", None), ("condition_e", None),
         *((kind, variant)
           for kind in ("subadditivity", "dual_representation", "joint_convexity",
@@ -219,11 +219,11 @@ def test_check_rejects_kinds_and_points_it_cannot_report():
               t=None, u1=A, v1=B, u2=B, v2=A, **{"lambda": 1.5})
 
 
-def test_frechet_oracle_tolerance_override_of_zero_is_applied():
+def test_tolerance_override_of_zero_is_applied():
     cfg = RunConfig(seed=4, dims=(2,), trials=2, phi_list=("square",),
-                    checks=("frechet_oracle",), tolerances={"frechet_oracle": 0.0})
+                    checks=("poly_efron_stein",), tolerances={"poly_efron_stein": 0.0})
     reports = [report for report, _, _ in run_suite(cfg).entries]
-    assert len(reports) == 3  # one per derivative order
+    assert len(reports) == 3  # one per exponent p
     assert all(report.tolerance == 0.0 for report in reports)
 
 
@@ -444,7 +444,7 @@ def test_old_form_witnesses_replay_to_their_margins():
     reports = json.loads(text)["reports"]
     # ensembles, matrices, a channel and a product, in that order
     assert [r["witness"]["kind"] for r in reports] == [
-        "dual_representation", "frechet_oracle", "monotonicity", "subadditivity"]
+        "dual_representation", "joint_convexity", "monotonicity", "subadditivity"]
     for r in reports:
         assert replay_witness(r["witness"]) == r["margin"], r["check_name"]
 
@@ -484,13 +484,13 @@ def test_sweep_makes_one_margin_call_per_report(monkeypatch):
 
 
 def test_sweep_chunks_trials_at_large_d(monkeypatch):
-    # A d=8 trial of the order-3 oracle holds 8^4 grid entries, so a call
-    # takes SWEEP_ENTRIES // 8^4 = 2 trials: 5 trials are three calls.
+    # A margin call takes SWEEP_ENTRIES // d^4 trials, 2 at d=8: 5 trials
+    # are three calls.
     calls = _counting_margins(monkeypatch)
     cfg = RunConfig(seed=1, dims=(8,), trials=5, phi_list=("square",),
-                    checks=("frechet_oracle",))
-    assert len(run_suite(cfg).entries) == 3
-    assert calls == {"frechet_oracle": 3 * 3}
+                    checks=("efron_stein",))
+    assert len(run_suite(cfg).entries) == 1
+    assert calls == {"efron_stein": 3}
 
 
 def test_sweep_tie_keeps_the_earliest_trial(monkeypatch):
@@ -501,7 +501,7 @@ def test_sweep_tie_keeps_the_earliest_trial(monkeypatch):
         name="tie",
         margin=lambda points: [-1.0 if p["trial"] in worst else 0.5 for p in points],
         draw=lambda rngs, d, base: [{"trial": next(drawn)} for _ in rngs],
-        tolerance=lambda margins, base: 0.0, class_gated=False))
+        tolerance=lambda margins: 0.0, class_gated=False))
     s = suite.Sweep("tie", ("d",), "tie[d={d}]")
     report = suite.sweep(RunConfig(trials=6), "tie", s, None, "trace", 2)
     assert (report.margin, report.witness) == (-1.0, {"kind": "tie", "trial": 2})
