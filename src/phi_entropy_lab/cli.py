@@ -206,11 +206,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except PhiLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        label = "config error" if isinstance(exc, ConfigError) else "error"
+        print(f"{label}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -89,15 +89,20 @@ def checked_atoms(atoms: np.ndarray, name) -> None:
 
 def as_stacks(stacks, name) -> np.ndarray:
     """Stacks of matrices (n, k, d, d) as one complex array; the first matrix
-    of another shape than the first is a DimensionMismatchError named name(i)."""
+    with ragged rows, or of another shape than the first, is a
+    DimensionMismatchError named name(i)."""
     try:
         return np.asarray(stacks, dtype=complex)
     except ValueError:
-        shapes = [(i, np.shape(M)) for mats in stacks for i, M in enumerate(mats)]
-        for i, shape in shapes:
-            if shape != shapes[0][1]:
-                raise DimensionMismatchError(f"{name(i)} has shape {shape}, "
-                                             f"not {shapes[0][1]} like the first") from None
+        shapes = []
+        for i, M in (item for mats in stacks for item in enumerate(mats)):
+            try:
+                shapes.append(np.shape(M))
+            except ValueError:
+                raise DimensionMismatchError(f"{name(i)} has ragged rows") from None
+            if shapes[-1] != shapes[0]:
+                raise DimensionMismatchError(f"{name(i)} has shape {shapes[-1]}, "
+                                             f"not {shapes[0]} like the first") from None
         raise
 
 

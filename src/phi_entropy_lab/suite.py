@@ -140,10 +140,10 @@ SEARCH_TOL = 1e-8
 # Every product ensemble a sweep draws has N_FACTORS factors of SUPPORT outcomes.
 N_FACTORS, SUPPORT = 2, 2
 
-# A trial of condition (e), in a sweep (d <= 4) or a search (any d), holds a
-# d^4 third divided-difference grid, so this bounds the memory of a margin
-# call's stack: 32 trials at d=4, 2 at d=8, one at d=16 (whose single trial
-# exceeds it).
+# A trial of condition (e), swept at d <= 4 or searched at any d, holds a d^4
+# divided-difference grid, so this bounds a margin call's stack: 32 trials at
+# d=4.  Sweeps also chunk at d > 4 (2 trials at d=8, 1 at d=16), where no
+# swept record holds such a grid and the bound protects none (ROADMAP item 15).
 SWEEP_ENTRIES = 2**13
 
 

@@ -286,7 +286,7 @@ _NOT_TP_MONOTONICITY = {
     ("check", _matrices({"dim": 2, "h": [1.0, 0.0, 1.0]})),
     ("check", _matrices({"dim": 1, "h": ["a"]})),
     ("check", _matrices({"dim": 1.5, "h": [1.0]})),
-    ("check", _ensemble({"dim": 7, "atoms": [{"w": 1.0, "m": _TWO}]})),
+    ("check", _ensemble({"dim": 7, "atoms": [{"w": 1.0, "m": _ONE}]})),
     ("check", {"kind": "monotonicity", "phi": "square", "variant": "trace",
                "channel": {"dim": "x", "kraus": [_ONE]},
                "ensemble": {"atoms": [{"w": 1.0, "m": _ONE}]}}),

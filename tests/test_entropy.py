@@ -143,6 +143,9 @@ def test_constructors_name_a_matrix_of_another_dim_in_a_list(build, named):
     # the matrix, where numpy alone would raise its own ValueError.
     with pytest.raises(DimensionMismatchError, match=re.escape(f"{named} has shape (3, 3)")):
         build([np.eye(2), np.eye(3)])
+    # Nor does a matrix with ragged rows, after a good one.
+    with pytest.raises(DimensionMismatchError, match=re.escape(f"{named} has ragged rows")):
+        build([np.eye(2), [[1.0, 0.0], [0.0]]])
 
 
 def test_array_holding_values_compare_by_identity():
