@@ -140,16 +140,16 @@ SEARCH_TOL = 1e-8
 # Every product ensemble a sweep draws has N_FACTORS factors of SUPPORT outcomes.
 N_FACTORS, SUPPORT = 2, 2
 
-# A trial of condition (e), swept at d <= 4 or searched at any d, holds a d^4
-# divided-difference grid, so this bounds a margin call's stack: 32 trials at
-# d=4.  Sweeps also chunk at d > 4 (2 trials at d=8, 1 at d=16), where no
-# swept record holds such a grid and the bound protects none (ROADMAP item 15).
+# Records swept at d > 4 hold d^2 arrays per point, and map_C a d^3 grid (its
+# order-2 divided differences): a margin call's _chunk(d) trials stack at most
+# SWEEP_ENTRIES entries of each grid, 16 trials at d=8, 2 at d=16.  Condition (e),
+# swept at d <= 4 and searched at any d, stacks d^4: d * SWEEP_ENTRIES, 1 MB at d=16.
 SWEEP_ENTRIES = 2**13
 
 
 def _chunk(d: int) -> int:
-    """The most trials of dimension d one margin call takes."""
-    return max(1, SWEEP_ENTRIES // d**4)
+    """The most trials of dimension d one draw and margin call take."""
+    return max(1, SWEEP_ENTRIES // d**3)
 
 
 def _integer(value) -> bool:
@@ -630,9 +630,9 @@ def sweep(config: RunConfig, check: str, s: Sweep, f: ScalarFunction | None,
           variant: str, d: int) -> VerificationReport:
     """Run one report: every trial's points, the worst margin and its witness.
 
-    The trials are scanned in chunks of _chunk(d), in trial order.  The first
-    strict minimum wins.  A tolerance set in the config for the check
-    replaces the record's rule, whatever its value.
+    The trials are scanned in order, _chunk(d) to a draw and margin call.
+    The first strict minimum wins.  A tolerance set in the config for the
+    check replaces the record's rule, whatever its value.
     """
     record = CHECKS[s.kind]
     base = {"phi": f, "variant": variant, **s.fixed}
@@ -743,8 +743,8 @@ class _SearchSpace:
     each (spectral.herm_from_params), then one weight in (0, 1) that serves
     as lambda and, for gap_F_t, as t.
     Searches run on the trace form.  Vectors travel as stacks (n, size): a
-    margin call takes at most cap of them, the trials of one sweep call, and
-    each stack is drawn and unpacked in one call.
+    margin call takes at most cap = _chunk(dim) of them, as many as a sweep's
+    call takes trials, and each stack is drawn and unpacked in one call.
     """
 
     def __init__(self, f: ScalarFunction, check: str, dim: int):

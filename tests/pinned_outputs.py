@@ -31,6 +31,9 @@ PINNED_SUITES = {
     "suite_outside_class_seed0": {"seed": 0, "variant": "both", "trials": 3,
                                   "allow_outside_class": True,
                                   "phi_list": ("square", "xlogx", "quartic")},
+    # Its d=16 sweeps span three margin calls each.
+    "suite_dim16_trials5_seed0": {"seed": 0, "dims": (16,), "trials": 5,
+                                  "phi_list": ("square",), "variant": "both"},
 }
 # Every searchable check for each function, dimension and seed.
 SEARCH_PHIS = ("square", "xlogx", "quartic", "exp", "power:3")

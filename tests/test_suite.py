@@ -484,13 +484,30 @@ def test_sweep_makes_one_margin_call_per_report(monkeypatch):
 
 
 def test_sweep_chunks_trials_at_large_d(monkeypatch):
-    # A margin call takes SWEEP_ENTRIES // d^4 trials, 2 at d=8: 5 trials
-    # are three calls.
+    # A margin call takes SWEEP_ENTRIES // d^3 trials, 16 at d=8 and 2 at
+    # d=16: 5 trials are one call at d=8 and three at d=16.
+    assert all(suite._chunk(d) * d**3 <= suite.SWEEP_ENTRIES for d in range(1, 17))
     calls = _counting_margins(monkeypatch)
     cfg = RunConfig(seed=1, dims=(8,), trials=5, phi_list=("square",),
                     checks=("efron_stein",))
     assert len(run_suite(cfg).entries) == 1
+    assert calls == {"efron_stein": 1}
+    calls.clear()
+    assert len(run_suite(dataclasses.replace(cfg, dims=(16,))).entries) == 1
     assert calls == {"efron_stein": 3}
+
+
+def test_sweep_reports_do_not_depend_on_the_chunk(monkeypatch):
+    # One trial a call (SWEEP_ENTRIES = 1) gives every report byte for byte,
+    # witness included: every record at d=8, and condition (e) at d=4 over
+    # two default chunks.
+    configs = [RunConfig(seed=1, dims=(8,), trials=5, phi_list=("square",), variant="both"),
+               RunConfig(seed=1, dims=(4,), trials=suite._chunk(4) + 1,
+                         phi_list=("square",), checks=("condition_e",))]
+    default = [_strip_timing(run_suite(cfg).to_json_dict()) for cfg in configs]
+    monkeypatch.setattr(suite, "SWEEP_ENTRIES", 1)
+    assert [suite._chunk(8), suite._chunk(4)] == [1, 1]
+    assert [_strip_timing(run_suite(cfg).to_json_dict()) for cfg in configs] == default
 
 
 def test_sweep_tie_keeps_the_earliest_trial(monkeypatch):
