@@ -140,10 +140,10 @@ SEARCH_TOL = 1e-8
 # Every product ensemble a sweep draws has N_FACTORS factors of SUPPORT outcomes.
 N_FACTORS, SUPPORT = 2, 2
 
-# Records swept at d > 4 hold d^2 arrays per point, and map_C a d^3 grid (its
-# order-2 divided differences): a margin call's _chunk(d) trials stack at most
-# SWEEP_ENTRIES entries of each grid, 16 trials at d=8, 2 at d=16.  Condition (e),
-# swept at d <= 4 and searched at any d, stacks d^4: d * SWEEP_ENTRIES, 1 MB at d=16.
+# Records swept at d > 4 hold d^2 arrays, and map_C a d^3 grid (order-2 divided
+# differences) per matrix, 7 a trial: _chunk(d) trials, 16 at d=8 and 2 at d=16, stack
+# 7 * SWEEP_ENTRIES entries (0.5 MB) a margin call.  Condition (e), swept at d <= 4 and
+# searched at any d, holds one d^4 grid a trial: d * SWEEP_ENTRIES, 1 MB at d=16.
 SWEEP_ENTRIES = 2**13
 
 

@@ -322,6 +322,8 @@ def _raising_margins(monkeypatch) -> Counter:
     # the power:3 one also leaves the domain.
     ("exp", "gap_F_t", 1), ("quartic", "condition_e", 1), ("power:3", "gap_F_t", 1),
     ("power:3", "gap_F_t", 2),  # the budget runs out, in the domain throughout
+    # Descents whose chains the cap cuts: 130 moves at cap 128, 386 at cap 16.
+    ("quartic", "map_C", 4), ("quartic", "condition_a", 8),
 ])
 def test_counterexample_search_is_the_same_batched_and_one_at_a_time(
         phi, check_name, dim, monkeypatch):
