@@ -1,6 +1,6 @@
 """Numerical toolkit for matrix and operator-valued entropy inequalities."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .catalog import (  # noqa: F401
     C2,

@@ -8,13 +8,15 @@ numpy values of shape (...), never as a Python float.
 
 A d x d Hermitian matrix has one parametrisation by d^2 reals: the diagonal,
 then the real and imaginary parts of each upper entry, row by row.  The
-counterexample search moves in it, and the JSON wire format writes such a
-matrix as {"dim": d, "h": [d^2 reals]}; any other matrix (a Kraus operator)
-as {"dim": d, "re": [[...]], "im": [[...]]}.  Both forms are read.
+counterexample search moves in it.  The JSON wire format writes such a matrix
+as {"dim": d, "h": B}, any other (a Kraus operator) as {"dim": d, "re": B,
+"im": B}, each block B the base64 of its little-endian float64 bytes, row-major;
+float lists in their place (artifact_version 0.2.0 and before) are read too.
 """
 
 from __future__ import annotations
 
+import binascii
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
@@ -182,36 +184,53 @@ def params_of(M: np.ndarray) -> np.ndarray:
     return M.view(float).reshape(M.shape[:-2] + (-1,))[..., where]
 
 
+def _b64(x: np.ndarray) -> str:
+    return binascii.b2a_base64(x.astype("<f8").tobytes(), newline=False).decode("ascii")
+
+
 def matrix_to_json(A) -> dict:
-    """{"dim": d, "h": [d^2 reals]} if herm_from_params rebuilds A from them
-    bit for bit, else {"dim": d, "re": [[...]], "im": [[...]]}, "im" omitted
-    when every imaginary part is +0.0."""
+    """{"dim": d, "h": B} if herm_from_params rebuilds A from its parameters
+    bit for bit, else {"dim": d, "re": B, "im": B}, "im" omitted when every
+    imaginary part is +0.0; each B the base64 of its float64 bytes."""
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
         raise DimensionMismatchError(f"expected a square matrix, got shape {A.shape}")
     p = params_of(A)
     if herm_from_params(p, A.shape[0]).tobytes() == A.tobytes():
-        return {"dim": A.shape[0], "h": p.tolist()}
-    out = {"dim": A.shape[0], "re": A.real.tolist()}
+        return {"dim": A.shape[0], "h": _b64(p)}
+    out = {"dim": A.shape[0], "re": _b64(A.real)}
     if np.signbit(A.imag).any() or A.imag.any():
-        out["im"] = A.imag.tolist()
+        out["im"] = _b64(A.imag)
     return out
 
 
+def _block(value):
+    """A float list as an array; a base64 string as the bytes it canonically encodes."""
+    if not isinstance(value, str):
+        return np.asarray(value, dtype=float)
+    raw = binascii.a2b_base64(value)
+    if binascii.b2a_base64(raw, newline=False).decode("ascii") != value:
+        raise ValueError(f"{value!r:.60} is not the canonical base64 of its bytes")
+    return raw
+
+
 def matrix_from_json(data: dict) -> np.ndarray:
-    """A matrix from either form of matrix_to_json."""
+    """A matrix from matrix_to_json, or from its float-list form (0.2.0 and before)."""
     try:
         dim = data["dim"]
         keys = ["h"] if "h" in data else ["re"] + (["im"] if data.get("im") is not None else [])
-        blocks = {key: np.asarray(data[key], dtype=float) for key in keys}
-    except (KeyError, TypeError, ValueError) as exc:
+        blocks = {key: _block(data[key]) for key in keys}
+    except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
         raise DomainError(f"malformed matrix JSON: {exc}") from exc
     if not isinstance(dim, numbers.Integral) or isinstance(dim, bool) or dim < 1:
         raise DomainError(f"matrix JSON 'dim' must be a positive integer, got {dim!r:.60}")
     for key, block in blocks.items():
-        if block.shape != ((dim * dim,) if key == "h" else (dim, dim)):
-            raise DimensionMismatchError(
-                f"matrix JSON declares dim={dim} but '{key}' has shape {block.shape}")
+        shape = (dim * dim,) if key == "h" else (dim, dim)
+        if isinstance(block, bytes) and len(block) == 8 * dim * dim:
+            blocks[key] = np.ndarray(shape, "<f8", block)
+        elif isinstance(block, bytes) or block.shape != shape:
+            size = f"{len(block)} bytes" if isinstance(block, bytes) else f"shape {block.shape}"
+            raise DimensionMismatchError(f"matrix JSON declares dim={dim} but '{key}' has {size}")
     if "h" in blocks:
         return herm_from_params(blocks["h"], dim)
     A = blocks["re"].astype(complex)

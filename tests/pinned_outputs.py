@@ -1,4 +1,4 @@
-"""Write the pinned outputs of one source tree, to compare two trees byte for byte.
+"""Write the pinned outputs of one source tree, to compare two trees by value.
 
     python tests/pinned_outputs.py SRC OUT
 
@@ -9,19 +9,26 @@ imports phi_entropy_lab from the directory SRC and writes into OUT:
   holds everything but the reports, then each report takes one line;
 - search.jsonl: the pinned counterexample searches, one report per line.
 
-``diff -r`` of the OUT directories of two trees then names every report
-that moved.  The same file name holds the same configuration in every tree.
+Every matrix block is written as its list of floats (a d^2 list for "h", d
+rows for "re" and "im"), which loses nothing, whether the tree writes blocks
+as base64 strings or as lists.  ``diff -r`` of the OUT directories of two
+trees then names every report whose values moved, not its encoding.  The same
+file name holds the same configuration in every tree.
 
 It prints the size of each pinned configuration's payload: the bytes of
 its ``json.dumps(payload, sort_keys=True)`` without the timing, with the
-"artifact_version".  Then it replays every witness it wrote, as written,
-and prints their count and the largest |replayed - margin|; it exits 1 when
-that exceeds the replay tolerance of the ``replay`` command.
+"artifact_version", its blocks as the tree writes them.  Then it replays
+every witness as the tree wrote it, and prints their count and the largest
+|replayed - margin|; it exits 1 when that exceeds the replay tolerance of
+the ``replay`` command.
 """
 
+import binascii
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 PINNED_SUITES = {
     "suite_trials5_seed0": {"seed": 0, "trials": 5},
@@ -42,8 +49,22 @@ SEARCH_SEEDS = (0, 9003)
 SEARCH_BUDGET = 50
 
 
+def _as_lists(value):
+    """value with every base64 matrix block replaced by its floats."""
+    if isinstance(value, list):
+        return [_as_lists(v) for v in value]
+    if not isinstance(value, dict):
+        return value
+    out = {key: _as_lists(v) for key, v in value.items()}
+    for key in ("h", "re", "im") if "dim" in value else ():
+        if isinstance(value.get(key), str):
+            floats = np.frombuffer(binascii.a2b_base64(value[key]), "<f8")
+            out[key] = (floats if key == "h" else floats.reshape(value["dim"], -1)).tolist()
+    return out
+
+
 def _line(value) -> str:
-    return json.dumps(value, sort_keys=True) + "\n"
+    return json.dumps(_as_lists(value), sort_keys=True) + "\n"
 
 
 def main(argv) -> int:
@@ -58,7 +79,7 @@ def main(argv) -> int:
         SEARCHABLE_CHECKS, RunConfig, counterexample_search, replay_witness, run_suite)
 
     out.mkdir(parents=True, exist_ok=True)
-    written = []  # every report line, as written
+    written = []  # every report, as the tree wrote it
     for name, options in PINNED_SUITES.items():
         payload = run_suite(RunConfig(**options)).to_json_dict()
         reports = [{k: v for k, v in r.items() if k != "seconds"} for r in payload["reports"]]
@@ -68,7 +89,7 @@ def main(argv) -> int:
         payload.pop("reports")
         with open(out / f"{name}.jsonl", "w", encoding="utf-8") as fh:
             fh.writelines([_line(payload), *map(_line, reports)])
-        written += map(_line, reports)
+        written += json.loads(json.dumps(reports))
     with open(out / "search.jsonl", "w", encoding="utf-8") as fh:
         for phi in SEARCH_PHIS:
             f = from_spec(phi, allow_outside_class=True)
@@ -76,9 +97,9 @@ def main(argv) -> int:
                 for seed in SEARCH_SEEDS:
                     for check in SEARCHABLE_CHECKS:
                         report = counterexample_search(f, check, SEARCH_BUDGET, seed, dim=dim)
-                        written.append(_line(report.to_json_dict()))
-                        fh.write(written[-1])
-    stored = [r for r in map(json.loads, written) if r["witness"] is not None]
+                        written.append(json.loads(json.dumps(report.to_json_dict())))
+                        fh.write(_line(written[-1]))
+    stored = [r for r in written if r["witness"] is not None]
     worst = max((abs(replay_witness(r["witness"]) - r["margin"]) for r in stored), default=0.0)
     print(f"{len(stored)} witnesses replayed; largest |replayed - margin| = {worst:.3g}")
     return 0 if worst <= REPLAY_TOL else 1

@@ -291,6 +291,9 @@ _NOT_TP_MONOTONICITY = {
                "channel": {"dim": "x", "kraus": [_ONE]},
                "ensemble": {"atoms": [{"w": 1.0, "m": _ONE}]}}),
     ("check", _sub({"factors": [[0.5, 0.5]], "z": {"0": _ONE}})),
+    ("check", _matrices({"dim": 1, "h": "AAAAAAAA8D9="})),
+    ("check", _matrices({"dim": 2, "h": "AAAAAAAA8D8="})),
+    ("check", _matrices({"dim": 1, "re": "AAAAAAAA8D8="[:11]})),
 ], ids=["dim-word", "dim-float", "dim-bool", "re-word", "re-ragged", "atom-no-w",
         "top-level-list", "atoms-mixed-dims",
         "product-key", "factor-weight-word", "kraus-number", "trials-string", "dims-word",
@@ -303,7 +306,8 @@ _NOT_TP_MONOTONICITY = {
         "tol-negative", "tol-inf", "es-weight-nan", "poly-es-weight-nan",
         "lemma-weights-not-a-distribution", "lemma-weights-too-few", "p-infinite",
         "kraus-not-trace-preserving", "h-short", "h-word", "h-dim-float", "ensemble-dim-other",
-        "channel-dim-word", "product-missing-outcome"])
+        "channel-dim-word", "product-missing-outcome", "h-base64-not-canonical",
+        "h-base64-bytes", "re-base64-unpadded"])
 def test_exit_code_two_on_malformed_input_files(command, data, tmp_path, capsys):
     path = _json_file(tmp_path, "input.json", data)
     command, *options = command.split()
@@ -357,9 +361,11 @@ def test_every_suite_witness_checks_and_replays_to_its_margin(tmp_path, capsys):
                           f"{len(reports) - 1}/{len(reports)} witnesses replayed to their margins"]
 
 
-def test_replay_reads_a_run_file_of_the_old_matrix_form(capsys):
-    # Matrices written as "re"/"im" blocks only, before the "h" form existed.
-    old = str(Path(__file__).parent / "data" / "old_form_suite.json")
+@pytest.mark.parametrize("name", ["old_form_suite.json", "list_form_suite.json"])
+def test_replay_reads_a_run_file_of_the_old_matrix_form(name, capsys):
+    # Matrices written as float lists: "re"/"im" blocks only, before the "h"
+    # form existed (0.1.0), and "h" lists (0.2.0), before base64 blocks.
+    old = str(Path(__file__).parent / "data" / name)
     assert main(["replay", "--input", old, "--quiet"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "4/4 witnesses replayed to their margins"
 

@@ -1,6 +1,7 @@
 """Eigendecomposition, matrix functions, Loewner order, traces, norms, the
 Hermitian parameters and the matrix wire format."""
 
+import binascii
 import json
 
 import numpy as np
@@ -189,6 +190,8 @@ def _hermitian(kind: str, d: int, rng) -> np.ndarray:
     if kind == "real symmetric":
         B = rng.normal(size=(d, d))
         return B + B.T
+    if kind == "subnormal":
+        return sample_hermitian(d, rng) * 1e-310
     return sample_hermitian(d, rng) * 10.0 ** rng.uniform(-8, 8)
 
 
@@ -196,35 +199,59 @@ def _decoded(data):
     return matrix_from_json(json.loads(json.dumps(data)))
 
 
+def _assert_base64_blocks(data, keys, d):
+    """data holds exactly keys, each a base64 string of d^2 float64s."""
+    assert sorted(data) == ["dim", *keys] and data["dim"] == d
+    for key in keys:
+        assert isinstance(data[key], str)
+        assert len(binascii.a2b_base64(data[key])) == 8 * d * d
+
+
+def _has_subnormal(A) -> bool:
+    parts = np.abs(np.concatenate([A.real.ravel(), A.imag.ravel()]))
+    return bool(((parts > 0) & (parts < np.finfo(float).tiny)).any())
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(d=st.integers(1, 16), seed=st.integers(0, 2**32 - 1),
-       kind=st.sampled_from(["complex", "real symmetric", "identity"]))
+       kind=st.sampled_from(["complex", "real symmetric", "identity", "subnormal"]))
+@example(d=3, seed=0, kind="subnormal")
 def test_hermitian_matrices_are_written_as_their_parameters(d, seed, kind):
     A = np.asarray(_hermitian(kind, d, rng_for(seed, "codec", d)), dtype=complex)
+    assert _has_subnormal(A) == (kind == "subnormal")
     data = matrix_to_json(A)
-    assert sorted(data) == ["dim", "h"] and len(data["h"]) == d * d
+    _assert_base64_blocks(data, ["h"], d)
+    assert json.loads(json.dumps(data)) == data
     assert _decoded(data).tobytes() == A.tobytes()
-    # its re/im form decodes to the same array
+    # the float-list forms of 0.2.0 ("h") and 0.1.0 ("re"/"im") decode to the same array
+    assert _decoded({"dim": d, "h": params_of(A).tolist()}).tobytes() == A.tobytes()
     both = {"dim": d, "re": A.real.tolist(), "im": A.imag.tolist()}
-    assert _decoded(both).tobytes() == _decoded(data).tobytes()
+    assert _decoded(both).tobytes() == A.tobytes()
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(d=st.integers(2, 16), seed=st.integers(0, 2**32 - 1),
-       kind=st.sampled_from(["real", "kraus", "signed zero"]))
+       kind=st.sampled_from(["real", "kraus", "signed zero", "subnormal"]))
 @example(d=2, seed=0, kind="signed zero")  # [[1, 2], [3, 4]], -0.0j at (0, 1)
+@example(d=2, seed=0, kind="subnormal")
 def test_other_matrices_are_written_as_real_and_imaginary_blocks(d, seed, kind):
     rng = rng_for(seed, "codec", d)
     if kind == "kraus":
         A = random_unital_channel(d, 3, rng).kraus[0]
     elif kind == "real":
         A = rng.normal(size=(d, d)).astype(complex)
+    elif kind == "subnormal":  # complex entries near 1e-310, below the least normal float
+        A = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) * 1e-310
     else:  # real entries, one imaginary part -0.0: not a real matrix bit for bit
         A = np.arange(1.0, d * d + 1.0).reshape(d, d).astype(complex)
         A.imag[0, 1] = -0.0
+    assert _has_subnormal(A) == (kind == "subnormal")
     data = matrix_to_json(A)
-    assert sorted(data) == (["dim", "re"] if kind == "real" else ["dim", "im", "re"])
+    _assert_base64_blocks(data, ["re"] if kind == "real" else ["im", "re"], d)
+    assert json.loads(json.dumps(data)) == data
     assert _decoded(data).tobytes() == A.tobytes()
+    both = {"dim": d, "re": A.real.tolist(), "im": A.imag.tolist()}
+    assert _decoded(both).tobytes() == A.tobytes()
 
 
 @pytest.mark.parametrize("data, error", [
@@ -239,8 +266,26 @@ def test_other_matrices_are_written_as_real_and_imaginary_blocks(d, seed, kind):
     ({"dim": 2, "re": [[1.0, 0.0], [0.0]]}, DomainError),
     ({"dim": 1, "re": [["a"]]}, DomainError),
     ({"dim": 1.5, "re": [[1.0]]}, DomainError),
+    ({"dim": 1, "h": "AAAAAAAA8D8"}, DomainError),
+    ({"dim": 1, "h": "AAAAAAAA8D9="}, DomainError),
+    ({"dim": 1, "h": "AAAAAAAA\n8D8="}, DomainError),
+    ({"dim": 1, "h": "AAAAAAAA8D8=!"}, DomainError),
+    ({"dim": 1, "h": "AAAAAAAA8D8\u00e9"}, DomainError),
+    ({"dim": 1, "re": "AAAAAAAA8D8=", "im": "AAAA AAAA8D8="}, DomainError),
+    ({"dim": 2, "h": "AAAAAAAA8D8="}, DimensionMismatchError),
+    ({"dim": 1, "h": "AAAAAAAA8D8AAAAAAAAAAA=="}, DimensionMismatchError),
+    ({"dim": 1, "re": "AAAA"}, DimensionMismatchError),
+    ({"dim": 1, "re": ""}, DimensionMismatchError),
 ], ids=["h-short", "h-nested", "h-word", "h-object", "h-dim-float", "h-dim-word",
-        "h-dim-bool", "h-dim-zero", "re-ragged", "re-word", "re-dim-float"])
+        "h-dim-bool", "h-dim-zero", "re-ragged", "re-word", "re-dim-float",
+        "b64-unpadded", "b64-trailing-bits", "b64-newline", "b64-foreign-character",
+        "b64-non-ascii", "b64-im-space", "b64-h-8-bytes-at-dim-2", "b64-h-16-bytes",
+        "b64-re-3-bytes", "b64-re-empty"])
 def test_malformed_matrix_json_is_refused(data, error):
     with pytest.raises(error):
         matrix_from_json(data)
+
+
+def test_a_base64_block_of_the_wrong_size_names_its_key_and_dim():
+    with pytest.raises(DimensionMismatchError, match="dim=2 but 're' has 16 bytes"):
+        matrix_from_json({"dim": 2, "re": "AAAAAAAA8D8AAAAAAAAAAA=="})

@@ -1,5 +1,6 @@
 """Suite runner: config validation, determinism, replay, exit codes."""
 
+import binascii
 import dataclasses
 import itertools
 import json
@@ -434,15 +435,20 @@ def test_search_reports_match_the_golden_reports():
     _assert_close(reports, golden, "reports")
 
 
-OLD_FORM = Path(__file__).parent / "data" / "old_form_suite.json"
+DATA = Path(__file__).parent / "data"
 
 
-def test_old_form_witnesses_replay_to_their_margins():
-    # Four reports of a run file written before Hermitian matrices took the
-    # "h" form, one per codec that holds matrices: every matrix is a "re"/"im"
-    # block, and each witness still replays to its recorded margin exactly.
-    text = OLD_FORM.read_text(encoding="utf-8")
-    assert '"h":' not in text
+@pytest.mark.parametrize("name, version", [("old_form_suite.json", "0.1.0"),
+                                           ("list_form_suite.json", "0.2.0")])
+def test_old_form_witnesses_replay_to_their_margins(name, version):
+    # Four reports of a run file of an older matrix form, one per codec that
+    # holds matrices, and each witness still replays to its recorded margin
+    # exactly.  In 0.1.0 every matrix is a "re"/"im" block of float lists; in
+    # 0.2.0 a Hermitian one is an "h" list of its d^2 parameters.
+    text = (DATA / name).read_text(encoding="utf-8")
+    assert ('"h": [' in text) == (version == "0.2.0")
+    assert json.loads(text)["artifact_version"] == version
+    assert '"re": "' not in text and '"h": "' not in text  # no base64 block
     reports = json.loads(text)["reports"]
     # ensembles, matrices, a channel and a product, in that order
     assert [r["witness"]["kind"] for r in reports] == [
@@ -532,12 +538,22 @@ def test_sweep_tie_keeps_the_earliest_trial(monkeypatch):
 GOLDEN = Path(__file__).parent / "data" / "golden_suite_seed5.json"
 
 
+def _entries(block):
+    """The float64 entries a base64 matrix block holds, row-major."""
+    assert isinstance(block, str)
+    return np.frombuffer(binascii.a2b_base64(block), "<f8").tolist()
+
+
 def _assert_close(got, want, where):
-    """Equal structure, strings, booleans and integers; floats to 1e-12."""
+    """Equal structure, strings, booleans and integers; floats to 1e-12, the
+    entries of a base64 matrix block too."""
     if isinstance(want, dict):
         assert got.keys() == want.keys(), where
         for key in want:
-            _assert_close(got[key], want[key], f"{where}.{key}")
+            if key in ("h", "re", "im") and "dim" in want and isinstance(want[key], str):
+                _assert_close(_entries(got[key]), _entries(want[key]), f"{where}.{key}")
+            else:
+                _assert_close(got[key], want[key], f"{where}.{key}")
     elif isinstance(want, list):
         assert len(got) == len(want), where
         for i, (g, w) in enumerate(zip(got, want)):
