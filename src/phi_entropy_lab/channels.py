@@ -3,13 +3,15 @@
 A channel here is completely positive, trace preserving and unital, as the
 paper's unital quantum channels are: every channel, sampled or read from a
 witness, is checked for sum K*K = I and sum KK* = I.  Sampled channels are
-mixed-unitary, which makes them both without any projection step; a sweep
-chunk's channels of one Kraus count are checked at once, and images of
-checked ensembles under them, PSD by construction, are not.  The module
-gives the operator gaps of two statements about a unital channel N; their
-reports come from the ``suite`` registry.  Both take lists of points and
-give one gap per entry: each channel acts once, in one batched product per
-Kraus count, and everything after the channels runs as one stack.
+mixed-unitary, which makes them both without any projection step.  A column
+of channels is one Kraus stack (n, k, d, d), each channel's operators zero
+padded to the largest count k, and each channel's own count (n,); a sweep
+chunk's column is checked at once, and images of checked ensembles under
+it, PSD by construction, are not.  The module gives the operator gaps of
+two statements about a unital channel N; their reports come from the
+``suite`` registry.  Both take columns and give one gap per trial: the
+channels act in one batched product, where the padding adds exact zeros,
+and everything after the channels runs as one stack.
 
 The operator Jensen inequality f(N(A)) <= N(f(A)) holds in the PSD order
 for operator-convex f, and in trace for convex f (Hansen-Pedersen,
@@ -37,13 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import ScalarFunction
-from .entropy import (
-    MatrixEnsemble,
-    _set,
-    as_stacks,
-    ensemble_arrays,
-    jensen_gap,
-)
+from .entropy import MatrixEnsemble, _set, as_stacks, operator_phi_entropy
 from .errors import DimensionMismatchError, DomainError
 from .spectral import (
     SpectralDecomposition,
@@ -69,18 +65,21 @@ class KrausChannel:
     kraus: np.ndarray
 
     def __post_init__(self):
-        _set(self, vars(self.stack([self.kraus])[0]))
+        kraus, _ = self.stack([self.kraus])
+        _set(self, {"kraus": kraus[0]})
 
     @classmethod
-    def stack(cls, kraus) -> list:
-        """The channels of Kraus stacks (n, k, d, d), checked at once; the first
-        channel that fails raises what it raises alone."""
+    def stack(cls, kraus, counts=None) -> tuple:
+        """The column of channels of Kraus stacks (n, k, d, d), the n-th zero
+        past its own count counts[n] (k for every channel when None), checked
+        at once; the first channel that fails raises what it raises alone."""
         kraus = as_stacks(kraus, "Kraus operator {}".format)
         if kraus.ndim != 4 or kraus.shape[2] != kraus.shape[3] or kraus.shape[1] < 1:
             raise DimensionMismatchError(
                 f"Kraus stack must have shape (k, d, d), got {kraus.shape[1:]}")
+        counts = np.full(len(kraus), kraus.shape[1]) if counts is None else np.asarray(counts)
         eye = np.eye(kraus.shape[-1])
-        tol = UNITALITY_TOL * (1.0 + np.abs(kraus).max(axis=(1, 2, 3)) ** 2 * kraus.shape[1])
+        tol = UNITALITY_TOL * (1.0 + np.abs(kraus).max(axis=(1, 2, 3)) ** 2 * counts)
         sums = {"is not unital: sum K K*": np.einsum("naij,nakj->nik", kraus, kraus.conj()),
                 "does not preserve the trace: sum K* K": np.einsum(
                     "naji,najk->nik", kraus.conj(), kraus)}
@@ -92,55 +91,52 @@ class KrausChannel:
             for what, deviation in deviations.items():
                 if deviation[n] > tol[n]:
                     raise DomainError(f"channel {what} deviates from I by {deviation[n]:.3e}")
-        return [_set(object.__new__(cls), {"kraus": K}) for K in kraus]
+        return kraus, counts
+
+    @classmethod
+    def row(cls, column: tuple, n: int) -> "KrausChannel":
+        """Entry n of a checked column, its own operators only, not checked again."""
+        kraus, counts = column
+        return _set(object.__new__(cls), {"kraus": kraus[n, :counts[n]]})
 
     @property
-    def dim(self) -> int:
-        return self.kraus.shape[1]
+    def column(self) -> tuple:
+        return self.kraus[None], np.array([len(self.kraus)])
 
     def to_json_dict(self) -> dict:
-        return {"dim": self.dim, "kraus": [matrix_to_json(K) for K in self.kraus]}
+        return {"dim": self.kraus.shape[1], "kraus": [matrix_to_json(K) for K in self.kraus]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "KrausChannel":
         return cls(matrices_from_json(data.get("kraus"), "channel JSON 'kraus'", data.get("dim")))
 
 
-def _by_count(counts: list) -> list:
-    """The indices of each Kraus count, ascending by count."""
-    # np.unique would import numpy.ma, 1.6 MB
-    return [[n for n, c in enumerate(counts) if c == k] for k in sorted(set(counts))]
-
-
-def _kraus_images(channels: list, A: np.ndarray) -> np.ndarray:
+def _kraus_images(N: tuple, A: np.ndarray) -> np.ndarray:
     """The Hermitian part of sum_i K_i A[n] K_i* for the n-th channel of the
-    list and the n-th entry of A (n, ..., d, d), a matrix or a stack of them.
-
-    The channels are grouped by Kraus count, and each group's products are
-    one batched call; each image is the one its channel gives alone.
+    column N and the n-th entry of A (n, ..., d, d), a matrix or a stack of
+    them: one batched product.  A channel's zero padding adds exact zeros
+    after its own terms, so each image is the one its channel gives alone.
     """
-    if any(N.dim != A.shape[-1] for N in channels):
-        raise DimensionMismatchError(f"channels of dims {sorted({N.dim for N in channels})} "
-                                     f"applied to matrices of dim {A.shape[-1]}")
-    out = np.empty(A.shape, dtype=complex)
-    for group in _by_count([N.kraus.shape[0] for N in channels]):
-        K = np.stack([channels[n].kraus for n in group])
-        K = K.reshape(K.shape[:1] + (1,) * (A.ndim - 3) + K.shape[1:])
-        out[group] = (K @ A[group, ..., None, :, :] @ dagger(K)).sum(axis=-3)
-    return hermitian_part(out)
+    kraus, _ = N
+    if kraus.shape[-1] != A.shape[-1]:
+        raise DimensionMismatchError(f"channels of dim {kraus.shape[-1]} applied to "
+                                     f"matrices of dim {A.shape[-1]}")
+    K = kraus.reshape(kraus.shape[:1] + (1,) * (A.ndim - 3) + kraus.shape[1:])
+    return hermitian_part((K @ A[..., None, :, :] @ dagger(K)).sum(axis=-3))
 
 
 def pushforward(N: KrausChannel, E: MatrixEnsemble) -> MatrixEnsemble:
     """Image ensemble {(w_i, N(A_i))} of one channel and one ensemble, checked
     by its constructor."""
-    return MatrixEnsemble(E.weights, _kraus_images([N], E.atoms[None])[0])
+    return MatrixEnsemble(E.weights, _kraus_images(N.column, E.atoms[None])[0])
 
 
 def random_unital_channel(d: int, k, seed) -> KrausChannel:
     """Mixed-unitary channel: k Haar unitaries with random convex weights.
 
     Unital and trace-preserving by construction; bit-reproducible for a
-    fixed seed.  A list of generators takes a list of counts k.
+    fixed seed.  A list of generators takes a list of counts k and gives
+    their column.
     """
     from .sampling import as_generators, haar_unitary
 
@@ -151,40 +147,36 @@ def random_unital_channel(d: int, k, seed) -> KrausChannel:
     weights = [rng.dirichlet(np.ones(n)) for rng, n in zip(rngs, counts)]
     # A generator listed n times draws n unitaries in turn; all go through one QR.
     U = haar_unitary(d, [rng for rng, n in zip(rngs, counts) for _ in range(n)])
-    kraus = [np.sqrt(w)[:, None, None] * U_i
-             for w, U_i in zip(weights, np.split(U, np.cumsum(counts)[:-1]))]
-    out = {}
-    for group in _by_count(counts):  # one check per Kraus count
-        channels = KrausChannel.stack([kraus[n] for n in group])
-        out.update(zip(group, channels))
-    out = [out[n] for n in range(len(counts))]
-    return out if listed else out[0]
+    kraus = np.zeros((len(counts), max(counts), d, d), dtype=complex)
+    for K, w, U_i in zip(kraus, weights, np.split(U, np.cumsum(counts)[:-1])):
+        K[:len(w)] = np.sqrt(w)[:, None, None] * U_i
+    column = KrausChannel.stack(kraus, counts)
+    return column if listed else KrausChannel.row(column, 0)
 
 
-def monotonicity_gap(f: ScalarFunction, N: list, E: list) -> np.ndarray:
+def monotonicity_gap(f: ScalarFunction, N: tuple, E: tuple) -> np.ndarray:
     """N(H(Z)) - H(N(Z)) as an operator, H the operator-valued entropy, one
-    per entry of the lists of channels and of ensembles of one shape.
+    per trial of the channel column N and the ensemble column E.
 
     Its normalised trace is H_Phi(Z) - H_Phi(N(Z)), its least eigenvalue the
     operator form's margin.  Each channel maps its ensemble's atoms and H(Z)
     in one call; both entropies run as one stack.
     """
-    weights, atoms = ensemble_arrays(E)
-    H = jensen_gap(f, weights, atoms)
+    weights, atoms = E
+    H = operator_phi_entropy(f, E)
     images = _kraus_images(N, np.concatenate([atoms, H[:, None]], axis=1))
-    return images[:, -1] - jensen_gap(f, weights, images[:, :-1])
+    return images[:, -1] - operator_phi_entropy(f, (weights, images[:, :-1]))
 
 
-def operator_jensen_gap(f: ScalarFunction, channels: list, A) -> np.ndarray:
-    """N(f(A)) - f(N(A)) for each channel N of the list and matrix of the stack A.
+def operator_jensen_gap(f: ScalarFunction, N: tuple, A) -> np.ndarray:
+    """N(f(A)) - f(N(A)) for each trial of the channel column N and the stack A.
 
-    PSD for operator-convex f, and of nonnegative trace for convex f.  The
-    channels are grouped by Kraus count for their products; f runs once on
-    each stack, and each channel maps A and f(A) in one call.
+    PSD for operator-convex f, and of nonnegative trace for convex f.  f runs
+    once on each stack, and each channel maps A and f(A) in one call.
     """
     A = validate_hermitian(A, "A")
     dec_A = SpectralDecomposition(*np.linalg.eigh(A))
-    images = _kraus_images(channels, np.stack([A, apply_scalar_function(f, dec_A)], axis=1))
+    images = _kraus_images(N, np.stack([A, apply_scalar_function(f, dec_A)], axis=1))
     dec_NA = SpectralDecomposition(*np.linalg.eigh(images[:, 0]))
     # Unitality keeps each output spectrum inside its input's convex hull.
     low, high = dec_A.eigenvalues[..., 0], dec_A.eigenvalues[..., -1]

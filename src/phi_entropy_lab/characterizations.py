@@ -9,12 +9,13 @@ the slack of each condition: joint convexity of a functional, the
 inverse-derivative concavity condition (a), the fourth-derivative trace
 inequality (e), the convexity lemma and the conditional Jensen inequality
 (g), which for two factors is the subadditivity gap.  Each slack but the
-lemma's takes a list or stack of points and gives one result per entry.
-The two convexity slacks (of a functional, and condition (a)) take a row
-of weights lambda per pair, one slack each: the two endpoints and all
-mixes are then one stack, with one batched ``eigh``.  Every report of
-these slacks comes from the ``suite`` registry; a sweep's report states
-"no violation in N trials", which is evidence, not a proof.
+lemma's takes stacks or columns (``entropy``), with a leading trial axis,
+and gives one result per trial.  The two convexity slacks (of a functional,
+and condition (a)) take a row of weights lambda per pair, one slack each:
+the two endpoints and all mixes are then one stack, with one batched
+``eigh``.  Every report of these slacks comes from the ``suite`` registry;
+a sweep's report states "no violation in N trials", which is evidence, not
+a proof.
 """
 
 from __future__ import annotations
@@ -189,16 +190,16 @@ def convexity_lemma_margin(f: ScalarFunction, weights, A_atoms, X_atoms) -> floa
     return float(weights @ traces[:-1] - traces[-1])
 
 
-def conditional_jensen_gap(f: ScalarFunction, P: list) -> np.ndarray:
+def conditional_jensen_gap(f: ScalarFunction, P: tuple) -> np.ndarray:
     """E_1 H(Z | X_1) - H(E_1 Z) for a two-factor product, as an operator,
-    one per entry of the list of products of one layout.
+    one per trial of the product column P.
 
     E_1 averages over the first factor; H(. | X_1) is the entropy in the
     second factor's randomness at fixed X_1.  It and the subadditivity gap
     both expand to E phi(Z) - E_1 phi(E_2 Z) - E_2 phi(E_1 Z) + phi(EZ), so
     ``subadditivity_gap`` computes it.
     """
-    for Q in P:
-        if Q.n != 2:
-            raise DomainError(f"conditional Jensen check needs exactly two factors, got {Q.n}")
+    rows, _ = P
+    if len(rows) != 2:
+        raise DomainError(f"conditional Jensen check needs exactly two factors, got {len(rows)}")
     return subadditivity_gap(f, P)

@@ -7,13 +7,15 @@ exact finite sums, so the inequalities under test carry no sampling error.
 
 This module gives the gaps of subadditivity, Efron-Stein and the dual
 representation; their margins and reports come from ``suite.check`` and
-the suite's check registry.  Each gap takes a list of ensembles of one
-layout and returns one gap per entry of the list, the atoms one stack
-through every layer; one ensemble is a list of one.
+the suite's check registry.  Each gap takes columns, with a leading trial
+axis, and returns one gap per trial: ensembles as weights (n, m) and atoms
+(n, m, d, d), products as factor weight rows [(n, s_i)] and atoms
+(n, S, d, d).  One ensemble or product is a column of one (its ``column``).
 
 Checks run in full in the constructors (and so on decoded JSON), once per
-sweep chunk in each class's ``stack``, and never on values derived here
-from checked objects (``flatten``, the decompositions in ``dual_value``).
+sweep chunk in each class's ``stack``, which returns the checked column,
+and never on columns derived here from checked ones (``flatten``, the
+decompositions in ``dual_value``).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .spectral import (
     apply_scalar_function_stack,
     frobenius,
     hermitian_part,
+    is_real,
     matrices_from_json,
     matrix_to_json,
     validate_hermitian,
@@ -121,13 +124,13 @@ class MatrixEnsemble:
     atoms: np.ndarray
 
     def __post_init__(self):
-        _set(self, vars(self.stack(np.asarray(self.weights, dtype=float)[None],
-                                   [self.atoms])[0]))
+        weights, atoms = self.stack(np.asarray(self.weights, dtype=float)[None], [self.atoms])
+        _set(self, {"weights": weights[0], "atoms": atoms[0]})
 
     @classmethod
-    def stack(cls, weights, atoms) -> list:
-        """The ensembles of weight rows (n, m) and atoms (n, m, d, d), checked
-        as one stack; each raises what it raises alone, naming its atom."""
+    def stack(cls, weights, atoms) -> tuple:
+        """The column of ensembles of weight rows (n, m) and atoms (n, m, d, d),
+        checked at once; each raises what it raises alone, naming its atom."""
         w = _check_weights(weights, "ensemble weights")
         atoms = as_stacks(atoms, "atom {}".format)
         if atoms.ndim != 4 or atoms.shape[:2] != w.shape or atoms.shape[2] != atoms.shape[3]:
@@ -135,20 +138,21 @@ class MatrixEnsemble:
                                          f"{w.shape[1]} weights, got {atoms.shape[1:]}")
         m = w.shape[1]
         checked_atoms(atoms.reshape((w.size,) + atoms.shape[2:]), lambda i: f"atom {i % m}")
-        return [_set(object.__new__(cls), {"weights": wi, "atoms": ai})
-                for wi, ai in zip(w, atoms)]
+        return w, atoms
+
+    @classmethod
+    def row(cls, column: tuple, n: int) -> "MatrixEnsemble":
+        """Entry n of a checked column, not checked again."""
+        weights, atoms = column
+        return _set(object.__new__(cls), {"weights": weights[n], "atoms": atoms[n]})
 
     @property
-    def dim(self) -> int:
-        return self.atoms.shape[1]
-
-    @property
-    def support(self) -> int:
-        return self.atoms.shape[0]
+    def column(self) -> tuple:
+        return self.weights[None], self.atoms[None]
 
     def to_json_dict(self) -> dict:
         return {
-            "dim": self.dim,
+            "dim": self.atoms.shape[1],
             "atoms": [
                 {"w": float(w), "m": matrix_to_json(a)}
                 for w, a in zip(self.weights, self.atoms)
@@ -161,11 +165,14 @@ class MatrixEnsemble:
         if not atoms:
             raise DomainError("ensemble JSON needs a non-empty 'atoms' list")
         try:
-            weights = np.array([float(entry["w"]) for entry in atoms])
-        except (KeyError, TypeError, ValueError) as exc:
+            weights = [entry["w"] for entry in atoms]
+        except (KeyError, TypeError) as exc:
             raise DomainError(f"each ensemble atom needs a numeric 'w': {exc}") from exc
-        return cls(weights, matrices_from_json([entry.get("m") for entry in atoms],
-                                               "ensemble atoms", data.get("dim")))
+        if not all(map(is_real, weights)):
+            raise DomainError(f"each ensemble atom needs a numeric 'w', got {weights!r:.60}")
+        return cls(np.array(weights, dtype=float),
+                   matrices_from_json([entry.get("m") for entry in atoms], "ensemble atoms",
+                                      data.get("dim")))
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,22 +182,22 @@ class ProductEnsemble:
     factor_weights[i] holds the s_i outcome weights of factor i.  atoms is
     the outcome table, one PSD matrix per outcome, as one stack (S, d, d) with
     S = s_1 ... s_n in row-major outcome order: the last factor varies
-    fastest.  joint_weights holds each outcome's probability in that order.
+    fastest.
     """
 
     factor_weights: tuple
     atoms: np.ndarray = field(repr=False)
-    joint_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        _set(self, vars(self.stack([np.asarray(w, dtype=float)[None] for w in self.factor_weights],
-                                   [self.atoms])[0]))
+        rows, atoms = self.stack([np.asarray(w, dtype=float)[None] for w in self.factor_weights],
+                                 [self.atoms])
+        _set(self, {"factor_weights": tuple(w[0] for w in rows), "atoms": atoms[0]})
 
     @classmethod
-    def stack(cls, factor_rows, atoms) -> list:
-        """The products of factor weight rows [(B, s_i)] and outcome tables
-        (B, S, d, d), checked as one stack; each raises what it raises alone,
-        naming its outcome."""
+    def stack(cls, factor_rows, atoms) -> tuple:
+        """The column of products of factor weight rows [(B, s_i)] and outcome
+        tables (B, S, d, d), checked at once; each raises what it raises
+        alone, naming its outcome."""
         rows = [_check_weights(w, f"factor {i} weights") for i, w in enumerate(factor_rows)]
         if not rows:
             raise DomainError("product ensemble needs at least one factor")
@@ -204,26 +211,18 @@ class ProductEnsemble:
             raise DimensionMismatchError(f"atoms must have shape (S, d, d), one matrix per "
                                          f"outcome of {sizes}, got {atoms.shape[1:]}")
         checked_atoms(atoms.reshape((-1,) + atoms.shape[2:]), outcome)
-        # Each outcome's probability, its factors' weights multiplied from the first on.
-        joint = rows[0]
-        for w in rows[1:]:
-            joint = (joint[:, :, None] * w[:, None, :]).reshape(len(w), -1)
-        return [_set(object.__new__(cls), {
-            "factor_weights": tuple(w[n] for w in rows), "atoms": atoms[n],
-            "joint_weights": joint[n]}) for n in range(len(atoms))]
+        return rows, atoms
+
+    @classmethod
+    def row(cls, column: tuple, n: int) -> "ProductEnsemble":
+        """Entry n of a checked column, not checked again."""
+        rows, atoms = column
+        return _set(object.__new__(cls), {"factor_weights": tuple(w[n] for w in rows),
+                                          "atoms": atoms[n]})
 
     @property
-    def n(self) -> int:
-        return len(self.factor_weights)
-
-    @property
-    def dim(self) -> int:
-        return self.atoms.shape[-1]
-
-    def flatten(self) -> MatrixEnsemble:
-        """The ensemble of the outcomes, built from the product's checked values."""
-        return _set(object.__new__(MatrixEnsemble), {
-            "weights": self.joint_weights / self.joint_weights.sum(), "atoms": self.atoms})
+    def column(self) -> tuple:
+        return [w[None] for w in self.factor_weights], self.atoms[None]
 
     def to_json_dict(self) -> dict:
         return {
@@ -237,6 +236,10 @@ class ProductEnsemble:
         factors, z = data.get("factors"), data.get("z")
         if not factors or not isinstance(z, dict):
             raise DomainError("product JSON needs 'factors' and a 'z' object")
+        if not isinstance(factors, list) or not all(
+                isinstance(w, list) and all(map(is_real, w)) for w in factors):
+            raise DomainError(f"product JSON 'factors' must be lists of numbers, "
+                              f"got {factors!r:.60}")
         try:
             weights = tuple(np.asarray(w, dtype=float) for w in factors)
             outcomes = list(np.ndindex(*map(len, weights)))
@@ -258,42 +261,35 @@ def _mean(weights: np.ndarray, atoms: np.ndarray) -> np.ndarray:
     return np.einsum("...m,...mij->...ij", weights, atoms)
 
 
-def ensemble_arrays(E: list) -> tuple:
-    """Weights and atoms of a list of ensembles of one shape, each stacked
-    along a new leading axis: one entry per entry of the list."""
-    shapes = sorted({e.atoms.shape for e in E})
-    if len(shapes) > 1:
-        raise DimensionMismatchError(f"ensembles taken together must share one shape "
-                                     f"(atoms, d, d), got {shapes}")
-    return np.stack([e.weights for e in E]), np.stack([e.atoms for e in E])
-
-
-def jensen_gap(f: ScalarFunction, weights: np.ndarray, atoms: np.ndarray) -> np.ndarray:
-    """E f(Z) - f(E Z) as a Hermitian matrix for weights (..., m) and atoms
-    (..., m, d, d): one gap per leading index."""
+def operator_phi_entropy(f: ScalarFunction, E: tuple) -> np.ndarray:
+    """Jensen gap E f(Z) - f(E Z) as a Hermitian matrix, one per trial of the
+    ensemble column E: weights (..., m) and atoms (..., m, d, d)."""
+    weights, atoms = E
     mean_phi = _mean(weights, apply_scalar_function_stack(f, atoms))
     mean = hermitian_part(_mean(weights, atoms))
     return hermitian_part(mean_phi - apply_scalar_function(f, mean))
 
 
-def operator_phi_entropy(f: ScalarFunction, E: list) -> np.ndarray:
-    """Jensen gap E f(Z) - f(E Z) as a Hermitian matrix, one per entry of the
-    list of ensembles of one shape."""
-    return jensen_gap(f, *ensemble_arrays(E))
-
-
-def matrix_phi_entropy(f: ScalarFunction, E: list) -> np.ndarray:
-    """Normalized trace of the Jensen gap, one per entry; nonnegative for convex f."""
+def matrix_phi_entropy(f: ScalarFunction, E: tuple) -> np.ndarray:
+    """Normalized trace of the Jensen gap, one per trial; nonnegative for convex f."""
     return variant_margin(operator_phi_entropy(f, E), "trace")
 
 
-def product_arrays(P: list) -> tuple:
-    """The factor weights [(B, s_i)], joint weights (B, S) and atoms (B, S, d, d)
-    of a list of B products of one layout: one entry per entry of the list."""
-    if len({(tuple(map(len, Q.factor_weights)), Q.atoms.shape) for Q in P}) > 1:
-        raise DimensionMismatchError("product ensembles taken together must share one layout")
-    return ([np.stack(w) for w in zip(*(Q.factor_weights for Q in P))],
-            np.stack([Q.joint_weights for Q in P]), np.stack([Q.atoms for Q in P]))
+def joint_weights(rows: list) -> np.ndarray:
+    """Each outcome's probability (B, S), in row-major outcome order, of the
+    products of factor weight rows [(B, s_i)]: its factors' weights
+    multiplied from the first on."""
+    joint = rows[0]
+    for w in rows[1:]:
+        joint = (joint[:, :, None] * w[:, None, :]).reshape(len(w), -1)
+    return joint
+
+
+def flatten(P: tuple) -> tuple:
+    """The ensemble column of the outcomes of a product column."""
+    rows, atoms = P
+    joint = joint_weights(rows)
+    return joint / joint.sum(axis=1, keepdims=True), atoms
 
 
 def _slices(rows: list):
@@ -312,15 +308,16 @@ def _slices(rows: list):
             yield w, index[fixed[:i] + (slice(None),) + fixed[i:]], p
 
 
-def subadditivity_gap(f: ScalarFunction, P: list) -> np.ndarray:
+def subadditivity_gap(f: ScalarFunction, P: tuple) -> np.ndarray:
     """sum_i E[conditional entropy] - total entropy, as an operator, one per
-    entry of the list of products of one layout.
+    trial of the product column P.
 
     Evaluates f over the outcome stack once and batches the per-slice
     means, so the n = 1 gap cancels exactly (identical code paths on both
     sides of the difference).
     """
-    rows, probs, atoms = product_arrays(P)
+    rows, atoms = P
+    probs = joint_weights(rows)
     phis = apply_scalar_function_stack(f, atoms)
 
     mean_phi = _mean(probs, phis)
@@ -343,23 +340,23 @@ def subadditivity_gap(f: ScalarFunction, P: list) -> np.ndarray:
 # --- variance and resampling quantities ----------------------------------------
 
 
-def variance(E: list) -> np.ndarray:
-    """Operator-valued variance E Z^2 - (E Z)^2, one per entry of the list
-    of ensembles of one shape."""
-    weights, atoms = ensemble_arrays(E)
+def variance(E: tuple) -> np.ndarray:
+    """Operator-valued variance E Z^2 - (E Z)^2, one per trial of the
+    ensemble column E."""
+    weights, atoms = E
     second = _mean(weights, atoms @ atoms)
     mean = hermitian_part(_mean(weights, atoms))
     return hermitian_part(second - mean @ mean)
 
 
-def efron_stein_quantity(P: list) -> np.ndarray:
+def efron_stein_quantity(P: tuple) -> np.ndarray:
     """Half the expected sum of squared single-factor resampling differences,
-    one per entry of the list of products of one layout.
+    one per trial of the product column P.
 
     Exact double sum over each factor's support pairs.
     """
-    rows, _, atoms = product_arrays(P)
-    acc = np.zeros((len(P),) + atoms.shape[-2:], dtype=complex)
+    rows, atoms = P
+    acc = np.zeros((len(atoms),) + atoms.shape[-2:], dtype=complex)
     for w, idxs, p in _slices(rows):
         sub = atoms[:, idxs]
         diffs = sub[:, :, None] - sub[:, None, :]
@@ -369,13 +366,6 @@ def efron_stein_quantity(P: list) -> np.ndarray:
 
 
 # --- dual representation --------------------------------------------------------
-
-
-def _check_coupled(Z: MatrixEnsemble, T: MatrixEnsemble) -> None:
-    if Z.dim != T.dim or Z.support != T.support:
-        raise DimensionMismatchError("coupled ensembles must share dim and support size")
-    if np.max(np.abs(Z.weights - T.weights)) > WEIGHT_TOL:
-        raise DomainError("coupled ensembles must share sample-space weights")
 
 
 def _require_pd(eigenvalues: np.ndarray, f: ScalarFunction, what: str) -> None:
@@ -393,19 +383,24 @@ def _require_pd(eigenvalues: np.ndarray, f: ScalarFunction, what: str) -> None:
             )
 
 
-def dual_value(f: ScalarFunction, Z, T) -> np.ndarray:
+def dual_value(f: ScalarFunction, Z: tuple, T: tuple) -> np.ndarray:
     """Lower-bound functional of the dual representation, as an operator,
-    one per entry of the lists of ensembles of one shape.
+    one per trial of the ensemble columns Z and T.
 
     E[Df[T](Z-T) - Df[ET](Z-T) + f(T) - f(ET)], all expectations exact.
     T must be positive definite, with its spectrum above the floor when f's
-    derivative needs one; T's atoms are decomposed once, for that check
-    (made before Z is read), for Df and for f.
+    derivative needs one, and coupled to Z (same shape and weights); T's
+    atoms are decomposed once, for that check (made before Z is read), for
+    Df and for f.
     """
-    t_weights, t_atoms = ensemble_arrays(T)
+    t_weights, t_atoms = T
     dec_T = SpectralDecomposition(*np.linalg.eigh(t_atoms))
     _require_pd(dec_T.eigenvalues, f, "dual representation T")
-    z_weights, z_atoms = ensemble_arrays(Z)
+    z_weights, z_atoms = Z
+    if z_atoms.shape != t_atoms.shape:
+        raise DimensionMismatchError("coupled ensembles must share dim and support size")
+    if np.max(np.abs(z_weights - t_weights)) > WEIGHT_TOL:
+        raise DomainError("coupled ensembles must share sample-space weights")
     mean_T = hermitian_part(_mean(t_weights, t_atoms))
     dec_mean = SpectralDecomposition(*np.linalg.eigh(mean_T))
     diff = z_atoms - t_atoms
@@ -420,14 +415,9 @@ def dual_value(f: ScalarFunction, Z, T) -> np.ndarray:
     return hermitian_part(acc)
 
 
-def dual_gap(f: ScalarFunction, Z: list, T: list) -> np.ndarray:
-    """Entropy minus the dual lower bound, as an operator, one per entry of
-    the lists of coupled ensembles of one shape; zero when T is Z.
-
-    T must be coupled to Z (same weights); dual_value checks the rest,
-    before the entropy reads Z.
-    """
-    for z, t in zip(Z, T):
-        _check_coupled(z, t)
+def dual_gap(f: ScalarFunction, Z: tuple, T: tuple) -> np.ndarray:
+    """Entropy minus the dual lower bound, as an operator, one per trial of
+    the columns of coupled ensembles; zero when T is Z.  dual_value checks
+    T and the coupling before the entropy reads Z."""
     bound = dual_value(f, Z, T)
     return operator_phi_entropy(f, Z) - bound

@@ -5,11 +5,12 @@ a hash, so parallel and serial sweeps draw identical values regardless of
 execution order.
 
 A list of generators gives one draw per generator, stacked on a new leading
-axis (objects: a list): each makes the calls it makes alone, then the matrix
-algebra, which acts matrix by matrix, runs once over the stack.  A seed or one
-generator is the list of one.  With a count k, a draw is k matrices, bit for
-bit those of k one-matrix calls on the same generator.  The object samplers
-check all their objects at once, through their class's ``stack``.
+axis: an array, or for an object sampler the column its class's ``stack``
+checks at once (see ``entropy`` and ``channels``).  Each generator makes the
+calls it makes alone, then the matrix algebra, which acts matrix by matrix,
+runs once over the stack.  A seed or one generator is the draw of one, an
+object for an object sampler.  With a count k, a draw is k matrices, bit for
+bit those of k one-matrix calls on the same generator.
 """
 
 from __future__ import annotations
@@ -126,8 +127,8 @@ def sample_ensemble(d: int, atoms: int, seed=0, spectral_floor: float = 0.0,
         raise DomainError(f"ensemble needs at least one atom, got {atoms}")
     rngs, listed = as_generators(seed, "ensemble", d, atoms)
     weights = [rng.dirichlet(np.ones(atoms)) for rng in rngs]
-    out = MatrixEnsemble.stack(weights, sample_psd(d, spectral_floor, rngs, spectral_cap, atoms))
-    return out if listed else out[0]
+    column = MatrixEnsemble.stack(weights, sample_psd(d, spectral_floor, rngs, spectral_cap, atoms))
+    return column if listed else MatrixEnsemble.row(column, 0)
 
 
 def sample_product(d: int, n: int, support_sizes, seed=0,
@@ -142,8 +143,8 @@ def sample_product(d: int, n: int, support_sizes, seed=0,
     rngs, listed = as_generators(seed, "product", d, n, support_sizes)
     factors = [[rng.dirichlet(np.ones(s)) for s in support_sizes] for rng in rngs]
     mats = sample_psd(d, spectral_floor, rngs, spectral_cap, math.prod(support_sizes))
-    out = ProductEnsemble.stack([np.stack(rows) for rows in zip(*factors)], mats)
-    return out if listed else out[0]
+    column = ProductEnsemble.stack([np.stack(rows) for rows in zip(*factors)], mats)
+    return column if listed else ProductEnsemble.row(column, 0)
 
 
 def sample_coupled_ensembles(d: int, atoms: int, seed=0,
@@ -153,8 +154,8 @@ def sample_coupled_ensembles(d: int, atoms: int, seed=0,
     rngs, listed = as_generators(seed, "coupled", d, atoms)
     weights = [rng.dirichlet(np.ones(atoms)) for rng in rngs]
     mats = sample_psd(d, spectral_floor, rngs, spectral_cap, 2 * atoms)
-    # Z and T of each pair are consecutive ensembles of one stack.
-    ensembles = MatrixEnsemble.stack(np.repeat(weights, 2, axis=0),
-                                     mats.reshape(2 * len(rngs), atoms, d, d))
-    out = list(zip(ensembles[::2], ensembles[1::2]))
-    return out if listed else out[0]
+    # Z and T of each pair are consecutive ensembles of one checked column.
+    column = MatrixEnsemble.stack(np.repeat(weights, 2, axis=0),
+                                  mats.reshape(2 * len(rngs), atoms, d, d))
+    Z, T = (tuple(np.ascontiguousarray(a[i::2]) for a in column) for i in (0, 1))
+    return (Z, T) if listed else (MatrixEnsemble.row(Z, 0), MatrixEnsemble.row(T, 0))

@@ -204,9 +204,22 @@ def matrix_to_json(A) -> dict:
     return out
 
 
+def is_real(x) -> bool:
+    """Whether x is a real number, and not a boolean: the one rule for the
+    numbers a witness stores."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _numbers(value) -> bool:
+    """Whether value is a real number or a list of them, nested (is_real)."""
+    return all(map(_numbers, value)) if isinstance(value, list) else is_real(value)
+
+
 def _block(value):
     """A float list as an array; a base64 string as the bytes it canonically encodes."""
     if not isinstance(value, str):
+        if not _numbers(value):
+            raise ValueError(f"{value!r:.60} is not a list of numbers")
         return np.asarray(value, dtype=float)
     raw = binascii.a2b_base64(value)
     if binascii.b2a_base64(raw, newline=False).decode("ascii") != value:

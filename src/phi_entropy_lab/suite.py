@@ -4,14 +4,14 @@
 the paper that the package reports on.  The suite, single-point reports,
 witness replay and counterexample search all read it.  A record says once:
 
-- how a chunk of suite trials draws its points, in trial order, from their
-  seeded streams, the chunk's matrices of one kind as one stack;
-- the margins of any list of a sweep's points, in trial order, each >= 0
-  where the statement holds: the map evaluates the points as one stack
-  through the batched layers (channels act grouped by their Kraus counts),
-  and the points of one draw may share work (the convex weights of one pair
-  share its endpoints); one point is a list of one;
-- how a point is stored as a witness and read back (its fields, in order);
+- how a chunk of suite trials draws from their seeded streams: a dict of
+  columns with a leading trial axis (matrices (n, d, d), weights lambda
+  (n, L), the columns of ``entropy`` and ``channels``) beside the values
+  its trials share (the function, the variant);
+- the margins of a chunk, (n,) or (n, L), each >= 0 where the statement
+  holds, through the batched layers; one point is a chunk of one trial;
+- how a point is stored as a witness and read back (its fields, in order),
+  and how each value stands in a column (``Codec``);
 - the tolerance a sweep's margins are judged by;
 - whether it is gated to the function class of its variant, and the name of
   the report of one point.
@@ -21,8 +21,9 @@ measures, the labels of its stream and its name; its keys, in order, are
 ``CHECK_NAMES``.  The rest is derived from the two tables:
 
 - ``sweep`` runs one report: ``_scan`` makes one draw and one margin call
-  per chunk of trials, ``_least`` picks the first strict minimum of the
-  margin, and the witness is that one point's;
+  per chunk of trials, ``_least`` picks the (trial, lambda) of the first
+  strict minimum of the margin, and the witness is that one point's, sliced
+  from the chunk;
 - ``run_suite`` runs the sweeps a ``RunConfig`` selects;
 - ``check`` reports one given point: class gate, margin, tolerance, witness;
 - ``replay_witness`` decodes a witness and recomputes its margin;
@@ -47,7 +48,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field, fields
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -74,6 +75,7 @@ from .entropy import (
     SPECTRAL_FLOOR,
     dual_gap,
     efron_stein_quantity,
+    flatten,
     subadditivity_gap,
     variance,
 )
@@ -89,6 +91,7 @@ from .sampling import (
 )
 from .spectral import (
     herm_from_params,
+    is_real,
     matrix_from_json,
     matrix_to_json,
     params_of,
@@ -156,13 +159,9 @@ def _integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _real(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-
 def _tolerance(x) -> bool:
     """Whether x can judge margins: a finite number >= 0."""
-    return _real(x) and math.isfinite(x) and x >= 0
+    return is_real(x) and math.isfinite(x) and x >= 0
 
 
 @dataclass(frozen=True)
@@ -267,31 +266,50 @@ def _in_class(f: ScalarFunction, variant: str) -> bool:
 
 # --- the check registry ------------------------------------------------------------
 
-# Witness codecs: (encode, decode, what a stored value must be, the test of it)
-# between a point value and its JSON form.  A stored witness is input from
-# outside the program, so _decode_witness refuses a value that fails the test.
+class Codec(NamedTuple):
+    """A witness field between a point's value, its JSON form and its column.
+    A stored witness is input from outside the program, so _decode_witness
+    refuses a value that fails valid.  A value a chunk's trials share is its
+    own column."""
+
+    encode: Callable              # value -> JSON
+    decode: Callable              # JSON -> value
+    what: str                     # what a stored value must be
+    valid: Callable               # the test of a stored value
+    column: Callable = lambda value: value       # value -> its column of one trial
+    entry: Callable = lambda column, n, j: column  # the value of trial n at weight j
 
 
-def _json_object(cls) -> tuple:
-    return (lambda v: v.to_json_dict(), lambda data: cls.from_json_dict(data), "an object",
-            lambda x: isinstance(x, dict))
+def _row(column, n: int, j: int):
+    """The value of trial n of a column that holds one value per trial."""
+    return column[n]
+
+
+def _json_object(cls) -> Codec:
+    return Codec(lambda v: v.to_json_dict(), lambda data: cls.from_json_dict(data), "an object",
+                 lambda x: isinstance(x, dict), lambda v: v.column,
+                 lambda column, n, j: cls.row(column, n))
 
 
 _AS_IS = (lambda x: x, lambda x: x)  # encode, decode of a value stored as it is
-_P = (*_AS_IS, "a finite number >= 1", lambda x: _real(x) and math.isfinite(x) and x >= 1)
-_LAMBDA = (*_AS_IS, "a number in [0, 1]", lambda x: _real(x) and 0 <= x <= 1)
-_T = (*_AS_IS, "null or a number in [0, 1]", lambda x: x is None or _LAMBDA[3](x))
-_VARIANT = (*_AS_IS, "'trace' or 'operator'", lambda x: x in ("trace", "operator"))
-_FUNCTIONAL = (*_AS_IS, f"one of {FUNCTIONAL_NAMES}", lambda x: x in FUNCTIONAL_NAMES)
-_FLOATS = (lambda xs: [float(x) for x in xs], lambda xs: xs, "a list of numbers",
-           lambda xs: isinstance(xs, list) and all(map(_real, xs)))
-_PHI = (lambda f: f.spec_string(), lambda s: from_spec(s, allow_outside_class=True),
-        "a function spec", lambda s: isinstance(s, str))
-_MATRIX = (lambda A: matrix_to_json(A), lambda data: matrix_from_json(data), "an object",
-           lambda x: isinstance(x, dict))
-_MATRICES = (lambda As: [matrix_to_json(A) for A in As],
-             lambda data: [matrix_from_json(A) for A in data], "a list of matrices",
-             lambda xs: isinstance(xs, list))
+_P = Codec(*_AS_IS, "a finite number >= 1",
+           lambda x: is_real(x) and math.isfinite(x) and x >= 1)
+_LAMBDA = Codec(*_AS_IS, "a number in [0, 1]", lambda x: is_real(x) and 0 <= x <= 1,
+                lambda x: np.array([[x]]), lambda column, n, j: float(column[n, j]))
+_T = Codec(*_AS_IS, "null or a number in [0, 1]", lambda x: x is None or _LAMBDA.valid(x),
+           lambda t: None if t is None else np.array([t]),
+           lambda column, n, j: None if column is None else float(column[n]))
+_VARIANT = Codec(*_AS_IS, "'trace' or 'operator'", lambda x: x in ("trace", "operator"))
+_FUNCTIONAL = Codec(*_AS_IS, f"one of {FUNCTIONAL_NAMES}", lambda x: x in FUNCTIONAL_NAMES)
+_FLOATS = Codec(lambda xs: [float(x) for x in xs], lambda xs: xs, "a list of numbers",
+                lambda xs: isinstance(xs, list) and all(map(is_real, xs)), lambda xs: [xs], _row)
+_PHI = Codec(lambda f: f.spec_string(), lambda s: from_spec(s, allow_outside_class=True),
+             "a function spec", lambda s: isinstance(s, str))
+_MATRIX = Codec(lambda A: matrix_to_json(A), lambda data: matrix_from_json(data), "an object",
+                lambda x: isinstance(x, dict), lambda A: np.array([A]), _row)
+_MATRICES = Codec(lambda As: [matrix_to_json(A) for A in As],
+                  lambda data: [matrix_from_json(A) for A in data], "a list of matrices",
+                  lambda xs: isinstance(xs, list), lambda As: [As], _row)
 _PRODUCT = _json_object(ProductEnsemble)
 _ENSEMBLE = _json_object(MatrixEnsemble)
 _CHANNEL = _json_object(KrausChannel)
@@ -301,14 +319,15 @@ _CHANNEL = _json_object(KrausChannel)
 class Check:
     """One statement: its witness layout, margin, suite draw and tolerance.
 
-    A point is a dict keyed like the witness that holds decoded values.
+    A point is a dict keyed like the witness that holds decoded values; a
+    chunk holds the columns of its trials' points (Codec.column and entry).
     """
 
-    fields: tuple                 # witness layout after "kind": (key, codec) pairs
+    fields: tuple                 # witness layout after "kind": (key, Codec) pairs
     name: str                     # report of one point, formatted with its witness
-    # Any list of a sweep's points, in trial order -> their margins, >= 0 where it holds.
+    # A chunk of a sweep's trials -> their margins (n,) or (n, L), >= 0 where it holds.
     margin: Callable
-    draw: Callable | None = None  # (trials' generators, d, base point) -> points
+    draw: Callable | None = None  # (trials' generators, d, shared values) -> columns
     tolerance: Callable | None = None  # all margins -> tolerance
     class_gated: bool = True      # in class only for phi tagged for the variant
     # Spectral floor and cap of the matrices a counterexample search draws.
@@ -320,64 +339,23 @@ def _lambdas(rng) -> list:
     return [0.25, 0.5, 0.75, float(rng.uniform()), float(rng.uniform())]
 
 
-def _all(points: list, key: str) -> list:
-    return [p[key] for p in points]
+def _split(keys, mats: np.ndarray) -> dict:
+    """The columns keyed by keys of matrices (n, len(keys), d, d), each
+    contiguous, as the stack of its trials' matrices is alone."""
+    return dict(zip(keys, np.ascontiguousarray(np.moveaxis(mats, 1, 0))))
 
 
-def _stack(points: list, key: str) -> np.ndarray:
-    return np.array(_all(points, key))
+def _efron_stein_terms(P: tuple) -> tuple:
+    """The Efron-Stein quantity and the variance of each product of a column."""
+    return efron_stein_quantity(P), variance(flatten(P))
 
 
-def _listed(margins) -> list:
-    """Margins as a flat list of floats, in point order."""
-    return np.ravel(margins).tolist()
-
-
-def _gap_margins(points: list, gaps: np.ndarray) -> list:
-    """Margins of a stack of operator gaps, one per point, in the points' variant."""
-    return _listed(variant_margin(gaps, points[0]["variant"]))
-
-
-def _efron_stein_terms(points: list) -> tuple:
-    """The Efron-Stein quantity and the variance of each point's product."""
-    products = _all(points, "product")
-    return efron_stein_quantity(products), variance([P.flatten() for P in products])
-
-
-def _poly_efron_stein_margins(points: list) -> list:
-    q = points[0]["p"]
-    # The norms of every point's two terms come from one stacked call.
-    es, var = schatten_norm(np.concatenate(_efron_stein_terms(points)), q).reshape(2, -1) ** q
-    return _listed(es - var)
-
-
-def _by_draw(keys: tuple, slack: Callable) -> Callable:
-    """The margin map of a record whose draw is one tuple of matrices (the
-    fields keys) at several convex weights "lambda".
-
-    A draw's points are consecutive and share the matrix objects, and every
-    draw has as many weights (one point is a draw of one).  All draws go to
-    slack(first point of each draw, stacked matrices, weights per draw) as
-    one stack.
-    """
-    def margins(points: list) -> list:
-        draws = []
-        for p in points:
-            if draws and all(p[key] is draws[-1][0][key] for key in keys):
-                draws[-1].append(p)
-            else:
-                draws.append([p])
-        firsts = [draw[0] for draw in draws]
-        lams = [_all(draw, "lambda") for draw in draws]
-        return _listed(slack(firsts, *(_stack(firsts, key) for key in keys), lams))
-    return margins
-
-
-def _functional(firsts: list) -> BivariateFunctional:
-    """The functional of a sweep's draws; gap_F_t takes each draw's t."""
-    p = firsts[0]
-    t = None if p["t"] is None else np.array(_all(firsts, "t"))
-    return BivariateFunctional(p["functional"], p["phi"], t=t)
+def _poly_efron_stein_margins(chunk: dict) -> np.ndarray:
+    q = chunk["p"]
+    # The norms of every trial's two terms come from one stacked call.
+    es, var = schatten_norm(np.concatenate(_efron_stein_terms(chunk["product"])), q
+                            ).reshape(2, -1) ** q
+    return es - var
 
 
 def _convexity_tol(margins: list) -> float:
@@ -388,45 +366,40 @@ def _relative_tol(margins: list) -> float:
     return 1e-9 * max(1.0, *(abs(m) for m in margins))
 
 
-def _draw_pairs(rngs: list, d: int, base: dict) -> list:
+def _draw_pairs(rngs: list, d: int, base: dict) -> dict:
     mats = sample_psd(d, SPECTRAL_FLOOR, rngs, count=4)
-    ts = [float(rng.uniform(0.0, 1.0)) if base["functional"] == "gap_F_t" else None
-          for rng in rngs]
-    return [{"t": t, "lambda": lam, "u1": u1, "v1": v1, "u2": u2, "v2": v2}
-            for rng, t, (u1, v1, u2, v2) in zip(rngs, ts, mats) for lam in _lambdas(rng)]
+    t = (np.array([rng.uniform(0.0, 1.0) for rng in rngs])
+         if base["functional"] == "gap_F_t" else None)
+    return {"t": t, "lambda": np.array([_lambdas(rng) for rng in rngs]),
+            **_split(("u1", "v1", "u2", "v2"), mats)}
 
 
-def _draw_condition_a(rngs: list, d: int, base: dict) -> list:
+def _draw_condition_a(rngs: list, d: int, base: dict) -> dict:
     pairs = sample_psd(d, SPECTRAL_FLOOR, rngs, count=2)
-    return [{"lambda": lam, "A1": A1, "A2": A2, "h": h}
-            for rng, (A1, A2), h in zip(rngs, pairs, sample_hermitian_unit(d, rngs))
-            for lam in _lambdas(rng)]
+    h = sample_hermitian_unit(d, rngs)
+    return {"lambda": np.array([_lambdas(rng) for rng in rngs]), "h": h,
+            **_split(("A1", "A2"), pairs)}
 
 
-def _points(**columns) -> list:
-    """One point per trial, holding the trial's entry of each column."""
-    return [dict(zip(columns, values)) for values in zip(*columns.values())]
-
-
-def _draw_channels(rngs: list, d: int) -> list:
+def _draw_channels(rngs: list, d: int) -> tuple:
     return random_unital_channel(d, [int(rng.integers(1, 5)) for rng in rngs], rngs)
 
 
-def _draw_products(rngs: list, d: int, base: dict) -> list:
-    return _points(product=sample_product(d, N_FACTORS, SUPPORT, rngs))
+def _draw_products(rngs: list, d: int, base: dict) -> dict:
+    return {"product": sample_product(d, N_FACTORS, SUPPORT, rngs)}
 
 
 CHECKS = {
     "subadditivity": Check(
         fields=(("phi", _PHI), ("variant", _VARIANT), ("product", _PRODUCT)),
-        margin=lambda ps: _gap_margins(ps, subadditivity_gap(ps[0]["phi"], _all(ps, "product"))),
+        margin=lambda c: variant_margin(subadditivity_gap(c["phi"], c["product"]), c["variant"]),
         draw=_draw_products,
         tolerance=lambda margins: 1e-10,
         name="subadditivity[{phi},{variant}]"),
     "efron_stein": Check(
         fields=(("product", _PRODUCT),),
-        margin=lambda ps: _listed(variant_margin(
-            np.subtract(*_efron_stein_terms(ps)), "operator")),
+        margin=lambda c: variant_margin(np.subtract(*_efron_stein_terms(c["product"])),
+                                        "operator"),
         draw=_draw_products,
         tolerance=lambda margins: 1e-10,
         class_gated=False,
@@ -440,9 +413,9 @@ CHECKS = {
         name="polynomial_efron_stein[p={p}]"),
     "dual_representation": Check(
         fields=(("phi", _PHI), ("variant", _VARIANT), ("Z", _ENSEMBLE), ("T", _ENSEMBLE)),
-        margin=lambda ps: _gap_margins(ps, dual_gap(ps[0]["phi"], _all(ps, "Z"), _all(ps, "T"))),
-        draw=lambda rngs, d, base: [{"Z": Z, "T": T} for Z, T in sample_coupled_ensembles(
-            d, 3, rngs, spectral_floor=SPECTRAL_FLOOR)],
+        margin=lambda c: variant_margin(dual_gap(c["phi"], c["Z"], c["T"]), c["variant"]),
+        draw=lambda rngs, d, base: dict(zip(("Z", "T"), sample_coupled_ensembles(
+            d, 3, rngs, spectral_floor=SPECTRAL_FLOOR))),
         tolerance=lambda margins: 1e-9,
         name="dual_representation[{phi},{variant}]"),
     # Items (b), (c), (d), (f): joint convexity of a bivariate functional.
@@ -450,68 +423,65 @@ CHECKS = {
         fields=(("functional", _FUNCTIONAL), ("phi", _PHI), ("variant", _VARIANT), ("t", _T),
                 ("lambda", _LAMBDA), ("u1", _MATRIX), ("v1", _MATRIX), ("u2", _MATRIX),
                 ("v2", _MATRIX)),
-        margin=_by_draw(("u1", "v1", "u2", "v2"), lambda firsts, *pairs_and_lams:
-                        convexity_slack_at(_functional(firsts), *pairs_and_lams,
-                                           firsts[0]["variant"])),
+        margin=lambda c: convexity_slack_at(
+            BivariateFunctional(c["functional"], c["phi"], t=c["t"]),
+            c["u1"], c["v1"], c["u2"], c["v2"], c["lambda"], c["variant"]),
         draw=_draw_pairs,
         tolerance=_convexity_tol,
         name="joint_convexity[{functional},{phi},{variant}]"),
     # Item (g).
     "conditional_jensen": Check(
         fields=(("phi", _PHI), ("variant", _VARIANT), ("product", _PRODUCT)),
-        margin=lambda ps: _gap_margins(ps, conditional_jensen_gap(ps[0]["phi"],
-                                                                  _all(ps, "product"))),
+        margin=lambda c: variant_margin(conditional_jensen_gap(c["phi"], c["product"]),
+                                        c["variant"]),
         draw=_draw_products,
         tolerance=lambda margins: 1e-10,
         name="conditional_jensen[{phi},{variant}]"),
     "condition_a": Check(
         fields=(("phi", _PHI), ("lambda", _LAMBDA), ("A1", _MATRIX), ("A2", _MATRIX),
                 ("h", _MATRIX)),
-        margin=_by_draw(("A1", "A2", "h"), lambda firsts, *mats_and_lams:
-                        condition_a_slack(firsts[0]["phi"], *mats_and_lams)),
+        margin=lambda c: condition_a_slack(c["phi"], c["A1"], c["A2"], c["h"], c["lambda"]),
         draw=_draw_condition_a,
         tolerance=_relative_tol,
         name="condition_a[{phi}]"),
     "condition_e": Check(
         fields=(("phi", _PHI), ("A", _MATRIX), ("h", _MATRIX), ("k", _MATRIX)),
-        margin=lambda ps: _listed(condition_e_margin(
-            ps[0]["phi"], _stack(ps, "A"), _stack(ps, "h"), _stack(ps, "k"))),
-        draw=lambda rngs, d, base: _points(
-            A=sample_psd(d, 0.5, rngs, spectral_cap=4.0), h=sample_hermitian_unit(d, rngs),
-            k=sample_hermitian_unit(d, rngs)),
+        margin=lambda c: condition_e_margin(c["phi"], c["A"], c["h"], c["k"]),
+        draw=lambda rngs, d, base: {
+            "A": sample_psd(d, 0.5, rngs, spectral_cap=4.0), "h": sample_hermitian_unit(d, rngs),
+            "k": sample_hermitian_unit(d, rngs)},
         tolerance=_relative_tol,
         search_spectrum=(0.6, 3.8),
         name="condition_e[{phi}]"),
     "monotonicity": Check(
         fields=(("phi", _PHI), ("variant", _VARIANT), ("channel", _CHANNEL),
                 ("ensemble", _ENSEMBLE)),
-        # The channels' products run grouped by Kraus count, the rest as one stack.
-        margin=lambda ps: _gap_margins(ps, monotonicity_gap(ps[0]["phi"], _all(ps, "channel"),
-                                                            _all(ps, "ensemble"))),
-        draw=lambda rngs, d, base: _points(
-            channel=_draw_channels(rngs, d), ensemble=sample_ensemble(d, 3, rngs)),
+        margin=lambda c: variant_margin(monotonicity_gap(c["phi"], c["channel"], c["ensemble"]),
+                                        c["variant"]),
+        draw=lambda rngs, d, base: {"channel": _draw_channels(rngs, d),
+                                    "ensemble": sample_ensemble(d, 3, rngs)},
         tolerance=lambda margins: 1e-10,
         name="monotonicity[{phi},{variant}]"),
     # The "jensen" check: f(N(A)) <= N(f(A)) for a unital channel N.
     "operator_jensen": Check(
         fields=(("phi", _PHI), ("variant", _VARIANT), ("channel", _CHANNEL), ("A", _MATRIX)),
-        margin=lambda ps: _gap_margins(ps, operator_jensen_gap(
-            ps[0]["phi"], _all(ps, "channel"), _stack(ps, "A"))),
-        draw=lambda rngs, d, base: _points(
-            channel=_draw_channels(rngs, d), A=sample_psd(d, SPECTRAL_FLOOR, rngs)),
+        margin=lambda c: variant_margin(operator_jensen_gap(c["phi"], c["channel"], c["A"]),
+                                        c["variant"]),
+        draw=lambda rngs, d, base: {"channel": _draw_channels(rngs, d),
+                                    "A": sample_psd(d, SPECTRAL_FLOOR, rngs)},
         tolerance=lambda margins: 1e-10,
         name="operator_jensen[{phi},{variant}]"),
     # Not swept by the suite: single points through check, and their replay.
     "convexity_lemma": Check(
         fields=(("phi", _PHI), ("weights", _FLOATS), ("A", _MATRICES), ("X", _MATRICES)),
-        # Lemma points may differ in their numbers of matrices: one point per call.
-        margin=lambda ps: [convexity_lemma_margin(p["phi"], p["weights"], p["A"], p["X"])
-                           for p in ps],
+        # Lemma points may differ in their numbers of matrices: one trial per call.
+        margin=lambda c: [convexity_lemma_margin(c["phi"], w, A, X)
+                          for w, A, X in zip(c["weights"], c["A"], c["X"])],
         tolerance=_convexity_tol,
         name="convexity_lemma[{phi}]"),
 }
 
-# The records whose fields are matrices or values _SearchSpace.points fills;
+# The records whose fields are matrices or values _SearchSpace.columns fills;
 # joint convexity once per functional.
 SEARCHABLE_CHECKS = tuple(
     name for kind, record in CHECKS.items()
@@ -522,17 +492,32 @@ SEARCHABLE_CHECKS = tuple(
 
 def _encode_witness(kind: str, point: dict) -> dict:
     """The witness of a point: its kind, then the record's fields in order."""
-    return {"kind": kind, **{key: encode(point[key])
-                             for key, (encode, *_) in CHECKS[kind].fields}}
+    return {"kind": kind, **{key: codec.encode(point[key])
+                             for key, codec in CHECKS[kind].fields}}
+
+
+def _point(kind: str, chunk: dict, n: int, j: int) -> dict:
+    """The point of trial n of a chunk at its j-th weight lambda."""
+    return {key: codec.entry(chunk[key], n, j) for key, codec in CHECKS[kind].fields}
+
+
+def _column(kind: str, point: dict) -> dict:
+    """The chunk of one trial that holds a point."""
+    return {key: codec.column(point[key]) for key, codec in CHECKS[kind].fields}
+
+
+def _margin(kind: str, point: dict) -> float:
+    """The margin of one point: the record's on the point's chunk of one trial."""
+    return float(np.ravel(CHECKS[kind].margin(_column(kind, point)))[0])
 
 
 def _require_fields(kind: str, witness: dict) -> None:
     """Refuse a witness field that is missing or refused by its codec, and
     matrices of more than one dim: a ConfigError that names them."""
-    for key, (_, _, what, valid) in CHECKS[kind].fields:
-        if key not in witness or not valid(witness[key]):
+    for key, codec in CHECKS[kind].fields:
+        if key not in witness or not codec.valid(witness[key]):
             got = f"got {witness[key]!r:.60}" if key in witness else "it is missing"
-            raise ConfigError(f"witness field '{key}' must be {what}; {got}")
+            raise ConfigError(f"witness field '{key}' must be {codec.what}; {got}")
     dims = [m.get("dim") for key, codec in CHECKS[kind].fields if codec in (_MATRIX, _MATRICES)
             for m in ([witness[key]] if codec is _MATRIX else witness[key]) if isinstance(m, dict)]
     if any(dim != dims[0] for dim in dims):
@@ -548,13 +533,13 @@ def _decode_witness(witness: dict) -> dict:
     if not isinstance(kind, str) or kind not in CHECKS:
         raise ConfigError(f"no check of witness kind {kind!r:.60}")
     _require_fields(kind, witness)
-    return {key: decode(witness[key]) for key, (_, decode, *_) in CHECKS[kind].fields}
+    return {key: codec.decode(witness[key]) for key, codec in CHECKS[kind].fields}
 
 
 def replay_witness(witness: dict) -> float:
     """Recompute the margin a stored witness claims; must match to 1e-12."""
     point = _decode_witness(witness)
-    return CHECKS[witness["kind"]].margin([point])[0]
+    return _margin(witness["kind"], point)
 
 
 def check(kind: str, *, tol: float | None = None, override: bool = False,
@@ -584,7 +569,7 @@ def check(kind: str, *, tol: float | None = None, override: bool = False,
         raise ConfigError(f"tol must be a finite number >= 0, got {tol!r}")
     witness = _encode_witness(kind, point)
     _require_fields(kind, witness)
-    margin = record.margin([point])[0]
+    margin = _margin(kind, point)
     if tol is None:
         tol = record.tolerance([margin])
     return VerificationReport.from_margin(record.name.format(**witness), margin, tol,
@@ -596,39 +581,49 @@ def check(kind: str, *, tol: float | None = None, override: bool = False,
 
 def _scan(draw: Callable, margins: Callable, rngs: Iterator, sizes: Iterator,
           bound: float = -np.inf) -> list:
-    """(point, margin) of each point drawn from the generators, in order, up to
-    the first margin below bound, which ends the scan.
+    """(chunk, margin rows) of each stack of generators (of the given sizes):
+    the chunk drawn from them, and one row of margins per trial, in order,
+    up to the first trial with a margin below bound, which ends the scan.
 
-    Each stack of generators (of the given sizes) is one draw and one margin
-    call.  A trial draws from its own stream and a point's margin does not
-    depend on its stack, so this is drawing and evaluating one at a time.
+    Each chunk is one draw and one margin call.  A trial draws from its own
+    stream and its margins do not depend on its chunk, so this is drawing
+    and evaluating one trial at a time.
     """
     scanned = []
     for size in sizes:
         rng_stack = list(itertools.islice(rngs, size))
         if not rng_stack:
             break
-        points = draw(rng_stack)
-        for point, margin in zip(points, margins(points)):
-            scanned.append((point, margin))
-            if margin < bound:
+        chunk, rows = draw(rng_stack), []
+        scanned.append((chunk, rows))
+        for row in margins(chunk):
+            rows.append(row)
+            if min(row) < bound:
                 return scanned
     return scanned
 
 
 def _least(scanned: list) -> tuple:
-    """The first (point, margin) of strictly least margin; (None, inf) when no
-    margin is below inf."""
-    best = (None, np.inf)
-    for point, margin in scanned:
-        if margin < best[1]:
-            best = (point, margin)
+    """(chunk, trial, weight index, margin) of the first strictly least
+    margin; (None, 0, 0, inf) when no margin is below inf."""
+    best = (None, 0, 0, np.inf)
+    for chunk, rows in scanned:
+        for n, row in enumerate(rows):
+            for j, margin in enumerate(row):
+                if margin < best[3]:
+                    best = (chunk, n, j, margin)
     return best
+
+
+def _rows(margins) -> list:
+    """Margins (n,) or (n, L) of a chunk as one list of floats per trial."""
+    margins = np.asarray(margins, dtype=float)
+    return margins.reshape(len(margins), -1).tolist()
 
 
 def sweep(config: RunConfig, check: str, s: Sweep, f: ScalarFunction | None,
           variant: str, d: int) -> VerificationReport:
-    """Run one report: every trial's points, the worst margin and its witness.
+    """Run one report: every trial's margins, the worst and its witness.
 
     The trials are scanned in order, _chunk(d) to a draw and margin call.
     The first strict minimum wins.  A tolerance set in the config for the
@@ -639,14 +634,14 @@ def sweep(config: RunConfig, check: str, s: Sweep, f: ScalarFunction | None,
     labels = {**base, "phi": None if f is None else f.spec_string(), "d": d, "n": N_FACTORS}
     rngs = (rng_for(config.seed, check, *(labels[key] for key in s.key), trial)
             for trial in range(config.trials))
-    scanned = _scan(lambda rngs: [{**base, **drawn}
-                                  for drawn in record.draw(rngs, d, base)],
-                    record.margin, rngs, itertools.repeat(_chunk(d)))
-    best, worst = _least(scanned)
+    scanned = _scan(lambda rngs: {**base, **record.draw(rngs, d, base)},
+                    lambda chunk: _rows(record.margin(chunk)), rngs,
+                    itertools.repeat(_chunk(d)))
+    chunk, n, j, worst = _least(scanned)
     tol = config.tolerances.get(check)
     if tol is None:
-        tol = record.tolerance([margin for _, margin in scanned])
-    witness = None if best is None else _encode_witness(s.kind, best)
+        tol = record.tolerance([m for _, rows in scanned for row in rows for m in row])
+    witness = None if chunk is None else _encode_witness(s.kind, _point(s.kind, chunk, n, j))
     return VerificationReport.from_margin(s.name.format(**labels), worst, tol,
                                           trials=config.trials, witness=witness)
 
@@ -763,15 +758,15 @@ class _SearchSpace:
         weights = [[rng.uniform(0.05, 0.95)] for rng in rngs]
         return np.concatenate([params_of(mats).reshape(len(rngs), -1), weights], axis=1)
 
-    def points(self, stack: np.ndarray) -> list:
-        """The point of each vector: the values it fills, then matrices."""
+    def columns(self, stack: np.ndarray) -> dict:
+        """The chunk of a stack of vectors: the values they fill, then matrices."""
         n = len(self.matrix_keys) * self.dim * self.dim
-        lams = np.clip(stack[:, n], 0.01, 0.99).tolist()
+        lams = np.clip(stack[:, n], 0.01, 0.99)
         mats = herm_from_params(stack[:, :n].reshape(len(stack), len(self.matrix_keys), -1),
                                 self.dim)
-        return [{"phi": self.f, "functional": self.check, "variant": "trace", "lambda": lam,
-                 "t": lam if self.check == "gap_F_t" else None, **dict(zip(self.matrix_keys, m))}
-                for lam, m in zip(lams, mats)]
+        return {"phi": self.f, "functional": self.check, "variant": "trace",
+                "lambda": lams[:, None], "t": lams if self.check == "gap_F_t" else None,
+                **_split(self.matrix_keys, mats)}
 
     def margins(self, stack: np.ndarray) -> Iterator:
         """Margins of a stack of parameter vectors, +inf where out of the domain.
@@ -781,7 +776,7 @@ class _SearchSpace:
         non-violating), and those never read are not evaluated.
         """
         try:
-            return iter(self.record.margin(self.points(stack)))
+            return iter(np.ravel(self.record.margin(self.columns(stack))).tolist())
         except PhiLabError:
             if len(stack) == 1:
                 return iter([np.inf])
@@ -789,7 +784,7 @@ class _SearchSpace:
 
     def witness(self, params: np.ndarray, margin: float) -> dict:
         return {"phi": self.f.spec_string(), "dim": self.dim, "margin": margin,
-                **_encode_witness(self.kind, self.points(params[None])[0])}
+                **_encode_witness(self.kind, _point(self.kind, self.columns(params[None]), 0, 0))}
 
 
 def counterexample_search(f: ScalarFunction, check_name: str, budget: int, seed: int,
@@ -809,6 +804,9 @@ def counterexample_search(f: ScalarFunction, check_name: str, budget: int, seed:
     if check_name not in SEARCHABLE_CHECKS:
         raise ConfigError(
             f"'{check_name}' is not searchable; choose from {SEARCHABLE_CHECKS}")
+    for name, value in (("dim", dim), ("budget", budget), ("seed", seed)):
+        if not _integer(value):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
     if not 1 <= dim <= 16:
         raise ConfigError(f"dim must be in [1, 16], got {dim}")
     if budget < 1:
@@ -817,15 +815,17 @@ def counterexample_search(f: ScalarFunction, check_name: str, budget: int, seed:
     rngs = (rng_for(seed, "search", check_name, f.spec_string(), dim, trial)
             for trial in range(budget))
     doubling = (min(2**i, space.cap) for i in itertools.count())
-    scanned = _scan(space.sample, space.margins, rngs, doubling, -SEARCH_TOL)
-    point, margin = scanned[-1]
-    if margin < -SEARCH_TOL:
-        point, margin = _refine(space, point, margin)
+    scanned = _scan(space.sample, lambda stack: ([m] for m in space.margins(stack)), rngs,
+                    doubling, -SEARCH_TOL)
+    stack, rows = scanned[-1]
+    if rows[-1][0] < -SEARCH_TOL:
+        point, margin = _refine(space, stack[len(rows) - 1], rows[-1][0])
     else:
-        point, margin = _least(scanned)
+        stack, n, _, margin = _least(scanned)
+        point = None if stack is None else stack[n]
     return VerificationReport.from_margin(
         f"counterexample_search[{check_name},{f.spec_string()},d={dim}]",
-        margin, SEARCH_TOL, trials=len(scanned),
+        margin, SEARCH_TOL, trials=sum(len(rows) for _, rows in scanned),
         witness=None if point is None else space.witness(point, margin))
 
 

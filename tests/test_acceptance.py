@@ -40,6 +40,7 @@ from phi_entropy_lab.entropy import (
     SPECTRAL_FLOOR,
     dual_value,
     efron_stein_quantity,
+    flatten,
     matrix_phi_entropy,
     operator_phi_entropy,
     subadditivity_gap,
@@ -183,7 +184,7 @@ def test_criterion_4_operator_efron_stein():
         trials = range(cell, 1000, 9)
         products = sample_product(d, n, 2, [rng_for(SEED, "c4", trial) for trial in trials])
         es = efron_stein_quantity(products)
-        var = variance([P.flatten() for P in products])
+        var = variance(flatten(products))
         margins = _min_eig(es - var)
         scales = 1.0 + frobenius(es) + frobenius(var)
         worst_scaled = min(worst_scaled, float(np.min(margins / scales)))
@@ -214,15 +215,14 @@ def test_criterion_5_dual_representation():
         for cell, d in enumerate((2, 3, 4)):
             trials = range(cell, 500, 3)
             rngs = [rng_for(SEED, "c5", f.spec_string(), variant, trial) for trial in trials]
-            Zs, Ts = map(list, zip(*sample_coupled_ensembles(
-                d, 3, rngs, spectral_floor=SPECTRAL_FLOOR)))
+            Zs, Ts = sample_coupled_ensembles(d, 3, rngs, spectral_floor=SPECTRAL_FLOOR)
             margins = _margin(operator_phi_entropy(f, Zs) - dual_value(f, Zs, Ts), variant)
             worst = min(worst, float(np.min(margins)))
             trial = _first_failing(margins >= -1e-9, trials)
             assert trial is None, (f.spec_string(), variant, trial)
             # every tenth trial at T = Z
             tenth = [trial for trial in trials if trial % 10 == 0]
-            Zc = [Zs[trials.index(trial)] for trial in tenth]
+            Zc = tuple(a[[trials.index(trial) for trial in tenth]] for a in Zs)
             mz = np.abs(_margin(operator_phi_entropy(f, Zc) - dual_value(f, Zc, Zc), variant))
             worst_coincident = max(worst_coincident, float(np.max(mz)))
             trial = _first_failing(mz <= 1e-12, tenth)
@@ -232,11 +232,10 @@ def test_criterion_5_dual_representation():
     grid = np.linspace(0.0, 1.0, 11)
     worst_scan = np.inf
     trials = range(50)
-    Zs, Ts = map(list, zip(*sample_coupled_ensembles(
+    Zs, Ts = sample_coupled_ensembles(
         3, 3, [rng_for(SEED, "c5-scan", trial) for trial in trials],
-        spectral_floor=SPECTRAL_FLOOR)))
-    weights = np.stack([Z.weights for Z in Zs])
-    z_atoms, t_atoms = (np.stack([E.atoms for E in Es]) for Es in (Zs, Ts))
+        spectral_floor=SPECTRAL_FLOOR)
+    (weights, z_atoms), (_, t_atoms) = Zs, Ts
     values = [dual_value(SQ, Zs, MatrixEnsemble.stack(weights, (1.0 - s) * z_atoms + s * t_atoms))
               for s in grid]
     for prev, nxt in zip(values, values[1:]):
@@ -333,7 +332,7 @@ def _unitary_draws(trials, rngs, d, ensembles):
     tenth = [trial for trial in trials if trial % 10 == 0]
     picks = [trials.index(trial) for trial in tenth]
     U = haar_unitary(d, [rngs[i] for i in picks])
-    return tenth, KrausChannel.stack(U[:, None]), [ensembles[i] for i in picks]
+    return tenth, KrausChannel.stack(U[:, None]), tuple(a[picks] for a in ensembles)
 
 
 def test_criterion_7a_monotonicity_trace():
@@ -390,7 +389,8 @@ def test_criterion_7b_monotonicity_operator():
         # the report of the cell's least xlogx margin gives that margin and verdict
         i = int(np.argmin(m[XLX]))
         report = check("monotonicity", override=True, phi=XLX, variant="operator",
-                       channel=channels[i], ensemble=ensembles[i])
+                       channel=KrausChannel.row(channels, i),
+                       ensemble=MatrixEnsemble.row(ensembles, i))
         assert report.margin == m[XLX][i] and report.holds == (m[XLX][i] >= -1e-10)
         _, unitaries, picked = _unitary_draws(trials, rngs, d, ensembles)
         mu = np.abs(_min_eig(monotonicity_gap(SQ, unitaries, picked)))
@@ -420,18 +420,18 @@ def test_criterion_8_classical_reduction():
         w = rng.dirichlet(np.ones(3))
         z = rng.uniform(0.2, 2.5, size=3)
         E = MatrixEnsemble(w, z.reshape(-1, 1, 1).astype(complex))
-        track(matrix_phi_entropy(f, [E])[0], oracle.entropy(name, w, z, p))
-        track(variance([E])[0][0, 0].real, oracle.variance(w, z))
+        track(matrix_phi_entropy(f, E.column)[0], oracle.entropy(name, w, z, p))
+        track(variance(E.column)[0][0, 0].real, oracle.variance(w, z))
 
         # two-factor product: subadditivity, resampling bound, conditional Jensen
         w1 = rng.dirichlet(np.ones(2))
         w2 = rng.dirichlet(np.ones(2))
         table = {(s1, s2): float(rng.uniform(0.2, 2.5)) for s1 in range(2) for s2 in range(2)}
         P = ProductEnsemble((w1, w2), np.array([[[table[k]]] for k in sorted(table)]))
-        track(subadditivity_gap(f, [P])[0][0, 0].real,
+        track(subadditivity_gap(f, P.column)[0][0, 0].real,
               oracle.subadditivity_margin(name, [w1, w2], table, p))
-        track(efron_stein_quantity([P])[0][0, 0].real, oracle.efron_stein([w1, w2], table))
-        track(conditional_jensen_gap(f, [P])[0][0, 0].real,
+        track(efron_stein_quantity(P.column)[0][0, 0].real, oracle.efron_stein([w1, w2], table))
+        track(conditional_jensen_gap(f, P.column)[0][0, 0].real,
               oracle.conditional_jensen_margin(name, w1, w2, table, p))
 
         # bivariate functionals at scalar arguments
@@ -465,7 +465,7 @@ def test_criterion_8_classical_reduction():
         # dual lower-bound margin
         t_vals = rng.uniform(0.2, 2.5, size=3)
         T = MatrixEnsemble(w, t_vals.reshape(-1, 1, 1).astype(complex))
-        gap = operator_phi_entropy(f, [E])[0] - dual_value(f, [E], [T])[0]
+        gap = operator_phi_entropy(f, E.column)[0] - dual_value(f, E.column, T.column)[0]
         track(gap[0, 0].real, oracle.dual_margin(name, w, z, t_vals, p))
 
         # derivative-map Jensen bound
@@ -477,7 +477,7 @@ def test_criterion_8_classical_reduction():
 
         # unital channels at d = 1 collapse to the identity
         N = random_unital_channel(1, 2, rng)
-        track(_tr_bar(monotonicity_gap(f, [N], [E])[0]), 0.0)
+        track(_tr_bar(monotonicity_gap(f, N.column, E.column)[0]), 0.0)
     _verdict(8, True, f"d=1 checks match the scalar oracle, worst diff {worst:.2e} "
                       f"(<= 1e-10)")
 

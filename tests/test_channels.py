@@ -1,5 +1,6 @@
 """Kraus channels: unitality, entropy monotonicity, operator Jensen."""
 
+import itertools
 import json
 
 import numpy as np
@@ -11,6 +12,7 @@ from phi_entropy_lab import (
     DimensionMismatchError,
     DomainError,
     KrausChannel,
+    MatrixEnsemble,
     builtin,
     check,
     matrix_to_json,
@@ -19,8 +21,9 @@ from phi_entropy_lab import (
     random_unital_channel,
     replay_witness,
 )
-from phi_entropy_lab.channels import monotonicity_gap
+from phi_entropy_lab.channels import monotonicity_gap, operator_jensen_gap
 from phi_entropy_lab.sampling import haar_unitary, rng_for, sample_ensemble, sample_psd
+from phi_entropy_lab.suite import CHECKS
 
 SQ = builtin("square")
 XLX = builtin("xlogx")
@@ -120,7 +123,7 @@ def test_monotonicity_identity_channel_zero_margin():
     N = KrausChannel(np.eye(3)[None, :, :])
     E = sample_ensemble(3, 3, seed=8)
     for f, variant in ((SQ, "trace"), (SQ, "operator"), (XLX, "trace")):
-        assert abs(gap_margin(monotonicity_gap(f, [N], [E])[0], variant)) < 1e-12
+        assert abs(gap_margin(monotonicity_gap(f, N.column, E.column)[0], variant)) < 1e-12
 
 
 def test_monotonicity_unitary_channel_trace_invariant():
@@ -130,10 +133,10 @@ def test_monotonicity_unitary_channel_trace_invariant():
     U = haar_unitary(3, 10)
     N = KrausChannel(U[None, :, :])
     for f in (SQ, XLX):
-        assert abs(gap_margin(monotonicity_gap(f, [N], [E])[0], "trace")) < 1e-12
-    cov = apply_channel(N, operator_phi_entropy(SQ, [E])[0])
-    assert_allclose(operator_phi_entropy(SQ, [pushforward(N, E)])[0], cov, atol=1e-12)
-    assert abs(gap_margin(monotonicity_gap(SQ, [N], [E])[0], "operator")) < 1e-12
+        assert abs(gap_margin(monotonicity_gap(f, N.column, E.column)[0], "trace")) < 1e-12
+    cov = apply_channel(N, operator_phi_entropy(SQ, E.column)[0])
+    assert_allclose(operator_phi_entropy(SQ, pushforward(N, E).column)[0], cov, atol=1e-12)
+    assert abs(gap_margin(monotonicity_gap(SQ, N.column, E.column)[0], "operator")) < 1e-12
 
 
 def test_monotonicity_trace_sweep():
@@ -161,12 +164,14 @@ def test_monotonicity_dimension_mismatch():
         check("monotonicity", phi=SQ, variant="trace", channel=N, ensemble=E)
 
 
-def test_list_forms_reject_ensembles_of_different_shapes():
-    N = random_unital_channel(2, 2, seed=16)
-    with pytest.raises(DimensionMismatchError, match="one shape"):
-        monotonicity_gap(SQ, [N, N], [sample_ensemble(2, 3, 1), sample_ensemble(2, 2, 2)])
-    with pytest.raises(DimensionMismatchError, match="one shape"):
-        operator_phi_entropy(SQ, [sample_ensemble(2, 3, 1), sample_ensemble(3, 3, 2)])
+def test_column_forms_reject_channels_of_another_dim():
+    # A column holds channels and ensembles of one dim each; the channels
+    # refuse matrices of another.
+    N = random_unital_channel(2, [2, 3], [rng_for(16, "dims", i) for i in range(2)])
+    with pytest.raises(DimensionMismatchError, match="channels of dim 2"):
+        monotonicity_gap(SQ, N, sample_ensemble(3, 3, [rng_for(1, "dims", i) for i in range(2)]))
+    with pytest.raises(DimensionMismatchError, match="channels of dim 2"):
+        operator_jensen_gap(SQ, N, sample_psd(3, 0.1, [rng_for(2, "dims", i) for i in range(2)]))
 
 
 def test_operator_jensen_identity_channel_equality():
@@ -217,3 +222,43 @@ def test_operator_jensen_witness_of_the_earlier_layout_replays(f, variant):
     report = check("operator_jensen", phi=f, variant=variant, channel=N, A=A)
     assert report.witness == stored
     assert replay_witness(json.loads(json.dumps(stored))) == report.margin
+
+
+def _werner_holevo(d: int) -> np.ndarray:
+    """The Kraus operators (|i><j| - |j><i|) / sqrt(d - 1), i < j, of the
+    Werner-Holevo channel X -> (Tr X I - X^T) / (d - 1): unital, and not
+    mixed-unitary for d = 3; none of them is a scaled unitary."""
+    K = np.zeros((d * (d - 1) // 2, d, d))
+    for n, (i, j) in enumerate(itertools.combinations(range(d), 2)):
+        K[n, i, j], K[n, j, i] = 1.0, -1.0
+    return K / np.sqrt(d - 1)
+
+
+@pytest.mark.parametrize("d", (3, 4))
+def test_a_column_of_mixed_kraus_counts_gives_each_channel_its_own_margins(d):
+    # Channels of 1-4 Kraus operators between Werner-Holevo channels (3 at
+    # d = 3, 6 at d = 4) in one column, zero-padded to the largest count:
+    # each trial's monotonicity and operator Jensen margins are, bit for bit,
+    # those check gives that trial alone, with its own operators only.
+    rngs = [rng_for(d, "mixed-counts", trial) for trial in range(6)]
+    drawn = random_unital_channel(d, [1, 2, 3, 4], rngs[:4])
+    mixed = [KrausChannel.row(drawn, n).kraus for n in range(4)]
+    channels = [_werner_holevo(d), *mixed[:2], _werner_holevo(d), *mixed[2:]]
+    counts = [len(K) for K in channels]
+    kraus = np.zeros((len(channels), max(counts), d, d), dtype=complex)
+    for K, own in zip(kraus, channels):
+        K[:len(own)] = own
+    column = KrausChannel.stack(kraus, counts)
+    ensembles, A = sample_ensemble(d, 3, rngs), sample_psd(d, 0.1, rngs)
+    for f, variant in ((SQ, "trace"), (SQ, "operator"), (XLX, "trace")):
+        chunk = {"phi": f, "variant": variant, "channel": column}
+        margins = {"monotonicity": CHECKS["monotonicity"].margin({**chunk, "ensemble": ensembles}),
+                   "operator_jensen": CHECKS["operator_jensen"].margin({**chunk, "A": A})}
+        for n, K in enumerate(channels):
+            alone = {kind: check(kind, phi=f, variant=variant, channel=KrausChannel(K), **point)
+                     for kind, point in (
+                         ("monotonicity", {"ensemble": MatrixEnsemble.row(ensembles, n)}),
+                         ("operator_jensen", {"A": A[n]}))}
+            for kind, report in alone.items():
+                assert np.float64(margins[kind][n]).tobytes() == \
+                    np.float64(report.margin).tobytes(), (kind, f.name, variant, n)

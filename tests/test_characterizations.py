@@ -448,11 +448,11 @@ def test_conditional_jensen_deterministic_factors():
     w1, w2 = (1.0,), (0.3, 0.7)
     table = np.stack([np.diag([1.0, 2.0]), np.diag([2.0, 0.5])])  # outcomes (0, 0), (0, 1)
     P = ProductEnsemble((np.array(w1), np.array(w2)), table)
-    assert np.abs(conditional_jensen_gap(XLX, [P])[0]).max() < 1e-12
+    assert np.abs(conditional_jensen_gap(XLX, P.column)[0]).max() < 1e-12
     # X2 deterministic: both sides vanish
     # The same atoms as outcomes (0, 0), (1, 0).
     P = ProductEnsemble((np.array(w2), np.array(w1)), table)
-    assert np.abs(conditional_jensen_gap(XLX, [P])[0]).max() < 1e-12
+    assert np.abs(conditional_jensen_gap(XLX, P.column)[0]).max() < 1e-12
 
 
 def test_conditional_jensen_sweeps():
@@ -468,7 +468,7 @@ def test_conditional_jensen_scalar_oracle():
     w2 = rng.dirichlet(np.ones(3))
     table = {(s1, s2): float(rng.uniform(0.2, 2.0)) for s1 in range(2) for s2 in range(3)}
     P = ProductEnsemble((w1, w2), np.array([[[table[k]]] for k in sorted(table)]))
-    got = conditional_jensen_gap(XLX, [P])[0][0, 0].real
+    got = conditional_jensen_gap(XLX, P.column)[0][0, 0].real
     assert got == pytest.approx(
         oracle.conditional_jensen_margin("xlogx", w1, w2, table), abs=1e-10)
 
@@ -484,12 +484,12 @@ def test_conditional_jensen_gap_is_the_gap_of_per_slice_entropies(d, supports, n
         P = sample_product(d, 2, supports, seed=36 + trial)
         w1, w2 = P.factor_weights
         Z = P.atoms.reshape(supports + (d, d))
-        conditional = sum(a * operator_phi_entropy(f, [MatrixEnsemble(w2, Z[s1])])[0]
+        conditional = sum(a * operator_phi_entropy(f, MatrixEnsemble(w2, Z[s1]).column)[0]
                           for s1, a in enumerate(w1))
         averaged = MatrixEnsemble(w2, np.einsum("s,stij->tij", w1, Z))
-        want = conditional - operator_phi_entropy(f, [averaged])[0]
+        want = conditional - operator_phi_entropy(f, averaged.column)[0]
         scale = max(1.0, np.abs(want).max())
-        assert np.abs(conditional_jensen_gap(f, [P])[0] - want).max() <= 1e-12 * scale
+        assert np.abs(conditional_jensen_gap(f, P.column)[0] - want).max() <= 1e-12 * scale
         margins = {"trace": np.trace(want).real / d, "operator": np.linalg.eigvalsh(want)[0]}
         for variant, margin in margins.items():
             got = check("conditional_jensen", phi=f, variant=variant, product=P,
@@ -500,4 +500,4 @@ def test_conditional_jensen_gap_is_the_gap_of_per_slice_entropies(d, supports, n
 def test_conditional_jensen_rejects_wrong_arity():
     P = sample_product(2, 3, 2, seed=1)
     with pytest.raises(DomainError, match="two factors"):
-        conditional_jensen_gap(XLX, [P])
+        conditional_jensen_gap(XLX, P.column)

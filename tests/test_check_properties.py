@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from batching import points
 from phi_entropy_lab import (
     C2,
     C3,
@@ -38,11 +39,17 @@ CONFIG = RunConfig()
 
 
 def _draw_lemma(rngs, d, base):
-    """The convexity lemma is not swept by the suite, so its record has no draw."""
+    """The convexity lemma is not swept by the suite, so its record has no
+    draw: the columns of one trial."""
     (rng,) = rngs
-    return [{"weights": rng.dirichlet(np.ones(3)),
-             "A": [sample_psd(d, 0.5, rng) for _ in range(3)],
-             "X": [sample_hermitian(d, rng) for _ in range(3)]}]
+    return {"weights": [rng.dirichlet(np.ones(3))],
+            "A": [[sample_psd(d, 0.5, rng) for _ in range(3)]],
+            "X": [[sample_hermitian(d, rng) for _ in range(3)]]}
+
+
+def _points(kind, draw, rng, d, base) -> list:
+    """The points of one trial's draw, one per weight lambda."""
+    return points(kind, {**base, **draw([rng], d, base)})
 
 
 def _in_class_choices(kind):
@@ -64,9 +71,8 @@ def test_check_witness_replays_to_its_margin(kind, data):
     p = data.draw(st.sampled_from((1, 2, 3)), label="p")
     functional = data.draw(st.sampled_from(FUNCTIONAL_NAMES), label="functional")
     base = {"phi": builtin(name), "variant": variant, "p": p, "functional": functional}
-    draw = record.draw or _draw_lemma
-    drawn = draw([rng_for(seed, "check-property", kind)], d, base)[0]
-    point = {key: {**base, **drawn}[key] for key, _ in record.fields}
+    point = _points(kind, record.draw or _draw_lemma, rng_for(seed, "check-property", kind),
+                    d, base)[0]
 
     report = check(kind, **point)
 
@@ -102,8 +108,7 @@ def test_margins_at_scalar_multiples_of_the_identity_equal_the_d1_margins(kind, 
         for variant in ("trace", "operator"):
             base = {"phi": builtin(name), "variant": variant, **fixed}
             rng = rng_for(3, "scalar-identity", kind, name, variant, *fixed.values())
-            for drawn in record.draw([rng], 1, base):
-                point = {key: {**base, **drawn}[key] for key, _ in record.fields}
+            for point in _points(kind, record.draw, rng, 1, base):
                 m1 = check(kind, override=True, **point).margin
                 for k in (2, 3):
                     lifted = {key: _times_identity(v, k) for key, v in point.items()}
@@ -126,8 +131,7 @@ def test_witness_matrices_of_two_dims_are_refused(kind, tmp_path, capsys):
     # refuses the point, and check --input and replay its witness.
     record = CHECKS[kind]
     base = {"phi": builtin("square"), "variant": "trace", "p": 2, "functional": "map_C"}
-    drawn = (record.draw or _draw_lemma)([rng_for(4, "two-dims", kind)], 2, base)[0]
-    point = {key: {**base, **drawn}[key] for key, _ in record.fields}
+    point = _points(kind, record.draw or _draw_lemma, rng_for(4, "two-dims", kind), 2, base)[0]
     witness = check(kind, override=True, **point).witness
     refused = f"the matrices of a {kind} witness must share one dim"
     for key, i in _matrix_slots(record, point):

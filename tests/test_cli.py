@@ -294,6 +294,14 @@ _NOT_TP_MONOTONICITY = {
     ("check", _matrices({"dim": 1, "h": "AAAAAAAA8D9="})),
     ("check", _matrices({"dim": 2, "h": "AAAAAAAA8D8="})),
     ("check", _matrices({"dim": 1, "re": "AAAAAAAA8D8="[:11]})),
+    # A number stored as a string or a boolean is refused wherever a witness stores numbers.
+    ("check", _matrices({"dim": 1, "h": ["2.0"]})),
+    ("check", _matrices({"dim": 1, "h": [True]})),
+    ("check", _matrices({"dim": 1, "re": [["1"]]})),
+    ("check", _ensemble({"atoms": [{"w": "1", "m": _ONE}]})),
+    ("check", _ensemble({"atoms": [{"w": True, "m": _ONE}]})),
+    ("check", _sub({"factors": [["1"]], "z": {"0": _ONE}})),
+    ("check", _sub({"factors": [[True]], "z": {"0": _ONE}})),
 ], ids=["dim-word", "dim-float", "dim-bool", "re-word", "re-ragged", "atom-no-w",
         "top-level-list", "atoms-mixed-dims",
         "product-key", "factor-weight-word", "kraus-number", "trials-string", "dims-word",
@@ -307,7 +315,8 @@ _NOT_TP_MONOTONICITY = {
         "lemma-weights-not-a-distribution", "lemma-weights-too-few", "p-infinite",
         "kraus-not-trace-preserving", "h-short", "h-word", "h-dim-float", "ensemble-dim-other",
         "channel-dim-word", "product-missing-outcome", "h-base64-not-canonical",
-        "h-base64-bytes", "re-base64-unpadded"])
+        "h-base64-bytes", "re-base64-unpadded", "h-number-string", "h-bool", "re-number-string",
+        "atom-w-string", "atom-w-bool", "factor-weight-string", "factor-weight-bool"])
 def test_exit_code_two_on_malformed_input_files(command, data, tmp_path, capsys):
     path = _json_file(tmp_path, "input.json", data)
     command, *options = command.split()

@@ -30,7 +30,13 @@ from phi_entropy_lab import (
     spectral_decompose,
     variance,
 )
-from phi_entropy_lab.entropy import SPECTRAL_FLOOR, dual_value, subadditivity_gap
+from phi_entropy_lab.entropy import (
+    SPECTRAL_FLOOR,
+    dual_value,
+    flatten,
+    joint_weights,
+    subadditivity_gap,
+)
 from phi_entropy_lab.sampling import (
     rng_for,
     sample_coupled_ensembles,
@@ -87,7 +93,8 @@ def test_product_json_roundtrip():
         for z in (data["z"], dict(reversed(data["z"].items()))):
             back = ProductEnsemble.from_json_dict({**data, "z": z})
             assert back.atoms.tobytes() == P.atoms.tobytes(), (sizes, d)
-            assert back.joint_weights.tobytes() == P.joint_weights.tobytes(), (sizes, d)
+            assert joint_weights(back.column[0]).tobytes() == \
+                joint_weights(P.column[0]).tobytes(), (sizes, d)
             assert [w.tobytes() for w in back.factor_weights] == \
                 [w.tobytes() for w in P.factor_weights], (sizes, d)
 
@@ -166,8 +173,8 @@ def test_array_holding_values_compare_by_identity():
 def test_tower_property():
     P = sample_product(3, 3, 2, seed=6)
     # iterate factor-wise in two different orders; must match the flat mean
-    flat = P.flatten()
-    flat_mean = np.einsum("m,mij->ij", flat.weights, flat.atoms)
+    weights, atoms = flatten(P.column)
+    flat_mean = np.einsum("m,mij->ij", weights[0], atoms[0])
     acc = np.zeros((3, 3), dtype=complex)
     for key, A in zip(itertools.product(*map(range, map(len, P.factor_weights))), P.atoms):
         acc += np.prod([P.factor_weights[i][s] for i, s in enumerate(key)]) * A
@@ -176,27 +183,27 @@ def test_tower_property():
 
 def test_trace_entropy_deterministic_zero():
     single = MatrixEnsemble(np.array([1.0]), np.stack([np.diag([1.0, 2.0])]))
-    assert matrix_phi_entropy(SQ, [single])[0] == pytest.approx(0.0, abs=1e-14)
-    assert np.abs(operator_phi_entropy(SQ, [single])[0]).max() < 1e-14
+    assert matrix_phi_entropy(SQ, single.column)[0] == pytest.approx(0.0, abs=1e-14)
+    assert np.abs(operator_phi_entropy(SQ, single.column)[0]).max() < 1e-14
 
 
 def test_trace_entropy_square_example():
     # E phi(Z) - phi(EZ) = diag(5,10) - diag(4,9) -> normalized trace 1
-    assert matrix_phi_entropy(SQ, [E0])[0] == pytest.approx(1.0, abs=1e-12)
+    assert matrix_phi_entropy(SQ, E0.column)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_trace_entropy_xlogx_commuting_example():
     E = MatrixEnsemble(np.array([0.5, 0.5]), np.stack([np.diag([1.0, 1.0]), np.diag([3.0, 1.0])]))
     expected = (3.0 * math.log(3.0) / 2.0 - 2.0 * math.log(2.0)) / 2.0
-    assert matrix_phi_entropy(XLX, [E])[0] == pytest.approx(expected, rel=1e-12)
+    assert matrix_phi_entropy(XLX, E.column)[0] == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(0.13081, abs=5e-6)
 
 
 def test_operator_entropy_square_equals_variance():
     for seed in range(5):
         E = sample_ensemble(3, 3, seed=seed)
-        assert np.abs(operator_phi_entropy(SQ, [E])[0] - variance([E])[0]).max() < 1e-12
-    assert_allclose(operator_phi_entropy(SQ, [E0])[0], np.diag([1.0, 1.0]), atol=1e-12)
+        assert np.abs(operator_phi_entropy(SQ, E.column)[0] - variance(E.column)[0]).max() < 1e-12
+    assert_allclose(operator_phi_entropy(SQ, E0.column)[0], np.diag([1.0, 1.0]), atol=1e-12)
 
 
 def test_trace_entropy_nonnegative_for_all_convex_functions():
@@ -204,7 +211,7 @@ def test_trace_entropy_nonnegative_for_all_convex_functions():
         f = builtin(*([spec] if ":" not in spec else ["power", 1.5]))
         for seed in range(5):
             E = sample_ensemble(3, 3, seed=seed, spectral_floor=1e-3, spectral_cap=3.0)
-            assert matrix_phi_entropy(f, [E])[0] >= -1e-10
+            assert matrix_phi_entropy(f, E.column)[0] >= -1e-10
 
 
 def test_scalar_ensemble_matches_classical_entropy():
@@ -214,7 +221,7 @@ def test_scalar_ensemble_matches_classical_entropy():
         z = rng.uniform(0.1, 3.0, size=4)
         E = MatrixEnsemble(w, z.reshape(-1, 1, 1).astype(complex))
         for name, f in (("square", SQ), ("xlogx", XLX)):
-            assert matrix_phi_entropy(f, [E])[0] == pytest.approx(
+            assert matrix_phi_entropy(f, E.column)[0] == pytest.approx(
                 oracle.entropy(name, w, z), abs=1e-12)
 
 
@@ -223,10 +230,11 @@ def test_commuting_ensemble_reduces_to_entrywise_entropy():
     w = rng.dirichlet(np.ones(3))
     diags = rng.uniform(0.2, 2.0, size=(3, 4))
     E = MatrixEnsemble(w, np.stack([np.diag(d) for d in diags]).astype(complex))
-    gap = operator_phi_entropy(XLX, [E])[0]
+    gap = operator_phi_entropy(XLX, E.column)[0]
     expected = [oracle.entropy("xlogx", w, diags[:, j]) for j in range(4)]
     assert_allclose(np.diag(gap).real, expected, atol=1e-10)
-    assert matrix_phi_entropy(XLX, [E])[0] == pytest.approx(float(np.mean(expected)), abs=1e-10)
+    assert matrix_phi_entropy(XLX, E.column)[0] == pytest.approx(float(np.mean(expected)),
+                                                                abs=1e-10)
 
 
 # The conditional entropies below are the ones subadditivity_gap sums.
@@ -239,7 +247,7 @@ def test_conditional_entropy_deterministic_factor():
     )
     # factor 1 is deterministic: its conditional entropy is 0 and factor 0's
     # is the whole entropy, so the gap vanishes
-    gap = subadditivity_gap(SQ, [P])[0]
+    gap = subadditivity_gap(SQ, P.column)[0]
     for variant in ("trace", "operator"):
         assert abs(variant_margin(gap, variant)) == pytest.approx(0.0, abs=1e-14)
 
@@ -247,7 +255,7 @@ def test_conditional_entropy_deterministic_factor():
 def test_conditional_entropy_single_factor_equals_unconditional():
     P = sample_product(2, 1, 3, seed=7)
     # the only factor's conditional entropy is the entropy itself
-    assert np.abs(subadditivity_gap(XLX, [P])[0]).max() <= 1e-14
+    assert np.abs(subadditivity_gap(XLX, P.column)[0]).max() <= 1e-14
 
 
 def test_conditional_entropy_diagonal_matches_scalar_conditional_variance():
@@ -255,7 +263,7 @@ def test_conditional_entropy_diagonal_matches_scalar_conditional_variance():
     table = {(0, 0): 0.5, (0, 1): 1.5, (1, 0): 2.0, (1, 1): 0.7}
     P = diag_product([w1, w2], table)
     # for the square each conditional entropy is a scalar conditional variance
-    got = subadditivity_gap(SQ, [P])[0][0, 0].real
+    got = subadditivity_gap(SQ, P.column)[0][0, 0].real
     expected = oracle.subadditivity_margin("square", [w1, w2], table)
     assert got == pytest.approx(expected, abs=1e-12)
 
@@ -264,7 +272,7 @@ def test_subadditivity_single_factor_margin_exactly_zero():
     for seed in range(5):
         P = sample_product(3, 1, 3, seed=seed)
         for variant, f in (("trace", XLX), ("operator", SQ)):
-            gap = subadditivity_gap(f, [P])[0]
+            gap = subadditivity_gap(f, P.column)[0]
             assert np.abs(gap).max() <= 1e-12
             assert abs(variant_margin(gap, variant)) <= 1e-12
 
@@ -316,35 +324,36 @@ def test_subadditivity_quartic_scalar_counterexample_search():
 
 def test_variance_properties():
     single = MatrixEnsemble(np.array([1.0]), np.stack([np.diag([1.0, 2.0])]))
-    assert np.abs(variance([single])[0]).max() < 1e-14
-    assert_allclose(variance([E0])[0], np.diag([1.0, 1.0]), atol=1e-12)
+    assert np.abs(variance(single.column)[0]).max() < 1e-14
+    assert_allclose(variance(E0.column)[0], np.diag([1.0, 1.0]), atol=1e-12)
     rng = rng_for(5, "variance")
     w = rng.dirichlet(np.ones(3))
     diags = rng.uniform(0.1, 2.0, size=(3, 3))
     E = MatrixEnsemble(w, np.stack([np.diag(d) for d in diags]).astype(complex))
     expected = [oracle.variance(w, diags[:, j]) for j in range(3)]
-    assert_allclose(np.diag(variance([E])[0]).real, expected, atol=1e-12)
+    assert_allclose(np.diag(variance(E.column)[0]).real, expected, atol=1e-12)
     # PSD
-    assert np.linalg.eigvalsh(variance([sample_ensemble(4, 3, seed=3)])[0])[0] >= -1e-12
+    assert np.linalg.eigvalsh(variance(sample_ensemble(4, 3, seed=3).column)[0])[0] >= -1e-12
 
 
 def test_efron_stein_single_factor_equals_variance():
     for seed in range(5):
         P = sample_product(3, 1, 4, seed=seed)
-        assert np.abs(efron_stein_quantity([P])[0] - variance([P.flatten()])[0]).max() < 1e-12
+        gap = efron_stein_quantity(P.column)[0] - variance(flatten(P.column))[0]
+        assert np.abs(gap).max() < 1e-12
 
 
 def test_efron_stein_deterministic_map_is_zero():
     A = np.diag([1.0, 2.0])
     P = ProductEnsemble((np.array([0.5, 0.5]),), np.stack([A, A]))
-    assert np.abs(efron_stein_quantity([P])[0]).max() < 1e-14
+    assert np.abs(efron_stein_quantity(P.column)[0]).max() < 1e-14
 
 
 def test_efron_stein_diagonal_matches_scalar_brute_force():
     w = [(0.3, 0.7), (0.6, 0.4)]
     table = {(0, 0): 0.2, (0, 1): 1.4, (1, 0): 2.3, (1, 1): 0.9}
     P = diag_product(w, table)
-    got = efron_stein_quantity([P])[0][0, 0].real
+    got = efron_stein_quantity(P.column)[0][0, 0].real
     assert got == pytest.approx(oracle.efron_stein(w, table), abs=1e-12)
 
 
@@ -379,8 +388,8 @@ def test_dual_gap_zero_at_coincident_ensembles():
 def test_dual_gap_deterministic_reference_is_entropy():
     Z, _ = sample_coupled_ensembles(3, 3, seed=3, spectral_floor=1e-2)
     mean = np.einsum("m,mij->ij", Z.weights, Z.atoms)
-    T = MatrixEnsemble(Z.weights, np.stack([mean] * Z.support))
-    value = dual_value(SQ, [Z], [T])[0]
+    T = MatrixEnsemble(Z.weights, np.stack([mean] * len(Z.atoms)))
+    value = dual_value(SQ, Z.column, T.column)[0]
     # the reference term vanishes, leaving the entropy itself as the margin
     assert np.abs(value).max() < 1e-10
     report = check("dual_representation", phi=SQ, variant="operator", Z=Z, T=T)
@@ -416,21 +425,19 @@ def test_dual_gap_requires_positive_definite_reference():
 
 def test_dual_value_checks_the_reference_spectrum_before_reading_z():
     # dual_value alone refuses a T below SPECTRAL_FLOOR for xlogx, whose
-    # derivative needs it, and that error wins over a Z list of two shapes.
-    Z = [sample_ensemble(2, 2, seed=1, spectral_floor=0.1),
-         sample_ensemble(3, 2, seed=2, spectral_floor=0.1)]
-    T = MatrixEnsemble(Z[0].weights, np.stack([np.diag([1.0, 1e-4]), np.eye(2)]))
+    # derivative needs it, and that error wins over a Z of another shape.
+    Z = sample_ensemble(3, 2, seed=2, spectral_floor=0.1)
+    T = MatrixEnsemble(Z.weights, np.stack([np.diag([1.0, 1e-4]), np.eye(2)]))
     with pytest.raises(DomainError, match="needs atom spectra"):
-        dual_value(XLX, Z, [T])
-    with pytest.raises(DimensionMismatchError):
-        dual_value(XLX, Z, [MatrixEnsemble(Z[0].weights, np.stack([np.eye(2)] * 2))])
+        dual_value(XLX, Z.column, T.column)
+    with pytest.raises(DimensionMismatchError, match="share dim"):
+        dual_value(XLX, Z.column, MatrixEnsemble(Z.weights, np.stack([np.eye(2)] * 2)).column)
 
 
 def _dual_values_along(f, Z, T, grid):
     """The dual functional F(s) = dual_value(f, Z, (1-s)Z + sT) on the grid."""
-    return np.stack([dual_value(f, [Z], [MatrixEnsemble(Z.weights,
-                                                        (1.0 - s) * Z.atoms + s * T.atoms)])[0]
-                     for s in grid])
+    return np.stack([dual_value(f, Z.column, MatrixEnsemble(
+        Z.weights, (1.0 - s) * Z.atoms + s * T.atoms).column)[0] for s in grid])
 
 
 def test_interpolation_scan_constant_when_coincident():
@@ -448,7 +455,7 @@ def test_interpolation_scan_monotone_and_anchored():
         tol = 1e-9 * (1.0 + frobenius(values).max())
         assert variant_margin(values[:-1] - values[1:], "operator").min() >= -tol
         # F(0) equals the operator entropy of Z
-        assert np.abs(values[0] - operator_phi_entropy(SQ, [Z])[0]).max() < 1e-12
+        assert np.abs(values[0] - operator_phi_entropy(SQ, Z.column)[0]).max() < 1e-12
 
 
 def test_interpolation_scan_scalar_closed_form():
@@ -463,7 +470,7 @@ def test_interpolation_scan_scalar_closed_form():
     var_diff = oracle.variance(w, t - z)
     for s in (0.0, 0.3, 0.8, 1.0):
         T_s = MatrixEnsemble(w, ((1 - s) * z + s * t).reshape(-1, 1, 1).astype(complex))
-        f_s = dual_value(SQ, [Z], [T_s])[0][0, 0].real
+        f_s = dual_value(SQ, Z.column, T_s.column)[0][0, 0].real
         assert f_s == pytest.approx(h_z - s * s * var_diff, abs=1e-12)
 
 
@@ -483,7 +490,7 @@ def test_zero_weight_atoms_change_nothing(data):
     E0 = MatrixEnsemble(np.append(E.weights, 0.0),
                         np.concatenate([E.atoms, sample_psd(d, SPECTRAL_FLOOR, rng, count=1)]))
     for quantity in (lambda E: operator_phi_entropy(f, E), variance):
-        assert np.array_equal(quantity([E0]), quantity([E]))
+        assert np.array_equal(quantity(E0.column), quantity(E.column))
 
     P = sample_product(d, len(sizes), sizes, rng, spectral_floor=SPECTRAL_FLOOR)
     grown = sizes[:i] + [1] + sizes[i + 1:]
@@ -492,4 +499,4 @@ def test_zero_weight_atoms_change_nothing(data):
     weights = [np.append(w, 0.0) if j == i else w for j, w in enumerate(P.factor_weights)]
     P0 = ProductEnsemble(tuple(weights), table.reshape((-1, d, d)))
     for quantity in (lambda P: subadditivity_gap(f, P), efron_stein_quantity):
-        assert np.array_equal(quantity([P0]), quantity([P]))
+        assert np.array_equal(quantity(P0.column), quantity(P.column))

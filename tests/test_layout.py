@@ -1,6 +1,6 @@
 """Source layout: each module of the package and of its tests uses every
-name it imports, the gap modules never branch on a single ensemble or
-channel, one module lays out the Hermitian parameters, each command of the
+name it imports, the gap functions take columns and never objects, one
+module lays out the Hermitian parameters, each command of the
 command line reads every option it accepts, and importing the package
 leaves the heavy numpy submodules unloaded."""
 
@@ -49,21 +49,56 @@ def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def point_class_dispatches(source: str) -> list:
-    """The lines of source that call isinstance against an ensemble or channel class."""
-    classes = {"MatrixEnsemble", "ProductEnsemble", "KrausChannel"}
+# The ensemble, product and channel objects and their fields: the JSON
+# boundary, which the gap functions never cross.
+OBJECTS = {"MatrixEnsemble", "ProductEnsemble", "KrausChannel"}
+OBJECT_FIELDS = {"weights", "atoms", "factor_weights", "kraus", "joint_weights", "column"}
+# The functions of the gap modules that take or make objects: single-object
+# forms at the boundary.
+BOUNDARY = {"pushforward", "random_unital_channel"}
+
+
+def object_uses(source: str) -> list:
+    """(function, line) where a module-level function of source, not a
+    boundary one, names an object class or reads an object's field."""
+    found = []
+    for function in ast.parse(source).body:
+        if not isinstance(function, ast.FunctionDef) or function.name in BOUNDARY:
+            continue
+        found += [(function.name, node.lineno) for node in ast.walk(function)
+                  if isinstance(node, ast.Name) and node.id in OBJECTS
+                  or isinstance(node, ast.Attribute) and node.attr in OBJECT_FIELDS]
+    return found
+
+
+def point_identity_tests(source: str) -> list:
+    """The lines of source that compare an item of a container with is or is not."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
-                  and classes & {getattr(n, "id", getattr(n, "attr", None))
-                                 for n in ast.walk(node.args[-1])})
+                  if isinstance(node, ast.Compare)
+                  and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+                  and any(isinstance(side, ast.Subscript)
+                          for side in (node.left, *node.comparators)))
 
 
-def test_gap_functions_take_lists_only():
-    # One form per gap function: lists in, one result per entry, so no gap
-    # module branches on a single ensemble, product or channel.
-    found = {name: point_class_dispatches((PACKAGE / name).read_text(encoding="utf-8"))
+def test_layout_guards_find_what_they_guard():
+    source = ("def gap(f, E):\n    return f(E.atoms)\n\n"
+              "def stack(E):\n    return MatrixEnsemble.stack(E)\n\n"
+              "def pushforward(N, E):\n    return MatrixEnsemble(E.weights, N.kraus)\n\n"
+              "def same(p, q):\n    return p['A'] is q['A'] or p is None\n")
+    assert object_uses(source) == [("gap", 2), ("stack", 5)]
+    assert point_identity_tests(source) == [11]
+
+
+def test_gap_functions_take_columns_only():
+    # One form per gap function: columns in, one result per trial.  No
+    # function of a gap module but the single-object boundary builds,
+    # unpacks or dispatches on an ensemble, product or channel object, and
+    # the suite never finds the trials of a draw by comparing point values
+    # with "is".
+    found = {name: object_uses((PACKAGE / name).read_text(encoding="utf-8"))
              for name in ("entropy.py", "channels.py", "characterizations.py")}
-    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert {name: uses for name, uses in found.items() if uses} == {}
+    assert point_identity_tests((PACKAGE / "suite.py").read_text(encoding="utf-8")) == []
 
 
 def test_one_hermitian_parameter_layout():

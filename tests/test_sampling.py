@@ -9,6 +9,8 @@ from numpy.testing import assert_allclose
 from phi_entropy_lab import (
     DomainError,
     KrausChannel,
+    MatrixEnsemble,
+    ProductEnsemble,
     haar_unitary,
     random_unital_channel,
     rng_for,
@@ -61,7 +63,7 @@ def test_hermitian_sampler():
 
 def test_ensemble_sampler_invariants():
     E = sample_ensemble(3, 4, seed=6, spectral_floor=0.2)
-    assert E.support == 4
+    assert len(E.weights) == len(E.atoms) == 4
     assert abs(E.weights.sum() - 1.0) < 1e-12
     assert np.linalg.eigvalsh(E.atoms)[:, 0].min() >= 0.2 - 1e-12
 
@@ -126,7 +128,8 @@ def test_rng_for_starts_from_the_keyed_philox_state(labels):
 
 
 def test_object_samplers_take_generator_lists():
-    # Each generator of a list draws the object it draws alone.
+    # A list of generators draws a column; its entry n is the object that
+    # generator n draws alone.
     def arrays(value):
         if isinstance(value, tuple):
             return [a for v in value for a in arrays(v)]
@@ -136,20 +139,22 @@ def test_object_samplers_take_generator_lists():
         return [w.tobytes() for w in weights] + [value.atoms.tobytes()]
 
     counts = [1, 3, 2]
-    samplers = [
-        lambda rngs, n: sample_ensemble(2, 3, rngs, spectral_floor=0.1),
-        lambda rngs, n: sample_product(2, 2, (2, 3), rngs),
-        lambda rngs, n: sample_coupled_ensembles(3, 2, rngs, spectral_cap=2.0),
-        lambda rngs, n: random_unital_channel(2, n, rngs),
+    samplers = [  # (draw, the object of entry n of its column)
+        (lambda rngs, n: sample_ensemble(2, 3, rngs, spectral_floor=0.1), MatrixEnsemble.row),
+        (lambda rngs, n: sample_product(2, 2, (2, 3), rngs), ProductEnsemble.row),
+        (lambda rngs, n: sample_coupled_ensembles(3, 2, rngs, spectral_cap=2.0),
+         lambda pair, n: tuple(MatrixEnsemble.row(column, n) for column in pair)),
+        (lambda rngs, n: random_unital_channel(2, n, rngs), KrausChannel.row),
     ]
-    for draw in samplers:
+    for draw, row in samplers:
         listed = [rng_for(4, "objects", i) for i in range(3)]
         alone = [rng_for(4, "objects", i) for i in range(3)]
         got = draw(listed, counts)
-        assert isinstance(got, list)
-        assert list(map(arrays, got)) == [arrays(draw(rng, n)) for rng, n in zip(alone, counts)]
+        assert isinstance(got, tuple)
+        assert [arrays(row(got, n)) for n in range(3)] == \
+            [arrays(draw(rng, n)) for rng, n in zip(alone, counts)]
         assert list(map(_state, listed)) == list(map(_state, alone))
-    assert [N.kraus.shape[0] for N in random_unital_channel(2, counts, listed)] == counts
+    assert random_unital_channel(2, counts, listed)[1].tolist() == counts
     with pytest.raises(DomainError):
         random_unital_channel(2, [2, 0], listed[:2])
 

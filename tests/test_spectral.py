@@ -276,11 +276,14 @@ def test_other_matrices_are_written_as_real_and_imaginary_blocks(d, seed, kind):
     ({"dim": 1, "h": "AAAAAAAA8D8AAAAAAAAAAA=="}, DimensionMismatchError),
     ({"dim": 1, "re": "AAAA"}, DimensionMismatchError),
     ({"dim": 1, "re": ""}, DimensionMismatchError),
+    ({"dim": 1, "h": ["2.0"]}, DomainError),
+    ({"dim": 1, "h": [True]}, DomainError),
+    ({"dim": 1, "re": [["1"]]}, DomainError),
 ], ids=["h-short", "h-nested", "h-word", "h-object", "h-dim-float", "h-dim-word",
         "h-dim-bool", "h-dim-zero", "re-ragged", "re-word", "re-dim-float",
         "b64-unpadded", "b64-trailing-bits", "b64-newline", "b64-foreign-character",
         "b64-non-ascii", "b64-im-space", "b64-h-8-bytes-at-dim-2", "b64-h-16-bytes",
-        "b64-re-3-bytes", "b64-re-empty"])
+        "b64-re-3-bytes", "b64-re-empty", "h-number-string", "h-bool", "re-number-string"])
 def test_malformed_matrix_json_is_refused(data, error):
     with pytest.raises(error):
         matrix_from_json(data)

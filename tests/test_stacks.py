@@ -64,7 +64,9 @@ from phi_entropy_lab.spectral import (
     spectral_decompose,
     variant_margin,
 )
-from phi_entropy_lab.suite import CHECKS, SWEEPS, sweep
+from phi_entropy_lab.suite import CHECKS, SWEEPS, _column, sweep
+
+from batching import points
 
 FUNCS = (builtin("square"), builtin("xlogx"), builtin("power", 1.5))
 XLX = builtin("xlogx")
@@ -242,11 +244,10 @@ def test_bregman_stack_decomposes_u_once(monkeypatch):
 def test_dual_gap_decomposes_t_once(monkeypatch):
     # A call on five coupled pairs: T's atoms go to one eigh, which serves the
     # domain check and the bound alike, and to no eigvalsh.
-    pairs = sample_coupled_ensembles(3, 4, [rng_for(9, "dual", i) for i in range(5)],
-                                     spectral_floor=0.05)
-    Zs, Ts = map(list, zip(*pairs))
+    Zs, Ts = sample_coupled_ensembles(3, 4, [rng_for(9, "dual", i) for i in range(5)],
+                                      spectral_floor=0.05)
     expected = entropy.operator_phi_entropy(XLX, Zs) - entropy.dual_value(XLX, Zs, Ts)
-    t_atoms = np.stack([T.atoms for T in Ts])
+    t_atoms = Ts[1]
     calls = []
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, lambda M, name=name, call=getattr(np.linalg, name):
@@ -271,32 +272,56 @@ def _near_band(d, band, rng):
     return _with_spectrum(lam, rng)
 
 
-def _with_near_band_spectra(drawn, d, band, rng):
-    """The points of one draw, their PSD matrices and ensemble atoms replaced
-    by near-band ones; the points keep sharing each replacement."""
-    point, new = drawn[0], {}
+def _with_near_band_spectra(chunk, d, band, rng):
+    """A chunk of one trial, its PSD matrices and ensemble atoms replaced by
+    near-band ones."""
+    new = {}
     for key in _PSD_FIELDS:
-        if key in point:
-            new[key] = _near_band(d, band, rng)
-    if "product" in point:
-        P = point["product"]
-        new["product"] = ProductEnsemble(P.factor_weights,
-                                         np.stack([_near_band(d, band, rng) for _ in P.atoms]))
+        if key in chunk:
+            new[key] = _near_band(d, band, rng)[None]
+    if "product" in chunk:
+        rows, atoms = chunk["product"]
+        new["product"] = ProductEnsemble.stack(
+            rows, np.stack([_near_band(d, band, rng) for _ in atoms[0]])[None])
     for key in ("Z", "T", "ensemble"):  # coupled: T keeps Z's weights
-        if key in point:
-            weights = point[key].weights
-            new[key] = MatrixEnsemble(weights, np.stack([_near_band(d, band, rng)
-                                                         for _ in weights]))
-    return [{**p, **new} for p in drawn]
+        if key in chunk:
+            weights, _ = chunk[key]
+            new[key] = MatrixEnsemble.stack(
+                weights, np.stack([_near_band(d, band, rng) for _ in weights[0]])[None])
+    return {**chunk, **new}
+
+
+def _concatenated(chunks: list) -> dict:
+    """One chunk of the trials of several, in order, each column checked by
+    its class's stack; channels zero-padded to the largest Kraus count."""
+    out = dict(chunks[0])
+    for key, value in chunks[0].items():
+        values = [chunk[key] for chunk in chunks]
+        if key == "channel":
+            counts = [int(count[0]) for _, count in values]
+            kraus = np.zeros((len(values), max(counts)) + value[0].shape[2:], dtype=complex)
+            for K, (own, _), k in zip(kraus, values, counts):
+                K[:k] = own[0]
+            out[key] = KrausChannel.stack(kraus, counts)
+        elif key == "product":
+            out[key] = ProductEnsemble.stack(
+                [np.concatenate(w) for w in zip(*(rows for rows, _ in values))],
+                np.concatenate([atoms for _, atoms in values]))
+        elif key in ("Z", "T", "ensemble"):
+            out[key] = MatrixEnsemble.stack(*map(np.concatenate, zip(*values)))
+        elif isinstance(value, np.ndarray):
+            out[key] = np.concatenate(values)
+    return out
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(sweep=st.sampled_from(STACKED_SWEEPS), data=st.data())
 def test_stacked_record_margins_equal_point_by_point_margins(sweep, data):
-    # A record's margin on the points of several trials, as a sweep hands
-    # them over, must equal its margins on each point alone, bit for bit.
+    # A record's margin on a chunk of several trials, as a sweep hands it
+    # over, must equal its margins on each point alone, bit for bit.
     # Trials mix the record's own draws with spectra at Taylor-band edges,
-    # and their channels have at least two Kraus counts.
+    # and their channels have at least two Kraus counts: the chunk pads them
+    # with zeros, and each point alone holds its channel's own operators.
     record = CHECKS[sweep.kind]
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     d = data.draw(st.integers(1, 4), label="d")
@@ -308,17 +333,18 @@ def test_stacked_record_margins_equal_point_by_point_margins(sweep, data):
     counts = data.draw(st.lists(st.integers(1, 4), min_size=len(bands), max_size=len(bands))
                        .filter(lambda c: len(set(c)) > 1), label="Kraus counts")
     base = {"phi": phi, "variant": variant, **sweep.fixed}
-    points = []
+    chunks = []
     for trial, band in enumerate(bands):
         rng = rng_for(seed, "stacked-records", trial)
-        drawn = [{**base, **p} for p in record.draw([rng], d, base)]
-        if "channel" in drawn[0]:
-            channel = random_unital_channel(d, counts[trial], rng)
-            drawn = [{**p, "channel": channel} for p in drawn]
-        points += drawn if band is None else _with_near_band_spectra(drawn, d, band, rng)
+        chunk = {**base, **record.draw([rng], d, base)}
+        if "channel" in chunk:
+            chunk["channel"] = random_unital_channel(d, [counts[trial]], [rng])
+        chunks.append(chunk if band is None else _with_near_band_spectra(chunk, d, band, rng))
+    chunk = _concatenated(chunks)
 
-    stacked = record.margin(points)
-    alone = [m for p in points for m in record.margin([p])]
+    stacked = record.margin(chunk)
+    alone = [np.ravel(record.margin(_column(sweep.kind, p)))[0]
+             for p in points(sweep.kind, chunk)]
     assert np.asarray(stacked).tobytes() == np.asarray(alone).tobytes()
 
 
@@ -332,7 +358,8 @@ def _exact(value):
         return tuple(map(_exact, value.factor_weights)), _exact(value.atoms)
     if isinstance(value, KrausChannel):
         return _exact(value.kraus)
-    assert value is None or type(value) is float, value
+    # lambda and t are Python floats; the values trials share are as given
+    assert value is None or type(value) in (float, int, str) or value is XLX, value
     return value
 
 
@@ -347,8 +374,9 @@ def test_chunk_draw_equals_the_draws_of_its_trials(sweep):
         for k in (1, 2, 5):
             chunk = [rng_for(k, "chunk-draw", sweep.kind, d, trial) for trial in range(k)]
             alone = [rng_for(k, "chunk-draw", sweep.kind, d, trial) for trial in range(k)]
-            got = record.draw(chunk, d, base)
-            want = [p for rng in alone for p in record.draw([rng], d, base)]
+            got = points(sweep.kind, {**base, **record.draw(chunk, d, base)})
+            want = [p for rng in alone
+                    for p in points(sweep.kind, {**base, **record.draw([rng], d, base)})]
             assert [{key: _exact(v) for key, v in p.items()} for p in got] == \
                 [{key: _exact(v) for key, v in p.items()} for p in want], (d, k)
             assert [repr(rng.bit_generator.state) for rng in chunk] == \
@@ -377,14 +405,18 @@ def _chunk(d: int, label: str) -> list:
 
 @pytest.mark.parametrize("d", (1, 2, 3))
 def test_chunk_objects_equal_the_constructors_objects(d):
-    # The samplers build a chunk through the classes' stack; each object must
-    # be, field by field, the one its constructor builds from the same draws.
+    # The samplers build a chunk's column through the classes' stack; the
+    # object of each entry must be, field by field, the one its constructor
+    # builds from the same draws.
+    def rows(cls, column):
+        return [_fields(cls.row(column, n)) for n in range(5)]
+
     got = sample_ensemble(d, 3, _chunk(d, "ensemble"))
     want = []
     for rng in _chunk(d, "ensemble"):
         weights = rng.dirichlet(np.ones(3))
         want.append(MatrixEnsemble(weights, sample_psd(d, 0.0, rng, count=3)))
-    assert list(map(_fields, got)) == list(map(_fields, want))
+    assert rows(MatrixEnsemble, got) == list(map(_fields, want))
 
     got = sample_coupled_ensembles(d, 3, _chunk(d, "coupled"), spectral_floor=0.1)
     want = []
@@ -392,7 +424,7 @@ def test_chunk_objects_equal_the_constructors_objects(d):
         weights = rng.dirichlet(np.ones(3))
         mats = sample_psd(d, 0.1, rng, count=6)
         want.append((MatrixEnsemble(weights, mats[:3]), MatrixEnsemble(weights, mats[3:])))
-    assert [tuple(map(_fields, pair)) for pair in got] == \
+    assert list(zip(*(rows(MatrixEnsemble, column) for column in got))) == \
         [tuple(map(_fields, pair)) for pair in want]
 
     for sizes in ((3,), (2, 3), (2, 1, 2)):
@@ -401,7 +433,7 @@ def test_chunk_objects_equal_the_constructors_objects(d):
         for rng in _chunk(d, f"product{sizes}"):
             factors = tuple(rng.dirichlet(np.ones(s)) for s in sizes)
             want.append(ProductEnsemble(factors, sample_psd(d, 0.0, rng, count=math.prod(sizes))))
-        assert list(map(_fields, got)) == list(map(_fields, want)), sizes
+        assert rows(ProductEnsemble, got) == list(map(_fields, want)), sizes
 
     counts = [2, 1, 3, 2, 4]
     got = random_unital_channel(d, counts, _chunk(d, "channel"))
@@ -410,7 +442,10 @@ def test_chunk_objects_equal_the_constructors_objects(d):
         weights = rng.dirichlet(np.ones(k))
         U = haar_unitary(d, rng, count=k)
         want.append(KrausChannel(np.sqrt(weights)[:, None, None] * U))
-    assert list(map(_fields, got)) == list(map(_fields, want))
+    assert rows(KrausChannel, got) == list(map(_fields, want))
+    # Each channel's operators past its own count are zeros.
+    assert got[1].tolist() == counts
+    assert not any(K[k:].any() for K, k in zip(got[0], counts))
 
 
 _GOOD = [sample_psd(2, 0.5, seed) for seed in range(6)]

@@ -270,6 +270,16 @@ def test_counterexample_search_rejects_bad_dim_or_budget(dim, budget):
         counterexample_search(builtin("quartic"), "map_C", budget, seed=0, dim=dim)
 
 
+@pytest.mark.parametrize("args", [
+    dict(dim=2.0), dict(dim=True), dict(budget=5.5), dict(seed="x"), dict(seed=1.5),
+    dict(budget=True)], ids=lambda args: f"{next(iter(args))}={next(iter(args.values()))!r}")
+def test_counterexample_search_refuses_a_dim_budget_or_seed_that_is_no_integer(args):
+    # The rule RunConfig applies to its integers: a float, a string or a
+    # boolean is refused, where it would crash or run as another integer.
+    with pytest.raises(ConfigError, match=f"{next(iter(args))} must be an integer"):
+        counterexample_search(builtin("quartic"), "map_C", **{"budget": 5, "seed": 0, **args})
+
+
 def _search_one_at_a_time(f, check_name: str, budget: int, seed: int, dim: int,
                           tol: float = 1e-9) -> tuple:
     """Margin, trials and witness of a search that proposes and evaluates one
@@ -347,10 +357,10 @@ def test_counterexample_search_is_the_same_batched_and_one_at_a_time(
 def test_exhausted_search_keeps_the_first_least_margin(margin, monkeypatch):
     # Every trial ties, or every trial is out of the domain (margin None):
     # the first trial's point is the witness, or there is none.
-    def margins(points):
+    def margins(chunk):
         if margin is None:
             raise DomainError("out of the domain")
-        return [margin] * len(points)
+        return np.full(chunk["lambda"].shape, margin)
     record = suite.CHECKS["joint_convexity"]
     monkeypatch.setitem(suite.CHECKS, "joint_convexity",
                         dataclasses.replace(record, margin=margins))
@@ -522,10 +532,12 @@ def test_sweep_tie_keeps_the_earliest_trial(monkeypatch):
     drawn = itertools.count()
     worst = {2, 4}  # trials whose margin is the minimum
     monkeypatch.setitem(suite.CHECKS, "tie", suite.Check(
-        fields=(("trial", (*suite._AS_IS, "any value", lambda x: True)),),
+        fields=(("trial", suite.Codec(*suite._AS_IS, "any value", lambda x: True,
+                                      lambda x: np.array([x]),
+                                      lambda column, n, j: int(column[n]))),),
         name="tie",
-        margin=lambda points: [-1.0 if p["trial"] in worst else 0.5 for p in points],
-        draw=lambda rngs, d, base: [{"trial": next(drawn)} for _ in rngs],
+        margin=lambda chunk: [-1.0 if t in worst else 0.5 for t in chunk["trial"]],
+        draw=lambda rngs, d, base: {"trial": np.array([next(drawn) for _ in rngs])},
         tolerance=lambda margins: 0.0, class_gated=False))
     s = suite.Sweep("tie", ("d",), "tie[d={d}]")
     report = suite.sweep(RunConfig(trials=6), "tie", s, None, "trace", 2)
