@@ -5,9 +5,9 @@ derivatives, each family's from one formula of the order k, a real
 domain, and membership tags for the subadditive entropy classes.  The
 divided-difference grids here feed the matrix derivative engine.  One
 evaluator serves every order k: polynomials in closed form, else the
-quotient recursion, which inside the order's Taylor band gives way to the
-mean-centered form (m the nodes' mean)
-f^(k)(m)/k! + f^(k+2)(m) sum_i (x_i - m)^2 / (2 (k+2)!).
+quotient recursion, which inside the order's Taylor band gives way to (and,
+for a call all inside it, is skipped for) the mean-centered form (m the
+nodes' mean) f^(k)(m)/k! + f^(k+2)(m) sum_i (x_i - m)^2 / (2 (k+2)!).
 """
 
 from __future__ import annotations
@@ -275,8 +275,8 @@ def _has_order(f: ScalarFunction, order: int) -> bool:
 
 
 def _dd(f: ScalarFunction, delta, *nodes):
-    """Divided difference f[x_0, ..., x_k] of order k = len(nodes) - 1 on
-    sorted nodes x_0 <= ... <= x_k, elementwise over node arrays."""
+    """Divided difference f[x_0, ..., x_k] on sorted nodes, k = len(nodes) - 1,
+    elementwise; the quotient first, and none if every tuple is in its band."""
     order = len(nodes) - 1
     if f.monomial_coeffs is not None:
         return _poly_dd(f.monomial_coeffs, order, *nodes)
@@ -284,7 +284,8 @@ def _dd(f: ScalarFunction, delta, *nodes):
     spread = nodes[-1] - nodes[0]
     close = spread <= _band(order, delta, nodes[0], nodes[-1])
     mid = sum(nodes) / (order + 1)
-    quot = (lower(*nodes[1:]) - lower(*nodes[:-1])) / np.where(close, 1.0, spread)
+    quot = 0.0 if close.all() else (
+        (lower(*nodes[1:]) - lower(*nodes[:-1])) / np.where(close, 1.0, spread))
     taylor = f.deriv(mid, order) / math.factorial(order)
     if _has_order(f, order + 2):
         # mean-centered: the linear term drops, leaving the h_2 correction

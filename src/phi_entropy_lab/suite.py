@@ -29,10 +29,10 @@ measures, the labels of its stream and its name; its keys, in order, are
 - ``replay_witness`` decodes a witness and recomputes its margin;
 - ``counterexample_search`` packs the matrix fields of a searchable record
   into real parameters, runs ``_scan`` with a stop rule on stacks that
-  double in size, then descends on the record's margin along the path the
-  previous descent sweep's outcomes predict, up to the first move that goes
-  otherwise.  Both keep what proposing and evaluating one point at a time
-  would keep, since a point's margin does not depend on its stack.
+  double in size, then descends on the record's margin in chains along the
+  path the last sweep's outcomes predict, across sweep ends, each cut at the
+  first move that goes otherwise and sized by the descent's hit rate.  Both
+  keep what one point at a time would keep: a margin ignores its stack.
 
 Trials are keyed by (seed, check, labels..., trial) through a counter-based
 generator, so a report does not depend on the order its sweeps run in, and
@@ -837,41 +837,40 @@ def _refine(space: _SearchSpace, point: np.ndarray, margin: float) -> tuple:
     step*(1 + |x_i|), move 2i+1 lowers it by as much); a sweep that never
     moves halves the step.
 
-    A sweep mostly repeats the previous one's outcomes, so each move is
-    predicted to go as it went then (the first sweep predicts none taken).
-    One margin call takes the moves from the current one on as a chain of
-    at most space.cap trials, each proposed from the point its predecessors'
-    predicted outcomes reach; a move whose trial left the domain last sweep
-    is a chain of its own.  The chain is walked in order and cut after
-    the first move that goes against its prediction.  Every trial kept is
-    the one the one-at-a-time descent proposes at that step, and a vector's
-    margin does not depend on its stack, so this is that descent.
+    Each move is predicted to go as it went last sweep (none taken in the
+    first).  The moves are walked in chains, one margin call each, of
+    min(space.cap, 3 (move + 1) // (missed + 1)) moves: move counts the
+    moves walked, missed the predictions they broke.  A trial is proposed
+    from the point, and at the step, its predecessors' predicted outcomes
+    reach, past a sweep's end too; a move that left the domain last sweep is
+    a chain of its own.  A chain is cut after its first move that goes
+    against its prediction, so each trial kept is the one the one-at-a-time
+    descent proposes, and a vector's margin does not depend on its stack.
     """
-    step = 0.25
-    n_moves = 2 * point.size
+    n_moves, end = 2 * point.size, 16 * point.size
     # Each move's outcome when last proposed: taken, and out of the domain.
     taken, raised = np.zeros(n_moves, bool), np.zeros(n_moves, bool)
-    for _ in range(8):
-        improved, move = False, 0
-        while move < n_moves:
-            chain, at = [], point
-            for j in range(move, min(move + space.cap, n_moves)):
-                if chain and (raised[move] or raised[j]):
-                    break
-                i, sign = divmod(j, 2)
-                trial = at.copy()
-                trial[i] += (1.0, -1.0)[sign] * step * (1.0 + abs(trial[i]))
-                chain.append(trial)
-                at = trial if taken[j] else at
-            for trial, m in zip(chain, space.margins(np.stack(chain))):
-                took = m < margin
-                if took:
-                    point, margin, improved = trial, m, True
-                predicted = taken[move]
-                taken[move], raised[move] = took, m == np.inf
-                move += 1
-                if took != predicted:
-                    break
-        if not improved:
-            step *= 0.5
+    step, improved, move, missed = 0.25, False, 0, 0  # improved: step's sweep has moved
+    while move < end:
+        chain, at, s, moved = [], point, step, improved
+        for g in range(move, min(end, move + min(space.cap, 3 * (move + 1) // (missed + 1)))):
+            j = g % n_moves
+            if chain and (raised[move % n_moves] or raised[j]):
+                break
+            if chain and j == 0:  # the chain runs into the next sweep
+                s, moved = s if moved else 0.5 * s, False
+            trial = at.copy()
+            trial[j // 2] += (1.0, -1.0)[j % 2] * s * (1.0 + abs(trial[j // 2]))
+            chain.append(trial)
+            at, moved = (trial, True) if taken[j] else (at, moved)
+        for trial, m in zip(chain, space.margins(np.stack(chain))):
+            j, move, took = move % n_moves, move + 1, m < margin
+            if took:
+                point, margin, improved = trial, m, True
+            predicted, taken[j], raised[j] = taken[j], took, m == np.inf
+            if move % n_moves == 0:
+                step, improved = step if improved else 0.5 * step, False
+            if took != predicted:
+                missed += 1
+                break
     return point, margin

@@ -42,9 +42,10 @@ PINNED_SUITES = {
     "suite_dim16_trials5_seed0": {"seed": 0, "dims": (16,), "trials": 5,
                                   "phi_list": ("square",), "variant": "both"},
 }
-# Every searchable check for each function, dimension and seed.
+# Every searchable check for each function, dimension and seed.  At d=4 the
+# cap of 128 moves cuts descent chains (power:3's condition (e) searches).
 SEARCH_PHIS = ("square", "xlogx", "quartic", "exp", "power:3")
-SEARCH_DIMS = (1, 2)
+SEARCH_DIMS = (1, 2, 4)
 SEARCH_SEEDS = (0, 9003)
 SEARCH_BUDGET = 50
 

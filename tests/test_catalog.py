@@ -238,12 +238,14 @@ def test_derivative_floor_applies_only_to_functions_with_one():
 
 
 def band_nodes(order):
-    """Nodes with a pair coincident, or 0.9x or 1.1x the order's Taylor band
-    apart, in ascending or shuffled order."""
+    """One node repeated (m >= 1 times), or nodes with a pair coincident, or
+    0.9x or 1.1x the order's Taylor band apart, in ascending or shuffled order."""
     @st.composite
     def nodes(draw):
-        m = draw(st.integers(2, 6), label="m")
+        m = draw(st.integers(1, 6), label="m")
         base = draw(st.floats(0.5, 4.0), label="clustered node")
+        if m == 1 or draw(st.booleans(), label="one repeated node"):
+            return np.full(m, base)
         offset = draw(st.sampled_from((0.0, 0.9, 1.1)), label="offset / Taylor band")
         rest = draw(st.lists(st.floats(0.5, 4.0), min_size=m - 2, max_size=m - 2),
                     label="rest")
@@ -270,20 +272,21 @@ def test_dd_grid_is_the_sorted_tuple_value_at_every_index(order, data, spec):
         assert np.array_equal(grid, grid.transpose(perm))
 
 
-def _evaluations(order, monkeypatch):
-    """Sizes of the node arrays of the top-level order-th `_dd` calls the grid
-    makes; `_dd` recurses through its module name, so lower orders are skipped."""
+def _evaluations(order, monkeypatch, nodes=np.linspace(0.5, 4.0, 16), top_only=True):
+    """Sizes of the node arrays of the `_dd` calls the order-th grid on nodes
+    makes; `_dd` recurses through its module name, so the lower orders'
+    calls are counted too unless top_only."""
     sizes = []
     evaluate = catalog._dd
 
-    def counted(f, delta, *nodes):
-        if len(nodes) == order + 1:
-            sizes.append(np.size(nodes[0]))
-        return evaluate(f, delta, *nodes)
+    def counted(f, delta, *tuple_nodes):
+        if len(tuple_nodes) == order + 1 or not top_only:
+            sizes.append(np.size(tuple_nodes[0]))
+        return evaluate(f, delta, *tuple_nodes)
 
     monkeypatch.setattr(catalog, "_dd", counted)
-    out = GRIDS[order](builtin("xlogx"), np.linspace(0.5, 4.0, 16))
-    assert out.shape == (16,) * out.ndim
+    out = GRIDS[order](builtin("xlogx"), nodes)
+    assert out.shape == (len(nodes),) * out.ndim
     return sizes
 
 
@@ -300,6 +303,14 @@ def test_dd2_grid_evaluates_only_the_sorted_triples(monkeypatch):
 def test_dd1_grid_evaluates_only_the_sorted_pairs(monkeypatch):
     # C(16 + 1, 2), not 16^2 = 256
     assert _evaluations(1, monkeypatch) == [136]
+
+
+@pytest.mark.parametrize("order", (1, 2, 3))
+def test_dd_grid_inside_its_band_skips_the_quotient(order, monkeypatch):
+    # On one node every tuple lies inside its Taylor band: one evaluation of
+    # the Taylor form, where the quotient recursion took 3 at order 2 and 7
+    # at order 3.
+    assert _evaluations(order, monkeypatch, np.array([2.0]), top_only=False) == [1]
 
 
 def _mp_dd(mpmath, g, nodes):

@@ -281,23 +281,26 @@ def test_counterexample_search_refuses_a_dim_budget_or_seed_that_is_no_integer(a
 
 
 def _search_one_at_a_time(f, check_name: str, budget: int, seed: int, dim: int,
-                          tol: float = 1e-9) -> tuple:
+                          tol: float = 1e-9, proposed: dict | None = None) -> tuple:
     """Margin, trials and witness of a search that proposes and evaluates one
-    point at a time: the reference for the stacked search."""
+    point at a time: the reference for the stacked search.  Each point the
+    descent proposes is entered in proposed, if given, as its sweep and step."""
     space = suite._SearchSpace(f, check_name, dim)
     best_margin, best = np.inf, None
+    proposed = {} if proposed is None else proposed
     for trial in range(budget):
         rng = rng_for(seed, "search", check_name, f.spec_string(), dim, trial)
         params = space.sample([rng])[0]
         margin = next(space.margins(params[None]))
         if margin < -10 * tol:
             step = 0.25
-            for _ in range(8):
+            for sweep in range(8):
                 improved = False
                 for i in range(params.size):
                     for sign in (1.0, -1.0):
                         moved = params.copy()
                         moved[i] += sign * step * (1.0 + abs(moved[i]))
+                        proposed[moved.tobytes()] = (sweep, step)
                         m = next(space.margins(moved[None]))
                         if m < margin:
                             params, margin, improved = moved, m, True
@@ -333,8 +336,9 @@ def _raising_margins(monkeypatch) -> Counter:
     # the power:3 one also leaves the domain.
     ("exp", "gap_F_t", 1), ("quartic", "condition_e", 1), ("power:3", "gap_F_t", 1),
     ("power:3", "gap_F_t", 2),  # the budget runs out, in the domain throughout
-    # Descents whose chains the cap cuts: 130 moves at cap 128, 386 at cap 16.
-    ("quartic", "map_C", 4), ("quartic", "condition_a", 8),
+    # Descents at caps of 128 and 16 moves, whose chains the cap cuts in the
+    # last two (sized by their hit rate, map_C's at d=4 stay below 23 moves).
+    ("quartic", "map_C", 4), ("quartic", "condition_a", 8), ("power:3", "condition_e", 4),
 ])
 def test_counterexample_search_is_the_same_batched_and_one_at_a_time(
         phi, check_name, dim, monkeypatch):
@@ -386,9 +390,9 @@ SEARCH_PHIS = ("square", "xlogx", "quartic", "exp", "power:3")
 def test_refine_evaluates_predicted_paths(monkeypatch):
     # Each margin call of the descent takes the moves along the path the
     # last sweep's outcomes predict, not a stack cut at the first move taken.
+    quartic = from_spec("quartic", allow_outside_class=True)
     calls = _counting_margins(monkeypatch)
-    counterexample_search(from_spec("quartic", allow_outside_class=True), "map_C", 50,
-                          seed=0, dim=1)
+    counterexample_search(quartic, "map_C", 50, seed=0, dim=1)
     assert sum(calls.values()) <= 30  # 47 when each stack stopped at a move taken
     calls.clear()
     for phi in SEARCH_PHIS:
@@ -396,8 +400,47 @@ def test_refine_evaluates_predicted_paths(monkeypatch):
         for check_name in suite.SEARCHABLE_CHECKS:
             counterexample_search(f, check_name, 50, seed=0, dim=1)
     # 930 when each stack stopped at a move taken; 577 when a stack that raised
-    # was evaluated again vector by vector past the first move read.
-    assert sum(calls.values()) <= 530
+    # was evaluated again vector by vector past the first move read; 522 when
+    # no chain ran past a sweep's end; 448 with chains that do, sized by the
+    # descent's own hit rate.
+    assert sum(calls.values()) <= 448
+    # A chain sized by the hit rate proposes few moves past a likely miss:
+    # 2,080 points at d=4, where the cap of 128 alone proposed 10,791.
+    points = _counting_margins(monkeypatch, weigh=lambda chunk: len(chunk["lambda"]))
+    counterexample_search(quartic, "map_C", 50, seed=0, dim=4)
+    assert sum(points.values()) <= 2_100
+
+
+@pytest.mark.parametrize("limit", (1, 2, 3, 7))
+def test_search_does_not_depend_on_the_chain_limit(limit, monkeypatch):
+    # Chains of at most 1, 2, 3 or 7 moves give the one-at-a-time reports: in
+    # the domain, out of it (power:3), and with chains that run past a sweep's
+    # end at which the step halves, proposing at the step their predictions give.
+    monkeypatch.setattr(suite, "_chunk", lambda d: limit)
+    stacks, margins = [], suite._SearchSpace.margins
+
+    def recorded(space, stack):
+        stacks.append(stack.copy())
+        return margins(space, stack)
+
+    halving_ends = 0
+    for phi, check_name, dim in [("quartic", "map_C", 1), ("exp", "gap_F_t", 1),
+                                 ("power:3", "bregman_A", 1), ("quartic", "condition_e", 2)]:
+        f = from_spec(phi, allow_outside_class=True)
+        proposed = {}
+        reference = _search_one_at_a_time(f, check_name, 50, seed=0, dim=dim,
+                                          proposed=proposed)
+        stacks.clear()
+        with monkeypatch.context() as m:
+            m.setattr(suite._SearchSpace, "margins", recorded)
+            report = counterexample_search(f, check_name, 50, seed=0, dim=dim)
+        assert (report.margin, report.trials, report.witness) == reference
+        assert max(map(len, stacks)) <= limit
+        for stack in stacks:
+            tags = [proposed[row.tobytes()] for row in stack if row.tobytes() in proposed]
+            halving_ends += sum(b == (a[0] + 1, a[1] / 2) for a, b in zip(tags, tags[1:]))
+    if limit > 2:  # shorter chains happen to cross no such end here
+        assert halving_ends
 
 
 def test_searchable_checks_are_the_records_whose_other_fields_the_search_fills():
@@ -480,12 +523,13 @@ def test_outside_class_suite_run_contains_counterexamples():
     assert suite.exit_code() == 0
 
 
-def _counting_margins(monkeypatch) -> Counter:
-    """Count each record's margin calls while the test runs."""
+def _counting_margins(monkeypatch, weigh=lambda chunk: 1) -> Counter:
+    """Count each record's margin calls, or what weigh gives of their chunks,
+    while the test runs."""
     calls = Counter()
     for kind, record in list(suite.CHECKS.items()):
         def counted(points, margin=record.margin, kind=kind):
-            calls[kind] += 1
+            calls[kind] += weigh(points)
             return margin(points)
         monkeypatch.setitem(suite.CHECKS, kind, dataclasses.replace(record, margin=counted))
     return calls
