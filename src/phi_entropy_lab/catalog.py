@@ -123,6 +123,13 @@ class ScalarFunction:
         return self.name
 
 
+def is_affine(f: ScalarFunction) -> bool:
+    """Whether f'' = 0 by f's definition: a polynomial of degree <= 1, or u^p, p(p-1) = 0."""
+    if f.monomial_coeffs is not None:
+        return not any(f.monomial_coeffs[2:])
+    return f.name == "power" and f.params[0] * (f.params[0] - 1.0) == 0.0
+
+
 def _polynomial(name: str, coeffs: tuple, tags: frozenset, params: tuple = ()):
     """The polynomial sum_m c_m u^m; its k-th derivative sums
     c_m m!/(m-k)! u^(m-k) over the nonzero c_m with m >= k."""

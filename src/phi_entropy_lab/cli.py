@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="run-suite JSON file")
 
     p = sub.add_parser("search-counterexample", parents=[common],
-                       help="random search and descent for a violating point")
+                       help="random search for a violating point")
     p.add_argument("--phi", required=True)
     p.add_argument("--seed", type=int, default=0, help="base RNG seed")
     p.add_argument("--check", required=True, choices=list(SEARCHABLE_CHECKS))

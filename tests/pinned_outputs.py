@@ -17,7 +17,9 @@ file name holds the same configuration in every tree.
 
 It prints the size of each pinned configuration's payload: the bytes of
 its ``json.dumps(payload, sort_keys=True)`` without the timing, with the
-"artifact_version", its blocks as the tree writes them.  Then it replays
+"artifact_version", its blocks as the tree writes them.  It prints how many
+searches found a violation, and the largest |Hermitian parameter| of a
+search witness, which shows the scale of the witnesses.  Then it replays
 every witness as the tree wrote it, and prints their count and the largest
 |replayed - margin|; it exits 1 when that exceeds the replay tolerance of
 the ``replay`` command.
@@ -42,8 +44,8 @@ PINNED_SUITES = {
     "suite_dim16_trials5_seed0": {"seed": 0, "dims": (16,), "trials": 5,
                                   "phi_list": ("square",), "variant": "both"},
 }
-# Every searchable check for each function, dimension and seed.  At d=4 the
-# cap of 128 moves cuts descent chains (power:3's condition (e) searches).
+# Every searchable check for each function, dimension and seed.  At d=4 a
+# search draws its trials in stacks capped at _chunk(4) = 128.
 SEARCH_PHIS = ("square", "xlogx", "quartic", "exp", "power:3")
 SEARCH_DIMS = (1, 2, 4)
 SEARCH_SEEDS = (0, 9003)
@@ -91,6 +93,7 @@ def main(argv) -> int:
         with open(out / f"{name}.jsonl", "w", encoding="utf-8") as fh:
             fh.writelines([_line(payload), *map(_line, reports)])
         written += json.loads(json.dumps(reports))
+    searches = []
     with open(out / "search.jsonl", "w", encoding="utf-8") as fh:
         for phi in SEARCH_PHIS:
             f = from_spec(phi, allow_outside_class=True)
@@ -98,8 +101,14 @@ def main(argv) -> int:
                 for seed in SEARCH_SEEDS:
                     for check in SEARCHABLE_CHECKS:
                         report = counterexample_search(f, check, SEARCH_BUDGET, seed, dim=dim)
-                        written.append(json.loads(json.dumps(report.to_json_dict())))
-                        fh.write(_line(written[-1]))
+                        searches.append(json.loads(json.dumps(report.to_json_dict())))
+                        fh.write(_line(searches[-1]))
+    written += searches
+    params = [abs(x) for r in searches if r["witness"] is not None
+              for value in _as_lists(r["witness"]).values()
+              if isinstance(value, dict) and "h" in value for x in value["h"]]
+    print(f"{sum(not r['holds'] for r in searches)} of {len(searches)} searches found one; "
+          f"largest |Hermitian parameter| of a search witness = {max(params, default=0.0):.3g}")
     stored = [r for r in written if r["witness"] is not None]
     worst = max((abs(replay_witness(r["witness"]) - r["margin"]) for r in stored), default=0.0)
     print(f"{len(stored)} witnesses replayed; largest |replayed - margin| = {worst:.3g}")

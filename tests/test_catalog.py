@@ -19,6 +19,7 @@ from phi_entropy_lab.catalog import (
     dd1_grid,
     dd2_grid,
     dd3_grid,
+    is_affine,
     require_nodes_in_derivative_domain,
 )
 
@@ -69,6 +70,17 @@ def test_class_tags():
     assert builtin("power", 1.5).class_tags == {C2}
     assert builtin("quartic").class_tags == {OUTSIDE_CLASS}
     assert builtin("exp").class_tags == {OUTSIDE_CLASS}
+
+
+@pytest.mark.parametrize("spec, affine", [
+    ("affine:1:2", True), ("affine:0:0", True), ("power:1", True), ("power:0", True),
+    ("square", False), ("power:2", False), ("power:1.5", False), ("xlogx", False),
+    ("quartic", False), ("exp", False), ("power:3", False)])
+def test_is_affine_reads_a_second_derivative_of_zero_off_the_definition(spec, affine):
+    # The definition decides, and the evaluator of f'' agrees on a grid.
+    f = _resolve(spec)
+    assert is_affine(f) == affine
+    assert (not f.deriv(np.linspace(0.1, 5.0, 50), 2).any()) == affine
 
 
 def test_spec_string_roundtrip():

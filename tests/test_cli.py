@@ -151,6 +151,21 @@ def test_exit_code_two_on_config_errors(tmp_path, capsys):
     assert main(["check", "--input", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("phi", ["affine:1:2", "power:1"])
+def test_run_suite_skips_conditions_a_and_e_of_an_affine_function(phi, tmp_path, capsys):
+    # Both invert the derivative map of phi', which is 0 for an affine phi:
+    # each dim lists a skip for (a) and (e), and every other sweep runs.
+    out = tmp_path / "suite.json"
+    assert main(["run-suite", "--phi-list", phi, "--trials", "2", "--variant", "both",
+                 "--output", str(out), "--quiet"]) == 0
+    payload = json.loads(out.read_text())
+    skipped = {s["check_name"] for s in payload["skipped"]}
+    for d in (2, 3, 4):
+        assert {f"condition_a[{phi},d={d}]", f"condition_e[{phi},d={d}]"} <= skipped
+    assert payload["summary"]["fail"] == 0 and payload["summary"]["pass"] > 0
+    assert not any(r["check_name"].startswith("condition_") for r in payload["reports"])
+
+
 def test_outside_class_functions_in_a_run_meet_one_rule(capsys):
     # An exponent outside [1, 2] and a tagged catalog entry are refused by
     # one rule, with one message.

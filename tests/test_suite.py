@@ -280,32 +280,16 @@ def test_counterexample_search_refuses_a_dim_budget_or_seed_that_is_no_integer(a
         counterexample_search(builtin("quartic"), "map_C", **{"budget": 5, "seed": 0, **args})
 
 
-def _search_one_at_a_time(f, check_name: str, budget: int, seed: int, dim: int,
-                          tol: float = 1e-9, proposed: dict | None = None) -> tuple:
-    """Margin, trials and witness of a search that proposes and evaluates one
-    point at a time: the reference for the stacked search.  Each point the
-    descent proposes is entered in proposed, if given, as its sweep and step."""
+def _search_one_at_a_time(f, check_name: str, budget: int, seed: int, dim: int) -> tuple:
+    """Margin, trials and witness of a search that draws and evaluates one
+    point at a time: the reference for the stacked search."""
     space = suite._SearchSpace(f, check_name, dim)
     best_margin, best = np.inf, None
-    proposed = {} if proposed is None else proposed
     for trial in range(budget):
         rng = rng_for(seed, "search", check_name, f.spec_string(), dim, trial)
         params = space.sample([rng])[0]
         margin = next(space.margins(params[None]))
-        if margin < -10 * tol:
-            step = 0.25
-            for sweep in range(8):
-                improved = False
-                for i in range(params.size):
-                    for sign in (1.0, -1.0):
-                        moved = params.copy()
-                        moved[i] += sign * step * (1.0 + abs(moved[i]))
-                        proposed[moved.tobytes()] = (sweep, step)
-                        m = next(space.margins(moved[None]))
-                        if m < margin:
-                            params, margin, improved = moved, m, True
-                if not improved:
-                    step *= 0.5
+        if margin < -suite.SEARCH_TOL:
             return margin, trial + 1, space.witness(params, margin)
         if margin < best_margin:
             best_margin, best = margin, params
@@ -327,17 +311,15 @@ def _raising_margins(monkeypatch) -> Counter:
 
 
 @pytest.mark.parametrize("phi, check_name, dim", [
-    # The descent of power:3 proposes points outside its domain.
+    # power:3, whose domain is the half line, found and not.
     ("power:3", "map_C", 1), ("power:3", "map_C", 2),
     ("power:3", "bregman_A", 1), ("power:3", "bregman_A", 2),
     ("quartic", "map_C", 1),  # a violation among the first trials
     ("square", "map_C", 1),   # the budget runs out
-    # Descents whose moves go against the outcomes the last sweep predicts;
-    # the power:3 one also leaves the domain.
+    # Violations after stacks of several trials.
     ("exp", "gap_F_t", 1), ("quartic", "condition_e", 1), ("power:3", "gap_F_t", 1),
-    ("power:3", "gap_F_t", 2),  # the budget runs out, in the domain throughout
-    # Descents at caps of 128 and 16 moves, whose chains the cap cuts in the
-    # last two (sized by their hit rate, map_C's at d=4 stay below 23 moves).
+    ("power:3", "gap_F_t", 2),  # the budget runs out
+    # Stacks capped at _chunk(dim): 128 trials at d=4, 16 at d=8.
     ("quartic", "map_C", 4), ("quartic", "condition_a", 8), ("power:3", "condition_e", 4),
 ])
 def test_counterexample_search_is_the_same_batched_and_one_at_a_time(
@@ -352,9 +334,18 @@ def test_counterexample_search_is_the_same_batched_and_one_at_a_time(
     report = reports[0]
     reference = _search_one_at_a_time(f, check_name, 50, seed=0, dim=dim)
     assert (report.margin, report.trials, report.witness) == reference
+    assert not raised  # the draws stay in the domain
     exhausted = phi == "square" or (phi, check_name, dim) == ("power:3", "gap_F_t", 2)
-    assert bool(raised) == (phi == "power:3" and not exhausted)
     assert report.holds == exhausted
+    if not exhausted:
+        # The witness is a draw: every matrix in the record's search spectrum.
+        space = suite._SearchSpace(f, check_name, dim)
+        floor, cap = space.record.search_spectrum
+        point = suite._decode_witness(report.witness)
+        for key in space.matrix_keys:
+            eigenvalues = np.linalg.eigvalsh(point[key])
+            assert eigenvalues[0] >= floor, key
+            assert cap is None or eigenvalues[-1] <= cap, key
 
 
 @pytest.mark.parametrize("margin", [1.0, None])
@@ -387,60 +378,22 @@ def test_exhausted_search_stacks_its_trials(monkeypatch):
 SEARCH_PHIS = ("square", "xlogx", "quartic", "exp", "power:3")
 
 
-def test_refine_evaluates_predicted_paths(monkeypatch):
-    # Each margin call of the descent takes the moves along the path the
-    # last sweep's outcomes predict, not a stack cut at the first move taken.
-    quartic = from_spec("quartic", allow_outside_class=True)
+def test_found_search_stops_at_its_first_violation(monkeypatch):
+    # A found search reports the first draw below -SEARCH_TOL and evaluates
+    # nothing after the stack that holds it.
     calls = _counting_margins(monkeypatch)
-    counterexample_search(quartic, "map_C", 50, seed=0, dim=1)
-    assert sum(calls.values()) <= 30  # 47 when each stack stopped at a move taken
-    calls.clear()
     for phi in SEARCH_PHIS:
         f = from_spec(phi, allow_outside_class=True)
         for check_name in suite.SEARCHABLE_CHECKS:
             counterexample_search(f, check_name, 50, seed=0, dim=1)
-    # 930 when each stack stopped at a move taken; 577 when a stack that raised
-    # was evaluated again vector by vector past the first move read; 522 when
-    # no chain ran past a sweep's end; 448 with chains that do, sized by the
-    # descent's own hit rate.
-    assert sum(calls.values()) <= 448
-    # A chain sized by the hit rate proposes few moves past a likely miss:
-    # 2,080 points at d=4, where the cap of 128 alone proposed 10,791.
+    assert sum(calls.values()) <= 106
+    # quartic map_C at d=4 finds one in its fifth stack (1 + 2 + 4 + 8 + 16
+    # points).
     points = _counting_margins(monkeypatch, weigh=lambda chunk: len(chunk["lambda"]))
-    counterexample_search(quartic, "map_C", 50, seed=0, dim=4)
-    assert sum(points.values()) <= 2_100
-
-
-@pytest.mark.parametrize("limit", (1, 2, 3, 7))
-def test_search_does_not_depend_on_the_chain_limit(limit, monkeypatch):
-    # Chains of at most 1, 2, 3 or 7 moves give the one-at-a-time reports: in
-    # the domain, out of it (power:3), and with chains that run past a sweep's
-    # end at which the step halves, proposing at the step their predictions give.
-    monkeypatch.setattr(suite, "_chunk", lambda d: limit)
-    stacks, margins = [], suite._SearchSpace.margins
-
-    def recorded(space, stack):
-        stacks.append(stack.copy())
-        return margins(space, stack)
-
-    halving_ends = 0
-    for phi, check_name, dim in [("quartic", "map_C", 1), ("exp", "gap_F_t", 1),
-                                 ("power:3", "bregman_A", 1), ("quartic", "condition_e", 2)]:
-        f = from_spec(phi, allow_outside_class=True)
-        proposed = {}
-        reference = _search_one_at_a_time(f, check_name, 50, seed=0, dim=dim,
-                                          proposed=proposed)
-        stacks.clear()
-        with monkeypatch.context() as m:
-            m.setattr(suite._SearchSpace, "margins", recorded)
-            report = counterexample_search(f, check_name, 50, seed=0, dim=dim)
-        assert (report.margin, report.trials, report.witness) == reference
-        assert max(map(len, stacks)) <= limit
-        for stack in stacks:
-            tags = [proposed[row.tobytes()] for row in stack if row.tobytes() in proposed]
-            halving_ends += sum(b == (a[0] + 1, a[1] / 2) for a, b in zip(tags, tags[1:]))
-    if limit > 2:  # shorter chains happen to cross no such end here
-        assert halving_ends
+    report = counterexample_search(from_spec("quartic", allow_outside_class=True), "map_C", 50,
+                                   seed=0, dim=4)
+    assert not report.holds
+    assert sum(points.values()) <= 31
 
 
 def test_searchable_checks_are_the_records_whose_other_fields_the_search_fills():
@@ -478,9 +431,9 @@ GOLDEN_SEARCH = Path(__file__).parent / "data" / "golden_search_seed0.json"
 
 
 def test_search_reports_match_the_golden_reports():
-    # The 30 searches at d=1, seed 0 and budget 50, as committed from the
-    # descent that evaluated its moves in doubling stacks: every name,
-    # verdict, trial count and witness layout exactly, every float to 1e-12.
+    # The 30 searches at d=1, seed 0 and budget 50, each found one at the
+    # first draw below -SEARCH_TOL: every name, verdict, trial count and
+    # witness layout exactly, every float to 1e-12.
     golden = json.loads(GOLDEN_SEARCH.read_text(encoding="utf-8"))
     reports = [counterexample_search(from_spec(phi, allow_outside_class=True), check_name, 50,
                                      seed=0, dim=1).to_json_dict()
