@@ -25,7 +25,6 @@ from .entropy import (  # noqa: F401
     MatrixEnsemble,
     ProductEnsemble,
     efron_stein_quantity,
-    matrix_phi_entropy,
     operator_phi_entropy,
     variance,
 )

@@ -7,15 +7,18 @@ operators; the slack of joint convexity is an operator gap, read in the
 variant it is given by ``spectral.variant_margin``.  This module gives
 the slack of each condition: joint convexity of a functional, the
 inverse-derivative concavity condition (a), the fourth-derivative trace
-inequality (e), the convexity lemma and the conditional Jensen inequality
-(g), which for two factors is the subadditivity gap.  Each slack but the
-lemma's takes stacks or columns (``entropy``), with a leading trial axis,
-and gives one result per trial.  The two convexity slacks (of a functional,
-and condition (a)) take a row of weights lambda per pair, one slack each:
-the two endpoints and all mixes are then one stack, with one batched
-``eigh``.  Every report of these slacks comes from the ``suite`` registry;
-a sweep's report states "no violation in N trials", which is evidence, not
-a proof.
+inequality (e) and the conditional Jensen inequality (g), which for two
+factors is the subadditivity gap.  The convexity lemma, Jensen's inequality
+for Tr map_C over any number of atoms, follows from the joint convexity of
+map_C (item (d)) by induction, so it has no slack of its own.
+
+Each slack takes stacks or columns (``entropy``), with a leading trial
+axis, and gives one result per trial.  The two convexity slacks (of a
+functional, and condition (a)) take a row of weights lambda per pair, one
+slack each: the two endpoints and all mixes are then one stack, with one
+batched ``eigh``.  Every report of these slacks comes from the ``suite``
+registry; a sweep's report states "no violation in N trials", which is
+evidence, not a proof.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import ScalarFunction
-from .errors import DimensionMismatchError, DomainError
+from .errors import DomainError
 from .frechet import derivative_inverse, frechet_d1, frechet_d2, frechet_d3
-from .entropy import _check_weights, _mean, subadditivity_gap
+from .entropy import subadditivity_gap
 from .spectral import (
     apply_scalar_function,
     hermitian_part,
@@ -169,25 +172,7 @@ def condition_e_margin(f: ScalarFunction, A, h, k):
     return (lhs - rhs) / np.maximum(1.0, np.maximum(abs(lhs), abs(rhs)))
 
 
-# --- convexity lemma and conditional Jensen ---------------------------------------
-
-
-def convexity_lemma_margin(f: ScalarFunction, weights, A_atoms, X_atoms) -> float:
-    """E<X, Dpsi[A] X> - <EX, Dpsi[EA] EX>; nonnegative for in-class f.
-
-    <X, Dpsi[A] X> = Tr D^2 f[A](X, X) is Tr map_C(A, X), item (d)'s functional,
-    so the margin is the Jensen gap of Tr map_C: one call on the pairs and their means.
-    """
-    weights = _check_weights(np.asarray(weights, dtype=float)[None], "convexity lemma weights")[0]
-    if not len(weights) == len(A_atoms) == len(X_atoms):
-        raise DimensionMismatchError(f"convexity lemma needs one weight per matrix of A and X, "
-                                     f"got {len(weights)} weights, {len(A_atoms)} A and "
-                                     f"{len(X_atoms)} X")
-    u, v = (np.concatenate([M, hermitian_part(_mean(weights, M))[None]])
-            for M in (np.asarray(A_atoms, dtype=complex), np.asarray(X_atoms, dtype=complex)))
-    traces = np.trace(eval_functional(BivariateFunctional("map_C", f), u, v),
-                      axis1=-2, axis2=-1).real
-    return float(weights @ traces[:-1] - traces[-1])
+# --- conditional Jensen ---------------------------------------------------------
 
 
 def conditional_jensen_gap(f: ScalarFunction, P: tuple) -> np.ndarray:

@@ -38,7 +38,6 @@ from .spectral import (
     matrices_from_json,
     matrix_to_json,
     validate_hermitian,
-    variant_margin,
 )
 
 WEIGHT_TOL = 1e-12
@@ -268,11 +267,6 @@ def operator_phi_entropy(f: ScalarFunction, E: tuple) -> np.ndarray:
     mean_phi = _mean(weights, apply_scalar_function_stack(f, atoms))
     mean = hermitian_part(_mean(weights, atoms))
     return hermitian_part(mean_phi - apply_scalar_function(f, mean))
-
-
-def matrix_phi_entropy(f: ScalarFunction, E: tuple) -> np.ndarray:
-    """Normalized trace of the Jensen gap, one per trial; nonnegative for convex f."""
-    return variant_margin(operator_phi_entropy(f, E), "trace")
 
 
 def joint_weights(rows: list) -> np.ndarray:

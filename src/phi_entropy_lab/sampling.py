@@ -1,8 +1,7 @@
 """Deterministic samplers for matrices, ensembles and product ensembles.
 
 Streams are counter-based: a generator is keyed by (seed, labels...) through
-a hash, so parallel and serial sweeps draw identical values regardless of
-execution order.
+a hash, so a report does not depend on the order its sweeps run in.
 
 A list of generators gives one draw per generator, stacked on a new leading
 axis: an array, or for an object sampler the column its class's ``stack``

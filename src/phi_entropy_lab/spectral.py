@@ -76,13 +76,6 @@ def frobenius(A: np.ndarray) -> np.ndarray:
                     ).reshape(A.shape[:-2])
 
 
-def relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1.0) -> np.ndarray:
-    """Frobenius distance of a and b over max(|a|, |b|, floor); one per matrix of stacks."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    return frobenius(a - b) / np.maximum(np.maximum(frobenius(a), frobenius(b)), floor)
-
-
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Eigensystem of a Hermitian matrix or stack: ascending eigenvalues, unitary columns."""

@@ -64,7 +64,6 @@ from .characterizations import (
     condition_a_slack,
     condition_e_margin,
     conditional_jensen_gap,
-    convexity_lemma_margin,
     convexity_slack_at,
 )
 from .entropy import (
@@ -140,6 +139,10 @@ SEARCH_TOL = 1e-8
 
 # Every product ensemble a sweep draws has N_FACTORS factors of SUPPORT outcomes.
 N_FACTORS, SUPPORT = 2, 2
+
+# The checks neither swept nor searched for an affine phi, and why.
+_INVERTS_DERIVATIVE = ("condition_a", "condition_e")
+_AFFINE_REASON = "conditions (a) and (e) invert Dphi'[A], which is 0 as phi'' = 0"
 
 # Records swept at d > 4 hold d^2 arrays, and map_C a d^3 grid (order-2 divided
 # differences) per matrix, 7 a trial: _chunk(d) trials, 16 at d=8 and 2 at d=16, stack
@@ -278,11 +281,6 @@ class Codec(NamedTuple):
     entry: Callable = lambda column, n, j: column  # the value of trial n at weight j
 
 
-def _row(column, n: int, j: int):
-    """The value of trial n of a column that holds one value per trial."""
-    return column[n]
-
-
 def _json_object(cls) -> Codec:
     return Codec(lambda v: v.to_json_dict(), lambda data: cls.from_json_dict(data), "an object",
                  lambda x: isinstance(x, dict), lambda v: v.column,
@@ -299,15 +297,11 @@ _T = Codec(*_AS_IS, "null or a number in [0, 1]", lambda x: x is None or _LAMBDA
            lambda column, n, j: None if column is None else float(column[n]))
 _VARIANT = Codec(*_AS_IS, "'trace' or 'operator'", lambda x: x in ("trace", "operator"))
 _FUNCTIONAL = Codec(*_AS_IS, f"one of {FUNCTIONAL_NAMES}", lambda x: x in FUNCTIONAL_NAMES)
-_FLOATS = Codec(lambda xs: [float(x) for x in xs], lambda xs: xs, "a list of numbers",
-                lambda xs: isinstance(xs, list) and all(map(is_real, xs)), lambda xs: [xs], _row)
 _PHI = Codec(lambda f: f.spec_string(), lambda s: from_spec(s, allow_outside_class=True),
              "a function spec", lambda s: isinstance(s, str))
 _MATRIX = Codec(lambda A: matrix_to_json(A), lambda data: matrix_from_json(data), "an object",
-                lambda x: isinstance(x, dict), lambda A: np.array([A]), _row)
-_MATRICES = Codec(lambda As: [matrix_to_json(A) for A in As],
-                  lambda data: [matrix_from_json(A) for A in data], "a list of matrices",
-                  lambda xs: isinstance(xs, list), lambda As: [As], _row)
+                lambda x: isinstance(x, dict), lambda A: np.array([A]),
+                lambda column, n, j: column[n])
 _PRODUCT = _json_object(ProductEnsemble)
 _ENSEMBLE = _json_object(MatrixEnsemble)
 _CHANNEL = _json_object(KrausChannel)
@@ -325,8 +319,8 @@ class Check:
     name: str                     # report of one point, formatted with its witness
     # A chunk of a sweep's trials -> their margins (n,) or (n, L), >= 0 where it holds.
     margin: Callable
-    draw: Callable | None = None  # (trials' generators, d, shared values) -> columns
-    tolerance: Callable | None = None  # all margins -> tolerance
+    draw: Callable                # (trials' generators, d, shared values) -> columns
+    tolerance: Callable           # all margins -> tolerance
     class_gated: bool = True      # in class only for phi tagged for the variant
     # Spectral floor and cap of the matrices a counterexample search draws.
     search_spectrum: tuple = (SPECTRAL_FLOOR + 0.05, None)
@@ -469,14 +463,6 @@ CHECKS = {
                                     "A": sample_psd(d, SPECTRAL_FLOOR, rngs)},
         tolerance=lambda margins: 1e-10,
         name="operator_jensen[{phi},{variant}]"),
-    # Not swept by the suite: single points through check, and their replay.
-    "convexity_lemma": Check(
-        fields=(("phi", _PHI), ("weights", _FLOATS), ("A", _MATRICES), ("X", _MATRICES)),
-        # Lemma points may differ in their numbers of matrices: one trial per call.
-        margin=lambda c: [convexity_lemma_margin(c["phi"], w, A, X)
-                          for w, A, X in zip(c["weights"], c["A"], c["X"])],
-        tolerance=_convexity_tol,
-        name="convexity_lemma[{phi}]"),
 }
 
 # The records whose fields are matrices or values _SearchSpace.columns fills;
@@ -516,8 +502,7 @@ def _require_fields(kind: str, witness: dict) -> None:
         if key not in witness or not codec.valid(witness[key]):
             got = f"got {witness[key]!r:.60}" if key in witness else "it is missing"
             raise ConfigError(f"witness field '{key}' must be {codec.what}; {got}")
-    dims = [m.get("dim") for key, codec in CHECKS[kind].fields if codec in (_MATRIX, _MATRICES)
-            for m in ([witness[key]] if codec is _MATRIX else witness[key]) if isinstance(m, dict)]
+    dims = [witness[key].get("dim") for key, codec in CHECKS[kind].fields if codec is _MATRIX]
     if any(dim != dims[0] for dim in dims):
         raise ConfigError(f"the matrices of a {kind} witness must share one dim, got {dims!r:.60}")
 
@@ -679,11 +664,9 @@ def _build_tasks(config: RunConfig, funcs: dict):
                 if "variant" in s.key:
                     for variant in variants:
                         add(check, s, f, variant, d)
-                elif check in ("condition_a", "condition_e") and is_affine(f):
-                    skipped.append({
-                        "check_name": s.name.format(phi=name, d=d),
-                        "reason": "conditions (a) and (e) invert Dphi'[A], which is 0 as phi'' = 0",
-                    })
+                elif check in _INVERTS_DERIVATIVE and is_affine(f):
+                    skipped.append({"check_name": s.name.format(phi=name, d=d),
+                                    "reason": _AFFINE_REASON})
                 elif check == "condition_e" and d > 4:
                     skipped.append({
                         "check_name": s.name.format(phi=name, d=d),
@@ -797,7 +780,8 @@ def counterexample_search(f: ScalarFunction, check_name: str, budget: int, seed:
     A success is a point whose margin falls below -SEARCH_TOL, the tolerance
     its report is judged by; the first one is stored as a replayable witness.
     Budget exhaustion reports holds=True with the trial count and the first
-    point of least margin; that is evidence, not a proof.
+    point of least margin; that is evidence, not a proof.  Conditions (a) and
+    (e) of an affine f, out of their domain at every point, are a ConfigError.
 
     The search is a sweep with a stop rule: _scan on stacks of 1, 2, 4, ...
     trials up to a sweep's chunk, stopped at the first success; the trials
@@ -814,6 +798,8 @@ def counterexample_search(f: ScalarFunction, check_name: str, budget: int, seed:
         raise ConfigError(f"dim must be in [1, 16], got {dim}")
     if budget < 1:
         raise ConfigError(f"budget must be >= 1, got {budget}")
+    if check_name in _INVERTS_DERIVATIVE and is_affine(f):
+        raise ConfigError(f"cannot search {check_name} for '{f.spec_string()}': {_AFFINE_REASON}")
     space = _SearchSpace(f, check_name, dim)
     rngs = (rng_for(seed, "search", check_name, f.spec_string(), dim, trial)
             for trial in range(budget))

@@ -13,6 +13,7 @@ import numpy as np
 
 import scalar_oracle as oracle
 from batching import recorded_margins
+from comparison import relative_error
 from phi_entropy_lab import (
     KrausChannel,
     MatrixEnsemble,
@@ -33,15 +34,14 @@ from phi_entropy_lab.characterizations import (
     condition_a_slack,
     condition_e_terms,
     conditional_jensen_gap,
-    convexity_lemma_margin,
     convexity_slack_at,
+    eval_functional,
 )
 from phi_entropy_lab.entropy import (
     SPECTRAL_FLOOR,
     dual_value,
     efron_stein_quantity,
     flatten,
-    matrix_phi_entropy,
     operator_phi_entropy,
     subadditivity_gap,
     variance,
@@ -55,7 +55,7 @@ from phi_entropy_lab.sampling import (
     sample_product,
     sample_psd,
 )
-from phi_entropy_lab.spectral import frobenius, hermitian_part, relative_error, schatten_norm
+from phi_entropy_lab.spectral import frobenius, hermitian_part, schatten_norm, variant_margin
 
 SEED = 20250811
 
@@ -420,7 +420,8 @@ def test_criterion_8_classical_reduction():
         w = rng.dirichlet(np.ones(3))
         z = rng.uniform(0.2, 2.5, size=3)
         E = MatrixEnsemble(w, z.reshape(-1, 1, 1).astype(complex))
-        track(matrix_phi_entropy(f, E.column)[0], oracle.entropy(name, w, z, p))
+        track(variant_margin(operator_phi_entropy(f, E.column), "trace")[0],
+              oracle.entropy(name, w, z, p))
         track(variance(E.column)[0][0, 0].real, oracle.variance(w, z))
 
         # two-factor product: subadditivity, resampling bound, conditional Jensen
@@ -444,7 +445,6 @@ def test_criterion_8_classical_reduction():
               + (1 - lam_t) * oracle.bregman(name, u + 0.3, v + 0.2, p)
               - oracle.bregman(name, lam_t * u + (1 - lam_t) * (u + 0.3),
                                lam_t * v + (1 - lam_t) * (v + 0.2), p))
-        from phi_entropy_lab import eval_functional
         track(eval_functional(BivariateFunctional("map_B", f), U, V)[0, 0].real,
               oracle.increment(name, u, v, p))
         track(eval_functional(BivariateFunctional("map_C", f), U, V)[0, 0].real,
@@ -468,11 +468,14 @@ def test_criterion_8_classical_reduction():
         gap = operator_phi_entropy(f, E.column)[0] - dual_value(f, E.column, T.column)[0]
         track(gap[0, 0].real, oracle.dual_margin(name, w, z, t_vals, p))
 
-        # derivative-map Jensen bound
+        # derivative-map Jensen bound: the Jensen gap of item (d)'s Tr map_C(a, x)
+        # over three atoms
         a_vals = rng.uniform(0.3, 2.0, size=3)
         x_vals = rng.uniform(-1.0, 1.0, size=3)
-        track(convexity_lemma_margin(f, w, [np.array([[a]]) for a in a_vals],
-                                     [np.array([[x]]) for x in x_vals]),
+        traces = eval_functional(BivariateFunctional("map_C", f),
+                                 np.append(a_vals, w @ a_vals).reshape(-1, 1, 1),
+                                 np.append(x_vals, w @ x_vals).reshape(-1, 1, 1))[:, 0, 0].real
+        track(w @ traces[:-1] - traces[-1],
               oracle.convexity_lemma_margin(name, w, a_vals, x_vals, p))
 
         # unital channels at d = 1 collapse to the identity

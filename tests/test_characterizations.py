@@ -27,7 +27,6 @@ from phi_entropy_lab.characterizations import (
     condition_e_margin,
     condition_e_terms,
     conditional_jensen_gap,
-    convexity_lemma_margin,
     convexity_slack_at,
 )
 from phi_entropy_lab.entropy import (
@@ -147,6 +146,27 @@ def test_map_c_trace_duality():
         lhs = trace_value(F, u, v)
         rhs = np.vdot(v, frechet_d1(psi, u, v)).real
         assert abs(lhs - rhs) < 1e-8 * (1.0 + abs(lhs))
+
+
+def test_map_c_trace_jensen_gap_over_three_atoms():
+    # The convexity lemma, E Tr map_C(A, X) >= Tr map_C(EA, EX), follows from
+    # item (d) by induction.  For the square, Tr map_C(A, X) = 2 Tr X^2, so the
+    # gap is 2 Tr Var X.
+    rng = rng_for(33, "lemma")
+    for _ in range(10):
+        w = rng.dirichlet(np.ones(3))
+        A = np.stack([sample_psd(2, 0.5, rng) for _ in range(3)])
+        X = np.stack([sample_hermitian(2, rng) for _ in range(3)])
+        u, v = (np.concatenate([M, np.einsum("m,mij->ij", w, M)[None]]) for M in (A, X))
+        gaps = {}
+        for f in (SQ, XLX):
+            traces = np.trace(eval_functional(BivariateFunctional("map_C", f), u, v),
+                              axis1=-2, axis2=-1).real
+            gaps[f.name] = w @ traces[:-1] - traces[-1]
+            assert gaps[f.name] >= -1e-10
+        tr_squares = np.einsum("mij,mji->m", v, v).real
+        assert gaps["square"] == pytest.approx(2 * (w @ tr_squares[:-1] - tr_squares[-1]),
+                                               rel=1e-10)
 
 
 def suite_reports(checks, phi, variant="trace", trials=40, seed=0, dim=2):
@@ -415,32 +435,6 @@ def test_taylor_relations():
     relation = _taylor_relation(XLX, np.diag([1.0, 2.0]),
                                 0.5 * np.eye(2) + 0.1 * np.ones((2, 2)))
     assert _taylor_relation_holds(*relation), relation
-
-
-def test_convexity_lemma():
-    # deterministic pair: equality
-    A = sample_psd(3, 0.5, 31)
-    X = sample_hermitian(3, 32)
-    assert abs(convexity_lemma_margin(XLX, [1.0], [A], [X])) < 1e-12
-    # square reduces to a scalar variance identity
-    rng = rng_for(33, "lemma")
-    for _ in range(10):
-        w = rng.dirichlet(np.ones(3))
-        As = [sample_psd(2, 0.5, rng) for _ in range(3)]
-        Xs = [sample_hermitian(2, rng) for _ in range(3)]
-        assert convexity_lemma_margin(SQ, w, As, Xs) >= -1e-10
-        report = check("convexity_lemma", phi=XLX, weights=w, A=As, X=Xs)
-        assert report.holds, report
-
-
-def test_convexity_lemma_scalar_oracle():
-    rng = rng_for(34, "lemma-scalar")
-    w = rng.dirichlet(np.ones(4))
-    a = rng.uniform(0.3, 2.0, size=4)
-    x = rng.uniform(-1.0, 1.0, size=4)
-    got = convexity_lemma_margin(XLX, w, [np.array([[v]]) for v in a],
-                                 [np.array([[v]]) for v in x])
-    assert got == pytest.approx(oracle.convexity_lemma_margin("xlogx", w, a, x), abs=1e-10)
 
 
 def test_conditional_jensen_deterministic_factors():

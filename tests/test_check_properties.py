@@ -30,21 +30,12 @@ from phi_entropy_lab import (
 from phi_entropy_lab.characterizations import FUNCTIONAL_NAMES
 from phi_entropy_lab.cli import main
 from phi_entropy_lab.errors import ConfigError
-from phi_entropy_lab.sampling import rng_for, sample_hermitian, sample_psd
+from phi_entropy_lab.sampling import rng_for
 from phi_entropy_lab.spectral import matrix_to_json
-from phi_entropy_lab.suite import _MATRICES, _MATRIX, CHECKS, RunConfig
+from phi_entropy_lab.suite import _MATRIX, CHECKS, RunConfig
 
 KINDS = tuple(CHECKS)
 CONFIG = RunConfig()
-
-
-def _draw_lemma(rngs, d, base):
-    """The convexity lemma is not swept by the suite, so its record has no
-    draw: the columns of one trial."""
-    (rng,) = rngs
-    return {"weights": [rng.dirichlet(np.ones(3))],
-            "A": [[sample_psd(d, 0.5, rng) for _ in range(3)]],
-            "X": [[sample_hermitian(d, rng) for _ in range(3)]]}
 
 
 def _points(kind, draw, rng, d, base) -> list:
@@ -71,8 +62,7 @@ def test_check_witness_replays_to_its_margin(kind, data):
     p = data.draw(st.sampled_from((1, 2, 3)), label="p")
     functional = data.draw(st.sampled_from(FUNCTIONAL_NAMES), label="functional")
     base = {"phi": builtin(name), "variant": variant, "p": p, "functional": functional}
-    point = _points(kind, record.draw or _draw_lemma, rng_for(seed, "check-property", kind),
-                    d, base)[0]
+    point = _points(kind, record.draw, rng_for(seed, "check-property", kind), d, base)[0]
 
     report = check(kind, **point)
 
@@ -116,36 +106,30 @@ def test_margins_at_scalar_multiples_of_the_identity_equal_the_d1_margins(kind, 
                     assert abs(mk - m1) <= 1e-12 * max(1.0, abs(m1)), (name, variant, k, m1, mk)
 
 
-def _matrix_slots(record, point) -> list:
-    """(key, None) for each matrix field of a point, (key, i) for each entry
-    i of a list of matrices."""
-    return [(key, i) for key, codec in record.fields if codec in (_MATRIX, _MATRICES)
-            for i in ([None] if codec is _MATRIX else range(len(point[key])))]
+def _matrix_keys(record) -> list:
+    """The keys of a record's matrix fields."""
+    return [key for key, codec in record.fields if codec is _MATRIX]
 
 
-# The records whose witnesses hold two or more matrices; a list holds two or more.
-@pytest.mark.parametrize("kind", [kind for kind, record in CHECKS.items() if sum(
-    1 if codec is _MATRIX else 2 if codec is _MATRICES else 0 for _, codec in record.fields) >= 2])
+# The records whose witnesses hold two or more matrices.
+@pytest.mark.parametrize("kind", [kind for kind, record in CHECKS.items()
+                                  if len(_matrix_keys(record)) >= 2])
 def test_witness_matrices_of_two_dims_are_refused(kind, tmp_path, capsys):
     # Each matrix of a d = 2 point in turn, alone replaced by I_3: check
     # refuses the point, and check --input and replay its witness.
     record = CHECKS[kind]
     base = {"phi": builtin("square"), "variant": "trace", "p": 2, "functional": "map_C"}
-    point = _points(kind, record.draw or _draw_lemma, rng_for(4, "two-dims", kind), 2, base)[0]
+    point = _points(kind, record.draw, rng_for(4, "two-dims", kind), 2, base)[0]
     witness = check(kind, override=True, **point).witness
     refused = f"the matrices of a {kind} witness must share one dim"
-    for key, i in _matrix_slots(record, point):
+    for key in _matrix_keys(record):
         bad_point, bad_witness = {**point}, json.loads(json.dumps(witness))
-        if i is None:
-            bad_point[key], bad_witness[key] = np.eye(3), matrix_to_json(np.eye(3))
-        else:
-            bad_point[key] = [np.eye(3) if j == i else A for j, A in enumerate(point[key])]
-            bad_witness[key][i] = matrix_to_json(np.eye(3))
+        bad_point[key], bad_witness[key] = np.eye(3), matrix_to_json(np.eye(3))
         with pytest.raises(ConfigError, match=refused):
             check(kind, override=True, **bad_point)
         with pytest.raises(ConfigError, match=refused):
             replay_witness(bad_witness)
         path = tmp_path / "witness.json"
         path.write_text(json.dumps(bad_witness))
-        assert main(["check", "--input", str(path), "--override", "--quiet"]) == 2, (key, i)
+        assert main(["check", "--input", str(path), "--override", "--quiet"]) == 2, key
         assert refused in capsys.readouterr().err

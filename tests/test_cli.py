@@ -182,6 +182,9 @@ def test_outside_class_functions_in_a_run_meet_one_rule(capsys):
     ["search-counterexample", "--phi", "quartic", "--check", "map_C", "--dim", "0"],
     ["search-counterexample", "--phi", "quartic", "--check", "map_C", "--dim", "-2"],
     ["search-counterexample", "--phi", "quartic", "--check", "map_C", "--budget", "0"],
+    # Conditions (a) and (e) of an affine phi are out of their domain at every point.
+    ["search-counterexample", "--phi", "affine:1:2", "--check", "condition_e"],
+    ["search-counterexample", "--phi", "power:1", "--check", "condition_a"],
 ])
 def test_exit_code_two_on_malformed_arguments(argv, product_file, tmp_path, capsys):
     p_word = {"kind": "poly_efron_stein", "p": "x", "product": _read(product_file)}
@@ -233,8 +236,6 @@ def _ensemble(e):
 
 # A subadditivity witness that holds, so only the options can make it fail.
 _SUB_WITNESS = _sub({"factors": [[1.0]], "z": {"0": _ONE}})
-_LEMMA = {"kind": "convexity_lemma", "phi": "square", "weights": "ab", "A": [_ONE, _ONE],
-          "X": [_ONE, _ONE]}
 _NAN_WEIGHT_PRODUCT = {"factors": [[float("nan"), 1.0]], "z": {"0": _ONE, "1": _ONE}}
 _CONDITION_A = {"kind": "condition_a", "phi": "square", "lambda": "a", "A1": _ONE, "A2": _ONE,
                 "h": _ONE}
@@ -279,8 +280,6 @@ _NOT_TP_MONOTONICITY = {
     ("check", {**_sub({}), "phi": 5}),
     ("check", {**_sub({}), "variant": ["trace"]}),
     ("check", _CONDITION_A),
-    ("check", _LEMMA),
-    ("check", {**_LEMMA, "weights": [0.5, 0.5], "A": 5}),
     ("run-suite", {"tolerances": {"subadditivity": float("nan")}}),
     ("run-suite", {"dims": [2, 2]}),
     ("run-suite", {"checks": "subadditivity"}),
@@ -293,8 +292,6 @@ _NOT_TP_MONOTONICITY = {
     ("check --tol inf", _SUB_WITNESS),
     ("check", {"kind": "efron_stein", "product": _NAN_WEIGHT_PRODUCT}),
     ("check", {"kind": "poly_efron_stein", "p": 2, "product": _NAN_WEIGHT_PRODUCT}),
-    ("check", {**_LEMMA, "weights": [2.0, -1.0]}),
-    ("check", {**_LEMMA, "weights": [0.5]}),
     ("check", {"kind": "poly_efron_stein", "p": float("inf"),
                "product": {"factors": [[1.0]], "z": {"0": _ONE}}}),
     ("check", _NOT_TP_MONOTONICITY),
@@ -323,11 +320,9 @@ _NOT_TP_MONOTONICITY = {
         "output-path-number", "allow-outside-class-word", "phi-list-number", "tolerance-bool",
         "product-key-not-an-outcome", "product-key-twice",
         "no-kind", "unknown-kind", "kind-list", "missing-field", "product-number", "phi-number",
-        "variant-list", "lambda-word", "weights-word",
-        "matrices-number", "tolerance-nan", "dims-repeated", "checks-string", "checks-empty",
-        "checks-repeated", "n-factors-field", "support-field", "tol-nan",
-        "tol-negative", "tol-inf", "es-weight-nan", "poly-es-weight-nan",
-        "lemma-weights-not-a-distribution", "lemma-weights-too-few", "p-infinite",
+        "variant-list", "lambda-word", "tolerance-nan", "dims-repeated", "checks-string",
+        "checks-empty", "checks-repeated", "n-factors-field", "support-field", "tol-nan",
+        "tol-negative", "tol-inf", "es-weight-nan", "poly-es-weight-nan", "p-infinite",
         "kraus-not-trace-preserving", "h-short", "h-word", "h-dim-float", "ensemble-dim-other",
         "channel-dim-word", "product-missing-outcome", "h-base64-not-canonical",
         "h-base64-bytes", "re-base64-unpadded", "h-number-string", "h-bool", "re-number-string",

@@ -24,7 +24,6 @@ from phi_entropy_lab import (
     check,
     efron_stein_quantity,
     from_spec,
-    matrix_phi_entropy,
     operator_phi_entropy,
     random_unital_channel,
     spectral_decompose,
@@ -183,19 +182,22 @@ def test_tower_property():
 
 def test_trace_entropy_deterministic_zero():
     single = MatrixEnsemble(np.array([1.0]), np.stack([np.diag([1.0, 2.0])]))
-    assert matrix_phi_entropy(SQ, single.column)[0] == pytest.approx(0.0, abs=1e-14)
+    assert variant_margin(operator_phi_entropy(SQ, single.column), "trace")[0] == pytest.approx(
+        0.0, abs=1e-14)
     assert np.abs(operator_phi_entropy(SQ, single.column)[0]).max() < 1e-14
 
 
 def test_trace_entropy_square_example():
     # E phi(Z) - phi(EZ) = diag(5,10) - diag(4,9) -> normalized trace 1
-    assert matrix_phi_entropy(SQ, E0.column)[0] == pytest.approx(1.0, abs=1e-12)
+    assert variant_margin(operator_phi_entropy(SQ, E0.column), "trace")[0] == pytest.approx(
+        1.0, abs=1e-12)
 
 
 def test_trace_entropy_xlogx_commuting_example():
     E = MatrixEnsemble(np.array([0.5, 0.5]), np.stack([np.diag([1.0, 1.0]), np.diag([3.0, 1.0])]))
     expected = (3.0 * math.log(3.0) / 2.0 - 2.0 * math.log(2.0)) / 2.0
-    assert matrix_phi_entropy(XLX, E.column)[0] == pytest.approx(expected, rel=1e-12)
+    assert variant_margin(operator_phi_entropy(XLX, E.column), "trace")[0] == pytest.approx(
+        expected, rel=1e-12)
     assert expected == pytest.approx(0.13081, abs=5e-6)
 
 
@@ -211,7 +213,7 @@ def test_trace_entropy_nonnegative_for_all_convex_functions():
         f = builtin(*([spec] if ":" not in spec else ["power", 1.5]))
         for seed in range(5):
             E = sample_ensemble(3, 3, seed=seed, spectral_floor=1e-3, spectral_cap=3.0)
-            assert matrix_phi_entropy(f, E.column)[0] >= -1e-10
+            assert variant_margin(operator_phi_entropy(f, E.column), "trace")[0] >= -1e-10
 
 
 def test_scalar_ensemble_matches_classical_entropy():
@@ -221,7 +223,7 @@ def test_scalar_ensemble_matches_classical_entropy():
         z = rng.uniform(0.1, 3.0, size=4)
         E = MatrixEnsemble(w, z.reshape(-1, 1, 1).astype(complex))
         for name, f in (("square", SQ), ("xlogx", XLX)):
-            assert matrix_phi_entropy(f, E.column)[0] == pytest.approx(
+            assert variant_margin(operator_phi_entropy(f, E.column), "trace")[0] == pytest.approx(
                 oracle.entropy(name, w, z), abs=1e-12)
 
 
@@ -233,8 +235,8 @@ def test_commuting_ensemble_reduces_to_entrywise_entropy():
     gap = operator_phi_entropy(XLX, E.column)[0]
     expected = [oracle.entropy("xlogx", w, diags[:, j]) for j in range(4)]
     assert_allclose(np.diag(gap).real, expected, atol=1e-10)
-    assert matrix_phi_entropy(XLX, E.column)[0] == pytest.approx(float(np.mean(expected)),
-                                                                abs=1e-10)
+    assert variant_margin(operator_phi_entropy(XLX, E.column), "trace")[0] == pytest.approx(
+        float(np.mean(expected)), abs=1e-10)
 
 
 # The conditional entropies below are the ones subadditivity_gap sums.

@@ -38,9 +38,10 @@ from phi_entropy_lab.sampling import (
 from phi_entropy_lab.spectral import (
     apply_scalar_function,
     frobenius,
-    relative_error,
     spectral_decompose,
 )
+
+from comparison import relative_error
 
 SQ = builtin("square")
 XLX = builtin("xlogx")

@@ -1,8 +1,8 @@
 """Source layout: each module of the package and of its tests uses every
-name it imports, the gap functions take columns and never objects, one
-module lays out the Hermitian parameters, each command of the
-command line reads every option it accepts, and importing the package
-leaves the heavy numpy submodules unloaded."""
+name it imports, the package uses every function it defines, the gap
+functions take columns and never objects, one module lays out the Hermitian
+parameters, each command of the command line reads every option it accepts,
+and importing the package leaves the heavy numpy submodules unloaded."""
 
 import argparse
 import ast
@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "phi_entropy_lab"
+TRACING = PACKAGE.parent.parent / "perfbench" / "tracing.py"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
@@ -47,6 +48,44 @@ def test_unused_imports_are_found():
                          ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}")
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unused_functions(sources: dict, exempt: set) -> list:
+    """The module-level functions of sources (module name -> source), not in
+    exempt, that no module names outside the function's own definition."""
+    named, defined = set(), []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            names = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            if isinstance(node, ast.FunctionDef):
+                defined.append((module, node.name))
+                names.discard(node.name)
+            named |= names
+    return [f"{module}.{name}" for module, name in defined
+            if name not in named and name not in exempt]
+
+
+def test_unused_functions_are_found():
+    sources = {"a": "def used():\n    return 1\n\ndef unused():\n    return unused()\n",
+               "b": "from a import used\n\ndef traced():\n    return used()\n"}
+    assert unused_functions(sources, {"traced"}) == ["a.unused"]
+
+
+def _traced_names() -> set:
+    """The function names the benchmark's tracer wraps, read from its LAYERS."""
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+    layers = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets] == ["LAYERS"])
+    return {attr for targets in ast.literal_eval(layers).values() for _, attr in targets}
+
+
+def test_every_src_function_is_used_in_src():
+    # A function of the package that no module calls is kept for tests or
+    # tools only; the benchmark's tracer may wrap such a function by name,
+    # so the functions it lists stay where it finds them.
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert unused_functions(sources, _traced_names()) == []
 
 
 # The ensemble, product and channel objects and their fields: the JSON

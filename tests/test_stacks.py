@@ -59,7 +59,6 @@ from phi_entropy_lab.spectral import (
     apply_scalar_function_stack,
     frobenius,
     hermitian_part,
-    relative_error,
     schatten_norm,
     spectral_decompose,
     variant_margin,
@@ -67,6 +66,7 @@ from phi_entropy_lab.spectral import (
 from phi_entropy_lab.suite import CHECKS, SWEEPS, _column, sweep
 
 from batching import points
+from comparison import relative_error
 
 FUNCS = (builtin("square"), builtin("xlogx"), builtin("power", 1.5))
 XLX = builtin("xlogx")

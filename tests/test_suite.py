@@ -23,6 +23,7 @@ from phi_entropy_lab import (
     run_suite,
 )
 from phi_entropy_lab.characterizations import FUNCTIONAL_NAMES
+from phi_entropy_lab.cli import main
 from phi_entropy_lab.errors import PhiLabError
 from phi_entropy_lab.sampling import (
     rng_for,
@@ -256,6 +257,31 @@ def test_counterexample_witness_replay_after_serialization():
 def test_counterexample_search_unknown_check():
     with pytest.raises(ConfigError):
         counterexample_search(builtin("quartic"), "subadditivity", 10, seed=0)
+
+
+@pytest.mark.parametrize("spec, check_name", [("affine:1:2", "condition_e"),
+                                               ("power:1", "condition_a")])
+def test_counterexample_search_refuses_conditions_a_and_e_of_an_affine_function(spec,
+                                                                                 check_name):
+    # Both conditions invert Dphi'[A], which is 0 at every point of an affine
+    # phi: a search would report holds with margin inf and no witness.
+    with pytest.raises(ConfigError, match="invert Dphi'"):
+        counterexample_search(from_spec(spec), check_name, 50, seed=0)
+
+
+def test_a_stored_convexity_lemma_witness_is_refused(tmp_path, capsys):
+    # The m-atom lemma is item (d)'s map_C checked through its two-point
+    # sweep; its witness kind is no longer a record.
+    one = {"dim": 1, "re": [[1.0]]}
+    witness = {"kind": "convexity_lemma", "phi": "square", "weights": [0.5, 0.5],
+               "A": [one, one], "X": [one, one]}
+    assert "convexity_lemma" not in suite.CHECKS
+    with pytest.raises(ConfigError, match="no check of witness kind 'convexity_lemma'"):
+        replay_witness(witness)
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(witness))
+    assert main(["check", "--input", str(path), "--quiet"]) == 2
+    assert "no check of witness kind 'convexity_lemma'" in capsys.readouterr().err
 
 
 def test_counterexample_budget_exhaustion_reports_holds():
@@ -494,7 +520,7 @@ def test_sweep_makes_one_margin_call_per_report(monkeypatch):
     calls = _counting_margins(monkeypatch)
     cfg = RunConfig(seed=1, dims=(2, 4), trials=6, variant="both")
     reports = Counter(report.witness["kind"] for report, _, _ in run_suite(cfg).entries)
-    assert set(reports) == {kind for kind, record in suite.CHECKS.items() if record.draw}
+    assert set(reports) == set(suite.CHECKS)  # every record is measured by some sweep
     assert calls == reports
 
 
