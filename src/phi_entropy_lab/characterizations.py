@@ -27,12 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import ScalarFunction
+from .catalog import ScalarFunction, dd2_grid
 from .errors import DomainError
-from .frechet import derivative_inverse, frechet_d1, frechet_d2, frechet_d3
+from .frechet import _d2_core, derivative_inverse, frechet_d1, frechet_d2, frechet_d3
 from .entropy import subadditivity_gap
 from .spectral import (
     apply_scalar_function,
+    dagger,
     hermitian_part,
     spectral_decompose,
     validate_hermitian,
@@ -161,8 +162,12 @@ def condition_e_terms(f: ScalarFunction, A, h, k) -> tuple:
     T_inv = derivative_inverse(psi, dec)
     u = T_inv(h)
     lhs = np.trace(h @ T_inv(frechet_d3(psi, dec, k, k, u)), axis1=-2, axis2=-1).real
-    inner = T_inv(frechet_d2(psi, dec, k, u))
-    rhs = 2.0 * np.trace(h @ T_inv(frechet_d2(psi, dec, k, inner)), axis1=-2, axis2=-1).real
+    # The two D2psi(k, .) terms share U*, the dd2 grid and k in A's eigenbasis.
+    U, Uh = dec.eigenvectors, dagger(dec.eigenvectors)
+    T2, kt = dd2_grid(psi, dec.eigenvalues), Uh @ k @ U
+    inner = T_inv(_d2_core(U, Uh, T2, kt, Uh @ u @ U))
+    rhs = 2.0 * np.trace(h @ T_inv(_d2_core(U, Uh, T2, kt, Uh @ inner @ U)),
+                         axis1=-2, axis2=-1).real
     return lhs, rhs
 
 

@@ -5,7 +5,10 @@ eigenbasis of the base point, given as a matrix or its decomposition; a
 base point and its directions may be stacks (..., d, d), and each matrix
 gets the values of its own call.  The inverse of X -> Dpsi[A](X), which
 conditions (a) and (e) need, is applied in A's eigenbasis (of one A or a
-stack) as an elementwise division by the divided-difference grid.  Two
+stack) as an elementwise division by the divided-difference grid.  The
+eigenbasis core ``_d2_core`` takes A's eigenvectors, dd2 grid and directions
+already in its eigenbasis, so condition (e) builds these once for its two
+second-derivative terms, bit for bit what two ``frechet_d2`` calls give.  Two
 oracles stand independent of that engine: the d^2 x d^2 matrix of the map
 under column stacking and its dense inverse, both plain arrays, and central
 finite differences of the matrix function itself: the tests' references,
@@ -69,17 +72,20 @@ def frechet_d1(f: ScalarFunction, A, X) -> np.ndarray:
     return hermitian_part(U @ (K * (Uh @ X @ U)) @ Uh)
 
 
-def frechet_d2(f: ScalarFunction, A, X, Y) -> np.ndarray:
-    """Second derivative; symmetric bilinear in (X, Y)."""
-    dec, (X, Y) = _prepared(f, A, [X, Y], 2)
-    U, Uh = dec.eigenvectors, dagger(dec.eigenvectors)
-    T2 = dd2_grid(f, dec.eigenvalues)
-    Xt = Uh @ X @ U
-    Yt = Uh @ Y @ U
+def _d2_core(U, Uh, T2, Xt, Yt) -> np.ndarray:
+    """Second derivative from A's eigenvectors U, Uh = U*, its dd2 grid T2
+    and the directions X, Y in its eigenbasis, Xt = U*XU and Yt = U*YU."""
     core = np.einsum("...ikj,...ik,...kj->...ij", T2, Xt, Yt) + np.einsum(
         "...ikj,...ik,...kj->...ij", T2, Yt, Xt
     )
     return hermitian_part(U @ core @ Uh)
+
+
+def frechet_d2(f: ScalarFunction, A, X, Y) -> np.ndarray:
+    """Second derivative; symmetric bilinear in (X, Y)."""
+    dec, (X, Y) = _prepared(f, A, [X, Y], 2)
+    U, Uh = dec.eigenvectors, dagger(dec.eigenvectors)
+    return _d2_core(U, Uh, dd2_grid(f, dec.eigenvalues), Uh @ X @ U, Uh @ Y @ U)
 
 
 def frechet_d3(f: ScalarFunction, A, X, Y, W) -> np.ndarray:
@@ -89,13 +95,14 @@ def frechet_d3(f: ScalarFunction, A, X, Y, W) -> np.ndarray:
     with the directions in A's eigenbasis, once per ordering of them.  An
     ordering and its reverse give conjugate-transposed terms, which have the
     same Hermitian part, so they share one contraction, as do orderings that
-    repeated directions make equal: (X, X, X) takes one, (X, X, W) two.
+    repeated directions make equal: (X, X, X) takes one, (X, X, W) two.  A
+    repeated direction is taken to the eigenbasis once.
     """
     dec, mats = _prepared(f, A, [X, Y, W], 3)
     U, Uh = dec.eigenvectors, dagger(dec.eigenvectors)
     T3 = dd3_grid(f, dec.eigenvalues)
-    tilde = [Uh @ M @ U for M in mats]
     first = [next(i for i in range(3) if np.array_equal(mats[i], M)) for M in mats]
+    tilde = {i: Uh @ mats[i] @ U for i in set(first)}
     counts = Counter(min(p, p[::-1]) for p in permutations(first))
     core = sum(n * np.einsum("...iklj,...ik,...kl,...lj->...ij", T3, *(tilde[i] for i in p))
                for p, n in counts.items())

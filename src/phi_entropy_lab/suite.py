@@ -28,7 +28,7 @@ measures, the labels of its stream and its name; its keys, in order, are
 - ``check`` reports one given point: class gate, margin, tolerance, witness;
 - ``replay_witness`` decodes a witness and recomputes its margin;
 - ``counterexample_search`` packs the matrix fields of a searchable record
-  into real parameters and runs ``_scan`` on stacks that double in size,
+  into real parameters and runs ``_scan`` on stacks of 8, 16, 32, ... trials,
   stopped at the first margin below -SEARCH_TOL: that point, or the least
   one if no margin is below, is its witness.
 
@@ -136,6 +136,10 @@ CHECK_NAMES = tuple(SWEEPS)
 # A counterexample search succeeds at a margin below -SEARCH_TOL, and its
 # report is judged by SEARCH_TOL.
 SEARCH_TOL = 1e-8
+
+# A search's first stack size: below it a margin call's fixed cost outweighs its
+# points, and an early hit wastes at most 7 proposals.
+_SEARCH_FLOOR = 8
 
 # Every product ensemble a sweep draws has N_FACTORS factors of SUPPORT outcomes.
 N_FACTORS, SUPPORT = 2, 2
@@ -609,8 +613,10 @@ def sweep(config: RunConfig, check: str, s: Sweep, f: ScalarFunction | None,
     """Run one report: every trial's margins, the worst and its witness.
 
     The trials are scanned in order, _chunk(d) to a draw and margin call.
-    The first strict minimum wins.  A tolerance set in the config for the
-    check replaces the record's rule, whatever its value.
+    The first strict minimum wins; a NaN margin, which no comparison reads
+    as a violation, is a DomainError that names the report and the trial.
+    A tolerance set in the config for the check replaces the record's rule,
+    whatever its value.
     """
     record = CHECKS[s.kind]
     base = {"phi": f, "variant": variant, **s.fixed}
@@ -620,10 +626,14 @@ def sweep(config: RunConfig, check: str, s: Sweep, f: ScalarFunction | None,
     scanned = _scan(lambda rngs: {**base, **record.draw(rngs, d, base)},
                     lambda chunk: _rows(record.margin(chunk)), rngs,
                     itertools.repeat(_chunk(d)))
+    rows = [row for _, chunk_rows in scanned for row in chunk_rows]
+    nan = next((trial for trial, row in enumerate(rows) if any(map(math.isnan, row))), None)
+    if nan is not None:
+        raise DomainError(f"{s.name.format(**labels)}: trial {nan} has a NaN margin")
     chunk, n, j, worst = _least(scanned)
     tol = config.tolerances.get(check)
     if tol is None:
-        tol = record.tolerance([m for _, rows in scanned for row in rows for m in row])
+        tol = record.tolerance([m for row in rows for m in row])
     witness = None if chunk is None else _encode_witness(s.kind, _point(s.kind, chunk, n, j))
     return VerificationReport.from_margin(s.name.format(**labels), worst, tol,
                                           trials=config.trials, witness=witness)
@@ -723,9 +733,9 @@ class _SearchSpace:
     The vector holds the record's matrix fields, d^2 Hermitian parameters
     each (spectral.herm_from_params), then one weight in (0, 1) that serves
     as lambda and, for gap_F_t, as t.
-    Searches run on the trace form.  Vectors travel as stacks (n, size): a
-    margin call takes at most cap = _chunk(dim) of them, as many as a sweep's
-    call takes trials, and each stack is drawn and unpacked in one call.
+    Searches run on the trace form.  Vectors travel as stacks (n, size) of
+    8, 16, 32, ... up to cap = _chunk(dim), as many as a sweep's margin call
+    takes trials; each stack is drawn and unpacked in one call.
     """
 
     def __init__(self, f: ScalarFunction, check: str, dim: int):
@@ -783,10 +793,11 @@ def counterexample_search(f: ScalarFunction, check_name: str, budget: int, seed:
     point of least margin; that is evidence, not a proof.  Conditions (a) and
     (e) of an affine f, out of their domain at every point, are a ConfigError.
 
-    The search is a sweep with a stop rule: _scan on stacks of 1, 2, 4, ...
+    The search is a sweep with a stop rule: _scan on stacks of 8, 16, 32, ...
     trials up to a sweep's chunk, stopped at the first success; the trials
-    after it in its stack count for nothing.  Every margin before a success
-    is at least -SEARCH_TOL, so _least picks the witness either way.
+    after it in its stack count for nothing, and the stack sizes set only the
+    number of margin calls.  Every margin before a success is at least
+    -SEARCH_TOL, so _least picks the witness either way.
     """
     if check_name not in SEARCHABLE_CHECKS:
         raise ConfigError(
@@ -803,7 +814,7 @@ def counterexample_search(f: ScalarFunction, check_name: str, budget: int, seed:
     space = _SearchSpace(f, check_name, dim)
     rngs = (rng_for(seed, "search", check_name, f.spec_string(), dim, trial)
             for trial in range(budget))
-    doubling = (min(2**i, space.cap) for i in itertools.count())
+    doubling = (min(_SEARCH_FLOOR * 2**i, space.cap) for i in itertools.count())
     scanned = _scan(space.sample, lambda stack: ([m] for m in space.margins(stack)), rngs,
                     doubling, -SEARCH_TOL)
     stack, n, _, margin = _least(scanned)

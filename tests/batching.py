@@ -2,9 +2,9 @@
 
 A sweep hands a record a chunk: the columns of its trials, with a leading
 trial axis (every trial of a report at small d), and the record evaluates
-them as one stack.  The counterexample search hands it chunks of random
-draws that double in size; ``check`` and ``replay_witness`` hand it a chunk
-of one trial.  The context manager below lets a test run the same suite or
+them as one stack.  The counterexample search hands it chunks of 8, 16,
+32, ... random draws; ``check`` and ``replay_witness`` hand it a chunk of
+one trial.  The context manager below lets a test run the same suite or
 search both ways and compare.
 """
 

@@ -18,14 +18,17 @@ file name holds the same configuration in every tree.
 It prints the size of each pinned configuration's payload: the bytes of
 its ``json.dumps(payload, sort_keys=True)`` without the timing, with the
 "artifact_version", its blocks as the tree writes them.  It prints how many
-searches found a violation, and the largest |Hermitian parameter| of a
-search witness, which shows the scale of the witnesses.  Then it replays
-every witness as the tree wrote it, and prints their count and the largest
-|replayed - margin|; it exits 1 when that exceeds the replay tolerance of
-the ``replay`` command.
+searches found a violation, in how many margin calls (each
+``suite.CHECKS`` margin wrapped with a counter), which shows what their
+stack sizes cost, and the largest |Hermitian parameter| of a search witness,
+which shows the scale of the witnesses.  Then it replays every witness as
+the tree wrote it, and prints their count and the largest |replayed -
+margin|; it exits 1 when that exceeds the replay tolerance of the
+``replay`` command.
 """
 
 import binascii
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -76,6 +79,7 @@ def main(argv) -> int:
         return 2
     src, out = (Path(arg).resolve() for arg in argv)
     sys.path.insert(0, str(src))
+    from phi_entropy_lab import suite
     from phi_entropy_lab.catalog import from_spec
     from phi_entropy_lab.cli import REPLAY_TOL
     from phi_entropy_lab.suite import (
@@ -93,7 +97,13 @@ def main(argv) -> int:
         with open(out / f"{name}.jsonl", "w", encoding="utf-8") as fh:
             fh.writelines([_line(payload), *map(_line, reports)])
         written += json.loads(json.dumps(reports))
-    searches = []
+    searches, calls = [], [0]
+    originals = dict(suite.CHECKS)
+    for kind, record in originals.items():
+        def counted(chunk, margin=record.margin):
+            calls[0] += 1
+            return margin(chunk)
+        suite.CHECKS[kind] = dataclasses.replace(record, margin=counted)
     with open(out / "search.jsonl", "w", encoding="utf-8") as fh:
         for phi in SEARCH_PHIS:
             f = from_spec(phi, allow_outside_class=True)
@@ -103,12 +113,14 @@ def main(argv) -> int:
                         report = counterexample_search(f, check, SEARCH_BUDGET, seed, dim=dim)
                         searches.append(json.loads(json.dumps(report.to_json_dict())))
                         fh.write(_line(searches[-1]))
+    suite.CHECKS.update(originals)
     written += searches
     params = [abs(x) for r in searches if r["witness"] is not None
               for value in _as_lists(r["witness"]).values()
               if isinstance(value, dict) and "h" in value for x in value["h"]]
-    print(f"{sum(not r['holds'] for r in searches)} of {len(searches)} searches found one; "
-          f"largest |Hermitian parameter| of a search witness = {max(params, default=0.0):.3g}")
+    print(f"{sum(not r['holds'] for r in searches)} of {len(searches)} searches found one, "
+          f"in {calls[0]} margin calls; largest |Hermitian parameter| of a search witness = "
+          f"{max(params, default=0.0):.3g}")
     stored = [r for r in written if r["witness"] is not None]
     worst = max((abs(replay_witness(r["witness"]) - r["margin"]) for r in stored), default=0.0)
     print(f"{len(stored)} witnesses replayed; largest |replayed - margin| = {worst:.3g}")

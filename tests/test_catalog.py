@@ -64,6 +64,18 @@ def test_power_exponent_gate():
     assert f.has_tag(OUTSIDE_CLASS)
 
 
+@pytest.mark.parametrize("name, params", [
+    ("affine", (float("nan"), 1.0)), ("affine", (1.0, float("inf"))),
+    ("power", (float("nan"),)), ("power", (float("-inf"),)), ("square", (float("nan"),))])
+def test_non_finite_parameters_are_rejected(name, params):
+    # A NaN parameter would otherwise build an in-class function whose margins
+    # are all NaN; no comparison reads those as a violation.
+    with pytest.raises(DomainError, match="finite"):
+        builtin(name, *params, allow_outside_class=True)
+    with pytest.raises(DomainError, match="finite"):
+        from_spec(":".join([name, *map(str, params)]), allow_outside_class=True)
+
+
 def test_class_tags():
     assert builtin("square").class_tags >= {C2, C3}
     assert builtin("xlogx").class_tags == {C2}

@@ -17,11 +17,18 @@ from phi_entropy_lab import (
     DomainError,
     builtin,
     check,
+    derivative_inverse,
     eval_functional,
     frechet,
     frechet_d1,
+    frechet_d2,
+    frechet_d3,
     from_spec,
+    haar_unitary,
+    spectral_decompose,
 )
+from phi_entropy_lab.catalog import TAYLOR_BAND
+from phi_entropy_lab.spectral import hermitian_part
 from phi_entropy_lab.characterizations import (
     condition_a_slack,
     condition_e_margin,
@@ -328,6 +335,45 @@ def test_condition_e_in_class_matrix_sweep():
                 h = sample_hermitian_unit(d, rng)
                 k = sample_hermitian_unit(d, rng)
                 assert condition_e_margin(f, A, h, k) >= -1e-9
+
+
+def _condition_e_by_composition(f, A, h, k) -> tuple:
+    """condition_e_terms as the public derivative maps compose it: the
+    reference its shared eigenbasis work must match bit for bit."""
+    dec = spectral_decompose(A)
+    psi = f.derivative()
+    T_inv = derivative_inverse(psi, dec)
+    u = T_inv(h)
+    lhs = np.trace(h @ T_inv(frechet_d3(psi, dec, k, k, u)), axis1=-2, axis2=-1).real
+    inner = T_inv(frechet_d2(psi, dec, k, u))
+    rhs = 2.0 * np.trace(h @ T_inv(frechet_d2(psi, dec, k, inner)), axis1=-2, axis2=-1).real
+    return lhs, rhs
+
+
+def _condition_e_stack(d: int) -> np.ndarray:
+    """Drawn base points, a*I, and, from d = 2, spectra with a gap of 0.99 and
+    1.01 times the order-2 and order-3 Taylor bands, in a Haar basis."""
+    rows = [np.full(d, 2.0)]
+    if d > 1:
+        rows += [np.r_[2.0, 2.0 + factor * 2.0 * TAYLOR_BAND[order], np.linspace(3.0, 3.8, d - 2)]
+                 for order in (2, 3) for factor in (0.99, 1.01)]
+    U = haar_unitary(d, 27, count=len(rows))
+    built = hermitian_part((U * np.array(rows)[:, None, :]) @ U.conj().swapaxes(-1, -2))
+    rngs = [rng_for(27, "cond-e-stack", d, trial) for trial in range(3)]
+    return np.concatenate([sample_psd(d, 0.5, rngs, spectral_cap=4.0), built])
+
+
+@pytest.mark.parametrize("spec", ["square", "xlogx", "exp", "power:3"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_condition_e_terms_are_the_composition_of_the_derivative_maps(spec, d):
+    # condition_e_terms builds the decomposition, the dd2 grid and k in A's
+    # eigenbasis once; each side is byte for byte what the composition gives.
+    f = from_spec(spec, allow_outside_class=True)
+    A = _condition_e_stack(d)
+    rngs = [rng_for(28, "cond-e-directions", d, n) for n in range(len(A))]
+    h, k = sample_hermitian_unit(d, rngs), sample_hermitian_unit(d, rngs)
+    terms, reference = condition_e_terms(f, A, h, k), _condition_e_by_composition(f, A, h, k)
+    assert [side.tobytes() for side in terms] == [side.tobytes() for side in reference]
 
 
 def test_condition_e_spectrum_restriction():

@@ -151,6 +151,17 @@ def test_exit_code_two_on_config_errors(tmp_path, capsys):
     assert main(["check", "--input", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["run-suite", "--phi-list", "affine:nan:1", "--dims", "2", "--trials", "2", "--quiet"],
+    ["run-suite", "--phi-list", "power:inf", "--dims", "2", "--trials", "2", "--quiet"],
+    ["search-counterexample", "--phi", "power:nan", "--check", "map_C", "--budget", "5"],
+])
+def test_exit_code_two_on_non_finite_function_parameters(argv, capsys):
+    # Their margins would be NaN or infinite, and read as passes.
+    assert main(argv) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("phi", ["affine:1:2", "power:1"])
 def test_run_suite_skips_conditions_a_and_e_of_an_affine_function(phi, tmp_path, capsys):
     # Both invert the derivative map of phi', which is 0 for an affine phi:

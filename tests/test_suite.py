@@ -393,12 +393,12 @@ def test_exhausted_search_keeps_the_first_least_margin(margin, monkeypatch):
 
 
 def test_exhausted_search_stacks_its_trials(monkeypatch):
-    # 50 trials at d=1 go to the record in stacks of 1, 2, 4, 8, 16 and 19
-    # points; one point per call would be 50 calls.
+    # 50 trials at d=1 go to the record in stacks of 8, 16 and 26 points; one
+    # point per call would be 50 calls.
     calls = _counting_margins(monkeypatch)
     report = counterexample_search(builtin("square"), "map_C", 50, seed=0, dim=1)
     assert report.holds and report.trials == 50
-    assert sum(calls.values()) <= 6
+    assert sum(calls.values()) <= 3
 
 
 SEARCH_PHIS = ("square", "xlogx", "quartic", "exp", "power:3")
@@ -412,14 +412,14 @@ def test_found_search_stops_at_its_first_violation(monkeypatch):
         f = from_spec(phi, allow_outside_class=True)
         for check_name in suite.SEARCHABLE_CHECKS:
             counterexample_search(f, check_name, 50, seed=0, dim=1)
-    assert sum(calls.values()) <= 106
-    # quartic map_C at d=4 finds one in its fifth stack (1 + 2 + 4 + 8 + 16
-    # points).
+    assert sum(calls.values()) <= 56
+    # quartic map_C at d=4 finds one at trial 27, in its third stack (8 + 16 +
+    # 26 points: the third holds the rest of the budget).
     points = _counting_margins(monkeypatch, weigh=lambda chunk: len(chunk["lambda"]))
     report = counterexample_search(from_spec("quartic", allow_outside_class=True), "map_C", 50,
                                    seed=0, dim=4)
     assert not report.holds
-    assert sum(points.values()) <= 31
+    assert sum(points.values()) <= 50
 
 
 def test_searchable_checks_are_the_records_whose_other_fields_the_search_fills():
@@ -568,6 +568,25 @@ def test_sweep_tie_keeps_the_earliest_trial(monkeypatch):
     worst.clear()  # all margins equal: the first trial's point
     report = suite.sweep(RunConfig(trials=6), "tie", s, None, "trace", 2)
     assert (report.margin, report.witness) == (0.5, {"kind": "tie", "trial": 6})
+
+
+@pytest.mark.parametrize("first", [0, 3])
+def test_sweep_refuses_a_nan_margin(first, monkeypatch):
+    # A NaN margin compares false with everything, so the least margin would
+    # pass over it, and all NaN would read as a pass with margin inf: the sweep
+    # names its report and first NaN trial instead.
+    record = suite.CHECKS["condition_e"]
+
+    def margins(chunk):
+        out = record.margin(chunk)
+        out[first:] = np.nan
+        return out
+    monkeypatch.setitem(suite.CHECKS, "condition_e", dataclasses.replace(record, margin=margins))
+    cfg = RunConfig(trials=6, dims=(2,), phi_list=("square",), checks=("condition_e",))
+    with pytest.raises(DomainError, match=rf"condition_e\[square,d=2\]: trial {first} has a NaN"):
+        run_suite(cfg)
+    assert main(["run-suite", "--trials", "6", "--dims", "2", "--phi-list", "square",
+                 "--checks", "condition_e", "--quiet"]) == 2
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden_suite_seed5.json"
