@@ -168,10 +168,12 @@ def builtin(name: str, *params: float, allow_outside_class: bool = False) -> Sca
     quartic, exp.  quartic and exp are shipped purely as counterexample
     fuel and carry the outside_class tag.  power(p) with p outside [1, 2]
     is rejected unless allow_outside_class is set.  A NaN or infinite
-    parameter is rejected.
+    parameter, and any parameter of a function that takes none, is rejected.
     """
     if not all(math.isfinite(float(p)) for p in params):
         raise DomainError(f"'{name}' parameters must be finite numbers, got {params}")
+    if params and name in ("square", "xlogx", "quartic", "exp"):
+        raise DomainError(f"'{name}' takes no parameters, got {params}")
     if name == "affine":
         if len(params) != 2:
             raise DomainError("affine requires two parameters a, b")

@@ -42,6 +42,9 @@ from .spectral import (
 
 FUNCTIONAL_NAMES = ("bregman_A", "map_B", "map_C", "gap_F_t")
 
+# The spectra of the base points condition (e) is checked at.
+CONDITION_E_SPECTRUM = (0.5, 4.0)
+
 
 @dataclass(frozen=True)
 class BivariateFunctional:
@@ -151,11 +154,12 @@ def condition_e_terms(f: ScalarFunction, A, h, k) -> tuple:
     h = validate_hermitian(h, "h")
     k = validate_hermitian(k, "k")
     low, high = dec.eigenvalues[..., 0], dec.eigenvalues[..., -1]
-    outside = (low < 0.5 - 1e-9) | (high > 4.0 + 1e-9)
+    floor, cap = CONDITION_E_SPECTRUM
+    outside = (low < floor - 1e-9) | (high > cap + 1e-9)
     if outside.any():
         i = np.argmax(outside)
         raise DomainError(
-            f"condition (e) checks are restricted to spectra in [0.5, 4]; got "
+            f"condition (e) checks are restricted to spectra in [{floor:g}, {cap:g}]; got "
             f"[{low.flat[i]:.6g}, {high.flat[i]:.6g}]"
         )
     psi = f.derivative()

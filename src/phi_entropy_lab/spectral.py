@@ -7,11 +7,11 @@ values and tolerance of its own call.  A per-matrix scalar comes back as
 numpy values of shape (...), never as a Python float.
 
 A d x d Hermitian matrix has one parametrisation by d^2 reals: the diagonal,
-then the real and imaginary parts of each upper entry, row by row.  The
-counterexample search moves in it.  The JSON wire format writes such a matrix
-as {"dim": d, "h": B}, any other (a Kraus operator) as {"dim": d, "re": B,
-"im": B}, each block B the base64 of its little-endian float64 bytes, row-major;
-float lists in their place (artifact_version 0.2.0 and before) are read too.
+then the real and imaginary parts of each upper entry, row by row.  The JSON
+wire format writes such a matrix as {"dim": d, "h": B} of its parameters, any
+other (a Kraus operator) as {"dim": d, "re": B, "im": B}, each block B the
+base64 of its little-endian float64 bytes, row-major; float lists in their
+place (artifact_version 0.2.0 and before) are read too.
 """
 
 from __future__ import annotations

@@ -21,16 +21,17 @@ measures, the labels of its stream and its name; its keys, in order, are
 ``CHECK_NAMES``.  The rest is derived from the two tables:
 
 - ``sweep`` runs one report: ``_scan`` makes one draw and one margin call
-  per chunk of trials, ``_least`` picks the (trial, lambda) of the first
-  strict minimum of the margin, and the witness is that one point's, sliced
-  from the chunk;
+  per chunk of trials, then ``_worst`` refuses a NaN margin and picks the
+  (trial, lambda) of the first strict minimum, whose point, sliced from its
+  chunk, is the witness;
 - ``run_suite`` runs the sweeps a ``RunConfig`` selects;
 - ``check`` reports one given point: class gate, margin, tolerance, witness;
 - ``replay_witness`` decodes a witness and recomputes its margin;
-- ``counterexample_search`` packs the matrix fields of a searchable record
-  into real parameters and runs ``_scan`` on stacks of 8, 16, 32, ... trials,
-  stopped at the first margin below -SEARCH_TOL: that point, or the least
-  one if no margin is below, is its witness.
+- ``counterexample_search`` is a sweep with a stop bound: ``_search_draw``
+  fills a searchable record's matrix fields and weight, and ``_scan`` runs
+  stacks of 8, 16, 32, ... trials, stopped at the first margin below
+  -SEARCH_TOL; ``_worst`` then picks that point, or the least one if no
+  margin is below, as its witness.
 
 Trials are keyed by (seed, check, labels..., trial) through a counter-based
 generator, so a report does not depend on the order its sweeps run in, and
@@ -59,6 +60,7 @@ from .channels import (
     random_unital_channel,
 )
 from .characterizations import (
+    CONDITION_E_SPECTRUM,
     FUNCTIONAL_NAMES,
     BivariateFunctional,
     condition_a_slack,
@@ -87,11 +89,9 @@ from .sampling import (
     sample_psd,
 )
 from .spectral import (
-    herm_from_params,
     is_real,
     matrix_from_json,
     matrix_to_json,
-    params_of,
     schatten_norm,
     variant_margin,
 )
@@ -444,8 +444,8 @@ CHECKS = {
         fields=(("phi", _PHI), ("A", _MATRIX), ("h", _MATRIX), ("k", _MATRIX)),
         margin=lambda c: condition_e_margin(c["phi"], c["A"], c["h"], c["k"]),
         draw=lambda rngs, d, base: {
-            "A": sample_psd(d, 0.5, rngs, spectral_cap=4.0), "h": sample_hermitian_unit(d, rngs),
-            "k": sample_hermitian_unit(d, rngs)},
+            "A": sample_psd(d, CONDITION_E_SPECTRUM[0], rngs, CONDITION_E_SPECTRUM[1]),
+            "h": sample_hermitian_unit(d, rngs), "k": sample_hermitian_unit(d, rngs)},
         tolerance=_relative_tol,
         search_spectrum=(0.6, 3.8),
         name="condition_e[{phi}]"),
@@ -469,13 +469,16 @@ CHECKS = {
         name="operator_jensen[{phi},{variant}]"),
 }
 
-# The records whose fields are matrices or values _SearchSpace.columns fills;
-# joint convexity once per functional.
-SEARCHABLE_CHECKS = tuple(
-    name for kind, record in CHECKS.items()
-    if all(codec is _MATRIX or key in ("phi", "variant", "functional", "lambda", "t")
-           for key, codec in record.fields)
-    for name in (FUNCTIONAL_NAMES if kind == "joint_convexity" else (kind,)))
+# The fields other than matrices that a counterexample search fills (_search_draw).
+_SEARCH_FILLS = ("phi", "variant", "functional", "lambda", "t")
+
+# The kind of each record whose fields are matrices or values a search fills,
+# by the name it is searched under; joint convexity once per functional.
+_SEARCH_KINDS = {
+    name: kind for kind, record in CHECKS.items()
+    if all(codec is _MATRIX or key in _SEARCH_FILLS for key, codec in record.fields)
+    for name in (FUNCTIONAL_NAMES if kind == "joint_convexity" else (kind,))}
+SEARCHABLE_CHECKS = tuple(_SEARCH_KINDS)
 
 
 def _encode_witness(kind: str, point: dict) -> dict:
@@ -590,33 +593,38 @@ def _scan(draw: Callable, margins: Callable, rngs: Iterator, sizes: Iterator,
     return scanned
 
 
-def _least(scanned: list) -> tuple:
-    """(chunk, trial, weight index, margin) of the first strictly least
-    margin; (None, 0, 0, inf) when no margin is below inf."""
-    best = (None, 0, 0, np.inf)
-    for chunk, rows in scanned:
-        for n, row in enumerate(rows):
-            for j, margin in enumerate(row):
-                if margin < best[3]:
-                    best = (chunk, n, j, margin)
-    return best
-
-
 def _rows(margins) -> list:
     """Margins (n,) or (n, L) of a chunk as one list of floats per trial."""
     margins = np.asarray(margins, dtype=float)
     return margins.reshape(len(margins), -1).tolist()
 
 
+def _worst(kind: str, name: str, scanned: list) -> tuple:
+    """(trials, least margin, witness) of a scan of record kind's chunks: the
+    first strict minimum, or (inf, None) when no margin is below inf.  A NaN
+    margin, which no comparison reads as a violation, is a DomainError that
+    names the report and the trial."""
+    trials, best = 0, (None, 0, 0, np.inf)
+    for chunk, rows in scanned:
+        for n, row in enumerate(rows):
+            if any(map(math.isnan, row)):
+                raise DomainError(f"{name}: trial {trials + n} has a NaN margin")
+            for j, margin in enumerate(row):
+                if margin < best[3]:
+                    best = (chunk, n, j, margin)
+        trials += len(rows)
+    chunk, n, j, least = best
+    witness = None if chunk is None else _encode_witness(kind, _point(kind, chunk, n, j))
+    return trials, least, witness
+
+
 def sweep(config: RunConfig, check: str, s: Sweep, f: ScalarFunction | None,
           variant: str, d: int) -> VerificationReport:
     """Run one report: every trial's margins, the worst and its witness.
 
-    The trials are scanned in order, _chunk(d) to a draw and margin call.
-    The first strict minimum wins; a NaN margin, which no comparison reads
-    as a violation, is a DomainError that names the report and the trial.
-    A tolerance set in the config for the check replaces the record's rule,
-    whatever its value.
+    The trials are scanned in order, _chunk(d) to a draw and margin call,
+    and judged by _worst.  A tolerance set in the config for the check
+    replaces the record's rule, whatever its value.
     """
     record = CHECKS[s.kind]
     base = {"phi": f, "variant": variant, **s.fixed}
@@ -626,17 +634,13 @@ def sweep(config: RunConfig, check: str, s: Sweep, f: ScalarFunction | None,
     scanned = _scan(lambda rngs: {**base, **record.draw(rngs, d, base)},
                     lambda chunk: _rows(record.margin(chunk)), rngs,
                     itertools.repeat(_chunk(d)))
-    rows = [row for _, chunk_rows in scanned for row in chunk_rows]
-    nan = next((trial for trial, row in enumerate(rows) if any(map(math.isnan, row))), None)
-    if nan is not None:
-        raise DomainError(f"{s.name.format(**labels)}: trial {nan} has a NaN margin")
-    chunk, n, j, worst = _least(scanned)
+    name = s.name.format(**labels)
+    _, worst, witness = _worst(s.kind, name, scanned)
     tol = config.tolerances.get(check)
     if tol is None:
-        tol = record.tolerance([m for row in rows for m in row])
-    witness = None if chunk is None else _encode_witness(s.kind, _point(s.kind, chunk, n, j))
-    return VerificationReport.from_margin(s.name.format(**labels), worst, tol,
-                                          trials=config.trials, witness=witness)
+        tol = record.tolerance([m for _, rows in scanned for row in rows for m in row])
+    return VerificationReport.from_margin(name, worst, tol, trials=config.trials,
+                                          witness=witness)
 
 
 def _build_tasks(config: RunConfig, funcs: dict):
@@ -727,60 +731,31 @@ def run_suite(config: RunConfig) -> SuiteReport:
 # --- counterexample search --------------------------------------------------------
 
 
-class _SearchSpace:
-    """A searchable record's points as real parameter vectors.
+def _search_draw(f: ScalarFunction, check_name: str, dim: int, rngs: list) -> dict:
+    """The chunk of a search's trials: each generator draws the record's
+    matrices in its search spectrum, then one weight, which serves as lambda
+    and, for gap_F_t, as t.  Searches run on the trace form."""
+    record = CHECKS[_SEARCH_KINDS[check_name]]
+    keys = [key for key, codec in record.fields if codec is _MATRIX]
+    floor, cap = record.search_spectrum
+    mats = sample_psd(dim, floor, rngs, cap, len(keys))
+    weights = np.array([rng.uniform(0.05, 0.95) for rng in rngs])
+    return {"phi": f, "functional": check_name, "variant": "trace", "lambda": weights[:, None],
+            "t": weights if check_name == "gap_F_t" else None, **_split(keys, mats)}
 
-    The vector holds the record's matrix fields, d^2 Hermitian parameters
-    each (spectral.herm_from_params), then one weight in (0, 1) that serves
-    as lambda and, for gap_F_t, as t.
-    Searches run on the trace form.  Vectors travel as stacks (n, size) of
-    8, 16, 32, ... up to cap = _chunk(dim), as many as a sweep's margin call
-    takes trials; each stack is drawn and unpacked in one call.
-    """
 
-    def __init__(self, f: ScalarFunction, check: str, dim: int):
-        self.f = f
-        self.check = check
-        self.dim = dim
-        self.kind = "joint_convexity" if check in FUNCTIONAL_NAMES else check
-        self.record = CHECKS[self.kind]
-        self.matrix_keys = [key for key, codec in self.record.fields if codec is _MATRIX]
-        self.cap = _chunk(dim)
-
-    def sample(self, rngs: list) -> np.ndarray:
-        """One vector per generator: each draws its matrices, then its weight."""
-        floor, cap = self.record.search_spectrum
-        mats = sample_psd(self.dim, floor, rngs, cap, len(self.matrix_keys))
-        weights = [[rng.uniform(0.05, 0.95)] for rng in rngs]
-        return np.concatenate([params_of(mats).reshape(len(rngs), -1), weights], axis=1)
-
-    def columns(self, stack: np.ndarray) -> dict:
-        """The chunk of a stack of vectors: the values they fill, then matrices."""
-        n = len(self.matrix_keys) * self.dim * self.dim
-        lams = np.clip(stack[:, n], 0.01, 0.99)
-        mats = herm_from_params(stack[:, :n].reshape(len(stack), len(self.matrix_keys), -1),
-                                self.dim)
-        return {"phi": self.f, "functional": self.check, "variant": "trace",
-                "lambda": lams[:, None], "t": lams if self.check == "gap_F_t" else None,
-                **_split(self.matrix_keys, mats)}
-
-    def margins(self, stack: np.ndarray) -> Iterator:
-        """Margins of a stack of parameter vectors, +inf where out of the domain.
-
-        A stack that raises is evaluated again one vector at a time as its
-        margins are read: the vectors that raise alone get +inf (treated as
-        non-violating), and those never read are not evaluated.
-        """
-        try:
-            return iter(np.ravel(self.record.margin(self.columns(stack))).tolist())
-        except PhiLabError:
-            if len(stack) == 1:
-                return iter([np.inf])
-            return (m for params in stack for m in self.margins(params[None]))
-
-    def witness(self, params: np.ndarray, margin: float) -> dict:
-        return {"phi": self.f.spec_string(), "dim": self.dim, "margin": margin,
-                **_encode_witness(self.kind, _point(self.kind, self.columns(params[None]), 0, 0))}
+def _search_rows(kind: str, chunk: dict, alone: bool = False) -> Iterator:
+    """Rows of margins of a search chunk.  A chunk of several trials that
+    raises is evaluated again one trial at a time as its rows are read: a
+    trial that raises alone is out of the domain and gets +inf (treated as
+    non-violating), and those never read are not evaluated."""
+    try:
+        return iter(_rows(CHECKS[kind].margin(chunk)))
+    except PhiLabError:
+        if alone or len(chunk["lambda"]) == 1:
+            return iter([[np.inf]])
+        return (row for n in range(len(chunk["lambda"]))
+                for row in _search_rows(kind, _column(kind, _point(kind, chunk, n, 0)), True))
 
 
 def counterexample_search(f: ScalarFunction, check_name: str, budget: int, seed: int,
@@ -793,11 +768,11 @@ def counterexample_search(f: ScalarFunction, check_name: str, budget: int, seed:
     point of least margin; that is evidence, not a proof.  Conditions (a) and
     (e) of an affine f, out of their domain at every point, are a ConfigError.
 
-    The search is a sweep with a stop rule: _scan on stacks of 8, 16, 32, ...
+    The search is a sweep with a stop bound: _scan on stacks of 8, 16, 32, ...
     trials up to a sweep's chunk, stopped at the first success; the trials
     after it in its stack count for nothing, and the stack sizes set only the
     number of margin calls.  Every margin before a success is at least
-    -SEARCH_TOL, so _least picks the witness either way.
+    -SEARCH_TOL, so _worst picks the witness either way, as in a sweep.
     """
     if check_name not in SEARCHABLE_CHECKS:
         raise ConfigError(
@@ -811,16 +786,13 @@ def counterexample_search(f: ScalarFunction, check_name: str, budget: int, seed:
         raise ConfigError(f"budget must be >= 1, got {budget}")
     if check_name in _INVERTS_DERIVATIVE and is_affine(f):
         raise ConfigError(f"cannot search {check_name} for '{f.spec_string()}': {_AFFINE_REASON}")
-    space = _SearchSpace(f, check_name, dim)
-    rngs = (rng_for(seed, "search", check_name, f.spec_string(), dim, trial)
-            for trial in range(budget))
-    doubling = (min(_SEARCH_FLOOR * 2**i, space.cap) for i in itertools.count())
-    scanned = _scan(space.sample, lambda stack: ([m] for m in space.margins(stack)), rngs,
-                    doubling, -SEARCH_TOL)
-    stack, n, _, margin = _least(scanned)
-    point = None if stack is None else stack[n]
+    kind, phi = _SEARCH_KINDS[check_name], f.spec_string()
+    rngs = (rng_for(seed, "search", check_name, phi, dim, trial) for trial in range(budget))
+    doubling = (min(_SEARCH_FLOOR * 2**i, _chunk(dim)) for i in itertools.count())
+    scanned = _scan(lambda rngs: _search_draw(f, check_name, dim, rngs),
+                    lambda chunk: _search_rows(kind, chunk), rngs, doubling, -SEARCH_TOL)
+    name = f"counterexample_search[{check_name},{phi},d={dim}]"
+    trials, margin, witness = _worst(kind, name, scanned)
     return VerificationReport.from_margin(
-        f"counterexample_search[{check_name},{f.spec_string()},d={dim}]",
-        margin, SEARCH_TOL, trials=sum(len(rows) for _, rows in scanned),
-        witness=None if point is None else space.witness(point, margin))
-
+        name, margin, SEARCH_TOL, trials=trials,
+        witness=None if witness is None else {"phi": phi, "dim": dim, "margin": margin, **witness})

@@ -24,7 +24,9 @@ stack sizes cost, and the largest |Hermitian parameter| of a search witness,
 which shows the scale of the witnesses.  Then it replays every witness as
 the tree wrote it, and prints their count and the largest |replayed -
 margin|; it exits 1 when that exceeds the replay tolerance of the
-``replay`` command.
+``replay`` command.  Last it prints the line count of each package module
+and their total, as ``wc -l SRC/phi_entropy_lab/*.py`` gives them, so two
+trees' sizes compare in the same run as their outputs.
 """
 
 import binascii
@@ -124,6 +126,9 @@ def main(argv) -> int:
     stored = [r for r in written if r["witness"] is not None]
     worst = max((abs(replay_witness(r["witness"]) - r["margin"]) for r in stored), default=0.0)
     print(f"{len(stored)} witnesses replayed; largest |replayed - margin| = {worst:.3g}")
+    lines = {path.name: path.read_bytes().count(b"\n")
+             for path in sorted((src / "phi_entropy_lab").glob("*.py"))}
+    print(f"{sum(lines.values())} lines: " + ", ".join(f"{k} {v}" for k, v in lines.items()))
     return 0 if worst <= REPLAY_TOL else 1
 
 

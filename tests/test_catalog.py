@@ -76,6 +76,16 @@ def test_non_finite_parameters_are_rejected(name, params):
         from_spec(":".join([name, *map(str, params)]), allow_outside_class=True)
 
 
+@pytest.mark.parametrize("spec", ["square:3", "xlogx:1", "quartic:0", "exp:0", "exp:1:2"])
+def test_parameters_of_a_function_that_takes_none_are_rejected(spec):
+    # They would otherwise be dropped: "square:3" would run as square.
+    name, *params = spec.split(":")
+    with pytest.raises(DomainError, match=rf"'{name}' takes no parameters, got \("):
+        from_spec(spec, allow_outside_class=True)
+    with pytest.raises(DomainError, match="takes no parameters"):
+        builtin(name, *map(float, params), allow_outside_class=True)
+
+
 def test_class_tags():
     assert builtin("square").class_tags >= {C2, C3}
     assert builtin("xlogx").class_tags == {C2}

@@ -162,6 +162,16 @@ def test_exit_code_two_on_non_finite_function_parameters(argv, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run-suite", "--phi-list", "square:3", "--dims", "2", "--trials", "2", "--quiet"],
+    ["search-counterexample", "--phi", "exp:0", "--check", "map_C", "--budget", "5"],
+])
+def test_exit_code_two_on_parameters_of_a_function_that_takes_none(argv, capsys):
+    # square:3 would run as square, and exp:0 as exp, without a word.
+    assert main(argv) == 2
+    assert "takes no parameters" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("phi", ["affine:1:2", "power:1"])
 def test_run_suite_skips_conditions_a_and_e_of_an_affine_function(phi, tmp_path, capsys):
     # Both invert the derivative map of phi', which is 0 for an affine phi:

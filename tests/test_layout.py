@@ -142,7 +142,7 @@ def test_gap_functions_take_columns_only():
 
 def test_one_hermitian_parameter_layout():
     # spectral.herm_from_params is the one layout of a Hermitian matrix's d^2
-    # reals, read by the wire format and the counterexample search alike.
+    # reals, which the wire format's "h" blocks hold.
     calls = {path.name for path in PACKAGE.glob("*.py")
              if "triu_indices(" in path.read_text(encoding="utf-8")}
     assert calls == {"spectral.py"}

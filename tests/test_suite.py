@@ -22,7 +22,7 @@ from phi_entropy_lab import (
     replay_witness,
     run_suite,
 )
-from phi_entropy_lab.characterizations import FUNCTIONAL_NAMES
+from phi_entropy_lab.characterizations import CONDITION_E_SPECTRUM, FUNCTIONAL_NAMES
 from phi_entropy_lab.cli import main
 from phi_entropy_lab.errors import PhiLabError
 from phi_entropy_lab.sampling import (
@@ -308,18 +308,21 @@ def test_counterexample_search_refuses_a_dim_budget_or_seed_that_is_no_integer(a
 
 def _search_one_at_a_time(f, check_name: str, budget: int, seed: int, dim: int) -> tuple:
     """Margin, trials and witness of a search that draws and evaluates one
-    point at a time: the reference for the stacked search."""
-    space = suite._SearchSpace(f, check_name, dim)
+    point at a time, each a chunk of one trial: the reference for the
+    stacked search."""
+    kind = suite._SEARCH_KINDS[check_name]
     best_margin, best = np.inf, None
     for trial in range(budget):
         rng = rng_for(seed, "search", check_name, f.spec_string(), dim, trial)
-        params = space.sample([rng])[0]
-        margin = next(space.margins(params[None]))
+        chunk = suite._search_draw(f, check_name, dim, [rng])
+        margin = next(suite._search_rows(kind, chunk))[0]
+        witness = {"phi": f.spec_string(), "dim": dim, "margin": margin,
+                   **suite._encode_witness(kind, suite._point(kind, chunk, 0, 0))}
         if margin < -suite.SEARCH_TOL:
-            return margin, trial + 1, space.witness(params, margin)
+            return margin, trial + 1, witness
         if margin < best_margin:
-            best_margin, best = margin, params
-    return best_margin, budget, None if best is None else space.witness(best, best_margin)
+            best_margin, best = margin, witness
+    return best_margin, budget, best
 
 
 def _raising_margins(monkeypatch) -> Counter:
@@ -365,10 +368,10 @@ def test_counterexample_search_is_the_same_batched_and_one_at_a_time(
     assert report.holds == exhausted
     if not exhausted:
         # The witness is a draw: every matrix in the record's search spectrum.
-        space = suite._SearchSpace(f, check_name, dim)
-        floor, cap = space.record.search_spectrum
+        record = suite.CHECKS[suite._SEARCH_KINDS[check_name]]
+        floor, cap = record.search_spectrum
         point = suite._decode_witness(report.witness)
-        for key in space.matrix_keys:
+        for key in (key for key, codec in record.fields if codec is suite._MATRIX):
             eigenvalues = np.linalg.eigvalsh(point[key])
             assert eigenvalues[0] >= floor, key
             assert cap is None or eigenvalues[-1] <= cap, key
@@ -425,7 +428,8 @@ def test_found_search_stops_at_its_first_violation(monkeypatch):
 def test_searchable_checks_are_the_records_whose_other_fields_the_search_fills():
     # Every record left out has a field the search cannot fill; joint
     # convexity is searched once per functional.
-    fills = {"phi", "variant", "functional", "lambda", "t"}
+    fills = set(suite._SEARCH_FILLS)
+    assert fills == {"phi", "variant", "functional", "lambda", "t"}
     searched = ("joint_convexity", "condition_a", "condition_e")
     for kind, record in suite.CHECKS.items():
         unfilled = {key for key, codec in record.fields if codec is not suite._MATRIX} - fills
@@ -587,6 +591,33 @@ def test_sweep_refuses_a_nan_margin(first, monkeypatch):
         run_suite(cfg)
     assert main(["run-suite", "--trials", "6", "--dims", "2", "--phi-list", "square",
                  "--checks", "condition_e", "--quiet"]) == 2
+
+
+@pytest.mark.parametrize("first", [0, 3])
+def test_search_refuses_a_nan_margin(first, monkeypatch):
+    # The sweep's rule: an all-NaN search would read as holds with margin inf
+    # and no witness, so the search names its report and first NaN trial.
+    record = suite.CHECKS["joint_convexity"]
+
+    def margins(chunk):
+        out = record.margin(chunk)
+        out[first:] = np.nan
+        return out
+    monkeypatch.setitem(suite.CHECKS, "joint_convexity",
+                        dataclasses.replace(record, margin=margins))
+    with pytest.raises(DomainError, match=rf"counterexample_search\[map_C,square,d=1\]: "
+                                          rf"trial {first} has a NaN"):
+        counterexample_search(builtin("square"), "map_C", 20, seed=0, dim=1)
+    assert main(["search-counterexample", "--phi", "square", "--check", "map_C",
+                 "--budget", "20"]) == 2
+
+
+def test_condition_e_search_spectrum_lies_in_its_domain():
+    # The search draws condition (e)'s matrices inside the spectra its margin
+    # accepts, where the sweep draws from the whole box.
+    floor, cap = suite.CHECKS["condition_e"].search_spectrum
+    low, high = CONDITION_E_SPECTRUM
+    assert low < floor < cap < high
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden_suite_seed5.json"
