@@ -27,11 +27,11 @@ measures, the labels of its stream and its name; its keys, in order, are
 - ``run_suite`` runs the sweeps a ``RunConfig`` selects;
 - ``check`` reports one given point: class gate, margin, tolerance, witness;
 - ``replay_witness`` decodes a witness and recomputes its margin;
-- ``counterexample_search`` is a sweep with a stop bound: ``_search_draw``
-  fills a searchable record's matrix fields and weight, and ``_scan`` runs
-  stacks of 8, 16, 32, ... trials, stopped at the first margin below
-  -SEARCH_TOL; ``_worst`` then picks that point, or the least one if no
-  margin is below, as its witness.
+- ``counterexample_search`` is a sweep with a stop bound: its trials draw
+  with the record's own draw (``_drawer``, shared with ``sweep``), in the
+  trace form, and ``_scan`` runs stacks of 8, 16, 32, ... trials, stopped at
+  the first margin below -SEARCH_TOL; ``_worst`` then picks that point, or
+  the least one if no margin is below, as its witness.
 
 Trials are keyed by (seed, check, labels..., trial) through a counter-based
 generator, so a report does not depend on the order its sweeps run in, and
@@ -313,10 +313,11 @@ _CHANNEL = _json_object(KrausChannel)
 
 @dataclass(frozen=True)
 class Check:
-    """One statement: its witness layout, margin, suite draw and tolerance.
+    """One statement: its witness layout, margin, draw and tolerance.
 
     A point is a dict keyed like the witness that holds decoded values; a
     chunk holds the columns of its trials' points (Codec.column and entry).
+    Sweeps and counterexample searches draw their chunks with the same draw.
     """
 
     fields: tuple                 # witness layout after "kind": (key, Codec) pairs
@@ -326,8 +327,6 @@ class Check:
     draw: Callable                # (trials' generators, d, shared values) -> columns
     tolerance: Callable           # all margins -> tolerance
     class_gated: bool = True      # in class only for phi tagged for the variant
-    # Spectral floor and cap of the matrices a counterexample search draws.
-    search_spectrum: tuple = (SPECTRAL_FLOOR + 0.05, None)
 
 
 def _lambdas(rng) -> list:
@@ -447,7 +446,6 @@ CHECKS = {
             "A": sample_psd(d, CONDITION_E_SPECTRUM[0], rngs, CONDITION_E_SPECTRUM[1]),
             "h": sample_hermitian_unit(d, rngs), "k": sample_hermitian_unit(d, rngs)},
         tolerance=_relative_tol,
-        search_spectrum=(0.6, 3.8),
         name="condition_e[{phi}]"),
     "monotonicity": Check(
         fields=(("phi", _PHI), ("variant", _VARIANT), ("channel", _CHANNEL),
@@ -469,15 +467,10 @@ CHECKS = {
         name="operator_jensen[{phi},{variant}]"),
 }
 
-# The fields other than matrices that a counterexample search fills (_search_draw).
-_SEARCH_FILLS = ("phi", "variant", "functional", "lambda", "t")
-
-# The kind of each record whose fields are matrices or values a search fills,
-# by the name it is searched under; joint convexity once per functional.
-_SEARCH_KINDS = {
-    name: kind for kind, record in CHECKS.items()
-    if all(codec is _MATRIX or key in _SEARCH_FILLS for key, codec in record.fields)
-    for name in (FUNCTIONAL_NAMES if kind == "joint_convexity" else (kind,))}
+# The kind of each record a counterexample search falsifies, by the name it
+# is searched under: joint convexity once per functional.
+_SEARCH_KINDS = {**dict.fromkeys(FUNCTIONAL_NAMES, "joint_convexity"),
+                 "condition_a": "condition_a", "condition_e": "condition_e"}
 SEARCHABLE_CHECKS = tuple(_SEARCH_KINDS)
 
 
@@ -618,6 +611,12 @@ def _worst(kind: str, name: str, scanned: list) -> tuple:
     return trials, least, witness
 
 
+def _drawer(record: Check, base: dict, d: int) -> Callable:
+    """A chunk of trials from a stack of their generators: the values they
+    share (base), then the columns the record draws."""
+    return lambda rngs: {**base, **record.draw(rngs, d, base)}
+
+
 def sweep(config: RunConfig, check: str, s: Sweep, f: ScalarFunction | None,
           variant: str, d: int) -> VerificationReport:
     """Run one report: every trial's margins, the worst and its witness.
@@ -631,8 +630,7 @@ def sweep(config: RunConfig, check: str, s: Sweep, f: ScalarFunction | None,
     labels = {**base, "phi": None if f is None else f.spec_string(), "d": d, "n": N_FACTORS}
     rngs = (rng_for(config.seed, check, *(labels[key] for key in s.key), trial)
             for trial in range(config.trials))
-    scanned = _scan(lambda rngs: {**base, **record.draw(rngs, d, base)},
-                    lambda chunk: _rows(record.margin(chunk)), rngs,
+    scanned = _scan(_drawer(record, base, d), lambda chunk: _rows(record.margin(chunk)), rngs,
                     itertools.repeat(_chunk(d)))
     name = s.name.format(**labels)
     _, worst, witness = _worst(s.kind, name, scanned)
@@ -731,31 +729,26 @@ def run_suite(config: RunConfig) -> SuiteReport:
 # --- counterexample search --------------------------------------------------------
 
 
-def _search_draw(f: ScalarFunction, check_name: str, dim: int, rngs: list) -> dict:
-    """The chunk of a search's trials: each generator draws the record's
-    matrices in its search spectrum, then one weight, which serves as lambda
-    and, for gap_F_t, as t.  Searches run on the trace form."""
-    record = CHECKS[_SEARCH_KINDS[check_name]]
-    keys = [key for key, codec in record.fields if codec is _MATRIX]
-    floor, cap = record.search_spectrum
-    mats = sample_psd(dim, floor, rngs, cap, len(keys))
-    weights = np.array([rng.uniform(0.05, 0.95) for rng in rngs])
-    return {"phi": f, "functional": check_name, "variant": "trace", "lambda": weights[:, None],
-            "t": weights if check_name == "gap_F_t" else None, **_split(keys, mats)}
+def _margin_in_domain(kind: str, point: dict) -> float:
+    """The margin of one point, or +inf for a point out of the domain (one
+    that raises), which a search treats as non-violating."""
+    try:
+        return _margin(kind, point)
+    except PhiLabError:
+        return np.inf
 
 
-def _search_rows(kind: str, chunk: dict, alone: bool = False) -> Iterator:
-    """Rows of margins of a search chunk.  A chunk of several trials that
-    raises is evaluated again one trial at a time as its rows are read: a
-    trial that raises alone is out of the domain and gets +inf (treated as
-    non-violating), and those never read are not evaluated."""
+def _search_rows(kind: str, chunk: dict) -> Iterator:
+    """Rows of margins of a search chunk.  A chunk that raises is evaluated
+    again one (trial, weight) point at a time as its rows are read, so each
+    trial keeps its row, and rows never read are not evaluated."""
     try:
         return iter(_rows(CHECKS[kind].margin(chunk)))
     except PhiLabError:
-        if alone or len(chunk["lambda"]) == 1:
-            return iter([[np.inf]])
-        return (row for n in range(len(chunk["lambda"]))
-                for row in _search_rows(kind, _column(kind, _point(kind, chunk, n, 0)), True))
+        trials = len(next(chunk[key] for key, codec in CHECKS[kind].fields if codec is _MATRIX))
+        weights = chunk["lambda"].shape[1] if "lambda" in chunk else 1
+        return ([_margin_in_domain(kind, _point(kind, chunk, n, j)) for j in range(weights)]
+                for n in range(trials))
 
 
 def counterexample_search(f: ScalarFunction, check_name: str, budget: int, seed: int,
@@ -768,11 +761,15 @@ def counterexample_search(f: ScalarFunction, check_name: str, budget: int, seed:
     point of least margin; that is evidence, not a proof.  Conditions (a) and
     (e) of an affine f, out of their domain at every point, are a ConfigError.
 
-    The search is a sweep with a stop bound: _scan on stacks of 8, 16, 32, ...
-    trials up to a sweep's chunk, stopped at the first success; the trials
-    after it in its stack count for nothing, and the stack sizes set only the
-    number of margin calls.  Every margin before a success is at least
-    -SEARCH_TOL, so _worst picks the witness either way, as in a sweep.
+    A trial is drawn from its own stream by the record's draw, as a sweep
+    trial in the trace form: matrices from SPECTRAL_FLOOR (condition (e)'s A
+    in CONDITION_E_SPECTRUM), unit Hermitian directions, the sweep's five
+    weights lambda and, for gap_F_t, t in [0, 1].  The search is a sweep with
+    a stop bound: _scan on stacks of 8, 16, 32, ... trials up to a sweep's
+    chunk, stopped at the first success; the trials after it in its stack
+    count for nothing, and the stack sizes set only the number of margin
+    calls.  Every margin before a success is at least -SEARCH_TOL, so _worst
+    picks the witness either way, as in a sweep.
     """
     if check_name not in SEARCHABLE_CHECKS:
         raise ConfigError(
@@ -787,10 +784,11 @@ def counterexample_search(f: ScalarFunction, check_name: str, budget: int, seed:
     if check_name in _INVERTS_DERIVATIVE and is_affine(f):
         raise ConfigError(f"cannot search {check_name} for '{f.spec_string()}': {_AFFINE_REASON}")
     kind, phi = _SEARCH_KINDS[check_name], f.spec_string()
+    base = {"phi": f, "variant": "trace", "functional": check_name}
     rngs = (rng_for(seed, "search", check_name, phi, dim, trial) for trial in range(budget))
     doubling = (min(_SEARCH_FLOOR * 2**i, _chunk(dim)) for i in itertools.count())
-    scanned = _scan(lambda rngs: _search_draw(f, check_name, dim, rngs),
-                    lambda chunk: _search_rows(kind, chunk), rngs, doubling, -SEARCH_TOL)
+    scanned = _scan(_drawer(CHECKS[kind], base, dim), lambda chunk: _search_rows(kind, chunk),
+                    rngs, doubling, -SEARCH_TOL)
     name = f"counterexample_search[{check_name},{phi},d={dim}]"
     trials, margin, witness = _worst(kind, name, scanned)
     return VerificationReport.from_margin(

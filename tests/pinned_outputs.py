@@ -20,7 +20,9 @@ its ``json.dumps(payload, sort_keys=True)`` without the timing, with the
 "artifact_version", its blocks as the tree writes them.  It prints how many
 searches found a violation, in how many margin calls (each
 ``suite.CHECKS`` margin wrapped with a counter), which shows what their
-stack sizes cost, and the largest |Hermitian parameter| of a search witness,
+stack sizes cost, and how many of those calls raised (a stack out of the
+domain, evaluated again point by point, or a point that gets +inf), which
+shows the budget spent out of the domain, and the largest |Hermitian parameter| of a search witness,
 which shows the scale of the witnesses.  Then it replays every witness as
 the tree wrote it, and prints their count and the largest |replayed -
 margin|; it exits 1 when that exceeds the replay tolerance of the
@@ -84,6 +86,7 @@ def main(argv) -> int:
     from phi_entropy_lab import suite
     from phi_entropy_lab.catalog import from_spec
     from phi_entropy_lab.cli import REPLAY_TOL
+    from phi_entropy_lab.errors import PhiLabError
     from phi_entropy_lab.suite import (
         SEARCHABLE_CHECKS, RunConfig, counterexample_search, replay_witness, run_suite)
 
@@ -99,12 +102,16 @@ def main(argv) -> int:
         with open(out / f"{name}.jsonl", "w", encoding="utf-8") as fh:
             fh.writelines([_line(payload), *map(_line, reports)])
         written += json.loads(json.dumps(reports))
-    searches, calls = [], [0]
+    searches, calls, raised = [], [0], [0]
     originals = dict(suite.CHECKS)
     for kind, record in originals.items():
         def counted(chunk, margin=record.margin):
             calls[0] += 1
-            return margin(chunk)
+            try:
+                return margin(chunk)
+            except PhiLabError:
+                raised[0] += 1
+                raise
         suite.CHECKS[kind] = dataclasses.replace(record, margin=counted)
     with open(out / "search.jsonl", "w", encoding="utf-8") as fh:
         for phi in SEARCH_PHIS:
@@ -121,7 +128,7 @@ def main(argv) -> int:
               for value in _as_lists(r["witness"]).values()
               if isinstance(value, dict) and "h" in value for x in value["h"]]
     print(f"{sum(not r['holds'] for r in searches)} of {len(searches)} searches found one, "
-          f"in {calls[0]} margin calls; largest |Hermitian parameter| of a search witness = "
+          f"in {calls[0]} margin calls, {raised[0]} of which raised; largest |Hermitian parameter| of a search witness = "
           f"{max(params, default=0.0):.3g}")
     stored = [r for r in written if r["witness"] is not None]
     worst = max((abs(replay_witness(r["witness"]) - r["margin"]) for r in stored), default=0.0)

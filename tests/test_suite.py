@@ -24,6 +24,7 @@ from phi_entropy_lab import (
 )
 from phi_entropy_lab.characterizations import CONDITION_E_SPECTRUM, FUNCTIONAL_NAMES
 from phi_entropy_lab.cli import main
+from phi_entropy_lab.entropy import SPECTRAL_FLOOR
 from phi_entropy_lab.errors import PhiLabError
 from phi_entropy_lab.sampling import (
     rng_for,
@@ -34,7 +35,7 @@ from phi_entropy_lab.sampling import (
 from phi_entropy_lab import suite
 from phi_entropy_lab.suite import CHECK_NAMES
 
-from batching import recorded_margins
+from batching import points, recorded_margins, trials
 
 SMALL = dict(seed=5, dims=(2,), trials=5, phi_list=("square",), variant="trace")
 
@@ -307,22 +308,36 @@ def test_counterexample_search_refuses_a_dim_budget_or_seed_that_is_no_integer(a
 
 
 def _search_one_at_a_time(f, check_name: str, budget: int, seed: int, dim: int) -> tuple:
-    """Margin, trials and witness of a search that draws and evaluates one
-    point at a time, each a chunk of one trial: the reference for the
-    stacked search."""
+    """Margin, trials and witness of a search that draws each trial alone
+    with its record's draw and evaluates it as a chunk of one trial, or, if
+    that raises, point by point, a point that raises alone at +inf: the
+    reference for the stacked search."""
     kind = suite._SEARCH_KINDS[check_name]
+    record = suite.CHECKS[kind]
+    base = {"phi": f, "variant": "trace", "functional": check_name}
     best_margin, best = np.inf, None
     for trial in range(budget):
         rng = rng_for(seed, "search", check_name, f.spec_string(), dim, trial)
-        chunk = suite._search_draw(f, check_name, dim, [rng])
-        margin = next(suite._search_rows(kind, chunk))[0]
-        witness = {"phi": f.spec_string(), "dim": dim, "margin": margin,
-                   **suite._encode_witness(kind, suite._point(kind, chunk, 0, 0))}
-        if margin < -suite.SEARCH_TOL:
-            return margin, trial + 1, witness
-        if margin < best_margin:
-            best_margin, best = margin, witness
-    return best_margin, budget, best
+        chunk = {**base, **record.draw([rng], dim, base)}
+        trial_points = points(kind, chunk)
+        try:
+            row = np.ravel(record.margin(chunk)).tolist()
+        except PhiLabError:
+            row = []
+            for point in trial_points:
+                try:
+                    row.append(float(np.ravel(record.margin(suite._column(kind, point)))[0]))
+                except PhiLabError:
+                    row.append(np.inf)
+        for point, margin in zip(trial_points, row):
+            if margin < best_margin:
+                best_margin, best = margin, point
+        if best_margin < -suite.SEARCH_TOL:
+            budget = trial + 1
+            break
+    witness = None if best is None else {"phi": f.spec_string(), "dim": dim, "margin": best_margin,
+                                         **suite._encode_witness(kind, best)}
+    return best_margin, budget, witness
 
 
 def _raising_margins(monkeypatch) -> Counter:
@@ -366,15 +381,18 @@ def test_counterexample_search_is_the_same_batched_and_one_at_a_time(
     assert not raised  # the draws stay in the domain
     exhausted = phi == "square" or (phi, check_name, dim) == ("power:3", "gap_F_t", 2)
     assert report.holds == exhausted
-    if not exhausted:
-        # The witness is a draw: every matrix in the record's search spectrum.
-        record = suite.CHECKS[suite._SEARCH_KINDS[check_name]]
-        floor, cap = record.search_spectrum
-        point = suite._decode_witness(report.witness)
-        for key in (key for key, codec in record.fields if codec is suite._MATRIX):
+    # The witness is a sweep draw of its record: directions h and k of unit
+    # Frobenius norm, condition (e)'s A in its box, every other matrix from
+    # the floor.
+    point = suite._decode_witness(report.witness)
+    kind = report.witness["kind"]
+    low, high = CONDITION_E_SPECTRUM if kind == "condition_e" else (SPECTRAL_FLOOR, np.inf)
+    for key, codec in suite.CHECKS[kind].fields:
+        if key in ("h", "k"):
+            assert abs(np.linalg.norm(point[key]) - 1.0) <= 1e-12, key
+        elif codec is suite._MATRIX:
             eigenvalues = np.linalg.eigvalsh(point[key])
-            assert eigenvalues[0] >= floor, key
-            assert cap is None or eigenvalues[-1] <= cap, key
+            assert low - 1e-12 <= eigenvalues[0] and eigenvalues[-1] <= high + 1e-12, key
 
 
 @pytest.mark.parametrize("margin", [1.0, None])
@@ -396,8 +414,8 @@ def test_exhausted_search_keeps_the_first_least_margin(margin, monkeypatch):
 
 
 def test_exhausted_search_stacks_its_trials(monkeypatch):
-    # 50 trials at d=1 go to the record in stacks of 8, 16 and 26 points; one
-    # point per call would be 50 calls.
+    # 50 trials at d=1 go to the record in stacks of 8, 16 and 26 trials; one
+    # trial per call would be 50 calls.
     calls = _counting_margins(monkeypatch)
     report = counterexample_search(builtin("square"), "map_C", 50, seed=0, dim=1)
     assert report.holds and report.trials == 50
@@ -417,25 +435,64 @@ def test_found_search_stops_at_its_first_violation(monkeypatch):
             counterexample_search(f, check_name, 50, seed=0, dim=1)
     assert sum(calls.values()) <= 56
     # quartic map_C at d=4 finds one at trial 27, in its third stack (8 + 16 +
-    # 26 points: the third holds the rest of the budget).
-    points = _counting_margins(monkeypatch, weigh=lambda chunk: len(chunk["lambda"]))
+    # 26 trials: the third holds the rest of the budget).
+    drawn = _counting_margins(monkeypatch,
+                              weigh=lambda chunk: trials("joint_convexity", chunk)[0])
     report = counterexample_search(from_spec("quartic", allow_outside_class=True), "map_C", 50,
                                    seed=0, dim=4)
     assert not report.holds
-    assert sum(points.values()) <= 50
+    assert sum(drawn.values()) <= 50
 
 
-def test_searchable_checks_are_the_records_whose_other_fields_the_search_fills():
-    # Every record left out has a field the search cannot fill; joint
-    # convexity is searched once per functional.
-    fills = set(suite._SEARCH_FILLS)
-    assert fills == {"phi", "variant", "functional", "lambda", "t"}
-    searched = ("joint_convexity", "condition_a", "condition_e")
-    for kind, record in suite.CHECKS.items():
-        unfilled = {key for key, codec in record.fields if codec is not suite._MATRIX} - fills
-        assert bool(unfilled) == (kind not in searched), kind
-    assert suite.SEARCHABLE_CHECKS == (*FUNCTIONAL_NAMES, *searched[1:]) == (
+def test_searchable_checks_are_six_names_and_the_records_they_search():
+    # Joint convexity is searched once per functional.
+    assert suite._SEARCH_KINDS == {
+        "bregman_A": "joint_convexity", "map_B": "joint_convexity",
+        "map_C": "joint_convexity", "gap_F_t": "joint_convexity",
+        "condition_a": "condition_a", "condition_e": "condition_e"}
+    assert suite.SEARCHABLE_CHECKS == (*FUNCTIONAL_NAMES, "condition_a", "condition_e") == (
         "bregman_A", "map_B", "map_C", "gap_F_t", "condition_a", "condition_e")
+
+
+@pytest.mark.parametrize("check_name", suite.SEARCHABLE_CHECKS)
+def test_search_chunks_are_the_records_draws(check_name, monkeypatch):
+    # A search hands the margin each stack as the record's draw, a sweep's,
+    # makes it from the stack's generators: the same columns, bit for bit.
+    kind = suite._SEARCH_KINDS[check_name]
+    record = suite.CHECKS[kind]
+    chunks = []
+    monkeypatch.setitem(suite.CHECKS, kind, dataclasses.replace(
+        record, margin=lambda chunk: chunks.append(chunk) or record.margin(chunk)))
+    f = builtin("square")  # no violation: the search draws its whole budget
+    report = counterexample_search(f, check_name, 50, seed=0, dim=2)
+    base = {"phi": f, "variant": "trace", "functional": check_name}
+    drawn = 0
+    for chunk in chunks:
+        n = trials(kind, chunk)[0]
+        rngs = [rng_for(0, "search", check_name, "square", 2, drawn + i) for i in range(n)]
+        expected = {**base, **record.draw(rngs, 2, base)}
+        assert chunk.keys() == expected.keys()
+        for key, value in expected.items():
+            if isinstance(value, np.ndarray):
+                got = chunk[key]
+                assert (got.dtype, got.shape, got.tobytes()) == (
+                    value.dtype, value.shape, value.tobytes()), key
+            else:
+                assert chunk[key] is value or chunk[key] == value, key
+        drawn += n
+    assert report.holds and drawn == report.trials == 50
+
+
+def test_search_out_of_its_domain_is_evaluated_point_by_point(monkeypatch):
+    # power:10's derivative map at d=3 is numerically singular at some
+    # condition (a) draws: the first stack raises, and each of its (trial,
+    # weight) points is evaluated alone, +inf where it raises again.
+    f = from_spec("power:10", allow_outside_class=True)
+    raised = _raising_margins(monkeypatch)
+    report = counterexample_search(f, "condition_a", 50, 0, dim=3)
+    assert raised["condition_a"] > 1
+    assert (report.margin, report.trials, report.witness) == _search_one_at_a_time(
+        f, "condition_a", 50, 0, dim=3)
 
 
 @pytest.mark.parametrize("phi, check_name, dim", [
@@ -610,14 +667,6 @@ def test_search_refuses_a_nan_margin(first, monkeypatch):
         counterexample_search(builtin("square"), "map_C", 20, seed=0, dim=1)
     assert main(["search-counterexample", "--phi", "square", "--check", "map_C",
                  "--budget", "20"]) == 2
-
-
-def test_condition_e_search_spectrum_lies_in_its_domain():
-    # The search draws condition (e)'s matrices inside the spectra its margin
-    # accepts, where the sweep draws from the whole box.
-    floor, cap = suite.CHECKS["condition_e"].search_spectrum
-    low, high = CONDITION_E_SPECTRUM
-    assert low < floor < cap < high
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden_suite_seed5.json"
