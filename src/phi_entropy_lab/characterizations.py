@@ -6,11 +6,11 @@ subadditive entropy classes through joint convexity.  The functionals are
 operators; the slack of joint convexity is an operator gap, read in the
 variant it is given by ``spectral.variant_margin``.  This module gives
 the slack of each condition: joint convexity of a functional, the
-inverse-derivative concavity condition (a), the fourth-derivative trace
-inequality (e) and the conditional Jensen inequality (g), which for two
-factors is the subadditivity gap.  The convexity lemma, Jensen's inequality
-for Tr map_C over any number of atoms, follows from the joint convexity of
-map_C (item (d)) by induction, so it has no slack of its own.
+inverse-derivative concavity condition (a) and the fourth-derivative trace
+inequality (e); the conditional Jensen inequality (g) is the subadditivity
+gap for two factors, swept with that record.  The convexity lemma, Jensen's
+inequality for Tr map_C over any number of atoms, follows from the joint
+convexity of map_C (item (d)) by induction, so it has no slack of its own.
 
 Each slack takes stacks or columns (``entropy``), with a leading trial
 axis, and gives one result per trial.  The two convexity slacks (of a
@@ -191,7 +191,8 @@ def conditional_jensen_gap(f: ScalarFunction, P: tuple) -> np.ndarray:
     E_1 averages over the first factor; H(. | X_1) is the entropy in the
     second factor's randomness at fixed X_1.  It and the subadditivity gap
     both expand to E phi(Z) - E_1 phi(E_2 Z) - E_2 phi(E_1 Z) + phi(EZ), so
-    ``subadditivity_gap`` computes it.
+    ``subadditivity_gap`` computes it.  No record calls it: it is the tests'
+    statement of (g), kept while the benchmark's tracer names it.
     """
     rows, _ = P
     if len(rows) != 2:

@@ -108,9 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_check(args) -> int:
-    witness = _read_json(args.input)
-    point = _decode_witness(witness)
-    report = check(witness["kind"], tol=args.tol, override=args.override, **point)
+    kind, point = _decode_witness(_read_json(args.input))
+    report = check(kind, tol=args.tol, override=args.override, **point)
     _emit(report.to_json_dict(), args, f"{int(report.holds)}/1 checks passed")
     return EXIT_OK if report.holds else EXIT_VIOLATION
 

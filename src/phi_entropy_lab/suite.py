@@ -65,7 +65,6 @@ from .characterizations import (
     BivariateFunctional,
     condition_a_slack,
     condition_e_margin,
-    conditional_jensen_gap,
     convexity_slack_at,
 )
 from .entropy import (
@@ -120,10 +119,12 @@ SWEEPS = {
         for p in (1, 2, 3)),
     "dual_representation": (Sweep("dual_representation", _PER_VARIANT,
                                   "dual_representation[{phi},{variant},d={d}]"),),
+    # Item (g), the conditional Jensen inequality, is subadditivity at
+    # n = N_FACTORS = 2, swept on its own stream and under its own name.
     "characterizations": tuple(
         Sweep("joint_convexity", _ITEM_KEY, _ITEM_NAME, {"item": item, "functional": name})
         for item, name in zip("bcdf", FUNCTIONAL_NAMES)
-    ) + (Sweep("conditional_jensen", _ITEM_KEY, _ITEM_NAME, {"item": "g"}),),
+    ) + (Sweep("subadditivity", _ITEM_KEY, _ITEM_NAME, {"item": "g"}),),
     "condition_a": (Sweep("condition_a", ("phi", "d"), "condition_a[{phi},d={d}]"),),
     "condition_e": (Sweep("condition_e", ("phi", "d"), "condition_e[{phi},d={d}]"),),
     "monotonicity": (Sweep("monotonicity", _PER_VARIANT,
@@ -241,9 +242,9 @@ class SuiteReport:
 
     @property
     def summary(self) -> dict:
-        passed = sum(1 for r, _, _ in self.entries if r.holds)
-        failed = sum(1 for r, _, _ in self.entries if not r.holds)
-        return {"pass": passed, "fail": failed, "skip": len(self.skipped)}
+        """In-class passes and fails, as exit_code reads them, and the skips."""
+        verdicts = [report.holds for report, in_class, _ in self.entries if in_class]
+        return {"pass": sum(verdicts), "fail": verdicts.count(False), "skip": len(self.skipped)}
 
     def exit_code(self) -> int:
         """0 iff no in-class check failed."""
@@ -424,14 +425,6 @@ CHECKS = {
         draw=_draw_pairs,
         tolerance=_convexity_tol,
         name="joint_convexity[{functional},{phi},{variant}]"),
-    # Item (g).
-    "conditional_jensen": Check(
-        fields=(("phi", _PHI), ("variant", _VARIANT), ("product", _PRODUCT)),
-        margin=lambda c: variant_margin(conditional_jensen_gap(c["phi"], c["product"]),
-                                        c["variant"]),
-        draw=_draw_products,
-        tolerance=lambda margins: 1e-10,
-        name="conditional_jensen[{phi},{variant}]"),
     "condition_a": Check(
         fields=(("phi", _PHI), ("lambda", _LAMBDA), ("A1", _MATRIX), ("A2", _MATRIX),
                 ("h", _MATRIX)),
@@ -507,22 +500,28 @@ def _require_fields(kind: str, witness: dict) -> None:
         raise ConfigError(f"the matrices of a {kind} witness must share one dim, got {dims!r:.60}")
 
 
-def _decode_witness(witness: dict) -> dict:
-    """The point a witness stores.  A missing or unknown kind, and a field
-    missing or refused by its codec, are ConfigErrors that name them."""
+def _decode_witness(witness: dict) -> tuple:
+    """The kind and the point a witness stores.  A missing or unknown kind,
+    and a field missing or refused by its codec, are ConfigErrors that name
+    them.  A conditional_jensen witness, item (g) in older 0.3.0 files, is
+    read as the subadditivity witness of a product of N_FACTORS factors."""
     if not isinstance(witness, dict) or "kind" not in witness:
         raise ConfigError("a witness is a JSON object with a 'kind'")
-    kind = witness["kind"]
+    stored = witness["kind"]
+    kind = "subadditivity" if stored == "conditional_jensen" else stored
     if not isinstance(kind, str) or kind not in CHECKS:
         raise ConfigError(f"no check of witness kind {kind!r:.60}")
     _require_fields(kind, witness)
-    return {key: codec.decode(witness[key]) for key, codec in CHECKS[kind].fields}
+    point = {key: codec.decode(witness[key]) for key, codec in CHECKS[kind].fields}
+    if kind != stored and len(point["product"].factor_weights) != N_FACTORS:
+        raise ConfigError(f"a conditional_jensen witness needs a product of exactly "
+                          f"{N_FACTORS} factors, got {len(point['product'].factor_weights)}")
+    return kind, point
 
 
 def replay_witness(witness: dict) -> float:
     """Recompute the margin a stored witness claims; must match to 1e-12."""
-    point = _decode_witness(witness)
-    return _margin(witness["kind"], point)
+    return _margin(*_decode_witness(witness))
 
 
 def check(kind: str, *, tol: float | None = None, override: bool = False,

@@ -1,6 +1,7 @@
 """Write the pinned outputs of one source tree, to compare two trees by value.
 
     python tests/pinned_outputs.py SRC OUT
+    python tests/pinned_outputs.py --compare OUT_A OUT_B
 
 imports phi_entropy_lab from the directory SRC and writes into OUT:
 
@@ -29,6 +30,13 @@ margin|; it exits 1 when that exceeds the replay tolerance of the
 ``replay`` command.  Last it prints the line count of each package module
 and their total, as ``wc -l SRC/phi_entropy_lab/*.py`` gives them, so two
 trees' sizes compare in the same run as their outputs.
+
+With --compare it reads the OUT directories of two trees and prints, for
+each file, how many reports moved and the set of JSON paths that moved in
+them, list indices written [] (``35 reports: witness.kind``), then the
+paths that moved outside the reports (a payload's summary, config or
+skips).  Reports are paired by line.  It exits 1 when anything moved, as
+``diff`` does.
 """
 
 import binascii
@@ -77,9 +85,53 @@ def _line(value) -> str:
     return json.dumps(_as_lists(value), sort_keys=True) + "\n"
 
 
+_MISSING = object()
+
+
+def _moved(a, b, path: str = "") -> set:
+    """The JSON paths at which a and b differ, list indices written []."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return set().union(*(_moved(a.get(k, _MISSING), b.get(k, _MISSING),
+                                    f"{path}.{k}" if path else k) for k in a.keys() | b.keys()))
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return set().union(*(_moved(x, y, path + "[]") for x, y in zip(a, b)))
+    return set() if a == b else {path or "."}
+
+
+def compare(out_a: Path, out_b: Path) -> int:
+    """Print what moved between two OUT directories, file by file."""
+    moved_any = False
+    for name in sorted({p.name for out in (out_a, out_b) for p in out.glob("*.jsonl")}):
+        paths = [out / name for out in (out_a, out_b)]
+        if not all(p.exists() for p in paths):
+            print(f"{name}: only in {next(p.parent for p in paths if p.exists())}")
+            moved_any = True
+            continue
+        rows_a, rows_b = ([json.loads(line) for line in p.read_text(encoding="utf-8").splitlines()]
+                          for p in paths)
+        reports, outside, count = set(), set(), 0
+        for a, b in zip(rows_a, rows_b):
+            moved = _moved(a, b)
+            if "check_name" in a:
+                reports |= moved
+                count += bool(moved)
+            else:
+                outside |= moved
+        parts = [f"{count} reports: {', '.join(sorted(reports))}"] if count else []
+        parts += [f"outside the reports: {', '.join(sorted(outside))}"] if outside else []
+        if len(rows_a) != len(rows_b):
+            parts.append(f"{len(rows_a)} lines in {out_a}, {len(rows_b)} in {out_b}")
+        print(f"{name}: {'; '.join(parts) or 'identical'}")
+        moved_any |= bool(parts)
+    return int(moved_any)
+
+
 def main(argv) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(Path(argv[1]), Path(argv[2]))
     if len(argv) != 2:
-        print("usage: python tests/pinned_outputs.py SRC OUT", file=sys.stderr)
+        print("usage: python tests/pinned_outputs.py SRC OUT\n"
+              "       python tests/pinned_outputs.py --compare OUT_A OUT_B", file=sys.stderr)
         return 2
     src, out = (Path(arg).resolve() for arg in argv)
     sys.path.insert(0, str(src))

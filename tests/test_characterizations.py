@@ -498,8 +498,8 @@ def test_conditional_jensen_deterministic_factors():
 def test_conditional_jensen_sweeps():
     for trial in range(50):
         P = sample_product(2, 2, 2, seed=trial)
-        assert check("conditional_jensen", phi=SQ, variant="operator", product=P).holds
-        assert check("conditional_jensen", phi=XLX, variant="trace", product=P).holds
+        assert check("subadditivity", phi=SQ, variant="operator", product=P).holds
+        assert check("subadditivity", phi=XLX, variant="trace", product=P).holds
 
 
 def test_conditional_jensen_scalar_oracle():
@@ -532,7 +532,7 @@ def test_conditional_jensen_gap_is_the_gap_of_per_slice_entropies(d, supports, n
         assert np.abs(conditional_jensen_gap(f, P.column)[0] - want).max() <= 1e-12 * scale
         margins = {"trace": np.trace(want).real / d, "operator": np.linalg.eigvalsh(want)[0]}
         for variant, margin in margins.items():
-            got = check("conditional_jensen", phi=f, variant=variant, product=P,
+            got = check("subadditivity", phi=f, variant=variant, product=P,
                         override=True).margin
             assert abs(got - margin) <= 1e-12 * max(1.0, abs(margin)), (variant, trial)
 

@@ -270,6 +270,11 @@ _NOT_TP_MONOTONICITY = {
                            {"w": 0.5, "m": {"dim": 2, "re": [[1.0, 0.0], [0.0, 3.0]]}}]}}
 
 
+# A witness of item (g)'s kind in older 0.3.0 files, of a product of three factors.
+_CONDITIONAL_JENSEN_THREE = {"kind": "conditional_jensen", "phi": "square", "variant": "trace",
+                             "product": {"factors": [[1.0], [1.0], [1.0]], "z": {"0,0,0": _ONE}}}
+
+
 @pytest.mark.parametrize("command, data", [
     ("check", _matrices({"dim": "two", "re": [[1.0]]})),
     ("check", _matrices({"dim": 1.9, "re": [[1.0]]})),
@@ -335,6 +340,8 @@ _NOT_TP_MONOTONICITY = {
     ("check", _ensemble({"atoms": [{"w": True, "m": _ONE}]})),
     ("check", _sub({"factors": [["1"]], "z": {"0": _ONE}})),
     ("check", _sub({"factors": [[True]], "z": {"0": _ONE}})),
+    ("check", _CONDITIONAL_JENSEN_THREE),
+    ("replay", {"reports": [{"margin": 0.0, "witness": _CONDITIONAL_JENSEN_THREE}]}),
 ], ids=["dim-word", "dim-float", "dim-bool", "re-word", "re-ragged", "atom-no-w",
         "top-level-list", "atoms-mixed-dims",
         "product-key", "factor-weight-word", "kraus-number", "trials-string", "dims-word",
@@ -347,12 +354,14 @@ _NOT_TP_MONOTONICITY = {
         "kraus-not-trace-preserving", "h-short", "h-word", "h-dim-float", "ensemble-dim-other",
         "channel-dim-word", "product-missing-outcome", "h-base64-not-canonical",
         "h-base64-bytes", "re-base64-unpadded", "h-number-string", "h-bool", "re-number-string",
-        "atom-w-string", "atom-w-bool", "factor-weight-string", "factor-weight-bool"])
+        "atom-w-string", "atom-w-bool", "factor-weight-string", "factor-weight-bool",
+        "conditional-jensen-three-factors", "replay-conditional-jensen-three-factors"])
 def test_exit_code_two_on_malformed_input_files(command, data, tmp_path, capsys):
     path = _json_file(tmp_path, "input.json", data)
     command, *options = command.split()
     argv = {
         "check": ["--input", path],
+        "replay": ["--input", path],
         "run-suite": ["--config", path, "--quiet"],
     }[command]
     assert main([command, *argv, *options]) == 2

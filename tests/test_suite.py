@@ -170,7 +170,7 @@ def test_witness_replay_reproduces_margins():
         ("condition_a", None), ("condition_e", None),
         *((kind, variant)
           for kind in ("subadditivity", "dual_representation", "joint_convexity",
-                       "conditional_jensen", "monotonicity", "operator_jensen")
+                       "monotonicity", "operator_jensen")
           for variant in ("trace", "operator")),
     }
 
@@ -209,6 +209,8 @@ def test_check_rejects_kinds_and_points_it_cannot_report():
         check("subadditivity", phi=builtin("square"), product=P)
     with pytest.raises(DomainError):
         check("subadditivity", phi=builtin("square"), variant="both", product=P)
+    with pytest.raises(ConfigError, match="no check of kind"):  # item (g) is subadditivity
+        check("conditional_jensen", phi=builtin("square"), variant="trace", product=P)
     # values a stored witness may not hold: the record would report them
     # (p = inf holds with margin 0, p = nan gives margin nan, lambda = 1.5
     # makes the square jointly "non-convex")
@@ -384,8 +386,7 @@ def test_counterexample_search_is_the_same_batched_and_one_at_a_time(
     # The witness is a sweep draw of its record: directions h and k of unit
     # Frobenius norm, condition (e)'s A in its box, every other matrix from
     # the floor.
-    point = suite._decode_witness(report.witness)
-    kind = report.witness["kind"]
+    kind, point = suite._decode_witness(report.witness)
     low, high = CONDITION_E_SPECTRUM if kind == "condition_e" else (SPECTRAL_FLOOR, np.inf)
     for key, codec in suite.CHECKS[kind].fields:
         if key in ("h", "k"):
@@ -510,7 +511,7 @@ def test_search_witness_is_the_records_witness_of_its_point(phi, check_name, dim
     assert list(witness) == ["phi", "dim", "margin", "kind",
                              *(key for key, _ in suite.CHECKS[kind].fields if key != "phi")]
     assert witness == {"phi": f.spec_string(), "dim": dim, "margin": report.margin,
-                       **suite._encode_witness(kind, suite._decode_witness(witness))}
+                       **suite._encode_witness(*suite._decode_witness(witness))}
     assert abs(replay_witness(witness) - report.margin) <= 1e-12
 
 
@@ -550,6 +551,38 @@ def test_old_form_witnesses_replay_to_their_margins(name, version):
         assert replay_witness(r["witness"]) == r["margin"], r["check_name"]
 
 
+def test_item_g_reports_are_subadditivity_of_n_factors():
+    # Item (g) is subadditivity at n = N_FACTORS = 2: every (g) witness of a
+    # run is a subadditivity witness of a product of that many factors.
+    cfg = RunConfig(seed=6, dims=(2, 3), trials=3, variant="both", checks=("characterizations",))
+    g = [r.witness for r, _, _ in run_suite(cfg).entries
+         if r.check_name.startswith("characterizations[g,")]
+    assert len(g) == 6  # square in both forms, xlogx in the trace form, at d = 2, 3
+    assert {w["kind"] for w in g} == {"subadditivity"}
+    assert all(len(w["product"]["factors"]) == suite.N_FACTORS == 2 for w in g)
+
+
+def test_conditional_jensen_witnesses_of_0_3_0_replay_and_check(tmp_path, capsys):
+    # Older run files of 0.3.0 store item (g)'s witnesses with kind
+    # conditional_jensen; the golden's (g) witnesses, with that kind, replay to
+    # their margins exactly, from replay_witness and from the replay command,
+    # and each checks.
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert golden["artifact_version"] == "0.3.0"
+    reports = [{**r, "witness": {**r["witness"], "kind": "conditional_jensen"}}
+               for r in golden["reports"] if r["check_name"].startswith("characterizations[g,")]
+    assert len(reports) == 6
+    for r in reports:
+        assert replay_witness(r["witness"]) == r["margin"], r["check_name"]
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps(r["witness"]))
+        assert main(["check", "--input", str(path), "--quiet"]) == 0, r["check_name"]
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({**golden, "reports": reports}))
+    assert main(["replay", "--input", str(path), "--quiet"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "6/6 witnesses replayed to their margins"
+
+
 def test_outside_class_suite_run_contains_counterexamples():
     cfg = RunConfig(seed=2, dims=(2,), trials=10, phi_list=("square", "quartic"),
                     variant="trace", allow_outside_class=True,
@@ -559,8 +592,9 @@ def test_outside_class_suite_run_contains_counterexamples():
                       if r.check_name.startswith("counterexample_search")]
     assert search_reports, "expected falsification reports for the quartic"
     assert any(not r.holds for r in search_reports)
-    # found violations are out-of-class evidence: the exit code stays 0
-    assert suite.exit_code() == 0
+    # found violations are out-of-class evidence: the exit code stays 0, and
+    # the summary counts no fail
+    assert suite.exit_code() == 0 and suite.summary["fail"] == 0
 
 
 def _counting_margins(monkeypatch, weigh=lambda chunk: 1) -> Counter:
